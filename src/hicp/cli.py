@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 
+from . import _apply_thread_cap  # noqa: F401  (re-exported)
 from . import geometry as geo
 from .complexes import build_complex, edge_key, triangulate
 from .errors import HicpError, IoError
@@ -49,14 +49,6 @@ EXIT_INFEASIBLE = 2
 EXIT_PARTIAL = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("HICP_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _edge_from_key(s):
@@ -211,8 +203,9 @@ def cmd_render(args):
     sl = develop(T, tc, g)
     try:
         sl = merge_redundant(sl)
-    except HicpError:
-        pass  # render the triangulated development as-is
+    except HicpError as exc:
+        print(f"warning: merge failed, rendering the triangulated "
+              f"development: {exc}", file=sys.stderr)
     if args.svg:
         export_svg(sl, args.svg)
     if args.output:
@@ -279,6 +272,8 @@ def sample_er(T, er0, g, rng, frac=0.1):
 
 
 def cmd_roundtrip(args):
+    if args.samples < 1:
+        raise HicpError("--samples must be at least 1")
     spec, g, _theta, _Theta = load_input(args.input, args.geometry)
     cc = build_complex(spec)
     T = triangulate(cc)
@@ -385,7 +380,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,6 +19,7 @@ intersection angle, ``E_pi`` edges are the fan diagonals added by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -340,6 +341,27 @@ class Triangulation:
     @property
     def v1_vertices(self):
         return tuple(sorted(self.base.v1))
+
+    @cached_property
+    def tri_index(self):
+        """Per triangle, in triangle order: ``(tags, a_slots, b_slots)``.
+        The slots give the position of the triangle's three ``a`` (edges
+        ij, jk, ki) and three ``b`` (corners i, j, k) coordinates in the
+        free-variable order (``free_edges``, then ``v1_vertices``), or -1
+        where the coordinate is fixed (``a`` on E0, ``b`` on a point
+        circle)."""
+        from .geometry import triangle_tags
+        free = self.free_edges
+        a_slot = {e: m for m, e in enumerate(free)}
+        b_slot = {k: len(free) + m for m, k in enumerate(self.v1_vertices)}
+        out = []
+        for tri in self.triangles:
+            i, j, k = tri.verts
+            a = tuple(a_slot.get(edge_key(u, v), -1)
+                      for u, v in ((i, j), (j, k), (k, i)))
+            b = tuple(b_slot.get(v, -1) for v in tri.verts)
+            out.append((triangle_tags(self, tri), a, b))
+        return tuple(out)
 
 
 def triangulate(cc):

@@ -246,74 +246,81 @@ def unpack(T, x):
 
 
 def lifted_targets(T, target):
-    """(theta target per free edge of T, Theta target per V1 vertex):
-    stored values on E1, pi on the fan diagonals, derived on V0."""
-    cc = T.base
-    theta = {}
-    for e in T.free_edges:
-        theta[e] = math.pi if e in T.e_pi else target.theta[e]
-    return theta, dict(target.Theta)
+    """Target angle per free variable, in ``free_variables`` order:
+    stored theta on E1, pi on the fan diagonals, Theta on V1."""
+    return np.array([(math.pi if key in T.e_pi else target.theta[key])
+                     if kind == "a" else target.Theta[key]
+                     for kind, key in free_variables(T)])
+
+
+def _packed(T, tc):
+    """Coordinates as a list in ``free_variables`` order; accepts
+    TetraCoords or an already packed vector."""
+    return (tc if isinstance(tc, np.ndarray) else pack(T, tc)).tolist()
+
+
+def _tri_sums(x, tags, a, b, g):
+    """One triangle's angles at its free slots: alpha at each free ``a``
+    slot, then beta at each free ``b`` slot (the order of ``_free``)."""
+    ta = geo.tetra_angles(
+        (tuple(x[s] if s >= 0 else 0.0 for s in a),
+         tuple(x[s] if s >= 0 else 0.0 for s in b)), tags, g)
+    return ([al for al, s in zip(ta.alpha, a) if s >= 0]
+            + [be for be, s in zip(ta.beta, b) if s >= 0])
+
+
+def _free(a, b):
+    return [s for s in a + b if s >= 0]
 
 
 def realized_sums(T, tc, g):
-    """(sum of alpha per edge, sum of beta per vertex) over all
-    triangles; raises NotInTE outside the domain."""
-    alpha_sum = {e: 0.0 for e in T.edges}
-    beta_sum = {v: 0.0 for v in T.base.vertices}
-    for tri in T.triangles:
-        tags = geo.triangle_tags(T, tri)
-        ta = geo.tetra_angles(geo.tri_coords(T, tc, tri), tags, g)
-        i, j, k = tri.verts
-        for m, (u, v) in enumerate(((i, j), (j, k), (k, i))):
-            alpha_sum[edge_key(u, v)] += ta.alpha[m]
-        for c, v in enumerate((i, j, k)):
-            beta_sum[v] += ta.beta[c]
-    return alpha_sum, beta_sum
+    """Sum over all triangles, in triangle order, of alpha per free edge
+    and beta per V1 vertex, as one vector in ``free_variables`` order;
+    raises NotInTE outside the domain."""
+    x = _packed(T, tc)
+    sums = [0.0] * len(x)
+    for tags, a, b in T.tri_index:
+        for s, v in zip(_free(a, b), _tri_sums(x, tags, a, b, g)):
+            sums[s] += v
+    return np.array(sums)
 
 
 def grad_U(T, tc, target, g):
     """Gradient of the angle functional: realized minus target angles,
-    one entry per free variable."""
-    theta_t, Theta_t = (target if isinstance(target, tuple)
-                        else lifted_targets(T, target))
-    alpha_sum, beta_sum = realized_sums(T, tc, g)
-    vals = []
-    for kind, key in free_variables(T):
-        if kind == "a":
-            vals.append(alpha_sum[key] - theta_t[key])
-        else:
-            vals.append(beta_sum[key] - Theta_t[key])
-    return np.array(vals)
+    one entry per free variable.  ``target`` is AngleData or the vector
+    ``lifted_targets`` returns."""
+    if not isinstance(target, np.ndarray):
+        target = lifted_targets(T, target)
+    return realized_sums(T, tc, g) - target
 
 
-def hessian_U(T, tc, g, target=None, scheme="central", symmetrize=True):
+def hessian_U(T, tc, g, scheme="central", symmetrize=True):
     """Finite-difference Hessian of the functional (Jacobian of grad_U),
-    symmetrized unless ``symmetrize`` is false.  The target shifts the
-    gradient by a constant and does not affect the Hessian; a zero
-    target is used.  ``scheme``: "central" (default, more accurate) or
-    "forward" (half the cost, used inside the Newton loop)."""
-    if target is None:
-        zero = ({e: 0.0 for e in T.free_edges},
-                {k: 0.0 for k in T.base.v1})
-    else:
-        zero = (target if isinstance(target, tuple)
-                else lifted_targets(T, target))
-    x = pack(T, tc)
+    symmetrized unless ``symmetrize`` is false.  The functional is a sum
+    of per-triangle terms, so each triangle's block (at most 6 x 6) is
+    differenced on its own, along its own free slots only, and added
+    into the dense matrix.  ``scheme``: "central" (default, more
+    accurate) or "forward" (about half the kernel calls, used inside
+    the Newton loop)."""
+    x = _packed(T, tc)
     n = len(x)
-    H = np.empty((n, n))
-    g0 = None
-    if scheme == "forward":
-        g0 = grad_U(T, unpack(T, x), zero, g)
-    for m in range(n):
-        h = 1e-5 * (1 + abs(x[m]))
-        xp = x.copy(); xp[m] += h
-        gp = grad_U(T, unpack(T, xp), zero, g)
+    H = np.zeros((n, n))
+    for tags, a, b in T.tri_index:
+        free = _free(a, b)
         if scheme == "forward":
-            H[:, m] = (gp - g0) / h
-        else:
-            xm = x.copy(); xm[m] -= h
-            gm = grad_U(T, unpack(T, xm), zero, g)
-            H[:, m] = (gp - gm) / (2 * h)
+            k0 = np.array(_tri_sums(x, tags, a, b, g))
+        for m in free:
+            xm = x[m]
+            h = 1e-5 * (1 + abs(xm))
+            x[m] = xm + h
+            kp = np.array(_tri_sums(x, tags, a, b, g))
+            if scheme == "forward":
+                H[free, m] += (kp - k0) / h
+            else:
+                x[m] = xm - h
+                km = np.array(_tri_sums(x, tags, a, b, g))
+                H[free, m] += (kp - km) / (2 * h)
+            x[m] = xm
     return (H + H.T) / 2 if symmetrize else H
 
 
@@ -330,10 +337,10 @@ def gauge_vector(T):
 
 def extract_angles(T, tc, g):
     """Realized angle data of a coordinate point."""
-    alpha_sum, beta_sum = realized_sums(T, tc, g)
+    sums = unpack(T, realized_sums(T, tc, g))
     cc = T.base
-    theta = {e: alpha_sum[e] for e in cc.e1}
-    Theta = {k: beta_sum[k] for k in cc.v1}
+    theta = {e: sums.a[e] for e in cc.e1}
+    Theta = {k: sums.b[k] for k in cc.v1}
     return AngleData(geometry=g, theta=theta, Theta=Theta)
 
 
@@ -393,28 +400,19 @@ def solve(T, target, opts=None):
     x = pack(T, reference_coords(T, g))
     n = len(x)
 
+    # The Euclidean functional is constant along the gauge direction c,
+    # so H c = 0; the rank-one term c c^T makes the Newton system
+    # nonsingular without changing the step across the gauge.
+    gauge = 0.0
     if g == EUCLIDEAN:
         c = gauge_vector(T)
         c = c / np.linalg.norm(c)
-        # orthonormal basis of the section tangent (complement of c)
-        q, _r = np.linalg.qr(np.eye(n) - np.outer(c, c))
-        # keep n-1 independent columns
-        basis = []
-        for col in q.T:
-            col = col - c * (c @ col)
-            for b_ in basis:
-                col = col - b_ * (b_ @ col)
-            nrm = np.linalg.norm(col)
-            if nrm > 1e-8:
-                basis.append(col / nrm)
-        N = np.array(basis).T
-    else:
-        N = np.eye(n)
+        gauge = np.outer(c, c)
 
     def in_te(xv):
         return geo.in_te(T, unpack(T, xv), g, margin=opts.te_margin)
 
-    gvec = grad_U(T, unpack(T, x), targets, g)
+    gvec = grad_U(T, x, targets, g)
     gnorm = float(np.max(np.abs(gvec)))
     mu = 0.0
     collapses = 0
@@ -426,23 +424,20 @@ def solve(T, target, opts=None):
             status = CONVERGED
             it -= 1
             break
-        H = hessian_U(T, unpack(T, x), g, scheme="forward")
-        Hr = N.T @ H @ N
-        gr = N.T @ gvec
+        H = hessian_U(T, x, g, scheme="forward")
+        A = H + gauge
         accepted = False
         for _attempt in range(30):
             try:
-                delta = np.linalg.solve(
-                    Hr + mu * np.eye(Hr.shape[0]), -gr)
+                step = np.linalg.solve(A + mu * np.eye(n), -gvec)
             except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
-                step = N @ delta
+                step = None
+            if step is not None:
                 s = 1.0
                 while s > 1e-14:
                     x_new = x + s * step
                     if in_te(x_new):
-                        g_new = grad_U(T, unpack(T, x_new), targets, g)
+                        g_new = grad_U(T, x_new, targets, g)
                         gn_new = float(np.max(np.abs(g_new)))
                         if gn_new <= (1 - opts.armijo * s) * gnorm:
                             break

@@ -7,6 +7,9 @@ different from the ones in the package, so agreement is meaningful.
 import math
 
 import mpmath as mp
+import numpy as np
+
+from hicp.solver import grad_U, pack
 
 mp.mp.dps = 40
 
@@ -99,3 +102,31 @@ TANGENT_EQUILATERAL_R = 0.5773502691896258
 PENTAGON_XSTAR = 2.1266270208800998  # 1.25/sin(pi/5)
 
 ASINH_SQRT2_8 = 0.17586869502163029  # float(mp.asinh(mp.sqrt(2)/8))
+
+
+# ---------------------------------------------------------------------------
+# Reference Hessian
+
+
+def full_gradient_hessian(T, tc, g, scheme="central"):
+    """Jacobian of the full gradient by finite differences, one full
+    grad_U evaluation per variable and side, with the step of
+    solver.hessian_U.  Costs O(variables x triangles) kernel calls; the
+    package assembles the same matrix from per-triangle blocks."""
+    x = pack(T, tc)
+    n = len(x)
+    zero = np.zeros(n)
+    H = np.empty((n, n))
+    g0 = grad_U(T, x, zero, g) if scheme == "forward" else None
+    for m in range(n):
+        h = 1e-5 * (1 + abs(x[m]))
+        xp = x.copy()
+        xp[m] += h
+        gp = grad_U(T, xp, zero, g)
+        if scheme == "forward":
+            H[:, m] = (gp - g0) / h
+        else:
+            xm = x.copy()
+            xm[m] -= h
+            H[:, m] = (gp - grad_U(T, xm, zero, g)) / (2 * h)
+    return H

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from hicp import build_complex, cli
+from hicp.errors import HicpError
 from hicp.fixtures import grid_torus_spec
 
 
@@ -127,6 +130,27 @@ class TestRender:
         assert layout["layout_version"] == 1
         assert svg.read_text().startswith("<svg")
 
+    def test_failed_merge_warns(self, tmp_path, monkeypatch, capsys):
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", "fixture:grid-torus",
+                         "--output", str(sol)]) == 0
+
+        def fail(sl):
+            raise HicpError("diagonal is not redundant")
+
+        monkeypatch.setattr(cli, "merge_redundant", fail)
+        capsys.readouterr()
+        svg = tmp_path / "p.svg"
+        out = tmp_path / "layout.json"
+        rc = cli.main(["render", "--input", str(sol),
+                       "--output", str(out), "--svg", str(svg)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning:")
+        assert "diagonal is not redundant" in err[0]
+        assert out.exists() and svg.exists()
+
     def test_rejects_solution_without_coords(self, tmp_path, bad_instance):
         sol = tmp_path / "sol.json"
         assert cli.main(["solve", "--input", str(bad_instance),
@@ -166,6 +190,15 @@ class TestRoundtrip:
         assert data["max_error"] < 1e-6
         assert data["seed"] == 3
 
+    def test_rejects_zero_samples(self, tmp_path, capsys):
+        rc, data = run(tmp_path, "roundtrip", "--input", "fixture:tri-torus",
+                       "--samples", "0")
+        assert rc == 1
+        assert data is None
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+
     def test_deterministic(self, tmp_path):
         p1 = tmp_path / "r1.json"
         p2 = tmp_path / "r2.json"
@@ -181,3 +214,27 @@ def test_thread_cap(monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cli._apply_thread_cap()
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_thread_cap_precedes_numpy():
+    # the BLAS thread variables must be set when numpy loads, which
+    # happens while ``import hicp`` runs
+    code = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import hicp\n"
+        "print(seen)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["HICP_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['1']"

@@ -1,11 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import right_angle_target
-from hicp import build_complex, triangulate
+from hicp import build_complex, cli, triangulate
+from hicp import geometry as geo
 from hicp.errors import DomainError
 from hicp.fixtures import FIXTURES, fixture_spec, grid_torus_spec
 from hicp.geometry import (
@@ -120,6 +122,39 @@ class TestDerivatives:
         Hf = hessian_U(T, tc, EUCLIDEAN, scheme="forward")
         Hc = hessian_U(T, tc, EUCLIDEAN, scheme="central")
         assert np.max(np.abs(Hf - Hc)) < 1e-5 * (1 + np.max(np.abs(Hc)))
+
+    @pytest.mark.parametrize("name, g", [("grid-torus", EUCLIDEAN),
+                                         ("tri-torus", EUCLIDEAN),
+                                         ("genus2", HYPERBOLIC)])
+    def test_block_hessian_matches_full_gradient_oracle(self, name, g):
+        T = triangulate(build_complex(fixture_spec(name)))
+        er0 = geo.psi_surface(T, reference_coords(T, g), g)
+        rng = random.Random(11)
+        for _ in range(3):
+            tc = geo.psi_inv_surface(T, cli.sample_er(T, er0, g, rng), g)
+            for scheme in ("central", "forward"):
+                H = hessian_U(T, tc, g, scheme=scheme, symmetrize=False)
+                ref = oracles.full_gradient_hessian(T, tc, g, scheme=scheme)
+                assert (np.max(np.abs(H - ref))
+                        < 1e-7 * np.max(np.abs(ref))), (name, scheme)
+
+    def test_hessian_kernel_calls_linear_in_triangles(self, grid_torus_T,
+                                                      monkeypatch):
+        T = grid_torus_T
+        tc = reference_coords(T, EUCLIDEAN)
+        calls = [0]
+        kernel = geo.tetra_angles
+
+        def counting(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(geo, "tetra_angles", counting)
+        F = len(T.triangles)
+        for scheme, per_tri in (("central", 13), ("forward", 7)):
+            calls[0] = 0
+            hessian_U(T, tc, EUCLIDEAN, scheme=scheme)
+            assert 0 < calls[0] <= per_tri * F, scheme
 
     def test_pack_unpack_roundtrip(self, grid_torus_T):
         T = grid_torus_T
