@@ -32,13 +32,13 @@ from .polytope import (
     INFEASIBLE,
     PARTIAL,
     check_feasibility,
+    make_angle_data,
     single_star_check,
 )
 from .solver import (
     CONVERGED,
     SolveOptions,
     extract_angles,
-    make_target,
     reference_coords,
     solve,
 )
@@ -56,11 +56,54 @@ def _edge_from_key(s):
         i, j = s.split("-")
         return edge_key(int(i), int(j))
     except ValueError:
-        raise IoError(f"bad edge key {s!r}; expected 'i-j'")
+        raise HicpError(f"bad edge key {s!r}; expected 'i-j'")
 
 
 def _ekey(e):
     return f"{e[0]}-{e[1]}"
+
+
+def _read_json(path):
+    """The JSON object stored in a file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise IoError(str(exc))
+    except ValueError as exc:  # JSON syntax or text encoding
+        raise HicpError(f"malformed JSON input: {exc}")
+    if not isinstance(data, dict):
+        raise HicpError("malformed input: expected a JSON object")
+    return data
+
+
+def _number_map(raw, what, parse_key):
+    """A JSON object of numbers as {parsed key: float}."""
+    if not isinstance(raw, dict):
+        raise HicpError(f"malformed input: {what} must be a JSON object")
+    try:
+        return {parse_key(k): float(v) for k, v in raw.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise HicpError(f"malformed input: bad entry in {what}: {exc}")
+
+
+def _problem(data, geometry=None):
+    """(spec dict, geometry, theta or None, Theta or None) of a problem
+    document; the spec's shape is checked by build_complex."""
+    if not isinstance(data, dict):
+        raise HicpError("malformed input: the problem is not a JSON object")
+    spec = {
+        "vertices": data.get("vertices"),
+        "faces": data.get("faces"),
+        "tangent_edges": data.get("tangent_edges", []),
+    }
+    g = geometry or data.get("geometry", EUCLIDEAN)
+    theta, Theta = data.get("theta"), data.get("Theta")
+    if theta is not None:
+        theta = _number_map(theta, "theta", _edge_from_key)
+    if Theta is not None:
+        Theta = _number_map(Theta, "Theta", int)
+    return spec, g, theta, Theta
 
 
 def load_input(path, geometry=None):
@@ -70,26 +113,7 @@ def load_input(path, geometry=None):
     if path.startswith("fixture:"):
         spec = fixture_spec(path[len("fixture:"):])
         return spec, geometry or EUCLIDEAN, None, None
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc))
-    except json.JSONDecodeError as exc:
-        raise HicpError(f"malformed JSON input: {exc}")
-    spec = {
-        "vertices": data["vertices"],
-        "faces": data["faces"],
-        "tangent_edges": data.get("tangent_edges", []),
-    }
-    g = geometry or data.get("geometry", EUCLIDEAN)
-    theta = data.get("theta")
-    if theta is not None:
-        theta = {_edge_from_key(k): float(v) for k, v in theta.items()}
-    Theta = data.get("Theta")
-    if Theta is not None:
-        Theta = {int(k): float(v) for k, v in Theta.items()}
-    return spec, g, theta, Theta
+    return _problem(_read_json(path), geometry)
 
 
 def _target_from_input(cc, g, theta, Theta):
@@ -99,7 +123,7 @@ def _target_from_input(cc, g, theta, Theta):
         T, er = reference_pattern(cc, g)
         tc = geo.psi_inv_surface(T, er, g)
         return extract_angles(T, tc, g)
-    return make_target(cc, g, theta or {}, Theta or {})
+    return make_angle_data(cc, g, theta or {}, Theta or {})
 
 
 def _emit(obj, path=None):
@@ -184,22 +208,18 @@ def cmd_solve(args):
 
 
 def cmd_render(args):
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoError(str(exc))
-    except json.JSONDecodeError as exc:
-        raise HicpError(f"malformed solution JSON: {exc}")
+    data = _read_json(args.input)
     if "coords" not in data:
         raise HicpError("solution carries no coordinates to render")
-    g = data["geometry"]
-    cc = build_complex(data["input"])
-    T = triangulate(cc)
-    a = {_edge_from_key(k): float(v)
-         for k, v in data["coords"]["a"].items()}
-    b = {int(k): float(v) for k, v in data["coords"]["b"].items()}
-    tc = geo.TetraCoords(a=a, b=b)
+    spec, g, _theta, _Theta = _problem(data.get("input"),
+                                       data.get("geometry"))
+    T = triangulate(build_complex(spec))
+    coords = data["coords"]
+    if not isinstance(coords, dict):
+        raise HicpError("malformed input: coords must be a JSON object")
+    tc = geo.TetraCoords(
+        a=_number_map(coords.get("a"), "coords.a", _edge_from_key),
+        b=_number_map(coords.get("b"), "coords.b", int))
     sl = develop(T, tc, g)
     try:
         sl = merge_redundant(sl)

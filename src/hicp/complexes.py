@@ -121,14 +121,30 @@ class CellComplex:
         return sum(1 for e in self.edges if v in e)
 
 
+def _ids(x, n=None):
+    """x is a list of n (any n when None) integer vertex ids."""
+    return (isinstance(x, (list, tuple)) and n in (None, len(x))
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in x))
+
+
 def build_complex(spec):
     """Validate a raw cell description (parsed JSON dict) and derive the
     edge set.  See the module docstring for the conventions."""
-    try:
-        raw_vertices = spec["vertices"]
-        raw_faces = spec["faces"]
-    except (KeyError, TypeError) as exc:
-        raise IndexMismatch(f"malformed complex description: missing {exc}")
+    if not (isinstance(spec, dict)
+            and isinstance(spec.get("vertices"), (list, tuple))
+            and all(isinstance(item, dict) and _ids([item.get("id")])
+                    for item in spec["vertices"])
+            and isinstance(spec.get("faces"), (list, tuple))
+            and all(_ids(f) for f in spec["faces"])
+            and isinstance(spec.get("tangent_edges", []), (list, tuple))
+            and all(_ids(p, 2) for p in spec.get("tangent_edges", []))):
+        raise IndexMismatch(
+            "malformed complex description: expected 'vertices' (objects "
+            "with an integer 'id'), 'faces' (lists of vertex ids) and "
+            "optional 'tangent_edges' (pairs of vertex ids)")
+    raw_vertices = spec["vertices"]
+    raw_faces = spec["faces"]
     tangent = spec.get("tangent_edges", [])
 
     v0, v1 = set(), set()

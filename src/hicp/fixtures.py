@@ -9,7 +9,7 @@ from . import geometry as geo
 from .complexes import build_complex, edge_key, fan_triangles, triangulate
 from .errors import DomainError
 from .geometry import EUCLIDEAN, EdgeRadii, check_geometry
-from .solver import omega_bisect, omega_solve
+from .solver import face_chords, omega_solve
 
 
 def grid_torus_spec(n=3, v1=(), e0=()):
@@ -123,34 +123,6 @@ def fixture_spec(name):
 # Reference pattern construction
 
 
-def _face_chord_angles(cc, f, g, x):
-    """Per-edge central angles and per-vertex center distances of face f
-    at positive-circle vertex distance x."""
-    from .solver import _chord_angle, _vertex_distance
-    rc, ec_ = geo.reference_constants(g)
-    n = len(f)
-    dists = []
-    for v in f:
-        dists.append(_vertex_distance(g, cc.vertex_class(v), x, rc))
-    phis = []
-    for t in range(n):
-        e = edge_key(f[t], f[(t + 1) % n])
-        L = 2 * rc if e in cc.e0 else 2 * (rc + ec_)
-        phis.append(_chord_angle(g, dists[t], dists[(t + 1) % n], L))
-    return phis, dists
-
-
-def _face_xstar(cc, f, g):
-    """Closure-consistent face-circle solve: the x at which the central
-    angles sum to 2 pi (bisection; triangles directly)."""
-    vclasses = [cc.vertex_class(v) for v in f]
-    eclasses = [0 if edge_key(f[t], f[(t + 1) % len(f)]) in cc.e0 else 1
-                for t in range(len(f))]
-    if len(f) == 3:
-        return omega_solve(vclasses, eclasses, g)
-    return omega_bisect(vclasses, eclasses, g)
-
-
 def reference_pattern(cc, g):
     """Edge lengths and radii of the uniform reference pattern on the
     triangulated complex: base edges carry the class length, fan
@@ -167,8 +139,11 @@ def reference_pattern(cc, g):
         n = len(f)
         if n == 3:
             continue
-        x = _face_xstar(cc, f, g)
-        phis, dists = _face_chord_angles(cc, f, g, x)
+        vclasses = [cc.vertex_class(v) for v in f]
+        eclasses = [0 if edge_key(f[t], f[(t + 1) % n]) in cc.e0 else 1
+                    for t in range(n)]
+        phis, dists = face_chords(vclasses, eclasses, g,
+                                  omega_solve(vclasses, eclasses, g))
         total = sum(phis)
         if abs(total - 2 * math.pi) > 1e-9:
             raise DomainError(f"face {f}: circle solve did not close")

@@ -172,13 +172,13 @@ def psi_inv(er_tri, tags, g):
     return tuple(a3), b3
 
 
-def check_er_triangle(er_tri, tags, g, margin=0.0, exc=InvariantViolation):
+def check_er_triangle(er_tri, tags, g, exc=InvariantViolation):
     """Edge-radius invariants on one triangle: positive lengths, strict
     triangle inequalities, l = r_u + r_v on E0 and l > r_u + r_v
     otherwise, r > 0 exactly on positive-circle corners."""
     l3, r3 = er_tri
     for v in range(3):
-        if tags.vc[v] == 1 and r3[v] <= margin:
+        if tags.vc[v] == 1 and r3[v] <= 0.0:
             raise exc(f"corner {v}: radius {r3[v]} not positive")
         if tags.vc[v] == 0 and r3[v] != 0.0:
             raise exc(f"corner {v}: point circle with radius {r3[v]}")
@@ -191,10 +191,10 @@ def check_er_triangle(er_tri, tags, g, margin=0.0, exc=InvariantViolation):
         if tags.ec[m] == 0:
             if abs(l3[m] - s) > 1e-9 * scale:
                 raise exc(f"edge {m}: tangency edge with l != r_u + r_v")
-        elif not l3[m] > s + margin:
+        elif not l3[m] > s:
             raise exc(f"edge {m}: l = {l3[m]} <= r_u + r_v = {s}")
     for m in range(3):
-        if not l3[m] < l3[(m + 1) % 3] + l3[(m + 2) % 3] - margin:
+        if not l3[m] < l3[(m + 1) % 3] + l3[(m + 2) % 3]:
             raise exc(f"edge {m}: triangle inequality fails for {l3}")
 
 
@@ -215,15 +215,32 @@ def place_hyperbolic(l3):
     """Poincare-disk placement: i at the origin, j on the positive real
     axis, k in the upper half disk."""
     lij, ljk, lki = l3
-    cb = ((math.cosh(lij) * math.cosh(lki) - math.cosh(ljk))
-          / (math.sinh(lij) * math.sinh(lki)))
-    if not -1.0 < cb < 1.0:
-        raise InvariantViolation(f"degenerate hyperbolic triangle {l3}")
-    beta_i = math.acos(cb)
+    beta_i = corner_angle(lij, lki, ljk, HYPERBOLIC)
     zi = 0.0 + 0.0j
     zj = complex(math.tanh(lij / 2), 0.0)
     zk = math.tanh(lki / 2) * cmath.exp(1j * beta_i)
     return zi, zj, zk
+
+
+def place_triangle(l3, g):
+    """Model-plane positions (complex) of the corners i, j, k: i at the
+    origin, j on the positive real axis, k above it."""
+    if g == EUCLIDEAN:
+        return tuple(complex(*p) for p in place_euclidean(l3))
+    return place_hyperbolic(l3)
+
+
+def corner_angle(l_ab, l_aw, l_bw, g):
+    """Angle at a of the triangle abw from its side lengths (law of
+    cosines)."""
+    if g == EUCLIDEAN:
+        c = (l_ab ** 2 + l_aw ** 2 - l_bw ** 2) / (2 * l_ab * l_aw)
+    else:
+        c = ((math.cosh(l_ab) * math.cosh(l_aw) - math.cosh(l_bw))
+             / (math.sinh(l_ab) * math.sinh(l_aw)))
+    if not -1.0 < c < 1.0:
+        raise InvariantViolation("degenerate corner angle")
+    return math.acos(c)
 
 
 def disk_circle_rep(z, r):
@@ -236,10 +253,26 @@ def disk_circle_rep(z, r):
     return u * ((t1 + t2) / 2), (t2 - t1) / 2
 
 
+def rep_to_hyperbolic(o, Re):
+    """Hyperbolic (center, radius) of the Euclidean circle (o, Re) lying
+    inside the Poincare disk."""
+    d = abs(o)
+    rho_far = 2 * math.atanh(d + Re)
+    rho_near = 2 * math.atanh(d - Re)
+    u = o / d if d > 0 else 1.0 + 0.0j
+    return u * math.tanh((rho_far + rho_near) / 4), (rho_far - rho_near) / 2
+
+
 def disk_distance(z, w):
     num = abs(z - w)
     den = abs(1 - z.conjugate() * w)
     return 2 * math.atanh(num / den)
+
+
+def model_distance(z, w, g):
+    if g == EUCLIDEAN:
+        return abs(z - w)
+    return disk_distance(z, w)
 
 
 def radical_center(points, radii):
@@ -264,18 +297,26 @@ def radical_center(points, radii):
     return o, r2
 
 
-def _disk_face_circle(l3, r3):
-    """Euclidean rep of the face circle in the canonical disk placement,
-    plus the vertex positions."""
-    zs = place_hyperbolic(l3)
-    reps = [disk_circle_rep(z, r) for z, r in zip(zs, r3)]
-    o, R2 = radical_center([c for c, _ in reps], [rr for _, rr in reps])
-    if R2 <= 0:
-        raise InvariantViolation("no real orthogonal circle")
-    Re = math.sqrt(R2)
+def _disk_face_rep(zs, r3):
+    """Euclidean (center, radius) in the Poincare disk of the face circle
+    orthogonal to the hyperbolic vertex circles at zs."""
+    centers, radii = zip(*(disk_circle_rep(z, r) for z, r in zip(zs, r3)))
+    o, Re = circumscribe(centers, radii, EUCLIDEAN)
     if abs(o) + Re >= 1.0:
         raise InvariantViolation("face circle leaves the hyperbolic plane")
-    return zs, o, Re
+    return o, Re
+
+
+def circumscribe(positions, radii, g):
+    """Face circle orthogonal to the three vertex circles of the given
+    radii at the given model positions: (center, R) in intrinsic terms,
+    so hyperbolic center and radius in the disk model."""
+    if g == HYPERBOLIC:
+        return rep_to_hyperbolic(*_disk_face_rep(positions, radii))
+    o, R2 = radical_center(positions, radii)
+    if R2 <= 0:
+        raise InvariantViolation("no real orthogonal circle")
+    return o, math.sqrt(R2)
 
 
 def face_circle(er_tri, g):
@@ -283,23 +324,10 @@ def face_circle(er_tri, g):
     radius R and center-to-vertex distances."""
     check_geometry(g)
     l3, r3 = er_tri
-    if g == EUCLIDEAN:
-        pts = place_euclidean(l3)
-        o, R2 = radical_center(pts, r3)
-        if R2 <= 0:
-            raise InvariantViolation("no real orthogonal circle")
-        dist = tuple(abs(complex(*p) - o) for p in pts)
-        return FaceCircleData(R=math.sqrt(R2), dist=dist)
-    zs, o, Re = _disk_face_circle(l3, r3)
-    d = abs(o)
-    rho_far = 2 * math.atanh(d + Re)
-    rho_near = 2 * math.atanh(d - Re)
-    Rh = (rho_far - rho_near) / 2
-    c_rho = (rho_far + rho_near) / 2
-    u = o / d if d > 0 else 1.0 + 0.0j
-    center = u * math.tanh(c_rho / 2)
-    dist = tuple(disk_distance(center, z) for z in zs)
-    return FaceCircleData(R=Rh, dist=dist)
+    zs = place_triangle(l3, g)
+    center, R = circumscribe(zs, r3, g)
+    return FaceCircleData(
+        R=R, dist=tuple(model_distance(center, z, g) for z in zs))
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +335,8 @@ def face_circle(er_tri, g):
 
 
 def _euclidean_alphas(l3, r3):
-    pts = [complex(*p) for p in place_euclidean(l3)]
-    o, R2 = radical_center(pts, r3)
-    if R2 <= 0:
-        raise InvariantViolation("no real orthogonal circle")
-    R = math.sqrt(R2)
+    pts = place_triangle(l3, EUCLIDEAN)
+    o, R = circumscribe(pts, r3, EUCLIDEAN)
     alphas = []
     for m in range(3):
         u, v = CORNERS_OF_EDGE[m]
@@ -335,7 +360,7 @@ def _hyperbolic_alphas(l3, r3):
         u, v = CORNERS_OF_EDGE[m]
         w = 3 - u - v
         rr = (r3[u], r3[v], r3[w])
-        _zs, o, Re = _disk_face_circle(lr, rr)
+        o, Re = _disk_face_rep(place_hyperbolic(lr), rr)
         alphas.append(math.acos(max(-1.0, min(1.0, o.imag / Re))))
     return alphas
 
@@ -344,16 +369,7 @@ def _betas(g, l3):
     betas = []
     for v in range(3):
         m1, m2 = EDGES_AT_CORNER[v]
-        opp = 3 - m1 - m2
-        if g == EUCLIDEAN:
-            c = ((l3[m1] ** 2 + l3[m2] ** 2 - l3[opp] ** 2)
-                 / (2 * l3[m1] * l3[m2]))
-        else:
-            c = ((math.cosh(l3[m1]) * math.cosh(l3[m2]) - math.cosh(l3[opp]))
-                 / (math.sinh(l3[m1]) * math.sinh(l3[m2])))
-        if not -1.0 < c < 1.0:
-            raise InvariantViolation("degenerate corner angle")
-        betas.append(math.acos(c))
+        betas.append(corner_angle(l3[m1], l3[m2], l3[3 - m1 - m2], g))
     return betas
 
 
@@ -376,14 +392,15 @@ def triangle_angles(er_tri, tags, g):
 
 
 def tetra_angles(tc_tri, tags, g):
-    """triangle_angles after psi; raises NotInTE when the coordinates
-    leave the tetrahedral domain."""
-    er = psi(tc_tri, tags, g)
-    check_er_triangle(er, tags, g, exc=NotInTE)
-    return triangle_angles(er, tags, g)
+    """triangle_angles after psi.  Its domain is the solver's domain:
+    raises NotInTE wherever psi or triangle_angles is undefined."""
+    try:
+        return triangle_angles(psi(tc_tri, tags, g), tags, g)
+    except (DomainError, InvariantViolation) as exc:
+        raise NotInTE(str(exc)) from exc
 
 
-def angles_valid(ta, tags, g, margin=0.0):
+def angles_valid(ta, tags, g):
     """Membership of (alpha, beta) in the admissible angle region of the
     class: interior inequalities strict, class-forced equalities within
     1e-9."""
@@ -392,23 +409,23 @@ def angles_valid(ta, tags, g, margin=0.0):
         if tags.ec[m] == 0:
             if abs(a) > 1e-9:
                 return False
-        elif not margin < a < math.pi - margin:
+        elif not 0.0 < a < math.pi:
             return False
     for v in range(3):
-        if not margin < ta.beta[v] < math.pi - margin:
+        if not 0.0 < ta.beta[v] < math.pi:
             return False
         m1, m2 = EDGES_AT_CORNER[v]
         s = ta.beta[v] + ta.alpha[m1] + ta.alpha[m2]
         if tags.vc[v] == 0:
             if abs(s - math.pi) > 1e-9:
                 return False
-        elif not s < math.pi - margin:
+        elif not s < math.pi:
             return False
     sb = sum(ta.beta)
     if g == EUCLIDEAN:
         if abs(sb - math.pi) > 1e-9:
             return False
-    elif not sb < math.pi - margin:
+    elif not sb < math.pi:
         return False
     return True
 
@@ -588,7 +605,7 @@ def _hyperbolic_phi_inv(x, tags, start, J0=None):
     def F(z):
         try:
             ta = tetra_angles(unpack(z), tags, HYPERBOLIC)
-        except (NotInTE, DomainError, InvariantViolation):
+        except NotInTE:
             return None
         return reduce_angles(ta, tags, HYPERBOLIC) - x
 
@@ -639,7 +656,7 @@ def _hyperbolic_phi_inv(x, tags, start, J0=None):
     return unpack(z), z, J
 
 
-def phi_inv(ta, tags, g, warm=None):
+def phi_inv(ta, tags, g):
     """Tetrahedral coordinates (on the volume section) realizing the
     given decorated-triangle angles."""
     check_geometry(g)
@@ -653,9 +670,7 @@ def phi_inv(ta, tags, g, warm=None):
             raise PathLeavesDomain(str(exc))
         return _section_project(tc, tags, g)
     x = reduce_angles(ta, tags, g)
-    if warm is None:
-        warm = _hyp_start(tags)
-    tc, _z, _J = _hyperbolic_phi_inv(x, tags, warm)
+    tc, _z, _J = _hyperbolic_phi_inv(x, tags, _hyp_start(tags))
     return tc
 
 
@@ -838,21 +853,19 @@ def psi_inv_surface(T, er, g):
     return TetraCoords(a=a, b=b)
 
 
-def check_er_surface(T, er, g, margin=0.0, exc=InvariantViolation):
+def check_er_surface(T, er, g, exc=InvariantViolation):
     for tri in T.triangles:
         check_er_triangle(tri_er(T, er, tri), triangle_tags(T, tri), g,
-                          margin=margin, exc=exc)
+                          exc=exc)
 
 
-def in_te(T, tc, g, margin=1e-12):
-    """Membership of surface coordinates in the tetrahedral domain."""
-    if g == HYPERBOLIC:
-        if any(bk <= 0 for bk in tc.b.values()):
-            return False
+def in_te(T, tc, g):
+    """Membership of surface coordinates in the tetrahedral domain: the
+    kernel tetra_angles is defined on every triangle."""
     try:
-        er = psi_surface(T, tc, g)
-        check_er_surface(T, er, g, margin=margin, exc=NotInTE)
-    except (NotInTE, DomainError, InvariantViolation):
+        for tri in T.triangles:
+            tetra_angles(tri_coords(T, tc, tri), triangle_tags(T, tri), g)
+    except NotInTE:
         return False
     return True
 

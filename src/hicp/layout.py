@@ -11,8 +11,21 @@ from dataclasses import dataclass, field
 
 from . import geometry as geo
 from .complexes import edge_key
-from .errors import InvariantViolation, IoError, NonRedundantDiagonal, NotInTE
-from .geometry import EUCLIDEAN, HYPERBOLIC, check_geometry
+from .errors import InvariantViolation, IoError, NonRedundantDiagonal
+from .geometry import (
+    EUCLIDEAN,
+    HYPERBOLIC,
+    check_geometry,
+    circumscribe,
+    corner_angle,
+    disk_circle_rep,
+    model_distance,
+    place_triangle,
+)
+
+# |theta - pi| below which a fan diagonal counts as redundant
+MERGE_TOL = 1e-6
+VIEWPORT = 1000  # SVG width and height
 
 
 # ---------------------------------------------------------------------------
@@ -32,12 +45,6 @@ def _mobius_to(a):
     return fwd, inv
 
 
-def model_distance(z, w, g):
-    if g == EUCLIDEAN:
-        return abs(z - w)
-    return geo.disk_distance(z, w)
-
-
 def place_third(za, zb, l_aw, beta_a, g):
     """Position of the third vertex w: at distance l_aw from a, rotated
     counterclockwise by beta_a from the direction a -> b."""
@@ -48,45 +55,6 @@ def place_third(za, zb, l_aw, beta_a, g):
     u = fwd(zb)
     u = u / abs(u)
     return inv(u * cmath.exp(1j * beta_a) * math.tanh(l_aw / 2))
-
-
-def disk_circle_rep_at(z, r):
-    """Euclidean rep of the hyperbolic circle with center z (anywhere in
-    the disk) and radius r."""
-    t = math.tanh(r / 2)
-    zz = abs(z) ** 2
-    den = 1 - t * t * zz
-    return z * (1 - t * t) / den, t * (1 - zz) / den
-
-
-def rep_to_hyperbolic(o, Re):
-    """Hyperbolic (center, radius) of a Euclidean-circle rep inside the
-    disk."""
-    d = abs(o)
-    if d + Re >= 1.0:
-        raise InvariantViolation("circle leaves the hyperbolic plane")
-    rho_far = 2 * math.atanh(d + Re)
-    rho_near = 2 * math.atanh(d - Re)
-    u = o / d if d > 0 else 1.0 + 0.0j
-    center = u * math.tanh((rho_far + rho_near) / 4)
-    return center, (rho_far - rho_near) / 2
-
-
-def circumscribe(positions, radii, g):
-    """Face circle (center, radius, model radius data) orthogonal to the
-    three vertex circles placed at the given model positions.
-    Returns (center, R) in intrinsic terms: for the hyperbolic model the
-    center is the hyperbolic center and R the hyperbolic radius."""
-    if g == EUCLIDEAN:
-        o, R2 = geo.radical_center(list(positions), list(radii))
-        if R2 <= 0:
-            raise InvariantViolation("no real orthogonal circle")
-        return o, math.sqrt(R2)
-    reps = [disk_circle_rep_at(z, r) for z, r in zip(positions, radii)]
-    o, R2 = geo.radical_center([c for c, _ in reps], [rr for _, rr in reps])
-    if R2 <= 0:
-        raise InvariantViolation("no real orthogonal circle")
-    return rep_to_hyperbolic(o, math.sqrt(R2))
 
 
 def circle_intersection_angle(c1, R1, c2, R2, g):
@@ -145,7 +113,7 @@ def _local_pair_theta(T, er, e, g):
         w = next(x for x in tri.verts if x not in e)
         l_uw = er.l[edge_key(u, w)]
         l_vw = er.l[edge_key(v, w)]
-        beta_u = _corner_angle(er.l[e], l_uw, l_vw, g)
+        beta_u = corner_angle(er.l[e], l_uw, l_vw, g)
         # first triangle above the axis, second below
         sign = 1.0 if side == 0 else -1.0
         zw = place_third(za, zb, l_uw, sign * beta_u, g)
@@ -156,23 +124,11 @@ def _local_pair_theta(T, er, e, g):
     return circle_intersection_angle(c1, R1, c2, R2, g)
 
 
-def _corner_angle(l_ab, l_aw, l_bw, g):
-    if g == EUCLIDEAN:
-        c = (l_ab ** 2 + l_aw ** 2 - l_bw ** 2) / (2 * l_ab * l_aw)
-    else:
-        c = ((math.cosh(l_ab) * math.cosh(l_aw) - math.cosh(l_bw))
-             / (math.sinh(l_ab) * math.sinh(l_aw)))
-    if not -1.0 < c < 1.0:
-        raise InvariantViolation("degenerate corner in layout")
-    return math.acos(c)
-
-
 def develop(T, tc, g):
     """Develop all triangles of T into one model chart by breadth-first
     gluing from the least triangle, crossing least-id edges first."""
     check_geometry(g)
     er = geo.psi_surface(T, tc, g)
-    geo.check_er_surface(T, er, g, exc=NotInTE)
 
     alpha_sum = {e: 0.0 for e in T.edges}
     beta_sum = {v: 0.0 for v in T.base.vertices}
@@ -194,10 +150,7 @@ def develop(T, tc, g):
     tri = T.triangles[root]
     i, j, k = tri.verts
     l3, r3 = geo.tri_er(T, er, tri)
-    if g == EUCLIDEAN:
-        pts = [complex(*p) for p in geo.place_euclidean(l3)]
-    else:
-        pts = list(geo.place_hyperbolic(l3))
+    pts = place_triangle(l3, g)
     charts[root] = {"verts": list(zip(tri.verts, pts))}
     placed = {root}
     queue = [root]
@@ -222,7 +175,7 @@ def develop(T, tc, g):
             # neighbor traverses e in the opposite direction (b -> a)
             l_bw = er.l[edge_key(b, w)]
             l_aw = er.l[edge_key(a, w)]
-            beta_b = _corner_angle(er.l[e], l_bw, l_aw, g)
+            beta_b = corner_angle(er.l[e], l_bw, l_aw, g)
             zw = place_third(pos[b], pos[a], l_bw, beta_b, g)
             npos = {a: pos[a], b: pos[b], w: zw}
             charts[nb] = {"verts": [(x, npos[x]) for x in ntri.verts]}
@@ -262,7 +215,7 @@ def develop(T, tc, g):
 # Reports
 
 
-def delaunay_report(sl, merge_tol=1e-6):
+def delaunay_report(sl):
     """Per-edge record: intersection angle, local Delaunay flag,
     redundancy flag."""
     out = {}
@@ -270,7 +223,7 @@ def delaunay_report(sl, merge_tol=1e-6):
         out[e] = {
             "theta": th,
             "is_delaunay": 0.0 <= th < math.pi,
-            "is_redundant": abs(th - math.pi) <= merge_tol,
+            "is_redundant": abs(th - math.pi) <= MERGE_TOL,
         }
     return out
 
@@ -290,16 +243,16 @@ def gauss_bonnet_check(sl):
 # Merging
 
 
-def merge_redundant(sl, tol=1e-6):
+def merge_redundant(sl):
     """Re-assemble the fan triangles of each base face into a single
     decorated polygon with one face circle; requires every fan diagonal
-    to carry an angle within tol of pi."""
+    to carry an angle within MERGE_TOL of pi."""
     T = sl.T
     cc = T.base
     g = sl.geometry
     er = sl.er
     for e in T.e_pi:
-        if abs(sl.theta[e] - math.pi) > tol:
+        if abs(sl.theta[e] - math.pi) > MERGE_TOL:
             raise NonRedundantDiagonal(
                 f"diagonal {e}: theta = {sl.theta[e]}")
 
@@ -313,11 +266,7 @@ def merge_redundant(sl, tol=1e-6):
         # local development of the fan from its first triangle
         tri0 = T.triangles[tis[0]]
         l3, _r3 = geo.tri_er(T, er, tri0)
-        if g == EUCLIDEAN:
-            pts = [complex(*p) for p in geo.place_euclidean(l3)]
-        else:
-            pts = list(geo.place_hyperbolic(l3))
-        pos = dict(zip(tri0.verts, pts))
+        pos = dict(zip(tri0.verts, place_triangle(l3, g)))
         placed = {tis[0]}
         changed = True
         while changed:
@@ -344,9 +293,9 @@ def merge_redundant(sl, tol=1e-6):
                             break
                 if a is None:
                     continue
-                beta_a = _corner_angle(er.l[edge_key(a, b)],
-                                       er.l[edge_key(a, w)],
-                                       er.l[edge_key(b, w)], g)
+                beta_a = corner_angle(er.l[edge_key(a, b)],
+                                      er.l[edge_key(a, w)],
+                                      er.l[edge_key(b, w)], g)
                 pos[w] = place_third(pos[a], pos[b],
                                      er.l[edge_key(a, w)], beta_a, g)
                 placed.add(ti)
@@ -362,7 +311,8 @@ def merge_redundant(sl, tol=1e-6):
                 [er.r[v] for v in tri.verts], g))
         c0, R0 = circles[0]
         for c, R in circles[1:]:
-            if model_distance(c0, c, g) > 10 * tol or abs(R - R0) > 10 * tol:
+            if (model_distance(c0, c, g) > 10 * MERGE_TOL
+                    or abs(R - R0) > 10 * MERGE_TOL):
                 raise NonRedundantDiagonal(
                     f"face {f}: fan circles disagree")
         charts[fi] = {"verts": [(v, pos[v]) for v in f],
@@ -446,7 +396,7 @@ def _svg_geodesic(z1, z2, g, scale, off):
             f'{x2:.3f} {y2:.3f}')
 
 
-def export_svg(sl, path, viewport=1000):
+def export_svg(sl, path):
     g = sl.geometry
     pts = [z for ch in sl.charts.values() for _v, z in ch["verts"]]
     if g == EUCLIDEAN:
@@ -458,20 +408,20 @@ def export_svg(sl, path, viewport=1000):
         ys = [z.imag for z in pts]
         lo = min(min(xs), min(ys)) - margin
         hi = max(max(xs), max(ys)) + margin
-        scale = viewport / (hi - lo)
+        scale = VIEWPORT / (hi - lo)
         off = -lo * scale
     else:
-        scale = viewport / 2.2
-        off = viewport / 2
+        scale = VIEWPORT / 2.2
+        off = VIEWPORT / 2
 
     def sp(z):
         return (off + scale * z.real, off - scale * z.imag)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{viewport}" height="{viewport}" '
-        f'viewBox="0 0 {viewport} {viewport}">',
-        f'<rect width="{viewport}" height="{viewport}" fill="white"/>',
+        f'width="{VIEWPORT}" height="{VIEWPORT}" '
+        f'viewBox="0 0 {VIEWPORT} {VIEWPORT}">',
+        f'<rect width="{VIEWPORT}" height="{VIEWPORT}" fill="white"/>',
     ]
     if g == HYPERBOLIC:
         lines.append(
@@ -494,7 +444,7 @@ def export_svg(sl, path, viewport=1000):
             x, y = sp(c)
             rr = R * scale
         else:
-            o, Re = _hyp_circle_rep(c, R)
+            o, Re = disk_circle_rep(c, R)
             x, y = sp(o)
             rr = Re * scale
         lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{rr:.3f}" '
@@ -512,7 +462,7 @@ def export_svg(sl, path, viewport=1000):
                 x, y = sp(z)
                 rr = r * scale
             else:
-                o, Re = disk_circle_rep_at(z, r)
+                o, Re = disk_circle_rep(z, r)
                 x, y = sp(o)
                 rr = Re * scale
             lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{rr:.3f}" '
@@ -523,7 +473,3 @@ def export_svg(sl, path, viewport=1000):
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(str(exc))
-
-
-def _hyp_circle_rep(center, R):
-    return disk_circle_rep_at(center, R)

@@ -120,12 +120,9 @@ def domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals):
     return lhs, rhs
 
 
-def check_feasibility(cc, t, domains=None, cap=22, require_exhaustive=False):
-    """Decide polytope membership of the angle data on the complex.
-
-    ``domains``: pre-enumerated strict admissible domains (from the
-    combinatorics module); enumerated here when omitted.
-    """
+def _conditions_1_to_3(cc, t):
+    """Conditions 1-3 in order: (violations, Theta on every vertex, the
+    Gauss-Bonnet residual, the comparison tolerance)."""
     if not isinstance(t, AngleData):
         raise IndexMismatch("expected AngleData")
     check_geometry(t.geometry)
@@ -134,7 +131,6 @@ def check_feasibility(cc, t, domains=None, cap=22, require_exhaustive=False):
 
     violations = []
     euclidean = t.geometry == EUCLIDEAN
-
     for e in sorted(cc.e1):
         v = t.theta[e]
         if not 0.0 < v < math.pi:
@@ -150,32 +146,28 @@ def check_feasibility(cc, t, domains=None, cap=22, require_exhaustive=False):
     total = sum(2 * math.pi - ThetaF[k] for k in ThetaF)
     target = 2 * math.pi * cc.chi
     gb_residual = total - target
-    nv = len(cc.v0) + len(cc.v1)
-    tol = 1e-12 * (1 + nv)
+    tol = 1e-12 * (1 + len(ThetaF))
     if euclidean:
         if abs(gb_residual) > tol:
             violations.append(("E3", {"surface": True}, total, target))
     else:
         if not gb_residual > tol:
             violations.append(("H3", {"surface": True}, total, target))
+    return violations, ThetaF, gb_residual, tol
 
+
+def check_feasibility(cc, t, cap=22):
+    """Decide polytope membership of the angle data on the complex."""
+    violations, ThetaF, gb_residual, tol = _conditions_1_to_3(cc, t)
     partial = False
     if not violations:
         theta_ext = theta_extended(cc, t)
-        if domains is None:
-            h = hat_complex(cc)
-            domains = admissible_domains(h, strict=True, cap=cap,
-                                         require_exhaustive=require_exhaustive)
-        else:
-            h = None
-        partial = getattr(domains, "partial", False)
-        cond = "E4" if euclidean else "H4"
-        e0_duals = None
+        h = hat_complex(cc)
+        domains = admissible_domains(h, strict=True, cap=cap)
+        partial = domains.partial
+        cond = "E4" if t.geometry == EUCLIDEAN else "H4"
+        e0_duals = _e0_dual_indices(h, cc)
         for d in domains:
-            if h is None:
-                h = d.hat
-            if e0_duals is None:
-                e0_duals = _e0_dual_indices(h, cc)
             star_of = d.is_open_star_of()
             if star_of is not None and star_of[0] == "v" \
                     and star_of[1] in cc.v0:
@@ -198,14 +190,27 @@ def check_feasibility(cc, t, domains=None, cap=22, require_exhaustive=False):
                              partial=partial)
 
 
+def pre_check(cc, t):
+    """The solver's cheap necessary test: conditions 1-3, then the
+    single-star subset of condition 4.  Infeasible with the violations
+    found, or feasible under this partial check."""
+    violations, _ThetaF, gb_residual, _tol = _conditions_1_to_3(cc, t)
+    if not violations:
+        violations = single_star_check(cc, t)
+    return FeasibilityReport(
+        verdict=INFEASIBLE if violations else PARTIAL,
+        violations=tuple(violations), gauss_bonnet_residual=gb_residual,
+        partial=not violations)
+
+
 def _e0_dual_indices(h, cc):
     return {h.eindex[("dual", e)] for e in cc.e0}
 
 
 def single_star_check(cc, t):
     """The condition-4 inequalities over open stars of positive-circle
-    vertices only (a cheap necessary subset used by the solver's
-    pre-check): for OStar(k), k in V1 the inequality reads
+    vertices only (a cheap necessary subset, used by pre_check): for
+    OStar(k), k in V1 the inequality reads
     sum over incident edges (pi - theta_ik) + (2 pi - Theta_k) > 2 pi."""
     th = theta_extended(cc, t)
     bad = []

@@ -5,40 +5,29 @@ initialization (face-circle radius solve omega)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .complexes import edge_key
-from .errors import DomainError, IndexMismatch
-from .geometry import (
-    EUCLIDEAN,
-    HYPERBOLIC,
-    EdgeRadii,
-    TetraCoords,
-    check_geometry,
-)
-from .polytope import (
-    AngleData,
-    Theta_full,
-    make_angle_data,
-    single_star_check,
-)
+from .errors import DomainError, IndexMismatch, NotInTE
+from .geometry import EUCLIDEAN, EdgeRadii, TetraCoords, check_geometry
+from .polytope import AngleData, pre_check
 
 CONVERGED = "Converged"
 INFEASIBLE = "Infeasible"
 MAXITER = "MaxIter"
 BOUNDARY = "BoundaryDegeneration"
 
+LINE_SEARCH_RATIO = 0.5
+ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class SolveOptions:
     grad_tol: float = 1e-10
     max_iter: int = 100
-    line_search_ratio: float = 0.5
-    armijo: float = 1e-4
-    te_margin: float = 1e-12
 
     def __post_init__(self):
         if not self.grad_tol > 0:
@@ -132,19 +121,23 @@ def _chord_angle(g, du, dv, L):
     return math.acos(c)
 
 
+def face_chords(vclasses, eclasses, g, x):
+    """The reference polygon around a face circle at positive-circle
+    vertex distance x: the angle each edge subtends at the center, and
+    the center-to-vertex distances."""
+    rc, ec = geo.reference_constants(g)
+    n = len(vclasses)
+    dists = [_vertex_distance(g, c, x, rc) for c in vclasses]
+    phis = [_chord_angle(g, dists[t], dists[(t + 1) % n],
+                         2 * rc if eclasses[t] == 0 else 2 * (rc + ec))
+            for t in range(n)]
+    return phis, dists
+
+
 def omega_value(vclasses, eclasses, g, x):
     """Total angle at the face-circle center of the reference polygon,
     as a function of the vertex distance x."""
-    rc, ec = geo.reference_constants(g)
-    n = len(vclasses)
-    total = 0.0
-    for t in range(n):
-        cu, cv = vclasses[t], vclasses[(t + 1) % n]
-        L = 2 * rc if eclasses[t] == 0 else 2 * (rc + ec)
-        du = _vertex_distance(g, cu, x, rc)
-        dv = _vertex_distance(g, cv, x, rc)
-        total += _chord_angle(g, du, dv, L)
-    return total
+    return sum(face_chords(vclasses, eclasses, g, x)[0])
 
 
 def _omega_floor(vclasses, eclasses, g):
@@ -199,19 +192,13 @@ def omega_bisect(vclasses, eclasses, g):
 def omega_solve(vclasses, eclasses, g):
     """Positive-circle vertex distance x* of the reference polygon's
     face circle.  vclasses: per-vertex class around the face; eclasses:
-    per-edge class (edge t joins vertices t, t+1).
-
-    Special cases: the quadrilateral with four tangency edges returns
-    its closed form; triangles are solved directly from the reference
-    triangle's face circle."""
+    per-edge class (edge t joins vertices t, t+1).  Triangles are solved
+    directly from the reference triangle's face circle, larger faces by
+    bisection."""
     check_geometry(g)
     n = len(vclasses)
     if n < 3 or len(eclasses) != n:
         raise IndexMismatch("face class lists must have equal length >= 3")
-    if n == 4 and all(c == 0 for c in eclasses):
-        if g == EUCLIDEAN:
-            return math.sqrt(2.0)
-        return math.asinh(math.sqrt(2.0) / 8.0)
     if n == 3:
         rc, _ec = geo.reference_constants(g)
         tags = geo.TriangleTags(vc=tuple(vclasses), ec=tuple(eclasses))
@@ -344,54 +331,15 @@ def extract_angles(T, tc, g):
     return AngleData(geometry=g, theta=theta, Theta=Theta)
 
 
-def _pre_check(cc, target):
-    """Cheap necessary feasibility conditions (ranges, total-angle
-    identity, single-star inequalities)."""
-    import math as _m
-    g = target.geometry
-    euclid = g == EUCLIDEAN
-    viols = []
-    for e in sorted(cc.e1):
-        v = target.theta[e]
-        if not 0.0 < v < _m.pi:
-            viols.append(("E1" if euclid else "H1", {"edge": list(e)}, v, None))
-    for k in sorted(cc.v1):
-        if not target.Theta[k] > 0:
-            viols.append(("E2" if euclid else "H2", {"vertex": k},
-                          target.Theta[k], 0.0))
-    if not viols:
-        ThetaF = Theta_full(cc, target)
-        total = sum(2 * _m.pi - ThetaF[k] for k in ThetaF)
-        tgt = 2 * _m.pi * cc.chi
-        tol = 1e-12 * (1 + len(ThetaF))
-        if euclid and abs(total - tgt) > tol:
-            viols.append(("E3", {"surface": True}, total, tgt))
-        if not euclid and not total - tgt > tol:
-            viols.append(("H3", {"surface": True}, total, tgt))
-    if not viols:
-        viols.extend(single_star_check(cc, target))
-    return viols
-
-
 def solve(T, target, opts=None):
-    """Newton solve for the coordinates realizing the target angles."""
+    """Newton solve for the coordinates realizing the target angles.
+    Trial points outside the kernel's domain are rejected by the line
+    search."""
     if opts is None:
         opts = SolveOptions()
     g = target.geometry
-    check_geometry(g)
-    cc = T.base
-    if set(target.theta) != set(cc.e1) or set(target.Theta) != set(cc.v1):
-        raise IndexMismatch("target angle data does not match the complex")
-
-    viols = _pre_check(cc, target)
-    if viols:
-        from .polytope import FeasibilityReport
-        ThetaF = Theta_full(cc, target)
-        gb = (sum(2 * math.pi - ThetaF[k] for k in ThetaF)
-              - 2 * math.pi * cc.chi)
-        rep = FeasibilityReport(verdict=INFEASIBLE,
-                                violations=tuple(viols),
-                                gauss_bonnet_residual=gb)
+    rep = pre_check(T.base, target)
+    if not rep.feasible:
         return Solution(coords=None, residual_norm=math.inf, iterations=0,
                         realized_angles=None, status=INFEASIBLE,
                         report=rep)
@@ -408,9 +356,6 @@ def solve(T, target, opts=None):
         c = gauge_vector(T)
         c = c / np.linalg.norm(c)
         gauge = np.outer(c, c)
-
-    def in_te(xv):
-        return geo.in_te(T, unpack(T, xv), g, margin=opts.te_margin)
 
     gvec = grad_U(T, x, targets, g)
     gnorm = float(np.max(np.abs(gvec)))
@@ -436,12 +381,15 @@ def solve(T, target, opts=None):
                 s = 1.0
                 while s > 1e-14:
                     x_new = x + s * step
-                    if in_te(x_new):
+                    try:
                         g_new = grad_U(T, x_new, targets, g)
+                    except NotInTE:
+                        pass  # outside the kernel's domain: rejected
+                    else:
                         gn_new = float(np.max(np.abs(g_new)))
-                        if gn_new <= (1 - opts.armijo * s) * gnorm:
+                        if gn_new <= (1 - ARMIJO * s) * gnorm:
                             break
-                    s *= opts.line_search_ratio
+                    s *= LINE_SEARCH_RATIO
                 else:
                     s = 0.0
                 if s > 0.0:
@@ -473,8 +421,3 @@ def solve(T, target, opts=None):
     return Solution(coords=tc, residual_norm=gnorm, iterations=it,
                     realized_angles=realized, status=status,
                     trace=tuple(trace))
-
-
-def make_target(cc, geometry, theta, Theta):
-    """Convenience validator (delegates to the polytope module)."""
-    return make_angle_data(cc, geometry, theta, Theta)

@@ -101,7 +101,10 @@ TANGENT_EQUILATERAL_R = 0.5773502691896258
 # Euclidean closure: x = (l/2) / sin(pi/5) with l = 2.5
 PENTAGON_XSTAR = 2.1266270208800998  # 1.25/sin(pi/5)
 
-ASINH_SQRT2_8 = 0.17586869502163029  # float(mp.asinh(mp.sqrt(2)/8))
+# four disks with four tangency edges, hyperbolic: the right triangle
+# at the face-circle center gives sinh x* = sinh(r) / sin(pi/4) with
+# sinh(r) = 1/10
+ASINH_SQRT2_10 = 0.1409541445270734  # float(mp.asinh(mp.sqrt(2)/10))
 
 
 # ---------------------------------------------------------------------------

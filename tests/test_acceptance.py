@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from conftest import right_angle_target
 from hicp import build_complex, cli, triangulate
 from hicp import geometry as geo
@@ -44,6 +45,7 @@ from hicp.solver import (
     gauge_vector,
     hessian_U,
     omega_solve,
+    omega_value,
     reference_coords,
     solve,
 )
@@ -298,8 +300,9 @@ class TestReferenceFixtures:
         vc, ec = (1, 1, 1, 1), (0, 0, 0, 0)
         assert abs(omega_solve(vc, ec, EUCLIDEAN)
                    - math.sqrt(2.0)) < 1e-12
-        assert abs(omega_solve(vc, ec, HYPERBOLIC)
-                   - math.asinh(math.sqrt(2.0) / 8)) < 1e-12
+        x = omega_solve(vc, ec, HYPERBOLIC)
+        assert abs(x - oracles.ASINH_SQRT2_10) < 1e-12
+        assert abs(omega_value(vc, ec, HYPERBOLIC, x) - 2 * math.pi) < 1e-12
 
     DEMOS = (("grid-torus", "euclidean"), ("grid-torus-v1", "hyperbolic"),
              ("tri-torus", "euclidean"),

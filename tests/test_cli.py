@@ -5,10 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hicp import build_complex, cli
 from hicp.errors import HicpError
-from hicp.fixtures import grid_torus_spec
+from hicp.fixtures import grid_torus_spec, tetrahedron_spec
 
 
 def run(tmp_path, *argv):
@@ -56,6 +58,95 @@ class TestUsage:
         p.write_text("{not json")
         rc, _ = run(tmp_path, "validate", "--input", str(p))
         assert rc == 1
+
+
+def tetrahedron_doc():
+    spec = tetrahedron_spec(v1=(0, 1))
+    cc = build_complex(spec)
+    return {"geometry": "euclidean", "vertices": spec["vertices"],
+            "faces": spec["faces"], "tangent_edges": [],
+            "theta": {f"{e[0]}-{e[1]}": 1.2 for e in sorted(cc.e1)},
+            "Theta": {"0": 2.0, "1": 2.0}}
+
+
+def _with(**changes):
+    doc = tetrahedron_doc()
+    doc.update(changes)
+    return doc
+
+
+def _without_vertex_id():
+    doc = tetrahedron_doc()
+    del doc["vertices"][0]["id"]
+    return doc
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("doc", [
+        {},
+        [tetrahedron_doc()],
+        _without_vertex_id(),
+        _with(Theta={"zz": 2.0, "1": 2.0}),
+        _with(theta={"0-1": "abc"}),
+        _with(faces=5),
+        _with(theta={"0_1": 1.2}),
+    ], ids=["empty", "list", "vertex-without-id", "Theta-key",
+            "theta-value", "faces-not-a-list", "bad-edge-key"])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, doc):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(doc))
+        for cmd in ("validate", "solve", "demo"):
+            capsys.readouterr()
+            assert cli.main([cmd, "--input", str(p)]) == 1, cmd
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), cmd
+
+    def test_render_solution_without_input(self, tmp_path):
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", "fixture:grid-torus",
+                         "--output", str(sol)]) == 0
+        data = json.loads(sol.read_text())
+        del data["input"]
+        sol.write_text(json.dumps(data))
+        assert cli.main(["render", "--input", str(sol)]) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_tetrahedron(draw):
+    """The tetrahedron document with one value replaced or one key
+    removed, at any depth."""
+    doc = tetrahedron_doc()
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+        return doc
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_tetrahedron(),
+       cmd=st.sampled_from(["validate", "solve", "demo"]))
+def test_fuzz_mutated_input_exits_cleanly(tmp_path, doc, cmd):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main([cmd, "--input", str(p),
+                     "--output", str(tmp_path / "out.json")]) in range(6)
 
 
 class TestValidate:
@@ -108,6 +199,24 @@ class TestSolve:
         assert data["status"] == "Infeasible"
         assert data["residual_norm"] is None
         assert data["feasibility"]["verdict"] == "Infeasible"
+
+    def test_reports_conditions_1_to_3_like_validate(self, tmp_path):
+        doc = tetrahedron_doc()
+        doc["theta"]["0-1"] = 4.0  # outside (0, pi): E1, and so E3
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(doc))
+        rc, sol = run(tmp_path, "solve", "--input", str(p))
+        assert rc == 2
+        rc, rep = run(tmp_path, "validate", "--input", str(p))
+        assert rc == 2
+
+        def key(v):
+            return v["condition"], str(v["witness"])
+
+        assert ({v["condition"] for v in rep["violations"]}
+                == {"E1", "E3"})
+        assert (sorted(sol["feasibility"]["violations"], key=key)
+                == sorted(rep["violations"], key=key))
 
     def test_solver_failure_exit(self, tmp_path):
         rc, data = run(tmp_path, "solve", "--input", "fixture:grid-torus",

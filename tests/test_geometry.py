@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hicp.errors import DomainError, InvariantViolation, NotInTE
+from hicp import cli, triangulate
+from hicp import geometry as geo
+from hicp.errors import DomainError, HicpError, InvariantViolation, NotInTE
 from hicp.geometry import (
     CORNERS_OF_EDGE,
     EDGES_AT_CORNER,
@@ -345,6 +348,22 @@ class TestPhiInv:
                             assert b3[v] == pytest.approx(pb[v], abs=1e-9)
 
 
+def test_tetra_angles_checks_the_triangle_once(monkeypatch):
+    calls = []
+    check = geo.check_er_triangle
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "check_er_triangle", counting)
+    tags = TriangleTags(vc=(1, 1, 1), ec=(1, 1, 1))
+    for g in (EUCLIDEAN, HYPERBOLIC):
+        calls.clear()
+        tetra_angles(((0.3, 0.3, 0.3), (0.5, 0.5, 0.5)), tags, g)
+        assert len(calls) == 1, g
+
+
 # ---------------------------------------------------------------------------
 # Gauge action on a surface
 
@@ -385,3 +404,23 @@ class TestGauge:
         e = next(iter(a))
         a[e] = a[e] + 50.0
         assert not in_te(T, tc.__class__(a=a, b=dict(tc.b)), EUCLIDEAN)
+
+    def test_in_te_is_the_kernel_domain(self, genus2_mixed):
+        # wide samples of (l, r) whose hyperbolic face circles leave the
+        # disk: the edge-radius invariants hold there, the kernel does not
+        from hicp.solver import extract_angles, reference_coords
+        T = triangulate(genus2_mixed)
+        er0 = geo.psi_surface(T, reference_coords(T, HYPERBOLIC), HYPERBOLIC)
+        rng = random.Random(5)
+        outside = 0
+        for _ in range(40):
+            er = cli.sample_er(T, er0, HYPERBOLIC, rng, frac=0.9)
+            tc = geo.psi_inv_surface(T, er, HYPERBOLIC)
+            try:
+                extract_angles(T, tc, HYPERBOLIC)
+            except HicpError:
+                outside += 1
+                assert not in_te(T, tc, HYPERBOLIC)
+            else:
+                assert in_te(T, tc, HYPERBOLIC)
+        assert outside > 0

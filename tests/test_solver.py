@@ -6,10 +6,11 @@ import pytest
 
 import oracles
 from conftest import right_angle_target
-from hicp import build_complex, cli, triangulate
+from hicp import build_complex, cli, solver, triangulate
 from hicp import geometry as geo
-from hicp.errors import DomainError
+from hicp.errors import DomainError, NotInTE
 from hicp.fixtures import FIXTURES, fixture_spec, grid_torus_spec
+from hicp.polytope import make_angle_data
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -28,7 +29,6 @@ from hicp.solver import (
     gauge_vector,
     grad_U,
     hessian_U,
-    make_target,
     omega_bisect,
     omega_solve,
     omega_value,
@@ -46,8 +46,10 @@ class TestOmega:
         vc, ec = (1, 1, 1, 1), (0, 0, 0, 0)
         assert omega_solve(vc, ec, EUCLIDEAN) == pytest.approx(
             math.sqrt(2.0), abs=1e-12)
-        assert omega_solve(vc, ec, HYPERBOLIC) == pytest.approx(
-            oracles.ASINH_SQRT2_8, abs=1e-12)
+        x = omega_solve(vc, ec, HYPERBOLIC)
+        assert x == pytest.approx(oracles.ASINH_SQRT2_10, abs=1e-12)
+        assert omega_value(vc, ec, HYPERBOLIC, x) == pytest.approx(
+            2 * math.pi, abs=1e-12)
 
     def test_pentagon_pinned(self):
         vc, ec = (1,) * 5, (1,) * 5
@@ -199,14 +201,32 @@ class TestSolve:
     def test_infeasible_short_circuit(self):
         cc = build_complex(grid_torus_spec(3, v1=(4,)))
         T = triangulate(cc)
-        target = make_target(cc, "euclidean",
-                             {e: math.pi / 2 for e in cc.e1},
-                             {4: 2 * math.pi})
+        target = make_angle_data(cc, "euclidean",
+                                 {e: math.pi / 2 for e in cc.e1},
+                                 {4: 2 * math.pi})
         sol = solve(T, target)
         assert sol.status == INFEASIBLE
         assert sol.report is not None
         assert any(w[1] == {"domain": [["v", 4]]}
                    for w in sol.report.violations)
+
+    def test_line_search_rejects_trials_outside_the_kernel_domain(
+            self, grid_torus_T, monkeypatch):
+        target = right_angle_target(grid_torus_T.base)
+        full_step = solve(grid_torus_T, target).trace[0][2]
+        grad = solver.grad_U
+        calls = []
+
+        def first_trial_outside(*args):
+            calls.append(1)
+            if len(calls) == 2:  # call 1 is at the start point
+                raise NotInTE("trial point outside the kernel's domain")
+            return grad(*args)
+
+        monkeypatch.setattr(solver, "grad_U", first_trial_outside)
+        sol = solve(grid_torus_T, target)
+        assert sol.status == CONVERGED
+        assert sol.trace[0][2] == full_step * 0.5
 
     def test_max_iter(self, grid_torus_T):
         target = right_angle_target(grid_torus_T.base)
