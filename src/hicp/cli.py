@@ -366,36 +366,37 @@ def build_parser():
         description="Hyper-ideal circle patterns on closed surfaces: "
                     "feasibility, solving, and rendering.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, need_input=True):
-        sp.add_argument("--input", required=need_input,
-                        help="JSON file or fixture:NAME")
-        sp.add_argument("--output", help="output JSON path (default stdout)")
-        sp.add_argument("--geometry", choices=sorted(GEOMETRIES),
-                        help="overrides the input's geometry")
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--max-iter", type=int, default=100)
-        sp.add_argument("--enum-cap", type=int, default=22)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--svg", help="SVG output path")
-
-    sp = sub.add_parser("validate", help="angle-polytope membership check")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
-    sp = sub.add_parser("solve", help="solve for the circle pattern")
-    common(sp)
-    sp.set_defaults(fn=cmd_solve)
-    sp = sub.add_parser("render", help="render a solution JSON")
-    common(sp)
-    sp.set_defaults(fn=cmd_render)
-    sp = sub.add_parser("demo", help="reference pattern for a complex")
-    common(sp)
-    sp.set_defaults(fn=cmd_demo)
-    sp = sub.add_parser("roundtrip",
-                        help="sample, extract angles, re-solve, compare")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=20)
-    sp.set_defaults(fn=cmd_roundtrip)
+    flags = {
+        "input": dict(required=True, help="JSON file or fixture:NAME"),
+        "output": dict(help="output JSON path (default stdout)"),
+        "geometry": dict(choices=sorted(GEOMETRIES),
+                         help="overrides the input's geometry"),
+        "tol": dict(type=float, default=1e-10),
+        "max-iter": dict(type=int, default=100),
+        "enum-cap": dict(type=int, default=22),
+        "seed": dict(type=int, default=0),
+        "samples": dict(type=int, default=20),
+        "svg": dict(help="SVG output path"),
+    }
+    commands = [
+        ("validate", cmd_validate, "angle-polytope membership check",
+         ("input", "output", "geometry", "enum-cap")),
+        ("solve", cmd_solve, "solve for the circle pattern",
+         ("input", "output", "geometry", "tol", "max-iter")),
+        ("render", cmd_render, "render a solution JSON",
+         ("input", "output", "svg")),
+        ("demo", cmd_demo, "reference pattern for a complex",
+         ("input", "output", "geometry", "svg")),
+        ("roundtrip", cmd_roundtrip,
+         "sample, extract angles, re-solve, compare",
+         ("input", "output", "geometry", "tol", "max-iter", "seed",
+          "samples")),
+    ]
+    for name, fn, help_, names in commands:
+        sp = sub.add_parser(name, help=help_)
+        for flag in names:
+            sp.add_argument("--" + flag, **flags[flag])
+        sp.set_defaults(fn=fn)
     return p
 
 

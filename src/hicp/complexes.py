@@ -203,9 +203,14 @@ def build_complex(spec):
             pair[0 if a < b else 1] = fi
     edge_faces = {e: tuple(p) for e, p in edge_faces.items()}
 
-    # Pairwise face regularity.
-    for fi in range(len(faces)):
-        for fj in range(fi + 1, len(faces)):
+    # Pairwise face regularity, over the pairs (fi < fj) of faces that
+    # meet at a vertex, in lexicographic order.
+    faces_at = {}
+    for fi, f in enumerate(faces):
+        for v in f:
+            faces_at.setdefault(v, []).append(fi)
+    for fi, f in enumerate(faces):
+        for fj in sorted({fj for v in f for fj in faces_at[v] if fj > fi}):
             common = set(faces[fi]) & set(faces[fj])
             if len(common) < 2:
                 continue
@@ -447,21 +452,11 @@ class HatTriangulation:
     links: dict = field(repr=False, default_factory=dict)
     # overlap graph between open stars, as adjacency over hat vertices
     overlap: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def n_cells(self):
-        return len(self.vertices), len(self.edges), len(self.hat_faces)
-
-    def full_masks(self):
-        nv, ne, nf = self.n_cells
-        return (1 << nv) - 1, (1 << ne) - 1, (1 << nf) - 1
-
-    def base_vertex_mask(self):
-        m = 0
-        for i, hv in enumerate(self.vertices):
-            if hv[0] == "v":
-                m |= 1 << i
-        return m
+    # masks built once: (vmask, emask, fmask) of the whole surface, the
+    # vmask of the base vertices, per hat vertex (emask, fmask) of its link
+    full: tuple = field(repr=False, default=(0, 0, 0))
+    base_vmask: int = field(repr=False, default=0)
+    link_masks: dict = field(repr=False, default_factory=dict)
 
 
 def hat_complex(cc):
@@ -488,6 +483,9 @@ def hat_complex(cc):
             h.findex[(v, e)] = len(h.hat_faces)
             h.hat_faces.append(HatFace(corner=v, duals=duals, across=e))
 
+    h.full = tuple((1 << len(cells)) - 1
+                   for cells in (h.vertices, h.edges, h.hat_faces))
+    h.base_vmask = (1 << len(cc.vertices)) - 1  # base vertices come first
     _build_stars_and_links(h)
     return h
 
@@ -542,6 +540,11 @@ def _build_stars_and_links(h):
             cycle.append(("e", h.eindex[("dual", e)]))
             cycle.append(("t", h.findex[(w, e)]))
         h.links[("f", fi)] = cycle
+    for hv, cycle in h.links.items():
+        masks = {"e": 0, "t": 0}
+        for kind, idx in cycle:
+            masks[kind] |= 1 << idx
+        h.link_masks[hv] = (masks["e"], masks["t"])
 
     # overlap graph: two open stars are adjacent when they share a cell
     verts = list(h.stars)
@@ -567,30 +570,23 @@ class Domain:
     emask: int
     fmask: int
 
-    @property
-    def triangles(self):
-        """Indices of the hat triangles realizing the domain."""
-        return [i for i in range(len(self.hat.hat_faces)) if self.fmask >> i & 1]
-
     def contains_cell(self, kind, idx):
         mask = {"v": self.vmask, "e": self.emask, "t": self.fmask}[kind]
         return bool(mask >> idx & 1)
 
     def is_whole_surface(self):
-        return (self.vmask, self.emask, self.fmask) == self.hat.full_masks()
+        return (self.vmask, self.emask, self.fmask) == self.hat.full
 
     def meets_base_vertices(self):
-        return bool(self.vmask & self.hat.base_vertex_mask())
+        return bool(self.vmask & self.hat.base_vmask)
 
     def boundary_touches(self, hv):
-        """True when hat vertex hv lies on the topological boundary."""
-        i = self.hat.vindex[hv]
-        if self.vmask >> i & 1:
+        """True when hat vertex hv lies on the topological boundary: it is
+        outside the domain and some cell of its link is inside."""
+        if self.vmask >> self.hat.vindex[hv] & 1:
             return False
-        for kind, idx in self.hat.links[hv]:
-            if self.contains_cell(kind, idx):
-                return True
-        return False
+        emask, fmask = self.hat.link_masks[hv]
+        return bool(self.emask & emask or self.fmask & fmask)
 
     def is_strict(self):
         """No point vertex on the boundary (Def. of strict admissibility)."""
@@ -628,34 +624,6 @@ def euler_char(d):
     return (d.vmask.bit_count() - d.emask.bit_count() + d.fmask.bit_count())
 
 
-def _generators_connected(h, gens):
-    gens = set(gens)
-    if not gens:
-        return False
-    seen = {next(iter(sorted(gens)))}
-    queue = list(seen)
-    while queue:
-        g = queue.pop()
-        for nb in h.overlap[g]:
-            if nb in gens and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return seen == gens
-
-
-def is_admissible(d):
-    """Conditions of an admissible domain: union of open stars by
-    construction; connected; nonempty; not the whole surface; meets the
-    base vertex set."""
-    if not d.generators:
-        return False
-    if d.is_whole_surface():
-        return False
-    if not d.meets_base_vertices():
-        return False
-    return _generators_connected(d.hat, d.generators)
-
-
 class DomainEnumeration:
     """Iterable over admissible domains; ``partial`` is True when the
     complex was too large for exhaustive enumeration."""
@@ -676,7 +644,12 @@ def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
 
     Exhaustive when the hat triangulation has at most ``cap`` vertices;
     otherwise the enumeration is flagged PARTIAL and covers all
-    one-generator and two-generator connected domains."""
+    one-generator and two-generator connected domains.
+
+    Both generator enumerators yield only nonempty sets that are
+    connected in the star-overlap graph.  The filter tests the remaining
+    conditions: not the whole surface, meets the base vertices, and
+    (under ``strict``) no point vertex on the boundary."""
     nv = len(h.vertices)
     partial = nv > cap
     if partial and require_exhaustive:
@@ -690,7 +663,7 @@ def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
     out = []
     for gens in gen_sets:
         d = make_domain(h, gens)
-        if not is_admissible(d):
+        if d.is_whole_surface() or not d.meets_base_vertices():
             continue
         if strict and not d.is_strict():
             continue
@@ -937,13 +910,10 @@ def boundary_counts(h, d, e0_dual_indices=None):
     n_v = 0
     for v in h.base.vertices:
         hv = ("v", v)
-        i = h.vindex[hv]
-        if d.vmask >> i & 1:
+        if not d.boundary_touches(hv):
             continue
         link = h.links[hv]
         inside = [d.contains_cell(k, idx) for k, idx in link]
-        if not any(inside):
-            continue
         if all(inside):
             n_v += 1  # puncture
             continue

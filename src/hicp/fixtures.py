@@ -135,15 +135,19 @@ def reference_pattern(cc, g):
         l[e] = 2 * rc if e in cc.e0 else 2 * (rc + ec_)
     r = {v: (rc if v in cc.v1 else 0.0) for v in cc.vertices}
 
+    chords = {}  # (vertex classes, edge classes) -> face_chords
     for f in cc.faces:
         n = len(f)
         if n == 3:
             continue
-        vclasses = [cc.vertex_class(v) for v in f]
-        eclasses = [0 if edge_key(f[t], f[(t + 1) % n]) in cc.e0 else 1
-                    for t in range(n)]
-        phis, dists = face_chords(vclasses, eclasses, g,
-                                  omega_solve(vclasses, eclasses, g))
+        vclasses = tuple(cc.vertex_class(v) for v in f)
+        eclasses = tuple(0 if edge_key(f[t], f[(t + 1) % n]) in cc.e0 else 1
+                         for t in range(n))
+        key = (vclasses, eclasses)
+        if key not in chords:
+            chords[key] = face_chords(vclasses, eclasses, g,
+                                      omega_solve(vclasses, eclasses, g))
+        phis, dists = chords[key]
         total = sum(phis)
         if abs(total - 2 * math.pi) > 1e-9:
             raise DomainError(f"face {f}: circle solve did not close")

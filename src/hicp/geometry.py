@@ -118,12 +118,15 @@ def psi(tc_tri, tags, g):
     Slots fixed by class (a on E0, b on point corners) are ignored."""
     check_geometry(g)
     a3, b3 = tc_tri
-    r3 = tuple(vertex_radius(g, tags.vc[v], b3[v]) for v in range(3))
-    l3 = []
-    for m in range(3):
-        u, v = CORNERS_OF_EDGE[m]
-        l3.append(edge_length(g, tags.ec[m], tags.vc[u], tags.vc[v],
-                              a3[m], b3[u], b3[v]))
+    try:
+        r3 = tuple(vertex_radius(g, tags.vc[v], b3[v]) for v in range(3))
+        l3 = []
+        for m in range(3):
+            u, v = CORNERS_OF_EDGE[m]
+            l3.append(edge_length(g, tags.ec[m], tags.vc[u], tags.vc[v],
+                                  a3[m], b3[u], b3[v]))
+    except OverflowError as exc:
+        raise DomainError(f"coordinates out of range: {exc}") from exc
     return tuple(l3), r3
 
 
@@ -826,15 +829,18 @@ def psi_surface(T, tc, g):
     """Apply psi edge by edge over the whole triangulation."""
     check_geometry(g)
     cc = T.base
-    r = {v: vertex_radius(g, cc.vertex_class(v), tc.b.get(v, 0.0))
-         for v in cc.vertices}
-    l = {}
-    for e in T.edges:
-        u, v = e
-        ec = 0 if e in cc.e0 else 1
-        l[e] = edge_length(g, ec, cc.vertex_class(u), cc.vertex_class(v),
-                           tc.a.get(e, 0.0), tc.b.get(u, 0.0),
-                           tc.b.get(v, 0.0))
+    try:
+        r = {v: vertex_radius(g, cc.vertex_class(v), tc.b.get(v, 0.0))
+             for v in cc.vertices}
+        l = {}
+        for e in T.edges:
+            u, v = e
+            ec = 0 if e in cc.e0 else 1
+            l[e] = edge_length(g, ec, cc.vertex_class(u), cc.vertex_class(v),
+                               tc.a.get(e, 0.0), tc.b.get(u, 0.0),
+                               tc.b.get(v, 0.0))
+    except OverflowError as exc:
+        raise DomainError(f"coordinates out of range: {exc}") from exc
     return EdgeRadii(l=l, r=r)
 
 

@@ -5,6 +5,7 @@ different from the ones in the package, so agreement is meaningful.
 """
 
 import math
+from collections import deque
 
 import mpmath as mp
 import numpy as np
@@ -133,3 +134,31 @@ def full_gradient_hessian(T, tc, g, scheme="central"):
             xm[m] -= h
             H[:, m] = (gp - grad_U(T, xm, zero, g)) / (2 * h)
     return H
+
+
+# ---------------------------------------------------------------------------
+# Admissible-domain conditions, decided the long way
+
+
+def generators_connected(h, gens):
+    """True when gens is nonempty and connected in the star-overlap graph
+    ``h.overlap``, by breadth-first search."""
+    gens = set(gens)
+    if not gens:
+        return False
+    root = min(gens)
+    seen, queue = {root}, deque([root])
+    while queue:
+        for nb in h.overlap[queue.popleft()]:
+            if nb in gens and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return seen == gens
+
+
+def boundary_touches_by_link(d, hv):
+    """The link-walk definition of a boundary vertex: hv is outside the
+    domain d and some cell of its link is inside."""
+    if d.contains_cell("v", d.hat.vindex[hv]):
+        return False
+    return any(d.contains_cell(kind, idx) for kind, idx in d.hat.links[hv])

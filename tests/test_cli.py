@@ -53,6 +53,13 @@ class TestUsage:
         rc, _ = run(tmp_path, "validate", "--input", "fixture:nope")
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input", "fixture:grid-torus", "--svg", "x.svg"],
+        ["render", "--input", "sol.json", "--geometry", "hyperbolic"],
+    ], ids=["validate-svg", "render-geometry"])
+    def test_flag_the_command_does_not_read(self, argv):
+        assert cli.main(argv) == 1
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -259,6 +266,18 @@ class TestRender:
         assert err[0].startswith("warning:")
         assert "diagonal is not redundant" in err[0]
         assert out.exists() and svg.exists()
+
+    def test_large_coordinate_exits_1(self, tmp_path, capsys):
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", "fixture:tri-torus",
+                         "--output", str(sol)]) == 0
+        data = json.loads(sol.read_text())
+        data["coords"]["a"][min(data["coords"]["a"])] = 2000.0
+        sol.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert cli.main(["render", "--input", str(sol)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_rejects_solution_without_coords(self, tmp_path, bad_instance):
         sol = tmp_path / "sol.json"

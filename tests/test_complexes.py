@@ -1,7 +1,9 @@
 import math
+import re
 
 import pytest
 
+import oracles
 from hicp import (
     CapExceeded,
     E0EndpointInV0,
@@ -16,7 +18,13 @@ from hicp import (
     open_star,
     triangulate,
 )
-from hicp.complexes import boundary_counts, edge_key, make_domain
+from hicp.complexes import (
+    _connected_generator_sets,
+    _small_generator_sets,
+    boundary_counts,
+    edge_key,
+    make_domain,
+)
 from hicp.errors import DomainError
 from hicp.fixtures import (
     dodecahedron_spec,
@@ -88,6 +96,21 @@ class TestBuildComplex:
         spec = {"vertices": [{"id": i, "circle": "point"} for i in range(3)],
                 "faces": [[0, 1, 2], [2, 1, 0]]}
         with pytest.raises(RegularityViolation):
+            build_complex(spec)
+
+    @pytest.mark.parametrize("old, message", [
+        (7, "faces (0, 1, 6, 5) and (1, 2, 0, 6) share an edge and 3 "
+            "vertices"),
+        (12, "faces (0, 1, 6, 5) and (6, 7, 0, 11) share 2 vertices but no "
+             "edge"),
+    ])
+    def test_irregular_face_pairs_rejected(self, old, message):
+        # the 5x5 grid torus with vertex `old` renamed 0
+        spec = grid_torus_spec(5)
+        spec["vertices"] = [v for v in spec["vertices"] if v["id"] != old]
+        spec["faces"] = [[0 if v == old else v for v in f]
+                         for f in spec["faces"]]
+        with pytest.raises(RegularityViolation, match=re.escape(message)):
             build_complex(spec)
 
     def test_vertex_link_cycles(self, grid_torus):
@@ -207,6 +230,55 @@ class TestDomains:
         ds = admissible_domains(h, cap=10)
         assert ds.partial
         assert len(ds) > 0
+
+
+class TestGeneratorSets:
+    """Both enumerators yield only nonempty generator sets that are
+    connected in the star-overlap graph; admissible_domains relies on
+    it and does not test either property again."""
+
+    @pytest.mark.parametrize("strict_prune", [False, True])
+    def test_tetrahedron(self, strict_prune):
+        h = hat_complex(build_complex(tetrahedron_spec()))
+        sets = list(_connected_generator_sets(h, strict_prune=strict_prune))
+        assert sets
+        assert all(oracles.generators_connected(h, s) for s in sets)
+
+    def test_grid_torus_strict_prune(self, grid_torus):
+        h = hat_complex(grid_torus)
+        sets = list(_connected_generator_sets(h, strict_prune=True))
+        assert sets
+        assert all(oracles.generators_connected(h, s) for s in sets)
+
+    def test_small_sets(self, genus2):
+        h = hat_complex(genus2)
+        sets = list(_small_generator_sets(h))
+        assert sets
+        assert all(oracles.generators_connected(h, s) for s in sets)
+
+
+class TestBoundaryTouches:
+    """The mask test agrees with the link-walk definition at every hat
+    vertex."""
+
+    def _check(self, h, domains):
+        for d in domains:
+            for hv in h.stars:
+                assert (d.boundary_touches(hv)
+                        == oracles.boundary_touches_by_link(d, hv)), (
+                    sorted(d.generators), hv)
+
+    def test_tetrahedron_enumeration(self):
+        h = hat_complex(build_complex(tetrahedron_spec(v1=[0, 1])))
+        ds = admissible_domains(h, require_exhaustive=True)
+        assert len(ds) > 0
+        self._check(h, ds)
+
+    def test_grid_torus_sets(self, grid_torus):
+        h = hat_complex(grid_torus)
+        self._check(h, [make_domain(h, gens) for gens in (
+            [("v", 0)], [("f", 1)], [("v", 0), ("f", 0)],
+            [("v", 0), ("v", 1), ("f", 0)])])
 
 
 @pytest.mark.slow

@@ -364,6 +364,14 @@ def test_tetra_angles_checks_the_triangle_once(monkeypatch):
         assert len(calls) == 1, g
 
 
+@pytest.mark.parametrize("g", BOTH)
+def test_tetra_angles_overflow_is_not_in_te(g):
+    # exp(a / 2) overflows: outside the domain, not an arithmetic crash
+    tags = TriangleTags(vc=(0, 0, 0), ec=(1, 1, 1))
+    with pytest.raises(NotInTE):
+        tetra_angles(((2000.0, 0.0, 0.0), (0.0, 0.0, 0.0)), tags, g)
+
+
 # ---------------------------------------------------------------------------
 # Gauge action on a surface
 
