@@ -433,6 +433,9 @@ class HatFace:
     corner: int  # base vertex
     duals: tuple  # (face index, face index), sorted
     across: Edge
+    # hat edge indices: the dual edge of ``across``, then the corner
+    # edges from ``corner`` to duals[0] and duals[1]
+    edges: tuple
 
 
 @dataclass
@@ -481,7 +484,11 @@ def hat_complex(cc):
         duals = tuple(sorted((fa, fb)))
         for v in e:
             h.findex[(v, e)] = len(h.hat_faces)
-            h.hat_faces.append(HatFace(corner=v, duals=duals, across=e))
+            h.hat_faces.append(HatFace(
+                corner=v, duals=duals, across=e,
+                edges=(h.eindex[("dual", e)],
+                       h.eindex[("corner", (v, duals[0]))],
+                       h.eindex[("corner", (v, duals[1]))])))
 
     h.full = tuple((1 << len(cells)) - 1
                    for cells in (h.vertices, h.edges, h.hat_faces))
@@ -779,7 +786,7 @@ def boundary(h, d):
     for ti, hf in enumerate(h.hat_faces):
         if not (d.fmask >> ti & 1):
             continue
-        for ei in _triangle_edge_indices(h, hf):
+        for ei in hf.edges:
             if not (d.emask >> ei & 1):
                 incidences.add((ei, ti))
 
@@ -832,16 +839,6 @@ def boundary(h, d):
             punctures.append(hv)
 
     return BoundaryTrace(walks=tuple(walks), punctures=tuple(sorted(punctures)))
-
-
-def _triangle_edge_indices(h, hf):
-    fa, fb = hf.duals
-    v = hf.corner
-    return (
-        h.eindex[("dual", hf.across)],
-        h.eindex[("corner", (v, fa))],
-        h.eindex[("corner", (v, fb))],
-    )
 
 
 def _first_step_is(h, hv, ei, ti):
@@ -898,7 +895,7 @@ def boundary_counts(h, d, e0_dual_indices=None):
     for ti, hf in enumerate(h.hat_faces):
         if not (d.fmask >> ti & 1):
             continue
-        for ei in _triangle_edge_indices(h, hf):
+        for ei in hf.edges:
             if d.emask >> ei & 1:
                 continue
             kind, data = h.edges[ei]

@@ -129,10 +129,9 @@ def reference_pattern(cc, g):
     diagonals are measured inside each face's circle geometry."""
     check_geometry(g)
     T = triangulate(cc)
-    rc, ec_ = geo.reference_constants(g)
-    l = {}
-    for e in cc.edges:
-        l[e] = 2 * rc if e in cc.e0 else 2 * (rc + ec_)
+    rc = geo.reference_constants(g)[0]
+    l = {e: geo.reference_length(0 if e in cc.e0 else 1, g)
+         for e in cc.edges}
     r = {v: (rc if v in cc.v1 else 0.0) for v in cc.vertices}
 
     chords = {}  # (vertex classes, edge classes) -> face_chords

@@ -214,23 +214,42 @@ def place_euclidean(l3):
     return (0.0, 0.0), (lij, 0.0), (xk, math.sqrt(yk2))
 
 
-def place_hyperbolic(l3):
-    """Poincare-disk placement: i at the origin, j on the positive real
-    axis, k in the upper half disk."""
-    lij, ljk, lki = l3
-    beta_i = corner_angle(lij, lki, ljk, HYPERBOLIC)
-    zi = 0.0 + 0.0j
-    zj = complex(math.tanh(lij / 2), 0.0)
-    zk = math.tanh(lki / 2) * cmath.exp(1j * beta_i)
-    return zi, zj, zk
-
-
-def place_triangle(l3, g):
-    """Model-plane positions (complex) of the corners i, j, k: i at the
-    origin, j on the positive real axis, k above it."""
+def frame(p, q, g):
+    """The isometry sending p to 0 and q onto the positive real axis, and
+    its inverse: a rigid motion (Euclidean) or a disk automorphism
+    (hyperbolic)."""
     if g == EUCLIDEAN:
-        return tuple(complex(*p) for p in place_euclidean(l3))
-    return place_hyperbolic(l3)
+        u = (q - p) / abs(q - p)
+        uc = u.conjugate()
+        return (lambda z: (z - p) * uc), (lambda z: p + u * z)
+    pc = p.conjugate()
+    u = (q - p) / (1 - pc * q)
+    u = u / abs(u)
+    uc = u.conjugate()
+
+    def fwd(z):
+        return (z - p) / (1 - pc * z) * uc
+
+    def inv(z):
+        w = u * z
+        return (w + p) / (1 + pc * w)
+
+    return fwd, inv
+
+
+def place_third(za, zb, l_aw, beta_a, g):
+    """Position of the third vertex w: at distance l_aw from a, rotated
+    counterclockwise by beta_a from the direction a -> b."""
+    t = l_aw if g == EUCLIDEAN else math.tanh(l_aw / 2)
+    return frame(za, zb, g)[1](cmath.exp(1j * beta_a) * t)
+
+
+def place_triangle(l3, beta_i, g):
+    """Model-plane positions (complex) of the corners i, j, k: i at the
+    origin, j on the positive real axis, k above it at the angle beta_i
+    at i."""
+    zj = complex(l3[0] if g == EUCLIDEAN else math.tanh(l3[0] / 2), 0.0)
+    return 0j, zj, place_third(0j, zj, l3[2], beta_i, g)
 
 
 def corner_angle(l_ab, l_aw, l_bw, g):
@@ -327,7 +346,7 @@ def face_circle(er_tri, g):
     radius R and center-to-vertex distances."""
     check_geometry(g)
     l3, r3 = er_tri
-    zs = place_triangle(l3, g)
+    zs = place_triangle(l3, corner_angle(l3[0], l3[2], l3[1], g), g)
     center, R = circumscribe(zs, r3, g)
     return FaceCircleData(
         R=R, dist=tuple(model_distance(center, z, g) for z in zs))
@@ -337,61 +356,42 @@ def face_circle(er_tri, g):
 # Decorated-triangle angles
 
 
-def _euclidean_alphas(l3, r3):
-    pts = place_triangle(l3, EUCLIDEAN)
-    o, R = circumscribe(pts, r3, EUCLIDEAN)
+def decorate(er_tri, tags, g):
+    """The decorated triangle placed once (i at the origin, j on the
+    positive real axis, k above it) and its face circle solved once:
+    (positions, (center, R), TriangleAngles).  alpha on edge m is the
+    angle at the circle-edge intersection between the edge and the face
+    circle, measured inside the face circle on the far side of the
+    triangle; exactly 0 on E0 edges.  It is read from the center w in
+    the edge's frame, where the triangle lies above the real axis:
+    cos alpha = Im w / R, or sinh d / sinh R with sinh d =
+    2 Im w / (1 - |w|^2) the signed distance of w from the axis
+    (hyperbolic)."""
+    check_geometry(g)
+    l3, r3 = er_tri
+    check_er_triangle(er_tri, tags, g)
+    betas = tuple(corner_angle(l3[m1], l3[m2], l3[3 - m1 - m2], g)
+                  for m1, m2 in EDGES_AT_CORNER)
+    zs = place_triangle(l3, betas[0], g)
+    center, R = circumscribe(zs, r3, g)
     alphas = []
-    for m in range(3):
-        u, v = CORNERS_OF_EDGE[m]
-        w = 3 - u - v
-        p, q, third = pts[u], pts[v], pts[w]
-        t = (q - p) / abs(q - p)
-        n = complex(-t.imag, t.real)
-        # make n point towards the third vertex (triangle interior side)
-        if n.real * (third - p).real + n.imag * (third - p).imag < 0:
-            n = -n
-        d_int = n.real * (o - p).real + n.imag * (o - p).imag
-        alphas.append(math.acos(max(-1.0, min(1.0, d_int / R))))
-    return alphas
-
-
-def _hyperbolic_alphas(l3, r3):
-    alphas = []
-    for m in range(3):
-        # re-place so that edge m runs along the real axis from the origin
-        lr = (l3[m], l3[(m + 1) % 3], l3[(m + 2) % 3])
-        u, v = CORNERS_OF_EDGE[m]
-        w = 3 - u - v
-        rr = (r3[u], r3[v], r3[w])
-        o, Re = _disk_face_rep(place_hyperbolic(lr), rr)
-        alphas.append(math.acos(max(-1.0, min(1.0, o.imag / Re))))
-    return alphas
-
-
-def _betas(g, l3):
-    betas = []
-    for v in range(3):
-        m1, m2 = EDGES_AT_CORNER[v]
-        betas.append(corner_angle(l3[m1], l3[m2], l3[3 - m1 - m2], g))
-    return betas
+    for m, (u, v) in enumerate(CORNERS_OF_EDGE):
+        if tags.ec[m] == 0:
+            alphas.append(0.0)
+            continue
+        w = frame(zs[u], zs[v], g)[0](center)
+        if g == EUCLIDEAN:
+            c = w.imag / R
+        else:
+            c = 2 * w.imag / (1 - abs(w) ** 2) / math.sinh(R)
+        alphas.append(math.acos(max(-1.0, min(1.0, c))))
+    return zs, (center, R), TriangleAngles(alpha=tuple(alphas), beta=betas)
 
 
 def triangle_angles(er_tri, tags, g):
     """Angles (alpha per edge, beta per corner) of the decorated
-    triangle.  alpha is the angle at the circle-edge intersection
-    between the edge and the face circle, measured inside the face
-    circle on the far side of the triangle; exactly 0 on E0 edges."""
-    check_geometry(g)
-    l3, r3 = er_tri
-    check_er_triangle(er_tri, tags, g)
-    if g == EUCLIDEAN:
-        alphas = _euclidean_alphas(l3, r3)
-    else:
-        alphas = _hyperbolic_alphas(l3, r3)
-    for m in range(3):
-        if tags.ec[m] == 0:
-            alphas[m] = 0.0
-    return TriangleAngles(alpha=tuple(alphas), beta=tuple(_betas(g, l3)))
+    triangle; see decorate."""
+    return decorate(er_tri, tags, g)[2]
 
 
 def tetra_angles(tc_tri, tags, g):
@@ -471,9 +471,16 @@ def reference_constants(g):
     return math.asinh(0.1), math.asinh(0.125)
 
 
+def reference_length(eclass, g):
+    """Length of an edge of class eclass in the reference pattern: 2 r_check
+    on E0 (tangent circles), 2 (r_check + eps_check) otherwise."""
+    rc, ec = reference_constants(g)
+    return 2 * rc if eclass == 0 else 2 * (rc + ec)
+
+
 def reference_er_triangle(tags, g):
-    rc, ec_ = reference_constants(g)
-    l3 = tuple(2 * rc if tags.ec[m] == 0 else 2 * (rc + ec_) for m in range(3))
+    rc = reference_constants(g)[0]
+    l3 = tuple(reference_length(tags.ec[m], g) for m in range(3))
     r3 = tuple(rc if tags.vc[v] == 1 else 0.0 for v in range(3))
     return l3, r3
 

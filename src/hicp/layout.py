@@ -4,9 +4,9 @@ Gauss-Bonnet accounting, and SVG/JSON export."""
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import geometry as geo
@@ -16,11 +16,8 @@ from .geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     check_geometry,
-    circumscribe,
-    corner_angle,
     disk_circle_rep,
     model_distance,
-    place_triangle,
 )
 
 # |theta - pi| below which a fan diagonal counts as redundant
@@ -30,31 +27,6 @@ VIEWPORT = 1000  # SVG width and height
 
 # ---------------------------------------------------------------------------
 # Model-plane primitives
-
-
-def _mobius_to(a):
-    """Disk automorphism sending a to the origin, and its inverse."""
-    ac = a.conjugate()
-
-    def fwd(z):
-        return (z - a) / (1 - ac * z)
-
-    def inv(z):
-        return (z + a) / (1 + ac * z)
-
-    return fwd, inv
-
-
-def place_third(za, zb, l_aw, beta_a, g):
-    """Position of the third vertex w: at distance l_aw from a, rotated
-    counterclockwise by beta_a from the direction a -> b."""
-    if g == EUCLIDEAN:
-        u = (zb - za) / abs(zb - za)
-        return za + u * cmath.exp(1j * beta_a) * l_aw
-    fwd, inv = _mobius_to(za)
-    u = fwd(zb)
-    u = u / abs(u)
-    return inv(u * cmath.exp(1j * beta_a) * math.tanh(l_aw / 2))
 
 
 def circle_intersection_angle(c1, R1, c2, R2, g):
@@ -91,105 +63,107 @@ class SurfaceLayout:
     radii: dict  # vertex -> r
     tree_edges: tuple = ()
     areas: dict = field(default_factory=dict)  # chart key -> area (hyp)
+    # per triangle: the kernel's placement ({vertex: position}) and its
+    # face circle (center, R) there
+    placed: tuple = ()
 
     @property
     def base(self):
         return self.T.base
 
 
-def _local_pair_theta(T, er, e, g):
-    """theta of edge e computed from the two adjacent triangles' face
-    circles in a shared local chart."""
-    t1, t2 = T.edge_triangles[e]
+def _glue(T, placed, tis, g):
+    """Develop the triangles tis, connected across shared edges, into one
+    chart: the first keeps its kernel placement, and each next one is
+    moved by one isometry onto a placed neighbour (breadth first,
+    least-id edges first).  Returns per triangle its positions and circle
+    in the chart, and the crossed edges as (from, to, edge)."""
+    members = set(tis)
+    root = tis[0]
+    charts = {root: placed[root]}
+    tree = []
+    queue = deque([root])
+    while queue:
+        ti = queue.popleft()
+        pos = charts[ti][0]
+        vs = T.triangles[ti].verts
+        for e, a, b in sorted((edge_key(vs[m], vs[(m + 1) % 3]),
+                               vs[m], vs[(m + 1) % 3]) for m in range(3)):
+            o1, o2 = T.edge_triangles[e]
+            nb = o2 if o1 == ti else o1
+            if nb not in members or nb in charts:
+                continue
+            tree.append((ti, nb, e))
+            npos, (c, R) = placed[nb]
+            w = next(x for x in npos if x not in e)
+            # one isometry: the neighbour's b to 0 and its a onto the
+            # positive real axis, then onto the chart's b and a (the
+            # neighbour traverses e in the opposite direction, b -> a)
+            fwd = geo.frame(npos[b], npos[a], g)[0]
+            inv = geo.frame(pos[b], pos[a], g)[1]
+            charts[nb] = ({a: pos[a], b: pos[b], w: inv(fwd(npos[w]))},
+                          (inv(fwd(c)), R))
+            queue.append(nb)
+    return charts, tree
+
+
+def _pair_theta(T, placed, e, g):
+    """theta of edge e = (u, v) from the kernel circles of its two
+    triangles, each moved into the frame of e (u at 0, v on the positive
+    real axis), where the triangles lie on opposite sides."""
     u, v = e
-    za = 0.0 + 0.0j
-    if g == EUCLIDEAN:
-        zb = complex(er.l[e], 0.0)
-    else:
-        zb = complex(math.tanh(er.l[e] / 2), 0.0)
     circles = []
-    for side, ti in enumerate((t1, t2)):
-        tri = T.triangles[ti]
-        w = next(x for x in tri.verts if x not in e)
-        l_uw = er.l[edge_key(u, w)]
-        l_vw = er.l[edge_key(v, w)]
-        beta_u = corner_angle(er.l[e], l_uw, l_vw, g)
-        # first triangle above the axis, second below
-        sign = 1.0 if side == 0 else -1.0
-        zw = place_third(za, zb, l_uw, sign * beta_u, g)
-        c, R = circumscribe((za, zb, zw),
-                            (er.r[u], er.r[v], er.r[w]), g)
-        circles.append((c, R))
+    for ti in T.edge_triangles[e]:
+        pos, (c, R) = placed[ti]
+        circles.append((geo.frame(pos[u], pos[v], g)[0](c), R))
     (c1, R1), (c2, R2) = circles
     return circle_intersection_angle(c1, R1, c2, R2, g)
 
 
+def _local_pair_theta(T, er, e, g):
+    """theta of edge e computed from the two adjacent triangles' face
+    circles in a shared local chart."""
+    placed = {}
+    for ti in T.edge_triangles[e]:
+        tri = T.triangles[ti]
+        zs, circle, _ta = geo.decorate(geo.tri_er(T, er, tri),
+                                       geo.triangle_tags(T, tri), g)
+        placed[ti] = (dict(zip(tri.verts, zs)), circle)
+    return _pair_theta(T, placed, e, g)
+
+
 def develop(T, tc, g):
     """Develop all triangles of T into one model chart by breadth-first
-    gluing from the least triangle, crossing least-id edges first."""
+    gluing from the least triangle, crossing least-id edges first.  Each
+    triangle is placed and circumscribed once, by the kernel; the chart,
+    the theta check and merge_redundant move that placement."""
     check_geometry(g)
     er = geo.psi_surface(T, tc, g)
 
     alpha_sum = {e: 0.0 for e in T.edges}
     beta_sum = {v: 0.0 for v in T.base.vertices}
-    tri_angles = {}
+    placed = []
+    areas = {}
     for ti, tri in enumerate(T.triangles):
-        tags = geo.triangle_tags(T, tri)
-        ta = geo.triangle_angles(geo.tri_er(T, er, tri), tags, g)
-        tri_angles[ti] = ta
+        zs, circle, ta = geo.decorate(geo.tri_er(T, er, tri),
+                                      geo.triangle_tags(T, tri), g)
+        placed.append((dict(zip(tri.verts, zs)), circle))
         i, j, k = tri.verts
         for m, (u, v) in enumerate(((i, j), (j, k), (k, i))):
             alpha_sum[edge_key(u, v)] += ta.alpha[m]
         for c, v in enumerate((i, j, k)):
             beta_sum[v] += ta.beta[c]
+        if g == HYPERBOLIC:
+            areas[ti] = math.pi - sum(ta.beta)
 
-    # global development over triangles
-    charts = {}
-    tree = []
-    root = 0
-    tri = T.triangles[root]
-    i, j, k = tri.verts
-    l3, r3 = geo.tri_er(T, er, tri)
-    pts = place_triangle(l3, g)
-    charts[root] = {"verts": list(zip(tri.verts, pts))}
-    placed = {root}
-    queue = [root]
-    while queue:
-        ti = queue.pop(0)
-        tri = T.triangles[ti]
-        pos = dict(charts[ti]["verts"])
-        sides = []
-        vs = tri.verts
-        for m in range(3):
-            e = edge_key(vs[m], vs[(m + 1) % 3])
-            sides.append((e, vs[m], vs[(m + 1) % 3]))
-        for e, a, b in sorted(sides):
-            o1, o2 = T.edge_triangles[e]
-            nb = o2 if o1 == ti else o1
-            if nb in placed:
-                continue
-            placed.add(nb)
-            tree.append((ti, nb, e))
-            ntri = T.triangles[nb]
-            w = next(x for x in ntri.verts if x not in e)
-            # neighbor traverses e in the opposite direction (b -> a)
-            l_bw = er.l[edge_key(b, w)]
-            l_aw = er.l[edge_key(a, w)]
-            beta_b = corner_angle(er.l[e], l_bw, l_aw, g)
-            zw = place_third(pos[b], pos[a], l_bw, beta_b, g)
-            npos = {a: pos[a], b: pos[b], w: zw}
-            charts[nb] = {"verts": [(x, npos[x]) for x in ntri.verts]}
-            queue.append(nb)
-
-    for ti, tri in enumerate(T.triangles):
-        pos = dict(charts[ti]["verts"])
-        c, R = circumscribe([pos[v] for v in tri.verts],
-                            [er.r[v] for v in tri.verts], g)
-        charts[ti]["circle"] = (c, R)
+    glued, tree = _glue(T, placed, range(len(T.triangles)), g)
+    charts = {ti: {"verts": [(v, pos[v]) for v in T.triangles[ti].verts],
+                   "circle": circle}
+              for ti, (pos, circle) in glued.items()}
 
     theta = {}
     for e in T.edges:
-        th = _local_pair_theta(T, er, e, g)
+        th = _pair_theta(T, placed, e, g)
         # the angle is a sqrt-sensitive function of the circle data near
         # tangency, so scale the agreement tolerance by the conditioning
         tol = 1e-9 / max(math.sin(alpha_sum[e]), 1e-3)
@@ -198,17 +172,11 @@ def develop(T, tc, g):
                 f"edge {e}: circle angle {th} != alpha sum {alpha_sum[e]}")
         theta[e] = th
 
-    areas = {}
-    if g == HYPERBOLIC:
-        for ti in charts:
-            ta = tri_angles[ti]
-            areas[ti] = math.pi - sum(ta.beta)
-
     return SurfaceLayout(
         geometry=g, T=T, er=er, merged=False, charts=charts,
         theta=theta, alpha_sum=dict(alpha_sum),
         Theta=dict(beta_sum), radii=dict(er.r), tree_edges=tuple(tree),
-        areas=areas)
+        areas=areas, placed=tuple(placed))
 
 
 # ---------------------------------------------------------------------------
@@ -262,55 +230,12 @@ def merge_redundant(sl):
 
     charts = {}
     for fi, f in enumerate(cc.faces):
-        tis = face_tris[fi]
-        # local development of the fan from its first triangle
-        tri0 = T.triangles[tis[0]]
-        l3, _r3 = geo.tri_er(T, er, tri0)
-        pos = dict(zip(tri0.verts, place_triangle(l3, g)))
-        placed = {tis[0]}
-        changed = True
-        while changed:
-            changed = False
-            for ti in tis:
-                if ti in placed:
-                    continue
-                tri = T.triangles[ti]
-                known = [v for v in tri.verts if v in pos]
-                if len(known) < 2:
-                    continue
-                # find a shared edge with an already-placed fan triangle
-                a = b = w = None
-                for m in range(3):
-                    u1, u2 = tri.verts[m], tri.verts[(m + 1) % 3]
-                    if u1 in pos and u2 in pos:
-                        other = T.edge_triangles[edge_key(u1, u2)]
-                        if any(t in placed for t in other if t != ti):
-                            # (u1, u2) is in this triangle's own cyclic
-                            # order, so the third vertex goes on its left
-                            a, b = u1, u2
-                            w = next(x for x in tri.verts
-                                     if x not in (u1, u2))
-                            break
-                if a is None:
-                    continue
-                beta_a = corner_angle(er.l[edge_key(a, b)],
-                                      er.l[edge_key(a, w)],
-                                      er.l[edge_key(b, w)], g)
-                pos[w] = place_third(pos[a], pos[b],
-                                     er.l[edge_key(a, w)], beta_a, g)
-                placed.add(ti)
-                changed = True
-        if placed != set(tis):
-            raise InvariantViolation(f"face {f}: fan could not be developed")
-
-        circles = []
-        for ti in tis:
-            tri = T.triangles[ti]
-            circles.append(circumscribe(
-                [pos[v] for v in tri.verts],
-                [er.r[v] for v in tri.verts], g))
-        c0, R0 = circles[0]
-        for c, R in circles[1:]:
+        fan, _tree = _glue(T, sl.placed, face_tris[fi], g)
+        pos = {}
+        for p, _circle in fan.values():
+            pos.update(p)
+        c0, R0 = fan[face_tris[fi][0]][1]
+        for _p, (c, R) in fan.values():
             if (model_distance(c0, c, g) > 10 * MERGE_TOL
                     or abs(R - R0) > 10 * MERGE_TOL):
                 raise NonRedundantDiagonal(
@@ -327,7 +252,7 @@ def merge_redundant(sl):
         geometry=g, T=T, er=er, merged=True, charts=charts,
         theta=theta, alpha_sum={e: sl.alpha_sum[e] for e in cc.edges},
         Theta=dict(sl.Theta), radii=dict(sl.radii),
-        tree_edges=sl.tree_edges, areas=areas)
+        tree_edges=sl.tree_edges, areas=areas, placed=sl.placed)
 
 
 # ---------------------------------------------------------------------------

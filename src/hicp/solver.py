@@ -58,11 +58,9 @@ def reference_coords(T, g):
     inequality (possible when tangency and free edges share a
     triangle)."""
     check_geometry(g)
-    rc, ec = geo.reference_constants(g)
+    rc = geo.reference_constants(g)[0]
     cc = T.base
-    l = {}
-    for e in T.edges:
-        l[e] = 2 * rc if e in cc.e0 else 2 * (rc + ec)
+    l = {e: geo.reference_length(0 if e in cc.e0 else 1, g) for e in T.edges}
     r = {v: (rc if v in cc.v1 else 0.0) for v in cc.vertices}
 
     tri_edges = [[edge_key(t.verts[m], t.verts[(m + 1) % 3])
@@ -125,11 +123,11 @@ def face_chords(vclasses, eclasses, g, x):
     """The reference polygon around a face circle at positive-circle
     vertex distance x: the angle each edge subtends at the center, and
     the center-to-vertex distances."""
-    rc, ec = geo.reference_constants(g)
+    rc = geo.reference_constants(g)[0]
     n = len(vclasses)
     dists = [_vertex_distance(g, c, x, rc) for c in vclasses]
     phis = [_chord_angle(g, dists[t], dists[(t + 1) % n],
-                         2 * rc if eclasses[t] == 0 else 2 * (rc + ec))
+                         geo.reference_length(eclasses[t], g))
             for t in range(n)]
     return phis, dists
 
@@ -143,12 +141,12 @@ def omega_value(vclasses, eclasses, g, x):
 def _omega_floor(vclasses, eclasses, g):
     """chi_0: the largest x at which some edge chord degenerates (the
     subtended angle reaches pi)."""
-    rc, ec = geo.reference_constants(g)
+    rc = geo.reference_constants(g)[0]
     n = len(vclasses)
     floor = rc + 1e-15 if any(c == 0 for c in vclasses) else 1e-15
     for t in range(n):
         cu, cv = vclasses[t], vclasses[(t + 1) % n]
-        L = 2 * rc if eclasses[t] == 0 else 2 * (rc + ec)
+        L = geo.reference_length(eclasses[t], g)
 
         def slack(x):
             du = _vertex_distance(g, cu, x, rc)
@@ -200,7 +198,7 @@ def omega_solve(vclasses, eclasses, g):
     if n < 3 or len(eclasses) != n:
         raise IndexMismatch("face class lists must have equal length >= 3")
     if n == 3:
-        rc, _ec = geo.reference_constants(g)
+        rc = geo.reference_constants(g)[0]
         tags = geo.TriangleTags(vc=tuple(vclasses), ec=tuple(eclasses))
         fc = geo.face_circle(geo.reference_er_triangle(tags, g), g)
         return geo.vertex_dual_length(fc.R, rc, g)
@@ -410,9 +408,6 @@ def solve(T, target, opts=None):
         if collapses >= 5 and gnorm > 1e3 * opts.grad_tol:
             status = BOUNDARY
             break
-    else:
-        if gnorm <= opts.grad_tol:
-            status = CONVERGED
     if gnorm <= opts.grad_tol:
         status = CONVERGED
 

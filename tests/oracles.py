@@ -77,6 +77,42 @@ def eucl_dual_length(R1, R2, theta):
     return float(mp.sqrt(R1 * R1 + R2 * R2 + 2 * R1 * R2 * mp.cos(theta)))
 
 
+def hyp_alpha_disk(l3, r3, m):
+    """alpha on edge m = (u, v) of a hyperbolic decorated triangle
+    (edges (ij, jk, ki), corners (i, j, k)) in the Poincare disk: u at
+    the origin, v on the positive real axis, the third corner w above;
+    each vertex circle as its Euclidean representative, the Euclidean
+    circle orthogonal to all three, and alpha the angle between the real
+    axis and that circle on the far side of the triangle:
+    cos alpha = Im o / radius."""
+    u, v = m, (m + 1) % 3
+    w = 3 - u - v
+    l_uv, l_vw, l_wu = (mp.mpf(l3[(m + t) % 3]) for t in range(3))
+    cos_u = ((mp.cosh(l_uv) * mp.cosh(l_wu) - mp.cosh(l_vw))
+             / (mp.sinh(l_uv) * mp.sinh(l_wu)))
+    ray = {u: (mp.mpf(0), mp.mpf(1)), v: (l_uv, mp.mpf(1)),
+           w: (l_wu, mp.exp(1j * mp.acos(cos_u)))}
+    reps = []
+    for c in (u, v, w):
+        rho, direction = ray[c]
+        r = mp.mpf(r3[c])
+        near, far = mp.tanh((rho - r) / 2), mp.tanh((rho + r) / 2)
+        reps.append((direction * (near + far) / 2, (far - near) / 2))
+    # |o - c|^2 = Re^2 + s^2 for each representative (c, s); subtract
+    # the first equation from the other two
+    (c0, s0) = reps[0]
+    A = mp.matrix(2, 2)
+    rhs = mp.matrix(2, 1)
+    for t, (c, s) in enumerate(reps[1:]):
+        A[t, 0] = 2 * mp.re(c - c0)
+        A[t, 1] = 2 * mp.im(c - c0)
+        rhs[t] = abs(c) ** 2 - abs(c0) ** 2 - s * s + s0 * s0
+    o = mp.lu_solve(A, rhs)
+    radius = mp.sqrt((o[0] - mp.re(c0)) ** 2 + (o[1] - mp.im(c0)) ** 2
+                     - s0 * s0)
+    return float(mp.acos(o[1] / radius))
+
+
 def ideal_volume(alphas):
     """Volume of an ideal tetrahedron with dihedral angles alpha_i at
     the base (classical formula: sum of Lobachevsky values)."""

@@ -236,6 +236,19 @@ class TestTriangleAngles:
             if tags.ec[m] == 0:
                 assert ta.alpha[m] == 0.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(tags=st.sampled_from(TAG_CLASSES), deltas=deltas_st)
+    def test_hyperbolic_alpha_matches_disk_oracle(self, tags, deltas):
+        er = perturbed_er(tags, HYPERBOLIC, deltas)
+        try:
+            ta = triangle_angles(er, tags, HYPERBOLIC)
+        except (InvariantViolation, DomainError):
+            assume(False)
+        for m in range(3):
+            if tags.ec[m] != 0:
+                assert ta.alpha[m] == pytest.approx(
+                    oracles.hyp_alpha_disk(*er, m), abs=1e-9)
+
     def test_angles_valid_rejects_out_of_range(self):
         tags = TriangleTags((1, 1, 1), (1, 1, 1))
         ta = reference_angles(tags, EUCLIDEAN)
@@ -362,6 +375,20 @@ def test_tetra_angles_checks_the_triangle_once(monkeypatch):
         calls.clear()
         tetra_angles(((0.3, 0.3, 0.3), (0.5, 0.5, 0.5)), tags, g)
         assert len(calls) == 1, g
+
+
+def test_hyperbolic_tetra_angles_solves_the_face_circle_once(monkeypatch):
+    calls = []
+    solve = geo.radical_center
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "radical_center", counting)
+    tags = TriangleTags(vc=(1, 1, 1), ec=(1, 1, 1))
+    tetra_angles(((0.3, 0.3, 0.3), (0.5, 0.5, 0.5)), tags, HYPERBOLIC)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("g", BOTH)

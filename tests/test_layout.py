@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from hicp import build_complex
+from hicp import geometry as geo
 from hicp.errors import HicpError
 from hicp.fixtures import fixture_spec, reference_pattern
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     TetraCoords,
+    circumscribe,
     dual_edge_length,
+    place_third,
     psi_inv_surface,
     vertex_dual_length,
 )
 from hicp.layout import (
-    circumscribe,
     delaunay_report,
     develop,
     export_json,
@@ -25,7 +27,6 @@ from hicp.layout import (
     layout_to_dict,
     merge_redundant,
     model_distance,
-    place_third,
 )
 
 
@@ -212,6 +213,25 @@ class TestMerge:
         sl = develop(T, TetraCoords(a=a, b=dict(tc.b)), EUCLIDEAN)
         with pytest.raises(HicpError):
             merge_redundant(sl)
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("name", ("tri-torus", "genus2", "dodecahedron"))
+def test_each_face_circle_is_solved_once(monkeypatch, name, g):
+    # develop, its theta check and merge_redundant move the kernel's
+    # circle of each triangle instead of solving it again
+    T, er = reference_pattern(build_complex(fixture_spec(name)), g)
+    tc = psi_inv_surface(T, er, g)
+    calls = []
+    solve = geo.radical_center
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "radical_center", counting)
+    merge_redundant(develop(T, tc, g))
+    assert len(calls) == len(T.triangles)
 
 
 class TestExport:
