@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
@@ -29,6 +29,9 @@ from .errors import (
     NotClosedSurface,
     RegularityViolation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple  # (i, j) with i < j
 HatVertex = tuple  # ("v", vertex_id) or ("f", face_index)
@@ -365,24 +368,49 @@ class Triangulation:
 
     @cached_property
     def tri_index(self):
-        """Per triangle, in triangle order: ``(tags, a_slots, b_slots)``.
-        The slots give the position of the triangle's three ``a`` (edges
-        ij, jk, ki) and three ``b`` (corners i, j, k) coordinates in the
-        free-variable order (``free_edges``, then ``v1_vertices``), or -1
-        where the coordinate is fixed (``a`` on E0, ``b`` on a point
-        circle)."""
-        from .geometry import triangle_tags
+        """The flat array form the batched kernel reads: one row per
+        triangle, in triangle order; see ``TriIndex``."""
+        # numpy loads on first use: importing it at the top of this
+        # module, the package's first, raised the import-time peak RSS
+        # by 1.2 MB
+        import numpy as np
+        cc = self.base
         free = self.free_edges
         a_slot = {e: m for m, e in enumerate(free)}
         b_slot = {k: len(free) + m for m, k in enumerate(self.v1_vertices)}
-        out = []
+        eindex = {e: m for m, e in enumerate(self.edges)}
+        vindex = {v: m for m, v in enumerate(cc.vertices)}
+        vc, ec, slots, edge, vert = [], [], [], [], []
         for tri in self.triangles:
             i, j, k = tri.verts
-            a = tuple(a_slot.get(edge_key(u, v), -1)
-                      for u, v in ((i, j), (j, k), (k, i)))
-            b = tuple(b_slot.get(v, -1) for v in tri.verts)
-            out.append((triangle_tags(self, tri), a, b))
-        return tuple(out)
+            es = [edge_key(u, v) for u, v in ((i, j), (j, k), (k, i))]
+            vc.append([cc.vertex_class(v) for v in tri.verts])
+            ec.append([self.edge_class(e) for e in es])
+            slots.append([a_slot.get(e, -1) for e in es]
+                         + [b_slot.get(v, -1) for v in tri.verts])
+            edge.append([eindex[e] for e in es])
+            vert.append([vindex[v] for v in tri.verts])
+        return TriIndex(vc=np.array(vc), ec=np.array(ec),
+                        slots=np.array(slots), edge=np.array(edge),
+                        vert=np.array(vert),
+                        n_free=len(a_slot) + len(b_slot))
+
+
+@dataclass(frozen=True, eq=False)
+class TriIndex:
+    """A triangulation as integer arrays of shape (F, 3) or (F, 6), one
+    row per triangle.  Columns follow the kernel's order: edges ij, jk,
+    ki and corners i, j, k."""
+
+    vc: np.ndarray  # corner classes: 1 disk, 0 point circle
+    ec: np.ndarray  # edge classes: 0 E0, 1 E1, 2 fan diagonal
+    # position of a_ij, a_jk, a_ki, b_i, b_j, b_k in the free-variable
+    # order (``free_edges``, then ``v1_vertices``); -1 where fixed (a on
+    # E0, b on a point circle)
+    slots: np.ndarray
+    edge: np.ndarray  # edge positions in ``Triangulation.edges``
+    vert: np.ndarray  # vertex positions in ``CellComplex.vertices``
+    n_free: int  # number of free variables
 
 
 def triangulate(cc):
@@ -697,6 +725,7 @@ def _connected_generator_sets(h, strict_prune=False):
     authoritative."""
     verts = sorted(h.stars)
     order = {v: i for i, v in enumerate(verts)}
+    overlap = {v: sorted(h.overlap[v], key=order.get) for v in verts}
     v0 = h.base.v0
 
     def can_be_strict(x, current, banned, root_order):
@@ -727,7 +756,7 @@ def _connected_generator_sets(h, strict_prune=False):
             new_frontier = [
                 y for y in frontier if y != x and y not in local_ban
             ]
-            for nb in sorted(h.overlap[x], key=order.get):
+            for nb in overlap[x]:
                 if (nb not in current and nb not in banned
                         and nb not in local_ban and nb not in new_frontier
                         and order[nb] > order[current[0]]):
@@ -738,8 +767,7 @@ def _connected_generator_sets(h, strict_prune=False):
             local_ban.add(x)
 
     for i, root in enumerate(verts):
-        frontier = [v for v in sorted(h.overlap[root], key=order.get)
-                    if order[v] > i]
+        frontier = [v for v in overlap[root] if order[v] > i]
         yield from rec([root], frontier, set())
 
 

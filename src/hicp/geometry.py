@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -394,13 +395,166 @@ def triangle_angles(er_tri, tags, g):
     return decorate(er_tri, tags, g)[2]
 
 
+_FOLD = "a not positive on an edge between two disks"
+
+
 def tetra_angles(tc_tri, tags, g):
-    """triangle_angles after psi.  Its domain is the solver's domain:
-    raises NotInTE wherever psi or triangle_angles is undefined."""
+    """triangle_angles after psi.  Its domain is the solver's domain TE:
+    raises NotInTE wherever psi or triangle_angles is undefined, and on a
+    free edge between two disks where a is not positive (psi reads a
+    there only through cosh a, so -a would give the same triangle).
+    The scalar reference of decorated_triangles."""
+    a3 = tc_tri[0]
+    for m, (u, v) in enumerate(CORNERS_OF_EDGE):
+        if (tags.ec[m] != 0 and tags.vc[u] == 1 and tags.vc[v] == 1
+                and not a3[m] > 0):
+            raise NotInTE(f"edge {m}: {_FOLD}")
     try:
         return triangle_angles(psi(tc_tri, tags, g), tags, g)
     except (DomainError, InvariantViolation) as exc:
         raise NotInTE(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# Batched kernel
+
+
+_U, _V = [0, 1, 2], [1, 2, 0]  # the corners of edge m
+_W = [2, 0, 1]  # the corner opposite edge m
+# the corner angle at v from its edges (EDGES_AT_CORNER) and the opposite
+# edge, as decorate passes them to corner_angle
+_AB, _AW, _BW = [0, 0, 1], [2, 1, 2], [1, 2, 0]
+
+
+class DecoratedTriangles(NamedTuple):
+    """N decorated triangles, one row each, in decorate's columns: edges
+    ij, jk, ki and corners i, j, k."""
+
+    z: np.ndarray  # (N, 3) complex positions, placed as by decorate
+    center: np.ndarray  # (N,) complex face-circle centers
+    R: np.ndarray  # (N,) face-circle radii
+    alpha: np.ndarray  # (N, 3)
+    beta: np.ndarray  # (N, 3)
+
+
+def _edge_lengths(a, b, r, vc, ec, g):
+    """edge_length on (N, 3) arrays, each edge by its endpoint classes."""
+    bu, bv = b[:, _U], b[:, _V]
+    bm = np.where(vc[:, _U] == 0, bv, bu)  # the disk end of a mixed edge
+    if g == EUCLIDEAN:
+        disks = np.sqrt(np.exp(-2 * bu) + np.exp(-2 * bv)
+                        + 2 * np.exp(-bu - bv) * np.cosh(a))
+        points = np.exp(a / 2)
+        mixed = np.sqrt(np.exp(-2 * bm) + np.exp(a - bm))
+    else:
+        disks = np.arccosh((np.cosh(a) + np.cosh(bu) * np.cosh(bv))
+                           / (np.sinh(bu) * np.sinh(bv)))
+        points = 2 * np.arcsinh(np.exp(a / 2))
+        mixed = np.arccosh((np.exp(a) + np.cosh(bm)) / np.sinh(bm))
+    lengths = np.choose(vc[:, _U] + vc[:, _V], (points, mixed, disks))
+    return np.where(ec == 0, r[:, _U] + r[:, _V], lengths)
+
+
+def _radical_centers(p, rad):
+    """radical_center per row of (N, 3) complex centers and radii:
+    centers, squared radii and the determinant of the linear solve."""
+    x, y = p.real, p.imag
+    n0 = x[:, 0] * x[:, 0] + y[:, 0] * y[:, 0]
+    a11, a12 = 2 * (x[:, 1] - x[:, 0]), 2 * (y[:, 1] - y[:, 0])
+    a21, a22 = 2 * (x[:, 2] - x[:, 0]), 2 * (y[:, 2] - y[:, 0])
+    b1 = x[:, 1] ** 2 + y[:, 1] ** 2 - n0 - rad[:, 1] ** 2 + rad[:, 0] ** 2
+    b2 = x[:, 2] ** 2 + y[:, 2] ** 2 - n0 - rad[:, 2] ** 2 + rad[:, 0] ** 2
+    det = a11 * a22 - a12 * a21
+    o = np.empty(len(det), complex)
+    o.real = (b1 * a22 - b2 * a12) / det
+    o.imag = (a11 * b2 - a21 * b1) / det
+    return o, np.abs(o - p[:, 0]) ** 2 - rad[:, 0] ** 2, det
+
+
+def decorated_triangles(x, vc, ec, g, tri=None):
+    """The kernel tetra_angles on N triangles at once, each stage one
+    array operation over all rows: psi, the domain checks, the corner
+    angles, decorate's placement and face circle, and alpha.  x: (N, 6)
+    coordinates a_ij, a_jk, a_ki, b_i, b_j, b_k; vc, ec: (N, 3) class
+    tags.  Raises NotInTE naming the first failing row (``tri[row]``
+    when given) and the first condition it fails, in tetra_angles'
+    order."""
+    check_geometry(g)
+    a, b = x[:, :3], x[:, 3:]
+    disk = vc == 1
+    free = ec != 0
+    with np.errstate(all="ignore"):
+        fails = [(_FOLD, free & disk[:, _U] & disk[:, _V] & ~(a > 0))]
+        if g == EUCLIDEAN:
+            r = np.where(disk, np.exp(-b), 0.0)
+        else:
+            fails.append(("hyperbolic b not positive", disk & ~(b > 0)))
+            r = np.where(disk, np.arcsinh(1.0 / np.sinh(b)), 0.0)
+        l = _edge_lengths(a, b, r, vc, ec, g)
+        # by construction r = 0 at point corners and l = r_u + r_v on E0
+        fails += [
+            ("coordinates out of range", ~(np.isfinite(l) & np.isfinite(r))),
+            ("radius not positive", disk & ~(r > 0)),
+            ("length not positive", ~(l > 0)),
+            ("l <= r_u + r_v", free & ~(l > r[:, _U] + r[:, _V])),
+            ("triangle inequality fails", ~(l < l[:, _V] + l[:, _W])),
+        ]
+        lab, law, lbw = l[:, _AB], l[:, _AW], l[:, _BW]
+        if g == EUCLIDEAN:
+            c = (lab ** 2 + law ** 2 - lbw ** 2) / (2 * lab * law)
+            t = l
+        else:
+            ch, sh = np.cosh(l), np.sinh(l)
+            c = ((ch[:, _AB] * ch[:, _AW] - ch[:, _BW])
+                 / (sh[:, _AB] * sh[:, _AW]))
+            t = np.tanh(l / 2)
+        fails.append(("degenerate corner angle", ~((-1.0 < c) & (c < 1.0))))
+        beta = np.arccos(c)
+        z = np.zeros(l.shape, complex)
+        z.real[:, 1] = t[:, 0]
+        z.real[:, 2] = t[:, 2] * np.cos(beta[:, 0])
+        z.imag[:, 2] = t[:, 2] * np.sin(beta[:, 0])
+        if g == EUCLIDEAN:
+            center, R2, det = _radical_centers(z, r)
+            R = np.sqrt(R2)
+        else:
+            # the vertex circles' Euclidean representatives in the disk
+            # (disk_circle_rep), then rep_to_hyperbolic of their circle
+            az = np.abs(z)
+            rho = 2 * np.arctanh(az)
+            t1, t2 = np.tanh((rho - r) / 2), np.tanh((rho + r) / 2)
+            u = np.where(az > 0, z / az, 1.0)
+            o, R2, det = _radical_centers(u * ((t1 + t2) / 2), (t2 - t1) / 2)
+            Re = np.sqrt(R2)
+            d = np.abs(o)
+            far, near = 2 * np.arctanh(d + Re), 2 * np.arctanh(d - Re)
+            center = np.where(d > 0, o / d, 1.0) * np.tanh((far + near) / 4)
+            R = (far - near) / 2
+        fails += [("vertex-circle centers are collinear", det == 0.0),
+                  ("no real orthogonal circle", ~(R2 > 0))]
+        if g == HYPERBOLIC:
+            fails.append(("face circle leaves the hyperbolic plane",
+                          ~(d + Re < 1.0)))
+        # alpha from the center w in each edge's frame (frame's formulas)
+        p, q, w = z[:, _U], z[:, _V], center[:, None]
+        if g == EUCLIDEAN:
+            w = (w - p) * ((q - p) / np.abs(q - p)).conj()
+            c = w.imag / R[:, None]
+        else:
+            pc = p.conj()
+            u = (q - p) / (1 - pc * q)
+            w = (w - p) / (1 - pc * w) * (u / np.abs(u)).conj()
+            c = 2 * w.imag / (1 - np.abs(w) ** 2) / np.sinh(R)[:, None]
+        alpha = np.where(free, np.arccos(np.clip(c, -1.0, 1.0)), 0.0)
+        fails.append(("angles not finite",
+                      ~(np.isfinite(alpha) & np.isfinite(beta))))
+    bad = [(msg, m.any(axis=1) if m.ndim == 2 else m) for msg, m in fails]
+    failed = np.logical_or.reduce([m for _msg, m in bad])
+    if failed.any():
+        row = int(np.argmax(failed))
+        msg = next(msg for msg, m in bad if m[row])
+        raise NotInTE(f"triangle {row if tri is None else tri[row]}: {msg}")
+    return DecoratedTriangles(z, center, R, alpha, beta)
 
 
 def angles_valid(ta, tags, g):
@@ -815,15 +969,6 @@ def triangle_tags(T, tri):
     return TriangleTags(vc=vc, ec=ec)
 
 
-def tri_coords(T, tc, tri):
-    from .complexes import edge_key
-    i, j, k = tri.verts
-    a3 = tuple(tc.a.get(edge_key(u, v), 0.0)
-               for u, v in ((i, j), (j, k), (k, i)))
-    b3 = tuple(tc.b.get(v, 0.0) for v in (i, j, k))
-    return a3, b3
-
-
 def tri_er(T, er, tri):
     from .complexes import edge_key
     i, j, k = tri.verts
@@ -872,12 +1017,29 @@ def check_er_surface(T, er, g, exc=InvariantViolation):
                           exc=exc)
 
 
+def gather_coords(T, tc):
+    """(F, 6) per-triangle coordinates in the columns of ``T.tri_index``
+    from TetraCoords or from a vector packed in free-variable order; 0
+    where a coordinate is fixed."""
+    ix = T.tri_index
+    if isinstance(tc, np.ndarray):
+        return np.append(tc, 0.0)[ix.slots]  # slot -1 reads the 0
+    a = np.array([tc.a.get(e, 0.0) for e in T.edges], dtype=float)
+    b = np.array([tc.b.get(v, 0.0) for v in T.base.vertices], dtype=float)
+    return np.concatenate([a[ix.edge], b[ix.vert]], axis=1)
+
+
+def decorate_surface(T, tc, g):
+    """decorated_triangles on every triangle of T, in triangle order."""
+    ix = T.tri_index
+    return decorated_triangles(gather_coords(T, tc), ix.vc, ix.ec, g)
+
+
 def in_te(T, tc, g):
     """Membership of surface coordinates in the tetrahedral domain: the
-    kernel tetra_angles is defined on every triangle."""
+    kernel is defined on every triangle."""
     try:
-        for tri in T.triangles:
-            tetra_angles(tri_coords(T, tc, tri), triangle_tags(T, tri), g)
+        decorate_surface(T, tc, g)
     except NotInTE:
         return False
     return True

@@ -9,6 +9,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import geometry as geo
 from .complexes import edge_key
 from .errors import InvariantViolation, IoError, NonRedundantDiagonal
@@ -134,27 +136,26 @@ def _local_pair_theta(T, er, e, g):
 
 def develop(T, tc, g):
     """Develop all triangles of T into one model chart by breadth-first
-    gluing from the least triangle, crossing least-id edges first.  Each
-    triangle is placed and circumscribed once, by the kernel; the chart,
-    the theta check and merge_redundant move that placement."""
+    gluing from the least triangle, crossing least-id edges first.  One
+    kernel call places and circumscribes every triangle; the chart, the
+    theta check and merge_redundant move those placements.  theta is the
+    class-forced 0 on tangency edges."""
     check_geometry(g)
     er = geo.psi_surface(T, tc, g)
-
-    alpha_sum = {e: 0.0 for e in T.edges}
-    beta_sum = {v: 0.0 for v in T.base.vertices}
-    placed = []
+    ix = T.tri_index
+    dt = geo.decorate_surface(T, tc, g)
+    alpha_sum = dict(zip(T.edges, np.bincount(
+        ix.edge.ravel(), weights=dt.alpha.ravel(),
+        minlength=len(T.edges)).tolist()))
+    verts = T.base.vertices
+    beta_sum = dict(zip(verts, np.bincount(
+        ix.vert.ravel(), weights=dt.beta.ravel(),
+        minlength=len(verts)).tolist()))
+    placed = [(dict(zip(tri.verts, zs)), (c, R)) for tri, zs, c, R in zip(
+        T.triangles, dt.z.tolist(), dt.center.tolist(), dt.R.tolist())]
     areas = {}
-    for ti, tri in enumerate(T.triangles):
-        zs, circle, ta = geo.decorate(geo.tri_er(T, er, tri),
-                                      geo.triangle_tags(T, tri), g)
-        placed.append((dict(zip(tri.verts, zs)), circle))
-        i, j, k = tri.verts
-        for m, (u, v) in enumerate(((i, j), (j, k), (k, i))):
-            alpha_sum[edge_key(u, v)] += ta.alpha[m]
-        for c, v in enumerate((i, j, k)):
-            beta_sum[v] += ta.beta[c]
-        if g == HYPERBOLIC:
-            areas[ti] = math.pi - sum(ta.beta)
+    if g == HYPERBOLIC:
+        areas = dict(enumerate((math.pi - dt.beta.sum(axis=1)).tolist()))
 
     glued, tree = _glue(T, placed, range(len(T.triangles)), g)
     charts = {ti: {"verts": [(v, pos[v]) for v in T.triangles[ti].verts],
@@ -163,6 +164,9 @@ def develop(T, tc, g):
 
     theta = {}
     for e in T.edges:
+        if e in T.base.e0:
+            theta[e] = 0.0
+            continue
         th = _pair_theta(T, placed, e, g)
         # the angle is a sqrt-sensitive function of the circle data near
         # tangency, so scale the agreement tolerance by the conditioning
@@ -174,8 +178,8 @@ def develop(T, tc, g):
 
     return SurfaceLayout(
         geometry=g, T=T, er=er, merged=False, charts=charts,
-        theta=theta, alpha_sum=dict(alpha_sum),
-        Theta=dict(beta_sum), radii=dict(er.r), tree_edges=tuple(tree),
+        theta=theta, alpha_sum=alpha_sum,
+        Theta=beta_sum, radii=dict(er.r), tree_edges=tuple(tree),
         areas=areas, placed=tuple(placed))
 
 

@@ -238,36 +238,22 @@ def lifted_targets(T, target):
                      for kind, key in free_variables(T)])
 
 
-def _packed(T, tc):
-    """Coordinates as a list in ``free_variables`` order; accepts
-    TetraCoords or an already packed vector."""
-    return (tc if isinstance(tc, np.ndarray) else pack(T, tc)).tolist()
-
-
-def _tri_sums(x, tags, a, b, g):
-    """One triangle's angles at its free slots: alpha at each free ``a``
-    slot, then beta at each free ``b`` slot (the order of ``_free``)."""
-    ta = geo.tetra_angles(
-        (tuple(x[s] if s >= 0 else 0.0 for s in a),
-         tuple(x[s] if s >= 0 else 0.0 for s in b)), tags, g)
-    return ([al for al, s in zip(ta.alpha, a) if s >= 0]
-            + [be for be, s in zip(ta.beta, b) if s >= 0])
-
-
-def _free(a, b):
-    return [s for s in a + b if s >= 0]
+def _slot_angles(dt):
+    """Kernel angles in slot order: alpha per edge, then beta per
+    corner."""
+    return np.concatenate([dt.alpha, dt.beta], axis=1)
 
 
 def realized_sums(T, tc, g):
     """Sum over all triangles, in triangle order, of alpha per free edge
     and beta per V1 vertex, as one vector in ``free_variables`` order;
-    raises NotInTE outside the domain."""
-    x = _packed(T, tc)
-    sums = [0.0] * len(x)
-    for tags, a, b in T.tri_index:
-        for s, v in zip(_free(a, b), _tri_sums(x, tags, a, b, g)):
-            sums[s] += v
-    return np.array(sums)
+    raises NotInTE outside the domain.  ``tc``: TetraCoords or a packed
+    vector."""
+    ix = T.tri_index
+    angles = _slot_angles(geo.decorate_surface(T, tc, g))
+    free = ix.slots >= 0
+    return np.bincount(ix.slots[free], weights=angles[free],
+                       minlength=ix.n_free)
 
 
 def grad_U(T, tc, target, g):
@@ -284,28 +270,39 @@ def hessian_U(T, tc, g, scheme="central", symmetrize=True):
     symmetrized unless ``symmetrize`` is false.  The functional is a sum
     of per-triangle terms, so each triangle's block (at most 6 x 6) is
     differenced on its own, along its own free slots only, and added
-    into the dense matrix.  ``scheme``: "central" (default, more
-    accurate) or "forward" (about half the kernel calls, used inside
-    the Newton loop)."""
-    x = _packed(T, tc)
-    n = len(x)
-    H = np.zeros((n, n))
-    for tags, a, b in T.tri_index:
-        free = _free(a, b)
-        if scheme == "forward":
-            k0 = np.array(_tri_sums(x, tags, a, b, g))
-        for m in free:
-            xm = x[m]
-            h = 1e-5 * (1 + abs(xm))
-            x[m] = xm + h
-            kp = np.array(_tri_sums(x, tags, a, b, g))
-            if scheme == "forward":
-                H[free, m] += (kp - k0) / h
-            else:
-                x[m] = xm - h
-                km = np.array(_tri_sums(x, tags, a, b, g))
-                H[free, m] += (kp - km) / (2 * h)
-            x[m] = xm
+    into the dense matrix.  One kernel call evaluates every difference:
+    per free slot of each triangle one copy of the triangle with that
+    slot moved by +h, h = 1e-5 (1 + |x_m|), and one with -h ("central",
+    the default) or, for "forward" (used inside the Newton loop), one
+    unmoved copy per triangle."""
+    ix = T.tri_index
+    S, n = ix.slots, ix.n_free
+    x = geo.gather_coords(T, tc)
+    t, k = np.nonzero(S >= 0)  # triangle and slot of each difference
+    h = 1e-5 * (1 + np.abs(x[t, k]))
+    moved = np.arange(len(t))
+    plus = x[t]
+    plus[moved, k] += h
+    if scheme == "forward":
+        other, other_t = x, np.arange(len(S))
+    else:
+        other, other_t = x[t], t
+        other[moved, k] -= h
+    tri = np.concatenate([t, other_t])
+    y = _slot_angles(geo.decorated_triangles(
+        np.concatenate([plus, other]), ix.vc[tri], ix.ec[tri], g, tri=tri))
+    yp, yo = y[:len(t)], y[len(t):]
+    if scheme == "forward":
+        D = (yp - yo[t]) / h[:, None]
+    else:
+        D = (yp - yo) / (2 * h[:, None])
+    # D[p, j]: derivative of the angle at slot j of triangle t[p] along
+    # the variable at slot k[p]
+    rows = S[t]
+    keep = rows >= 0
+    cols = np.broadcast_to(S[t, k][:, None], rows.shape)
+    H = np.bincount((rows * n + cols)[keep], weights=D[keep],
+                    minlength=n * n).reshape(n, n)
     return (H + H.T) / 2 if symmetrize else H
 
 

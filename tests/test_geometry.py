@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -35,9 +36,7 @@ from hicp.geometry import (
     reference_er_triangle,
     tetra_angles,
     tetra_volume,
-    tri_coords,
     triangle_angles,
-    triangle_tags,
     vertex_dual_length,
     vertex_radius,
 )
@@ -400,6 +399,76 @@ def test_tetra_angles_overflow_is_not_in_te(g):
 
 
 # ---------------------------------------------------------------------------
+# Batched kernel against the scalar tetra_angles
+
+
+def _perturbed_coords(tags, g, deltas, kind, pick, size):
+    """A point of TE near the reference point of the class, then moved by
+    kind: "overflow" sets a free a to 2000, "b" a disk b to -size, "fold"
+    a disk-disk a to -size, "long" adds 4 size to a free a (breaking the
+    triangle inequality for the larger sizes)."""
+    try:
+        a3, b3 = (list(t) for t in psi_inv(perturbed_er(tags, g, deltas),
+                                           tags, g))
+    except (InvariantViolation, DomainError):
+        assume(False)
+    free = [m for m in range(3) if tags.ec[m] != 0]
+    disks = [v for v in range(3) if tags.vc[v] == 1]
+    folds = [m for m in free if all(tags.vc[v] for v in CORNERS_OF_EDGE[m])]
+    if kind == "overflow" and free:
+        a3[free[pick % len(free)]] = 2000.0
+    elif kind == "b" and disks:
+        b3[disks[pick % len(disks)]] = -size
+    elif kind == "fold" and folds:
+        a3[folds[pick % len(folds)]] = -size
+    elif kind == "long" and free:
+        a3[free[pick % len(free)]] += 4 * size
+    return tuple(a3), tuple(b3)
+
+
+kernel_row_st = st.tuples(
+    st.sampled_from(TAG_CLASSES), deltas_st,
+    st.sampled_from(("none", "overflow", "b", "fold", "long")),
+    st.integers(0, 2), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.sampled_from(BOTH),
+       rows=st.lists(kernel_row_st, min_size=1, max_size=4))
+def test_batched_kernel_matches_scalar(g, rows):
+    tcs, tags = [], []
+    for tg, deltas, kind, pick, size in rows:
+        tcs.append(_perturbed_coords(tg, g, deltas, kind, pick, size))
+        tags.append(tg)
+    x = np.array([list(a3) + list(b3) for a3, b3 in tcs])
+    vc = np.array([t.vc for t in tags])
+    ec = np.array([t.ec for t in tags])
+    ref = []
+    for tc, tg in zip(tcs, tags):
+        try:
+            tetra_angles(tc, tg, g)
+        except NotInTE:
+            ref.append(None)
+        else:
+            ref.append(geo.decorate(psi(tc, tg, g), tg, g))
+    first = next((i for i, r in enumerate(ref) if r is None), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing reaches stderr
+        if first is not None:
+            with pytest.raises(NotInTE, match=f"^triangle {first}: "):
+                geo.decorated_triangles(x, vc, ec, g)
+            return
+        dt = geo.decorated_triangles(x, vc, ec, g)
+    for i, (zs, (center, R), ta) in enumerate(ref):
+        tol = dict(rel=1e-12, abs=1e-12)
+        assert tuple(dt.alpha[i]) == pytest.approx(ta.alpha, **tol)
+        assert tuple(dt.beta[i]) == pytest.approx(ta.beta, **tol)
+        assert tuple(dt.z[i]) == pytest.approx(zs, **tol)
+        assert dt.center[i] == pytest.approx(center, **tol)
+        assert dt.R[i] == pytest.approx(R, **tol)
+
+
+# ---------------------------------------------------------------------------
 # Gauge action on a surface
 
 
@@ -411,13 +480,10 @@ class TestGauge:
     def test_angles_invariant_under_action(self, grid_torus_T):
         T = grid_torus_T
         tc = self._ref(T)
-        tc2 = act(T, tc, 0.37, EUCLIDEAN)
-        for tri in T.triangles:
-            tags = triangle_tags(T, tri)
-            ta = tetra_angles(tri_coords(T, tc, tri), tags, EUCLIDEAN)
-            ta2 = tetra_angles(tri_coords(T, tc2, tri), tags, EUCLIDEAN)
-            assert ta2.alpha == pytest.approx(ta.alpha, abs=1e-12)
-            assert ta2.beta == pytest.approx(ta.beta, abs=1e-12)
+        dt = geo.decorate_surface(T, tc, EUCLIDEAN)
+        dt2 = geo.decorate_surface(T, act(T, tc, 0.37, EUCLIDEAN), EUCLIDEAN)
+        np.testing.assert_allclose(dt2.alpha, dt.alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dt2.beta, dt.beta, rtol=0, atol=1e-12)
 
     def test_project_gauge_idempotent(self, grid_torus_T):
         T = grid_torus_T
@@ -439,6 +505,21 @@ class TestGauge:
         e = next(iter(a))
         a[e] = a[e] + 50.0
         assert not in_te(T, tc.__class__(a=a, b=dict(tc.b)), EUCLIDEAN)
+
+    @settings(max_examples=30, deadline=None)
+    @given(g=st.sampled_from(BOTH), pick=st.integers(0, 10 ** 6),
+           a=st.floats(-3.0, 0.0))
+    def test_in_te_is_false_on_the_fold(self, tri_torus_v1, g, pick, a):
+        # TE has a > 0 on every free edge between two disks
+        from hicp.solver import reference_coords
+        T = triangulate(tri_torus_v1)
+        cc = T.base
+        folds = [e for e in T.free_edges if e[0] in cc.v1 and e[1] in cc.v1]
+        tc = reference_coords(T, g)
+        assert folds and in_te(T, tc, g)
+        coords = dict(tc.a)
+        coords[folds[pick % len(folds)]] = a
+        assert not in_te(T, geo.TetraCoords(a=coords, b=dict(tc.b)), g)
 
     def test_in_te_is_the_kernel_domain(self, genus2_mixed):
         # wide samples of (l, r) whose hyperbolic face circles leave the

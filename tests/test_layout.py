@@ -114,6 +114,22 @@ class TestDelaunay:
         for e in e0_layout.base.e0:
             assert rep[e]["theta"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+    def test_rendered_tangency_angles_are_exactly_zero(self, tmp_path, g):
+        # two tangent kernel circles meet at sqrt(rounding), up to 2e-7
+        # on this solution, but theta is forced to 0 by the class
+        from hicp import cli
+        sol, out = tmp_path / "sol.json", tmp_path / "layout.json"
+        assert cli.main(["solve", "--input", "fixture:e0-torus",
+                         "--geometry", g, "--output", str(sol)]) == 0
+        assert cli.main(["render", "--input", str(sol),
+                         "--output", str(out)]) == 0
+        cc = build_complex(fixture_spec("e0-torus"))
+        edges = json.loads(out.read_text())["edges"]
+        assert cc.e0
+        for u, v in cc.e0:
+            assert edges[f"{u}-{v}"]["theta"] == 0.0
+
 
 class TestGaussBonnet:
     def test_euclidean(self, grid_layout):
@@ -219,19 +235,26 @@ class TestMerge:
 @pytest.mark.parametrize("name", ("tri-torus", "genus2", "dodecahedron"))
 def test_each_face_circle_is_solved_once(monkeypatch, name, g):
     # develop, its theta check and merge_redundant move the kernel's
-    # circle of each triangle instead of solving it again
+    # circle of each triangle instead of solving it again: one batched
+    # kernel call with one row per triangle, no scalar circle solve
     T, er = reference_pattern(build_complex(fixture_spec(name)), g)
     tc = psi_inv_surface(T, er, g)
-    calls = []
-    solve = geo.radical_center
+    rows, scalar = [], []
+    kernel, solve = geo.decorated_triangles, geo.radical_center
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_kernel(x, *args, **kwargs):
+        rows.append(len(x))
+        return kernel(x, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        scalar.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "radical_center", counting)
+    monkeypatch.setattr(geo, "decorated_triangles", counting_kernel)
+    monkeypatch.setattr(geo, "radical_center", counting_solve)
     merge_redundant(develop(T, tc, g))
-    assert len(calls) == len(T.triangles)
+    assert rows == [len(T.triangles)]
+    assert scalar == []
 
 
 class TestExport:

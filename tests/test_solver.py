@@ -142,21 +142,25 @@ class TestDerivatives:
 
     def test_hessian_kernel_calls_linear_in_triangles(self, grid_torus_T,
                                                       monkeypatch):
+        # one batched kernel call per Hessian, on at most 12 rows per
+        # triangle (central: two per free slot) or 7 (forward: one per
+        # free slot plus the unmoved triangle)
         T = grid_torus_T
         tc = reference_coords(T, EUCLIDEAN)
-        calls = [0]
-        kernel = geo.tetra_angles
+        rows = []
+        kernel = geo.decorated_triangles
 
-        def counting(*args):
-            calls[0] += 1
-            return kernel(*args)
+        def counting(x, *args, **kwargs):
+            rows.append(len(x))
+            return kernel(x, *args, **kwargs)
 
-        monkeypatch.setattr(geo, "tetra_angles", counting)
+        monkeypatch.setattr(geo, "decorated_triangles", counting)
         F = len(T.triangles)
-        for scheme, per_tri in (("central", 13), ("forward", 7)):
-            calls[0] = 0
+        for scheme, per_tri in (("central", 12), ("forward", 7)):
+            rows.clear()
             hessian_U(T, tc, EUCLIDEAN, scheme=scheme)
-            assert 0 < calls[0] <= per_tri * F, scheme
+            assert len(rows) == 1, scheme
+            assert 0 < rows[0] <= per_tri * F, scheme
 
     def test_pack_unpack_roundtrip(self, grid_torus_T):
         T = grid_torus_T
@@ -197,6 +201,34 @@ class TestSolve:
             for e in target.theta:
                 assert sol.realized_angles.theta[e] == pytest.approx(
                     target.theta[e], abs=1e-9)
+
+    @pytest.mark.parametrize("g", BOTH)
+    def test_wide_samples_stay_on_the_unfolded_chart(self, tri_torus_v1, g):
+        # psi reads a between two disks only through cosh a, so without
+        # the a > 0 guard some of these solves converged to the mirrored
+        # point -a (1 Euclidean, 4 hyperbolic of the 40)
+        from hicp.polytope import single_star_check
+        T = triangulate(tri_torus_v1)
+        er0 = geo.psi_surface(T, reference_coords(T, g), g)
+        rng = random.Random(5)
+        solved = 0
+        while solved < 40:
+            er = cli.sample_er(T, er0, g, rng, frac=0.9)
+            tc = project_gauge(T, geo.psi_inv_surface(T, er, g), g)
+            try:
+                target = extract_angles(T, tc, g)
+            except NotInTE:
+                continue
+            if (not all(0 < v < math.pi for v in target.theta.values())
+                    or single_star_check(tri_torus_v1, target)):
+                continue
+            solved += 1
+            sol = solve(T, target)
+            assert sol.status == CONVERGED
+            got = project_gauge(T, sol.coords, g)
+            err = max([abs(got.a[e] - v) for e, v in tc.a.items()]
+                      + [abs(got.b[k] - v) for k, v in tc.b.items()])
+            assert err < 1e-8, (solved, err)
 
     def test_infeasible_short_circuit(self):
         cc = build_complex(grid_torus_spec(3, v1=(4,)))
