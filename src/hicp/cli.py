@@ -87,6 +87,14 @@ def _number_map(raw, what, parse_key):
         raise HicpError(f"malformed input: bad entry in {what}: {exc}")
 
 
+def _require_keys(got, want, what, fmt):
+    """Raise naming the least key that is in got or want but not both."""
+    bad = sorted(set(got) ^ set(want))
+    if bad:
+        kind = "missing" if bad[0] in want else "unexpected"
+        raise HicpError(f"malformed input: {kind} key {fmt(bad[0])} in {what}")
+
+
 def _problem(data, geometry=None):
     """(spec dict, geometry, theta or None, Theta or None) of a problem
     document; the spec's shape is checked by build_complex."""
@@ -220,6 +228,8 @@ def cmd_render(args):
     tc = geo.TetraCoords(
         a=_number_map(coords.get("a"), "coords.a", _edge_from_key),
         b=_number_map(coords.get("b"), "coords.b", int))
+    _require_keys(tc.a, T.free_edges, "coords.a", _ekey)
+    _require_keys(tc.b, T.v1_vertices, "coords.b", str)
     sl = develop(T, tc, g)
     try:
         sl = merge_redundant(sl)
@@ -264,15 +274,11 @@ def sample_er(T, er0, g, rng, frac=0.1):
     """One random (l, r) in a sub-box around er0: each coordinate moves
     uniformly within frac of the smallest constraint slack at er0."""
     cc = T.base
-    slack = math.inf
-    for tri in T.triangles:
-        l3, r3 = geo.tri_er(T, er0, tri)
-        tags = geo.triangle_tags(T, tri)
-        for m in range(3):
-            u, v = geo.CORNERS_OF_EDGE[m]
-            if tags.ec[m] != 0:
-                slack = min(slack, l3[m] - (r3[u] + r3[v]))
-            slack = min(slack, l3[(m + 1) % 3] + l3[(m + 2) % 3] - l3[m])
+    l3, r3 = geo.tri_rows(T, er0.l, er0.r)
+    nxt, last = [1, 2, 0], [2, 0, 1]  # edge or corner m + 1, m + 2
+    gap = l3 - (r3 + r3[:, nxt])  # l - (r_u + r_v) on edge m = (u, v)
+    slack = float(min(gap[T.tri_index.ec != 0].min(initial=math.inf),
+                      (l3[:, nxt] + l3[:, last] - l3).min()))
     d = frac * slack
     while True:
         r = {k: (v + rng.uniform(-d / 2, d / 2) if v > 0 else 0.0)

@@ -147,9 +147,6 @@ def reference_pattern(cc, g):
             chords[key] = face_chords(vclasses, eclasses, g,
                                       omega_solve(vclasses, eclasses, g))
         phis, dists = chords[key]
-        total = sum(phis)
-        if abs(total - 2 * math.pi) > 1e-9:
-            raise DomainError(f"face {f}: circle solve did not close")
         # angular position of each face vertex around the face circle
         psi_ang = [0.0]
         for t in range(n - 1):

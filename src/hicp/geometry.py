@@ -128,6 +128,8 @@ def psi(tc_tri, tags, g):
                                   a3[m], b3[u], b3[v]))
     except OverflowError as exc:
         raise DomainError(f"coordinates out of range: {exc}") from exc
+    if not all(map(math.isfinite, l3 + list(r3))):
+        raise DomainError("coordinates out of range")
     return tuple(l3), r3
 
 
@@ -204,15 +206,6 @@ def check_er_triangle(er_tri, tags, g, exc=InvariantViolation):
 
 # ---------------------------------------------------------------------------
 # Planar placements and face circles
-
-
-def place_euclidean(l3):
-    lij, ljk, lki = l3
-    xk = (lij * lij + lki * lki - ljk * ljk) / (2 * lij)
-    yk2 = lki * lki - xk * xk
-    if yk2 <= 0:
-        raise InvariantViolation(f"degenerate triangle {l3}")
-    return (0.0, 0.0), (lij, 0.0), (xk, math.sqrt(yk2))
 
 
 def frame(p, q, g):
@@ -435,24 +428,71 @@ class DecoratedTriangles(NamedTuple):
     R: np.ndarray  # (N,) face-circle radii
     alpha: np.ndarray  # (N, 3)
     beta: np.ndarray  # (N, 3)
+    l: np.ndarray  # (N, 3) edge lengths
+    r: np.ndarray  # (N, 3) vertex radii
 
 
-def _edge_lengths(a, b, r, vc, ec, g):
-    """edge_length on (N, 3) arrays, each edge by its endpoint classes."""
+def _raise_first(fails, exc, tri=None):
+    """Raise exc naming the first row (``tri[row]`` when given) that some
+    (message, (N,) or (N, 3) mask) fails, and its first such message."""
+    bad = [(msg, m.any(axis=1) if m.ndim == 2 else m) for msg, m in fails]
+    failed = np.logical_or.reduce([m for _msg, m in bad])
+    if failed.any():
+        row = int(np.argmax(failed))
+        msg = next(msg for msg, m in bad if m[row])
+        raise exc(f"triangle {row if tri is None else tri[row]}: {msg}")
+
+
+def psi_rows(x, vc, ec, g):
+    """psi on the rows of decorated_triangles' x, vc, ec, each edge by its
+    endpoint classes: (N, 3) lengths l and radii r, and (message, mask)
+    pairs failing exactly where psi raises."""
+    check_geometry(g)
+    a, b = x[:, :3], x[:, 3:]
+    disk = vc == 1
     bu, bv = b[:, _U], b[:, _V]
     bm = np.where(vc[:, _U] == 0, bv, bu)  # the disk end of a mixed edge
-    if g == EUCLIDEAN:
-        disks = np.sqrt(np.exp(-2 * bu) + np.exp(-2 * bv)
-                        + 2 * np.exp(-bu - bv) * np.cosh(a))
-        points = np.exp(a / 2)
-        mixed = np.sqrt(np.exp(-2 * bm) + np.exp(a - bm))
-    else:
-        disks = np.arccosh((np.cosh(a) + np.cosh(bu) * np.cosh(bv))
-                           / (np.sinh(bu) * np.sinh(bv)))
-        points = 2 * np.arcsinh(np.exp(a / 2))
-        mixed = np.arccosh((np.exp(a) + np.cosh(bm)) / np.sinh(bm))
-    lengths = np.choose(vc[:, _U] + vc[:, _V], (points, mixed, disks))
-    return np.where(ec == 0, r[:, _U] + r[:, _V], lengths)
+    fails = []
+    with np.errstate(all="ignore"):
+        if g == EUCLIDEAN:
+            r = np.where(disk, np.exp(-b), 0.0)
+            disks = np.sqrt(np.exp(-2 * bu) + np.exp(-2 * bv)
+                            + 2 * np.exp(-bu - bv) * np.cosh(a))
+            points = np.exp(a / 2)
+            mixed = np.sqrt(np.exp(-2 * bm) + np.exp(a - bm))
+        else:
+            fails.append(("hyperbolic b not positive", disk & ~(b > 0)))
+            sh = np.sinh(b)
+            r = np.where(disk, np.arcsinh(1.0 / sh), 0.0)
+            r[disk & np.isinf(sh)] = np.inf  # psi overflows there
+            disks = np.arccosh((np.cosh(a) + np.cosh(bu) * np.cosh(bv))
+                               / (np.sinh(bu) * np.sinh(bv)))
+            points = 2 * np.arcsinh(np.exp(a / 2))
+            mixed = np.arccosh((np.exp(a) + np.cosh(bm)) / np.sinh(bm))
+        l = np.where(ec == 0, r[:, _U] + r[:, _V], np.choose(
+            vc[:, _U] + vc[:, _V], (points, mixed, disks)))
+    fails.append(("coordinates out of range",
+                  ~(np.isfinite(l) & np.isfinite(r))))
+    return l, r, fails
+
+
+def er_failures(l, r, vc, ec):
+    """check_er_triangle's conditions on (N, 3) lengths and radii, as
+    (message, mask) pairs in its order."""
+    disk = vc == 1
+    free = ec != 0
+    with np.errstate(all="ignore"):
+        s = r[:, _U] + r[:, _V]
+        scale = 1.0 + l.max(axis=1, keepdims=True)
+        return [
+            ("radius not positive", disk & (r <= 0.0)),
+            ("point circle with nonzero radius", ~disk & (r != 0.0)),
+            ("length not positive", ~(l > 0)),
+            ("tangency edge with l != r_u + r_v",
+             ~free & (np.abs(l - s) > 1e-9 * scale)),
+            ("l <= r_u + r_v", free & ~(l > s)),
+            ("triangle inequality fails", ~(l < l[:, _V] + l[:, _W])),
+        ]
 
 
 def _radical_centers(p, rad):
@@ -473,32 +513,18 @@ def _radical_centers(p, rad):
 
 def decorated_triangles(x, vc, ec, g, tri=None):
     """The kernel tetra_angles on N triangles at once, each stage one
-    array operation over all rows: psi, the domain checks, the corner
+    array operation over all rows: psi_rows, er_failures, the corner
     angles, decorate's placement and face circle, and alpha.  x: (N, 6)
     coordinates a_ij, a_jk, a_ki, b_i, b_j, b_k; vc, ec: (N, 3) class
     tags.  Raises NotInTE naming the first failing row (``tri[row]``
     when given) and the first condition it fails, in tetra_angles'
     order."""
-    check_geometry(g)
-    a, b = x[:, :3], x[:, 3:]
     disk = vc == 1
     free = ec != 0
+    l, r, psi_fails = psi_rows(x, vc, ec, g)
+    fails = [(_FOLD, free & disk[:, _U] & disk[:, _V] & ~(x[:, :3] > 0))]
+    fails += psi_fails + er_failures(l, r, vc, ec)
     with np.errstate(all="ignore"):
-        fails = [(_FOLD, free & disk[:, _U] & disk[:, _V] & ~(a > 0))]
-        if g == EUCLIDEAN:
-            r = np.where(disk, np.exp(-b), 0.0)
-        else:
-            fails.append(("hyperbolic b not positive", disk & ~(b > 0)))
-            r = np.where(disk, np.arcsinh(1.0 / np.sinh(b)), 0.0)
-        l = _edge_lengths(a, b, r, vc, ec, g)
-        # by construction r = 0 at point corners and l = r_u + r_v on E0
-        fails += [
-            ("coordinates out of range", ~(np.isfinite(l) & np.isfinite(r))),
-            ("radius not positive", disk & ~(r > 0)),
-            ("length not positive", ~(l > 0)),
-            ("l <= r_u + r_v", free & ~(l > r[:, _U] + r[:, _V])),
-            ("triangle inequality fails", ~(l < l[:, _V] + l[:, _W])),
-        ]
         lab, law, lbw = l[:, _AB], l[:, _AW], l[:, _BW]
         if g == EUCLIDEAN:
             c = (lab ** 2 + law ** 2 - lbw ** 2) / (2 * lab * law)
@@ -548,13 +574,8 @@ def decorated_triangles(x, vc, ec, g, tri=None):
         alpha = np.where(free, np.arccos(np.clip(c, -1.0, 1.0)), 0.0)
         fails.append(("angles not finite",
                       ~(np.isfinite(alpha) & np.isfinite(beta))))
-    bad = [(msg, m.any(axis=1) if m.ndim == 2 else m) for msg, m in fails]
-    failed = np.logical_or.reduce([m for _msg, m in bad])
-    if failed.any():
-        row = int(np.argmax(failed))
-        msg = next(msg for msg, m in bad if m[row])
-        raise NotInTE(f"triangle {row if tri is None else tri[row]}: {msg}")
-    return DecoratedTriangles(z, center, R, alpha, beta)
+    _raise_first(fails, NotInTE, tri)
+    return DecoratedTriangles(z, center, R, alpha, beta, l, r)
 
 
 def angles_valid(ta, tags, g):
@@ -959,41 +980,31 @@ class EdgeRadii:
     r: dict
 
 
-def triangle_tags(T, tri):
-    cc = T.base
-    i, j, k = tri.verts
-    vc = tuple(cc.vertex_class(v) for v in (i, j, k))
-    from .complexes import edge_key
-    ec = tuple(T.edge_class(edge_key(u, v))
-               for u, v in ((i, j), (j, k), (k, i)))
-    return TriangleTags(vc=vc, ec=ec)
+def tri_rows(T, on_edges, on_vertices):
+    """(F, 3) rows, in the columns of ``T.tri_index``, of a value per edge
+    and a value per vertex of T, such as l and r; 0 where none is given."""
+    ix = T.tri_index
+    e = np.array([on_edges.get(k, 0.0) for k in T.edges], dtype=float)
+    v = np.array([on_vertices.get(k, 0.0) for k in T.base.vertices],
+                 dtype=float)
+    return e[ix.edge], v[ix.vert]
 
 
-def tri_er(T, er, tri):
-    from .complexes import edge_key
-    i, j, k = tri.verts
-    l3 = tuple(er.l[edge_key(u, v)] for u, v in ((i, j), (j, k), (k, i)))
-    r3 = tuple(er.r[v] for v in (i, j, k))
-    return l3, r3
+def edge_radii(T, l, r):
+    """EdgeRadii of (F, 3) rows of l and r; the inverse of tri_rows."""
+    ix = T.tri_index
+    le, rv = np.empty(len(T.edges)), np.empty(len(T.base.vertices))
+    le[ix.edge], rv[ix.vert] = l, r
+    return EdgeRadii(l=dict(zip(T.edges, le.tolist())),
+                     r=dict(zip(T.base.vertices, rv.tolist())))
 
 
 def psi_surface(T, tc, g):
-    """Apply psi edge by edge over the whole triangulation."""
-    check_geometry(g)
-    cc = T.base
-    try:
-        r = {v: vertex_radius(g, cc.vertex_class(v), tc.b.get(v, 0.0))
-             for v in cc.vertices}
-        l = {}
-        for e in T.edges:
-            u, v = e
-            ec = 0 if e in cc.e0 else 1
-            l[e] = edge_length(g, ec, cc.vertex_class(u), cc.vertex_class(v),
-                               tc.a.get(e, 0.0), tc.b.get(u, 0.0),
-                               tc.b.get(v, 0.0))
-    except OverflowError as exc:
-        raise DomainError(f"coordinates out of range: {exc}") from exc
-    return EdgeRadii(l=l, r=r)
+    """psi on every triangle of T at once, as DomainError; total in a."""
+    ix = T.tri_index
+    l, r, fails = psi_rows(gather_coords(T, tc), ix.vc, ix.ec, g)
+    _raise_first(fails, DomainError)
+    return edge_radii(T, l, r)
 
 
 def psi_inv_surface(T, er, g):
@@ -1011,22 +1022,20 @@ def psi_inv_surface(T, er, g):
     return TetraCoords(a=a, b=b)
 
 
-def check_er_surface(T, er, g, exc=InvariantViolation):
-    for tri in T.triangles:
-        check_er_triangle(tri_er(T, er, tri), triangle_tags(T, tri), g,
-                          exc=exc)
+def check_er_surface(T, er, g):
+    """check_er_triangle on every triangle of T at once, as DomainError."""
+    ix = T.tri_index
+    _raise_first(er_failures(*tri_rows(T, er.l, er.r), ix.vc, ix.ec),
+                 DomainError)
 
 
 def gather_coords(T, tc):
     """(F, 6) per-triangle coordinates in the columns of ``T.tri_index``
     from TetraCoords or from a vector packed in free-variable order; 0
     where a coordinate is fixed."""
-    ix = T.tri_index
     if isinstance(tc, np.ndarray):
-        return np.append(tc, 0.0)[ix.slots]  # slot -1 reads the 0
-    a = np.array([tc.a.get(e, 0.0) for e in T.edges], dtype=float)
-    b = np.array([tc.b.get(v, 0.0) for v in T.base.vertices], dtype=float)
-    return np.concatenate([a[ix.edge], b[ix.vert]], axis=1)
+        return np.append(tc, 0.0)[T.tri_index.slots]  # slot -1 reads the 0
+    return np.concatenate(tri_rows(T, tc.a, tc.b), axis=1)
 
 
 def decorate_surface(T, tc, g):

@@ -122,18 +122,6 @@ def _pair_theta(T, placed, e, g):
     return circle_intersection_angle(c1, R1, c2, R2, g)
 
 
-def _local_pair_theta(T, er, e, g):
-    """theta of edge e computed from the two adjacent triangles' face
-    circles in a shared local chart."""
-    placed = {}
-    for ti in T.edge_triangles[e]:
-        tri = T.triangles[ti]
-        zs, circle, _ta = geo.decorate(geo.tri_er(T, er, tri),
-                                       geo.triangle_tags(T, tri), g)
-        placed[ti] = (dict(zip(tri.verts, zs)), circle)
-    return _pair_theta(T, placed, e, g)
-
-
 def develop(T, tc, g):
     """Develop all triangles of T into one model chart by breadth-first
     gluing from the least triangle, crossing least-id edges first.  One
@@ -141,9 +129,9 @@ def develop(T, tc, g):
     theta check and merge_redundant move those placements.  theta is the
     class-forced 0 on tangency edges."""
     check_geometry(g)
-    er = geo.psi_surface(T, tc, g)
     ix = T.tri_index
     dt = geo.decorate_surface(T, tc, g)
+    er = geo.edge_radii(T, dt.l, dt.r)
     alpha_sum = dict(zip(T.edges, np.bincount(
         ix.edge.ravel(), weights=dt.alpha.ravel(),
         minlength=len(T.edges)).tolist()))

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .complexes import edge_key
 from .errors import DomainError, IndexMismatch, NotInTE
 from .geometry import EUCLIDEAN, EdgeRadii, TetraCoords, check_geometry
 from .polytope import AngleData, pre_check
@@ -60,24 +59,24 @@ def reference_coords(T, g):
     check_geometry(g)
     rc = geo.reference_constants(g)[0]
     cc = T.base
-    l = {e: geo.reference_length(0 if e in cc.e0 else 1, g) for e in T.edges}
-    r = {v: (rc if v in cc.v1 else 0.0) for v in cc.vertices}
+    ix = T.tri_index
+    l = [geo.reference_length(0 if e in cc.e0 else 1, g) for e in T.edges]
+    r = [rc if v in cc.v1 else 0.0 for v in cc.vertices]
 
-    tri_edges = [[edge_key(t.verts[m], t.verts[(m + 1) % 3])
-                  for m in range(3)] for t in T.triangles]
+    rows = list(zip(ix.edge.tolist(), ix.vert.tolist(), ix.ec.tolist()))
     for _ in range(100):
         changed = False
-        for es in tri_edges:
+        for es, vs, ecs in rows:
             for m in range(3):
                 cap = l[es[(m + 1) % 3]] + l[es[(m + 2) % 3]]
-                if l[es[m]] >= cap and es[m] not in cc.e0:
-                    floor = r[es[m][0]] + r[es[m][1]]
+                if l[es[m]] >= cap and ecs[m] != 0:
+                    floor = r[vs[m]] + r[vs[(m + 1) % 3]]
                     l[es[m]] = max(0.9 * cap, 0.5 * (floor + cap))
                     changed = True
         if not changed:
             break
-    er = EdgeRadii(l=l, r=r)
-    geo.check_er_surface(T, er, g, exc=DomainError)
+    er = EdgeRadii(l=dict(zip(T.edges, l)), r=dict(zip(cc.vertices, r)))
+    geo.check_er_surface(T, er, g)
     tc = geo.psi_inv_surface(T, er, g)
     return geo.project_gauge(T, tc, g)
 
@@ -190,19 +189,16 @@ def omega_bisect(vclasses, eclasses, g):
 def omega_solve(vclasses, eclasses, g):
     """Positive-circle vertex distance x* of the reference polygon's
     face circle.  vclasses: per-vertex class around the face; eclasses:
-    per-edge class (edge t joins vertices t, t+1).  Triangles are solved
-    directly from the reference triangle's face circle, larger faces by
-    bisection."""
+    per-edge class (edge t joins vertices t, t+1).  Raises DomainError
+    when the polygon has no face circle: omega stays off 2 pi."""
     check_geometry(g)
     n = len(vclasses)
     if n < 3 or len(eclasses) != n:
         raise IndexMismatch("face class lists must have equal length >= 3")
-    if n == 3:
-        rc = geo.reference_constants(g)[0]
-        tags = geo.TriangleTags(vc=tuple(vclasses), ec=tuple(eclasses))
-        fc = geo.face_circle(geo.reference_er_triangle(tags, g), g)
-        return geo.vertex_dual_length(fc.R, rc, g)
-    return omega_bisect(vclasses, eclasses, g)
+    x = omega_bisect(vclasses, eclasses, g)
+    if abs(omega_value(vclasses, eclasses, g, x) - 2 * math.pi) > 1e-9:
+        raise DomainError(f"no face circle for classes {vclasses} {eclasses}")
+    return x
 
 
 # ---------------------------------------------------------------------------

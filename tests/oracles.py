@@ -10,6 +10,10 @@ from collections import deque
 import mpmath as mp
 import numpy as np
 
+from hicp import geometry as geo
+from hicp.complexes import edge_key
+from hicp.errors import InvariantViolation
+from hicp.layout import _pair_theta
 from hicp.solver import grad_U, pack
 
 mp.mp.dps = 40
@@ -198,3 +202,64 @@ def boundary_touches_by_link(d, hv):
     if d.contains_cell("v", d.hat.vindex[hv]):
         return False
     return any(d.contains_cell(kind, idx) for kind, idx in d.hat.links[hv])
+
+
+# ---------------------------------------------------------------------------
+# Per-triangle views for the scalar kernel, the reference of the batched one
+
+
+def triangle_tags(T, tri):
+    """Class tags of one triangle of T."""
+    cc = T.base
+    i, j, k = tri.verts
+    vc = tuple(cc.vertex_class(v) for v in (i, j, k))
+    ec = tuple(T.edge_class(edge_key(u, v))
+               for u, v in ((i, j), (j, k), (k, i)))
+    return geo.TriangleTags(vc=vc, ec=ec)
+
+
+def tri_edges(T, ti):
+    """The edges ij, jk, ki of triangle ti of T."""
+    i, j, k = T.triangles[ti].verts
+    return edge_key(i, j), edge_key(j, k), edge_key(k, i)
+
+
+def tri_er(T, er, tri):
+    """(l3, r3) of one triangle of T from surface EdgeRadii."""
+    i, j, k = tri.verts
+    l3 = tuple(er.l[edge_key(u, v)] for u, v in ((i, j), (j, k), (k, i)))
+    r3 = tuple(er.r[v] for v in (i, j, k))
+    return l3, r3
+
+
+def tri_coords(T, tc, tri):
+    """(a3, b3) of one triangle of T from surface TetraCoords, 0 where a
+    coordinate is fixed."""
+    i, j, k = tri.verts
+    a3 = tuple(tc.a.get(edge_key(u, v), 0.0)
+               for u, v in ((i, j), (j, k), (k, i)))
+    return a3, tuple(tc.b.get(v, 0.0) for v in (i, j, k))
+
+
+def place_euclidean(l3):
+    """Euclidean triangle with side lengths l3 = (ij, jk, ki): i at the
+    origin, j on the positive x axis, k above it."""
+    lij, ljk, lki = l3
+    xk = (lij * lij + lki * lki - ljk * ljk) / (2 * lij)
+    yk2 = lki * lki - xk * xk
+    if yk2 <= 0:
+        raise InvariantViolation(f"degenerate triangle {l3}")
+    return (0.0, 0.0), (lij, 0.0), (xk, math.sqrt(yk2))
+
+
+def local_pair_theta(T, er, e, g):
+    """theta of edge e computed from the two adjacent triangles' face
+    circles, each placed by the scalar decorate, in a shared local
+    chart."""
+    placed = {}
+    for ti in T.edge_triangles[e]:
+        tri = T.triangles[ti]
+        zs, circle, _ta = geo.decorate(tri_er(T, er, tri),
+                                       triangle_tags(T, tri), g)
+        placed[ti] = (dict(zip(tri.verts, zs)), circle)
+    return _pair_theta(T, placed, e, g)

@@ -35,7 +35,7 @@ from hicp.geometry import (
     tetra_volume,
     triangle_angles,
 )
-from hicp.layout import _local_pair_theta, develop, gauss_bonnet_check
+from hicp.layout import develop, gauss_bonnet_check
 from hicp.polytope import check_feasibility, make_angle_data
 from hicp.solver import (
     BOUNDARY,
@@ -347,15 +347,15 @@ class TestDualChecks:
                 er = sampled_er(T, g, rng)
                 alpha_sum = {e: 0.0 for e in T.edges}
                 for tri in T.triangles:
-                    tags = geo.triangle_tags(T, tri)
-                    ta = triangle_angles(geo.tri_er(T, er, tri), tags, g)
+                    tags = oracles.triangle_tags(T, tri)
+                    ta = triangle_angles(oracles.tri_er(T, er, tri), tags, g)
                     i, j, k = tri.verts
                     for m, (u, v) in enumerate(((i, j), (j, k), (k, i))):
                         alpha_sum[tuple(sorted((u, v)))] += ta.alpha[m]
                 for e in sorted(T.edges):
                     if not alpha_sum[e] < math.pi - 1e-6:
                         continue  # circles do not properly intersect
-                    th = _local_pair_theta(T, er, e, g)
+                    th = oracles.local_pair_theta(T, er, e, g)
                     assert abs(th - alpha_sum[e]) < 1e-9
                     checked += 1
         assert checked >= 1000

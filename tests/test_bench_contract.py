@@ -6,6 +6,7 @@ instead of breaking the traced benchmark run."""
 
 import ast
 import importlib
+import inspect
 import os
 
 import pytest
@@ -40,11 +41,36 @@ def gen_imports():
             for alias in node.names]
 
 
+def gen_calls():
+    """(module, name, positional count, keyword names, starred) for every
+    call gen.py makes to a name it imports from the package."""
+    imported = {name: module for module, name in gen_imports()}
+    return [(imported[node.func.id], node.func.id,
+             sum(not isinstance(a, ast.Starred) for a in node.args),
+             tuple(k.arg for k in node.keywords if k.arg),
+             any(isinstance(a, ast.Starred) for a in node.args)
+             or any(k.arg is None for k in node.keywords))
+            for node in ast.walk(_parse("gen.py"))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in imported]
+
+
 def test_contract_is_found():
     assert len(traced_names()) > 20
     assert len(gen_imports()) > 5
+    assert len(gen_calls()) >= len(gen_imports())
 
 
 @pytest.mark.parametrize("module, name", traced_names() + gen_imports())
 def test_name_resolves_to_a_callable(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
+
+
+@pytest.mark.parametrize("module, name, npos, keywords, starred", gen_calls(),
+                         ids=[f"{c[0]}.{c[1]}" for c in gen_calls()])
+def test_gen_call_binds_to_the_signature(module, name, npos, keywords,
+                                         starred):
+    # a call that unpacks *args or **kwargs binds what it spells out
+    sig = inspect.signature(getattr(importlib.import_module(module), name))
+    bind = sig.bind_partial if starred else sig.bind
+    bind(*[None] * npos, **{k: None for k in keywords})

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hicp import build_complex, cli
+from hicp import geometry as geo
 from hicp.errors import HicpError
 from hicp.fixtures import grid_torus_spec, tetrahedron_spec
 
@@ -279,6 +281,34 @@ class TestRender:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_requires_exactly_the_solution_coordinates(self, tmp_path,
+                                                       capsys):
+        # a missing a or b would read as 0, and a foreign key would be
+        # ignored: each exits 1 with one error line naming the key
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", "fixture:genus2-mixed",
+                         "--geometry", "hyperbolic",
+                         "--output", str(sol)]) == 0
+        data = json.loads(sol.read_text())
+        coords = data["coords"]
+        point = next(str(v["id"]) for v in data["input"]["vertices"]
+                     if v["circle"] == "point")
+        edits = ([(part, key, None) for part in "ab" for key in coords[part]]
+                 + [("a", "999-1000", 0.5), ("b", point, 0.5)])
+        assert len(edits) == 51 + 5 + 2
+        for part, key, value in edits:
+            doc = copy.deepcopy(data)
+            if value is None:
+                del doc["coords"][part][key]
+            else:
+                doc["coords"][part][key] = value
+            sol.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert cli.main(["render", "--input", str(sol)]) == 1, key
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), key
+            assert f" key {key} in coords.{part}" in err[0]
+
     def test_rejects_solution_without_coords(self, tmp_path, bad_instance):
         sol = tmp_path / "sol.json"
         assert cli.main(["solve", "--input", str(bad_instance),
@@ -335,6 +365,46 @@ class TestRoundtrip:
                              "--samples", "1", "--seed", "7",
                              "--output", str(p)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# the scalar kernel, kept as the reference of the batched one
+SCALAR_KERNEL = ("psi", "psi_inv", "vertex_radius", "edge_length",
+                 "check_er_triangle", "decorate", "triangle_angles",
+                 "tetra_angles", "face_circle", "place_triangle",
+                 "corner_angle", "circumscribe", "radical_center")
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("name", ["tri-torus-v1", "genus2-mixed"])
+def test_commands_run_only_the_batched_kernel(tmp_path, monkeypatch, name,
+                                              g):
+    """With every scalar kernel function replaced by one that raises,
+    each command exits as before and writes the same bytes."""
+    def run_all(d):
+        d.mkdir()
+        fx = ["--input", f"fixture:{name}", "--geometry", g]
+        sol = str(d / "sol.json")
+        codes = [cli.main(argv) for argv in (
+            ["solve", *fx, "--output", sol],
+            ["render", "--input", sol, "--output", str(d / "render.json"),
+             "--svg", str(d / "render.svg")],
+            ["demo", *fx, "--output", str(d / "demo.json"),
+             "--svg", str(d / "demo.svg")],
+            ["roundtrip", *fx, "--samples", "2",
+             "--output", str(d / "roundtrip.json")],
+            ["validate", *fx, "--output", str(d / "validate.json")])]
+        return codes, {p.name: p.read_bytes() for p in d.iterdir()}
+
+    expected = run_all(tmp_path / "with-scalar")
+
+    def stub(fn):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"scalar {fn} called")
+        return raising
+
+    for fn in SCALAR_KERNEL:
+        monkeypatch.setattr(geo, fn, stub(fn))
+    assert run_all(tmp_path / "stubbed") == expected
 
 
 def test_thread_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import warnings
@@ -8,8 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hicp import cli, triangulate
+from hicp import build_complex, cli, triangulate
 from hicp import geometry as geo
+from hicp.fixtures import (
+    FIXTURES,
+    fixture_spec,
+    reference_pattern,
+    tetrahedron_spec,
+)
+from hicp.solver import reference_coords
 from hicp.errors import DomainError, HicpError, InvariantViolation, NotInTE
 from hicp.geometry import (
     CORNERS_OF_EDGE,
@@ -28,7 +36,6 @@ from hicp.geometry import (
     in_te,
     lobachevsky,
     phi_inv,
-    place_euclidean,
     project_gauge,
     psi,
     psi_inv,
@@ -187,7 +194,7 @@ class TestFaceCircle:
     def test_against_orthocircle_oracle(self):
         er = ((2.2, 2.7, 3.0), (0.9, 0.6, 1.1))
         fc = face_circle(er, EUCLIDEAN)
-        pts = place_euclidean(er[0])
+        pts = oracles.place_euclidean(er[0])
         _o, R = oracles.eucl_orthocircle(pts, er[1])
         assert fc.R == pytest.approx(R, rel=1e-12)
 
@@ -466,6 +473,126 @@ def test_batched_kernel_matches_scalar(g, rows):
         assert tuple(dt.z[i]) == pytest.approx(zs, **tol)
         assert dt.center[i] == pytest.approx(center, **tol)
         assert dt.R[i] == pytest.approx(R, **tol)
+
+
+# ---------------------------------------------------------------------------
+# Surface-level psi and (l, r) checks against the scalar psi and
+# check_er_triangle, triangle by triangle
+
+
+@functools.lru_cache(maxsize=None)
+def _triangulated(name):
+    return triangulate(build_complex(fixture_spec(name)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(FIXTURES)), g=st.sampled_from(BOTH),
+       seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(("none", "fold", "overflow", "b")),
+       size=st.floats(0.0, 3.0))
+def test_psi_surface_matches_scalar(name, g, seed, kind, size):
+    # coordinates near the reference point, then a free a moved to the
+    # fold (psi stays total in a) or to 2000, or a disk b to -size
+    T = _triangulated(name)
+    tc = reference_coords(T, g)
+    rng = random.Random(seed)
+    a = {e: v + rng.uniform(-0.3, 0.3) for e, v in tc.a.items()}
+    b = {k: v + rng.uniform(-0.3, 0.3) for k, v in tc.b.items()}
+    if kind in ("fold", "overflow"):
+        a[rng.choice(sorted(a))] = -size if kind == "fold" else 2000.0
+    elif kind == "b" and b:
+        b[rng.choice(sorted(b))] = -size
+    tc = geo.TetraCoords(a=a, b=b)
+    ref = []
+    for tri in T.triangles:
+        try:
+            ref.append(psi(oracles.tri_coords(T, tc, tri),
+                           oracles.triangle_tags(T, tri), g))
+        except DomainError:
+            with pytest.raises(DomainError):
+                geo.psi_surface(T, tc, g)
+            return
+    er = geo.psi_surface(T, tc, g)
+    # arccosh near 1 amplifies rounding: on short hyperbolic disk-disk
+    # edges (l ~ 0.17) the two differ by up to 2.4e-14, and each is about
+    # 1e-14 from the exact length; elsewhere they agree to 1e-14
+    for tri, (l3, r3) in zip(T.triangles, ref):
+        got_l, got_r = oracles.tri_er(T, er, tri)
+        assert got_l == pytest.approx(l3, rel=5e-14, abs=0)
+        assert got_r == pytest.approx(r3, rel=1e-14, abs=0)
+
+
+def test_psi_surface_raises_where_sinh_b_overflows():
+    # a disk all of whose edges are tangency edges: psi raises where
+    # sinh b overflows, and 1 / sinh b alone would read r = 0 there
+    spec = tetrahedron_spec()
+    spec["tangent_edges"] = [[u, v] for u in range(4) for v in range(u)]
+    T = triangulate(build_complex(spec))
+    tc = geo.TetraCoords(a={}, b={0: 800.0, 1: 3.0, 2: 3.0, 3: 3.0})
+    tri = T.triangles[0]
+    with pytest.raises(DomainError):
+        psi(oracles.tri_coords(T, tc, tri), oracles.triangle_tags(T, tri),
+            HYPERBOLIC)
+    with pytest.raises(DomainError):
+        geo.psi_surface(T, tc, HYPERBOLIC)
+
+
+# fixtures on which each way of breaking (l, r) applies
+BREAKS = {
+    "none": sorted(FIXTURES),
+    "e0": ["e0-torus"],  # l on a tangency edge moved near 1e-9 (1 + l)
+    "point": ["grid-torus", "tri-torus", "genus2", "genus2-mixed"],
+    "radius": ["grid-torus-v1", "tri-torus-v1", "genus2-mixed", "e0-torus"],
+    "length": sorted(FIXTURES),  # l not positive
+    "overlap": sorted(FIXTURES),  # a free l near r_u + r_v
+    "triangle": sorted(FIXTURES),  # a free l near l' + l'' of a triangle
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BREAKS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), g=st.sampled_from(BOTH),
+       seed=st.integers(0, 2 ** 32 - 1), size=st.floats(0.0, 3.0))
+def test_check_er_surface_matches_scalar(kind, data, g, seed, size):
+    name = data.draw(st.sampled_from(BREAKS[kind]))
+    T, er = reference_pattern(build_complex(fixture_spec(name)), g)
+    cc = T.base
+    rng = random.Random(seed)
+    r = {v: x * (1 + rng.uniform(-0.05, 0.05)) for v, x in er.r.items()}
+    l = {e: r[e[0]] + r[e[1]] if e in cc.e0
+         else x * (1 + rng.uniform(-0.05, 0.05)) for e, x in er.l.items()}
+    free = sorted(e for e in l if e not in cc.e0)
+    e = rng.choice(free)
+    if kind == "e0":
+        e = rng.choice(sorted(cc.e0))
+        l[e] += (size - 1.5) * 4e-9
+    elif kind == "point":
+        r[rng.choice(sorted(cc.v0))] = size
+    elif kind == "radius":
+        r[rng.choice(sorted(cc.v1))] = -size
+    elif kind == "length":
+        l[rng.choice(sorted(l))] = -size
+    elif kind == "overlap":
+        l[e] = r[e[0]] + r[e[1]] + (size - 1.5) * 1e-15
+    elif kind == "triangle":
+        f, h = (x for x in oracles.tri_edges(T, T.edge_triangles[e][0])
+                if x != e)
+        l[e] = l[f] + l[h] + (size - 1.5) * 1e-15
+    er = geo.EdgeRadii(l=l, r=r)
+    fails = 0
+    for tri in T.triangles:
+        try:
+            check_er_triangle(oracles.tri_er(T, er, tri),
+                              oracles.triangle_tags(T, tri), g)
+        except InvariantViolation:
+            fails += 1
+    if fails:
+        with pytest.raises(DomainError):
+            geo.check_er_surface(T, er, g)
+    else:
+        geo.check_er_surface(T, er, g)
+    if kind in ("radius", "length") or kind == "point" and size > 0:
+        assert fails
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,14 @@ class TestOmega:
                 assert omega_value(vc, ec, g, x + 0.1) < w
                 assert omega_value(vc, ec, g, x * 0.97) > w
 
+    @pytest.mark.parametrize("vc, ec", [((1, 1, 1), (0, 0, 1)),
+                                        ((1, 1, 1, 1), (0, 0, 0, 1))])
+    def test_face_without_circle_raises(self, vc, ec):
+        # hyperbolic disks with all but one edge tangent: omega stays
+        # below 2 pi, so bisection alone would return an unclosed x
+        with pytest.raises(DomainError):
+            omega_solve(vc, ec, HYPERBOLIC)
+
     def test_bad_index_sets(self):
         from hicp.errors import IndexMismatch
         with pytest.raises(IndexMismatch):
