@@ -488,6 +488,41 @@ class HatTriangulation:
     full: tuple = field(repr=False, default=(0, 0, 0))
     base_vmask: int = field(repr=False, default=0)
     link_masks: dict = field(repr=False, default_factory=dict)
+    # per base vertex, and per point vertex: (vertex bit, link emask,
+    # link fmask)
+    base_links: tuple = field(repr=False, default=())
+    point_links: tuple = field(repr=False, default=())
+    # per base edge, in ``base.edges`` order: (edge, dual edge bit, fmask
+    # of the two hat faces across it)
+    dual_cells: tuple = field(repr=False, default=())
+
+    # The admissibility conditions on the masks of a union of open stars;
+    # the enumerator and ``Domain`` both read them.
+
+    def covers_surface(self, vmask, emask, fmask):
+        return (vmask, emask, fmask) == self.full
+
+    def meets_base(self, vmask):
+        return bool(vmask & self.base_vmask)
+
+    @staticmethod
+    def touches_boundary(links, vmask, emask, fmask):
+        """Whether a hat vertex of ``links``, (vertex bit, link emask,
+        link fmask) triples, lies on the topological boundary: it is
+        outside the domain and some cell of its link is inside."""
+        for vbit, lemask, lfmask in links:
+            if not vmask & vbit and (emask & lemask or fmask & lfmask):
+                return True
+        return False
+
+    def admits(self, vmask, emask, fmask, strict):
+        """The conditions an admissible domain adds to connected
+        generators: not the whole surface, meets the base vertices and,
+        under ``strict``, no point vertex on the boundary."""
+        return (self.meets_base(vmask)
+                and not self.covers_surface(vmask, emask, fmask)
+                and not (strict and self.touches_boundary(
+                    self.point_links, vmask, emask, fmask)))
 
 
 def hat_complex(cc):
@@ -517,6 +552,9 @@ def hat_complex(cc):
                 edges=(h.eindex[("dual", e)],
                        h.eindex[("corner", (v, duals[0]))],
                        h.eindex[("corner", (v, duals[1]))])))
+    h.dual_cells = tuple(
+        (e, 1 << h.eindex[("dual", e)],
+         sum(1 << h.findex[(v, e)] for v in e)) for e in cc.edges)
 
     h.full = tuple((1 << len(cells)) - 1
                    for cells in (h.vertices, h.edges, h.hat_faces))
@@ -580,6 +618,10 @@ def _build_stars_and_links(h):
         for kind, idx in cycle:
             masks[kind] |= 1 << idx
         h.link_masks[hv] = (masks["e"], masks["t"])
+    h.base_links = tuple((1 << h.vindex[("v", k)], *h.link_masks[("v", k)])
+                         for k in cc.vertices)
+    h.point_links = tuple(link for k, link in zip(cc.vertices, h.base_links)
+                          if k in cc.v0)
 
     # overlap graph: two open stars are adjacent when they share a cell
     verts = list(h.stars)
@@ -610,25 +652,22 @@ class Domain:
         return bool(mask >> idx & 1)
 
     def is_whole_surface(self):
-        return (self.vmask, self.emask, self.fmask) == self.hat.full
+        return self.hat.covers_surface(self.vmask, self.emask, self.fmask)
 
     def meets_base_vertices(self):
-        return bool(self.vmask & self.hat.base_vmask)
+        return self.hat.meets_base(self.vmask)
 
     def boundary_touches(self, hv):
         """True when hat vertex hv lies on the topological boundary: it is
         outside the domain and some cell of its link is inside."""
-        if self.vmask >> self.hat.vindex[hv] & 1:
-            return False
-        emask, fmask = self.hat.link_masks[hv]
-        return bool(self.emask & emask or self.fmask & fmask)
+        h = self.hat
+        link = (1 << h.vindex[hv], *h.link_masks[hv])
+        return h.touches_boundary([link], self.vmask, self.emask, self.fmask)
 
     def is_strict(self):
         """No point vertex on the boundary (Def. of strict admissibility)."""
-        for v in self.hat.base.v0:
-            if self.boundary_touches(("v", v)):
-                return False
-        return True
+        return not self.hat.touches_boundary(
+            self.hat.point_links, self.vmask, self.emask, self.fmask)
 
     def is_open_star_of(self):
         """The hat vertex whose open star this is, or None."""
@@ -637,15 +676,18 @@ class Domain:
         return None
 
 
-def make_domain(h, generators):
-    vmask = emask = fmask = 0
-    for g in generators:
-        vm, em, fm = h.stars[g]
-        vmask |= vm
-        emask |= em
-        fmask |= fm
-    return Domain(hat=h, generators=frozenset(generators),
-                  vmask=vmask, emask=emask, fmask=fmask)
+def make_domain(h, generators, masks=None):
+    """The union of the open stars of ``generators``; ``masks`` is its
+    (vmask, emask, fmask) when the caller has it already."""
+    if masks is None:
+        vmask = emask = fmask = 0
+        for g in generators:
+            vm, em, fm = h.stars[g]
+            vmask |= vm
+            emask |= em
+            fmask |= fm
+        masks = (vmask, emask, fmask)
+    return Domain(h, frozenset(generators), *masks)
 
 
 def open_star(h, hv):
@@ -675,100 +717,113 @@ class DomainEnumeration:
 
 
 def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
-    """Enumerate admissible domains (strict ones when ``strict``).
+    """Enumerate admissible domains (strict ones when ``strict``), sorted
+    by their sorted generators.
 
     Exhaustive when the hat triangulation has at most ``cap`` vertices;
     otherwise the enumeration is flagged PARTIAL and covers all
     one-generator and two-generator connected domains.
 
-    Both generator enumerators yield only nonempty sets that are
-    connected in the star-overlap graph.  The filter tests the remaining
-    conditions: not the whole surface, meets the base vertices, and
-    (under ``strict``) no point vertex on the boundary."""
+    Both generator enumerators build only nonempty sets that are
+    connected in the star-overlap graph, and test the remaining
+    conditions (``HatTriangulation.admits``) on each set's masks as they
+    build it.  A ``Domain`` is made only for a set that passes."""
     nv = len(h.vertices)
     partial = nv > cap
     if partial and require_exhaustive:
         raise CapExceeded(f"{nv} hat vertices exceed the cap of {cap}")
 
-    if partial:
-        gen_sets = _small_generator_sets(h)
-    else:
-        gen_sets = _connected_generator_sets(h, strict_prune=strict)
-
-    out = []
-    for gens in gen_sets:
-        d = make_domain(h, gens)
-        if d.is_whole_surface() or not d.meets_base_vertices():
-            continue
-        if strict and not d.is_strict():
-            continue
-        out.append(d)
-    out.sort(key=lambda d: sorted(d.generators))
-    return DomainEnumeration(out, partial)
+    star_bits = StarBits(h)
+    find = _small_generator_sets if partial else _connected_generator_sets
+    kept = [(sorted(gens), masks) for gens, masks in find(star_bits, strict)]
+    kept.sort(key=lambda item: item[0])
+    verts = star_bits.verts
+    return DomainEnumeration(
+        [make_domain(h, [verts[i] for i in idx], masks)
+         for idx, masks in kept], partial)
 
 
-def _small_generator_sets(h):
-    verts = sorted(h.stars)
-    for v in verts:
-        yield (v,)
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            if b in h.overlap[a]:
-                yield (a, b)
+class StarBits:
+    """The open stars as bit masks, for the enumerators: hat vertex i of
+    ``verts`` (the hat vertices in sorted order) is bit i of a generator
+    mask."""
+
+    def __init__(self, h):
+        self.hat = h
+        self.verts = sorted(h.stars)
+        bit = {v: 1 << i for i, v in enumerate(self.verts)}
+        self.stars = [h.stars[v] for v in self.verts]
+        self.adj = [sum(bit[nb] for nb in h.overlap[v]) for v in self.verts]
+        # per dual vertex: the bits of the point vertices of its face
+        v0 = h.base.v0
+        self.points = [
+            sum(bit[("v", k)] for k in h.base.faces[v[1]] if k in v0)
+            if v[0] == "f" else 0 for v in self.verts]
 
 
-def _connected_generator_sets(h, strict_prune=False):
-    """All connected vertex subsets of the star-overlap graph.  With
-    strict_prune, branches that can never yield a strict domain (a dual
-    generator whose point vertex can no longer join the set) are cut;
-    this is an optimization only, the strictness filter stays
-    authoritative."""
-    verts = sorted(h.stars)
-    order = {v: i for i, v in enumerate(verts)}
-    overlap = {v: sorted(h.overlap[v], key=order.get) for v in verts}
-    v0 = h.base.v0
+def _small_generator_sets(sb, strict):
+    """(generators, star masks) of every kept one-generator set and
+    two-generator connected set; generators are positions in
+    ``sb.verts``."""
+    admits = sb.hat.admits
+    n = len(sb.stars)
+    kept = []
+    for i, (vm, em, fm) in enumerate(sb.stars):
+        if admits(vm, em, fm, strict):
+            kept.append(((i,), (vm, em, fm)))
+    for i, (vm, em, fm) in enumerate(sb.stars):
+        for j in range(i + 1, n):
+            if sb.adj[i] >> j & 1:
+                vj, ej, fj = sb.stars[j]
+                masks = (vm | vj, em | ej, fm | fj)
+                if admits(*masks, strict):
+                    kept.append(((i, j), masks))
+    return kept
 
-    def can_be_strict(x, current, banned, root_order):
-        if x[0] != "f":
-            return True
-        for v in h.base.faces[x[1]]:
-            if v not in v0:
-                continue
-            hv = ("v", v)
-            if hv in current:
-                continue
-            if hv in banned or order[hv] <= root_order:
-                return False
-        return True
 
-    def rec(current, frontier, banned):
-        yield tuple(current)
-        frontier = list(frontier)
-        local_ban = set()
-        root_order = order[current[0]]
-        for x in frontier:
-            if x in banned or x in local_ban:
-                continue
-            if strict_prune and not can_be_strict(
-                    x, current, banned | local_ban, root_order):
-                local_ban.add(x)
-                continue
-            new_frontier = [
-                y for y in frontier if y != x and y not in local_ban
-            ]
-            for nb in overlap[x]:
-                if (nb not in current and nb not in banned
-                        and nb not in local_ban and nb not in new_frontier
-                        and order[nb] > order[current[0]]):
-                    new_frontier.append(nb)
-            current.append(x)
-            yield from rec(current, new_frontier, banned | local_ban)
-            current.pop()
-            local_ban.add(x)
+def _connected_generator_sets(sb, strict):
+    """(generators, star masks) of every kept connected vertex subset
+    of the star-overlap graph; generators are positions in ``sb.verts``,
+    in the order they joined.
 
-    for i, root in enumerate(verts):
-        frontier = [v for v in overlap[root] if order[v] > i]
-        yield from rec([root], frontier, set())
+    Each set is built once, from its least vertex (the root) by adding
+    one frontier vertex at a time; ``banned`` holds the vertices an
+    earlier sibling branch has already covered.  Under ``strict``,
+    branches that can never yield a strict domain (a dual generator one
+    of whose point vertices can no longer join the set) are cut; this is
+    an optimization only, the strictness test stays authoritative.
+    Frontier vertices are taken highest bit first: the base vertices
+    ("v", k) sort after the dual vertices, so a point vertex is settled
+    before the faces that need it, and the cut fires early.  The
+    branches wait on an explicit stack."""
+    admits = sb.hat.admits
+    stars, adj, points = sb.stars, sb.adj, sb.points
+    kept = []
+    for root in range(len(stars)):
+        rbit = 1 << root
+        upto_root = (rbit << 1) - 1  # the root and every vertex below it
+        vm, em, fm = stars[root]
+        stack = [((root,), rbit, adj[root] & ~upto_root, 0, vm, em, fm)]
+        while stack:
+            gens, cur, frontier, banned, vm, em, fm = stack.pop()
+            if admits(vm, em, fm, strict):
+                kept.append((gens, (vm, em, fm)))
+            todo = frontier & ~banned
+            while todo:
+                x = todo.bit_length() - 1
+                xbit = 1 << x
+                todo ^= xbit
+                if strict and points[x] & ~cur & (banned | upto_root):
+                    banned |= xbit
+                    continue
+                grown = cur | xbit
+                xv, xe, xf = stars[x]
+                stack.append((gens + (x,), grown,
+                              (frontier | adj[x]) & ~(grown | banned
+                                                     | upto_root),
+                              banned, vm | xv, em | xe, fm | xf))
+                banned |= xbit
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -917,34 +972,33 @@ def _rotate_to_next(h, d, hv, ei, ti):
 def boundary_counts(h, d, e0_dual_indices=None):
     """(dual-edge multiplicity map, |boundary ∩ V|, |boundary ∩ E0|)
     computed directly from the cell masks; agrees with the walk-based
-    BoundaryTrace counts."""
+    BoundaryTrace counts.
+
+    A dual edge outside the domain is on the boundary once per hat face
+    across it that is inside.  Around a base vertex outside the domain,
+    the link cells inside form arcs that begin and end on a hat face,
+    since the open domain holds both faces next to each edge it holds.
+    So each arc has one face more than it has edges, and the vertex is
+    visited (faces - edges) times, or once, as a puncture, when its
+    whole link is inside."""
+    vmask, emask, fmask = d.vmask, d.emask, d.fmask
+    e0_mask = sum(1 << ei for ei in e0_dual_indices or ())
     dual_mult = {}
     n_e0 = 0
-    for ti, hf in enumerate(h.hat_faces):
-        if not (d.fmask >> ti & 1):
+    for e, ebit, faces in h.dual_cells:
+        if emask & ebit:
             continue
-        for ei in hf.edges:
-            if d.emask >> ei & 1:
-                continue
-            kind, data = h.edges[ei]
-            if kind == "dual":
-                dual_mult[data] = dual_mult.get(data, 0) + 1
-                if e0_dual_indices is not None and ei in e0_dual_indices:
-                    n_e0 += 1
+        m = (fmask & faces).bit_count()
+        if m:
+            dual_mult[e] = m
+            if ebit & e0_mask:
+                n_e0 += m
 
     n_v = 0
-    for v in h.base.vertices:
-        hv = ("v", v)
-        if not d.boundary_touches(hv):
+    for vbit, lemask, lfmask in h.base_links:
+        if vmask & vbit:
             continue
-        link = h.links[hv]
-        inside = [d.contains_cell(k, idx) for k, idx in link]
-        if all(inside):
-            n_v += 1  # puncture
-            continue
-        # number of maximal runs of inside cells around the link
-        runs = sum(
-            1 for t in range(len(link)) if inside[t] and not inside[t - 1]
-        )
-        n_v += runs
+        faces_in = (fmask & lfmask).bit_count()
+        if faces_in:
+            n_v += faces_in - (emask & lemask).bit_count() or 1
     return dual_mult, n_v, n_e0

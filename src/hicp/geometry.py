@@ -103,15 +103,19 @@ def edge_length(g, eclass, cu, cv, a, bu, bv):
     if cu == 1 and cv == 1:
         if bu <= 0 or bv <= 0:
             raise DomainError("hyperbolic b must be positive")
-        x = ((math.cosh(a) + math.cosh(bu) * math.cosh(bv))
-             / (math.sinh(bu) * math.sinh(bv)))
-        return math.acosh(x)
+        # l = acosh(x) loses digits near x = 1; take l = 2 asinh(√((x-1)/2))
+        # with cosh l - 1 = (cosh a + cosh(bu - bv)) / (sinh bu sinh bv)
+        x1 = ((math.cosh(a) + math.cosh(bu - bv))
+              / (math.sinh(bu) * math.sinh(bv)))
+        return 2 * math.asinh(math.sqrt(x1 / 2))
     if cu == 0 and cv == 0:
         return 2 * math.asinh(math.exp(a / 2))
     b = bv if cu == 0 else bu
     if b <= 0:
         raise DomainError("hyperbolic b must be positive")
-    return math.acosh((math.exp(a) + math.cosh(b)) / math.sinh(b))
+    # the same form, with cosh l - 1 = (e^a + e^-b) / sinh b
+    x1 = (math.exp(a) + math.exp(-b)) / math.sinh(b)
+    return 2 * math.asinh(math.sqrt(x1 / 2))
 
 
 def psi(tc_tri, tags, g):
@@ -126,7 +130,7 @@ def psi(tc_tri, tags, g):
             u, v = CORNERS_OF_EDGE[m]
             l3.append(edge_length(g, tags.ec[m], tags.vc[u], tags.vc[v],
                                   a3[m], b3[u], b3[v]))
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"coordinates out of range: {exc}") from exc
     if not all(map(math.isfinite, l3 + list(r3))):
         raise DomainError("coordinates out of range")
@@ -465,10 +469,13 @@ def psi_rows(x, vc, ec, g):
             sh = np.sinh(b)
             r = np.where(disk, np.arcsinh(1.0 / sh), 0.0)
             r[disk & np.isinf(sh)] = np.inf  # psi overflows there
-            disks = np.arccosh((np.cosh(a) + np.cosh(bu) * np.cosh(bv))
-                               / (np.sinh(bu) * np.sinh(bv)))
+            # edge_length's forms: l = 2 asinh(√((cosh l - 1) / 2))
+            disks = 2 * np.arcsinh(np.sqrt(
+                (np.cosh(a) + np.cosh(bu - bv))
+                / (np.sinh(bu) * np.sinh(bv)) / 2))
             points = 2 * np.arcsinh(np.exp(a / 2))
-            mixed = np.arccosh((np.exp(a) + np.cosh(bm)) / np.sinh(bm))
+            mixed = 2 * np.arcsinh(np.sqrt(
+                (np.exp(a) + np.exp(-bm)) / np.sinh(bm) / 2))
         l = np.where(ec == 0, r[:, _U] + r[:, _V], np.choose(
             vc[:, _U] + vc[:, _V], (points, mixed, disks)))
     fails.append(("coordinates out of range",

@@ -34,6 +34,11 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 PARTIAL = "FeasibleUnderPartialCheck"
 
+# the method that decided a report
+CONDITIONS_1_3 = "conditions 1-3"
+ENUMERATION = "enumeration"
+SINGLE_STAR = "single-star"
+
 
 @dataclass(frozen=True)
 class AngleData:
@@ -88,7 +93,13 @@ class FeasibilityReport:
     verdict: str
     violations: tuple  # of (condition id, witness, lhs, rhs)
     gauss_bonnet_residual: float
-    partial: bool = False
+    partial: bool
+    # which test decided, and how large its problem was: for
+    # CONDITIONS_1_3 the free edges and the vertices, for ENUMERATION the
+    # hat vertices and the domains whose inequality was evaluated, for
+    # SINGLE_STAR the stars
+    method: str
+    size: dict = field(compare=False)
 
     @property
     def feasible(self):
@@ -103,6 +114,8 @@ class FeasibilityReport:
             ],
             "gauss_bonnet_residual": self.gauss_bonnet_residual,
             "partial": self.partial,
+            "method": self.method,
+            "size": self.size,
         }
 
 
@@ -156,10 +169,15 @@ def _conditions_1_to_3(cc, t):
     return violations, ThetaF, gb_residual, tol
 
 
+def _conditions_size(cc):
+    return {"edges": len(cc.e1), "vertices": len(cc.v0) + len(cc.v1)}
+
+
 def check_feasibility(cc, t, cap=22):
     """Decide polytope membership of the angle data on the complex."""
     violations, ThetaF, gb_residual, tol = _conditions_1_to_3(cc, t)
     partial = False
+    method, size = CONDITIONS_1_3, _conditions_size(cc)
     if not violations:
         theta_ext = theta_extended(cc, t)
         h = hat_complex(cc)
@@ -167,16 +185,20 @@ def check_feasibility(cc, t, cap=22):
         partial = domains.partial
         cond = "E4" if t.geometry == EUCLIDEAN else "H4"
         e0_duals = _e0_dual_indices(h, cc)
+        evaluated = 0
         for d in domains:
             star_of = d.is_open_star_of()
             if star_of is not None and star_of[0] == "v" \
                     and star_of[1] in cc.v0:
                 continue  # condition-2 identity, not a constraint
+            evaluated += 1
             lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF,
                                          e0_duals)
             if not lhs > rhs + tol:
                 violations.append((cond, {"domain": _domain_witness(d)},
                                    lhs, rhs))
+        method = ENUMERATION
+        size = {"hat_vertices": len(h.vertices), "domains": evaluated}
 
     violations.sort(key=lambda v: (v[0], str(v[1])))
     if violations:
@@ -187,7 +209,7 @@ def check_feasibility(cc, t, cap=22):
         verdict = FEASIBLE
     return FeasibilityReport(verdict=verdict, violations=tuple(violations),
                              gauss_bonnet_residual=gb_residual,
-                             partial=partial)
+                             partial=partial, method=method, size=size)
 
 
 def pre_check(cc, t):
@@ -195,12 +217,14 @@ def pre_check(cc, t):
     single-star subset of condition 4.  Infeasible with the violations
     found, or feasible under this partial check."""
     violations, _ThetaF, gb_residual, _tol = _conditions_1_to_3(cc, t)
+    method, size = CONDITIONS_1_3, _conditions_size(cc)
     if not violations:
         violations = single_star_check(cc, t)
+        method, size = SINGLE_STAR, {"stars": len(cc.v1)}
     return FeasibilityReport(
         verdict=INFEASIBLE if violations else PARTIAL,
         violations=tuple(violations), gauss_bonnet_residual=gb_residual,
-        partial=not violations)
+        partial=not violations, method=method, size=size)
 
 
 def _e0_dual_indices(h, cc):

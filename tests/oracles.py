@@ -196,6 +196,73 @@ def generators_connected(h, gens):
     return seen == gens
 
 
+def star_cells(h, hv):
+    """(vmask, emask, fmask) of the open star of hat vertex hv, read off
+    the cell incidences: hv itself and every hat edge and hat face that
+    has hv as a corner."""
+    cc = h.base
+
+    def edge_ends(edge):
+        kind, data = edge
+        if kind == "dual":
+            return {("f", fi) for fi in cc.edge_faces[data]}
+        v, fi = data
+        return {("v", v), ("f", fi)}
+
+    emask = sum(1 << i for i, edge in enumerate(h.edges)
+                if hv in edge_ends(edge))
+    fmask = sum(1 << i for i, hf in enumerate(h.hat_faces)
+                if hv in {("v", hf.corner), ("f", hf.duals[0]),
+                          ("f", hf.duals[1])})
+    return 1 << h.vindex[hv], emask, fmask
+
+
+def admissible_by_subsets(h):
+    """Every admissible domain of h, by trying each subset of hat
+    vertices: [(sorted generators, vmask, emask, fmask, strict)], sorted.
+
+    A subset is kept when it is nonempty and connected in ``h.overlap``
+    (breadth-first search) and the union of its open stars
+    (``star_cells``) is not the whole surface and holds a base vertex.
+    It is strict when no point vertex lies outside the union with an
+    incident cell inside it."""
+    verts = sorted(h.stars)
+    n = len(verts)
+    stars = [star_cells(h, v) for v in verts]
+    nbrs = [[verts.index(w) for w in h.overlap[v]] for v in verts]
+    full = ((1 << len(h.vertices)) - 1, (1 << len(h.edges)) - 1,
+            (1 << len(h.hat_faces)) - 1)
+    points = [star_cells(h, ("v", k)) for k in sorted(h.base.v0)]
+    out = []
+    for subset in range(1, 1 << n):
+        root = (subset & -subset).bit_length() - 1
+        seen, queue = 1 << root, deque([root])
+        while queue:
+            for j in nbrs[queue.popleft()]:
+                if subset >> j & 1 and not seen >> j & 1:
+                    seen |= 1 << j
+                    queue.append(j)
+        if seen != subset:
+            continue
+        members = [i for i in range(n) if subset >> i & 1]
+        vmask = emask = fmask = 0
+        for i in members:
+            vmask |= stars[i][0]
+            emask |= stars[i][1]
+            fmask |= stars[i][2]
+        if (vmask, emask, fmask) == full:
+            continue
+        if not any(verts[i][0] == "v" for i in members):
+            continue
+        strict = not any(
+                not vmask & pv and (emask & pe or fmask & pf)
+                for pv, pe, pf in points)
+        out.append(([verts[i] for i in members], vmask, emask, fmask,
+                    strict))
+    out.sort(key=lambda row: row[0])
+    return out
+
+
 def boundary_touches_by_link(d, hv):
     """The link-walk definition of a boundary vertex: hv is outside the
     domain d and some cell of its link is inside."""

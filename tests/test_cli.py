@@ -180,6 +180,25 @@ class TestValidate:
         assert rc == 3
         assert data["verdict"] == "FeasibleUnderPartialCheck"
 
+    def test_reports_method_and_size(self, tmp_path, bad_instance):
+        # the 519 strict domains of the grid torus less the stars of its
+        # nine point vertices, whose inequality is the condition-2 identity
+        rc, data = run(tmp_path, "validate", "--input", "fixture:grid-torus")
+        assert (data["method"], data["size"]) == (
+            "enumeration", {"hat_vertices": 18, "domains": 510})
+        # an infeasible target on the grid torus with one disk: its 997
+        # strict domains less the stars of its eight point vertices
+        rc, data = run(tmp_path, "validate", "--input", str(bad_instance))
+        assert (rc, data["method"], data["size"]) == (
+            2, "enumeration", {"hat_vertices": 18, "domains": 989})
+        doc = tetrahedron_doc()
+        doc["theta"]["0-1"] = 4.0  # outside (0, pi)
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(doc))
+        rc, data = run(tmp_path, "validate", "--input", str(p))
+        assert (rc, data["method"], data["size"]) == (
+            2, "conditions 1-3", {"edges": 6, "vertices": 4})
+
 
 class TestSolve:
     def test_grid_torus(self, tmp_path):
@@ -208,6 +227,8 @@ class TestSolve:
         assert data["status"] == "Infeasible"
         assert data["residual_norm"] is None
         assert data["feasibility"]["verdict"] == "Infeasible"
+        assert data["feasibility"]["method"] == "single-star"
+        assert data["feasibility"]["size"] == {"stars": 1}
 
     def test_reports_conditions_1_to_3_like_validate(self, tmp_path):
         doc = tetrahedron_doc()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -18,7 +19,9 @@ from hicp import (
     open_star,
     triangulate,
 )
+from hicp import complexes
 from hicp.complexes import (
+    StarBits,
     _connected_generator_sets,
     _small_generator_sets,
     boundary_counts,
@@ -223,6 +226,21 @@ class TestDomains:
             assert not d.is_whole_surface()
             assert d.meets_base_vertices()
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_builds_a_domain_only_for_a_kept_set(self, grid_torus,
+                                                 monkeypatch, strict):
+        built = []
+        real = complexes.Domain
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(complexes, "Domain", counting)
+        ds = admissible_domains(hat_complex(grid_torus), strict=strict,
+                                require_exhaustive=True)
+        assert len(built) == len(ds) == (519 if strict else 199131)
+
     def test_cap(self, genus2):
         h = hat_complex(genus2)
         with pytest.raises(CapExceeded):
@@ -233,28 +251,33 @@ class TestDomains:
 
 
 class TestGeneratorSets:
-    """Both enumerators yield only nonempty generator sets that are
-    connected in the star-overlap graph; admissible_domains relies on
-    it and does not test either property again."""
+    """Both enumerators build only nonempty generator sets that are
+    connected in the star-overlap graph, each with the masks of its
+    union of stars; admissible_domains relies on both and tests neither
+    again."""
+
+    @staticmethod
+    def _check(h, found):
+        sb = StarBits(h)
+        assert found
+        for idx, masks in found:
+            gens = [sb.verts[i] for i in idx]
+            assert oracles.generators_connected(h, gens)
+            d = make_domain(h, gens)
+            assert masks == (d.vmask, d.emask, d.fmask)
 
     @pytest.mark.parametrize("strict_prune", [False, True])
     def test_tetrahedron(self, strict_prune):
         h = hat_complex(build_complex(tetrahedron_spec()))
-        sets = list(_connected_generator_sets(h, strict_prune=strict_prune))
-        assert sets
-        assert all(oracles.generators_connected(h, s) for s in sets)
+        self._check(h, _connected_generator_sets(StarBits(h), strict_prune))
 
     def test_grid_torus_strict_prune(self, grid_torus):
         h = hat_complex(grid_torus)
-        sets = list(_connected_generator_sets(h, strict_prune=True))
-        assert sets
-        assert all(oracles.generators_connected(h, s) for s in sets)
+        self._check(h, _connected_generator_sets(StarBits(h), True))
 
     def test_small_sets(self, genus2):
         h = hat_complex(genus2)
-        sets = list(_small_generator_sets(h))
-        assert sets
-        assert all(oracles.generators_connected(h, s) for s in sets)
+        self._check(h, _small_generator_sets(StarBits(h), False))
 
 
 class TestBoundaryTouches:
@@ -279,6 +302,52 @@ class TestBoundaryTouches:
         self._check(h, [make_domain(h, gens) for gens in (
             [("v", 0)], [("f", 1)], [("v", 0), ("f", 0)],
             [("v", 0), ("v", 1), ("f", 0)])])
+
+
+def _boundary_matches_walk(h, d):
+    cc = h.base
+    e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+    mult, n_v, n_e0 = boundary_counts(h, d, e0_duals)
+    tr = boundary(h, d)
+    walk_mult = {}
+    for ei, m in tr.edge_multiplicities().items():
+        kind, e = h.edges[ei]
+        if kind == "dual":
+            walk_mult[e] = walk_mult.get(e, 0) + m
+    assert mult == walk_mult, sorted(d.generators)
+    assert n_v == tr.count_base_vertices(), sorted(d.generators)
+    assert n_e0 == sum(m for e, m in walk_mult.items() if e in cc.e0)
+
+
+class TestAgainstSubsetOracle:
+    """admissible_domains against every subset of hat vertices
+    (``oracles.admissible_by_subsets``): the same domains with the same
+    masks in the same order, strict and not; and on the domains found,
+    boundary_counts against the walk-based boundary()."""
+
+    @staticmethod
+    def _check(h, walk_every=1):
+        rows = oracles.admissible_by_subsets(h)
+        for strict in (False, True):
+            want = [row[:4] for row in rows if row[4] or not strict]
+            ds = admissible_domains(h, strict=strict, require_exhaustive=True)
+            assert [(sorted(d.generators), d.vmask, d.emask, d.fmask)
+                    for d in ds] == want
+            for d in list(ds)[::1 if strict else walk_every]:
+                _boundary_matches_walk(h, d)
+
+    @pytest.mark.parametrize("v1", [
+        v1 for n in range(5) for v1 in itertools.combinations(range(4), n)])
+    def test_tetrahedron(self, v1):
+        self._check(hat_complex(build_complex(tetrahedron_spec(v1=v1))))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("e0", [(), ((0, 1), (1, 4))])
+    def test_grid_torus(self, e0):
+        # every strict domain is walked, and every 40th of the 199 131
+        # non-strict ones
+        spec = grid_torus_spec(3, v1=(0, 1, 4), e0=e0)
+        self._check(hat_complex(build_complex(spec)), walk_every=40)
 
 
 @pytest.mark.slow
@@ -310,17 +379,7 @@ class TestBoundary:
         h = hat_complex(grid_torus)
         for gens in ([("v", 0)], [("f", 1)], [("v", 0), ("f", 0)],
                      [("v", 0), ("v", 1), ("f", 0)]):
-            d = make_domain(h, gens)
-            tr = boundary(h, d)
-            mult, n_v, n_e0 = boundary_counts(h, d)
-            dual_mult = {}
-            for ei, m in tr.edge_multiplicities().items():
-                kind, key = h.edges[ei]
-                if kind == "dual":
-                    dual_mult[key] = dual_mult.get(key, 0) + m
-            assert mult == dual_mult
-            assert n_v == tr.count_base_vertices()
-            assert n_e0 == 0
+            _boundary_matches_walk(h, make_domain(h, gens))
 
     def test_puncture(self, grid_torus):
         h = hat_complex(grid_torus)

@@ -123,6 +123,27 @@ class TestPsi:
             assert vertex_radius(HYPERBOLIC, 1, bu) == pytest.approx(
                 oracles.hyp_radius(bu), rel=1e-14)
 
+    def test_short_hyperbolic_lengths_keep_their_digits(self):
+        # l = acosh(x) near x = 1 multiplies the rounding of x by about
+        # 1 / (l tanh l), up to 1e-12 relative on these samples; the asinh
+        # form keeps both kernels within a few ulp of mpmath
+        rng = random.Random(8)
+        n = 400
+        dd = [(rng.uniform(-3, 3), rng.uniform(0.2, 6), rng.uniform(0.2, 6))
+              for _ in range(n)]
+        mixed = [(rng.uniform(-6, 0), rng.uniform(0.2, 6)) for _ in range(n)]
+        want = ([oracles.hyp_v1v1_length(*p) for p in dd]
+                + [oracles.hyp_v0v1_length(*p) for p in mixed])
+        scalar = ([edge_length(HYPERBOLIC, 1, 1, 1, *p) for p in dd]
+                  + [edge_length(HYPERBOLIC, 1, 0, 1, a, 0.0, b)
+                     for a, b in mixed])
+        x = np.array([[a, a, a, bu, bv, bv] for a, bu, bv in dd]
+                     + [[a, a, a, 0.0, b, b] for a, b in mixed])
+        vc = np.array([[1, 1, 1]] * n + [[0, 1, 1]] * n)
+        l, _r, _fails = geo.psi_rows(x, vc, np.ones_like(vc), HYPERBOLIC)
+        assert scalar == pytest.approx(want, rel=2e-15, abs=0)
+        assert list(l[:, 0]) == pytest.approx(want, rel=2e-15, abs=0)
+
     def test_point_vertex_radius_is_zero(self):
         assert vertex_radius(EUCLIDEAN, 0, 123.0) == 0.0
         assert vertex_radius(HYPERBOLIC, 0, 123.0) == 0.0
@@ -513,12 +534,9 @@ def test_psi_surface_matches_scalar(name, g, seed, kind, size):
                 geo.psi_surface(T, tc, g)
             return
     er = geo.psi_surface(T, tc, g)
-    # arccosh near 1 amplifies rounding: on short hyperbolic disk-disk
-    # edges (l ~ 0.17) the two differ by up to 2.4e-14, and each is about
-    # 1e-14 from the exact length; elsewhere they agree to 1e-14
     for tri, (l3, r3) in zip(T.triangles, ref):
         got_l, got_r = oracles.tri_er(T, er, tri)
-        assert got_l == pytest.approx(l3, rel=5e-14, abs=0)
+        assert got_l == pytest.approx(l3, rel=1e-14, abs=0)
         assert got_r == pytest.approx(r3, rel=1e-14, abs=0)
 
 
