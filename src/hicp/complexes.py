@@ -181,9 +181,10 @@ def build_complex(spec):
         faces.append(f)
 
     # Each unordered pair must be covered by exactly two face sides.
+    fedges = [face_edges(f) for f in faces]
     side_count = {}
-    for f in faces:
-        for e in face_edges(f):
+    for es in fedges:
+        for e in es:
             side_count[e] = side_count.get(e, 0) + 1
     for e, c in side_count.items():
         if c != 2:
@@ -193,7 +194,7 @@ def build_complex(spec):
                 )
             raise NotClosedSurface(f"edge {e} bounds {c} face side(s), expected 2")
 
-    faces = _orient_faces(faces)
+    faces = _orient_faces(faces, fedges)
 
     edges = tuple(sorted(side_count))
     edge_faces = {}
@@ -207,17 +208,20 @@ def build_complex(spec):
     edge_faces = {e: tuple(p) for e, p in edge_faces.items()}
 
     # Pairwise face regularity, over the pairs (fi < fj) of faces that
-    # meet at a vertex, in lexicographic order.
+    # meet at a vertex, in lexicographic order.  Orienting a face keeps
+    # its vertex and edge sets.
     faces_at = {}
     for fi, f in enumerate(faces):
         for v in f:
             faces_at.setdefault(v, []).append(fi)
+    vsets = [set(f) for f in faces]
+    esets = [set(es) for es in fedges]
     for fi, f in enumerate(faces):
         for fj in sorted({fj for v in f for fj in faces_at[v] if fj > fi}):
-            common = set(faces[fi]) & set(faces[fj])
+            common = vsets[fi] & vsets[fj]
             if len(common) < 2:
                 continue
-            shared = set(face_edges(faces[fi])) & set(face_edges(faces[fj]))
+            shared = esets[fi] & esets[fj]
             if len(shared) > 1:
                 raise RegularityViolation(
                     f"faces {faces[fi]} and {faces[fj]} share {len(shared)} edges"
@@ -256,18 +260,17 @@ def build_complex(spec):
     if cc.chi % 2 != 0 or cc.chi > 2:
         raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "
                                "a closed oriented surface")
-    _check_connected(cc)
+    _check_connected(cc, fedges)
     return cc
 
 
-def _orient_faces(faces):
-    """Flip face cycles so every edge is traversed once in each direction."""
+def _orient_faces(faces, fedges):
+    """Flip face cycles so every edge is traversed once in each direction;
+    fedges[fi] is face_edges(faces[fi])."""
     sides = {}  # edge -> list of (face index, direction is increasing?)
-    for fi, f in enumerate(faces):
-        n = len(f)
-        for t in range(n):
-            a, b = f[t], f[(t + 1) % n]
-            sides.setdefault(edge_key(a, b), []).append((fi, a < b))
+    for fi, (f, es) in enumerate(zip(faces, fedges)):
+        for a, e in zip(f, es):
+            sides.setdefault(e, []).append((fi, a == e[0]))
     flip = {}
     for root in range(len(faces)):
         if root in flip:
@@ -276,11 +279,7 @@ def _orient_faces(faces):
         queue = [root]
         while queue:
             fi = queue.pop()
-            f = faces[fi]
-            n = len(f)
-            for t in range(n):
-                a, b = f[t], f[(t + 1) % n]
-                e = edge_key(a, b)
+            for e in fedges[fi]:
                 (f1, d1), (f2, d2) = sides[e]
                 other, dthis, dother = (f2, d1, d2) if f1 == fi else (f1, d2, d1)
                 if other == fi:
@@ -304,14 +303,14 @@ def _orient_faces(faces):
     return [tuple(reversed(f)) if flip[fi] else f for fi, f in enumerate(faces)]
 
 
-def _check_connected(cc):
+def _check_connected(cc, fedges):
     if not cc.faces:
         raise NotClosedSurface("empty complex")
     seen = {0}
     queue = [0]
     while queue:
         fi = queue.pop()
-        for e in face_edges(cc.faces[fi]):
+        for e in fedges[fi]:
             for g in cc.edge_faces[e]:
                 if g not in seen:
                     seen.add(g)
@@ -375,32 +374,43 @@ class Triangulation:
         # by 1.2 MB
         import numpy as np
         cc = self.base
-        free = self.free_edges
-        a_slot = {e: m for m, e in enumerate(free)}
-        b_slot = {k: len(free) + m for m, k in enumerate(self.v1_vertices)}
-        eindex = {e: m for m, e in enumerate(self.edges)}
-        vindex = {v: m for m, v in enumerate(cc.vertices)}
-        vc, ec, slots, edge, vert = [], [], [], [], []
-        for tri in self.triangles:
-            i, j, k = tri.verts
-            es = [edge_key(u, v) for u, v in ((i, j), (j, k), (k, i))]
-            vc.append([cc.vertex_class(v) for v in tri.verts])
-            ec.append([self.edge_class(e) for e in es])
-            slots.append([a_slot.get(e, -1) for e in es]
-                         + [b_slot.get(v, -1) for v in tri.verts])
-            edge.append([eindex[e] for e in es])
-            vert.append([vindex[v] for v in tri.verts])
-        return TriIndex(vc=np.array(vc), ec=np.array(ec),
-                        slots=np.array(slots), edge=np.array(edge),
-                        vert=np.array(vert),
-                        n_free=len(a_slot) + len(b_slot))
+        verts = cc.vertices
+        vindex = {v: m for m, v in enumerate(verts)}
+        F, E, nv = len(self.triangles), len(self.edges), len(verts)
+        vert = np.fromiter(
+            map(vindex.__getitem__,
+                (v for tri in self.triangles for v in tri.verts)),
+            int, 3 * F).reshape(F, 3)
+        # T.edges is sorted, and so are the vertices: an edge's position
+        # is the rank of its (lower, upper) vertex positions
+        ends = np.fromiter(map(vindex.__getitem__,
+                               (v for e in self.edges for v in e)),
+                           int, 2 * E).reshape(E, 2)
+        heads = vert[:, [1, 2, 0]]  # column m runs from vert[m] to heads[m]
+        edge = np.searchsorted(
+            ends[:, 0] * nv + ends[:, 1],
+            np.minimum(vert, heads) * nv + np.maximum(vert, heads))
+        vclass = np.fromiter(map(cc.vertex_class, verts), int, nv)
+        eclass = np.fromiter(map(self.edge_class, self.edges), int, E)
+        free, disk = eclass != 0, vclass == 1
+        n_a = int(free.sum())
+        a_slot = np.where(free, np.cumsum(free) - 1, -1)
+        b_slot = np.where(disk, n_a + np.cumsum(disk) - 1, -1)
+        # every edge lies in exactly two triangles (triangulate checks):
+        # its two (row, column) cells, the lesser row first
+        cells = np.argsort(edge.ravel(), kind="stable").reshape(E, 2)
+        return TriIndex(vc=vclass[vert], ec=eclass[edge],
+                        slots=np.concatenate([a_slot[edge], b_slot[vert]],
+                                             axis=1),
+                        edge=edge, vert=vert, n_free=n_a + int(disk.sum()),
+                        edge_tri=cells // 3, edge_col=cells % 3)
 
 
 @dataclass(frozen=True, eq=False)
 class TriIndex:
     """A triangulation as integer arrays of shape (F, 3) or (F, 6), one
-    row per triangle.  Columns follow the kernel's order: edges ij, jk,
-    ki and corners i, j, k."""
+    row per triangle, and (E, 2), one row per edge.  Columns follow the
+    kernel's order: edges ij, jk, ki and corners i, j, k."""
 
     vc: np.ndarray  # corner classes: 1 disk, 0 point circle
     ec: np.ndarray  # edge classes: 0 E0, 1 E1, 2 fan diagonal
@@ -411,6 +421,10 @@ class TriIndex:
     edge: np.ndarray  # edge positions in ``Triangulation.edges``
     vert: np.ndarray  # vertex positions in ``CellComplex.vertices``
     n_free: int  # number of free variables
+    # per edge of ``Triangulation.edges``: its two triangles, as in
+    # ``edge_triangles``, and its column in each
+    edge_tri: np.ndarray
+    edge_col: np.ndarray
 
 
 def triangulate(cc):
@@ -656,13 +670,6 @@ class Domain:
 
     def meets_base_vertices(self):
         return self.hat.meets_base(self.vmask)
-
-    def boundary_touches(self, hv):
-        """True when hat vertex hv lies on the topological boundary: it is
-        outside the domain and some cell of its link is inside."""
-        h = self.hat
-        link = (1 << h.vindex[hv], *h.link_masks[hv])
-        return h.touches_boundary([link], self.vmask, self.emask, self.fmask)
 
     def is_strict(self):
         """No point vertex on the boundary (Def. of strict admissibility)."""

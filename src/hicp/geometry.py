@@ -502,6 +502,37 @@ def er_failures(l, r, vc, ec):
         ]
 
 
+def frames(p, q, g):
+    """frame on arrays: the isometries sending each p to 0 and the q of
+    the same index onto the positive real axis, and their inverses."""
+    if g == EUCLIDEAN:
+        u = (q - p) / np.abs(q - p)
+        uc = u.conj()
+        return (lambda z: (z - p) * uc), (lambda z: p + u * z)
+    pc = p.conj()
+    u = (q - p) / (1 - pc * q)
+    u = u / np.abs(u)
+    uc = u.conj()
+
+    def fwd(z):
+        return (z - p) / (1 - pc * z) * uc
+
+    def inv(z):
+        w = u * z
+        return (w + p) / (1 + pc * w)
+
+    return fwd, inv
+
+
+def disk_circle_reps(z, r):
+    """disk_circle_rep on arrays of centers z and radii r."""
+    az = np.abs(z)
+    rho = 2 * np.arctanh(az)
+    t1, t2 = np.tanh((rho - r) / 2), np.tanh((rho + r) / 2)
+    u = np.where(az > 0, z / az, 1.0)
+    return u * ((t1 + t2) / 2), (t2 - t1) / 2
+
+
 def _radical_centers(p, rad):
     """radical_center per row of (N, 3) complex centers and radii:
     centers, squared radii and the determinant of the linear solve."""
@@ -551,13 +582,9 @@ def decorated_triangles(x, vc, ec, g, tri=None):
             center, R2, det = _radical_centers(z, r)
             R = np.sqrt(R2)
         else:
-            # the vertex circles' Euclidean representatives in the disk
-            # (disk_circle_rep), then rep_to_hyperbolic of their circle
-            az = np.abs(z)
-            rho = 2 * np.arctanh(az)
-            t1, t2 = np.tanh((rho - r) / 2), np.tanh((rho + r) / 2)
-            u = np.where(az > 0, z / az, 1.0)
-            o, R2, det = _radical_centers(u * ((t1 + t2) / 2), (t2 - t1) / 2)
+            # the vertex circles' Euclidean representatives in the disk,
+            # then rep_to_hyperbolic of their circle
+            o, R2, det = _radical_centers(*disk_circle_reps(z, r))
             Re = np.sqrt(R2)
             d = np.abs(o)
             far, near = 2 * np.arctanh(d + Re), 2 * np.arctanh(d - Re)
@@ -568,15 +595,11 @@ def decorated_triangles(x, vc, ec, g, tri=None):
         if g == HYPERBOLIC:
             fails.append(("face circle leaves the hyperbolic plane",
                           ~(d + Re < 1.0)))
-        # alpha from the center w in each edge's frame (frame's formulas)
-        p, q, w = z[:, _U], z[:, _V], center[:, None]
+        # alpha from the center w in each edge's frame
+        w = frames(z[:, _U], z[:, _V], g)[0](center[:, None])
         if g == EUCLIDEAN:
-            w = (w - p) * ((q - p) / np.abs(q - p)).conj()
             c = w.imag / R[:, None]
         else:
-            pc = p.conj()
-            u = (q - p) / (1 - pc * q)
-            w = (w - p) / (1 - pc * w) * (u / np.abs(u)).conj()
             c = 2 * w.imag / (1 - np.abs(w) ** 2) / np.sinh(R)[:, None]
         alpha = np.where(free, np.arccos(np.clip(c, -1.0, 1.0)), 0.0)
         fails.append(("angles not finite",
@@ -1015,18 +1038,55 @@ def psi_surface(T, tc, g):
 
 
 def psi_inv_surface(T, er, g):
+    """psi_inv on every vertex and edge of T at once, each edge by its
+    endpoint classes (inv_radius, inv_edge): b on the disks and a on the
+    non-E0 edges.  Raises InvariantViolation at a disk with r <= 0 or an
+    edge whose a is not defined."""
     check_geometry(g)
     cc = T.base
-    b = {v: inv_radius(g, 1, er.r[v]) for v in cc.v1}
-    a = {}
-    for e in T.edges:
-        if e in cc.e0:
-            continue
-        u, v = e
-        a[e] = inv_edge(g, 1, cc.vertex_class(u), cc.vertex_class(v),
-                        er.l[e], er.r[u], er.r[v],
-                        b.get(u, 0.0), b.get(v, 0.0))
-    return TetraCoords(a=a, b=b)
+    ix = T.tri_index
+    v1 = list(cc.v1)
+    bad = [v for v in v1 if er.r[v] <= 0]
+    if bad:
+        raise InvariantViolation(f"positive-circle vertex with r = "
+                                 f"{er.r[bad[0]]}")
+    verts = cc.vertices
+    r = np.array([er.r[v] for v in verts], dtype=float)
+    l = np.array([er.l[e] for e in T.edges], dtype=float)
+    vclass = np.fromiter(map(cc.vertex_class, verts), int, len(verts))
+    free = np.empty(len(l), bool)
+    free[ix.edge] = ix.ec != 0
+    # each edge's (lower, upper) vertex positions from its first cell
+    t, m = ix.edge_tri[:, 0], ix.edge_col[:, 0]
+    p, q = ix.vert[t, m], ix.vert[t, (m + 1) % 3]
+    u, v = np.minimum(p, q), np.maximum(p, q)
+    cu, cv = vclass[u], vclass[v]
+    ru, rv = r[u], r[v]
+    rm = np.where(cu == 0, rv, ru)  # the disk end of a mixed edge
+    with np.errstate(all="ignore"):
+        if g == EUCLIDEAN:
+            b = np.where(vclass == 1, -np.log(r), 0.0)
+            disks = np.arccosh((l * l - ru * ru - rv * rv) / (2 * ru * rv))
+            points = 2 * np.log(l)
+            mixed = np.log((l * l - rm * rm) / rm)
+        else:
+            b = np.where(vclass == 1, np.arcsinh(1.0 / np.sinh(r)), 0.0)
+            bu, bv = b[u], b[v]
+            bm = np.where(cu == 0, bv, bu)
+            disks = np.arccosh(np.cosh(l) * np.sinh(bu) * np.sinh(bv)
+                               - np.cosh(bu) * np.cosh(bv))
+            points = 2 * np.log(np.sinh(l / 2))
+            mixed = np.log(np.cosh(l) * np.sinh(bm) - np.cosh(bm))
+        a = np.choose(cu + cv, (points, mixed, disks))
+    undefined = free & ~np.isfinite(a)
+    if undefined.any():
+        k = int(np.argmax(undefined))
+        raise InvariantViolation(
+            f"edge {T.edges[k]}: no coordinate a for l = {l[k]}")
+    b_at = dict(zip(verts, b.tolist()))
+    return TetraCoords(
+        a={e: x for e, x, f in zip(T.edges, a.tolist(), free) if f},
+        b={k: b_at[k] for k in v1})
 
 
 def check_er_surface(T, er, g):

@@ -1,26 +1,24 @@
 """Development of a solved metric into planar or Poincare-disk charts,
 per-edge circle-intersection angles, redundant-diagonal merging,
-Gauss-Bonnet accounting, and SVG/JSON export."""
+Gauss-Bonnet accounting, and SVG/JSON export.
+
+Everything is computed on the arrays of the one kernel call
+(``geometry.decorate_surface``) and ``Triangulation.tri_index``: theta
+of every edge in one pass, and the chart by moving the triangles of each
+breadth-first level onto their parents in one array step.  The dict
+fields of ``SurfaceLayout`` are built once at the end."""
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry as geo
-from .complexes import edge_key
 from .errors import InvariantViolation, IoError, NonRedundantDiagonal
-from .geometry import (
-    EUCLIDEAN,
-    HYPERBOLIC,
-    check_geometry,
-    disk_circle_rep,
-    model_distance,
-)
+from .geometry import EUCLIDEAN, HYPERBOLIC, check_geometry
 
 # |theta - pi| below which a fan diagonal counts as redundant
 MERGE_TOL = 1e-6
@@ -28,23 +26,30 @@ VIEWPORT = 1000  # SVG width and height
 
 
 # ---------------------------------------------------------------------------
-# Model-plane primitives
+# Model-plane primitives, on arrays
+
+
+def _distance(z, w, g):
+    """model_distance on arrays."""
+    if g == EUCLIDEAN:
+        return np.abs(z - w)
+    return 2 * np.arctanh(np.abs(z - w) / np.abs(1 - z.conj() * w))
 
 
 def circle_intersection_angle(c1, R1, c2, R2, g):
-    """Intersection angle of two face circles from their centers and
-    radii (inverse of dual_edge_length)."""
-    h = model_distance(c1, c2, g)
-    dR = abs(R1 - R2)
+    """Intersection angles of pairs of face circles from their centers
+    and radii (inverse of dual_edge_length), on arrays."""
+    h = _distance(c1, c2, g)
+    dR = np.abs(R1 - R2)
     # half-angle form: stable near tangency (theta near 0 or pi)
     if g == EUCLIDEAN:
         s2 = (R1 + R2 - h) * (R1 + R2 + h)
         c2 = (h - dR) * (h + dR)
     else:
-        s2 = math.cosh(R1 + R2) - math.cosh(h)
-        c2 = math.cosh(h) - math.cosh(dR)
-    return 2 * math.atan2(math.sqrt(max(0.0, s2)),
-                          math.sqrt(max(0.0, c2)))
+        s2 = np.cosh(R1 + R2) - np.cosh(h)
+        c2 = np.cosh(h) - np.cosh(dR)
+    return 2 * np.arctan2(np.sqrt(np.fmax(0.0, s2)),
+                          np.sqrt(np.fmax(0.0, c2)))
 
 
 # ---------------------------------------------------------------------------
@@ -65,61 +70,91 @@ class SurfaceLayout:
     radii: dict  # vertex -> r
     tree_edges: tuple = ()
     areas: dict = field(default_factory=dict)  # chart key -> area (hyp)
-    # per triangle: the kernel's placement ({vertex: position}) and its
-    # face circle (center, R) there
-    placed: tuple = ()
+    # the kernel's DecoratedTriangles: per triangle its placement z and
+    # its face circle (center, R) there
+    placed: object = None
 
     @property
     def base(self):
         return self.T.base
 
 
-def _glue(T, placed, tis, g):
-    """Develop the triangles tis, connected across shared edges, into one
-    chart: the first keeps its kernel placement, and each next one is
-    moved by one isometry onto a placed neighbour (breadth first,
-    least-id edges first).  Returns per triangle its positions and circle
-    in the chart, and the crossed edges as (from, to, edge)."""
-    members = set(tis)
-    root = tis[0]
-    charts = {root: placed[root]}
+def _glue(ix, dt, group, g):
+    """Develop each group of triangles (``group[ti]`` labels them), each
+    connected across shared edges, into one chart: its least triangle
+    keeps its kernel placement, and the breadth-first tree from it, least
+    edge first, is moved level by level, each child by one isometry onto
+    its placed parent.  Returns the chart positions (F, 3) and circle
+    centers (F,), and the tree as (parent, child, edge position) arrays
+    in breadth-first order."""
+    F = len(group)
+    # per (triangle, column): the triangle across that edge and the
+    # edge's column there
+    nb, nb_col = np.empty((F, 3), int), np.empty((F, 3), int)
+    t, m = ix.edge_tri, ix.edge_col
+    nb[t, m], nb_col[t, m] = t[:, ::-1], m[:, ::-1]
+    by_edge = np.argsort(ix.edge, axis=1)
+    z, center = dt.z.copy(), dt.center.copy()
+    frontier = np.unique(group, return_index=True)[1]
+    seen = np.zeros(F, bool)
+    seen[frontier] = True
     tree = []
-    queue = deque([root])
-    while queue:
-        ti = queue.popleft()
-        pos = charts[ti][0]
-        vs = T.triangles[ti].verts
-        for e, a, b in sorted((edge_key(vs[m], vs[(m + 1) % 3]),
-                               vs[m], vs[(m + 1) % 3]) for m in range(3)):
-            o1, o2 = T.edge_triangles[e]
-            nb = o2 if o1 == ti else o1
-            if nb not in members or nb in charts:
-                continue
-            tree.append((ti, nb, e))
-            npos, (c, R) = placed[nb]
-            w = next(x for x in npos if x not in e)
-            # one isometry: the neighbour's b to 0 and its a onto the
-            # positive real axis, then onto the chart's b and a (the
-            # neighbour traverses e in the opposite direction, b -> a)
-            fwd = geo.frame(npos[b], npos[a], g)[0]
-            inv = geo.frame(pos[b], pos[a], g)[1]
-            charts[nb] = ({a: pos[a], b: pos[b], w: inv(fwd(npos[w]))},
-                          (inv(fwd(c)), R))
-            queue.append(nb)
-    return charts, tree
+    while frontier.size:
+        par = np.repeat(frontier, 3)
+        pc = by_edge[frontier].ravel()
+        ch = nb[par, pc]
+        keep = (group[ch] == group[par]) & ~seen[ch]
+        par, pc, ch = par[keep], pc[keep], ch[keep]
+        first = np.sort(np.unique(ch, return_index=True)[1])
+        par, pc, ch = par[first], pc[first], ch[first]
+        seen[ch] = True
+        # the parent traverses the shared edge a -> b and the child b -> a:
+        # the child's b to 0 and its a onto the positive real axis, then
+        # onto the parent's b and a in the chart
+        cb = nb_col[par, pc]
+        ca, cw = (cb + 1) % 3, (cb + 2) % 3
+        pa, pb = z[par, pc], z[par, (pc + 1) % 3]
+        fwd = geo.frames(dt.z[ch, cb], dt.z[ch, ca], g)[0]
+        inv = geo.frames(pb, pa, g)[1]
+        z[ch, cb], z[ch, ca] = pb, pa
+        z[ch, cw] = inv(fwd(dt.z[ch, cw]))
+        center[ch] = inv(fwd(dt.center[ch]))
+        tree.append((par, ch, ix.edge[par, pc]))
+        frontier = ch
+    return z, center, [np.concatenate(col) for col in zip(*tree)]
 
 
-def _pair_theta(T, placed, e, g):
-    """theta of edge e = (u, v) from the kernel circles of its two
-    triangles, each moved into the frame of e (u at 0, v on the positive
-    real axis), where the triangles lie on opposite sides."""
-    u, v = e
-    circles = []
-    for ti in T.edge_triangles[e]:
-        pos, (c, R) = placed[ti]
-        circles.append((geo.frame(pos[u], pos[v], g)[0](c), R))
-    (c1, R1), (c2, R2) = circles
-    return circle_intersection_angle(c1, R1, c2, R2, g)
+def _theta(T, dt, g, alpha_sum):
+    """theta of every edge, in ``T.edges`` order: on each edge that is
+    not E0, from the kernel circles of its two triangles, each moved into
+    the frame of the edge (u at 0, v on the positive real axis), where
+    the triangles lie on opposite sides; the class-forced 0 on E0 edges.
+    Raises InvariantViolation at the first edge where theta and the alpha
+    sum disagree."""
+    ix = T.tri_index
+    free = np.empty(len(T.edges), bool)
+    free[ix.edge] = ix.ec != 0
+    t, m = ix.edge_tri[free], ix.edge_col[free]
+    n = (m + 1) % 3
+    up = ix.vert[t, m] < ix.vert[t, n]  # the column traverses u -> v
+    zm, zn = dt.z[t, m], dt.z[t, n]
+    theta = np.zeros(len(T.edges))
+    with np.errstate(all="ignore"):
+        w = geo.frames(np.where(up, zm, zn), np.where(up, zn, zm),
+                       g)[0](dt.center[t])
+        R = dt.R[t]
+        theta[free] = circle_intersection_angle(w[:, 0], R[:, 0],
+                                                w[:, 1], R[:, 1], g)
+        # the angle is a sqrt-sensitive function of the circle data near
+        # tangency, so scale the agreement tolerance by the conditioning
+        tol = 1e-9 / np.maximum(np.sin(alpha_sum), 1e-3)
+        bad = free & (np.abs(theta - alpha_sum) > tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvariantViolation(
+            f"edge {T.edges[k]}: circle angle {float(theta[k])} != "
+            f"alpha sum {float(alpha_sum[k])}")
+    return theta
 
 
 def develop(T, tc, g):
@@ -132,43 +167,32 @@ def develop(T, tc, g):
     ix = T.tri_index
     dt = geo.decorate_surface(T, tc, g)
     er = geo.edge_radii(T, dt.l, dt.r)
-    alpha_sum = dict(zip(T.edges, np.bincount(
-        ix.edge.ravel(), weights=dt.alpha.ravel(),
-        minlength=len(T.edges)).tolist()))
+    asum = np.bincount(ix.edge.ravel(), weights=dt.alpha.ravel(),
+                       minlength=len(T.edges))
     verts = T.base.vertices
     beta_sum = dict(zip(verts, np.bincount(
         ix.vert.ravel(), weights=dt.beta.ravel(),
         minlength=len(verts)).tolist()))
-    placed = [(dict(zip(tri.verts, zs)), (c, R)) for tri, zs, c, R in zip(
-        T.triangles, dt.z.tolist(), dt.center.tolist(), dt.R.tolist())]
     areas = {}
     if g == HYPERBOLIC:
         areas = dict(enumerate((math.pi - dt.beta.sum(axis=1)).tolist()))
 
-    glued, tree = _glue(T, placed, range(len(T.triangles)), g)
-    charts = {ti: {"verts": [(v, pos[v]) for v in T.triangles[ti].verts],
-                   "circle": circle}
-              for ti, (pos, circle) in glued.items()}
+    z, center, (par, ch, edge) = _glue(ix, dt, np.zeros(len(T.triangles),
+                                                          int), g)
+    zs, cs, Rs = z.tolist(), center.tolist(), dt.R.tolist()
+    charts = {ti: {"verts": list(zip(T.triangles[ti].verts, zs[ti])),
+                   "circle": (cs[ti], Rs[ti])}
+              for ti in [0, *ch.tolist()]}
+    tree = tuple(zip(par.tolist(), ch.tolist(),
+                     map(T.edges.__getitem__, edge.tolist())))
 
-    theta = {}
-    for e in T.edges:
-        if e in T.base.e0:
-            theta[e] = 0.0
-            continue
-        th = _pair_theta(T, placed, e, g)
-        # the angle is a sqrt-sensitive function of the circle data near
-        # tangency, so scale the agreement tolerance by the conditioning
-        tol = 1e-9 / max(math.sin(alpha_sum[e]), 1e-3)
-        if abs(th - alpha_sum[e]) > tol:
-            raise InvariantViolation(
-                f"edge {e}: circle angle {th} != alpha sum {alpha_sum[e]}")
-        theta[e] = th
+    theta = dict(zip(T.edges, _theta(T, dt, g, asum).tolist()))
 
     return SurfaceLayout(
         geometry=g, T=T, er=er, merged=False, charts=charts,
-        theta=theta, alpha_sum=alpha_sum,
-        Theta=beta_sum, radii=dict(er.r), tree_edges=tuple(tree),
-        areas=areas, placed=tuple(placed))
+        theta=theta, alpha_sum=dict(zip(T.edges, asum.tolist())),
+        Theta=beta_sum, radii=dict(er.r), tree_edges=tree,
+        areas=areas, placed=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -210,39 +234,42 @@ def merge_redundant(sl):
     T = sl.T
     cc = T.base
     g = sl.geometry
-    er = sl.er
-    for e in T.e_pi:
-        if abs(sl.theta[e] - math.pi) > MERGE_TOL:
-            raise NonRedundantDiagonal(
-                f"diagonal {e}: theta = {sl.theta[e]}")
+    diags = list(T.e_pi)
+    off = np.abs(np.array([sl.theta[e] for e in diags]) - math.pi) > MERGE_TOL
+    if off.any():
+        e = diags[int(np.argmax(off))]
+        raise NonRedundantDiagonal(f"diagonal {e}: theta = {sl.theta[e]}")
 
-    face_tris = {}
-    for ti, tri in enumerate(T.triangles):
-        face_tris.setdefault(tri.face, []).append(ti)
+    # every fan glued from its face's first triangle, crossing diagonals
+    face = np.fromiter((tri.face for tri in T.triangles), int,
+                       len(T.triangles))
+    z, center, _tree = _glue(T.tri_index, sl.placed, face, g)
+    first = np.unique(face, return_index=True)[1]
+    root = first[face]
+    R = sl.placed.R
+    with np.errstate(all="ignore"):
+        apart = ((_distance(center[root], center, g) > 10 * MERGE_TOL)
+                 | (np.abs(R - R[root]) > 10 * MERGE_TOL))
+    if apart.any():
+        fi = int(face[np.argmax(apart)])
+        raise NonRedundantDiagonal(f"face {cc.faces[fi]}: fan circles "
+                                   "disagree")
 
-    charts = {}
-    for fi, f in enumerate(cc.faces):
-        fan, _tree = _glue(T, sl.placed, face_tris[fi], g)
-        pos = {}
-        for p, _circle in fan.values():
-            pos.update(p)
-        c0, R0 = fan[face_tris[fi][0]][1]
-        for _p, (c, R) in fan.values():
-            if (model_distance(c0, c, g) > 10 * MERGE_TOL
-                    or abs(R - R0) > 10 * MERGE_TOL):
-                raise NonRedundantDiagonal(
-                    f"face {f}: fan circles disagree")
-        charts[fi] = {"verts": [(v, pos[v]) for v in f],
-                      "circle": (c0, R0)}
-
-    theta = {e: sl.theta[e] for e in cc.edges}
+    pos = [{} for _f in cc.faces]
+    for tri, zs in zip(T.triangles, z.tolist()):
+        pos[tri.face].update(zip(tri.verts, zs))
+    circles = list(zip(center[first].tolist(), R[first].tolist()))
+    charts = {fi: {"verts": [(v, pos[fi][v]) for v in f],
+                   "circle": circles[fi]}
+              for fi, f in enumerate(cc.faces)}
     areas = {}
     if g == HYPERBOLIC:
-        for fi, f in enumerate(cc.faces):
-            areas[fi] = sum(sl.areas[ti] for ti in face_tris[fi])
+        areas = dict(enumerate(np.bincount(
+            face, weights=[sl.areas[ti] for ti in range(len(face))]).tolist()))
     return SurfaceLayout(
-        geometry=g, T=T, er=er, merged=True, charts=charts,
-        theta=theta, alpha_sum={e: sl.alpha_sum[e] for e in cc.edges},
+        geometry=g, T=T, er=sl.er, merged=True, charts=charts,
+        theta={e: sl.theta[e] for e in cc.edges},
+        alpha_sum={e: sl.alpha_sum[e] for e in cc.edges},
         Theta=dict(sl.Theta), radii=dict(sl.radii),
         tree_edges=sl.tree_edges, areas=areas, placed=sl.placed)
 
@@ -282,57 +309,71 @@ def layout_to_dict(sl):
 def export_json(sl, path):
     try:
         with open(path, "w") as fh:
-            json.dump(layout_to_dict(sl), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(layout_to_dict(sl), sort_keys=True,
+                                indent=1) + "\n")
     except OSError as exc:
         raise IoError(str(exc))
 
 
-def _svg_geodesic(z1, z2, g, scale, off):
-    def sp(z):
-        return (off + scale * z.real, off - scale * z.imag)
+_PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
+_LINE = '<path d="M %.3f %.3f L %.3f %.3f"' + _PATH
+_ARC = '<path d="M %.3f %.3f A %.3f %.3f 0 0 %d %.3f %.3f"' + _PATH
+_CIRCLE = ('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="%s" '
+           'stroke-width="0.8"/>')
+_POINT = '<circle cx="%.3f" cy="%.3f" r="2" fill="#cc3333"/>'
 
-    x1, y1 = sp(z1)
-    x2, y2 = sp(z2)
+
+def _geodesics(z1, z2, g, scale, off):
+    """The SVG path of the chart geodesic from each z1 to its z2: a line
+    segment, or in the disk the arc of the circle orthogonal to the unit
+    circle through both points."""
+    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    ends = [off + scale * x1, off - scale * y1,
+            off + scale * x2, off - scale * y2]
     if g == EUCLIDEAN:
-        return f'M {x1:.3f} {y1:.3f} L {x2:.3f} {y2:.3f}'
-    # geodesic arc: circle orthogonal to the unit circle through z1, z2
-    cross = (z1.conjugate() * z2).imag
-    if abs(cross) < 1e-9:
-        return f'M {x1:.3f} {y1:.3f} L {x2:.3f} {y2:.3f}'
-    # solve 2 c . z = |z|^2 + 1 for both points
-    a1, b1, c1 = 2 * z1.real, 2 * z1.imag, abs(z1) ** 2 + 1
-    a2, b2, c2 = 2 * z2.real, 2 * z2.imag, abs(z2) ** 2 + 1
-    det = a1 * b2 - a2 * b1
-    cx = (c1 * b2 - c2 * b1) / det
-    cy = (a1 * c2 - a2 * c1) / det
-    c = complex(cx, cy)
-    r = abs(z1 - c) * scale
-    sweep = 1 if ((z1 - c).conjugate() * (z2 - c)).imag < 0 else 0
-    return (f'M {x1:.3f} {y1:.3f} A {r:.3f} {r:.3f} 0 0 {sweep} '
-            f'{x2:.3f} {y2:.3f}')
+        return list(map(_LINE.__mod__, zip(*(c.tolist() for c in ends))))
+    with np.errstate(all="ignore"):
+        line = np.abs(x1 * y2 - y1 * x2) < 1e-9
+        # solve 2 c . z = |z|^2 + 1 for both points
+        a1, b1, c1 = 2 * x1, 2 * y1, np.hypot(x1, y1) ** 2 + 1
+        a2, b2, c2 = 2 * x2, 2 * y2, np.hypot(x2, y2) ** 2 + 1
+        det = a1 * b2 - a2 * b1
+        cx = (c1 * b2 - c2 * b1) / det
+        cy = (a1 * c2 - a2 * c1) / det
+        dx1, dy1, dx2, dy2 = x1 - cx, y1 - cy, x2 - cx, y2 - cy
+        r = np.hypot(dx1, dy1) * scale
+        sweep = (dx1 * dy2 - dy1 * dx2 < 0).astype(int)
+    return [_LINE % (p, q, u, v) if ln else _ARC % (p, q, rr, rr, sw, u, v)
+            for p, q, u, v, rr, sw, ln in zip(
+                *(c.tolist() for c in (*ends, r, sweep, line)))]
+
+
+def _circles(z, r, g, scale, off, color):
+    """SVG circles of the model circles (z, r), all r > 0."""
+    if g == HYPERBOLIC:
+        with np.errstate(all="ignore"):
+            z, r = geo.disk_circle_reps(z, r)
+    cols = (off + scale * z.real, off - scale * z.imag, r * scale)
+    return [_CIRCLE % (x, y, rr, color)
+            for x, y, rr in zip(*(c.tolist() for c in cols))]
 
 
 def export_svg(sl, path):
     g = sl.geometry
-    pts = [z for ch in sl.charts.values() for _v, z in ch["verts"]]
+    charts = [sl.charts[key] for key in sorted(sl.charts)]
+    z = np.array([z for ch in charts for _v, z in ch["verts"]], complex)
+    r = np.array([sl.radii[v] for ch in charts for v, _z in ch["verts"]])
+    c = np.array([ch["circle"][0] for ch in charts], complex)
+    R = np.array([ch["circle"][1] for ch in charts])
     if g == EUCLIDEAN:
-        margin = max(sl.radii.values(), default=0.0)
-        for ch in sl.charts.values():
-            c, R = ch["circle"]
-            margin = max(margin, R)
-        xs = [z.real for z in pts]
-        ys = [z.imag for z in pts]
-        lo = min(min(xs), min(ys)) - margin
-        hi = max(max(xs), max(ys)) + margin
+        margin = max(max(sl.radii.values(), default=0.0), float(R.max()))
+        lo = float(min(z.real.min(), z.imag.min())) - margin
+        hi = float(max(z.real.max(), z.imag.max())) + margin
         scale = VIEWPORT / (hi - lo)
         off = -lo * scale
     else:
         scale = VIEWPORT / 2.2
         off = VIEWPORT / 2
-
-    def sp(z):
-        return (off + scale * z.real, off - scale * z.imag)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -344,46 +385,20 @@ def export_svg(sl, path):
         lines.append(
             f'<circle cx="{off}" cy="{off}" r="{scale}" fill="none" '
             'stroke="#cccccc" stroke-width="1"/>')
-
-    for key in sorted(sl.charts):
-        ch = sl.charts[key]
-        vs = ch["verts"]
-        for t in range(len(vs)):
-            z1 = vs[t][1]
-            z2 = vs[(t + 1) % len(vs)][1]
-            d = _svg_geodesic(z1, z2, g, scale, off)
-            lines.append(f'<path d="{d}" stroke="#222222" fill="none" '
-                         'stroke-width="1"/>')
-    # face circles
-    for key in sorted(sl.charts):
-        c, R = sl.charts[key]["circle"]
-        if g == EUCLIDEAN:
-            x, y = sp(c)
-            rr = R * scale
-        else:
-            o, Re = disk_circle_rep(c, R)
-            x, y = sp(o)
-            rr = Re * scale
-        lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{rr:.3f}" '
-                     'fill="none" stroke="#3366cc" stroke-width="0.8"/>')
-    # vertex circles
-    for key in sorted(sl.charts):
-        for v, z in sl.charts[key]["verts"]:
-            r = sl.radii[v]
-            if r <= 0:
-                x, y = sp(z)
-                lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="2" '
-                             'fill="#cc3333"/>')
-                continue
-            if g == EUCLIDEAN:
-                x, y = sp(z)
-                rr = r * scale
-            else:
-                o, Re = disk_circle_rep(z, r)
-                x, y = sp(o)
-                rr = Re * scale
-            lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{rr:.3f}" '
-                         'fill="none" stroke="#cc3333" stroke-width="0.8"/>')
+    # chart edges: each vertex to the next one of its chart
+    sizes = [len(ch["verts"]) for ch in charts]
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, len(z) + 1)
+    nxt[ends - 1] = ends - sizes
+    lines += _geodesics(z, z[nxt], g, scale, off)
+    lines += _circles(c, R, g, scale, off, "#3366cc")  # face circles
+    # vertex circles, and a dot at each point vertex
+    dot = r <= 0
+    circles = iter(_circles(z[~dot], r[~dot], g, scale, off, "#cc3333"))
+    dots = zip((off + scale * z.real).tolist(),
+               (off - scale * z.imag).tolist())
+    lines += [_POINT % xy if d else next(circles)
+              for d, xy in zip(dot.tolist(), dots)]
     lines.append('</svg>')
     try:
         with open(path, "w") as fh:

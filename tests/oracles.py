@@ -12,8 +12,8 @@ import numpy as np
 
 from hicp import geometry as geo
 from hicp.complexes import edge_key
-from hicp.errors import InvariantViolation
-from hicp.layout import _pair_theta
+from hicp.errors import InvariantViolation, NonRedundantDiagonal
+from hicp.layout import MERGE_TOL
 from hicp.solver import grad_U, pack
 
 mp.mp.dps = 40
@@ -263,6 +263,14 @@ def admissible_by_subsets(h):
     return out
 
 
+def boundary_touches(d, hv):
+    """The mask test of a boundary vertex: hv is outside the domain d and
+    some cell of its link is inside."""
+    h = d.hat
+    link = (1 << h.vindex[hv], *h.link_masks[hv])
+    return h.touches_boundary([link], d.vmask, d.emask, d.fmask)
+
+
 def boundary_touches_by_link(d, hv):
     """The link-walk definition of a boundary vertex: hv is outside the
     domain d and some cell of its link is inside."""
@@ -329,4 +337,172 @@ def local_pair_theta(T, er, e, g):
         zs, circle, _ta = geo.decorate(tri_er(T, er, tri),
                                        triangle_tags(T, tri), g)
         placed[ti] = (dict(zip(tri.verts, zs)), circle)
-    return _pair_theta(T, placed, e, g)
+    return pair_theta(T, placed, e, g)
+
+
+def psi_inv_surface_by_loop(T, er, g):
+    """psi_inv_surface edge by edge through the scalar inv_radius and
+    inv_edge."""
+    cc = T.base
+    b = {v: geo.inv_radius(g, 1, er.r[v]) for v in cc.v1}
+    a = {}
+    for e in T.edges:
+        if e in cc.e0:
+            continue
+        u, v = e
+        a[e] = geo.inv_edge(g, 1, cc.vertex_class(u), cc.vertex_class(v),
+                            er.l[e], er.r[u], er.r[v],
+                            b.get(u, 0.0), b.get(v, 0.0))
+    return geo.TetraCoords(a=a, b=b)
+
+
+def tri_index_by_loop(T):
+    """The arrays of ``T.tri_index``, built triangle by triangle from
+    dicts, and the edge table from ``T.edge_triangles``."""
+    cc = T.base
+    a_slot = {e: m for m, e in enumerate(T.free_edges)}
+    b_slot = {k: len(a_slot) + m for m, k in enumerate(T.v1_vertices)}
+    eindex = {e: m for m, e in enumerate(T.edges)}
+    vindex = {v: m for m, v in enumerate(cc.vertices)}
+    vc, ec, slots, edge, vert = [], [], [], [], []
+    for ti, tri in enumerate(T.triangles):
+        es = tri_edges(T, ti)
+        vc.append([cc.vertex_class(v) for v in tri.verts])
+        ec.append([T.edge_class(e) for e in es])
+        slots.append([a_slot.get(e, -1) for e in es]
+                     + [b_slot.get(v, -1) for v in tri.verts])
+        edge.append([eindex[e] for e in es])
+        vert.append([vindex[v] for v in tri.verts])
+    edge_tri = [T.edge_triangles[e] for e in T.edges]
+    edge_col = [[tri_edges(T, ti).index(e) for ti in T.edge_triangles[e]]
+                for e in T.edges]
+    return {"vc": np.array(vc), "ec": np.array(ec), "slots": np.array(slots),
+            "edge": np.array(edge), "vert": np.array(vert),
+            "n_free": len(a_slot) + len(b_slot),
+            "edge_tri": np.array(edge_tri), "edge_col": np.array(edge_col)}
+
+
+# ---------------------------------------------------------------------------
+# Scalar layout, the reference of the batched one: per-triangle dicts of
+# the kernel's placements, moved one triangle at a time
+
+
+def circle_intersection_angle(c1, R1, c2, R2, g):
+    """Intersection angle of two face circles from their centers and
+    radii (inverse of dual_edge_length)."""
+    h = geo.model_distance(c1, c2, g)
+    dR = abs(R1 - R2)
+    # half-angle form: stable near tangency (theta near 0 or pi)
+    if g == geo.EUCLIDEAN:
+        s2 = (R1 + R2 - h) * (R1 + R2 + h)
+        c2 = (h - dR) * (h + dR)
+    else:
+        s2 = math.cosh(R1 + R2) - math.cosh(h)
+        c2 = math.cosh(h) - math.cosh(dR)
+    return 2 * math.atan2(math.sqrt(max(0.0, s2)),
+                          math.sqrt(max(0.0, c2)))
+
+
+def kernel_placements(T, dt):
+    """Per triangle: ({vertex: position}, (center, R)) of the kernel's
+    DecoratedTriangles."""
+    return [(dict(zip(tri.verts, zs)), (c, R)) for tri, zs, c, R in zip(
+        T.triangles, dt.z.tolist(), dt.center.tolist(), dt.R.tolist())]
+
+
+def glue(T, placed, tis, g):
+    """Develop the triangles tis, connected across shared edges, into one
+    chart: the first keeps its kernel placement, and each next one is
+    moved by one isometry onto a placed neighbour (breadth first,
+    least-id edges first).  Returns per triangle its positions and circle
+    in the chart, and the crossed edges as (from, to, edge)."""
+    members = set(tis)
+    root = tis[0]
+    charts = {root: placed[root]}
+    tree = []
+    queue = deque([root])
+    while queue:
+        ti = queue.popleft()
+        pos = charts[ti][0]
+        vs = T.triangles[ti].verts
+        for e, a, b in sorted((edge_key(vs[m], vs[(m + 1) % 3]),
+                               vs[m], vs[(m + 1) % 3]) for m in range(3)):
+            o1, o2 = T.edge_triangles[e]
+            nb = o2 if o1 == ti else o1
+            if nb not in members or nb in charts:
+                continue
+            tree.append((ti, nb, e))
+            npos, (c, R) = placed[nb]
+            w = next(x for x in npos if x not in e)
+            fwd = geo.frame(npos[b], npos[a], g)[0]
+            inv = geo.frame(pos[b], pos[a], g)[1]
+            charts[nb] = ({a: pos[a], b: pos[b], w: inv(fwd(npos[w]))},
+                          (inv(fwd(c)), R))
+            queue.append(nb)
+    return charts, tree
+
+
+def pair_theta(T, placed, e, g):
+    """theta of edge e = (u, v) from the kernel circles of its two
+    triangles, each moved into the frame of e (u at 0, v on the positive
+    real axis), where the triangles lie on opposite sides."""
+    u, v = e
+    circles = []
+    for ti in T.edge_triangles[e]:
+        pos, (c, R) = placed[ti]
+        circles.append((geo.frame(pos[u], pos[v], g)[0](c), R))
+    (c1, R1), (c2, R2) = circles
+    return circle_intersection_angle(c1, R1, c2, R2, g)
+
+
+def develop_by_loop(T, tc, g):
+    """develop's chart, tree and theta by glue and pair_theta: (charts as
+    {triangle: (positions, circle)}, tree, theta)."""
+    dt = geo.decorate_surface(T, tc, g)
+    placed = kernel_placements(T, dt)
+    alpha_sum = dict(zip(T.edges, np.bincount(
+        T.tri_index.edge.ravel(), weights=dt.alpha.ravel(),
+        minlength=len(T.edges)).tolist()))
+    charts, tree = glue(T, placed, range(len(T.triangles)), g)
+    theta = {}
+    for e in T.edges:
+        if e in T.base.e0:
+            theta[e] = 0.0
+            continue
+        th = pair_theta(T, placed, e, g)
+        tol = 1e-9 / max(math.sin(alpha_sum[e]), 1e-3)
+        if abs(th - alpha_sum[e]) > tol:
+            raise InvariantViolation(
+                f"edge {e}: circle angle {th} != alpha sum {alpha_sum[e]}")
+        theta[e] = th
+    return charts, tree, theta
+
+
+def merge_by_loop(sl):
+    """merge_redundant's charts by gluing each fan with glue."""
+    T = sl.T
+    cc = T.base
+    g = sl.geometry
+    placed = kernel_placements(T, sl.placed)
+    for e in T.e_pi:
+        if abs(sl.theta[e] - math.pi) > MERGE_TOL:
+            raise NonRedundantDiagonal(
+                f"diagonal {e}: theta = {sl.theta[e]}")
+    face_tris = {}
+    for ti, tri in enumerate(T.triangles):
+        face_tris.setdefault(tri.face, []).append(ti)
+    charts = {}
+    for fi, f in enumerate(cc.faces):
+        fan, _tree = glue(T, placed, face_tris[fi], g)
+        pos = {}
+        for p, _circle in fan.values():
+            pos.update(p)
+        c0, R0 = fan[face_tris[fi][0]][1]
+        for _p, (c, R) in fan.values():
+            if (geo.model_distance(c0, c, g) > 10 * MERGE_TOL
+                    or abs(R - R0) > 10 * MERGE_TOL):
+                raise NonRedundantDiagonal(
+                    f"face {f}: fan circles disagree")
+        charts[fi] = {"verts": [(v, pos[v]) for v in f],
+                      "circle": (c0, R0)}
+    return charts

@@ -392,7 +392,8 @@ class TestRoundtrip:
 SCALAR_KERNEL = ("psi", "psi_inv", "vertex_radius", "edge_length",
                  "check_er_triangle", "decorate", "triangle_angles",
                  "tetra_angles", "face_circle", "place_triangle",
-                 "corner_angle", "circumscribe", "radical_center")
+                 "corner_angle", "circumscribe", "radical_center",
+                 "inv_radius", "inv_edge", "frame", "disk_circle_rep")
 
 
 @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])

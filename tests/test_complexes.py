@@ -287,7 +287,7 @@ class TestBoundaryTouches:
     def _check(self, h, domains):
         for d in domains:
             for hv in h.stars:
-                assert (d.boundary_touches(hv)
+                assert (oracles.boundary_touches(d, hv)
                         == oracles.boundary_touches_by_link(d, hv)), (
                     sorted(d.generators), hv)
 

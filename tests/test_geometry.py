@@ -555,6 +555,56 @@ def test_psi_surface_raises_where_sinh_b_overflows():
         geo.psi_surface(T, tc, HYPERBOLIC)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_pattern(name, g):
+    return reference_pattern(build_complex(fixture_spec(name)), g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(FIXTURES)), g=st.sampled_from(BOTH),
+       seed=st.integers(0, 2 ** 32 - 1), frac=st.floats(0.0, 0.3),
+       size=st.one_of(st.none(), st.floats(0.0, 3.0)))
+def test_psi_inv_surface_matches_scalar(name, g, seed, frac, size):
+    # (l, r) sampled around the reference pattern, then (size given) a
+    # disk radius set to -size: inverted at once and edge by edge
+    T, er0 = _reference_pattern(name, g)
+    rng = random.Random(seed)
+    er = cli.sample_er(T, er0, g, rng, frac)
+    if size is not None and T.base.v1:
+        er.r[rng.choice(sorted(T.base.v1))] = -size
+    try:
+        want = oracles.psi_inv_surface_by_loop(T, er, g)
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation, match=f"^{exc}$"):
+            geo.psi_inv_surface(T, er, g)
+        return
+    got = geo.psi_inv_surface(T, er, g)
+    assert list(got.a) == list(want.a) and list(got.b) == list(want.b)
+    assert list(got.b.values()) == pytest.approx(list(want.b.values()),
+                                                 rel=1e-14, abs=0)
+    eps = np.finfo(float).eps
+    for e, a in want.a.items():
+        spread = 0.0 if g == EUCLIDEAN else _inv_edge_spread(T, er, want, e)
+        assert abs(got.a[e] - a) <= 1e-14 * max(1.0, abs(a)) + 4 * eps * spread
+
+
+def _inv_edge_spread(T, er, tc, e):
+    """How far rounding alone moves the hyperbolic a of inv_edge on edge
+    e: it takes acosh (two disks) or log (one disk) of x = t1 - t2, and
+    an error of eps (|t1| + |t2|) in x moves a by that over dx/da,
+    sinh a or e^a."""
+    ends = [k for k in e if k in T.base.v1]
+    ch, a = math.cosh(er.l[e]), tc.a[e]
+    if len(ends) == 2:
+        bu, bv = (tc.b[k] for k in ends)
+        return ((ch * math.sinh(bu) * math.sinh(bv)
+                 + math.cosh(bu) * math.cosh(bv)) / math.sinh(a))
+    if len(ends) == 1:
+        b = tc.b[ends[0]]
+        return (ch * math.sinh(b) + math.cosh(b)) / math.exp(a)
+    return 0.0
+
+
 # fixtures on which each way of breaking (l, r) applies
 BREAKS = {
     "none": sorted(FIXTURES),

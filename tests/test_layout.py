@@ -1,19 +1,26 @@
+import dataclasses
 import json
 import math
+import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hicp import build_complex
+import oracles
+from hicp import build_complex, triangulate
 from hicp import geometry as geo
-from hicp.errors import HicpError
-from hicp.fixtures import fixture_spec, reference_pattern
+from hicp.errors import HicpError, NonRedundantDiagonal
+from hicp.fixtures import FIXTURES, fixture_spec, reference_pattern
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     TetraCoords,
     circumscribe,
     dual_edge_length,
+    model_distance,
     place_third,
     psi_inv_surface,
     vertex_dual_length,
@@ -26,7 +33,6 @@ from hicp.layout import (
     gauss_bonnet_check,
     layout_to_dict,
     merge_redundant,
-    model_distance,
 )
 
 
@@ -277,3 +283,152 @@ class TestExport:
         assert text.startswith("<svg")
         assert 'width="1000"' in text
         assert "circle" in text
+
+
+# ---------------------------------------------------------------------------
+# The batched layout against the scalar glue and pair_theta
+
+
+def _reference_coords(name, g):
+    T, er = reference_pattern(build_complex(fixture_spec(name)), g)
+    return T, psi_inv_surface(T, er, g)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the HicpError it raises."""
+    try:
+        return fn(*args), None
+    except HicpError as exc:
+        return None, (type(exc), str(exc))
+
+
+_NUMBER = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?")
+
+
+def _assert_same_error(err, ref):
+    """Both ran, or both raised the same type and message.  The numbers
+    in a message are theta values or alpha sums: they agree within 1e-7,
+    because the half-angle form takes theta from square roots of
+    differences that round at eps, so near tangency theta is fixed to
+    about sqrt(eps) only."""
+    assert (err is None) == (ref is None)
+    if err is None:
+        return
+    assert err[0] is ref[0]
+    assert _NUMBER.split(err[1]) == _NUMBER.split(ref[1])
+    for x, y in zip(_NUMBER.findall(err[1]), _NUMBER.findall(ref[1])):
+        assert float(x) == pytest.approx(float(y), rel=1e-7)
+
+
+def _theta_spread(sl, e, th):
+    """How far rounding in the face-circle data moves theta of edge e,
+    per eps: the half-angle form divides by sin theta and by R1 R2 over
+    (R1 + R2)^2 (sinh R1 sinh R2 over cosh(R1 + R2) in the disk)."""
+    R1, R2 = (float(sl.placed.R[ti]) for ti in sl.T.edge_triangles[e])
+    if sl.geometry == EUCLIDEAN:
+        k = (R1 + R2) ** 2 / (R1 * R2)
+    else:
+        k = math.cosh(R1 + R2) / (math.sinh(R1) * math.sinh(R2))
+    return k / abs(math.sin(th))
+
+
+def _assert_charts_match(charts, ref):
+    assert list(charts) == list(ref)
+    for key, chart in charts.items():
+        verts, (c, R) = ref[key]["verts"], ref[key]["circle"]
+        assert [v for v, _z in chart["verts"]] == [v for v, _z in verts]
+        for (_v, z), (_w, zr) in zip(chart["verts"], verts):
+            assert abs(z - zr) <= 1e-12
+        assert abs(chart["circle"][0] - c) <= 1e-12
+        assert chart["circle"][1] == pytest.approx(R, rel=1e-12, abs=1e-12)
+
+
+def _assert_matches_loop(T, tc, g):
+    sl, err = _outcome(develop, T, tc, g)
+    ref, ref_err = _outcome(oracles.develop_by_loop, T, tc, g)
+    _assert_same_error(err, ref_err)
+    if err:
+        return
+    charts, tree, theta = ref
+    assert sl.tree_edges == tuple(tree)
+    _assert_charts_match(sl.charts, {
+        ti: {"verts": [(v, pos[v]) for v in T.triangles[ti].verts],
+             "circle": circle} for ti, (pos, circle) in charts.items()})
+    assert list(sl.theta) == list(theta)
+    eps = np.finfo(float).eps
+    for e, th in theta.items():
+        if e in T.base.e0:
+            assert sl.theta[e] == th == 0.0
+        else:
+            assert (abs(sl.theta[e] - th)
+                    <= 1e-12 + 64 * eps * _theta_spread(sl, e, th))
+    merged, err = _outcome(merge_redundant, sl)
+    ref, ref_err = _outcome(oracles.merge_by_loop, sl)
+    _assert_same_error(err, ref_err)
+    if not err:
+        _assert_charts_match(merged.charts, ref)
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_layout_matches_scalar_glue(name, g):
+    _assert_matches_loop(*_reference_coords(name, g), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(FIXTURES)),
+       g=st.sampled_from((EUCLIDEAN, HYPERBOLIC)),
+       seed=st.integers(0, 2 ** 32 - 1), size=st.floats(0.0, 0.2),
+       shorten=st.floats(0.0, 0.05))
+def test_layout_matches_scalar_glue_off_reference(name, g, seed, size,
+                                                  shorten):
+    # coordinates moved off the reference point inside TE, and the fan
+    # diagonals shortened: their angles leave pi, so develop or
+    # merge_redundant mostly raises, as the scalar path does
+    T, tc = _reference_coords(name, g)
+    rng = random.Random(seed)
+    tc = TetraCoords(a={e: v + rng.uniform(-size, size)
+                        - (shorten if e in T.e_pi else 0.0)
+                        for e, v in tc.a.items()},
+                     b={k: v + rng.uniform(-size, size)
+                        for k, v in tc.b.items()})
+    assume(geo.in_te(T, tc, g))
+    _assert_matches_loop(T, tc, g)
+
+
+def test_diagonal_off_pi_raises_as_scalar(grid_torus):
+    T, er = reference_pattern(grid_torus, EUCLIDEAN)
+    tc = psi_inv_surface(T, er, EUCLIDEAN)
+    a = dict(tc.a)
+    a[sorted(T.e_pi)[3]] -= 0.02  # its angle drops below pi
+    sl = develop(T, TetraCoords(a=a, b=dict(tc.b)), EUCLIDEAN)
+    _result, err = _outcome(merge_redundant, sl)
+    assert err is not None and err[0] is NonRedundantDiagonal
+    assert err == _outcome(oracles.merge_by_loop, sl)[1]
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+def test_fan_circles_disagree_raises_as_scalar(grid_torus, g):
+    # one fan triangle's kernel circle grown past the agreement tolerance,
+    # with every diagonal still at pi
+    sl = reference_layout(grid_torus, g)
+    fan = [ti for ti, tri in enumerate(sl.T.triangles) if tri.face == 5]
+    R = sl.placed.R.copy()
+    R[fan[1]] *= 1.01
+    sl = dataclasses.replace(sl, placed=sl.placed._replace(R=R))
+    _result, err = _outcome(merge_redundant, sl)
+    assert err == (NonRedundantDiagonal,
+                   f"face {sl.base.faces[5]}: fan circles disagree")
+    assert err == _outcome(oracles.merge_by_loop, sl)[1]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_tri_index_matches_loop(name):
+    T = triangulate(build_complex(fixture_spec(name)))
+    ix, ref = T.tri_index, oracles.tri_index_by_loop(T)
+    for key, want in ref.items():
+        got = getattr(ix, key)
+        if key == "n_free":
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
