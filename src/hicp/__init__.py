@@ -37,7 +37,6 @@ from .complexes import (
     HatTriangulation,
     Triangulation,
     admissible_domains,
-    boundary,
     build_complex,
     euler_char,
     fan_triangles,
@@ -49,16 +48,12 @@ from .complexes import (
 from .geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
-    EdgeRadii,
-    TetraCoords,
     dual_edge_length,
     face_circle,
     in_te,
-    lobachevsky,
     psi,
     psi_inv,
     tetra_angles,
-    tetra_volume,
     vertex_dual_length,
 )
 from .polytope import (
@@ -91,11 +86,10 @@ __all__ = [
     "IndexMismatch", "InvariantViolation", "IoError", "NonRedundantDiagonal",
     "NotClosedSurface", "NotInTE", "PathLeavesDomain", "RegularityViolation",
     "CellComplex", "Domain", "HatTriangulation", "Triangulation",
-    "admissible_domains", "boundary", "build_complex", "euler_char",
+    "admissible_domains", "build_complex", "euler_char",
     "fan_triangles", "hat_complex", "open_star", "triangulate",
-    "EUCLIDEAN", "HYPERBOLIC", "EdgeRadii", "TetraCoords",
-    "dual_edge_length", "face_circle", "in_te", "lobachevsky",
-    "psi", "psi_inv", "tetra_angles", "tetra_volume", "vertex_dual_length",
+    "EUCLIDEAN", "HYPERBOLIC", "dual_edge_length", "face_circle", "in_te",
+    "psi", "psi_inv", "tetra_angles", "vertex_dual_length",
     "AngleData", "FeasibilityReport", "check_feasibility", "make_angle_data",
     "Solution", "SolveOptions", "extract_angles", "omega_solve",
     "reference_coords", "solve",

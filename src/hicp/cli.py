@@ -12,20 +12,24 @@ import math
 import random
 import sys
 
+import numpy as np
+
 from . import _apply_thread_cap  # noqa: F401  (re-exported)
 from . import geometry as geo
 from .complexes import build_complex, edge_key, triangulate
 from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
-from .geometry import EUCLIDEAN, GEOMETRIES, EdgeRadii
+from .geometry import EUCLIDEAN, GEOMETRIES
 from .layout import (
     delaunay_report,
     develop,
     export_json,
     export_svg,
     gauss_bonnet_check,
+    json_text,
     layout_to_dict,
     merge_redundant,
+    write_text,
 )
 from .polytope import (
     FEASIBLE,
@@ -128,22 +132,16 @@ def _target_from_input(cc, g, theta, Theta):
     """Angle data from explicit input, or the reference pattern's angles
     when the input carries none."""
     if theta is None and Theta is None:
-        T, er = reference_pattern(cc, g)
-        tc = geo.psi_inv_surface(T, er, g)
-        return extract_angles(T, tc, g)
+        T, l, r = reference_pattern(cc, g)
+        return extract_angles(T, geo.psi_inv_surface(T, l, r, g), g)
     return make_angle_data(cc, g, theta or {}, Theta or {})
 
 
 def _emit(obj, path=None):
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
     if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoError(str(exc))
+        write_text(path, json_text(obj))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +176,16 @@ def _solution_dict(spec, g, T, sol):
         "trace": [list(row) for row in sol.trace],
     }
     if sol.coords is not None:
-        er = geo.psi_surface(T, sol.coords, g)
+        l, r = geo.psi_surface(T, sol.coords, g)
+        x = sol.coords.tolist()
+        n_a = len(T.free_edges)
         out["coords"] = {
-            "a": {_ekey(e): v for e, v in sol.coords.a.items()},
-            "b": {str(k): v for k, v in sol.coords.b.items()},
+            "a": dict(zip(map(_ekey, T.free_edges), x[:n_a])),
+            "b": dict(zip(map(str, T.v1_vertices), x[n_a:])),
         }
         out["lengths"] = {
-            "l": {_ekey(e): v for e, v in er.l.items()},
-            "r": {str(k): v for k, v in er.r.items()},
+            "l": dict(zip(map(_ekey, T.edges), l.tolist())),
+            "r": dict(zip(map(str, T.base.vertices), r.tolist())),
         }
     if sol.realized_angles is not None:
         out["realized"] = {
@@ -225,12 +225,12 @@ def cmd_render(args):
     coords = data["coords"]
     if not isinstance(coords, dict):
         raise HicpError("malformed input: coords must be a JSON object")
-    tc = geo.TetraCoords(
-        a=_number_map(coords.get("a"), "coords.a", _edge_from_key),
-        b=_number_map(coords.get("b"), "coords.b", int))
-    _require_keys(tc.a, T.free_edges, "coords.a", _ekey)
-    _require_keys(tc.b, T.v1_vertices, "coords.b", str)
-    sl = develop(T, tc, g)
+    a = _number_map(coords.get("a"), "coords.a", _edge_from_key)
+    b = _number_map(coords.get("b"), "coords.b", int)
+    _require_keys(a, T.free_edges, "coords.a", _ekey)
+    _require_keys(b, T.v1_vertices, "coords.b", str)
+    sl = develop(T, np.array([a[e] for e in T.free_edges]
+                             + [b[k] for k in T.v1_vertices]), g)
     try:
         sl = merge_redundant(sl)
     except HicpError as exc:
@@ -248,10 +248,10 @@ def cmd_render(args):
 def cmd_demo(args):
     spec, g, _theta, _Theta = load_input(args.input, args.geometry)
     cc = build_complex(spec)
-    T, er = reference_pattern(cc, g)
-    tc = geo.psi_inv_surface(T, er, g)
-    target = extract_angles(T, tc, g)
-    sl = merge_redundant(develop(T, tc, g))
+    T, l, r = reference_pattern(cc, g)
+    x = geo.psi_inv_surface(T, l, r, g)
+    target = extract_angles(T, x, g)
+    sl = merge_redundant(develop(T, x, g))
     rep = delaunay_report(sl)
     out = {
         "demo_version": 1,
@@ -270,29 +270,27 @@ def cmd_demo(args):
     return EXIT_OK
 
 
-def sample_er(T, er0, g, rng, frac=0.1):
-    """One random (l, r) in a sub-box around er0: each coordinate moves
-    uniformly within frac of the smallest constraint slack at er0."""
-    cc = T.base
-    l3, r3 = geo.tri_rows(T, er0.l, er0.r)
+def sample_er(T, l0, r0, g, rng, frac=0.1):
+    """One random (l, r) in a sub-box around (l0, r0): each coordinate
+    moves uniformly within frac of the smallest constraint slack there."""
+    ix = T.tri_index
+    l3, r3 = l0[ix.edge], r0[ix.vert]
     nxt, last = [1, 2, 0], [2, 0, 1]  # edge or corner m + 1, m + 2
     gap = l3 - (r3 + r3[:, nxt])  # l - (r_u + r_v) on edge m = (u, v)
-    slack = float(min(gap[T.tri_index.ec != 0].min(initial=math.inf),
+    slack = float(min(gap[ix.ec != 0].min(initial=math.inf),
                       (l3[:, nxt] + l3[:, last] - l3).min()))
     d = frac * slack
+    free = (ix.eclass != 0).tolist()
     while True:
-        r = {k: (v + rng.uniform(-d / 2, d / 2) if v > 0 else 0.0)
-             for k, v in er0.r.items()}
-        l = {}
-        for e, v in er0.l.items():
-            if e in cc.e0:
-                l[e] = r[e[0]] + r[e[1]]  # tangency is an equality
-            else:
-                l[e] = v + rng.uniform(-d, d)
-        er = EdgeRadii(l=l, r=r)
+        r = np.array([v + rng.uniform(-d / 2, d / 2) if v > 0 else 0.0
+                      for v in r0.tolist()])
+        l = np.array([v + rng.uniform(-d, d) if f else 0.0
+                      for v, f in zip(l0.tolist(), free)])
+        # tangency is an equality
+        l = np.where(free, l, r[ix.ends[:, 0]] + r[ix.ends[:, 1]])
         try:
-            geo.check_er_surface(T, er, g)
-            return er
+            geo.check_er_surface(T, l, r, g)
+            return l, r
         except HicpError:
             continue
 
@@ -316,8 +314,7 @@ def cmd_roundtrip(args):
                 "tangent_edges": spec.get("tangent_edges", [])}
         cc = build_complex(spec)
         T = triangulate(cc)
-    tc0 = reference_coords(T, g)
-    er0 = geo.psi_surface(T, tc0, g)
+    l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
     rng = random.Random(args.seed)
     opts = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
     errors = []
@@ -328,9 +325,9 @@ def cmd_roundtrip(args):
         # the admissible ranges: ER contains non-Delaunay points whose
         # realized theta leaves (0, pi)
         for _attempt in range(500):
-            er = sample_er(T, er0, g, rng, frac)
-            tc = geo.project_gauge(T, geo.psi_inv_surface(T, er, g), g)
-            target = extract_angles(T, tc, g)
+            l, r = sample_er(T, l0, r0, g, rng, frac)
+            x = geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
+            target = extract_angles(T, x, g)
             if all(0.0 < v < math.pi for v in target.theta.values()) \
                     and not single_star_check(cc, target):
                 break
@@ -343,10 +340,7 @@ def cmd_roundtrip(args):
             errors.append(math.inf)
             continue
         got = geo.project_gauge(T, sol.coords, g)
-        err = max(max(abs(got.a[e] - tc.a[e]) for e in tc.a),
-                  max(abs(got.b[k] - tc.b[k]) for k in tc.b)
-                  if tc.b else 0.0)
-        errors.append(err)
+        errors.append(float(np.max(np.abs(got - x))))
     max_err = max(errors)
     out = {
         "roundtrip_version": 1,

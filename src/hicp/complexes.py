@@ -403,14 +403,16 @@ class Triangulation:
                         slots=np.concatenate([a_slot[edge], b_slot[vert]],
                                              axis=1),
                         edge=edge, vert=vert, n_free=n_a + int(disk.sum()),
-                        edge_tri=cells // 3, edge_col=cells % 3)
+                        edge_tri=cells // 3, edge_col=cells % 3, ends=ends,
+                        vclass=vclass, eclass=eclass)
 
 
 @dataclass(frozen=True, eq=False)
 class TriIndex:
     """A triangulation as integer arrays of shape (F, 3) or (F, 6), one
-    row per triangle, and (E, 2), one row per edge.  Columns follow the
-    kernel's order: edges ij, jk, ki and corners i, j, k."""
+    row per triangle, (E, 2) or (E,), one row per edge, and (V,), one
+    per vertex.  Triangle columns follow the kernel's order: edges ij,
+    jk, ki and corners i, j, k."""
 
     vc: np.ndarray  # corner classes: 1 disk, 0 point circle
     ec: np.ndarray  # edge classes: 0 E0, 1 E1, 2 fan diagonal
@@ -425,6 +427,9 @@ class TriIndex:
     # ``edge_triangles``, and its column in each
     edge_tri: np.ndarray
     edge_col: np.ndarray
+    ends: np.ndarray  # per edge: its lower and upper vertex position
+    vclass: np.ndarray  # per vertex of ``CellComplex.vertices``: its class
+    eclass: np.ndarray  # per edge of ``Triangulation.edges``: its class
 
 
 def triangulate(cc):
@@ -834,152 +839,13 @@ def _connected_generator_sets(sb, strict):
 
 
 # ---------------------------------------------------------------------------
-# Boundary traces
-
-
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Immersed boundary of an admissible domain.
-
-    ``walks`` is a list of closed edge walks; each step is a tuple
-    ``(edge_index, from_hat_vertex, to_hat_vertex)``.  ``punctures`` lists
-    hat vertices that form isolated boundary points (degenerate walks).
-    """
-
-    walks: tuple
-    punctures: tuple
-
-    def edge_multiplicities(self):
-        mult = {}
-        for walk in self.walks:
-            for ei, _a, _b in walk:
-                mult[ei] = mult.get(ei, 0) + 1
-        return mult
-
-    def count_base_vertices(self):
-        """|boundary ∩ V|: base-vertex occurrences along the walks, with
-        multiplicity; punctures at base vertices count once."""
-        n = 0
-        for walk in self.walks:
-            for _ei, _a, b in walk:
-                if b[0] == "v":
-                    n += 1
-        n += sum(1 for p in self.punctures if p[0] == "v")
-        return n
-
-
-def boundary(h, d):
-    """Boundary trace of an admissible domain as immersed closed walks."""
-    # directed boundary incidences: (edge index, triangle index) with the
-    # triangle inside the domain and the edge outside
-    incidences = set()
-    for ti, hf in enumerate(h.hat_faces):
-        if not (d.fmask >> ti & 1):
-            continue
-        for ei in hf.edges:
-            if not (d.emask >> ei & 1):
-                incidences.add((ei, ti))
-
-    def endpoints(ei):
-        kind, data = h.edges[ei]
-        if kind == "dual":
-            fa, fb = h.base.edge_faces[data]
-            return ("f", min(fa, fb)), ("f", max(fa, fb))
-        v, fi = data
-        return ("v", v), ("f", fi)
-
-    # A directed step is identified with its incidence (ei, ti): for
-    # multiplicity-2 edges the two incidences are traversed in opposite
-    # directions, so (ei, ti) is a faithful key.  The traversal direction
-    # keeps the domain on a fixed side: the head is the endpoint at whose
-    # link the triangle ti immediately follows ei in cycle order, and the
-    # next incidence is found by rotating at the head from ei through ti
-    # to the first edge outside the domain.
-    steps = {}
-    for ei, ti in incidences:
-        a, b = endpoints(ei)
-        head = b if _first_step_is(h, b, ei, ti) else a
-        tail = a if head == b else b
-        nxt = _rotate_to_next(h, d, head, ei, ti)
-        steps[(ei, ti)] = (tail, head, nxt)
-
-    visited = set()
-    walks = []
-    for start in sorted(steps):
-        if start in visited:
-            continue
-        walk = []
-        cur = start
-        while True:
-            visited.add(cur)
-            tail, head, nxt = steps[cur]
-            walk.append((cur[0], tail, head))
-            if nxt == start:
-                break
-            cur = nxt
-        walks.append(tuple(walk))
-
-    punctures = []
-    for hv in h.stars:
-        i = h.vindex[hv]
-        if d.vmask >> i & 1:
-            continue
-        link = h.links[hv]
-        if link and all(d.contains_cell(k, idx) for k, idx in link):
-            punctures.append(hv)
-
-    return BoundaryTrace(walks=tuple(walks), punctures=tuple(sorted(punctures)))
-
-
-def _first_step_is(h, hv, ei, ti):
-    """At hat vertex hv, check that in the link cycle the triangle right
-    after edge ei (in forward cycle direction) is ti."""
-    link = h.links[hv]
-    n = len(link)
-    for p, cell in enumerate(link):
-        if cell == ("e", ei):
-            return link[(p + 1) % n] == ("t", ti)
-    raise AssertionError(f"edge {ei} not in link of {hv}")
-
-
-def _rotate_to_next(h, d, hv, ei, ti):
-    """Rotate around hv starting at edge ei, stepping first onto triangle
-    ti, and return the incidence (edge, triangle) of the first edge not in
-    the domain.  Returns None when ti is not the immediate neighbor of ei
-    in either rotation sense at hv."""
-    link = h.links[hv]
-    n = len(link)
-    try:
-        p = link.index(("e", ei))
-    except ValueError:
-        return None
-    if link[(p + 1) % n] == ("t", ti):
-        step = 1
-    elif link[(p - 1) % n] == ("t", ti):
-        step = -1
-    else:
-        return None
-    q = p + step
-    last_tri = ti
-    for _ in range(n):
-        cell = link[q % n]
-        if cell[0] == "t":
-            last_tri = cell[1]
-        else:
-            if not d.contains_cell("e", cell[1]):
-                return (cell[1], last_tri)
-        q += step
-    raise AssertionError("link rotation did not terminate")
-
-
-# ---------------------------------------------------------------------------
-# Fast boundary statistics (no walk construction)
+# Boundary statistics
 
 
 def boundary_counts(h, d, e0_dual_indices=None):
     """(dual-edge multiplicity map, |boundary ∩ V|, |boundary ∩ E0|)
-    computed directly from the cell masks; agrees with the walk-based
-    BoundaryTrace counts.
+    computed directly from the cell masks; agrees with the counts of the
+    walk-based boundary trace that the tests keep as its oracle.
 
     A dual edge outside the domain is on the boundary once per hat face
     across it that is inside.  Around a base vertex outside the domain,

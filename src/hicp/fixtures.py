@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import geometry as geo
 from .complexes import build_complex, edge_key, fan_triangles, triangulate
 from .errors import DomainError
-from .geometry import EUCLIDEAN, EdgeRadii, check_geometry
+from .geometry import EUCLIDEAN, check_geometry
 from .solver import face_chords, omega_solve
 
 
@@ -124,15 +126,16 @@ def fixture_spec(name):
 
 
 def reference_pattern(cc, g):
-    """Edge lengths and radii of the uniform reference pattern on the
-    triangulated complex: base edges carry the class length, fan
-    diagonals are measured inside each face's circle geometry."""
+    """(T, l, r): the triangulated complex, and the edge lengths and
+    radii of its uniform reference pattern: base edges carry the class
+    length, fan diagonals are measured inside each face's circle
+    geometry."""
     check_geometry(g)
     T = triangulate(cc)
     rc = geo.reference_constants(g)[0]
     l = {e: geo.reference_length(0 if e in cc.e0 else 1, g)
          for e in cc.edges}
-    r = {v: (rc if v in cc.v1 else 0.0) for v in cc.vertices}
+    r = [rc if v in cc.v1 else 0.0 for v in cc.vertices]
 
     chords = {}  # (vertex classes, edge classes) -> face_chords
     for f in cc.faces:
@@ -165,4 +168,4 @@ def reference_pattern(cc, g):
                                 - math.sinh(du) * math.sinh(dw)
                                 * math.cos(dpsi))
             l[d] = ld
-    return T, EdgeRadii(l=l, r=r)
+    return T, np.array([l[e] for e in T.edges]), np.array(r)

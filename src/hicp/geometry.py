@@ -1,6 +1,6 @@
 """Metric kernel: conversions among tetrahedral coordinates (a, b),
 edge-lengths/radii (l, r), and decorated-triangle angles (alpha, beta);
-face circles; dual lengths; Schlaefli volume.
+face circles; dual lengths; the surface-level forms of these on arrays.
 
 Per-triangle data is passed as plain 3-tuples in the fixed order
 ``edges = (ij, jk, ki)``, ``corners = (i, j, k)``; corner ``v`` touches
@@ -19,12 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvariantViolation,
-    NotInTE,
-    PathLeavesDomain,
-)
+from .errors import DomainError, InvariantViolation, NotInTE
 
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
@@ -608,36 +603,6 @@ def decorated_triangles(x, vc, ec, g, tri=None):
     return DecoratedTriangles(z, center, R, alpha, beta, l, r)
 
 
-def angles_valid(ta, tags, g):
-    """Membership of (alpha, beta) in the admissible angle region of the
-    class: interior inequalities strict, class-forced equalities within
-    1e-9."""
-    for m in range(3):
-        a = ta.alpha[m]
-        if tags.ec[m] == 0:
-            if abs(a) > 1e-9:
-                return False
-        elif not 0.0 < a < math.pi:
-            return False
-    for v in range(3):
-        if not 0.0 < ta.beta[v] < math.pi:
-            return False
-        m1, m2 = EDGES_AT_CORNER[v]
-        s = ta.beta[v] + ta.alpha[m1] + ta.alpha[m2]
-        if tags.vc[v] == 0:
-            if abs(s - math.pi) > 1e-9:
-                return False
-        elif not s < math.pi:
-            return False
-    sb = sum(ta.beta)
-    if g == EUCLIDEAN:
-        if abs(sb - math.pi) > 1e-9:
-            return False
-    elif not sb < math.pi:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Dual lengths
 
@@ -665,7 +630,7 @@ def vertex_dual_length(R, r, g):
 
 
 # ---------------------------------------------------------------------------
-# Reduced angle coordinates and the Schlaefli volume
+# The reference pattern's class lengths
 
 
 def reference_constants(g):
@@ -683,394 +648,56 @@ def reference_length(eclass, g):
     return 2 * rc if eclass == 0 else 2 * (rc + ec)
 
 
-def reference_er_triangle(tags, g):
-    rc = reference_constants(g)[0]
-    l3 = tuple(reference_length(tags.ec[m], g) for m in range(3))
-    r3 = tuple(rc if tags.vc[v] == 1 else 0.0 for v in range(3))
-    return l3, r3
-
-
-def reference_angles(tags, g):
-    return triangle_angles(reference_er_triangle(tags, g), tags, g)
-
-
-def free_angle_indices(tags, g):
-    """(free alpha edge indices, free beta corner indices, dependent
-    slots) of the reduced angle chart of the class."""
-    free_a = [m for m in range(3) if tags.ec[m] != 0]
-    free_b = [v for v in range(3) if tags.vc[v] == 1]
-    dep_a = None
-    dep_b = None
-    if g == EUCLIDEAN:
-        if free_b:
-            dep_b = free_b[0]
-            free_b = free_b[1:]
-        else:
-            dep_a = free_a[-1]
-            free_a = free_a[:-1]
-    return tuple(free_a), tuple(free_b), dep_a, dep_b
-
-
-def reduce_angles(ta, tags, g):
-    free_a, free_b, _da, _db = free_angle_indices(tags, g)
-    return np.array([ta.alpha[m] for m in free_a]
-                    + [ta.beta[v] for v in free_b])
-
-
-def expand_angles(x, tags, g):
-    """Inverse of reduce_angles: fill in the class-forced equalities."""
-    free_a, free_b, dep_a, dep_b = free_angle_indices(tags, g)
-    alpha = [0.0, 0.0, 0.0]
-    beta = [None, None, None]
-    na = len(free_a)
-    for t, m in enumerate(free_a):
-        alpha[m] = float(x[t])
-    for t, v in enumerate(free_b):
-        beta[v] = float(x[na + t])
-    if dep_a is not None:
-        alpha[dep_a] = math.pi - sum(alpha[m] for m in free_a)
-    for v in range(3):
-        if tags.vc[v] == 0:
-            m1, m2 = EDGES_AT_CORNER[v]
-            beta[v] = math.pi - alpha[m1] - alpha[m2]
-    if dep_b is not None:
-        beta[dep_b] = math.pi - sum(b for v, b in enumerate(beta)
-                                    if v != dep_b)
-    return TriangleAngles(alpha=tuple(alpha), beta=tuple(beta))
-
-
-def _section_project(tc_tri, tags, g):
-    """Project one triangle's (a, b) onto the volume section of its
-    class: hyperbolic identity; Euclidean with a positive-radius corner
-    rescales so the first such b vanishes; the all-point-circle
-    Euclidean class rescales so the last a vanishes."""
-    a3, b3 = [list(t) for t in tc_tri]
-    if g == HYPERBOLIC:
-        return tuple(a3), tuple(b3)
-    free_a, _fb, dep_a, dep_b = free_angle_indices(tags, g)
-    if dep_b is not None:
-        t = b3[dep_b]
-    else:
-        t = -a3[dep_a] / 2
-    for m in range(3):
-        u, v = CORNERS_OF_EDGE[m]
-        a3[m] += t * ((tags.vc[u] == 0) + (tags.vc[v] == 0))
-    for v in range(3):
-        if tags.vc[v] == 1:
-            b3[v] -= t
-    return tuple(a3), tuple(b3)
-
-
-def _euclidean_angles_to_er(ta, tags):
-    """Closed-form inverse of triangle_angles for Euclidean classes:
-    reconstruct the triangle from its support lines around the unit
-    face circle."""
-    # outward normal azimuths advance by the exterior angles
-    phi = [-math.pi / 2]
-    phi.append(phi[0] + (math.pi - ta.beta[1]))
-    phi.append(phi[1] + (math.pi - ta.beta[2]))
-    lines = []  # (unit outward normal, offset): points x with n.x = c
-    for m in range(3):
-        n = cmath.exp(1j * phi[m])
-        lines.append((n, math.cos(ta.alpha[m])))
-
-    def intersect(m1, m2):
-        (n1, c1), (n2, c2) = lines[m1], lines[m2]
-        det = n1.real * n2.imag - n1.imag * n2.real
-        if abs(det) < 1e-14:
-            raise PathLeavesDomain("support lines are parallel")
-        x = (c1 * n2.imag - c2 * n1.imag) / det
-        y = (n1.real * c2 - n2.real * c1) / det
-        return complex(x, y)
-
-    # corner v is the intersection of its two edge lines
-    pts = [intersect(*EDGES_AT_CORNER[v]) for v in range(3)]
-    l3 = tuple(abs(pts[CORNERS_OF_EDGE[m][1]] - pts[CORNERS_OF_EDGE[m][0]])
-               for m in range(3))
-    r3 = []
-    for v in range(3):
-        lam2 = abs(pts[v]) ** 2 - 1.0
-        if tags.vc[v] == 0:
-            r3.append(0.0)
-        else:
-            if lam2 <= 0:
-                raise PathLeavesDomain("corner fell inside the face circle")
-            r3.append(math.sqrt(lam2))
-    return l3, tuple(r3)
-
-
-def _hyperbolic_phi_inv(x, tags, start, J0=None):
-    """Newton inversion of the reduced angle map for hyperbolic
-    classes: find free (a, b) whose reduced tetra_angles equal x.
-    ``J0``: optional Jacobian from a nearby solve, used until it stops
-    contracting the residual."""
-    free_a = [m for m in range(3) if tags.ec[m] != 0]
-    free_b = [v for v in range(3) if tags.vc[v] == 1]
-    n = len(free_a) + len(free_b)
-
-    def unpack(z):
-        a3 = [0.0, 0.0, 0.0]
-        b3 = [0.0, 0.0, 0.0]
-        for t, m in enumerate(free_a):
-            a3[m] = z[t]
-        for t, v in enumerate(free_b):
-            b3[v] = z[len(free_a) + t]
-        return tuple(a3), tuple(b3)
-
-    def F(z):
-        try:
-            ta = tetra_angles(unpack(z), tags, HYPERBOLIC)
-        except NotInTE:
-            return None
-        return reduce_angles(ta, tags, HYPERBOLIC) - x
-
-    z = np.array(start, dtype=float)
-    f = F(z)
-    if f is None:
-        raise PathLeavesDomain("start point outside the tetrahedral domain")
-    J = J0
-    fresh = False
-    for _ in range(80):
-        fnorm = np.max(np.abs(f))
-        if fnorm < 1e-13:
-            break
-        if J is None:
-            fresh = True
-            # forward-difference Jacobian, reused while steps contract
-            J = np.empty((n, n))
-            for m in range(n):
-                h = 1e-7 * (1 + abs(z[m]))
-                zp = z.copy(); zp[m] += h
-                fp = F(zp)
-                if fp is None:
-                    raise PathLeavesDomain(
-                        "finite difference left the domain")
-                J[:, m] = (fp - f) / h
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            raise PathLeavesDomain("singular Jacobian in angle inversion")
-        s = 1.0
-        while s > 1e-14:
-            f_new = F(z + s * step)
-            if f_new is not None and np.max(np.abs(f_new)) < fnorm:
-                z = z + s * step
-                f = f_new
-                break
-            s *= 0.5
-        else:
-            if not fresh:
-                J = None  # stale Jacobian: rebuild and retry
-                continue
-            raise PathLeavesDomain("angle inversion stalled")
-        if s < 1.0 or np.max(np.abs(f)) > 0.3 * fnorm:
-            J = None
-            fresh = False
-    else:
-        raise PathLeavesDomain("angle inversion did not converge")
-    return unpack(z), z, J
-
-
-def phi_inv(ta, tags, g):
-    """Tetrahedral coordinates (on the volume section) realizing the
-    given decorated-triangle angles."""
-    check_geometry(g)
-    if not angles_valid(ta, tags, g):
-        raise PathLeavesDomain(f"angles {ta} outside the admissible region")
-    if g == EUCLIDEAN:
-        er = _euclidean_angles_to_er(ta, tags)
-        try:
-            tc = psi_inv(er, tags, g)
-        except InvariantViolation as exc:
-            raise PathLeavesDomain(str(exc))
-        return _section_project(tc, tags, g)
-    x = reduce_angles(ta, tags, g)
-    tc, _z, _J = _hyperbolic_phi_inv(x, tags, _hyp_start(tags))
-    return tc
-
-
-def lobachevsky(theta):
-    """The Lobachevsky function -int_0^theta log|2 sin t| dt, via its
-    standard power series after reduction to |theta| <= pi/2 (odd,
-    pi-periodic)."""
-    theta = math.fmod(theta, math.pi)
-    if theta > math.pi / 2:
-        theta -= math.pi
-    elif theta < -math.pi / 2:
-        theta += math.pi
-    if theta == 0.0:
-        return 0.0
-    sign = 1.0
-    if theta < 0:
-        theta, sign = -theta, -1.0
-    from scipy.special import zeta
-    s = theta * (1.0 - math.log(2 * theta))
-    q = (theta / math.pi) ** 2
-    qn = q
-    n = 1
-    while True:
-        term = zeta(2 * n) / (n * (2 * n + 1)) * qn * theta
-        s += term
-        if term < 1e-17 * (1 + abs(s)):
-            break
-        qn *= q
-        n += 1
-        if n > 400:
-            break
-    return sign * s
-
-
-_GAUSS_CACHE = {}
-
-
-def _gauss_nodes(n):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    if n not in _GAUSS_CACHE:
-        t, w = np.polynomial.legendre.leggauss(n)
-        _GAUSS_CACHE[n] = ((t + 1) / 2, w / 2)
-    return _GAUSS_CACHE[n]
-
-
-IDEAL_REGULAR_VOLUME_ANCHOR = None  # computed lazily
-
-
-def _ideal_anchor():
-    global IDEAL_REGULAR_VOLUME_ANCHOR
-    if IDEAL_REGULAR_VOLUME_ANCHOR is None:
-        IDEAL_REGULAR_VOLUME_ANCHOR = 3 * lobachevsky(math.pi / 3)
-    return IDEAL_REGULAR_VOLUME_ANCHOR
-
-
-def tetra_volume(ta, tags, g):
-    """Volume of the truncated tetrahedron over the decorated triangle,
-    by quadrature of the Schlaefli form along a straight segment in the
-    reduced angle chart, relative to the per-class reference
-    configuration.  The all-point-circle Euclidean class is reported
-    absolutely, anchored at the regular ideal tetrahedron."""
-    check_geometry(g)
-    if not angles_valid(ta, tags, g):
-        raise PathLeavesDomain("angles outside the admissible region")
-    free_a, free_b, _da, _db = free_angle_indices(tags, g)
-    x1 = reduce_angles(ta, tags, g)
-    x0 = reduce_angles(reference_angles(tags, g), tags, g)
-    dx = x1 - x0
-    if not np.any(dx):
-        total = 0.0
-    else:
-        warm_cache = {}
-
-        def integrand(t):
-            x = x0 + t * dx
-            if g == HYPERBOLIC:
-                warm = warm_cache.get("last", _hyp_start(tags))
-                (a3, b3), z, J = _hyperbolic_phi_inv(
-                    x, tags, warm, warm_cache.get("J"))
-                warm_cache["last"] = z
-                warm_cache["J"] = J
-            else:
-                a3, b3 = phi_inv(expand_angles(x, tags, g), tags, g)
-            s = sum(a3[m] * dx[i] for i, m in enumerate(free_a))
-            s += sum(b3[v] * dx[len(free_a) + i]
-                     for i, v in enumerate(free_b))
-            return -0.5 * s
-
-        # the integrand is analytic in t, so fixed Gauss-Legendre
-        # converges spectrally; the increasing node order also feeds the
-        # Newton warm start
-        total = sum(w * integrand(t)
-                    for t, w in zip(*_gauss_nodes(16)))
-    if g == EUCLIDEAN and all(c == 0 for c in tags.vc):
-        return total + _ideal_anchor()
-    return total
-
-
-def _hyp_start(tags):
-    tc = psi_inv(reference_er_triangle(tags, HYPERBOLIC), tags, HYPERBOLIC)
-    free_a = [m for m in range(3) if tags.ec[m] != 0]
-    free_b = [v for v in range(3) if tags.vc[v] == 1]
-    return [tc[0][m] for m in free_a] + [tc[1][v] for v in free_b]
-
-
 # ---------------------------------------------------------------------------
-# Surface-level wrappers
+# Surface level.  A coordinate point of T is one vector x in free-variable
+# order: a per edge of ``T.free_edges``, then b per vertex of
+# ``T.v1_vertices`` (the order of ``tri_index.slots``).  A metric is two
+# vectors: l per edge of ``T.edges`` and r per vertex of
+# ``T.base.vertices``.
 
 
-@dataclass(frozen=True)
-class TetraCoords:
-    """Optimization variables on a whole triangulation: a on non-E0
-    edges of T, b on positive-circle vertices."""
-
-    a: dict
-    b: dict
-
-
-@dataclass(frozen=True)
-class EdgeRadii:
-    l: dict
-    r: dict
-
-
-def tri_rows(T, on_edges, on_vertices):
-    """(F, 3) rows, in the columns of ``T.tri_index``, of a value per edge
-    and a value per vertex of T, such as l and r; 0 where none is given."""
+def scatter_rows(T, l, r):
+    """Per-edge l and per-vertex r of (F, 3) rows in the columns of
+    ``T.tri_index``."""
     ix = T.tri_index
-    e = np.array([on_edges.get(k, 0.0) for k in T.edges], dtype=float)
-    v = np.array([on_vertices.get(k, 0.0) for k in T.base.vertices],
-                 dtype=float)
-    return e[ix.edge], v[ix.vert]
-
-
-def edge_radii(T, l, r):
-    """EdgeRadii of (F, 3) rows of l and r; the inverse of tri_rows."""
-    ix = T.tri_index
-    le, rv = np.empty(len(T.edges)), np.empty(len(T.base.vertices))
+    le, rv = np.empty(len(ix.eclass)), np.empty(len(ix.vclass))
     le[ix.edge], rv[ix.vert] = l, r
-    return EdgeRadii(l=dict(zip(T.edges, le.tolist())),
-                     r=dict(zip(T.base.vertices, rv.tolist())))
+    return le, rv
 
 
-def psi_surface(T, tc, g):
-    """psi on every triangle of T at once, as DomainError; total in a."""
+def psi_surface(T, x, g):
+    """psi on every triangle of T at once: (l, r), as DomainError; total
+    in a."""
     ix = T.tri_index
-    l, r, fails = psi_rows(gather_coords(T, tc), ix.vc, ix.ec, g)
+    l, r, fails = psi_rows(gather_coords(T, x), ix.vc, ix.ec, g)
     _raise_first(fails, DomainError)
-    return edge_radii(T, l, r)
+    return scatter_rows(T, l, r)
 
 
-def psi_inv_surface(T, er, g):
+def psi_inv_surface(T, l, r, g):
     """psi_inv on every vertex and edge of T at once, each edge by its
-    endpoint classes (inv_radius, inv_edge): b on the disks and a on the
-    non-E0 edges.  Raises InvariantViolation at a disk with r <= 0 or an
-    edge whose a is not defined."""
+    endpoint classes (inv_radius, inv_edge): the coordinates x.  Raises
+    InvariantViolation at a disk with r <= 0 or an edge whose a is not
+    defined."""
     check_geometry(g)
-    cc = T.base
     ix = T.tri_index
-    v1 = list(cc.v1)
-    bad = [v for v in v1 if er.r[v] <= 0]
-    if bad:
+    disk, free = ix.vclass == 1, ix.eclass != 0
+    bad = disk & (r <= 0)
+    if bad.any():
         raise InvariantViolation(f"positive-circle vertex with r = "
-                                 f"{er.r[bad[0]]}")
-    verts = cc.vertices
-    r = np.array([er.r[v] for v in verts], dtype=float)
-    l = np.array([er.l[e] for e in T.edges], dtype=float)
-    vclass = np.fromiter(map(cc.vertex_class, verts), int, len(verts))
-    free = np.empty(len(l), bool)
-    free[ix.edge] = ix.ec != 0
-    # each edge's (lower, upper) vertex positions from its first cell
-    t, m = ix.edge_tri[:, 0], ix.edge_col[:, 0]
-    p, q = ix.vert[t, m], ix.vert[t, (m + 1) % 3]
-    u, v = np.minimum(p, q), np.maximum(p, q)
-    cu, cv = vclass[u], vclass[v]
+                                 f"{float(r[np.argmax(bad)])}")
+    u, v = ix.ends[:, 0], ix.ends[:, 1]
+    cu, cv = ix.vclass[u], ix.vclass[v]
     ru, rv = r[u], r[v]
     rm = np.where(cu == 0, rv, ru)  # the disk end of a mixed edge
     with np.errstate(all="ignore"):
         if g == EUCLIDEAN:
-            b = np.where(vclass == 1, -np.log(r), 0.0)
+            b = np.where(disk, -np.log(r), 0.0)
             disks = np.arccosh((l * l - ru * ru - rv * rv) / (2 * ru * rv))
             points = 2 * np.log(l)
             mixed = np.log((l * l - rm * rm) / rm)
         else:
-            b = np.where(vclass == 1, np.arcsinh(1.0 / np.sinh(r)), 0.0)
+            b = np.where(disk, np.arcsinh(1.0 / np.sinh(r)), 0.0)
             bu, bv = b[u], b[v]
             bm = np.where(cu == 0, bv, bu)
             disks = np.arccosh(np.cosh(l) * np.sinh(bu) * np.sinh(bv)
@@ -1083,80 +710,51 @@ def psi_inv_surface(T, er, g):
         k = int(np.argmax(undefined))
         raise InvariantViolation(
             f"edge {T.edges[k]}: no coordinate a for l = {l[k]}")
-    b_at = dict(zip(verts, b.tolist()))
-    return TetraCoords(
-        a={e: x for e, x, f in zip(T.edges, a.tolist(), free) if f},
-        b={k: b_at[k] for k in v1})
+    return np.concatenate([a[free], b[disk]])
 
 
-def check_er_surface(T, er, g):
+def check_er_surface(T, l, r, g):
     """check_er_triangle on every triangle of T at once, as DomainError."""
     ix = T.tri_index
-    _raise_first(er_failures(*tri_rows(T, er.l, er.r), ix.vc, ix.ec),
+    _raise_first(er_failures(l[ix.edge], r[ix.vert], ix.vc, ix.ec),
                  DomainError)
 
 
-def gather_coords(T, tc):
-    """(F, 6) per-triangle coordinates in the columns of ``T.tri_index``
-    from TetraCoords or from a vector packed in free-variable order; 0
-    where a coordinate is fixed."""
-    if isinstance(tc, np.ndarray):
-        return np.append(tc, 0.0)[T.tri_index.slots]  # slot -1 reads the 0
-    return np.concatenate(tri_rows(T, tc.a, tc.b), axis=1)
+def gather_coords(T, x):
+    """(F, 6) per-triangle coordinates in the columns of ``T.tri_index``;
+    0 where a coordinate is fixed."""
+    return np.append(x, 0.0)[T.tri_index.slots]  # slot -1 reads the 0
 
 
-def decorate_surface(T, tc, g):
+def decorate_surface(T, x, g):
     """decorated_triangles on every triangle of T, in triangle order."""
     ix = T.tri_index
-    return decorated_triangles(gather_coords(T, tc), ix.vc, ix.ec, g)
+    return decorated_triangles(gather_coords(T, x), ix.vc, ix.ec, g)
 
 
-def in_te(T, tc, g):
+def in_te(T, x, g):
     """Membership of surface coordinates in the tetrahedral domain: the
     kernel is defined on every triangle."""
     try:
-        decorate_surface(T, tc, g)
+        decorate_surface(T, x, g)
     except NotInTE:
         return False
     return True
 
 
-def gauge_direction(T):
-    """Euclidean scaling action generator on the free coordinates:
-    +(number of point endpoints) on each a, -1 on each b."""
-    cc = T.base
-    da = {}
-    for e in T.edges:
-        if e in cc.e0:
-            continue
-        u, v = e
-        da[e] = float((cc.vertex_class(u) == 0) + (cc.vertex_class(v) == 0))
-    db = {k: -1.0 for k in cc.v1}
-    return da, db
+def gauge_vector(T):
+    """The generator of the Euclidean scaling action on x: the number of
+    point-circle endpoints on each a, -1 on each b."""
+    ix = T.tri_index
+    points = (ix.vclass[ix.ends] == 0).sum(axis=1)[ix.eclass != 0]
+    return np.concatenate([points, -np.ones(ix.n_free - len(points))])
 
 
-def act(T, tc, t, g):
-    """Gauge action: Euclidean rescaling by e^t; hyperbolic identity."""
-    check_geometry(g)
-    if g == HYPERBOLIC or t == 0.0:
-        return TetraCoords(a=dict(tc.a), b=dict(tc.b))
-    da, db = gauge_direction(T)
-    a = {e: v + t * da[e] for e, v in tc.a.items()}
-    b = {k: v + t * db[k] for k, v in tc.b.items()}
-    return TetraCoords(a=a, b=b)
-
-
-def project_gauge(T, tc, g):
-    """Orthogonal projection onto the section
+def project_gauge(T, x, g):
+    """Orthogonal projection of x onto the section
     sum(point-incident a) - sum(b) = 0 of the gauge action
     (hyperbolic: identity)."""
     if g == HYPERBOLIC:
-        return TetraCoords(a=dict(tc.a), b=dict(tc.b))
-    da, db = gauge_direction(T)
-    num = (sum(tc.a[e] * da[e] for e in tc.a)
-           + sum(tc.b[k] * db[k] for k in tc.b))
-    den = sum(v * v for v in da.values()) + sum(v * v for v in db.values())
-    if den == 0:
-        return TetraCoords(a=dict(tc.a), b=dict(tc.b))
-    t = -num / den
-    return act(T, tc, t, EUCLIDEAN)
+        return x
+    c = gauge_vector(T)
+    return x - sum((x * c).tolist()) / (c @ c) * c

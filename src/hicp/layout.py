@@ -60,7 +60,7 @@ def circle_intersection_angle(c1, R1, c2, R2, g):
 class SurfaceLayout:
     geometry: str
     T: object  # Triangulation
-    er: object  # EdgeRadii
+    l: np.ndarray  # per edge of ``T.edges``: its length
     merged: bool
     # chart key: triangle index (unmerged) or base face index (merged)
     charts: dict  # key -> {"verts": [(vid, complex)], "circle": (center, R)}
@@ -132,8 +132,7 @@ def _theta(T, dt, g, alpha_sum):
     Raises InvariantViolation at the first edge where theta and the alpha
     sum disagree."""
     ix = T.tri_index
-    free = np.empty(len(T.edges), bool)
-    free[ix.edge] = ix.ec != 0
+    free = ix.eclass != 0
     t, m = ix.edge_tri[free], ix.edge_col[free]
     n = (m + 1) % 3
     up = ix.vert[t, m] < ix.vert[t, n]  # the column traverses u -> v
@@ -157,7 +156,7 @@ def _theta(T, dt, g, alpha_sum):
     return theta
 
 
-def develop(T, tc, g):
+def develop(T, x, g):
     """Develop all triangles of T into one model chart by breadth-first
     gluing from the least triangle, crossing least-id edges first.  One
     kernel call places and circumscribes every triangle; the chart, the
@@ -165,8 +164,8 @@ def develop(T, tc, g):
     class-forced 0 on tangency edges."""
     check_geometry(g)
     ix = T.tri_index
-    dt = geo.decorate_surface(T, tc, g)
-    er = geo.edge_radii(T, dt.l, dt.r)
+    dt = geo.decorate_surface(T, x, g)
+    l, r = geo.scatter_rows(T, dt.l, dt.r)
     asum = np.bincount(ix.edge.ravel(), weights=dt.alpha.ravel(),
                        minlength=len(T.edges))
     verts = T.base.vertices
@@ -189,9 +188,9 @@ def develop(T, tc, g):
     theta = dict(zip(T.edges, _theta(T, dt, g, asum).tolist()))
 
     return SurfaceLayout(
-        geometry=g, T=T, er=er, merged=False, charts=charts,
+        geometry=g, T=T, l=l, merged=False, charts=charts,
         theta=theta, alpha_sum=dict(zip(T.edges, asum.tolist())),
-        Theta=beta_sum, radii=dict(er.r), tree_edges=tree,
+        Theta=beta_sum, radii=dict(zip(verts, r.tolist())), tree_edges=tree,
         areas=areas, placed=dt)
 
 
@@ -267,7 +266,7 @@ def merge_redundant(sl):
         areas = dict(enumerate(np.bincount(
             face, weights=[sl.areas[ti] for ti in range(len(face))]).tolist()))
     return SurfaceLayout(
-        geometry=g, T=T, er=sl.er, merged=True, charts=charts,
+        geometry=g, T=T, l=sl.l, merged=True, charts=charts,
         theta={e: sl.theta[e] for e in cc.edges},
         alpha_sum={e: sl.alpha_sum[e] for e in cc.edges},
         Theta=dict(sl.Theta), radii=dict(sl.radii),
@@ -306,13 +305,23 @@ def layout_to_dict(sl):
     }
 
 
-def export_json(sl, path):
+def json_text(obj):
+    """obj as the text of every JSON file hicp writes: sorted keys, one
+    space of indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def write_text(path, text):
+    """Write text to the file at path; an OSError becomes IoError."""
     try:
         with open(path, "w") as fh:
-            fh.write(json.dumps(layout_to_dict(sl), sort_keys=True,
-                                indent=1) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(str(exc))
+
+
+def export_json(sl, path):
+    write_text(path, json_text(layout_to_dict(sl)))
 
 
 _PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
@@ -400,8 +409,4 @@ def export_svg(sl, path):
     lines += [_POINT % xy if d else next(circles)
               for d, xy in zip(dot.tolist(), dots)]
     lines.append('</svg>')
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(str(exc))
+    write_text(path, "\n".join(lines) + "\n")

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DomainError, IndexMismatch, NotInTE
-from .geometry import EUCLIDEAN, EdgeRadii, TetraCoords, check_geometry
+from .geometry import EUCLIDEAN, check_geometry
 from .polytope import AngleData, pre_check
 
 CONVERGED = "Converged"
@@ -37,7 +37,7 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class Solution:
-    coords: TetraCoords
+    coords: np.ndarray | None  # x in free-variable order
     residual_norm: float
     iterations: int
     realized_angles: AngleData | None
@@ -51,7 +51,7 @@ class Solution:
 
 
 def reference_coords(T, g):
-    """Tetrahedral coordinates of the uniform-edge-length reference
+    """Tetrahedral coordinates x of the uniform-edge-length reference
     configuration, projected to the gauge section.  Free-edge lengths
     are shrunk where the class lengths would break a triangle
     inequality (possible when tangency and free edges share a
@@ -75,10 +75,9 @@ def reference_coords(T, g):
                     changed = True
         if not changed:
             break
-    er = EdgeRadii(l=dict(zip(T.edges, l)), r=dict(zip(cc.vertices, r)))
-    geo.check_er_surface(T, er, g)
-    tc = geo.psi_inv_surface(T, er, g)
-    return geo.project_gauge(T, tc, g)
+    l, r = np.array(l), np.array(r)
+    geo.check_er_surface(T, l, r, g)
+    return geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +210,6 @@ def free_variables(T):
             + [("b", k) for k in T.v1_vertices])
 
 
-def pack(T, tc):
-    return np.array([tc.a[e] if kind == "a" else tc.b[e]
-                     for kind, e in free_variables(T)])
-
-
-def unpack(T, x):
-    a, b = {}, {}
-    for val, (kind, key) in zip(x, free_variables(T)):
-        if kind == "a":
-            a[key] = float(val)
-        else:
-            b[key] = float(val)
-    return TetraCoords(a=a, b=b)
-
-
 def lifted_targets(T, target):
     """Target angle per free variable, in ``free_variables`` order:
     stored theta on E1, pi on the fan diagonals, Theta on V1."""
@@ -240,28 +224,27 @@ def _slot_angles(dt):
     return np.concatenate([dt.alpha, dt.beta], axis=1)
 
 
-def realized_sums(T, tc, g):
+def realized_sums(T, x, g):
     """Sum over all triangles, in triangle order, of alpha per free edge
     and beta per V1 vertex, as one vector in ``free_variables`` order;
-    raises NotInTE outside the domain.  ``tc``: TetraCoords or a packed
-    vector."""
+    raises NotInTE outside the domain."""
     ix = T.tri_index
-    angles = _slot_angles(geo.decorate_surface(T, tc, g))
+    angles = _slot_angles(geo.decorate_surface(T, x, g))
     free = ix.slots >= 0
     return np.bincount(ix.slots[free], weights=angles[free],
                        minlength=ix.n_free)
 
 
-def grad_U(T, tc, target, g):
+def grad_U(T, x, target, g):
     """Gradient of the angle functional: realized minus target angles,
     one entry per free variable.  ``target`` is AngleData or the vector
     ``lifted_targets`` returns."""
     if not isinstance(target, np.ndarray):
         target = lifted_targets(T, target)
-    return realized_sums(T, tc, g) - target
+    return realized_sums(T, x, g) - target
 
 
-def hessian_U(T, tc, g, scheme="central", symmetrize=True):
+def hessian_U(T, x, g, scheme="central", symmetrize=True):
     """Finite-difference Hessian of the functional (Jacobian of grad_U),
     symmetrized unless ``symmetrize`` is false.  The functional is a sum
     of per-triangle terms, so each triangle's block (at most 6 x 6) is
@@ -273,7 +256,7 @@ def hessian_U(T, tc, g, scheme="central", symmetrize=True):
     unmoved copy per triangle."""
     ix = T.tri_index
     S, n = ix.slots, ix.n_free
-    x = geo.gather_coords(T, tc)
+    x = geo.gather_coords(T, x)
     t, k = np.nonzero(S >= 0)  # triangle and slot of each difference
     h = 1e-5 * (1 + np.abs(x[t, k]))
     moved = np.arange(len(t))
@@ -302,24 +285,19 @@ def hessian_U(T, tc, g, scheme="central", symmetrize=True):
     return (H + H.T) / 2 if symmetrize else H
 
 
-def gauge_vector(T):
-    """The gauge direction in packed coordinates."""
-    da, db = geo.gauge_direction(T)
-    return np.array([da[key] if kind == "a" else db[key]
-                     for kind, key in free_variables(T)])
-
-
 # ---------------------------------------------------------------------------
 # Newton solver
 
 
-def extract_angles(T, tc, g):
+def extract_angles(T, x, g):
     """Realized angle data of a coordinate point."""
-    sums = unpack(T, realized_sums(T, tc, g))
+    sums = realized_sums(T, x, g).tolist()
+    n_a = len(T.free_edges)
+    alpha = dict(zip(T.free_edges, sums[:n_a]))
+    beta = dict(zip(T.v1_vertices, sums[n_a:]))
     cc = T.base
-    theta = {e: sums.a[e] for e in cc.e1}
-    Theta = {k: sums.b[k] for k in cc.v1}
-    return AngleData(geometry=g, theta=theta, Theta=Theta)
+    return AngleData(geometry=g, theta={e: alpha[e] for e in cc.e1},
+                     Theta={k: beta[k] for k in cc.v1})
 
 
 def solve(T, target, opts=None):
@@ -336,7 +314,7 @@ def solve(T, target, opts=None):
                         report=rep)
 
     targets = lifted_targets(T, target)
-    x = pack(T, reference_coords(T, g))
+    x = reference_coords(T, g)
     n = len(x)
 
     # The Euclidean functional is constant along the gauge direction c,
@@ -344,7 +322,7 @@ def solve(T, target, opts=None):
     # nonsingular without changing the step across the gauge.
     gauge = 0.0
     if g == EUCLIDEAN:
-        c = gauge_vector(T)
+        c = geo.gauge_vector(T)
         c = c / np.linalg.norm(c)
         gauge = np.outer(c, c)
 
@@ -404,8 +382,8 @@ def solve(T, target, opts=None):
     if gnorm <= opts.grad_tol:
         status = CONVERGED
 
-    tc = geo.project_gauge(T, unpack(T, x), g)
-    realized = extract_angles(T, tc, g) if status == CONVERGED else None
-    return Solution(coords=tc, residual_norm=gnorm, iterations=it,
+    x = geo.project_gauge(T, x, g)
+    realized = extract_angles(T, x, g) if status == CONVERGED else None
+    return Solution(coords=x, residual_norm=gnorm, iterations=it,
                     realized_angles=realized, status=status,
                     trace=tuple(trace))

@@ -6,6 +6,7 @@ different from the ones in the package, so agreement is meaningful.
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,7 @@ from hicp import geometry as geo
 from hicp.complexes import edge_key
 from hicp.errors import InvariantViolation, NonRedundantDiagonal
 from hicp.layout import MERGE_TOL
-from hicp.solver import grad_U, pack
+from hicp.solver import grad_U
 
 mp.mp.dps = 40
 
@@ -152,12 +153,11 @@ ASINH_SQRT2_10 = 0.1409541445270734  # float(mp.asinh(mp.sqrt(2)/10))
 # Reference Hessian
 
 
-def full_gradient_hessian(T, tc, g, scheme="central"):
+def full_gradient_hessian(T, x, g, scheme="central"):
     """Jacobian of the full gradient by finite differences, one full
     grad_U evaluation per variable and side, with the step of
     solver.hessian_U.  Costs O(variables x triangles) kernel calls; the
     package assembles the same matrix from per-triangle blocks."""
-    x = pack(T, tc)
     n = len(x)
     zero = np.zeros(n)
     H = np.empty((n, n))
@@ -280,6 +280,50 @@ def boundary_touches_by_link(d, hv):
 
 
 # ---------------------------------------------------------------------------
+# Dict views of the package's arrays, keyed by edge and vertex id
+
+
+def unpack(T, x):
+    """(a, b) of a coordinate vector x: {free edge: a}, {disk vertex: b}."""
+    n = len(T.free_edges)
+    x = list(map(float, x))
+    return dict(zip(T.free_edges, x[:n])), dict(zip(T.v1_vertices, x[n:]))
+
+
+def pack(T, a, b):
+    """The coordinate vector x of (a, b) dicts; the inverse of unpack."""
+    return np.array([a[e] for e in T.free_edges]
+                    + [b[k] for k in T.v1_vertices], dtype=float)
+
+
+def er_dicts(T, l, r):
+    """({edge: l}, {vertex: r}) of the per-edge and per-vertex arrays."""
+    return (dict(zip(T.edges, map(float, l))),
+            dict(zip(T.base.vertices, map(float, r))))
+
+
+def er_arrays(T, er):
+    """The (l, r) arrays of ({edge: l}, {vertex: r}); the inverse of
+    er_dicts."""
+    return (np.array([er[0][e] for e in T.edges], dtype=float),
+            np.array([er[1][v] for v in T.base.vertices], dtype=float))
+
+
+def gauge_direction(T):
+    """Euclidean scaling action generator on the free coordinates, edge
+    by edge: +(number of point endpoints) on each a, -1 on each b."""
+    cc = T.base
+    da = {}
+    for e in T.edges:
+        if e in cc.e0:
+            continue
+        u, v = e
+        da[e] = float((cc.vertex_class(u) == 0) + (cc.vertex_class(v) == 0))
+    db = {k: -1.0 for k in cc.v1}
+    return da, db
+
+
+# ---------------------------------------------------------------------------
 # Per-triangle views for the scalar kernel, the reference of the batched one
 
 
@@ -300,20 +344,20 @@ def tri_edges(T, ti):
 
 
 def tri_er(T, er, tri):
-    """(l3, r3) of one triangle of T from surface EdgeRadii."""
+    """(l3, r3) of one triangle of T from ({edge: l}, {vertex: r})."""
     i, j, k = tri.verts
-    l3 = tuple(er.l[edge_key(u, v)] for u, v in ((i, j), (j, k), (k, i)))
-    r3 = tuple(er.r[v] for v in (i, j, k))
+    l3 = tuple(er[0][edge_key(u, v)] for u, v in ((i, j), (j, k), (k, i)))
+    r3 = tuple(er[1][v] for v in (i, j, k))
     return l3, r3
 
 
 def tri_coords(T, tc, tri):
-    """(a3, b3) of one triangle of T from surface TetraCoords, 0 where a
-    coordinate is fixed."""
+    """(a3, b3) of one triangle of T from ({free edge: a}, {disk
+    vertex: b}), 0 where a coordinate is fixed."""
     i, j, k = tri.verts
-    a3 = tuple(tc.a.get(edge_key(u, v), 0.0)
+    a3 = tuple(tc[0].get(edge_key(u, v), 0.0)
                for u, v in ((i, j), (j, k), (k, i)))
-    return a3, tuple(tc.b.get(v, 0.0) for v in (i, j, k))
+    return a3, tuple(tc[1].get(v, 0.0) for v in (i, j, k))
 
 
 def place_euclidean(l3):
@@ -342,18 +386,19 @@ def local_pair_theta(T, er, e, g):
 
 def psi_inv_surface_by_loop(T, er, g):
     """psi_inv_surface edge by edge through the scalar inv_radius and
-    inv_edge."""
+    inv_edge, on ({edge: l}, {vertex: r}): ({free edge: a}, {disk
+    vertex: b})."""
     cc = T.base
-    b = {v: geo.inv_radius(g, 1, er.r[v]) for v in cc.v1}
+    l, r = er
+    b = {v: geo.inv_radius(g, 1, r[v]) for v in T.v1_vertices}
     a = {}
     for e in T.edges:
         if e in cc.e0:
             continue
         u, v = e
         a[e] = geo.inv_edge(g, 1, cc.vertex_class(u), cc.vertex_class(v),
-                            er.l[e], er.r[u], er.r[v],
-                            b.get(u, 0.0), b.get(v, 0.0))
-    return geo.TetraCoords(a=a, b=b)
+                            l[e], r[u], r[v], b.get(u, 0.0), b.get(v, 0.0))
+    return a, b
 
 
 def tri_index_by_loop(T):
@@ -379,7 +424,10 @@ def tri_index_by_loop(T):
     return {"vc": np.array(vc), "ec": np.array(ec), "slots": np.array(slots),
             "edge": np.array(edge), "vert": np.array(vert),
             "n_free": len(a_slot) + len(b_slot),
-            "edge_tri": np.array(edge_tri), "edge_col": np.array(edge_col)}
+            "edge_tri": np.array(edge_tri), "edge_col": np.array(edge_col),
+            "ends": np.array([[vindex[u], vindex[v]] for u, v in T.edges]),
+            "vclass": np.array([cc.vertex_class(v) for v in cc.vertices]),
+            "eclass": np.array([T.edge_class(e) for e in T.edges])}
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +503,10 @@ def pair_theta(T, placed, e, g):
     return circle_intersection_angle(c1, R1, c2, R2, g)
 
 
-def develop_by_loop(T, tc, g):
+def develop_by_loop(T, x, g):
     """develop's chart, tree and theta by glue and pair_theta: (charts as
     {triangle: (positions, circle)}, tree, theta)."""
-    dt = geo.decorate_surface(T, tc, g)
+    dt = geo.decorate_surface(T, x, g)
     placed = kernel_placements(T, dt)
     alpha_sum = dict(zip(T.edges, np.bincount(
         T.tri_index.edge.ravel(), weights=dt.alpha.ravel(),
@@ -506,3 +554,142 @@ def merge_by_loop(sl):
         charts[fi] = {"verts": [(v, pos[v]) for v in f],
                       "circle": (c0, R0)}
     return charts
+
+
+# ---------------------------------------------------------------------------
+# Boundary traces by link walks, the reference of complexes.boundary_counts
+
+
+@dataclass(frozen=True)
+class BoundaryTrace:
+    """Immersed boundary of an admissible domain.
+
+    ``walks`` is a list of closed edge walks; each step is a tuple
+    ``(edge_index, from_hat_vertex, to_hat_vertex)``.  ``punctures`` lists
+    hat vertices that form isolated boundary points (degenerate walks).
+    """
+
+    walks: tuple
+    punctures: tuple
+
+    def edge_multiplicities(self):
+        mult = {}
+        for walk in self.walks:
+            for ei, _a, _b in walk:
+                mult[ei] = mult.get(ei, 0) + 1
+        return mult
+
+    def count_base_vertices(self):
+        """|boundary ∩ V|: base-vertex occurrences along the walks, with
+        multiplicity; punctures at base vertices count once."""
+        n = 0
+        for walk in self.walks:
+            for _ei, _a, b in walk:
+                if b[0] == "v":
+                    n += 1
+        n += sum(1 for p in self.punctures if p[0] == "v")
+        return n
+
+
+def boundary(h, d):
+    """Boundary trace of an admissible domain as immersed closed walks."""
+    # directed boundary incidences: (edge index, triangle index) with the
+    # triangle inside the domain and the edge outside
+    incidences = set()
+    for ti, hf in enumerate(h.hat_faces):
+        if not (d.fmask >> ti & 1):
+            continue
+        for ei in hf.edges:
+            if not (d.emask >> ei & 1):
+                incidences.add((ei, ti))
+
+    def endpoints(ei):
+        kind, data = h.edges[ei]
+        if kind == "dual":
+            fa, fb = h.base.edge_faces[data]
+            return ("f", min(fa, fb)), ("f", max(fa, fb))
+        v, fi = data
+        return ("v", v), ("f", fi)
+
+    # A directed step is identified with its incidence (ei, ti): for
+    # multiplicity-2 edges the two incidences are traversed in opposite
+    # directions, so (ei, ti) is a faithful key.  The traversal direction
+    # keeps the domain on a fixed side: the head is the endpoint at whose
+    # link the triangle ti immediately follows ei in cycle order, and the
+    # next incidence is found by rotating at the head from ei through ti
+    # to the first edge outside the domain.
+    steps = {}
+    for ei, ti in incidences:
+        a, b = endpoints(ei)
+        head = b if _first_step_is(h, b, ei, ti) else a
+        tail = a if head == b else b
+        nxt = _rotate_to_next(h, d, head, ei, ti)
+        steps[(ei, ti)] = (tail, head, nxt)
+
+    visited = set()
+    walks = []
+    for start in sorted(steps):
+        if start in visited:
+            continue
+        walk = []
+        cur = start
+        while True:
+            visited.add(cur)
+            tail, head, nxt = steps[cur]
+            walk.append((cur[0], tail, head))
+            if nxt == start:
+                break
+            cur = nxt
+        walks.append(tuple(walk))
+
+    punctures = []
+    for hv in h.stars:
+        i = h.vindex[hv]
+        if d.vmask >> i & 1:
+            continue
+        link = h.links[hv]
+        if link and all(d.contains_cell(k, idx) for k, idx in link):
+            punctures.append(hv)
+
+    return BoundaryTrace(walks=tuple(walks), punctures=tuple(sorted(punctures)))
+
+
+def _first_step_is(h, hv, ei, ti):
+    """At hat vertex hv, check that in the link cycle the triangle right
+    after edge ei (in forward cycle direction) is ti."""
+    link = h.links[hv]
+    n = len(link)
+    for p, cell in enumerate(link):
+        if cell == ("e", ei):
+            return link[(p + 1) % n] == ("t", ti)
+    raise AssertionError(f"edge {ei} not in link of {hv}")
+
+
+def _rotate_to_next(h, d, hv, ei, ti):
+    """Rotate around hv starting at edge ei, stepping first onto triangle
+    ti, and return the incidence (edge, triangle) of the first edge not in
+    the domain.  Returns None when ti is not the immediate neighbor of ei
+    in either rotation sense at hv."""
+    link = h.links[hv]
+    n = len(link)
+    try:
+        p = link.index(("e", ei))
+    except ValueError:
+        return None
+    if link[(p + 1) % n] == ("t", ti):
+        step = 1
+    elif link[(p - 1) % n] == ("t", ti):
+        step = -1
+    else:
+        return None
+    q = p + step
+    last_tri = ti
+    for _ in range(n):
+        cell = link[q % n]
+        if cell[0] == "t":
+            last_tri = cell[1]
+        else:
+            if not d.contains_cell("e", cell[1]):
+                return (cell[1], last_tri)
+        q += step
+    raise AssertionError("link rotation did not terminate")

@@ -22,17 +22,11 @@ from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     TriangleTags,
-    _section_project,
     check_er_triangle,
     dual_edge_length,
-    expand_angles,
-    free_angle_indices,
-    lobachevsky,
+    gauge_vector,
     psi_inv,
     psi_inv_surface,
-    reduce_angles,
-    reference_er_triangle,
-    tetra_volume,
     triangle_angles,
 )
 from hicp.layout import develop, gauss_bonnet_check
@@ -42,21 +36,28 @@ from hicp.solver import (
     CONVERGED,
     INFEASIBLE,
     extract_angles,
-    gauge_vector,
     hessian_U,
     omega_solve,
     omega_value,
     reference_coords,
     solve,
 )
+from schlaefli import (
+    _section_project,
+    expand_angles,
+    free_angle_indices,
+    lobachevsky,
+    reduce_angles,
+    reference_er_triangle,
+    tetra_volume,
+)
 
 BOTH = (EUCLIDEAN, HYPERBOLIC)
 
 
 def sampled_er(T, g, rng):
-    tc0 = reference_coords(T, g)
-    er0 = geo.psi_surface(T, tc0, g)
-    return cli.sample_er(T, er0, g, rng)
+    l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
+    return cli.sample_er(T, l0, r0, g, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +79,14 @@ class TestGridReconstruction:
             assert abs(v - math.pi / 2) < 1e-9
 
         # congruent to the unit-square grid up to one global scale
-        er = geo.psi_surface(T, sol.coords, EUCLIDEAN)
-        sides = [er.l[e] for e in sorted(grid_torus.edges)]
+        length = dict(zip(T.edges,
+                          geo.psi_surface(T, sol.coords, EUCLIDEAN)[0]))
+        sides = [length[e] for e in sorted(grid_torus.edges)]
         s = sides[0]
         for v in sides:
             assert abs(v - s) < 1e-9 * s
         for d in sorted(T.e_pi):
-            assert abs(er.l[d] - s * math.sqrt(2.0)) < 1e-9 * s
+            assert abs(length[d] - s * math.sqrt(2.0)) < 1e-9 * s
 
         sl = develop(T, sol.coords, EUCLIDEAN)
         from hicp.layout import merge_redundant
@@ -132,9 +134,8 @@ class TestConvexity:
             T = triangulate(build_complex(fixture_spec(name)))
             rng = random.Random(hash((name, g)) & 0xFFFF)
             for _ in range(10):
-                er = sampled_er(T, g, rng)
-                tc = psi_inv_surface(T, er, g)
-                H = hessian_U(T, tc, g, symmetrize=False)
+                x = psi_inv_surface(T, *sampled_er(T, g, rng), g)
+                H = hessian_U(T, x, g, symmetrize=False)
                 scale = np.max(np.abs(H))
                 assert np.max(np.abs(H - H.T)) < 1e-6 * scale
                 Hs = (H + H.T) / 2
@@ -240,9 +241,9 @@ class TestGaussBonnet:
 
     def test_hyperbolic_area_identity(self, genus2, e0_torus):
         for cc in (genus2, e0_torus):
-            T, er = reference_pattern(cc, HYPERBOLIC)
-            tc = psi_inv_surface(T, er, HYPERBOLIC)
-            target = extract_angles(T, tc, HYPERBOLIC)
+            T, l, r = reference_pattern(cc, HYPERBOLIC)
+            target = extract_angles(T, psi_inv_surface(T, l, r, HYPERBOLIC),
+                                    HYPERBOLIC)
             sol = solve(T, target)
             assert sol.status == CONVERGED
             gb = gauss_bonnet_check(develop(T, sol.coords, HYPERBOLIC))
@@ -344,7 +345,7 @@ class TestDualChecks:
         while checked < 1000:
             for name, g in combos:
                 T = triangulate(build_complex(fixture_spec(name)))
-                er = sampled_er(T, g, rng)
+                er = oracles.er_dicts(T, *sampled_er(T, g, rng))
                 alpha_sum = {e: 0.0 for e in T.edges}
                 for tri in T.triangles:
                     tags = oracles.triangle_tags(T, tri)

@@ -1,8 +1,10 @@
 """The benchmark under ``perfbench/`` wraps package functions by name
-(``SPANNED`` and ``COUNTED`` in ``tracing.py``) and imports others
-(``gen.py``).  Both files are read here, not imported or changed, so a
-cleanup that renames or removes one of those functions fails a test
-instead of breaking the traced benchmark run."""
+(``SPANNED`` and ``COUNTED`` in ``tracing.py``), reads the file a writer
+wrote from its argument at a recorded position (``WRITES``) and imports
+other functions (``gen.py``).  Both files are read here, not imported or
+changed, so a cleanup that renames or removes one of those functions, or
+moves a writer's path, fails a test instead of breaking the traced
+benchmark run."""
 
 import ast
 import importlib
@@ -32,6 +34,20 @@ def traced_names():
     return out
 
 
+def writes():
+    """(module, function, argument position) of every ``WRITES`` entry
+    of tracing.py."""
+    out = []
+    for node in _parse("tracing.py").body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRITES"
+                for t in node.targets):
+            for span, pos in ast.literal_eval(node.value).items():
+                short, name = span.split(".")
+                out.append((f"hicp.{short}", name, pos))
+    return out
+
+
 def gen_imports():
     """(module, name) for every name gen.py imports from the package."""
     return [(node.module, alias.name)
@@ -57,6 +73,7 @@ def gen_calls():
 
 def test_contract_is_found():
     assert len(traced_names()) > 20
+    assert len(writes()) >= 3
     assert len(gen_imports()) > 5
     assert len(gen_calls()) >= len(gen_imports())
 
@@ -74,3 +91,11 @@ def test_gen_call_binds_to_the_signature(module, name, npos, keywords,
     sig = inspect.signature(getattr(importlib.import_module(module), name))
     bind = sig.bind_partial if starred else sig.bind
     bind(*[None] * npos, **{k: None for k in keywords})
+
+
+@pytest.mark.parametrize("module, name, pos", writes(),
+                         ids=[f"{w[0]}.{w[1]}" for w in writes()])
+def test_writer_takes_path_at_the_recorded_position(module, name, pos):
+    # tracing takes the path from args[pos], or else from kwargs["path"]
+    sig = inspect.signature(getattr(importlib.import_module(module), name))
+    assert list(sig.parameters)[pos] == "path"

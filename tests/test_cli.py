@@ -9,10 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hicp import build_complex, cli
+from hicp import build_complex, cli, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError
-from hicp.fixtures import grid_torus_spec, tetrahedron_spec
+from hicp.fixtures import fixture_spec, grid_torus_spec, tetrahedron_spec
+from hicp.layout import develop, layout_to_dict, merge_redundant
+from hicp.solver import solve
 
 
 def run(tmp_path, *argv):
@@ -337,6 +339,27 @@ class TestRender:
         rc = cli.main(["render", "--input", str(sol)])
         assert rc == 1
 
+    @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+    @pytest.mark.parametrize("name", ["grid-torus", "genus2-mixed"])
+    def test_solution_json_renders_as_develop(self, tmp_path, name, g):
+        # x crosses the JSON edge as dicts keyed by edge and vertex id:
+        # the file holds the solver's x exactly, and render of the file
+        # gives the layout of develop on that x
+        sol_path, out = tmp_path / "sol.json", tmp_path / "layout.json"
+        assert cli.main(["solve", "--input", f"fixture:{name}",
+                         "--geometry", g, "--output", str(sol_path)]) == 0
+        assert cli.main(["render", "--input", str(sol_path),
+                         "--output", str(out)]) == 0
+        cc = build_complex(fixture_spec(name))
+        T = triangulate(cc)
+        sol = solve(T, cli._target_from_input(cc, g, None, None))
+        coords = json.loads(sol_path.read_text())["coords"]
+        assert ([coords["a"][f"{u}-{v}"] for u, v in T.free_edges]
+                + [coords["b"][str(k)] for k in T.v1_vertices]
+                == sol.coords.tolist())
+        want = layout_to_dict(merge_redundant(develop(T, sol.coords, g)))
+        assert json.loads(out.read_text()) == json.loads(json.dumps(want))
+
 
 class TestDemo:
     def test_grid_torus(self, tmp_path):
@@ -368,6 +391,19 @@ class TestRoundtrip:
         assert data["statuses"] == ["Converged", "Converged"]
         assert data["max_error"] < 1e-6
         assert data["seed"] == 3
+
+    @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+    def test_complex_without_free_edges(self, tmp_path, g):
+        # four disks and every edge tangent: x holds b only
+        spec = tetrahedron_spec()
+        spec["tangent_edges"] = [[u, v] for u in range(4) for v in range(u)]
+        p = tmp_path / "tangent.json"
+        p.write_text(json.dumps(spec))
+        rc, data = run(tmp_path, "roundtrip", "--input", str(p),
+                       "--geometry", g, "--samples", "3")
+        assert rc == 0
+        assert data["statuses"] == ["Converged"] * 3
+        assert data["max_error"] < 1e-6
 
     def test_rejects_zero_samples(self, tmp_path, capsys):
         rc, data = run(tmp_path, "roundtrip", "--input", "fixture:tri-torus",

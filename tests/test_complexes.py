@@ -11,7 +11,6 @@ from hicp import (
     NotClosedSurface,
     RegularityViolation,
     admissible_domains,
-    boundary,
     build_complex,
     euler_char,
     fan_triangles,
@@ -308,7 +307,7 @@ def _boundary_matches_walk(h, d):
     cc = h.base
     e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
     mult, n_v, n_e0 = boundary_counts(h, d, e0_duals)
-    tr = boundary(h, d)
+    tr = oracles.boundary(h, d)
     walk_mult = {}
     for ei, m in tr.edge_multiplicities().items():
         kind, e = h.edges[ei]
@@ -361,7 +360,7 @@ class TestBoundary:
     def test_open_star_boundary_closed(self, grid_torus):
         h = hat_complex(grid_torus)
         d = open_star(h, ("v", 4))
-        tr = boundary(h, d)
+        tr = oracles.boundary(h, d)
         assert len(tr.walks) == 1
         assert tr.punctures == ()
         walk = tr.walks[0]
@@ -372,7 +371,7 @@ class TestBoundary:
     def test_face_star_boundary_hits_vertices(self, grid_torus):
         h = hat_complex(grid_torus)
         d = open_star(h, ("f", 3))
-        tr = boundary(h, d)
+        tr = oracles.boundary(h, d)
         assert tr.count_base_vertices() == 4
 
     def test_counts_match_trace(self, grid_torus):
@@ -388,7 +387,7 @@ class TestBoundary:
         gens = [("f", fi) for fi in range(len(grid_torus.faces))]
         gens += [("v", v) for v in grid_torus.vertices if v != 4]
         d = make_domain(h, gens)
-        tr = boundary(h, d)
+        tr = oracles.boundary(h, d)
         assert ("v", 4) in tr.punctures
 
 

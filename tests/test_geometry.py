@@ -25,27 +25,28 @@ from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     TriangleTags,
-    _section_project,
-    act,
-    angles_valid,
     check_er_triangle,
     dual_edge_length,
     edge_length,
     face_circle,
-    gauge_direction,
+    gauge_vector,
     in_te,
-    lobachevsky,
-    phi_inv,
     project_gauge,
     psi,
     psi_inv,
-    reference_angles,
-    reference_er_triangle,
     tetra_angles,
-    tetra_volume,
     triangle_angles,
     vertex_dual_length,
     vertex_radius,
+)
+from schlaefli import (
+    _section_project,
+    angles_valid,
+    lobachevsky,
+    phi_inv,
+    reference_angles,
+    reference_er_triangle,
+    tetra_volume,
 )
 
 BOTH = (EUCLIDEAN, HYPERBOLIC)
@@ -515,25 +516,25 @@ def test_psi_surface_matches_scalar(name, g, seed, kind, size):
     # coordinates near the reference point, then a free a moved to the
     # fold (psi stays total in a) or to 2000, or a disk b to -size
     T = _triangulated(name)
-    tc = reference_coords(T, g)
+    a, b = oracles.unpack(T, reference_coords(T, g))
     rng = random.Random(seed)
-    a = {e: v + rng.uniform(-0.3, 0.3) for e, v in tc.a.items()}
-    b = {k: v + rng.uniform(-0.3, 0.3) for k, v in tc.b.items()}
+    a = {e: v + rng.uniform(-0.3, 0.3) for e, v in a.items()}
+    b = {k: v + rng.uniform(-0.3, 0.3) for k, v in b.items()}
     if kind in ("fold", "overflow"):
         a[rng.choice(sorted(a))] = -size if kind == "fold" else 2000.0
     elif kind == "b" and b:
         b[rng.choice(sorted(b))] = -size
-    tc = geo.TetraCoords(a=a, b=b)
+    x = oracles.pack(T, a, b)
     ref = []
     for tri in T.triangles:
         try:
-            ref.append(psi(oracles.tri_coords(T, tc, tri),
+            ref.append(psi(oracles.tri_coords(T, (a, b), tri),
                            oracles.triangle_tags(T, tri), g))
         except DomainError:
             with pytest.raises(DomainError):
-                geo.psi_surface(T, tc, g)
+                geo.psi_surface(T, x, g)
             return
-    er = geo.psi_surface(T, tc, g)
+    er = oracles.er_dicts(T, *geo.psi_surface(T, x, g))
     for tri, (l3, r3) in zip(T.triangles, ref):
         got_l, got_r = oracles.tri_er(T, er, tri)
         assert got_l == pytest.approx(l3, rel=1e-14, abs=0)
@@ -546,13 +547,13 @@ def test_psi_surface_raises_where_sinh_b_overflows():
     spec = tetrahedron_spec()
     spec["tangent_edges"] = [[u, v] for u in range(4) for v in range(u)]
     T = triangulate(build_complex(spec))
-    tc = geo.TetraCoords(a={}, b={0: 800.0, 1: 3.0, 2: 3.0, 3: 3.0})
+    tc = ({}, {0: 800.0, 1: 3.0, 2: 3.0, 3: 3.0})
     tri = T.triangles[0]
     with pytest.raises(DomainError):
         psi(oracles.tri_coords(T, tc, tri), oracles.triangle_tags(T, tri),
             HYPERBOLIC)
     with pytest.raises(DomainError):
-        geo.psi_surface(T, tc, HYPERBOLIC)
+        geo.psi_surface(T, oracles.pack(T, *tc), HYPERBOLIC)
 
 
 @functools.lru_cache(maxsize=None)
@@ -567,25 +568,27 @@ def _reference_pattern(name, g):
 def test_psi_inv_surface_matches_scalar(name, g, seed, frac, size):
     # (l, r) sampled around the reference pattern, then (size given) a
     # disk radius set to -size: inverted at once and edge by edge
-    T, er0 = _reference_pattern(name, g)
+    T, l0, r0 = _reference_pattern(name, g)
     rng = random.Random(seed)
-    er = cli.sample_er(T, er0, g, rng, frac)
+    l, r = cli.sample_er(T, l0, r0, g, rng, frac)
     if size is not None and T.base.v1:
-        er.r[rng.choice(sorted(T.base.v1))] = -size
+        r[T.base.vertices.index(rng.choice(sorted(T.base.v1)))] = -size
+    er = oracles.er_dicts(T, l, r)
     try:
         want = oracles.psi_inv_surface_by_loop(T, er, g)
     except InvariantViolation as exc:
         with pytest.raises(InvariantViolation, match=f"^{exc}$"):
-            geo.psi_inv_surface(T, er, g)
+            geo.psi_inv_surface(T, l, r, g)
         return
-    got = geo.psi_inv_surface(T, er, g)
-    assert list(got.a) == list(want.a) and list(got.b) == list(want.b)
-    assert list(got.b.values()) == pytest.approx(list(want.b.values()),
+    got_a, got_b = oracles.unpack(T, geo.psi_inv_surface(T, l, r, g))
+    want_a, want_b = want
+    assert list(got_a) == list(want_a) and list(got_b) == list(want_b)
+    assert list(got_b.values()) == pytest.approx(list(want_b.values()),
                                                  rel=1e-14, abs=0)
     eps = np.finfo(float).eps
-    for e, a in want.a.items():
+    for e, a in want_a.items():
         spread = 0.0 if g == EUCLIDEAN else _inv_edge_spread(T, er, want, e)
-        assert abs(got.a[e] - a) <= 1e-14 * max(1.0, abs(a)) + 4 * eps * spread
+        assert abs(got_a[e] - a) <= 1e-14 * max(1.0, abs(a)) + 4 * eps * spread
 
 
 def _inv_edge_spread(T, er, tc, e):
@@ -594,13 +597,13 @@ def _inv_edge_spread(T, er, tc, e):
     an error of eps (|t1| + |t2|) in x moves a by that over dx/da,
     sinh a or e^a."""
     ends = [k for k in e if k in T.base.v1]
-    ch, a = math.cosh(er.l[e]), tc.a[e]
+    ch, a = math.cosh(er[0][e]), tc[0][e]
     if len(ends) == 2:
-        bu, bv = (tc.b[k] for k in ends)
+        bu, bv = (tc[1][k] for k in ends)
         return ((ch * math.sinh(bu) * math.sinh(bv)
                  + math.cosh(bu) * math.cosh(bv)) / math.sinh(a))
     if len(ends) == 1:
-        b = tc.b[ends[0]]
+        b = tc[1][ends[0]]
         return (ch * math.sinh(b) + math.cosh(b)) / math.exp(a)
     return 0.0
 
@@ -623,12 +626,13 @@ BREAKS = {
        seed=st.integers(0, 2 ** 32 - 1), size=st.floats(0.0, 3.0))
 def test_check_er_surface_matches_scalar(kind, data, g, seed, size):
     name = data.draw(st.sampled_from(BREAKS[kind]))
-    T, er = reference_pattern(build_complex(fixture_spec(name)), g)
+    T, l, r = reference_pattern(build_complex(fixture_spec(name)), g)
+    er = oracles.er_dicts(T, l, r)
     cc = T.base
     rng = random.Random(seed)
-    r = {v: x * (1 + rng.uniform(-0.05, 0.05)) for v, x in er.r.items()}
+    r = {v: x * (1 + rng.uniform(-0.05, 0.05)) for v, x in er[1].items()}
     l = {e: r[e[0]] + r[e[1]] if e in cc.e0
-         else x * (1 + rng.uniform(-0.05, 0.05)) for e, x in er.l.items()}
+         else x * (1 + rng.uniform(-0.05, 0.05)) for e, x in er[0].items()}
     free = sorted(e for e in l if e not in cc.e0)
     e = rng.choice(free)
     if kind == "e0":
@@ -646,7 +650,7 @@ def test_check_er_surface_matches_scalar(kind, data, g, seed, size):
         f, h = (x for x in oracles.tri_edges(T, T.edge_triangles[e][0])
                 if x != e)
         l[e] = l[f] + l[h] + (size - 1.5) * 1e-15
-    er = geo.EdgeRadii(l=l, r=r)
+    er = (l, r)
     fails = 0
     for tri in T.triangles:
         try:
@@ -656,9 +660,9 @@ def test_check_er_surface_matches_scalar(kind, data, g, seed, size):
             fails += 1
     if fails:
         with pytest.raises(DomainError):
-            geo.check_er_surface(T, er, g)
+            geo.check_er_surface(T, *oracles.er_arrays(T, er), g)
     else:
-        geo.check_er_surface(T, er, g)
+        geo.check_er_surface(T, *oracles.er_arrays(T, er), g)
     if kind in ("radius", "length") or kind == "point" and size > 0:
         assert fails
 
@@ -674,32 +678,36 @@ class TestGauge:
 
     def test_angles_invariant_under_action(self, grid_torus_T):
         T = grid_torus_T
-        tc = self._ref(T)
-        dt = geo.decorate_surface(T, tc, EUCLIDEAN)
-        dt2 = geo.decorate_surface(T, act(T, tc, 0.37, EUCLIDEAN), EUCLIDEAN)
+        x = self._ref(T)
+        dt = geo.decorate_surface(T, x, EUCLIDEAN)
+        dt2 = geo.decorate_surface(T, x + 0.37 * gauge_vector(T), EUCLIDEAN)
         np.testing.assert_allclose(dt2.alpha, dt.alpha, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dt2.beta, dt.beta, rtol=0, atol=1e-12)
 
     def test_project_gauge_idempotent(self, grid_torus_T):
         T = grid_torus_T
-        tc = act(T, self._ref(T), 0.9, EUCLIDEAN)
-        p = project_gauge(T, tc, EUCLIDEAN)
-        da, db = gauge_direction(T)
-        s = (sum(p.a[e] * da[e] for e in p.a)
-             + sum(p.b[k] * db[k] for k in p.b))
+        p = project_gauge(T, self._ref(T) + 0.9 * gauge_vector(T), EUCLIDEAN)
+        a, b = oracles.unpack(T, p)
+        da, db = oracles.gauge_direction(T)
+        s = (sum(a[e] * da[e] for e in a)
+             + sum(b[k] * db[k] for k in b))
         assert s == pytest.approx(0.0, abs=1e-12)
         p2 = project_gauge(T, p, EUCLIDEAN)
-        for e in p.a:
-            assert p2.a[e] == pytest.approx(p.a[e], abs=1e-12)
+        np.testing.assert_allclose(p2, p, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_gauge_vector_matches_loop(self, name):
+        T = _triangulated(name)
+        assert np.array_equal(gauge_vector(T),
+                              oracles.pack(T, *oracles.gauge_direction(T)))
 
     def test_in_te(self, grid_torus_T):
         T = grid_torus_T
-        tc = self._ref(T)
-        assert in_te(T, tc, EUCLIDEAN)
-        a = dict(tc.a)
-        e = next(iter(a))
-        a[e] = a[e] + 50.0
-        assert not in_te(T, tc.__class__(a=a, b=dict(tc.b)), EUCLIDEAN)
+        x = self._ref(T)
+        assert in_te(T, x, EUCLIDEAN)
+        x = x.copy()
+        x[0] += 50.0  # a on the first free edge
+        assert not in_te(T, x, EUCLIDEAN)
 
     @settings(max_examples=30, deadline=None)
     @given(g=st.sampled_from(BOTH), pick=st.integers(0, 10 ** 6),
@@ -710,28 +718,29 @@ class TestGauge:
         T = triangulate(tri_torus_v1)
         cc = T.base
         folds = [e for e in T.free_edges if e[0] in cc.v1 and e[1] in cc.v1]
-        tc = reference_coords(T, g)
-        assert folds and in_te(T, tc, g)
-        coords = dict(tc.a)
-        coords[folds[pick % len(folds)]] = a
-        assert not in_te(T, geo.TetraCoords(a=coords, b=dict(tc.b)), g)
+        x = reference_coords(T, g)
+        assert folds and in_te(T, x, g)
+        x = x.copy()
+        x[T.free_edges.index(folds[pick % len(folds)])] = a
+        assert not in_te(T, x, g)
 
     def test_in_te_is_the_kernel_domain(self, genus2_mixed):
         # wide samples of (l, r) whose hyperbolic face circles leave the
         # disk: the edge-radius invariants hold there, the kernel does not
         from hicp.solver import extract_angles, reference_coords
         T = triangulate(genus2_mixed)
-        er0 = geo.psi_surface(T, reference_coords(T, HYPERBOLIC), HYPERBOLIC)
+        l0, r0 = geo.psi_surface(T, reference_coords(T, HYPERBOLIC),
+                                 HYPERBOLIC)
         rng = random.Random(5)
         outside = 0
         for _ in range(40):
-            er = cli.sample_er(T, er0, HYPERBOLIC, rng, frac=0.9)
-            tc = geo.psi_inv_surface(T, er, HYPERBOLIC)
+            l, r = cli.sample_er(T, l0, r0, HYPERBOLIC, rng, frac=0.9)
+            x = geo.psi_inv_surface(T, l, r, HYPERBOLIC)
             try:
-                extract_angles(T, tc, HYPERBOLIC)
+                extract_angles(T, x, HYPERBOLIC)
             except HicpError:
                 outside += 1
-                assert not in_te(T, tc, HYPERBOLIC)
+                assert not in_te(T, x, HYPERBOLIC)
             else:
-                assert in_te(T, tc, HYPERBOLIC)
+                assert in_te(T, x, HYPERBOLIC)
         assert outside > 0

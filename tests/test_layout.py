@@ -17,7 +17,6 @@ from hicp.fixtures import FIXTURES, fixture_spec, reference_pattern
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
-    TetraCoords,
     circumscribe,
     dual_edge_length,
     model_distance,
@@ -37,9 +36,8 @@ from hicp.layout import (
 
 
 def reference_layout(cc, g):
-    T, er = reference_pattern(cc, g)
-    tc = psi_inv_surface(T, er, g)
-    return develop(T, tc, g)
+    T, l, r = reference_pattern(cc, g)
+    return develop(T, psi_inv_surface(T, l, r, g), g)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +61,7 @@ class TestDevelop:
         # intrinsic lengths
         for sl in (grid_layout, genus2_layout):
             g = sl.geometry
+            length = dict(zip(sl.T.edges, sl.l))
             for key, chart in sl.charts.items():
                 verts = chart["verts"]
                 n = len(verts)
@@ -71,7 +70,7 @@ class TestDevelop:
                     vj, zj = verts[(t + 1) % n]
                     e = tuple(sorted((vi, vj)))
                     d = model_distance(zi, zj, g)
-                    assert d == pytest.approx(sl.er.l[e], abs=1e-10)
+                    assert d == pytest.approx(length[e], abs=1e-10)
 
     def test_vertex_dual_distances(self, grid_layout, genus2_layout):
         for sl in (grid_layout, genus2_layout):
@@ -156,7 +155,8 @@ class TestDualConsistency:
         # the circle-center distance with the intrinsic dual length
         rng = np.random.default_rng(5)
         for sl in (grid_layout, genus2_layout):
-            g, T, er = sl.geometry, sl.T, sl.er
+            g, T = sl.geometry, sl.T
+            length = dict(zip(T.edges, sl.l))
             edges = sorted(T.edges)
             for _ in range(12):
                 e = edges[rng.integers(len(edges))]
@@ -171,16 +171,16 @@ class TestDualConsistency:
                         i, j, k = j, k, i
                     if side == 1:
                         i, j = j, i  # keep the third vertex on the far side
-                    l_ij = er.l[tuple(sorted((i, j)))]
-                    l_ik = er.l[tuple(sorted((i, k)))]
-                    l_jk = er.l[tuple(sorted((j, k)))]
+                    l_ij = length[tuple(sorted((i, j)))]
+                    l_ik = length[tuple(sorted((i, k)))]
+                    l_jk = length[tuple(sorted((j, k)))]
                     za = 0j
                     zb = place_third(0j, 1 + 0j, l_ij, 0.0, g)
                     beta = _corner(l_ij, l_ik, l_jk, g)
                     zc = place_third(za, zb, l_ik,
                                      beta if side == 0 else -beta, g)
                     pos = [za, zb, zc]
-                    rs = [er.r[i], er.r[j], er.r[k]]
+                    rs = [sl.radii[i], sl.radii[j], sl.radii[k]]
                     c, R = circumscribe(pos, rs, g)
                     centers.append(c)
                     radii.append(R)
@@ -227,12 +227,12 @@ class TestMerge:
                 assert signs == {True}
 
     def test_rejects_non_redundant_diagonals(self, grid_torus):
-        T, er = reference_pattern(grid_torus, EUCLIDEAN)
-        tc = psi_inv_surface(T, er, EUCLIDEAN)
+        T, l, r = reference_pattern(grid_torus, EUCLIDEAN)
+        x = psi_inv_surface(T, l, r, EUCLIDEAN)
         e = sorted(T.e_pi)[0]
-        a = dict(tc.a)
-        a[e] -= 0.02  # shorten one diagonal: its angle drops below pi
-        sl = develop(T, TetraCoords(a=a, b=dict(tc.b)), EUCLIDEAN)
+        # shorten one diagonal: its angle drops below pi
+        x[T.free_edges.index(e)] -= 0.02
+        sl = develop(T, x, EUCLIDEAN)
         with pytest.raises(HicpError):
             merge_redundant(sl)
 
@@ -243,8 +243,8 @@ def test_each_face_circle_is_solved_once(monkeypatch, name, g):
     # develop, its theta check and merge_redundant move the kernel's
     # circle of each triangle instead of solving it again: one batched
     # kernel call with one row per triangle, no scalar circle solve
-    T, er = reference_pattern(build_complex(fixture_spec(name)), g)
-    tc = psi_inv_surface(T, er, g)
+    T, l, r = reference_pattern(build_complex(fixture_spec(name)), g)
+    x = psi_inv_surface(T, l, r, g)
     rows, scalar = [], []
     kernel, solve = geo.decorated_triangles, geo.radical_center
 
@@ -258,7 +258,7 @@ def test_each_face_circle_is_solved_once(monkeypatch, name, g):
 
     monkeypatch.setattr(geo, "decorated_triangles", counting_kernel)
     monkeypatch.setattr(geo, "radical_center", counting_solve)
-    merge_redundant(develop(T, tc, g))
+    merge_redundant(develop(T, x, g))
     assert rows == [len(T.triangles)]
     assert scalar == []
 
@@ -290,8 +290,8 @@ class TestExport:
 
 
 def _reference_coords(name, g):
-    T, er = reference_pattern(build_complex(fixture_spec(name)), g)
-    return T, psi_inv_surface(T, er, g)
+    T, l, r = reference_pattern(build_complex(fixture_spec(name)), g)
+    return T, psi_inv_surface(T, l, r, g)
 
 
 def _outcome(fn, *args):
@@ -343,9 +343,9 @@ def _assert_charts_match(charts, ref):
         assert chart["circle"][1] == pytest.approx(R, rel=1e-12, abs=1e-12)
 
 
-def _assert_matches_loop(T, tc, g):
-    sl, err = _outcome(develop, T, tc, g)
-    ref, ref_err = _outcome(oracles.develop_by_loop, T, tc, g)
+def _assert_matches_loop(T, x, g):
+    sl, err = _outcome(develop, T, x, g)
+    ref, ref_err = _outcome(oracles.develop_by_loop, T, x, g)
     _assert_same_error(err, ref_err)
     if err:
         return
@@ -385,23 +385,22 @@ def test_layout_matches_scalar_glue_off_reference(name, g, seed, size,
     # coordinates moved off the reference point inside TE, and the fan
     # diagonals shortened: their angles leave pi, so develop or
     # merge_redundant mostly raises, as the scalar path does
-    T, tc = _reference_coords(name, g)
+    T, x = _reference_coords(name, g)
+    a, b = oracles.unpack(T, x)
     rng = random.Random(seed)
-    tc = TetraCoords(a={e: v + rng.uniform(-size, size)
-                        - (shorten if e in T.e_pi else 0.0)
-                        for e, v in tc.a.items()},
-                     b={k: v + rng.uniform(-size, size)
-                        for k, v in tc.b.items()})
-    assume(geo.in_te(T, tc, g))
-    _assert_matches_loop(T, tc, g)
+    x = oracles.pack(T, {e: v + rng.uniform(-size, size)
+                         - (shorten if e in T.e_pi else 0.0)
+                         for e, v in a.items()},
+                     {k: v + rng.uniform(-size, size) for k, v in b.items()})
+    assume(geo.in_te(T, x, g))
+    _assert_matches_loop(T, x, g)
 
 
 def test_diagonal_off_pi_raises_as_scalar(grid_torus):
-    T, er = reference_pattern(grid_torus, EUCLIDEAN)
-    tc = psi_inv_surface(T, er, EUCLIDEAN)
-    a = dict(tc.a)
-    a[sorted(T.e_pi)[3]] -= 0.02  # its angle drops below pi
-    sl = develop(T, TetraCoords(a=a, b=dict(tc.b)), EUCLIDEAN)
+    T, l, r = reference_pattern(grid_torus, EUCLIDEAN)
+    x = psi_inv_surface(T, l, r, EUCLIDEAN)
+    x[T.free_edges.index(sorted(T.e_pi)[3])] -= 0.02  # angle drops below pi
+    sl = develop(T, x, EUCLIDEAN)
     _result, err = _outcome(merge_redundant, sl)
     assert err is not None and err[0] is NonRedundantDiagonal
     assert err == _outcome(oracles.merge_by_loop, sl)[1]

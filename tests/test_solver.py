@@ -14,7 +14,7 @@ from hicp.polytope import make_angle_data
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
-    TetraCoords,
+    gauge_vector,
     in_te,
     project_gauge,
 )
@@ -25,17 +25,13 @@ from hicp.solver import (
     MAXITER,
     SolveOptions,
     extract_angles,
-    free_variables,
-    gauge_vector,
     grad_U,
     hessian_U,
     omega_bisect,
     omega_solve,
     omega_value,
-    pack,
     reference_coords,
     solve,
-    unpack,
 )
 
 BOTH = (EUCLIDEAN, HYPERBOLIC)
@@ -112,10 +108,9 @@ class TestReferenceCoords:
 
     def test_euclidean_section(self, grid_torus_T):
         T = grid_torus_T
-        tc = reference_coords(T, EUCLIDEAN)
-        p = project_gauge(T, tc, EUCLIDEAN)
-        for e in tc.a:
-            assert tc.a[e] == pytest.approx(p.a[e], abs=1e-12)
+        x = reference_coords(T, EUCLIDEAN)
+        np.testing.assert_allclose(project_gauge(T, x, EUCLIDEAN), x,
+                                   rtol=0, atol=1e-12)
 
 
 class TestDerivatives:
@@ -138,13 +133,13 @@ class TestDerivatives:
                                          ("genus2", HYPERBOLIC)])
     def test_block_hessian_matches_full_gradient_oracle(self, name, g):
         T = triangulate(build_complex(fixture_spec(name)))
-        er0 = geo.psi_surface(T, reference_coords(T, g), g)
+        l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
         rng = random.Random(11)
         for _ in range(3):
-            tc = geo.psi_inv_surface(T, cli.sample_er(T, er0, g, rng), g)
+            x = geo.psi_inv_surface(T, *cli.sample_er(T, l0, r0, g, rng), g)
             for scheme in ("central", "forward"):
-                H = hessian_U(T, tc, g, scheme=scheme, symmetrize=False)
-                ref = oracles.full_gradient_hessian(T, tc, g, scheme=scheme)
+                H = hessian_U(T, x, g, scheme=scheme, symmetrize=False)
+                ref = oracles.full_gradient_hessian(T, x, g, scheme=scheme)
                 assert (np.max(np.abs(H - ref))
                         < 1e-7 * np.max(np.abs(ref))), (name, scheme)
 
@@ -170,15 +165,6 @@ class TestDerivatives:
             assert len(rows) == 1, scheme
             assert 0 < rows[0] <= per_tri * F, scheme
 
-    def test_pack_unpack_roundtrip(self, grid_torus_T):
-        T = grid_torus_T
-        tc = reference_coords(T, EUCLIDEAN)
-        x = pack(T, tc)
-        assert len(x) == len(free_variables(T))
-        tc2 = unpack(T, x)
-        assert tc2.a == tc.a
-        assert tc2.b == tc.b
-
 
 class TestSolve:
     def test_right_angle_grid(self, grid_torus_T):
@@ -194,17 +180,16 @@ class TestSolve:
         T = triangulate(tri_torus)
         rng = np.random.default_rng(3)
         for g in BOTH:
-            tc0 = reference_coords(T, g)
-            a = {e: v * (1 + rng.uniform(-0.03, 0.03))
-                 for e, v in tc0.a.items()}
-            b = dict(tc0.b)
-            tc1 = project_gauge(T, TetraCoords(a=a, b=b), g)
-            assert in_te(T, tc1, g)
-            target = extract_angles(T, tc1, g)
+            a, b = oracles.unpack(T, reference_coords(T, g))
+            a = {e: v * (1 + rng.uniform(-0.03, 0.03)) for e, v in a.items()}
+            x1 = project_gauge(T, oracles.pack(T, a, b), g)
+            assert in_te(T, x1, g)
+            target = extract_angles(T, x1, g)
             sol = solve(T, target)
             assert sol.status == CONVERGED
             got = project_gauge(T, sol.coords, g)
-            err = max(abs(got.a[e] - tc1.a[e]) for e in tc1.a)
+            n_a = len(T.free_edges)
+            err = np.max(np.abs(got[:n_a] - x1[:n_a]))
             assert err < 1e-6
             for e in target.theta:
                 assert sol.realized_angles.theta[e] == pytest.approx(
@@ -217,14 +202,14 @@ class TestSolve:
         # point -a (1 Euclidean, 4 hyperbolic of the 40)
         from hicp.polytope import single_star_check
         T = triangulate(tri_torus_v1)
-        er0 = geo.psi_surface(T, reference_coords(T, g), g)
+        l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
         rng = random.Random(5)
         solved = 0
         while solved < 40:
-            er = cli.sample_er(T, er0, g, rng, frac=0.9)
-            tc = project_gauge(T, geo.psi_inv_surface(T, er, g), g)
+            l, r = cli.sample_er(T, l0, r0, g, rng, frac=0.9)
+            x = project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
             try:
-                target = extract_angles(T, tc, g)
+                target = extract_angles(T, x, g)
             except NotInTE:
                 continue
             if (not all(0 < v < math.pi for v in target.theta.values())
@@ -233,9 +218,7 @@ class TestSolve:
             solved += 1
             sol = solve(T, target)
             assert sol.status == CONVERGED
-            got = project_gauge(T, sol.coords, g)
-            err = max([abs(got.a[e] - v) for e, v in tc.a.items()]
-                      + [abs(got.b[k] - v) for k, v in tc.b.items()])
+            err = np.max(np.abs(project_gauge(T, sol.coords, g) - x))
             assert err < 1e-8, (solved, err)
 
     def test_infeasible_short_circuit(self):
