@@ -21,13 +21,14 @@ from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
 from .layout import (
+    JsonText,
     delaunay_report,
     develop,
     export_json,
     export_svg,
     gauss_bonnet_check,
     json_text,
-    layout_to_dict,
+    layout_json,
     merge_redundant,
     write_text,
 )
@@ -241,7 +242,7 @@ def cmd_render(args):
     if args.output:
         export_json(sl, args.output)
     if not args.svg and not args.output:
-        _emit(layout_to_dict(sl))
+        _emit(JsonText(layout_json(sl)))
     return EXIT_OK
 
 
@@ -262,7 +263,7 @@ def cmd_demo(args):
         },
         "delaunay": {_ekey(e): r for e, r in rep.items()},
         "gauss_bonnet": gauss_bonnet_check(sl),
-        "layout": layout_to_dict(sl),
+        "layout": JsonText(layout_json(sl)),
     }
     _emit(out, args.output)
     if args.svg:
@@ -270,16 +271,22 @@ def cmd_demo(args):
     return EXIT_OK
 
 
+def _er_slack(T, l, r):
+    """The smallest slack at (l, r) of the constraints of ER: l > r_u +
+    r_v on every edge that is not E0, and the triangle inequalities."""
+    ix = T.tri_index
+    l3, r3 = l[ix.edge], r[ix.vert]
+    nxt, last = [1, 2, 0], [2, 0, 1]  # edge or corner m + 1, m + 2
+    gap = l3 - (r3 + r3[:, nxt])  # l - (r_u + r_v) on edge m = (u, v)
+    return float(min(gap[ix.ec != 0].min(initial=math.inf),
+                     (l3[:, nxt] + l3[:, last] - l3).min()))
+
+
 def sample_er(T, l0, r0, g, rng, frac=0.1):
     """One random (l, r) in a sub-box around (l0, r0): each coordinate
     moves uniformly within frac of the smallest constraint slack there."""
     ix = T.tri_index
-    l3, r3 = l0[ix.edge], r0[ix.vert]
-    nxt, last = [1, 2, 0], [2, 0, 1]  # edge or corner m + 1, m + 2
-    gap = l3 - (r3 + r3[:, nxt])  # l - (r_u + r_v) on edge m = (u, v)
-    slack = float(min(gap[ix.ec != 0].min(initial=math.inf),
-                      (l3[:, nxt] + l3[:, last] - l3).min()))
-    d = frac * slack
+    d = frac * _er_slack(T, l0, r0)
     free = (ix.eclass != 0).tolist()
     while True:
         r = np.array([v + rng.uniform(-d / 2, d / 2) if v > 0 else 0.0
@@ -305,16 +312,23 @@ def cmd_roundtrip(args):
         # identifiability sampling is only well-posed when every edge
         # angle is free: fan diagonals of a sampled (l, r) are not
         # redundant, so run on the triangle refinement (same edges and
-        # triangles, diagonals promoted to free edges).  The class
-        # lengths then give an interior base point; the original
-        # complex's reference pattern would anchor the diagonals at
-        # theta = pi, the boundary of the angle ranges.
+        # triangles, diagonals promoted to free edges).  The base point
+        # is the reference pattern with every diagonal shortened by a
+        # quarter of the constraint slack: in the pattern itself the
+        # diagonals sit at theta = pi, the boundary of the angle ranges,
+        # and a shorter diagonal has a smaller angle.  A triangle holds
+        # at most two diagonals, so no constraint loses more than half
+        # its slack and (l, r) stays in ER.
+        _T, l0, r0 = reference_pattern(cc, g)
+        diag = T.tri_index.eclass == 2
         spec = {"vertices": spec["vertices"],
                 "faces": [list(t.verts) for t in T.triangles],
                 "tangent_edges": spec.get("tangent_edges", [])}
         cc = build_complex(spec)
         T = triangulate(cc)
-    l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
+        l0 = np.where(diag, l0 - _er_slack(T, l0, r0) / 4, l0)
+    else:
+        l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
     rng = random.Random(args.seed)
     opts = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
     errors = []

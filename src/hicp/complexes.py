@@ -18,6 +18,7 @@ intersection angle, ``E_pi`` edges are the fan diagonals added by
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -124,35 +125,53 @@ class CellComplex:
         return sum(1 for e in self.edges if v in e)
 
 
-def _ids(x, n=None):
-    """x is a list of n (any n when None) integer vertex ids."""
-    return (isinstance(x, (list, tuple)) and n in (None, len(x))
-            and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in x))
+def _int_lists(seqs, n=None):
+    """Every item of seqs is a list or tuple of integer vertex ids (n of
+    them when n is given)."""
+    return (all(issubclass(t, (list, tuple)) for t in set(map(type, seqs)))
+            and (n is None or set(map(len, seqs)) <= {n})
+            and all(issubclass(t, int) and not issubclass(t, bool)
+                    for t in set(map(type, itertools.chain.from_iterable(
+                        seqs)))))
+
+
+def _check_face(f, seen):
+    """Raise at the first fault of face f over the vertex ids seen."""
+    if len(f) < 3:
+        raise RegularityViolation(f"face {f} has fewer than 3 vertices")
+    for a, b in zip(f, f[1:] + f[:1]):
+        if a == b:
+            raise RegularityViolation(f"loop edge at vertex {a} in face {f}")
+    if len(set(f)) != len(f):
+        raise RegularityViolation(f"face {f} revisits a vertex")
+    for v in f:
+        if v not in seen:
+            raise IndexMismatch(f"face {f} uses unknown vertex {v}")
 
 
 def build_complex(spec):
     """Validate a raw cell description (parsed JSON dict) and derive the
-    edge set.  See the module docstring for the conventions."""
+    edge set.  See the module docstring for the conventions.  Faces,
+    sides and face pairs are checked by set and array passes; each check
+    raises at its first violation in face order."""
     if not (isinstance(spec, dict)
             and isinstance(spec.get("vertices"), (list, tuple))
-            and all(isinstance(item, dict) and _ids([item.get("id")])
-                    for item in spec["vertices"])
+            and all(issubclass(t, dict)
+                    for t in set(map(type, spec["vertices"])))
+            and _int_lists([[item.get("id") for item in spec["vertices"]]])
             and isinstance(spec.get("faces"), (list, tuple))
-            and all(_ids(f) for f in spec["faces"])
+            and _int_lists(spec["faces"])
             and isinstance(spec.get("tangent_edges", []), (list, tuple))
-            and all(_ids(p, 2) for p in spec.get("tangent_edges", []))):
+            and _int_lists(spec.get("tangent_edges", []), 2)):
         raise IndexMismatch(
             "malformed complex description: expected 'vertices' (objects "
             "with an integer 'id'), 'faces' (lists of vertex ids) and "
             "optional 'tangent_edges' (pairs of vertex ids)")
-    raw_vertices = spec["vertices"]
-    raw_faces = spec["faces"]
-    tangent = spec.get("tangent_edges", [])
+    import numpy as np  # see Triangulation.tri_index
 
     v0, v1 = set(), set()
     seen = set()
-    for item in raw_vertices:
+    for item in spec["vertices"]:
         vid = item["id"]
         if vid in seen:
             raise RegularityViolation(f"duplicate vertex id {vid}")
@@ -165,82 +184,88 @@ def build_complex(spec):
         else:
             raise IndexMismatch(f"unknown circle tag {circle!r} on vertex {vid}")
 
-    faces = []
-    for f in raw_faces:
-        f = tuple(f)
-        if len(f) < 3:
-            raise RegularityViolation(f"face {f} has fewer than 3 vertices")
-        for a, b in zip(f, f[1:] + f[:1]):
-            if a == b:
-                raise RegularityViolation(f"loop edge at vertex {a} in face {f}")
-        if len(set(f)) != len(f):
-            raise RegularityViolation(f"face {f} revisits a vertex")
-        for v in f:
-            if v not in seen:
-                raise IndexMismatch(f"face {f} uses unknown vertex {v}")
-        faces.append(f)
+    faces = list(map(tuple, spec["faces"]))
+    F = len(faces)
+    sizes = np.fromiter(map(len, faces), int, F)
+    if (sizes.min(initial=3) < 3
+            or not np.array_equal(np.fromiter(map(len, map(set, faces)), int,
+                                              F), sizes)
+            or not seen.issuperset(itertools.chain.from_iterable(faces))):
+        for f in faces:
+            _check_face(f, seen)
 
-    # Each unordered pair must be covered by exactly two face sides.
-    fedges = [face_edges(f) for f in faces]
-    side_count = {}
-    for es in fedges:
-        for e in es:
-            side_count[e] = side_count.get(e, 0) + 1
-    for e, c in side_count.items():
-        if c != 2:
-            if c > 2:
-                raise RegularityViolation(
-                    f"edge {e} appears {c} times: parallel edges are not allowed"
-                )
-            raise NotClosedSurface(f"edge {e} bounds {c} face side(s), expected 2")
+    # one row per face side: side s of face face[s] runs from vertex
+    # position p[s] to q[s]
+    verts = sorted(seen)
+    vindex = {v: m for m, v in enumerate(verts)}
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    N = int(start[-1])
+    face = np.repeat(np.arange(F), sizes)
+    p = np.fromiter(map(vindex.__getitem__,
+                        itertools.chain.from_iterable(faces)), int, N)
+    nxt = np.arange(1, N + 1)
+    nxt[start[1:] - 1] = start[:-1]
+    q = p[nxt]
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
 
-    faces = _orient_faces(faces, fedges)
-
-    edges = tuple(sorted(side_count))
-    edge_faces = {}
-    for fi, f in enumerate(faces):
-        n = len(f)
-        for t in range(n):
-            a, b = f[t], f[(t + 1) % n]
-            e = edge_key(a, b)
-            pair = edge_faces.setdefault(e, [None, None])
-            pair[0 if a < b else 1] = fi
-    edge_faces = {e: tuple(p) for e, p in edge_faces.items()}
+    # Each unordered pair must be covered by exactly two face sides; the
+    # first violation is at the edge that appears first.
+    code, first, edge, count = np.unique(
+        lo * len(verts) + hi, return_index=True, return_inverse=True,
+        return_counts=True)
+    if (count != 2).any():
+        s = int(first[count != 2].min())
+        e, c = (verts[lo[s]], verts[hi[s]]), int(count[edge[s]])
+        if c > 2:
+            raise RegularityViolation(
+                f"edge {e} appears {c} times: parallel edges are not allowed")
+        raise NotClosedSurface(f"edge {e} bounds {c} face side(s), expected 2")
+    edges = tuple(zip(map(verts.__getitem__, (code // len(verts)).tolist()),
+                      map(verts.__getitem__, (code % len(verts)).tolist())))
+    sides = np.argsort(edge, kind="stable").reshape(-1, 2)
+    opp = np.empty(N, int)
+    opp[sides] = sides[:, ::-1]
+    up = p < q
+    flip, n_parts = _orient_faces(start.tolist(), face[opp].tolist(),
+                                  (up == up[opp]).tolist(), edge.tolist(),
+                                  edges)
+    faces = [f[::-1] if fl else f for f, fl in zip(faces, flip)]
+    # per edge: the face traversing it upward, then the other
+    s1, s2 = sides.T
+    up1 = up[s1] != np.array(flip, bool)[face[s1]]
+    edge_faces = dict(zip(edges, zip(
+        np.where(up1, face[s1], face[s2]).tolist(),
+        np.where(up1, face[s2], face[s1]).tolist())))
 
     # Pairwise face regularity, over the pairs (fi < fj) of faces that
-    # meet at a vertex, in lexicographic order.  Orienting a face keeps
-    # its vertex and edge sets.
-    faces_at = {}
-    for fi, f in enumerate(faces):
-        for v in f:
-            faces_at.setdefault(v, []).append(fi)
-    vsets = [set(f) for f in faces]
-    esets = [set(es) for es in fedges]
-    for fi, f in enumerate(faces):
-        for fj in sorted({fj for v in f for fj in faces_at[v] if fj > fi}):
-            common = vsets[fi] & vsets[fj]
-            if len(common) < 2:
-                continue
-            shared = esets[fi] & esets[fj]
-            if len(shared) > 1:
-                raise RegularityViolation(
-                    f"faces {faces[fi]} and {faces[fj]} share {len(shared)} edges"
-                )
-            if len(shared) == 1 and len(common) > 2:
-                raise RegularityViolation(
-                    f"faces {faces[fi]} and {faces[fj]} share an edge and "
-                    f"{len(common)} vertices"
-                )
-            if not shared:
-                raise RegularityViolation(
-                    f"faces {faces[fi]} and {faces[fj]} share {len(common)} "
-                    "vertices but no edge"
-                )
+    # meet in at least two vertices, in lexicographic order: they must
+    # share exactly one edge and no further vertex.  Orienting a face
+    # keeps its vertex and edge sets.
+    at = np.argsort(p, kind="stable")  # sides by vertex, faces ascending
+    fa = face[at]
+    later = np.searchsorted(p[at], p[at], side="right") - np.arange(N) - 1
+    left = np.repeat(np.arange(N), later)
+    right = (left + 1 + np.arange(len(left))
+             - np.repeat(np.cumsum(later) - later, later))
+    pairs, common = np.unique(fa[left] * F + fa[right], return_counts=True)
+    f1, f2 = np.sort(face[sides], axis=1).T
+    cross = f1 != f2
+    shared = np.bincount(np.searchsorted(pairs, f1[cross] * F + f2[cross]),
+                         minlength=len(pairs))
+    bad = (common >= 2) & ~((shared == 1) & (common == 2))
+    if bad.any():
+        k = int(np.argmax(bad))
+        fi, fj = divmod(int(pairs[k]), F)
+        n_v, n_e = int(common[k]), int(shared[k])
+        what = (f"share {n_e} edges" if n_e > 1
+                else f"share an edge and {n_v} vertices" if n_e
+                else f"share {n_v} vertices but no edge")
+        raise RegularityViolation(f"faces {faces[fi]} and {faces[fj]} {what}")
 
     e0 = set()
-    for pair in tangent:
+    for pair in spec.get("tangent_edges", []):
         e = edge_key(*pair)
-        if e not in side_count:
+        if e not in edge_faces:
             raise IndexMismatch(f"tangent edge {e} is not an edge of the complex")
         for v in e:
             if v in v0:
@@ -260,63 +285,45 @@ def build_complex(spec):
     if cc.chi % 2 != 0 or cc.chi > 2:
         raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "
                                "a closed oriented surface")
-    _check_connected(cc, fedges)
+    if not faces:
+        raise NotClosedSurface("empty complex")
+    if n_parts > 1:
+        raise NotClosedSurface("complex is not connected")
     return cc
 
 
-def _orient_faces(faces, fedges):
-    """Flip face cycles so every edge is traversed once in each direction;
-    fedges[fi] is face_edges(faces[fi])."""
-    sides = {}  # edge -> list of (face index, direction is increasing?)
-    for fi, (f, es) in enumerate(zip(faces, fedges)):
-        for a, e in zip(f, es):
-            sides.setdefault(e, []).append((fi, a == e[0]))
-    flip = {}
-    for root in range(len(faces)):
-        if root in flip:
+def _orient_faces(start, other, same, edge, edges):
+    """Per face whether to reverse its cycle so that every edge is
+    traversed once in each direction, and the number of connected parts.
+    Face k has the sides start[k]:start[k + 1]; side s lies on the edge
+    edges[edge[s]], whose other side lies in face other[s], and same[s]
+    tells whether both sides traverse it the same way.  Each part is
+    walked depth first from its least face, which keeps its direction."""
+    flip = [None] * (len(start) - 1)
+    n_parts = 0
+    for root in range(len(flip)):
+        if flip[root] is not None:
             continue
+        n_parts += 1
         flip[root] = False
-        queue = [root]
-        while queue:
-            fi = queue.pop()
-            for e in fedges[fi]:
-                (f1, d1), (f2, d2) = sides[e]
-                other, dthis, dother = (f2, d1, d2) if f1 == fi else (f1, d2, d1)
-                if other == fi:
-                    # same face on both sides: the two traversals must already
-                    # be opposite, or the gluing is non-orientable
-                    if d1 == d2:
-                        raise NotClosedSurface(
-                            f"non-orientable gluing along edge {e}"
-                        )
+        stack = [root]
+        while stack:
+            fi = stack.pop()
+            for s in range(start[fi], start[fi + 1]):
+                o, want = other[s], same[s] != flip[fi]
+                if o == fi:
+                    # both sides in one face: they must already be opposite
+                    bad = same[s]
+                elif flip[o] is None:
+                    flip[o] = want
+                    stack.append(o)
                     continue
-                # consistent orientation requires opposite traversal directions
-                want = (dthis == dother) ^ flip[fi]
-                if other in flip:
-                    if flip[other] != want:
-                        raise NotClosedSurface(
-                            f"non-orientable gluing along edge {e}"
-                        )
                 else:
-                    flip[other] = want
-                    queue.append(other)
-    return [tuple(reversed(f)) if flip[fi] else f for fi, f in enumerate(faces)]
-
-
-def _check_connected(cc, fedges):
-    if not cc.faces:
-        raise NotClosedSurface("empty complex")
-    seen = {0}
-    queue = [0]
-    while queue:
-        fi = queue.pop()
-        for e in fedges[fi]:
-            for g in cc.edge_faces[e]:
-                if g not in seen:
-                    seen.add(g)
-                    queue.append(g)
-    if len(seen) != len(cc.faces):
-        raise NotClosedSurface("complex is not connected")
+                    bad = flip[o] != want
+                if bad:
+                    raise NotClosedSurface(
+                        f"non-orientable gluing along edge {edges[edge[s]]}")
+    return flip, n_parts
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +672,6 @@ class Domain:
     vmask: int
     emask: int
     fmask: int
-
-    def contains_cell(self, kind, idx):
-        mask = {"v": self.vmask, "e": self.emask, "t": self.fmask}[kind]
-        return bool(mask >> idx & 1)
 
     def is_whole_surface(self):
         return self.hat.covers_surface(self.vmask, self.emask, self.fmask)

@@ -5,14 +5,18 @@ Gauss-Bonnet accounting, and SVG/JSON export.
 Everything is computed on the arrays of the one kernel call
 (``geometry.decorate_surface``) and ``Triangulation.tri_index``: theta
 of every edge in one pass, and the chart by moving the triangles of each
-breadth-first level onto their parents in one array step.  The dict
-fields of ``SurfaceLayout`` are built once at the end."""
+breadth-first level onto their parents in one array step.  A
+``SurfaceLayout`` holds the arrays; its dict views are built on first
+use, and the layout JSON is formatted from the arrays."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +60,19 @@ def circle_intersection_angle(c1, R1, c2, R2, g):
 # SurfaceLayout
 
 
+class Charts(NamedTuple):
+    """The charts of a layout as flat arrays, chart k in row k: its
+    vertices are rows start[k]:start[k + 1] of vert (positions in
+    ``CellComplex.vertices``) and z (their places in the chart), and its
+    circle is (center[k], R[k])."""
+
+    vert: np.ndarray
+    z: np.ndarray
+    start: np.ndarray  # (K + 1,)
+    center: np.ndarray
+    R: np.ndarray
+
+
 @dataclass
 class SurfaceLayout:
     geometry: str
@@ -63,13 +80,13 @@ class SurfaceLayout:
     l: np.ndarray  # per edge of ``T.edges``: its length
     merged: bool
     # chart key: triangle index (unmerged) or base face index (merged)
-    charts: dict  # key -> {"verts": [(vid, complex)], "circle": (center, R)}
-    theta: dict  # edge -> intersection angle
-    alpha_sum: dict  # edge -> alpha + alpha'
-    Theta: dict  # vertex -> cone angle
-    radii: dict  # vertex -> r
+    chart: Charts
+    th: np.ndarray  # per edge of ``edges``: intersection angle
+    asum: np.ndarray  # per edge of ``edges``: alpha + alpha'
+    cone: np.ndarray  # per vertex of ``T.base.vertices``: cone angle
+    r: np.ndarray  # per vertex of ``T.base.vertices``: its radius
+    area: np.ndarray  # per chart: its area (hyperbolic; empty otherwise)
     tree_edges: tuple = ()
-    areas: dict = field(default_factory=dict)  # chart key -> area (hyp)
     # the kernel's DecoratedTriangles: per triangle its placement z and
     # its face circle (center, R) there
     placed: object = None
@@ -77,6 +94,44 @@ class SurfaceLayout:
     @property
     def base(self):
         return self.T.base
+
+    @property
+    def edges(self):
+        """The layout's edges: the base complex's when merged."""
+        return self.T.base.edges if self.merged else self.T.edges
+
+    # dict views
+
+    @cached_property
+    def charts(self):
+        """key -> {"verts": [(vertex id, place)], "circle": (center, R)},
+        in the order the charts were developed."""
+        ch = self.chart
+        ids = self.T.base.vertices
+        verts = list(zip(map(ids.__getitem__, ch.vert.tolist()),
+                         ch.z.tolist()))
+        start = ch.start.tolist()
+        circles = list(zip(ch.center.tolist(), ch.R.tolist()))
+        order = (range(len(circles)) if self.merged
+                 else [0, *(c for _p, c, _e in self.tree_edges)])
+        return {k: {"verts": verts[start[k]:start[k + 1]],
+                    "circle": circles[k]} for k in order}
+
+    @cached_property
+    def theta(self):
+        return dict(zip(self.edges, self.th.tolist()))
+
+    @cached_property
+    def alpha_sum(self):
+        return dict(zip(self.edges, self.asum.tolist()))
+
+    @cached_property
+    def Theta(self):
+        return dict(zip(self.T.base.vertices, self.cone.tolist()))
+
+    @cached_property
+    def radii(self):
+        return dict(zip(self.T.base.vertices, self.r.tolist()))
 
 
 def _glue(ix, dt, group, g):
@@ -168,30 +223,22 @@ def develop(T, x, g):
     l, r = geo.scatter_rows(T, dt.l, dt.r)
     asum = np.bincount(ix.edge.ravel(), weights=dt.alpha.ravel(),
                        minlength=len(T.edges))
-    verts = T.base.vertices
-    beta_sum = dict(zip(verts, np.bincount(
-        ix.vert.ravel(), weights=dt.beta.ravel(),
-        minlength=len(verts)).tolist()))
-    areas = {}
-    if g == HYPERBOLIC:
-        areas = dict(enumerate((math.pi - dt.beta.sum(axis=1)).tolist()))
+    cone = np.bincount(ix.vert.ravel(), weights=dt.beta.ravel(),
+                       minlength=len(r))
+    area = (math.pi - dt.beta.sum(axis=1) if g == HYPERBOLIC
+            else np.zeros(0))
 
-    z, center, (par, ch, edge) = _glue(ix, dt, np.zeros(len(T.triangles),
-                                                          int), g)
-    zs, cs, Rs = z.tolist(), center.tolist(), dt.R.tolist()
-    charts = {ti: {"verts": list(zip(T.triangles[ti].verts, zs[ti])),
-                   "circle": (cs[ti], Rs[ti])}
-              for ti in [0, *ch.tolist()]}
+    F = len(T.triangles)
+    z, center, (par, ch, edge) = _glue(ix, dt, np.zeros(F, int), g)
     tree = tuple(zip(par.tolist(), ch.tolist(),
                      map(T.edges.__getitem__, edge.tolist())))
-
-    theta = dict(zip(T.edges, _theta(T, dt, g, asum).tolist()))
+    chart = Charts(vert=ix.vert.ravel(), z=z.ravel(),
+                   start=np.arange(0, 3 * F + 1, 3), center=center, R=dt.R)
 
     return SurfaceLayout(
-        geometry=g, T=T, l=l, merged=False, charts=charts,
-        theta=theta, alpha_sum=dict(zip(T.edges, asum.tolist())),
-        Theta=beta_sum, radii=dict(zip(verts, r.tolist())), tree_edges=tree,
-        areas=areas, placed=dt)
+        geometry=g, T=T, l=l, merged=False, chart=chart,
+        th=_theta(T, dt, g, asum), asum=asum, cone=cone, r=r, area=area,
+        tree_edges=tree, placed=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +248,21 @@ def develop(T, x, g):
 def delaunay_report(sl):
     """Per-edge record: intersection angle, local Delaunay flag,
     redundancy flag."""
-    out = {}
-    for e, th in sl.theta.items():
-        out[e] = {
-            "theta": th,
-            "is_delaunay": 0.0 <= th < math.pi,
-            "is_redundant": abs(th - math.pi) <= MERGE_TOL,
-        }
-    return out
+    th = sl.th
+    return {e: {"theta": t, "is_delaunay": d, "is_redundant": r}
+            for e, t, d, r in zip(
+                sl.edges, th.tolist(), ((0.0 <= th) & (th < math.pi)).tolist(),
+                (np.abs(th - math.pi) <= MERGE_TOL).tolist())}
 
 
 def gauss_bonnet_check(sl):
     """Residual record of the Gauss-Bonnet identity."""
     cc = sl.base
-    total = sum(2 * math.pi - sl.Theta[v] for v in cc.vertices)
+    total = sum((2 * math.pi - sl.cone).tolist())
     target = 2 * math.pi * cc.chi
     if sl.geometry == EUCLIDEAN:
         return {"residual": total - target, "area": 0.0}
-    area = sum(sl.areas.values())
+    area = sum(sl.area.tolist())
     return {"residual": total - target - area, "area": area}
 
 
@@ -254,61 +298,164 @@ def merge_redundant(sl):
         raise NonRedundantDiagonal(f"face {cc.faces[fi]}: fan circles "
                                    "disagree")
 
-    pos = [{} for _f in cc.faces]
-    for tri, zs in zip(T.triangles, z.tolist()):
-        pos[tri.face].update(zip(tri.verts, zs))
-    circles = list(zip(center[first].tolist(), R[first].tolist()))
-    charts = {fi: {"verts": [(v, pos[fi][v]) for v in f],
-                   "circle": circles[fi]}
-              for fi, f in enumerate(cc.faces)}
-    areas = {}
-    if g == HYPERBOLIC:
-        areas = dict(enumerate(np.bincount(
-            face, weights=[sl.areas[ti] for ti in range(len(face))]).tolist()))
+    # a vertex of a face takes its place in the last fan triangle that
+    # holds it
+    ix = T.tri_index
+    cell = dict(zip(zip(np.repeat(face, 3).tolist(), ix.vert.ravel().tolist()),
+                    range(3 * len(face))))
+    vindex = {v: m for m, v in enumerate(cc.vertices)}
+    sizes = list(map(len, cc.faces))
+    vert = np.fromiter(map(vindex.__getitem__,
+                           itertools.chain.from_iterable(cc.faces)),
+                       int, sum(sizes))
+    at = np.fromiter(map(cell.__getitem__, zip(
+        np.repeat(np.arange(len(sizes)), sizes).tolist(), vert.tolist())),
+                     int, len(vert))
+    chart = Charts(vert=vert, z=z.ravel()[at],
+                   start=np.concatenate([[0], np.cumsum(sizes)]),
+                   center=center[first], R=R[first])
+    area = (np.bincount(face, weights=sl.area) if g == HYPERBOLIC
+            else np.zeros(0))
+    base = ix.eclass != 2
     return SurfaceLayout(
-        geometry=g, T=T, l=sl.l, merged=True, charts=charts,
-        theta={e: sl.theta[e] for e in cc.edges},
-        alpha_sum={e: sl.alpha_sum[e] for e in cc.edges},
-        Theta=dict(sl.Theta), radii=dict(sl.radii),
-        tree_edges=sl.tree_edges, areas=areas, placed=sl.placed)
+        geometry=g, T=T, l=sl.l, merged=True, chart=chart,
+        th=sl.th[base], asum=sl.asum[base], cone=sl.cone, r=sl.r, area=area,
+        tree_edges=sl.tree_edges, placed=sl.placed)
 
 
 # ---------------------------------------------------------------------------
 # Export
 
 
-def _fmt(x):
-    return float(f"{x:.12g}")
+class JsonText(str):
+    """A JSON document already written as json_text writes it;
+    json_text places it as a value, indented to its depth."""
 
 
-def layout_to_dict(sl):
-    charts = {}
-    for key in sorted(sl.charts):
-        ch = sl.charts[key]
-        c, R = ch["circle"]
-        charts[str(key)] = {
-            "vertices": [[v, _fmt(z.real), _fmt(z.imag)]
-                         for v, z in ch["verts"]],
-            "circle": {"center": [_fmt(c.real), _fmt(c.imag)],
-                       "radius": _fmt(R)},
-        }
-    return {
-        "layout_version": 1,
-        "geometry": sl.geometry,
-        "merged": sl.merged,
-        "vertices": {str(v): {"radius": _fmt(sl.radii[v]),
-                              "cone_angle": _fmt(sl.Theta[v])}
-                     for v in sorted(sl.Theta)},
-        "edges": {f"{e[0]}-{e[1]}": {"theta": _fmt(th)}
-                  for e, th in sorted(sl.theta.items())},
-        "charts": charts,
-    }
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar(x):
+    """x as json writes a value that is no container."""
+    if isinstance(x, str):
+        return _ESCAPE(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON "
+                    "serializable")
+
+
+_SCALARS = {str: _ESCAPE, int: int.__repr__, float: _float, bool: _scalar,
+            type(None): _scalar}
+
+
+def _key(k):
+    return _ESCAPE(k if isinstance(k, str) else _scalar(k))
+
+
+def _text(obj, pad):
+    """obj as json writes it with sorted keys and indent 1, its lines
+    after the first indented by pad.  A container writes its scalars in
+    its one join, without a call each."""
+    get = _SCALARS.get
+    if w := get(type(obj)):
+        return w(obj)
+    if isinstance(obj, JsonText):
+        return obj[:-1].replace("\n", "\n" + pad)
+    inner = pad + " "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([
+            f"{_key(k)}: {w(v) if (w := get(type(v))) else _text(v, inner)}"
+            for k, v in sorted(obj.items())])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = sep.join([w(v) if (w := get(type(v))) else _text(v, inner)
+                         for v in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return _scalar(obj)
 
 
 def json_text(obj):
     """obj as the text of every JSON file hicp writes: sorted keys, one
-    space of indent, a final newline."""
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    space of indent, a final newline; the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``."""
+    return _text(obj, "") + "\n"
+
+
+def _rounded(a):
+    """The numbers of array a rounded to 12 significant digits, as
+    json_text writes them."""
+    out = list(map(repr, map(float, map("{:.12g}".format,
+                                        a.ravel().tolist()))))
+    if not np.isfinite(a).all():
+        out = [_float(float(v)) for v in out]
+    return out
+
+
+_CHART = ('  "%s": {\n   "circle": {\n    "center": [\n     %s,\n     %s\n'
+          '    ],\n    "radius": %s\n   },\n   "vertices": [\n%s\n   ]\n  }')
+_CHART_VERTEX = '    [\n     %s,\n     %s,\n     %s\n    ]'
+_EDGE = '  "%s": {\n   "theta": %s\n  }'
+_VERTEX = '  "%s": {\n   "cone_angle": %s,\n   "radius": %s\n  }'
+
+
+def _members(rows):
+    return "{\n" + ",\n".join(rows) + "\n }" if rows else "{}"
+
+
+def layout_json(sl):
+    """The text of the layout document: per chart its circle and its
+    vertices [id, x, y], per edge theta, per vertex its radius and cone
+    angle, each number rounded to 12 significant digits.  Formatted in
+    json_text's format from sl's arrays, one template per chart, edge
+    and vertex."""
+    ids = sl.T.base.vertices
+    ch = sl.chart
+    rows = list(map(_CHART_VERTEX.__mod__, zip(
+        map(str, map(ids.__getitem__, ch.vert.tolist())),
+        _rounded(ch.z.real), _rounded(ch.z.imag))))
+    start = ch.start.tolist()
+    charts = sorted(zip(map(str, range(len(ch.R))), _rounded(ch.center.real),
+                        _rounded(ch.center.imag), _rounded(ch.R),
+                        [",\n".join(rows[i:j])
+                         for i, j in zip(start, start[1:])]))
+    edges = sorted(zip([f"{u}-{v}" for u, v in sl.edges], _rounded(sl.th)))
+    verts = sorted(zip(map(str, ids), _rounded(sl.cone), _rounded(sl.r)))
+    return (f'{{\n "charts": {_members(list(map(_CHART.__mod__, charts)))},\n'
+            f' "edges": {_members(list(map(_EDGE.__mod__, edges)))},\n'
+            f' "geometry": {_ESCAPE(sl.geometry)},\n'
+            ' "layout_version": 1,\n'
+            f' "merged": {_scalar(sl.merged)},\n'
+            f' "vertices": {_members(list(map(_VERTEX.__mod__, verts)))}\n'
+            '}\n')
+
+
+def layout_to_dict(sl):
+    """The layout document that export_json writes, as a dict."""
+    return json.loads(layout_json(sl))
 
 
 def write_text(path, text):
@@ -321,7 +468,7 @@ def write_text(path, text):
 
 
 def export_json(sl, path):
-    write_text(path, json_text(layout_to_dict(sl)))
+    write_text(path, layout_json(sl))
 
 
 _PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
@@ -369,13 +516,10 @@ def _circles(z, r, g, scale, off, color):
 
 def export_svg(sl, path):
     g = sl.geometry
-    charts = [sl.charts[key] for key in sorted(sl.charts)]
-    z = np.array([z for ch in charts for _v, z in ch["verts"]], complex)
-    r = np.array([sl.radii[v] for ch in charts for v, _z in ch["verts"]])
-    c = np.array([ch["circle"][0] for ch in charts], complex)
-    R = np.array([ch["circle"][1] for ch in charts])
+    z, c, R = sl.chart.z, sl.chart.center, sl.chart.R
+    r = sl.r[sl.chart.vert]
     if g == EUCLIDEAN:
-        margin = max(max(sl.radii.values(), default=0.0), float(R.max()))
+        margin = max(max(sl.r.tolist(), default=0.0), float(R.max()))
         lo = float(min(z.real.min(), z.imag.min())) - margin
         hi = float(max(z.real.max(), z.imag.max())) + margin
         scale = VIEWPORT / (hi - lo)
@@ -395,10 +539,9 @@ def export_svg(sl, path):
             f'<circle cx="{off}" cy="{off}" r="{scale}" fill="none" '
             'stroke="#cccccc" stroke-width="1"/>')
     # chart edges: each vertex to the next one of its chart
-    sizes = [len(ch["verts"]) for ch in charts]
-    ends = np.cumsum(sizes)
+    start = sl.chart.start
     nxt = np.arange(1, len(z) + 1)
-    nxt[ends - 1] = ends - sizes
+    nxt[start[1:] - 1] = start[:-1]
     lines += _geodesics(z, z[nxt], g, scale, off)
     lines += _circles(c, R, g, scale, off, "#3366cc")  # face circles
     # vertex circles, and a dot at each point vertex

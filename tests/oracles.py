@@ -12,8 +12,15 @@ import mpmath as mp
 import numpy as np
 
 from hicp import geometry as geo
-from hicp.complexes import edge_key
-from hicp.errors import InvariantViolation, NonRedundantDiagonal
+from hicp.complexes import CellComplex, edge_key, face_edges
+from hicp.errors import (
+    E0EndpointInV0,
+    IndexMismatch,
+    InvariantViolation,
+    NonRedundantDiagonal,
+    NotClosedSurface,
+    RegularityViolation,
+)
 from hicp.layout import MERGE_TOL
 from hicp.solver import grad_U
 
@@ -263,6 +270,12 @@ def admissible_by_subsets(h):
     return out
 
 
+def contains_cell(d, kind, idx):
+    """Domain d holds the hat cell (kind, idx): kind "v", "e" or "t"."""
+    mask = {"v": d.vmask, "e": d.emask, "t": d.fmask}[kind]
+    return bool(mask >> idx & 1)
+
+
 def boundary_touches(d, hv):
     """The mask test of a boundary vertex: hv is outside the domain d and
     some cell of its link is inside."""
@@ -274,9 +287,9 @@ def boundary_touches(d, hv):
 def boundary_touches_by_link(d, hv):
     """The link-walk definition of a boundary vertex: hv is outside the
     domain d and some cell of its link is inside."""
-    if d.contains_cell("v", d.hat.vindex[hv]):
+    if contains_cell(d, "v", d.hat.vindex[hv]):
         return False
-    return any(d.contains_cell(kind, idx) for kind, idx in d.hat.links[hv])
+    return any(contains_cell(d, kind, idx) for kind, idx in d.hat.links[hv])
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +569,36 @@ def merge_by_loop(sl):
     return charts
 
 
+def _fmt(x):
+    return float(f"{x:.12g}")
+
+
+def layout_to_dict_by_loop(sl):
+    """The layout document from the dict views of sl, one chart and one
+    rounded number at a time: the reference of layout.layout_json."""
+    charts = {}
+    for key in sorted(sl.charts):
+        ch = sl.charts[key]
+        c, R = ch["circle"]
+        charts[str(key)] = {
+            "vertices": [[v, _fmt(z.real), _fmt(z.imag)]
+                         for v, z in ch["verts"]],
+            "circle": {"center": [_fmt(c.real), _fmt(c.imag)],
+                       "radius": _fmt(R)},
+        }
+    return {
+        "layout_version": 1,
+        "geometry": sl.geometry,
+        "merged": sl.merged,
+        "vertices": {str(v): {"radius": _fmt(sl.radii[v]),
+                              "cone_angle": _fmt(sl.Theta[v])}
+                     for v in sorted(sl.Theta)},
+        "edges": {f"{e[0]}-{e[1]}": {"theta": _fmt(th)}
+                  for e, th in sorted(sl.theta.items())},
+        "charts": charts,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Boundary traces by link walks, the reference of complexes.boundary_counts
 
@@ -648,7 +691,7 @@ def boundary(h, d):
         if d.vmask >> i & 1:
             continue
         link = h.links[hv]
-        if link and all(d.contains_cell(k, idx) for k, idx in link):
+        if link and all(contains_cell(d, k, idx) for k, idx in link):
             punctures.append(hv)
 
     return BoundaryTrace(walks=tuple(walks), punctures=tuple(sorted(punctures)))
@@ -689,7 +732,206 @@ def _rotate_to_next(h, d, hv, ei, ti):
         if cell[0] == "t":
             last_tri = cell[1]
         else:
-            if not d.contains_cell("e", cell[1]):
+            if not contains_cell(d, "e", cell[1]):
                 return (cell[1], last_tri)
         q += step
     raise AssertionError("link rotation did not terminate")
+
+
+# ---------------------------------------------------------------------------
+# build_complex by loops over faces and face pairs, the reference of its
+# set and array passes
+
+
+def _ids(x, n=None):
+    """x is a list of n (any n when None) integer vertex ids."""
+    return (isinstance(x, (list, tuple)) and n in (None, len(x))
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in x))
+
+
+def build_complex_by_loop(spec):
+    """build_complex by loops over faces and face pairs."""
+    if not (isinstance(spec, dict)
+            and isinstance(spec.get("vertices"), (list, tuple))
+            and all(isinstance(item, dict) and _ids([item.get("id")])
+                    for item in spec["vertices"])
+            and isinstance(spec.get("faces"), (list, tuple))
+            and all(_ids(f) for f in spec["faces"])
+            and isinstance(spec.get("tangent_edges", []), (list, tuple))
+            and all(_ids(p, 2) for p in spec.get("tangent_edges", []))):
+        raise IndexMismatch(
+            "malformed complex description: expected 'vertices' (objects "
+            "with an integer 'id'), 'faces' (lists of vertex ids) and "
+            "optional 'tangent_edges' (pairs of vertex ids)")
+    raw_vertices = spec["vertices"]
+    raw_faces = spec["faces"]
+    tangent = spec.get("tangent_edges", [])
+
+    v0, v1 = set(), set()
+    seen = set()
+    for item in raw_vertices:
+        vid = item["id"]
+        if vid in seen:
+            raise RegularityViolation(f"duplicate vertex id {vid}")
+        seen.add(vid)
+        circle = item.get("circle", "disk")
+        if circle == "disk":
+            v1.add(vid)
+        elif circle == "point":
+            v0.add(vid)
+        else:
+            raise IndexMismatch(f"unknown circle tag {circle!r} on vertex {vid}")
+
+    faces = []
+    for f in raw_faces:
+        f = tuple(f)
+        if len(f) < 3:
+            raise RegularityViolation(f"face {f} has fewer than 3 vertices")
+        for a, b in zip(f, f[1:] + f[:1]):
+            if a == b:
+                raise RegularityViolation(f"loop edge at vertex {a} in face {f}")
+        if len(set(f)) != len(f):
+            raise RegularityViolation(f"face {f} revisits a vertex")
+        for v in f:
+            if v not in seen:
+                raise IndexMismatch(f"face {f} uses unknown vertex {v}")
+        faces.append(f)
+
+    # Each unordered pair must be covered by exactly two face sides.
+    fedges = [face_edges(f) for f in faces]
+    side_count = {}
+    for es in fedges:
+        for e in es:
+            side_count[e] = side_count.get(e, 0) + 1
+    for e, c in side_count.items():
+        if c != 2:
+            if c > 2:
+                raise RegularityViolation(
+                    f"edge {e} appears {c} times: parallel edges are not allowed"
+                )
+            raise NotClosedSurface(f"edge {e} bounds {c} face side(s), expected 2")
+
+    faces = _orient_faces(faces, fedges)
+
+    edges = tuple(sorted(side_count))
+    edge_faces = {}
+    for fi, f in enumerate(faces):
+        n = len(f)
+        for t in range(n):
+            a, b = f[t], f[(t + 1) % n]
+            e = edge_key(a, b)
+            pair = edge_faces.setdefault(e, [None, None])
+            pair[0 if a < b else 1] = fi
+    edge_faces = {e: tuple(p) for e, p in edge_faces.items()}
+
+    # Pairwise face regularity, over the pairs (fi < fj) of faces that
+    # meet at a vertex, in lexicographic order.  Orienting a face keeps
+    # its vertex and edge sets.
+    faces_at = {}
+    for fi, f in enumerate(faces):
+        for v in f:
+            faces_at.setdefault(v, []).append(fi)
+    vsets = [set(f) for f in faces]
+    esets = [set(es) for es in fedges]
+    for fi, f in enumerate(faces):
+        for fj in sorted({fj for v in f for fj in faces_at[v] if fj > fi}):
+            common = vsets[fi] & vsets[fj]
+            if len(common) < 2:
+                continue
+            shared = esets[fi] & esets[fj]
+            if len(shared) > 1:
+                raise RegularityViolation(
+                    f"faces {faces[fi]} and {faces[fj]} share {len(shared)} edges"
+                )
+            if len(shared) == 1 and len(common) > 2:
+                raise RegularityViolation(
+                    f"faces {faces[fi]} and {faces[fj]} share an edge and "
+                    f"{len(common)} vertices"
+                )
+            if not shared:
+                raise RegularityViolation(
+                    f"faces {faces[fi]} and {faces[fj]} share {len(common)} "
+                    "vertices but no edge"
+                )
+
+    e0 = set()
+    for pair in tangent:
+        e = edge_key(*pair)
+        if e not in side_count:
+            raise IndexMismatch(f"tangent edge {e} is not an edge of the complex")
+        for v in e:
+            if v in v0:
+                raise E0EndpointInV0(f"tangency edge {e} has point vertex {v}")
+        e0.add(e)
+    e1 = set(edges) - e0
+
+    cc = CellComplex(
+        v1=frozenset(v1),
+        v0=frozenset(v0),
+        faces=tuple(faces),
+        edges=edges,
+        e0=frozenset(e0),
+        e1=frozenset(e1),
+        edge_faces=edge_faces,
+    )
+    if cc.chi % 2 != 0 or cc.chi > 2:
+        raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "
+                               "a closed oriented surface")
+    _check_connected(cc, fedges)
+    return cc
+
+
+def _orient_faces(faces, fedges):
+    """Flip face cycles so every edge is traversed once in each direction;
+    fedges[fi] is face_edges(faces[fi])."""
+    sides = {}  # edge -> list of (face index, direction is increasing?)
+    for fi, (f, es) in enumerate(zip(faces, fedges)):
+        for a, e in zip(f, es):
+            sides.setdefault(e, []).append((fi, a == e[0]))
+    flip = {}
+    for root in range(len(faces)):
+        if root in flip:
+            continue
+        flip[root] = False
+        queue = [root]
+        while queue:
+            fi = queue.pop()
+            for e in fedges[fi]:
+                (f1, d1), (f2, d2) = sides[e]
+                other, dthis, dother = (f2, d1, d2) if f1 == fi else (f1, d2, d1)
+                if other == fi:
+                    # same face on both sides: the two traversals must already
+                    # be opposite, or the gluing is non-orientable
+                    if d1 == d2:
+                        raise NotClosedSurface(
+                            f"non-orientable gluing along edge {e}"
+                        )
+                    continue
+                # consistent orientation requires opposite traversal directions
+                want = (dthis == dother) ^ flip[fi]
+                if other in flip:
+                    if flip[other] != want:
+                        raise NotClosedSurface(
+                            f"non-orientable gluing along edge {e}"
+                        )
+                else:
+                    flip[other] = want
+                    queue.append(other)
+    return [tuple(reversed(f)) if flip[fi] else f for fi, f in enumerate(faces)]
+
+
+def _check_connected(cc, fedges):
+    if not cc.faces:
+        raise NotClosedSurface("empty complex")
+    seen = {0}
+    queue = [0]
+    while queue:
+        fi = queue.pop()
+        for e in fedges[fi]:
+            for g in cc.edge_faces[e]:
+                if g not in seen:
+                    seen.add(g)
+                    queue.append(g)
+    if len(seen) != len(cc.faces):
+        raise NotClosedSurface("complex is not connected")

@@ -9,11 +9,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hicp import build_complex, cli, triangulate
+from hicp import build_complex, cli, layout, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError
-from hicp.fixtures import fixture_spec, grid_torus_spec, tetrahedron_spec
-from hicp.layout import develop, layout_to_dict, merge_redundant
+from hicp.fixtures import (
+    FIXTURES,
+    fixture_spec,
+    grid_torus_spec,
+    tetrahedron_spec,
+)
+from hicp.layout import develop, json_text, layout_to_dict, merge_redundant
 from hicp.solver import solve
 
 
@@ -405,6 +410,15 @@ class TestRoundtrip:
         assert data["statuses"] == ["Converged"] * 3
         assert data["max_error"] < 1e-6
 
+    def test_fan_complex_samples_inside_the_angle_ranges(self, tmp_path):
+        # the hyperbolic e0-torus: the class lengths of its triangle
+        # refinement put every promoted diagonal at theta > pi
+        rc, data = run(tmp_path, "roundtrip", "--input", "fixture:e0-torus",
+                       "--geometry", "hyperbolic", "--samples", "3")
+        assert rc == 0
+        assert data["statuses"] == ["Converged"] * 3
+        assert data["max_error"] < 1e-6
+
     def test_rejects_zero_samples(self, tmp_path, capsys):
         rc, data = run(tmp_path, "roundtrip", "--input", "fixture:tri-torus",
                        "--samples", "0")
@@ -463,6 +477,59 @@ def test_commands_run_only_the_batched_kernel(tmp_path, monkeypatch, name,
     for fn in SCALAR_KERNEL:
         monkeypatch.setattr(geo, fn, stub(fn))
     assert run_all(tmp_path / "stubbed") == expected
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_documents_are_json_dumps_bytes(tmp_path, name, g):
+    """Each document validate, solve, render and demo write is the text
+    json.dumps writes of it, and json_text writes the same."""
+    fx = ["--input", f"fixture:{name}", "--geometry", g]
+    sol = str(tmp_path / "solve.json")
+    cli.main(["solve", *fx, "--output", sol])
+    for cmd, argv in (("validate", fx), ("render", ["--input", sol]),
+                      ("demo", fx)):
+        cli.main([cmd, *argv, "--output", str(tmp_path / f"{cmd}.json")])
+    assert len(list(tmp_path.iterdir())) == 4
+    for p in tmp_path.iterdir():
+        text = p.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert json_text(doc) == text
+
+
+def test_writers_are_the_traced_names(tmp_path, monkeypatch):
+    """demo --output writes through cli._emit and render --output through
+    layout.export_json, once each: the benchmark times these names, in
+    every hicp namespace that binds them, as cli.emit and
+    layout.export_json."""
+    calls = []
+
+    def count(mod, name):
+        fn = getattr(mod, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        for m in [m for k, m in sys.modules.items()
+                  if k == "hicp" or k.startswith("hicp.")]:
+            if getattr(m, name, None) is fn:
+                monkeypatch.setattr(m, name, counting)
+
+    count(cli, "_emit")
+    count(layout, "export_json")
+    fx = ["--input", "fixture:grid-torus"]
+    sol = str(tmp_path / "sol.json")
+    assert cli.main(["solve", *fx, "--output", sol]) == 0
+    for cmd, argv, via in (("demo", fx, "_emit"),
+                           ("render", ["--input", sol], "export_json")):
+        calls.clear()
+        out = tmp_path / f"{cmd}.json"
+        assert cli.main([cmd, *argv, "--output", str(out),
+                         "--svg", str(tmp_path / f"{cmd}.svg")]) == 0
+        assert calls == [via]
+        assert json.loads(out.read_text())
 
 
 def test_thread_cap(monkeypatch):

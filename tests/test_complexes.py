@@ -1,8 +1,11 @@
+import copy
 import itertools
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hicp import (
@@ -27,8 +30,9 @@ from hicp.complexes import (
     edge_key,
     make_domain,
 )
-from hicp.errors import DomainError
+from hicp.errors import DomainError, HicpError
 from hicp.fixtures import (
+    FIXTURES,
     dodecahedron_spec,
     fixture_spec,
     grid_torus_spec,
@@ -121,6 +125,104 @@ class TestBuildComplex:
             fs = grid_torus.vertex_faces(v)
             assert len(es) == len(fs) == 4
             assert grid_torus.degree(v) == 4
+
+
+def _built(spec):
+    """build_complex's complex, or the type and message of its error."""
+    try:
+        return build_complex(spec)
+    except HicpError as exc:
+        return type(exc), str(exc)
+
+
+def _by_loop(spec):
+    try:
+        return oracles.build_complex_by_loop(spec)
+    except HicpError as exc:
+        return type(exc), str(exc)
+
+
+MUTATIONS = ("rename", "rename-all", "duplicate", "drop", "reverse",
+             "non-int", "bool")
+
+
+@st.composite
+def mutated_spec(draw):
+    """A fixture spec with one to three of: a vertex renamed in one face
+    or everywhere, a face duplicated, dropped or reversed, or an id
+    replaced by a non-int or a bool."""
+    spec = copy.deepcopy(fixture_spec(draw(st.sampled_from(sorted(
+        FIXTURES)))))
+    faces = spec["faces"]
+    ids = [v["id"] for v in spec["vertices"]]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(MUTATIONS))
+        fi = draw(st.integers(0, len(faces) - 1))
+        k = draw(st.integers(0, len(faces[fi]) - 1))
+        if kind == "rename":
+            faces[fi][k] = draw(st.sampled_from(ids + [max(ids) + 1]))
+        elif kind == "rename-all":
+            old, new = faces[fi][k], draw(st.sampled_from(ids))
+            spec["faces"] = faces = [[new if v == old else v for v in f]
+                                     for f in faces]
+        elif kind == "duplicate":
+            faces.insert(draw(st.integers(0, len(faces))), list(faces[fi]))
+        elif kind == "drop" and len(faces) > 1:
+            del faces[fi]
+        elif kind == "reverse":
+            faces[fi] = faces[fi][::-1]
+        elif kind == "non-int":
+            faces[fi][k] = draw(st.sampled_from([1.0, "3", None, [1]]))
+        elif kind == "bool":
+            where = draw(st.sampled_from(["face", "vertex"]))
+            if where == "face":
+                faces[fi][k] = draw(st.booleans())
+            else:
+                spec["vertices"][k]["id"] = draw(st.booleans())
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=mutated_spec())
+def test_build_complex_matches_loop_on_mutated_specs(spec):
+    # the same complex, or the same first violation and message
+    assert _built(spec) == _by_loop(spec)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_build_complex_matches_loop(name):
+    assert build_complex(fixture_spec(name)) == \
+        oracles.build_complex_by_loop(fixture_spec(name))
+
+
+def test_non_orientable_gluing_matches_loop():
+    # the 3 x 3 square grid with one pair of sides glued with a twist: a
+    # Klein bottle, every edge with two sides
+    n = 3
+
+    def vid(i, j):
+        return (i % n) * n + j % n if i < n else -j % n
+
+    faces = [[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
+             for i in range(n) for j in range(n)]
+    spec = {"vertices": [{"id": k} for k in range(n * n)], "faces": faces}
+    got = _built(spec)
+    assert got[0] is NotClosedSurface
+    assert got[1].startswith("non-orientable gluing along edge")
+    assert got == _by_loop(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"vertices": [], "faces": []},
+    {"vertices": [{"id": i} for i in range(4)],
+     "faces": [[0, 1, 2, 3], [3, 2, 1, 0]]},
+    {"vertices": [{"id": v} for v in (*range(9), *range(100, 109))],
+     "faces": grid_torus_spec(3)["faces"]
+     + [[v + 100 for v in f] for f in grid_torus_spec(3)["faces"]]},
+], ids=["empty", "two-quads", "two-tori"])
+def test_whole_complex_faults_match_loop(spec):
+    assert isinstance(_built(spec), tuple)
+    assert _built(spec) == _by_loop(spec)
 
 
 class TestFanTriangles:

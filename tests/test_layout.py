@@ -25,11 +25,14 @@ from hicp.geometry import (
     vertex_dual_length,
 )
 from hicp.layout import (
+    JsonText,
     delaunay_report,
     develop,
     export_json,
     export_svg,
     gauss_bonnet_check,
+    json_text,
+    layout_json,
     layout_to_dict,
     merge_redundant,
 )
@@ -276,6 +279,14 @@ class TestExport:
         loaded = json.loads(p1.read_text())
         assert loaded["layout_version"] == 1
 
+    def test_layout_json_non_finite(self, grid_layout):
+        th = grid_layout.th.copy()
+        th[:3] = math.nan, math.inf, -math.inf
+        sl = dataclasses.replace(grid_layout, th=th)
+        text = layout_json(sl)
+        assert text == _dumps(oracles.layout_to_dict_by_loop(sl))
+        assert "NaN" in text and "-Infinity" in text
+
     def test_svg(self, genus2_layout, tmp_path):
         p = tmp_path / "l.svg"
         export_svg(genus2_layout, p)
@@ -283,6 +294,49 @@ class TestExport:
         assert text.startswith("<svg")
         assert 'width="1000"' in text
         assert "circle" in text
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+# every kind of value json writes, nested
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text() | st.text(st.characters(max_codepoint=0x1f)),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_is_json_dumps(self, doc):
+        assert json_text(doc) == _dumps(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=JSON_DOCS, inner=JSON_DOCS)
+    def test_places_a_written_block_at_its_depth(self, doc, inner):
+        block = JsonText(json_text(inner))
+        assert (json_text([doc, {"k": [block]}])
+                == _dumps([doc, {"k": [inner]}]))
+        assert json_text(block) == _dumps(inner)
+
+    @pytest.mark.parametrize("value", [
+        np.float64(0.1), np.float64("nan"), 2 ** 70, -(2 ** 70),
+        {1: "a", 2.5: "b"}, {True: 1}, {None: 0}, "\u00e9\u2028\x00\"\\"])
+    def test_scalars_and_keys_as_json(self, value):
+        assert json_text(value) == _dumps(value)
+
+    def test_rejects_what_json_rejects(self):
+        for value in (np.int64(1), {1, 2}, {(1, 2): 0}):
+            with pytest.raises(TypeError):
+                json.dumps(value, sort_keys=True, indent=1)
+            with pytest.raises(TypeError):
+                json_text(value)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +416,21 @@ def _assert_matches_loop(T, x, g):
         else:
             assert (abs(sl.theta[e] - th)
                     <= 1e-12 + 64 * eps * _theta_spread(sl, e, th))
+    _assert_layout_document_matches_loop(sl)
     merged, err = _outcome(merge_redundant, sl)
     ref, ref_err = _outcome(oracles.merge_by_loop, sl)
     _assert_same_error(err, ref_err)
     if not err:
         _assert_charts_match(merged.charts, ref)
+        _assert_layout_document_matches_loop(merged)
+
+
+def _assert_layout_document_matches_loop(sl):
+    # the text from the arrays is json's text of the dict built one
+    # rounded number at a time
+    want = oracles.layout_to_dict_by_loop(sl)
+    assert layout_to_dict(sl) == want
+    assert layout_json(sl) == _dumps(want)
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
