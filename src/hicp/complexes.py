@@ -743,19 +743,28 @@ def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
     connected in the star-overlap graph, and test the remaining
     conditions (``HatTriangulation.admits``) on each set's masks as they
     build it.  A ``Domain`` is made only for a set that passes."""
+    verts, found, partial = domain_generator_sets(h, strict, cap,
+                                                  require_exhaustive)
+    kept = [(sorted(gens), masks) for gens, masks in found]
+    kept.sort(key=lambda item: item[0])
+    return DomainEnumeration(
+        [make_domain(h, [verts[i] for i in idx], masks)
+         for idx, masks in kept], partial)
+
+
+def domain_generator_sets(h, strict=False, cap=22, require_exhaustive=False):
+    """The enumeration behind ``admissible_domains``, without a
+    ``Domain``: (the hat vertices in sorted order, the kept sets,
+    partial).  A kept set is (generators, (vmask, emask, fmask)), its
+    generators positions in the sorted hat vertices, in the order the
+    enumerator built them."""
     nv = len(h.vertices)
     partial = nv > cap
     if partial and require_exhaustive:
         raise CapExceeded(f"{nv} hat vertices exceed the cap of {cap}")
-
     star_bits = StarBits(h)
     find = _small_generator_sets if partial else _connected_generator_sets
-    kept = [(sorted(gens), masks) for gens, masks in find(star_bits, strict)]
-    kept.sort(key=lambda item: item[0])
-    verts = star_bits.verts
-    return DomainEnumeration(
-        [make_domain(h, [verts[i] for i in idx], masks)
-         for idx, masks in kept], partial)
+    return star_bits.verts, find(star_bits, strict), partial
 
 
 class StarBits:

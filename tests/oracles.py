@@ -12,7 +12,14 @@ import mpmath as mp
 import numpy as np
 
 from hicp import geometry as geo
-from hicp.complexes import CellComplex, edge_key, face_edges
+from hicp import polytope as pt
+from hicp.complexes import (
+    CellComplex,
+    admissible_domains,
+    edge_key,
+    face_edges,
+    hat_complex,
+)
 from hicp.errors import (
     E0EndpointInV0,
     IndexMismatch,
@@ -268,6 +275,48 @@ def admissible_by_subsets(h):
                     strict))
     out.sort(key=lambda row: row[0])
     return out
+
+
+def check_feasibility_by_loop(cc, t, cap=22):
+    """``polytope.check_feasibility`` with condition 4 decided domain by
+    domain: every strict admissible domain made as a ``Domain`` and its
+    inequality evaluated by ``domain_inequality``."""
+    violations, ThetaF, gb_residual, tol = pt._conditions_1_to_3(cc, t)
+    partial = False
+    method, size = pt.CONDITIONS_1_3, pt._conditions_size(cc)
+    if not violations:
+        theta_ext = pt.theta_extended(cc, t)
+        h = hat_complex(cc)
+        domains = admissible_domains(h, strict=True, cap=cap)
+        partial = domains.partial
+        cond = "E4" if t.geometry == geo.EUCLIDEAN else "H4"
+        e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+        evaluated = 0
+        for d in domains:
+            star_of = d.is_open_star_of()
+            if star_of is not None and star_of[0] == "v" \
+                    and star_of[1] in cc.v0:
+                continue  # condition-2 identity, not a constraint
+            evaluated += 1
+            lhs, rhs = pt.domain_inequality(cc, h, d, theta_ext, ThetaF,
+                                            e0_duals)
+            if not lhs > rhs + tol:
+                violations.append((cond, {"domain": pt._domain_witness(d)},
+                                   lhs, rhs))
+        method = pt.ENUMERATION
+        size = {"hat_vertices": len(h.vertices), "domains": evaluated}
+
+    violations.sort(key=lambda v: (v[0], str(v[1])))
+    if violations:
+        verdict = pt.INFEASIBLE
+    elif partial:
+        verdict = pt.PARTIAL
+    else:
+        verdict = pt.FEASIBLE
+    return pt.FeasibilityReport(
+        verdict=verdict, violations=tuple(violations),
+        gauss_bonnet_residual=gb_residual, partial=partial, method=method,
+        size=size)
 
 
 def contains_cell(d, kind, idx):

@@ -1,19 +1,35 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import right_angle_target
-from hicp import build_complex, check_feasibility, make_angle_data
+from hicp import build_complex, check_feasibility, complexes, make_angle_data
+from hicp import polytope
+from hicp.complexes import admissible_domains, hat_complex, make_domain
 from hicp.errors import IndexMismatch
-from hicp.fixtures import grid_torus_spec
+from hicp.fixtures import (
+    FIXTURES,
+    fixture_spec,
+    grid_torus_spec,
+    reference_pattern,
+    tetrahedron_spec,
+)
+from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
 from hicp.polytope import (
     FEASIBLE,
     INFEASIBLE,
     PARTIAL,
     Theta_full,
+    domain_inequality,
+    domain_slacks,
     single_star_check,
     theta_extended,
 )
+from hicp.solver import extract_angles
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +186,234 @@ class TestSingleStarCheck:
                             {e: math.pi / 2 for e in cc.e1},
                             {4: 2 * math.pi - 0.5})
         assert single_star_check(cc, t) == []
+
+
+# ---------------------------------------------------------------------------
+# Condition 4 by cell weights against the domain-by-domain evaluation
+
+
+def reference_target(cc, g):
+    """The reference pattern's angles: what ``validate`` checks when its
+    input carries no angles."""
+    T, l, r = reference_pattern(cc, g)
+    return extract_angles(T, psi_inv_surface(T, l, r, g), g)
+
+
+def _spec(faces, v1, e0=()):
+    ids = sorted({i for f in faces for i in f})
+    return {"vertices": [{"id": i, "circle": "disk" if i in v1 else "point"}
+                         for i in ids],
+            "faces": faces, "tangent_edges": [list(e) for e in e0]}
+
+
+SMALL_COMPLEXES = {
+    "tetrahedron": tetrahedron_spec()["faces"],
+    "cube": [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [1, 2, 6, 5],
+             [2, 3, 7, 6], [3, 0, 4, 7]],
+    "octahedron": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
+                   [5, 2, 1], [5, 3, 2], [5, 4, 3], [5, 1, 4]],
+    "grid": grid_torus_spec(3)["faces"],
+}
+# the 3x3 grid with more disk vertices has up to 199 131 strict domains;
+# the fixtures grid-torus-v1 and e0-torus cover that end
+MAX_V1 = {"tetrahedron": 4, "cube": 8, "octahedron": 6, "grid": 4}
+
+
+@st.composite
+def complexes_and_angles(draw):
+    """A small complex with drawn V1 and E0 sets, and drawn theta on its
+    free edges and Theta on its disk vertices (no feasibility asked)."""
+    name = draw(st.sampled_from(sorted(SMALL_COMPLEXES)))
+    faces = SMALL_COMPLEXES[name]
+    ids = sorted({i for f in faces for i in f})
+    v1 = draw(st.sets(st.sampled_from(ids), max_size=MAX_V1[name]))
+    edges = build_complex(_spec(faces, v1)).edges
+    disk_edges = [e for e in edges if set(e) <= v1]
+    e0 = draw(st.sets(st.sampled_from(disk_edges), max_size=3)
+              if disk_edges else st.just(set()))
+    cc = build_complex(_spec(faces, v1, sorted(e0)))
+    angle = st.floats(0.01, math.pi - 0.01)
+    theta = {e: draw(angle) for e in sorted(cc.e1)}
+    Theta = {k: draw(st.floats(0.01, 2 * math.pi)) for k in sorted(cc.v1)}
+    return cc, theta, Theta
+
+
+def _assert_slacks_match(cc, t, domains):
+    """domain_slacks against domain_inequality's lhs - rhs on every
+    domain, and its point-star flags against Domain.is_open_star_of."""
+    h = hat_complex(cc)
+    theta_ext, ThetaF = theta_extended(cc, t), Theta_full(cc, t)
+    e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+    slack, point_star = domain_slacks(
+        h, [(d.vmask, d.emask, d.fmask) for d in domains], theta_ext,
+        ThetaF)
+    assert len(slack) == len(point_star) == len(domains)
+    for d, s, p in zip(domains, slack, point_star):
+        lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals)
+        assert abs(s - (lhs - rhs)) <= 1e-12, sorted(d.generators)
+        star = d.is_open_star_of()
+        assert p == (star is not None and star[0] == "v"
+                     and star[1] in cc.v0)
+
+
+def _assert_same_report(cc, t, cap=22):
+    got = check_feasibility(cc, t, cap=cap)
+    want = oracles.check_feasibility_by_loop(cc, t, cap=cap)
+    assert got.to_dict() == want.to_dict()
+    return got
+
+
+SLOW_FIXTURES = ("grid-torus-v1", "e0-torus")  # 199 131 domains each
+FIXTURE_CASES = [
+    pytest.param(name, g, marks=pytest.mark.slow)
+    if name in SLOW_FIXTURES else (name, g)
+    for name in sorted(FIXTURES) for g in (EUCLIDEAN, HYPERBOLIC)]
+
+
+@pytest.fixture(scope="module")
+def fixture_complexes():
+    return {name: build_complex(fixture_spec(name)) for name in FIXTURES}
+
+
+class TestDomainSlacks:
+    """The cell-weight slack is domain_inequality's lhs - rhs."""
+
+    @pytest.mark.parametrize("name, g", FIXTURE_CASES)
+    def test_fixture(self, fixture_complexes, name, g):
+        # every strict domain within the cap, the partial enumeration
+        # above it
+        cc = fixture_complexes[name]
+        _assert_slacks_match(cc, reference_target(cc, g),
+                             list(admissible_domains(hat_complex(cc),
+                                                     strict=True)))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(complexes_and_angles(), st.sampled_from([EUCLIDEAN, HYPERBOLIC]))
+    def test_drawn(self, drawn, g):
+        cc, theta, Theta = drawn
+        t = make_angle_data(cc, g, theta, Theta)
+        _assert_slacks_match(cc, t, list(admissible_domains(
+            hat_complex(cc), strict=True, require_exhaustive=True)))
+
+    def test_puncture(self, grid_torus):
+        # the domain of TestBoundary.test_puncture: vertex 4 is outside
+        # and its whole link inside
+        h = hat_complex(grid_torus)
+        gens = [("f", fi) for fi in range(len(grid_torus.faces))]
+        gens += [("v", v) for v in grid_torus.vertices if v != 4]
+        d = make_domain(h, gens)
+        assert ("v", 4) in oracles.boundary(h, d).punctures
+        _assert_slacks_match(grid_torus, right_angle_target(grid_torus),
+                             [d])
+
+
+GRID_TOL = 1e-12 * (1 + 9)  # the condition tolerance on the 3x3 grid
+
+
+def _shifted_star_target(cc, g, slack):
+    """Angle data on the 3x3 grid torus with disk vertex 4 whose open
+    star OStar(4) has the condition-4 slack ``slack``: theta = pi/2 + eps
+    (eps > 0 keeps the hyperbolic total angle above 2 pi chi), Theta_4
+    set to leave ``slack``, and the Euclidean total restored on the edge
+    (0, 1) away from vertex 4."""
+    eps = 0.0 if g == EUCLIDEAN else 0.05
+    theta = {e: math.pi / 2 + eps for e in cc.e1}
+    theta[(0, 1)] -= slack / 2
+    return make_angle_data(cc, g, theta,
+                           {4: 2 * math.pi - 4 * eps - slack})
+
+
+class TestReportMatchesLoop:
+    """check_feasibility against the domain-by-domain loop
+    (``oracles.check_feasibility_by_loop``): equal reports, down to the
+    witnesses' lhs and rhs and the size."""
+
+    @pytest.mark.parametrize("name, g", FIXTURE_CASES)
+    def test_fixture(self, fixture_complexes, name, g):
+        cc = fixture_complexes[name]
+        _assert_same_report(cc, reference_target(cc, g))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(complexes_and_angles(), st.sampled_from([EUCLIDEAN, HYPERBOLIC]),
+           st.sampled_from([22, 10]), st.floats(0.001, 1.0))
+    def test_drawn(self, drawn, g, cap, excess):
+        cc, theta, Theta = drawn
+        if cc.v1:
+            # set the largest disk vertex's Theta to meet the total-angle
+            # condition (with ``excess`` in the hyperbolic case), so
+            # that condition 4 is reached more often
+            k = max(cc.v1)
+            t = make_angle_data(cc, g, theta, {**Theta, k: 0.0})
+            total = sum(2 * math.pi - v for v in Theta_full(cc, t).values())
+            Theta[k] = total - 2 * math.pi * cc.chi - (
+                0.0 if g == EUCLIDEAN else excess)
+        _assert_same_report(cc, make_angle_data(cc, g, theta, Theta), cap)
+
+    @pytest.mark.parametrize("g", [EUCLIDEAN, HYPERBOLIC])
+    @pytest.mark.parametrize("slack", [GRID_TOL, GRID_TOL + 1e-13,
+                                       GRID_TOL - 1e-13, 1e-10, -1e-10])
+    def test_threshold_band(self, g, slack):
+        cc = build_complex(grid_torus_spec(3, v1=(4,)))
+        t = _shifted_star_target(cc, g, slack)
+        h = hat_complex(cc)
+        d = make_domain(h, [("v", 4)])
+        lhs, rhs = domain_inequality(cc, h, d, theta_extended(cc, t),
+                                     Theta_full(cc, t), ())
+        assert abs(lhs - rhs - slack) < 1e-14
+        rep = _assert_same_report(cc, t)
+        assert rep.method == polytope.ENUMERATION
+        if abs(slack) == 1e-10:
+            flagged = {"domain": [["v", 4]]} in [v[1] for v in
+                                                 rep.violations]
+            assert flagged == (slack < 0)
+
+
+class TestBuildsDomainsOnlyInTheBand:
+    """check_feasibility makes a Domain, and calls domain_inequality,
+    only for a row its cell weights leave near the threshold."""
+
+    @staticmethod
+    def _count(monkeypatch, cc, t):
+        built, called = [], []
+        domain, inequality = complexes.Domain, polytope.domain_inequality
+
+        def counting_domain(*args, **kwargs):
+            built.append(1)
+            return domain(*args, **kwargs)
+
+        def counting_inequality(*args, **kwargs):
+            called.append(1)
+            return inequality(*args, **kwargs)
+
+        monkeypatch.setattr(complexes, "Domain", counting_domain)
+        monkeypatch.setattr(polytope, "domain_inequality",
+                            counting_inequality)
+        rep = check_feasibility(cc, t)
+        monkeypatch.undo()
+        return rep, len(built), len(called)
+
+    def test_feasible_builds_none(self, monkeypatch, fixture_complexes):
+        cc = fixture_complexes["grid-torus-v1"]
+        rep, built, called = self._count(
+            monkeypatch, cc, reference_target(cc, EUCLIDEAN))
+        assert rep.verdict == FEASIBLE
+        assert rep.size["domains"] == 199131
+        assert built == called == 0
+
+    def test_infeasible_builds_its_band(self, monkeypatch,
+                                        fixture_complexes):
+        cc = fixture_complexes["grid-torus-v1"]
+        t = right_angle_target(cc)  # every open star of a vertex at 0
+        rep, built, called = self._count(monkeypatch, cc, t)
+        h = hat_complex(cc)
+        _verts, found, _partial = complexes.domain_generator_sets(h, True)
+        slack, point_star = domain_slacks(
+            h, [m for _g, m in found], theta_extended(cc, t),
+            Theta_full(cc, t))
+        band = int(np.sum(~(slack > GRID_TOL + 1e-9 * (1 + np.abs(slack)))
+                          & ~point_star))
+        assert rep.verdict == INFEASIBLE
+        assert len(rep.violations) <= band == built == called
+        assert band < len(found) / 100
