@@ -41,20 +41,14 @@ from .complexes import (
     euler_char,
     fan_triangles,
     hat_complex,
-    open_star,
     triangulate,
 )
 
 from .geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
-    dual_edge_length,
-    face_circle,
     in_te,
-    psi,
-    psi_inv,
     tetra_angles,
-    vertex_dual_length,
 )
 from .polytope import (
     AngleData,
@@ -87,9 +81,8 @@ __all__ = [
     "NotClosedSurface", "NotInTE", "PathLeavesDomain", "RegularityViolation",
     "CellComplex", "Domain", "HatTriangulation", "Triangulation",
     "admissible_domains", "build_complex", "euler_char",
-    "fan_triangles", "hat_complex", "open_star", "triangulate",
-    "EUCLIDEAN", "HYPERBOLIC", "dual_edge_length", "face_circle", "in_te",
-    "psi", "psi_inv", "tetra_angles", "vertex_dual_length",
+    "fan_triangles", "hat_complex", "triangulate",
+    "EUCLIDEAN", "HYPERBOLIC", "in_te", "tetra_angles",
     "AngleData", "FeasibilityReport", "check_feasibility", "make_angle_data",
     "Solution", "SolveOptions", "extract_angles", "omega_solve",
     "reference_coords", "solve",

@@ -19,6 +19,7 @@ intersection angle, ``E_pi`` edges are the fan diagonals added by
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -355,7 +356,6 @@ class Triangulation:
     e_pi: frozenset
     triangles: tuple  # of Triangle
     edges: tuple  # all edges of T, sorted
-    edge_triangles: Mapping[Edge, tuple] = field(hash=False)
 
     def edge_class(self, e):
         """0 for E0, 1 for E1, 2 for the fan diagonals."""
@@ -430,8 +430,8 @@ class TriIndex:
     edge: np.ndarray  # edge positions in ``Triangulation.edges``
     vert: np.ndarray  # vertex positions in ``CellComplex.vertices``
     n_free: int  # number of free variables
-    # per edge of ``Triangulation.edges``: its two triangles, as in
-    # ``edge_triangles``, and its column in each
+    # per edge of ``Triangulation.edges``: its two triangles, the lesser
+    # first, and its column in each
     edge_tri: np.ndarray
     edge_col: np.ndarray
     ends: np.ndarray  # per edge: its lower and upper vertex position
@@ -456,22 +456,19 @@ def triangulate(cc):
         tris.extend(Triangle(face=fi, verts=t) for t in ftris)
 
     edges = tuple(sorted(base_edges | e_pi))
-    edge_triangles = {}
-    for ti, tri in enumerate(tris):
+    count = Counter()
+    for tri in tris:
         u, v, w = tri.verts
-        for e in (edge_key(u, v), edge_key(v, w), edge_key(w, u)):
-            edge_triangles.setdefault(e, []).append(ti)
-    for e, ts in edge_triangles.items():
-        if len(ts) != 2:
-            raise RegularityViolation(f"edge {e} lies in {len(ts)} triangles")
-    edge_triangles = {e: tuple(ts) for e, ts in edge_triangles.items()}
+        count.update((edge_key(u, v), edge_key(v, w), edge_key(w, u)))
+    for e, n in count.items():
+        if n != 2:
+            raise RegularityViolation(f"edge {e} lies in {n} triangles")
 
     return Triangulation(
         base=cc,
         e_pi=frozenset(e_pi),
         triangles=tuple(tris),
         edges=edges,
-        edge_triangles=edge_triangles,
     )
 
 
@@ -522,8 +519,8 @@ class HatTriangulation:
     # of the two hat faces across it)
     dual_cells: tuple = field(repr=False, default=())
 
-    # The admissibility conditions on the masks of a union of open stars;
-    # the enumerator and ``Domain`` both read them.
+    # The admissibility conditions on the masks of a union of open stars,
+    # which the enumerator reads.
 
     def covers_surface(self, vmask, emask, fmask):
         return (vmask, emask, fmask) == self.full
@@ -673,17 +670,6 @@ class Domain:
     emask: int
     fmask: int
 
-    def is_whole_surface(self):
-        return self.hat.covers_surface(self.vmask, self.emask, self.fmask)
-
-    def meets_base_vertices(self):
-        return self.hat.meets_base(self.vmask)
-
-    def is_strict(self):
-        """No point vertex on the boundary (Def. of strict admissibility)."""
-        return not self.hat.touches_boundary(
-            self.hat.point_links, self.vmask, self.emask, self.fmask)
-
     def is_open_star_of(self):
         """The hat vertex whose open star this is, or None."""
         if len(self.generators) == 1:
@@ -703,12 +689,6 @@ def make_domain(h, generators, masks=None):
             fmask |= fm
         masks = (vmask, emask, fmask)
     return Domain(h, frozenset(generators), *masks)
-
-
-def open_star(h, hv):
-    if hv not in h.stars:
-        raise IndexMismatch(f"unknown hat vertex {hv}")
-    return make_domain(h, [hv])
 
 
 def euler_char(d):

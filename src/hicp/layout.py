@@ -34,15 +34,19 @@ VIEWPORT = 1000  # SVG width and height
 
 
 def _distance(z, w, g):
-    """model_distance on arrays."""
+    """Distances in the model plane (the Poincare disk when hyperbolic),
+    on arrays."""
     if g == EUCLIDEAN:
         return np.abs(z - w)
     return 2 * np.arctanh(np.abs(z - w) / np.abs(1 - z.conj() * w))
 
 
 def circle_intersection_angle(c1, R1, c2, R2, g):
-    """Intersection angles of pairs of face circles from their centers
-    and radii (inverse of dual_edge_length), on arrays."""
+    """Intersection angles theta of pairs of face circles from their
+    centers and radii, on arrays: the theta with h^2 = R1^2 + R2^2 +
+    2 R1 R2 cos theta (Euclidean) or cosh h = cosh R1 cosh R2 +
+    sinh R1 sinh R2 cos theta (hyperbolic), h the distance of the
+    centers."""
     h = _distance(c1, c2, g)
     dR = np.abs(R1 - R2)
     # half-angle form: stable near tangency (theta near 0 or pi)

@@ -133,8 +133,10 @@ def domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals):
     """(lhs, rhs) of the condition-4 inequality for one strict domain."""
     dual_mult, n_v, _n_e0 = boundary_counts(h, d, e0_duals)
     lhs = sum((math.pi - theta_ext[e]) * m for e, m in dual_mult.items())
+    # in sorted order: a frozenset's order follows the hash seed and the
+    # insertion order, and would move the sum's last bits with them
     lhs += sum(2 * math.pi - ThetaF[g[1]]
-               for g in d.generators if g[0] == "v")
+               for g in sorted(d.generators) if g[0] == "v")
     rhs = 2 * math.pi * euler_char(d) - math.pi * n_v
     return lhs, rhs
 

@@ -4,6 +4,7 @@ Everything here is computed with mpmath or with formulas deliberately
 different from the ones in the package, so agreement is meaningful.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+import scalar_kernel as sk
 from hicp import geometry as geo
 from hicp import polytope as pt
 from hicp.complexes import (
@@ -19,6 +21,7 @@ from hicp.complexes import (
     edge_key,
     face_edges,
     hat_complex,
+    make_domain,
 )
 from hicp.errors import (
     E0EndpointInV0,
@@ -319,6 +322,27 @@ def check_feasibility_by_loop(cc, t, cap=22):
         size=size)
 
 
+def open_star(h, hv):
+    """The open star of the hat vertex hv as a ``Domain``."""
+    if hv not in h.stars:
+        raise IndexMismatch(f"unknown hat vertex {hv}")
+    return make_domain(h, [hv])
+
+
+def is_whole_surface(d):
+    return d.hat.covers_surface(d.vmask, d.emask, d.fmask)
+
+
+def meets_base_vertices(d):
+    return d.hat.meets_base(d.vmask)
+
+
+def is_strict(d):
+    """No point vertex on the boundary of d (strict admissibility)."""
+    return not d.hat.touches_boundary(d.hat.point_links, d.vmask, d.emask,
+                                      d.fmask)
+
+
 def contains_cell(d, kind, idx):
     """Domain d holds the hat cell (kind, idx): kind "v", "e" or "t"."""
     mask = {"v": d.vmask, "e": d.emask, "t": d.fmask}[kind]
@@ -438,10 +462,10 @@ def local_pair_theta(T, er, e, g):
     circles, each placed by the scalar decorate, in a shared local
     chart."""
     placed = {}
-    for ti in T.edge_triangles[e]:
+    for ti in edge_triangles(T)[e]:
         tri = T.triangles[ti]
-        zs, circle, _ta = geo.decorate(tri_er(T, er, tri),
-                                       triangle_tags(T, tri), g)
+        zs, circle, _ta = sk.decorate(tri_er(T, er, tri),
+                                      triangle_tags(T, tri), g)
         placed[ti] = (dict(zip(tri.verts, zs)), circle)
     return pair_theta(T, placed, e, g)
 
@@ -452,20 +476,32 @@ def psi_inv_surface_by_loop(T, er, g):
     vertex: b})."""
     cc = T.base
     l, r = er
-    b = {v: geo.inv_radius(g, 1, r[v]) for v in T.v1_vertices}
+    b = {v: sk.inv_radius(g, 1, r[v]) for v in T.v1_vertices}
     a = {}
     for e in T.edges:
         if e in cc.e0:
             continue
         u, v = e
-        a[e] = geo.inv_edge(g, 1, cc.vertex_class(u), cc.vertex_class(v),
-                            l[e], r[u], r[v], b.get(u, 0.0), b.get(v, 0.0))
+        a[e] = sk.inv_edge(g, 1, cc.vertex_class(u), cc.vertex_class(v),
+                           l[e], r[u], r[v], b.get(u, 0.0), b.get(v, 0.0))
     return a, b
+
+
+@functools.lru_cache(maxsize=16)
+def edge_triangles(T):
+    """{edge: its two triangles, the lesser first} of T, by a loop over
+    the triangles; cached, since the scalar layout reads it per edge.
+    Callers must not change the dict."""
+    out = {}
+    for ti in range(len(T.triangles)):
+        for e in tri_edges(T, ti):
+            out.setdefault(e, []).append(ti)
+    return {e: tuple(ts) for e, ts in out.items()}
 
 
 def tri_index_by_loop(T):
     """The arrays of ``T.tri_index``, built triangle by triangle from
-    dicts, and the edge table from ``T.edge_triangles``."""
+    dicts, and the edge table from ``edge_triangles``."""
     cc = T.base
     a_slot = {e: m for m, e in enumerate(T.free_edges)}
     b_slot = {k: len(a_slot) + m for m, k in enumerate(T.v1_vertices)}
@@ -480,8 +516,9 @@ def tri_index_by_loop(T):
                      + [b_slot.get(v, -1) for v in tri.verts])
         edge.append([eindex[e] for e in es])
         vert.append([vindex[v] for v in tri.verts])
-    edge_tri = [T.edge_triangles[e] for e in T.edges]
-    edge_col = [[tri_edges(T, ti).index(e) for ti in T.edge_triangles[e]]
+    table = edge_triangles(T)
+    edge_tri = [table[e] for e in T.edges]
+    edge_col = [[tri_edges(T, ti).index(e) for ti in table[e]]
                 for e in T.edges]
     return {"vc": np.array(vc), "ec": np.array(ec), "slots": np.array(slots),
             "edge": np.array(edge), "vert": np.array(vert),
@@ -499,8 +536,8 @@ def tri_index_by_loop(T):
 
 def circle_intersection_angle(c1, R1, c2, R2, g):
     """Intersection angle of two face circles from their centers and
-    radii (inverse of dual_edge_length)."""
-    h = geo.model_distance(c1, c2, g)
+    radii (inverse of scalar_kernel.dual_edge_length)."""
+    h = sk.model_distance(c1, c2, g)
     dR = abs(R1 - R2)
     # half-angle form: stable near tangency (theta near 0 or pi)
     if g == geo.EUCLIDEAN:
@@ -527,6 +564,7 @@ def glue(T, placed, tis, g):
     least-id edges first).  Returns per triangle its positions and circle
     in the chart, and the crossed edges as (from, to, edge)."""
     members = set(tis)
+    table = edge_triangles(T)
     root = tis[0]
     charts = {root: placed[root]}
     tree = []
@@ -537,15 +575,15 @@ def glue(T, placed, tis, g):
         vs = T.triangles[ti].verts
         for e, a, b in sorted((edge_key(vs[m], vs[(m + 1) % 3]),
                                vs[m], vs[(m + 1) % 3]) for m in range(3)):
-            o1, o2 = T.edge_triangles[e]
+            o1, o2 = table[e]
             nb = o2 if o1 == ti else o1
             if nb not in members or nb in charts:
                 continue
             tree.append((ti, nb, e))
             npos, (c, R) = placed[nb]
             w = next(x for x in npos if x not in e)
-            fwd = geo.frame(npos[b], npos[a], g)[0]
-            inv = geo.frame(pos[b], pos[a], g)[1]
+            fwd = sk.frame(npos[b], npos[a], g)[0]
+            inv = sk.frame(pos[b], pos[a], g)[1]
             charts[nb] = ({a: pos[a], b: pos[b], w: inv(fwd(npos[w]))},
                           (inv(fwd(c)), R))
             queue.append(nb)
@@ -558,9 +596,9 @@ def pair_theta(T, placed, e, g):
     real axis), where the triangles lie on opposite sides."""
     u, v = e
     circles = []
-    for ti in T.edge_triangles[e]:
+    for ti in edge_triangles(T)[e]:
         pos, (c, R) = placed[ti]
-        circles.append((geo.frame(pos[u], pos[v], g)[0](c), R))
+        circles.append((sk.frame(pos[u], pos[v], g)[0](c), R))
     (c1, R1), (c2, R2) = circles
     return circle_intersection_angle(c1, R1, c2, R2, g)
 
@@ -609,7 +647,7 @@ def merge_by_loop(sl):
             pos.update(p)
         c0, R0 = fan[face_tris[fi][0]][1]
         for _p, (c, R) in fan.values():
-            if (geo.model_distance(c0, c, g) > 10 * MERGE_TOL
+            if (sk.model_distance(c0, c, g) > 10 * MERGE_TOL
                     or abs(R - R0) > 10 * MERGE_TOL):
                 raise NonRedundantDiagonal(
                     f"face {f}: fan circles disagree")

@@ -2,7 +2,7 @@
 volume of its truncated tetrahedron: the volume check of the acceptance
 gate (the gradient of the volume in the angles is -1/2 the conjugate
 coordinates) and its oracles.  Built on the scalar kernel of
-``hicp.geometry``; nothing in the package calls it.
+``scalar_kernel``; nothing in the package calls it.
 """
 
 import cmath
@@ -18,12 +18,10 @@ from hicp.geometry import (
     HYPERBOLIC,
     TriangleAngles,
     check_geometry,
-    psi_inv,
     reference_constants,
     reference_length,
-    tetra_angles,
-    triangle_angles,
 )
+from scalar_kernel import psi_inv, tetra_angles, triangle_angles
 
 
 def angles_valid(ta, tags, g):

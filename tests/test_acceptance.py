@@ -22,12 +22,8 @@ from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     TriangleTags,
-    check_er_triangle,
-    dual_edge_length,
     gauge_vector,
-    psi_inv,
     psi_inv_surface,
-    triangle_angles,
 )
 from hicp.layout import develop, gauss_bonnet_check
 from hicp.polytope import check_feasibility, make_angle_data
@@ -41,6 +37,12 @@ from hicp.solver import (
     omega_value,
     reference_coords,
     solve,
+)
+from scalar_kernel import (
+    check_er_triangle,
+    dual_edge_length,
+    psi_inv,
+    triangle_angles,
 )
 from schlaefli import (
     _section_project,

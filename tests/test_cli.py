@@ -438,20 +438,28 @@ class TestRoundtrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# the scalar kernel, kept as the reference of the batched one
-SCALAR_KERNEL = ("psi", "psi_inv", "vertex_radius", "edge_length",
-                 "check_er_triangle", "decorate", "triangle_angles",
-                 "tetra_angles", "face_circle", "place_triangle",
-                 "corner_angle", "circumscribe", "radical_center",
-                 "inv_radius", "inv_edge", "frame", "disk_circle_rep")
+# the scalar kernel, moved to tests/scalar_kernel.py as the reference of
+# the batched one
+MOVED_SCALAR_KERNEL = (
+    "psi", "psi_inv", "vertex_radius", "edge_length", "inv_radius",
+    "inv_edge", "check_er_triangle", "frame", "place_third",
+    "place_triangle", "corner_angle", "disk_circle_rep", "rep_to_hyperbolic",
+    "disk_distance", "model_distance", "radical_center", "_disk_face_rep",
+    "circumscribe", "face_circle", "FaceCircleData", "decorate",
+    "dual_edge_length", "vertex_dual_length")
+# the one-row forms of the batched kernel, which the benchmark spans
+ONE_ROW_FORMS = ("tetra_angles", "triangle_angles")
 
 
 @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
 @pytest.mark.parametrize("name", ["tri-torus-v1", "genus2-mixed"])
 def test_commands_run_only_the_batched_kernel(tmp_path, monkeypatch, name,
                                               g):
-    """With every scalar kernel function replaced by one that raises,
-    each command exits as before and writes the same bytes."""
+    """The scalar kernel is gone from hicp.geometry, and with the one-row
+    kernel forms replaced by functions that raise, each command exits as
+    before and writes the same bytes."""
+    assert [n for n in MOVED_SCALAR_KERNEL if hasattr(geo, n)] == []
+
     def run_all(d):
         d.mkdir()
         fx = ["--input", f"fixture:{name}", "--geometry", g]
@@ -467,14 +475,14 @@ def test_commands_run_only_the_batched_kernel(tmp_path, monkeypatch, name,
             ["validate", *fx, "--output", str(d / "validate.json")])]
         return codes, {p.name: p.read_bytes() for p in d.iterdir()}
 
-    expected = run_all(tmp_path / "with-scalar")
+    expected = run_all(tmp_path / "unstubbed")
 
     def stub(fn):
         def raising(*args, **kwargs):
-            raise AssertionError(f"scalar {fn} called")
+            raise AssertionError(f"one-row {fn} called")
         return raising
 
-    for fn in SCALAR_KERNEL:
+    for fn in ONE_ROW_FORMS:
         monkeypatch.setattr(geo, fn, stub(fn))
     assert run_all(tmp_path / "stubbed") == expected
 
@@ -561,3 +569,25 @@ def test_thread_cap_precedes_numpy():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "['1']"
+
+
+def test_commands_do_not_load_scipy(tmp_path):
+    # scipy is a test dependency: no command may import it
+    fx = ["--input", "fixture:tri-torus"]
+    sol, out, svg = (str(tmp_path / n) for n in ("sol.json", "out.json",
+                                                 "out.svg"))
+    runs = [["validate", *fx, "--output", out],
+            ["solve", *fx, "--output", sol],
+            ["render", "--input", sol, "--output", out, "--svg", svg],
+            ["demo", *fx, "--output", out, "--svg", svg]]
+    code = ("import json, sys\n"
+            "from hicp import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes[1:] == [0, 0, 0]
+    assert not loaded

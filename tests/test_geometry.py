@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import scalar_kernel as sk
 from hicp import build_complex, cli, triangulate
 from hicp import geometry as geo
 from hicp.fixtures import (
@@ -25,13 +26,15 @@ from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
     TriangleTags,
+    gauge_vector,
+    in_te,
+    project_gauge,
+)
+from scalar_kernel import (
     check_er_triangle,
     dual_edge_length,
     edge_length,
     face_circle,
-    gauge_vector,
-    in_te,
-    project_gauge,
     psi,
     psi_inv,
     tetra_angles,
@@ -391,13 +394,13 @@ class TestPhiInv:
 
 def test_tetra_angles_checks_the_triangle_once(monkeypatch):
     calls = []
-    check = geo.check_er_triangle
+    check = sk.check_er_triangle
 
     def counting(*args, **kwargs):
         calls.append(1)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "check_er_triangle", counting)
+    monkeypatch.setattr(sk, "check_er_triangle", counting)
     tags = TriangleTags(vc=(1, 1, 1), ec=(1, 1, 1))
     for g in (EUCLIDEAN, HYPERBOLIC):
         calls.clear()
@@ -407,13 +410,13 @@ def test_tetra_angles_checks_the_triangle_once(monkeypatch):
 
 def test_hyperbolic_tetra_angles_solves_the_face_circle_once(monkeypatch):
     calls = []
-    solve = geo.radical_center
+    solve = sk.radical_center
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "radical_center", counting)
+    monkeypatch.setattr(sk, "radical_center", counting)
     tags = TriangleTags(vc=(1, 1, 1), ec=(1, 1, 1))
     tetra_angles(((0.3, 0.3, 0.3), (0.5, 0.5, 0.5)), tags, HYPERBOLIC)
     assert len(calls) == 1
@@ -428,7 +431,7 @@ def test_tetra_angles_overflow_is_not_in_te(g):
 
 
 # ---------------------------------------------------------------------------
-# Batched kernel against the scalar tetra_angles
+# Batched kernel and its one-row forms against the scalar tetra_angles
 
 
 def _perturbed_coords(tags, g, deltas, kind, pick, size):
@@ -479,10 +482,12 @@ def test_batched_kernel_matches_scalar(g, rows):
         except NotInTE:
             ref.append(None)
         else:
-            ref.append(geo.decorate(psi(tc, tg, g), tg, g))
+            ref.append(sk.decorate(psi(tc, tg, g), tg, g))
     first = next((i for i, r in enumerate(ref) if r is None), None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nothing reaches stderr
+        for tc, tg, want in zip(tcs, tags, ref):
+            _assert_one_row_forms_match(tc, tg, g, want)
         if first is not None:
             with pytest.raises(NotInTE, match=f"^triangle {first}: "):
                 geo.decorated_triangles(x, vc, ec, g)
@@ -495,6 +500,36 @@ def test_batched_kernel_matches_scalar(g, rows):
         assert tuple(dt.z[i]) == pytest.approx(zs, **tol)
         assert dt.center[i] == pytest.approx(center, **tol)
         assert dt.R[i] == pytest.approx(R, **tol)
+
+
+def _assert_one_row_forms_match(tc, tags, g, want):
+    """The package's tetra_angles raises NotInTE exactly where the scalar
+    one does (want is None), and its triangle_angles raises exactly where
+    the scalar one does on psi(tc), wherever psi is defined.  Both agree
+    with the scalar angles where tc is in TE.  (Off TE they need not: on
+    a fold row with a = 0, psi gives l = r_u + r_v, where alpha =
+    acos(c) with c within an ulp of 1, and an ulp of c moves alpha by
+    1.5e-8.)"""
+    try:
+        er = psi(tc, tags, g)
+        triangle_angles(er, tags, g)
+    except DomainError:
+        er = None
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation):
+            geo.triangle_angles(er, tags, g)
+        er = None
+    if want is None:
+        with pytest.raises(NotInTE):
+            geo.tetra_angles(tc, tags, g)
+        if er is not None:
+            geo.triangle_angles(er, tags, g)
+        return
+    tol = dict(rel=1e-12, abs=1e-12)
+    for ta in (geo.tetra_angles(tc, tags, g),
+               geo.triangle_angles(er, tags, g)):
+        assert ta.alpha == pytest.approx(want[2].alpha, **tol)
+        assert ta.beta == pytest.approx(want[2].beta, **tol)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +682,8 @@ def test_check_er_surface_matches_scalar(kind, data, g, seed, size):
     elif kind == "overlap":
         l[e] = r[e[0]] + r[e[1]] + (size - 1.5) * 1e-15
     elif kind == "triangle":
-        f, h = (x for x in oracles.tri_edges(T, T.edge_triangles[e][0])
-                if x != e)
+        f, h = (x for x in oracles.tri_edges(
+            T, oracles.edge_triangles(T)[e][0]) if x != e)
         l[e] = l[f] + l[h] + (size - 1.5) * 1e-15
     er = (l, r)
     fails = 0

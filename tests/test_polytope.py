@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -417,3 +420,32 @@ class TestBuildsDomainsOnlyInTheBand:
         assert rep.verdict == INFEASIBLE
         assert len(rep.violations) <= band == built == called
         assert band < len(found) / 100
+
+
+def test_report_is_the_same_under_every_hash_seed():
+    # a witness's lhs is a sum over its generators, a frozenset whose
+    # order follows PYTHONHASHSEED: summed in that order, the last bits
+    # of lhs moved from one process to the next
+    code = (
+        "import math\n"
+        "from hicp import build_complex, check_feasibility, make_angle_data\n"
+        "from hicp.fixtures import grid_torus_spec\n"
+        "from hicp.polytope import Theta_full\n"
+        "cc = build_complex(grid_torus_spec(3, v1=(0, 1, 5, 7)))\n"
+        "theta = {e: 1 + 0.1 * (i % 7) for i, e in enumerate(sorted(cc.e1))}\n"
+        "Theta = {0: 1.0, 1: 0.8, 5: 1.0, 7: 0.0}\n"
+        "t = make_angle_data(cc, 'euclidean', theta, Theta)\n"
+        "Theta[7] = (sum(2 * math.pi - v for v in Theta_full(cc, t).values())\n"
+        "            - 2 * math.pi * cc.chi)\n"
+        "t = make_angle_data(cc, 'euclidean', theta, Theta)\n"
+        "print(check_feasibility(cc, t).to_dict())\n")
+    reports = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "'violations': [{" in proc.stdout
+        reports.add(proc.stdout)
+    assert len(reports) == 1
