@@ -43,11 +43,6 @@ def edge_key(i, j):
     return (i, j) if i < j else (j, i)
 
 
-def face_edges(face):
-    n = len(face)
-    return [edge_key(face[t], face[(t + 1) % n]) for t in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # CellComplex
 
@@ -93,13 +88,19 @@ class CellComplex:
         face t lies between edge t and edge t+1)."""
         return self._vertex_cycle(v)[0]
 
+    @cached_property
+    def _face_at(self):
+        """Per vertex, a face incident to it."""
+        return {v: fi for fi, f in enumerate(self.faces) for v in f}
+
     def _vertex_cycle(self, v):
         # Walk around v using the orientation: inside face f with directed
         # edge (v -> w), the next face counterclockwise is across (u -> v).
-        incident = [fi for fi, f in enumerate(self.faces) if v in f]
-        if not incident:
+        # The cycle is rotated to its least edge below, so any face it
+        # starts from gives the same result.
+        fi = self._face_at.get(v)
+        if fi is None:
             raise IndexMismatch(f"vertex {v} has no incident face")
-        fi = min(incident)
         edges_cycle, faces_cycle = [], []
         start = fi
         while True:
@@ -506,10 +507,7 @@ class HatTriangulation:
     links: dict = field(repr=False, default_factory=dict)
     # overlap graph between open stars, as adjacency over hat vertices
     overlap: dict = field(repr=False, default_factory=dict)
-    # masks built once: (vmask, emask, fmask) of the whole surface, the
-    # vmask of the base vertices, per hat vertex (emask, fmask) of its link
-    full: tuple = field(repr=False, default=(0, 0, 0))
-    base_vmask: int = field(repr=False, default=0)
+    # per hat vertex: (emask, fmask) of its link
     link_masks: dict = field(repr=False, default_factory=dict)
     # per base vertex, and per point vertex: (vertex bit, link emask,
     # link fmask)
@@ -518,34 +516,6 @@ class HatTriangulation:
     # per base edge, in ``base.edges`` order: (edge, dual edge bit, fmask
     # of the two hat faces across it)
     dual_cells: tuple = field(repr=False, default=())
-
-    # The admissibility conditions on the masks of a union of open stars,
-    # which the enumerator reads.
-
-    def covers_surface(self, vmask, emask, fmask):
-        return (vmask, emask, fmask) == self.full
-
-    def meets_base(self, vmask):
-        return bool(vmask & self.base_vmask)
-
-    @staticmethod
-    def touches_boundary(links, vmask, emask, fmask):
-        """Whether a hat vertex of ``links``, (vertex bit, link emask,
-        link fmask) triples, lies on the topological boundary: it is
-        outside the domain and some cell of its link is inside."""
-        for vbit, lemask, lfmask in links:
-            if not vmask & vbit and (emask & lemask or fmask & lfmask):
-                return True
-        return False
-
-    def admits(self, vmask, emask, fmask, strict):
-        """The conditions an admissible domain adds to connected
-        generators: not the whole surface, meets the base vertices and,
-        under ``strict``, no point vertex on the boundary."""
-        return (self.meets_base(vmask)
-                and not self.covers_surface(vmask, emask, fmask)
-                and not (strict and self.touches_boundary(
-                    self.point_links, vmask, emask, fmask)))
 
 
 def hat_complex(cc):
@@ -578,53 +548,25 @@ def hat_complex(cc):
     h.dual_cells = tuple(
         (e, 1 << h.eindex[("dual", e)],
          sum(1 << h.findex[(v, e)] for v in e)) for e in cc.edges)
-
-    h.full = tuple((1 << len(cells)) - 1
-                   for cells in (h.vertices, h.edges, h.hat_faces))
-    h.base_vmask = (1 << len(cc.vertices)) - 1  # base vertices come first
     _build_stars_and_links(h)
     return h
 
 
 def _build_stars_and_links(h):
     cc = h.base
-    # open star of a base vertex k: the vertex itself, its corner edges,
-    # and the hat triangle across each incident base edge
+    # the link of a base vertex k: its corner edges, and between
+    # corner(k, f_t) and corner(k, f_{t+1}) the hat triangle across the
+    # shared base edge e_{t+1}
     for k in cc.vertices:
-        vmask = 1 << h.vindex[("v", k)]
-        emask = 0
-        fmask = 0
-        for fi in cc.vertex_faces(k):
-            emask |= 1 << h.eindex[("corner", (k, fi))]
-        for e in cc.vertex_edges(k):
-            fmask |= 1 << h.findex[(k, e)]
-        h.stars[("v", k)] = (vmask, emask, fmask)
-    # open star of a dual vertex O_f: O_f, the corner edges of f, the dual
-    # edges of f's base edges, and both hat triangles of each base edge of f
-    for fi, f in enumerate(cc.faces):
-        vmask = 1 << h.vindex[("f", fi)]
-        emask = 0
-        fmask = 0
-        for v in f:
-            emask |= 1 << h.eindex[("corner", (v, fi))]
-        for e in face_edges(f):
-            emask |= 1 << h.eindex[("dual", e)]
-            for v in e:
-                fmask |= 1 << h.findex[(v, e)]
-        h.stars[("f", fi)] = (vmask, emask, fmask)
-
-    # links: cyclic cell sequences around each hat vertex
-    for k in cc.vertices:
-        cycle = []
-        edges_c = cc.vertex_edges(k)
-        faces_c = cc.vertex_faces(k)
-        # between corner(k, f_t) and corner(k, f_{t+1}) sits the hat
-        # triangle across the shared base edge e_{t+1}
+        edges_c, faces_c = cc._vertex_cycle(k)
         n = len(faces_c)
+        cycle = []
         for t in range(n):
             cycle.append(("e", h.eindex[("corner", (k, faces_c[t]))]))
             cycle.append(("t", h.findex[(k, edges_c[(t + 1) % n])]))
         h.links[("v", k)] = cycle
+    # the link of a dual vertex O_f: the corner edges of f, the dual edges
+    # of f's base edges, and both hat triangles of each base edge of f
     for fi, f in enumerate(cc.faces):
         cycle = []
         n = len(f)
@@ -641,21 +583,26 @@ def _build_stars_and_links(h):
         for kind, idx in cycle:
             masks[kind] |= 1 << idx
         h.link_masks[hv] = (masks["e"], masks["t"])
+        # the open star: the vertex and the cells of its link
+        h.stars[hv] = (1 << h.vindex[hv], *h.link_masks[hv])
     h.base_links = tuple((1 << h.vindex[("v", k)], *h.link_masks[("v", k)])
                          for k in cc.vertices)
     h.point_links = tuple(link for k, link in zip(cc.vertices, h.base_links)
                           if k in cc.v0)
 
-    # overlap graph: two open stars are adjacent when they share a cell
-    verts = list(h.stars)
-    h.overlap = {v: set() for v in verts}
-    for i, a in enumerate(verts):
-        va, ea, fa = h.stars[a]
-        for b in verts[i + 1:]:
-            vb, eb, fb = h.stars[b]
-            if (va & vb) or (ea & eb) or (fa & fb):
-                h.overlap[a].add(b)
-                h.overlap[b].add(a)
+    # overlap graph: two open stars share a cell exactly when a base
+    # vertex lies on a face (their corner edge) or two faces share a base
+    # edge (its dual edge); a hat face has one base corner, so two base
+    # vertices' stars never meet
+    h.overlap = {v: set() for v in h.vertices}
+    for fi, f in enumerate(cc.faces):
+        for v in f:
+            h.overlap[("v", v)].add(("f", fi))
+            h.overlap[("f", fi)].add(("v", v))
+    for fa, fb in cc.edge_faces.values():
+        if fa != fb:
+            h.overlap[("f", fa)].add(("f", fb))
+            h.overlap[("f", fb)].add(("f", fa))
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +643,28 @@ def euler_char(d):
     return (d.vmask.bit_count() - d.emask.bit_count() + d.fmask.bit_count())
 
 
+def cell_rows(h, masks):
+    """One row of little-endian bytes per (vmask, emask, fmask): one bit
+    per hat cell, the vertices, then the edges, then the faces."""
+    import numpy as np
+    se, sf = len(h.vertices), len(h.vertices) + len(h.edges)
+    nbytes = -(-(sf + len(h.hat_faces)) // 8)
+    return np.frombuffer(
+        b"".join((v | e << se | f << sf).to_bytes(nbytes, "little")
+                 for v, e, f in masks), np.uint8).reshape(-1, nbytes)
+
+
+def row_domain(h, row):
+    """The ``Domain`` of one row of ``cell_rows`` that holds a union of
+    open stars: its generators are its vertex bits."""
+    cells = int.from_bytes(row, "little")
+    nv, ne = len(h.vertices), len(h.edges)
+    vmask = cells & ((1 << nv) - 1)
+    return make_domain(
+        h, [v for i, v in enumerate(h.vertices) if vmask >> i & 1],
+        (vmask, cells >> nv & ((1 << ne) - 1), cells >> nv + ne))
+
+
 class DomainEnumeration:
     """Iterable over admissible domains; ``partial`` is True when the
     complex was too large for exhaustive enumeration."""
@@ -717,117 +686,142 @@ def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
 
     Exhaustive when the hat triangulation has at most ``cap`` vertices;
     otherwise the enumeration is flagged PARTIAL and covers all
-    one-generator and two-generator connected domains.
+    one-generator and two-generator connected domains.  A ``Domain`` is
+    made only for a kept set (see ``domain_generator_sets``)."""
+    rows, partial = domain_generator_sets(h, strict, cap, require_exhaustive)
+    domains = [row_domain(h, row) for row in rows]
+    domains.sort(key=lambda d: sorted(d.generators))
+    return DomainEnumeration(domains, partial)
 
-    Both generator enumerators build only nonempty sets that are
-    connected in the star-overlap graph, and test the remaining
-    conditions (``HatTriangulation.admits``) on each set's masks as they
-    build it.  A ``Domain`` is made only for a set that passes."""
-    verts, found, partial = domain_generator_sets(h, strict, cap,
-                                                  require_exhaustive)
-    kept = [(sorted(gens), masks) for gens, masks in found]
-    kept.sort(key=lambda item: item[0])
-    return DomainEnumeration(
-        [make_domain(h, [verts[i] for i in idx], masks)
-         for idx, masks in kept], partial)
+
+# A generator set of the exhaustive enumeration is one int64 mask, bit i
+# for hat vertex i, and 1 << cap must fit in it.
+MAX_CAP = 62
+
+
+def check_cap(cap):
+    """Reject an exhaustive-enumeration cap the generator masks cannot
+    hold."""
+    if cap > MAX_CAP:
+        raise CapExceeded(f"enumeration cap {cap} exceeds {MAX_CAP}, the most"
+                          " hat vertices a generator mask holds")
 
 
 def domain_generator_sets(h, strict=False, cap=22, require_exhaustive=False):
     """The enumeration behind ``admissible_domains``, without a
-    ``Domain``: (the hat vertices in sorted order, the kept sets,
-    partial).  A kept set is (generators, (vmask, emask, fmask)), its
-    generators positions in the sorted hat vertices, in the order the
-    enumerator built them."""
+    ``Domain``: (cell rows, partial).  A kept set of generators is one
+    row of ``cell_rows``, the union of their open stars, whose vertex
+    bits are the generators themselves.
+
+    A kept set is nonempty, connected in the star-overlap graph, holds a
+    base vertex and is not every hat vertex (the whole surface).  Under
+    ``strict`` no point vertex lies on its boundary.  A hat face has one
+    base corner, so only a dual vertex's open star holds cells of a point
+    vertex's star: a set is strict iff it holds the point vertices of
+    each of its faces.  So sets grow by the closure of a vertex (itself,
+    and the point vertices of a face under ``strict``), and only strict
+    sets are built."""
+    check_cap(cap)
     nv = len(h.vertices)
     partial = nv > cap
     if partial and require_exhaustive:
         raise CapExceeded(f"{nv} hat vertices exceed the cap of {cap}")
-    star_bits = StarBits(h)
+    v0 = h.base.v0
+    points = [[h.vindex[("v", k)] for k in h.base.faces[x] if k in v0]
+              if strict and kind == "f" else [] for kind, x in h.vertices]
+    closure = [{i, *p} for i, p in enumerate(points)]
+    stars = cell_rows(h, [h.stars[v] for v in h.vertices])
     find = _small_generator_sets if partial else _connected_generator_sets
-    return star_bits.verts, find(star_bits, strict), partial
+    return find(h, closure, stars), partial
 
 
-class StarBits:
-    """The open stars as bit masks, for the enumerators: hat vertex i of
-    ``verts`` (the hat vertices in sorted order) is bit i of a generator
-    mask."""
-
-    def __init__(self, h):
-        self.hat = h
-        self.verts = sorted(h.stars)
-        bit = {v: 1 << i for i, v in enumerate(self.verts)}
-        self.stars = [h.stars[v] for v in self.verts]
-        self.adj = [sum(bit[nb] for nb in h.overlap[v]) for v in self.verts]
-        # per dual vertex: the bits of the point vertices of its face
-        v0 = h.base.v0
-        self.points = [
-            sum(bit[("v", k)] for k in h.base.faces[v[1]] if k in v0)
-            if v[0] == "f" else 0 for v in self.verts]
+def _small_generator_sets(h, closure, stars):
+    """The rows of every kept one-generator set and two-generator
+    connected set, by sets of generator positions."""
+    import numpy as np
+    n, n_base = len(h.vertices), len(h.base.vertices)
+    pairs = [(i, i) for i in range(n)] + [
+        (i, h.vindex[w]) for i, v in enumerate(h.vertices)
+        for w in h.overlap[v] if i < h.vindex[w]]
+    # the base vertices come first in h.vertices
+    i, j = np.array([(i, j) for i, j in pairs
+                     if closure[i] | closure[j] == {i, j}
+                     and min(i, j) < n_base and len({i, j}) < n],
+                    int).reshape(-1, 2).T
+    return stars[i] | stars[j]
 
 
-def _small_generator_sets(sb, strict):
-    """(generators, star masks) of every kept one-generator set and
-    two-generator connected set; generators are positions in
-    ``sb.verts``."""
-    admits = sb.hat.admits
-    n = len(sb.stars)
-    kept = []
-    for i, (vm, em, fm) in enumerate(sb.stars):
-        if admits(vm, em, fm, strict):
-            kept.append(((i,), (vm, em, fm)))
-    for i, (vm, em, fm) in enumerate(sb.stars):
-        for j in range(i + 1, n):
-            if sb.adj[i] >> j & 1:
-                vj, ej, fj = sb.stars[j]
-                masks = (vm | vj, em | ej, fm | fj)
-                if admits(*masks, strict):
-                    kept.append(((i, j), masks))
-    return kept
+def _connected_generator_sets(h, closure, stars):
+    """The rows of every kept connected set, by int64 generator masks.
+
+    The sets are grouped by their number of generators and built group
+    by group: a group is sorted and deduplicated when its turn comes,
+    and each of its sets grows by the closure of each vertex adjacent
+    to it into a later group.  A connected set that holds the closure of
+    each of its vertices is reached so from the closure of any one of
+    them, and no other set is built.  A set's neighbours, and its row,
+    are ORs of per-vertex masks and star rows through one 256-entry
+    table per byte of the generator mask."""
+    import numpy as np
+    n = len(h.vertices)
+    adj = np.array([sum(1 << h.vindex[w] for w in h.overlap[v])
+                    for v in h.vertices], np.int64)
+    closure = np.array([sum(1 << i for i in c) for c in closure], np.int64)
+    adj_table = _or_table(adj)
+    pending, grown, kept = {}, closure, []
+    # the group of n holds the whole surface alone
+    for k in range(1, n):
+        counts = _popcount(grown, n)
+        for c in np.flatnonzero(np.bincount(counts)):
+            pending.setdefault(c, []).append(grown[counts == c])
+        sets = np.sort(np.concatenate([grown[:0], *pending.pop(k, [])]))
+        sets = np.concatenate((sets[:1], sets[1:][sets[1:] != sets[:-1]]))
+        kept.append(sets)
+        out = _or_through(adj_table, sets) & ~sets
+        at, x = divmod(np.flatnonzero(np.unpackbits(
+            _bytes(out), axis=1, count=n, bitorder="little")), n)
+        grown = sets[at] | closure[x]
+    sets = np.concatenate(kept)
+    # the base vertices come first in h.vertices
+    sets = sets[sets & ((1 << len(h.base.vertices)) - 1) != 0]
+    return _or_through(_or_table(stars), sets)
 
 
-def _connected_generator_sets(sb, strict):
-    """(generators, star masks) of every kept connected vertex subset
-    of the star-overlap graph; generators are positions in ``sb.verts``,
-    in the order they joined.
+def _bytes(masks):
+    """The little-endian bytes of int64 masks, one row of 8 per mask."""
+    return masks.astype("<i8", copy=False).view("u1").reshape(-1, 8)
 
-    Each set is built once, from its least vertex (the root) by adding
-    one frontier vertex at a time; ``banned`` holds the vertices an
-    earlier sibling branch has already covered.  Under ``strict``,
-    branches that can never yield a strict domain (a dual generator one
-    of whose point vertices can no longer join the set) are cut; this is
-    an optimization only, the strictness test stays authoritative.
-    Frontier vertices are taken highest bit first: the base vertices
-    ("v", k) sort after the dual vertices, so a point vertex is settled
-    before the faces that need it, and the cut fires early.  The
-    branches wait on an explicit stack."""
-    admits = sb.hat.admits
-    stars, adj, points = sb.stars, sb.adj, sb.points
-    kept = []
-    for root in range(len(stars)):
-        rbit = 1 << root
-        upto_root = (rbit << 1) - 1  # the root and every vertex below it
-        vm, em, fm = stars[root]
-        stack = [((root,), rbit, adj[root] & ~upto_root, 0, vm, em, fm)]
-        while stack:
-            gens, cur, frontier, banned, vm, em, fm = stack.pop()
-            if admits(vm, em, fm, strict):
-                kept.append((gens, (vm, em, fm)))
-            todo = frontier & ~banned
-            while todo:
-                x = todo.bit_length() - 1
-                xbit = 1 << x
-                todo ^= xbit
-                if strict and points[x] & ~cur & (banned | upto_root):
-                    banned |= xbit
-                    continue
-                grown = cur | xbit
-                xv, xe, xf = stars[x]
-                stack.append((gens + (x,), grown,
-                              (frontier | adj[x]) & ~(grown | banned
-                                                     | upto_root),
-                              banned, vm | xv, em | xe, fm | xf))
-                banned |= xbit
-    return kept
+
+def _popcount(masks, n):
+    """The number of set bits of each of the n-bit int64 ``masks``."""
+    import numpy as np
+    pop = np.unpackbits(np.arange(256, dtype="u1")[:, None], axis=1).sum(
+        axis=1, dtype=int)
+    by = _bytes(masks)
+    return sum(pop[by[:, p]] for p in range(-(-n // 8)))
+
+
+def _or_table(values):
+    """table[p, b] = the OR of values[8 p + j] over the set bits j of the
+    byte b, for each byte position p of a generator mask."""
+    import numpy as np
+    n, rest = len(values), values.shape[1:]
+    n_pos = -(-n // 8)
+    padded = np.zeros((8 * n_pos, *rest), values.dtype)
+    padded[:n] = values
+    bit_of = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+    picked = np.where(bit_of.reshape(1, 256, 8, *(1,) * len(rest)),
+                      padded.reshape(n_pos, 1, 8, *rest), 0)
+    return np.bitwise_or.reduce(picked, axis=2)
+
+
+def _or_through(table, masks):
+    """Per int64 mask, the OR of ``_or_table``'s entries of its bytes."""
+    by = _bytes(masks)
+    out = table[0][by[:, 0]]
+    for p in range(1, len(table)):
+        out |= table[p][by[:, p]]
+    return out
 
 
 # ---------------------------------------------------------------------------

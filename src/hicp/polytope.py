@@ -28,10 +28,12 @@ import numpy as np
 
 from .complexes import (
     boundary_counts,
+    cell_rows,
+    check_cap,
     domain_generator_sets,
     euler_char,
     hat_complex,
-    make_domain,
+    row_domain,
 )
 from .errors import IndexMismatch
 from .geometry import EUCLIDEAN, check_geometry
@@ -155,16 +157,14 @@ def _weigh(rows, weights):
 
 
 def _bits_equal(rows, mask, value):
-    """Per row of cell bytes, whether its bits under ``mask`` are
-    ``value``."""
-    m, v = (np.frombuffer(x.to_bytes(rows.shape[1], "little"), np.uint8)
-            for x in (mask, value))
-    cols = np.flatnonzero(m)
-    return ((rows[:, cols] & m[cols]) == v[cols]).all(axis=1)
+    """Per row of cell bytes, whether its bits under the row ``mask``
+    are the row ``value``."""
+    cols = np.flatnonzero(mask)
+    return ((rows[:, cols] & mask[cols]) == value[cols]).all(axis=1)
 
 
-def domain_slacks(h, masks, theta_ext, ThetaF):
-    """For each domain of ``masks``, its (vmask, emask, fmask): the
+def domain_slacks(h, rows, theta_ext, ThetaF):
+    """For each domain, given as its row of ``complexes.cell_rows``: the
     condition-4 lhs - rhs of ``domain_inequality``, and whether it is
     the open star of a point vertex.
 
@@ -177,12 +177,6 @@ def domain_slacks(h, masks, theta_ext, ThetaF):
     across it inside, and over all base vertices the link's (hat faces
     - corner edges) inside sum to |F| - |E_corner|, where a vertex
     inside adds 0 (see ``boundary_counts``)."""
-    # one bit per hat cell: the vertices, then the edges, then the faces
-    se, sf = len(h.vertices), len(h.vertices) + len(h.edges)
-    nbytes = -(-(sf + len(h.hat_faces)) // 8)
-    rows = np.frombuffer(
-        b"".join((v | e << se | f << sf).to_bytes(nbytes, "little")
-                 for v, e, f in masks), np.uint8).reshape(-1, nbytes)
     weights = [-ThetaF[i] if kind == "v" else -2 * math.pi
                for kind, i in h.vertices]
     weights += [2 * theta_ext[c] if kind == "dual" else math.pi
@@ -190,11 +184,14 @@ def domain_slacks(h, masks, theta_ext, ThetaF):
     weights += [-theta_ext[t.across] for t in h.hat_faces]
     slack = _weigh(rows, weights)
     for vbit, lemask, lfmask in h.base_links:
-        link = lemask << se | lfmask << sf
-        slack += math.pi * _bits_equal(rows, vbit | link, link)
+        mask, link = cell_rows(h, [(vbit, lemask, lfmask),
+                                   (0, lemask, lfmask)])
+        slack += math.pi * _bits_equal(rows, mask, link)
     point_star = np.zeros(len(rows), bool)
     for vbit, _lemask, _lfmask in h.point_links:
-        point_star |= _bits_equal(rows, (1 << se) - 1, vbit)
+        mask, star = cell_rows(h, [((1 << len(h.vertices)) - 1, 0, 0),
+                                   (vbit, 0, 0)])
+        point_star |= _bits_equal(rows, mask, star)
     return slack, point_star
 
 
@@ -239,16 +236,17 @@ def _conditions_size(cc):
 
 
 def check_feasibility(cc, t, cap=22):
-    """Decide polytope membership of the angle data on the complex."""
+    """Decide polytope membership of the angle data on the complex.
+    Raises ``CapExceeded`` for a ``cap`` above ``complexes.MAX_CAP``."""
+    check_cap(cap)
     violations, ThetaF, gb_residual, tol = _conditions_1_to_3(cc, t)
     partial = False
     method, size = CONDITIONS_1_3, _conditions_size(cc)
     if not violations:
         theta_ext = theta_extended(cc, t)
         h = hat_complex(cc)
-        verts, found, partial = domain_generator_sets(h, strict=True, cap=cap)
-        slack, point_star = domain_slacks(h, (m for _g, m in found),
-                                          theta_ext, ThetaF)
+        rows, partial = domain_generator_sets(h, strict=True, cap=cap)
+        slack, point_star = domain_slacks(h, rows, theta_ext, ThetaF)
         # The cell weights add up in another order than domain_inequality,
         # so a row not clearly above the threshold (or NaN) is decided by
         # domain_inequality itself, which also gives a witness its lhs
@@ -257,8 +255,7 @@ def check_feasibility(cc, t, cap=22):
         cond = "E4" if t.geometry == EUCLIDEAN else "H4"
         e0_duals = _e0_dual_indices(h, cc)
         for i in np.flatnonzero(band):
-            gens, masks = found[i]
-            d = make_domain(h, [verts[j] for j in gens], masks)
+            d = row_domain(h, rows[i])
             lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF,
                                          e0_duals)
             if not lhs > rhs + tol:
@@ -266,7 +263,7 @@ def check_feasibility(cc, t, cap=22):
                                    lhs, rhs))
         method = ENUMERATION
         size = {"hat_vertices": len(h.vertices),
-                "domains": len(found) - int(point_star.sum())}
+                "domains": len(rows) - int(point_star.sum())}
 
     violations.sort(key=lambda v: (v[0], str(v[1])))
     if violations:

@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from hicp import build_complex, triangulate
-from hicp.fixtures import fixture_spec
+from hicp.fixtures import fixture_spec, grid_torus_spec, tetrahedron_spec
 from hicp.polytope import make_angle_data
 
 
@@ -54,3 +55,37 @@ def right_angle_target(cc, geometry="euclidean"):
         cc, geometry,
         {e: math.pi / 2 for e in cc.e1},
         {k: 2 * math.pi for k in cc.v1})
+
+
+def _spec(faces, v1, e0=()):
+    ids = sorted({i for f in faces for i in f})
+    return {"vertices": [{"id": i, "circle": "disk" if i in v1 else "point"}
+                         for i in ids],
+            "faces": faces, "tangent_edges": [list(e) for e in e0]}
+
+
+SMALL_COMPLEXES = {
+    "tetrahedron": tetrahedron_spec()["faces"],
+    "cube": [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [1, 2, 6, 5],
+             [2, 3, 7, 6], [3, 0, 4, 7]],
+    "octahedron": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
+                   [5, 2, 1], [5, 3, 2], [5, 4, 3], [5, 1, 4]],
+    "grid": grid_torus_spec(3)["faces"],
+}
+# the 3x3 grid with more disk vertices has up to 199 131 strict domains;
+# the fixtures grid-torus-v1 and e0-torus cover that end
+MAX_V1 = {"tetrahedron": 4, "cube": 8, "octahedron": 6, "grid": 4}
+
+
+@st.composite
+def small_complexes(draw):
+    """A small complex with drawn V1 and E0 sets."""
+    name = draw(st.sampled_from(sorted(SMALL_COMPLEXES)))
+    faces = SMALL_COMPLEXES[name]
+    ids = sorted({i for f in faces for i in f})
+    v1 = draw(st.sets(st.sampled_from(ids), max_size=MAX_V1[name]))
+    edges = build_complex(_spec(faces, v1)).edges
+    disk_edges = [e for e in edges if set(e) <= v1]
+    e0 = draw(st.sets(st.sampled_from(disk_edges), max_size=3)
+              if disk_edges else st.just(set()))
+    return build_complex(_spec(faces, v1, sorted(e0)))

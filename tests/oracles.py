@@ -18,8 +18,8 @@ from hicp import polytope as pt
 from hicp.complexes import (
     CellComplex,
     admissible_domains,
+    cell_rows,
     edge_key,
-    face_edges,
     hat_complex,
     make_domain,
 )
@@ -329,18 +329,49 @@ def open_star(h, hv):
     return make_domain(h, [hv])
 
 
+def covers_surface(h, vmask, emask, fmask):
+    return (vmask == (1 << len(h.vertices)) - 1
+            and emask == (1 << len(h.edges)) - 1
+            and fmask == (1 << len(h.hat_faces)) - 1)
+
+
+def meets_base(h, vmask):
+    # the base vertices come first in h.vertices
+    return bool(vmask & ((1 << len(h.base.vertices)) - 1))
+
+
+def touches_boundary(links, vmask, emask, fmask):
+    """Whether a hat vertex of ``links``, (vertex bit, link emask, link
+    fmask) triples, lies on the topological boundary: it is outside the
+    domain and some cell of its link is inside."""
+    for vbit, lemask, lfmask in links:
+        if not vmask & vbit and (emask & lemask or fmask & lfmask):
+            return True
+    return False
+
+
+def admits(h, vmask, emask, fmask, strict):
+    """The conditions an admissible domain adds to connected generators:
+    not the whole surface, meets the base vertices and, under
+    ``strict``, no point vertex on the boundary."""
+    return (meets_base(h, vmask)
+            and not covers_surface(h, vmask, emask, fmask)
+            and not (strict and touches_boundary(h.point_links, vmask,
+                                                 emask, fmask)))
+
+
 def is_whole_surface(d):
-    return d.hat.covers_surface(d.vmask, d.emask, d.fmask)
+    return covers_surface(d.hat, d.vmask, d.emask, d.fmask)
 
 
 def meets_base_vertices(d):
-    return d.hat.meets_base(d.vmask)
+    return meets_base(d.hat, d.vmask)
 
 
 def is_strict(d):
     """No point vertex on the boundary of d (strict admissibility)."""
-    return not d.hat.touches_boundary(d.hat.point_links, d.vmask, d.emask,
-                                      d.fmask)
+    return not touches_boundary(d.hat.point_links, d.vmask, d.emask,
+                                d.fmask)
 
 
 def contains_cell(d, kind, idx):
@@ -354,7 +385,7 @@ def boundary_touches(d, hv):
     some cell of its link is inside."""
     h = d.hat
     link = (1 << h.vindex[hv], *h.link_masks[hv])
-    return h.touches_boundary([link], d.vmask, d.emask, d.fmask)
+    return touches_boundary([link], d.vmask, d.emask, d.fmask)
 
 
 def boundary_touches_by_link(d, hv):
@@ -363,6 +394,177 @@ def boundary_touches_by_link(d, hv):
     if contains_cell(d, "v", d.hat.vindex[hv]):
         return False
     return any(contains_cell(d, kind, idx) for kind, idx in d.hat.links[hv])
+
+
+# ---------------------------------------------------------------------------
+# Generator sets, one candidate at a time
+
+
+class StarBits:
+    """The open stars as bit masks, for the enumerators: hat vertex i of
+    ``verts`` (the hat vertices in sorted order) is bit i of a generator
+    mask."""
+
+    def __init__(self, h):
+        self.hat = h
+        self.verts = sorted(h.stars)
+        bit = {v: 1 << i for i, v in enumerate(self.verts)}
+        self.stars = [h.stars[v] for v in self.verts]
+        self.adj = [sum(bit[nb] for nb in h.overlap[v]) for v in self.verts]
+        # per dual vertex: the bits of the point vertices of its face
+        v0 = h.base.v0
+        self.points = [
+            sum(bit[("v", k)] for k in h.base.faces[v[1]] if k in v0)
+            if v[0] == "f" else 0 for v in self.verts]
+
+
+def small_generator_sets(sb, strict):
+    """(generators, star masks) of every kept one-generator set and
+    two-generator connected set; generators are positions in
+    ``sb.verts``."""
+    h = sb.hat
+    n = len(sb.stars)
+    kept = []
+    for i, (vm, em, fm) in enumerate(sb.stars):
+        if admits(h, vm, em, fm, strict):
+            kept.append(((i,), (vm, em, fm)))
+    for i, (vm, em, fm) in enumerate(sb.stars):
+        for j in range(i + 1, n):
+            if sb.adj[i] >> j & 1:
+                vj, ej, fj = sb.stars[j]
+                masks = (vm | vj, em | ej, fm | fj)
+                if admits(h, *masks, strict):
+                    kept.append(((i, j), masks))
+    return kept
+
+
+def connected_generator_sets(sb, strict):
+    """(generators, star masks) of every kept connected vertex subset
+    of the star-overlap graph, depth first with an ``admits`` test per
+    candidate; generators are positions in ``sb.verts``, in the order
+    they joined.
+
+    Each set is built once, from its least vertex (the root) by adding
+    one frontier vertex at a time; ``banned`` holds the vertices an
+    earlier sibling branch has already covered.  Under ``strict``,
+    branches that can never yield a strict domain (a dual generator one
+    of whose point vertices can no longer join the set) are cut; this is
+    an optimization only, the strictness test stays authoritative.
+    Frontier vertices are taken highest bit first: the base vertices
+    ("v", k) sort after the dual vertices, so a point vertex is settled
+    before the faces that need it, and the cut fires early."""
+    h = sb.hat
+    stars, adj, points = sb.stars, sb.adj, sb.points
+    kept = []
+    for root in range(len(stars)):
+        rbit = 1 << root
+        upto_root = (rbit << 1) - 1  # the root and every vertex below it
+        vm, em, fm = stars[root]
+        stack = [((root,), rbit, adj[root] & ~upto_root, 0, vm, em, fm)]
+        while stack:
+            gens, cur, frontier, banned, vm, em, fm = stack.pop()
+            if admits(h, vm, em, fm, strict):
+                kept.append((gens, (vm, em, fm)))
+            todo = frontier & ~banned
+            while todo:
+                x = todo.bit_length() - 1
+                xbit = 1 << x
+                todo ^= xbit
+                if strict and points[x] & ~cur & (banned | upto_root):
+                    banned |= xbit
+                    continue
+                grown = cur | xbit
+                xv, xe, xf = stars[x]
+                stack.append((gens + (x,), grown,
+                              (frontier | adj[x]) & ~(grown | banned
+                                                     | upto_root),
+                              banned, vm | xv, em | xe, fm | xf))
+                banned |= xbit
+    return kept
+
+
+def generator_sets_by_dfs(h, strict, cap=22):
+    """``complexes.domain_generator_sets`` the candidate-by-candidate
+    way: {(generators, cell row)} of the kept sets, from
+    ``connected_generator_sets`` within the cap and from
+    ``small_generator_sets`` above it.  The generators are a mask over
+    ``h.vertices`` and the row is its bytes."""
+    sb = StarBits(h)
+    find = (connected_generator_sets if len(sb.verts) <= cap
+            else small_generator_sets)
+    found = find(sb, strict)
+    bit = [1 << h.vindex[v] for v in sb.verts]
+    return set(zip((sum(bit[i] for i in gens) for gens, _masks in found),
+                   row_bytes(cell_rows(h, [masks for _g, masks in found]))))
+
+
+def row_bytes(rows):
+    """The bytes of each row of a 2-d uint8 array."""
+    data, n = rows.tobytes(), rows.shape[1]
+    return [data[i:i + n] for i in range(0, len(data), n)]
+
+
+# ---------------------------------------------------------------------------
+# Hat complex cells, the long way
+
+
+def vertex_cycle_by_scan(cc, v):
+    """(edges, faces) around v in cyclic order, as
+    ``CellComplex.vertex_edges`` and ``vertex_faces``, starting from a
+    scan of every face for the least one incident to v."""
+    fi = start = min(fi for fi, f in enumerate(cc.faces) if v in f)
+    edges_cycle, faces_cycle = [], []
+    while True:
+        f = cc.faces[fi]
+        p = f.index(v)
+        edges_cycle.append(edge_key(f[p - 1], v))
+        faces_cycle.append(fi)
+        fa, fb = cc.edge_faces[edge_key(v, f[(p + 1) % len(f)])]
+        fi = fb if fa == fi else fa
+        if fi == start:
+            break
+    k = edges_cycle.index(min(edges_cycle))
+    return (edges_cycle[k:] + edges_cycle[:k],
+            faces_cycle[k:] + faces_cycle[:k])
+
+
+def links_by_scan(h):
+    """Per hat vertex, its cyclic link of ("e", idx) and ("t", idx)
+    cells, with each base vertex's cycle from ``vertex_cycle_by_scan``."""
+    cc = h.base
+    links = {}
+    for k in cc.vertices:
+        edges_c, faces_c = vertex_cycle_by_scan(cc, k)
+        n = len(faces_c)
+        links[("v", k)] = [
+            cell for t in range(n)
+            for cell in (("e", h.eindex[("corner", (k, faces_c[t]))]),
+                         ("t", h.findex[(k, edges_c[(t + 1) % n])]))]
+    for fi, f in enumerate(cc.faces):
+        cycle = []
+        for t in range(len(f)):
+            v, w = f[t], f[(t + 1) % len(f)]
+            e = edge_key(v, w)
+            cycle += [("e", h.eindex[("corner", (v, fi))]),
+                      ("t", h.findex[(v, e)]), ("e", h.eindex[("dual", e)]),
+                      ("t", h.findex[(w, e)])]
+        links[("f", fi)] = cycle
+    return links
+
+
+def overlap_by_pairs(h):
+    """The star-overlap graph by testing every pair of open stars for a
+    shared cell."""
+    verts = list(h.stars)
+    overlap = {v: set() for v in verts}
+    for i, a in enumerate(verts):
+        va, ea, fa = h.stars[a]
+        for b in verts[i + 1:]:
+            vb, eb, fb = h.stars[b]
+            if (va & vb) or (ea & eb) or (fa & fb):
+                overlap[a].add(b)
+                overlap[b].add(a)
+    return overlap
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +1030,11 @@ def _rotate_to_next(h, d, hv, ei, ti):
 # ---------------------------------------------------------------------------
 # build_complex by loops over faces and face pairs, the reference of its
 # set and array passes
+
+
+def face_edges(face):
+    n = len(face)
+    return [edge_key(face[t], face[(t + 1) % n]) for t in range(n)]
 
 
 def _ids(x, n=None):

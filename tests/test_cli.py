@@ -187,6 +187,18 @@ class TestValidate:
         assert rc == 3
         assert data["verdict"] == "FeasibleUnderPartialCheck"
 
+    def test_rejects_a_cap_above_the_mask_width(self, tmp_path, capsys):
+        capsys.readouterr()
+        rc, data = run(tmp_path, "validate", "--input", "fixture:grid-torus",
+                       "--enum-cap", "63")
+        assert (rc, data) == (1, None)
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: enumeration cap 63 exceeds 62, the most hat "
+                       "vertices a generator mask holds"]
+        rc, data = run(tmp_path, "validate", "--input", "fixture:grid-torus",
+                       "--enum-cap", "62")
+        assert (rc, data["size"]["domains"]) == (0, 510)
+
     def test_reports_method_and_size(self, tmp_path, bad_instance):
         # the 519 strict domains of the grid torus less the stars of its
         # nine point vertices, whose inequality is the condition-2 identity
@@ -571,23 +583,41 @@ def test_thread_cap_precedes_numpy():
     assert out.stdout.strip() == "['1']"
 
 
-def test_commands_do_not_load_scipy(tmp_path):
-    # scipy is a test dependency: no command may import it
+def _fresh_commands(tmp_path, modules):
+    """Run validate (partial and exhaustive), solve, render and demo in
+    one fresh interpreter: (their exit codes, which of ``modules`` are
+    loaded after them)."""
     fx = ["--input", "fixture:tri-torus"]
     sol, out, svg = (str(tmp_path / n) for n in ("sol.json", "out.json",
                                                  "out.svg"))
     runs = [["validate", *fx, "--output", out],
+            ["validate", "--input", "fixture:grid-torus", "--output", out],
             ["solve", *fx, "--output", sol],
             ["render", "--input", sol, "--output", out, "--svg", svg],
             ["demo", *fx, "--output", out, "--svg", svg]]
     code = ("import json, sys\n"
             "from hicp import cli\n"
             "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+            "print(json.dumps([codes, [m in sys.modules\n"
+            "                          for m in json.loads(sys.argv[2])]]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
+                           json.dumps(modules)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout)
-    assert codes[1:] == [0, 0, 0]
-    assert not loaded
+    return json.loads(proc.stdout)
+
+
+def test_commands_do_not_load_scipy(tmp_path):
+    # scipy is a test dependency: no command may import it
+    codes, loaded = _fresh_commands(tmp_path, ["scipy"])
+    assert codes == [3, 0, 0, 0, 0]
+    assert loaded == [False]
+
+
+def test_commands_do_not_load_numpy_ma(tmp_path):
+    # numpy.ma costs about 14 ms of import in a fresh interpreter, and
+    # np.unique loads it in numpy 2.4
+    codes, loaded = _fresh_commands(tmp_path, ["numpy.ma"])
+    assert codes == [3, 0, 0, 0, 0]
+    assert loaded == [False]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import small_complexes
 from hicp import (
     CapExceeded,
     E0EndpointInV0,
@@ -22,12 +23,12 @@ from hicp import (
 )
 from hicp import complexes
 from hicp.complexes import (
-    StarBits,
-    _connected_generator_sets,
-    _small_generator_sets,
+    MAX_CAP,
     boundary_counts,
+    domain_generator_sets,
     edge_key,
     make_domain,
+    row_domain,
 )
 from hicp.errors import DomainError, HicpError
 from hicp.fixtures import (
@@ -36,6 +37,7 @@ from hicp.fixtures import (
     fixture_spec,
     grid_torus_spec,
     tetrahedron_spec,
+    triangulated_torus_spec,
 )
 
 
@@ -294,6 +296,35 @@ class TestHatComplex:
             assert len(link) % 2 == 0
             assert all(kind in ("e", "t") for kind, _ in link)
 
+    @pytest.mark.parametrize("name", sorted(FIXTURES) + ["grid6", "tri6"])
+    def test_cells_match_the_long_way(self, name):
+        # each vertex cycle walked once and the overlap graph read off the
+        # incidences give what a scan of every face per cycle and a test
+        # of every pair of stars give
+        spec = {"grid6": lambda: grid_torus_spec(6),
+                "tri6": lambda: triangulated_torus_spec(6)}.get(
+                    name, lambda: fixture_spec(name))()
+        h = hat_complex(build_complex(spec))
+        assert h.stars == {hv: oracles.star_cells(h, hv) for hv in h.vertices}
+        links = oracles.links_by_scan(h)
+        assert h.links == links
+        assert h.link_masks == {
+            hv: tuple(sum(1 << i for kind, i in cycle if kind == k)
+                      for k in "et") for hv, cycle in links.items()}
+        assert h.overlap == oracles.overlap_by_pairs(h)
+
+    def test_walks_each_vertex_cycle_once(self, genus2, monkeypatch):
+        walked = []
+        real = complexes.CellComplex._vertex_cycle
+
+        def counting(cc, v):
+            walked.append(v)
+            return real(cc, v)
+
+        monkeypatch.setattr(complexes.CellComplex, "_vertex_cycle", counting)
+        hat_complex(genus2)
+        assert sorted(walked) == genus2.vertices
+
 
 class TestDomains:
     def test_open_star_euler(self, grid_torus):
@@ -351,33 +382,93 @@ class TestDomains:
 
 
 class TestGeneratorSets:
-    """Both enumerators build only nonempty generator sets that are
-    connected in the star-overlap graph, each with the masks of its
-    union of stars; admissible_domains relies on both and tests neither
-    again."""
+    """domain_generator_sets builds only nonempty generator sets that are
+    connected in the star-overlap graph, each as the row of its union of
+    stars, whose vertex bits are the generators; admissible_domains
+    relies on both and tests neither again."""
 
     @staticmethod
-    def _check(h, found):
-        sb = StarBits(h)
-        assert found
-        for idx, masks in found:
-            gens = [sb.verts[i] for i in idx]
-            assert oracles.generators_connected(h, gens)
-            d = make_domain(h, gens)
-            assert masks == (d.vmask, d.emask, d.fmask)
+    def _check(h, strict, cap=22):
+        rows, _partial = domain_generator_sets(h, strict, cap)
+        assert len(rows)
+        for row in rows:
+            d = row_domain(h, row)
+            assert oracles.generators_connected(h, d.generators)
+            star = make_domain(h, d.generators)
+            assert (d.vmask, d.emask, d.fmask) == (star.vmask, star.emask,
+                                                   star.fmask)
 
     @pytest.mark.parametrize("strict_prune", [False, True])
     def test_tetrahedron(self, strict_prune):
-        h = hat_complex(build_complex(tetrahedron_spec()))
-        self._check(h, _connected_generator_sets(StarBits(h), strict_prune))
+        self._check(hat_complex(build_complex(tetrahedron_spec())),
+                    strict_prune)
 
     def test_grid_torus_strict_prune(self, grid_torus):
-        h = hat_complex(grid_torus)
-        self._check(h, _connected_generator_sets(StarBits(h), True))
+        self._check(hat_complex(grid_torus), True)
 
     def test_small_sets(self, genus2):
-        h = hat_complex(genus2)
-        self._check(h, _small_generator_sets(StarBits(h), False))
+        self._check(hat_complex(genus2), False)
+
+
+def _row_set(h, rows):
+    """{(generators, cell row)} of rows of generator sets, as
+    ``oracles.generator_sets_by_dfs`` gives them: a row's generators are
+    its vertex bits."""
+    vertex_bits = (1 << len(h.vertices)) - 1
+    return {(int.from_bytes(row, "little") & vertex_bits, row)
+            for row in oracles.row_bytes(rows)}
+
+
+def _array_sets(h, strict, cap=22):
+    return _row_set(h, domain_generator_sets(h, strict, cap)[0])
+
+
+# The non-strict generator sets depend on the faces alone, and these two
+# fixtures have grid-torus's faces; every vertex of theirs is a disk, so
+# their strict sets are all 199 131 of them.
+ALL_DISKS = ("grid-torus-v1", "e0-torus")
+
+
+class TestArrayEnumerator:
+    """domain_generator_sets against the depth-first enumerator that tests
+    each candidate (``oracles.generator_sets_by_dfs``): the same generator
+    sets with the same cell rows, strict and not; and the strict sets
+    are the non-strict ones that ``oracles.is_strict`` keeps."""
+
+    @pytest.mark.parametrize("name, strict", [
+        (name, strict) for name in sorted(FIXTURES) for strict in (False, True)
+        if strict or name not in ALL_DISKS])
+    def test_fixture(self, name, strict):
+        h = hat_complex(build_complex(fixture_spec(name)))
+        got = _array_sets(h, strict)
+        assert len(got) == len(domain_generator_sets(h, strict)[0])
+        assert got == oracles.generator_sets_by_dfs(h, strict)
+
+    @pytest.mark.parametrize("name", [name for name in sorted(FIXTURES)
+                                      if name not in ALL_DISKS])
+    def test_strict_is_filtered(self, name):
+        h = hat_complex(build_complex(fixture_spec(name)))
+        rows, _partial = domain_generator_sets(h, False)
+        strict = [oracles.is_strict(row_domain(h, row)) for row in rows]
+        assert _array_sets(h, True) == _row_set(h, rows[strict])
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_complexes(), st.sampled_from([22, 3]))
+    def test_drawn(self, cc, cap):
+        # the non-strict sets do not depend on the drawn V1 and E0 sets,
+        # and on the grid they are the 199 131 of the fixture tests
+        h = hat_complex(cc)
+        for strict in (True, False) if len(h.vertices) < 18 else (True,):
+            assert (_array_sets(h, strict, cap)
+                    == oracles.generator_sets_by_dfs(h, strict, cap))
+
+    def test_cap_above_the_mask_width(self, grid_torus):
+        h = hat_complex(grid_torus)
+        assert len(domain_generator_sets(h, True, cap=MAX_CAP)[0]) == 519
+        with pytest.raises(CapExceeded, match="cap 63 exceeds 62"):
+            domain_generator_sets(h, True, cap=MAX_CAP + 1)
+        with pytest.raises(CapExceeded):
+            admissible_domains(h, cap=MAX_CAP + 1)
 
 
 class TestBoundaryTouches:

@@ -9,17 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import right_angle_target
+from conftest import right_angle_target, small_complexes
 from hicp import build_complex, check_feasibility, complexes, make_angle_data
 from hicp import polytope
 from hicp.complexes import admissible_domains, hat_complex, make_domain
-from hicp.errors import IndexMismatch
+from hicp.errors import CapExceeded, IndexMismatch
 from hicp.fixtures import (
     FIXTURES,
     fixture_spec,
     grid_torus_spec,
     reference_pattern,
-    tetrahedron_spec,
 )
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
 from hicp.polytope import (
@@ -202,39 +201,11 @@ def reference_target(cc, g):
     return extract_angles(T, psi_inv_surface(T, l, r, g), g)
 
 
-def _spec(faces, v1, e0=()):
-    ids = sorted({i for f in faces for i in f})
-    return {"vertices": [{"id": i, "circle": "disk" if i in v1 else "point"}
-                         for i in ids],
-            "faces": faces, "tangent_edges": [list(e) for e in e0]}
-
-
-SMALL_COMPLEXES = {
-    "tetrahedron": tetrahedron_spec()["faces"],
-    "cube": [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4], [1, 2, 6, 5],
-             [2, 3, 7, 6], [3, 0, 4, 7]],
-    "octahedron": [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
-                   [5, 2, 1], [5, 3, 2], [5, 4, 3], [5, 1, 4]],
-    "grid": grid_torus_spec(3)["faces"],
-}
-# the 3x3 grid with more disk vertices has up to 199 131 strict domains;
-# the fixtures grid-torus-v1 and e0-torus cover that end
-MAX_V1 = {"tetrahedron": 4, "cube": 8, "octahedron": 6, "grid": 4}
-
-
 @st.composite
 def complexes_and_angles(draw):
     """A small complex with drawn V1 and E0 sets, and drawn theta on its
     free edges and Theta on its disk vertices (no feasibility asked)."""
-    name = draw(st.sampled_from(sorted(SMALL_COMPLEXES)))
-    faces = SMALL_COMPLEXES[name]
-    ids = sorted({i for f in faces for i in f})
-    v1 = draw(st.sets(st.sampled_from(ids), max_size=MAX_V1[name]))
-    edges = build_complex(_spec(faces, v1)).edges
-    disk_edges = [e for e in edges if set(e) <= v1]
-    e0 = draw(st.sets(st.sampled_from(disk_edges), max_size=3)
-              if disk_edges else st.just(set()))
-    cc = build_complex(_spec(faces, v1, sorted(e0)))
+    cc = draw(small_complexes())
     angle = st.floats(0.01, math.pi - 0.01)
     theta = {e: draw(angle) for e in sorted(cc.e1)}
     Theta = {k: draw(st.floats(0.01, 2 * math.pi)) for k in sorted(cc.v1)}
@@ -248,8 +219,8 @@ def _assert_slacks_match(cc, t, domains):
     theta_ext, ThetaF = theta_extended(cc, t), Theta_full(cc, t)
     e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
     slack, point_star = domain_slacks(
-        h, [(d.vmask, d.emask, d.fmask) for d in domains], theta_ext,
-        ThetaF)
+        h, complexes.cell_rows(h, [(d.vmask, d.emask, d.fmask)
+                                   for d in domains]), theta_ext, ThetaF)
     assert len(slack) == len(point_star) == len(domains)
     for d, s, p in zip(domains, slack, point_star):
         lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals)
@@ -411,15 +382,23 @@ class TestBuildsDomainsOnlyInTheBand:
         t = right_angle_target(cc)  # every open star of a vertex at 0
         rep, built, called = self._count(monkeypatch, cc, t)
         h = hat_complex(cc)
-        _verts, found, _partial = complexes.domain_generator_sets(h, True)
+        rows, _partial = complexes.domain_generator_sets(h, True)
         slack, point_star = domain_slacks(
-            h, [m for _g, m in found], theta_extended(cc, t),
-            Theta_full(cc, t))
+            h, rows, theta_extended(cc, t), Theta_full(cc, t))
         band = int(np.sum(~(slack > GRID_TOL + 1e-9 * (1 + np.abs(slack)))
                           & ~point_star))
         assert rep.verdict == INFEASIBLE
         assert len(rep.violations) <= band == built == called
-        assert band < len(found) / 100
+        assert band < len(rows) / 100
+
+
+def test_rejects_a_cap_above_the_mask_width(grid_torus):
+    # a generator set of the exhaustive enumeration is one int64 mask
+    t = right_angle_target(grid_torus)
+    with pytest.raises(CapExceeded, match="cap 63 exceeds 62"):
+        check_feasibility(grid_torus, t, cap=complexes.MAX_CAP + 1)
+    assert check_feasibility(grid_torus, t, cap=complexes.MAX_CAP).size == {
+        "hat_vertices": 18, "domains": 510}
 
 
 def test_report_is_the_same_under_every_hash_seed():
