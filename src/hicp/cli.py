@@ -7,6 +7,7 @@ Exit codes: 0 success/feasible, 1 usage or malformed input, 2 infeasible,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -22,10 +23,12 @@ from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
 from .layout import (
     JsonText,
-    delaunay_report,
+    delaunay_json,
     develop,
+    edge_keys,
     export_json,
     export_svg,
+    float_map,
     gauss_bonnet_check,
     json_text,
     layout_json,
@@ -62,10 +65,6 @@ def _edge_from_key(s):
         return edge_key(int(i), int(j))
     except ValueError:
         raise HicpError(f"bad edge key {s!r}; expected 'i-j'")
-
-
-def _ekey(e):
-    return f"{e[0]}-{e[1]}"
 
 
 def _read_json(path):
@@ -162,6 +161,13 @@ def cmd_validate(args):
     return EXIT_INFEASIBLE
 
 
+def _angle_maps(t):
+    """The theta and Theta objects of angle data t."""
+    return {"theta": float_map(edge_keys(t.theta), list(t.theta.values())),
+            "Theta": float_map(list(map(str, t.Theta)),
+                               list(t.Theta.values()))}
+
+
 def _solution_dict(spec, g, T, sol):
     out = {
         "solution_version": 1,
@@ -178,23 +184,17 @@ def _solution_dict(spec, g, T, sol):
     }
     if sol.coords is not None:
         l, r = geo.psi_surface(T, sol.coords, g)
-        x = sol.coords.tolist()
         n_a = len(T.free_edges)
         out["coords"] = {
-            "a": dict(zip(map(_ekey, T.free_edges), x[:n_a])),
-            "b": dict(zip(map(str, T.v1_vertices), x[n_a:])),
+            "a": float_map(edge_keys(T.free_edges), sol.coords[:n_a]),
+            "b": float_map(list(map(str, T.v1_vertices)), sol.coords[n_a:]),
         }
         out["lengths"] = {
-            "l": dict(zip(map(_ekey, T.edges), l.tolist())),
-            "r": dict(zip(map(str, T.base.vertices), r.tolist())),
+            "l": float_map(edge_keys(T.edges), l),
+            "r": float_map(list(map(str, T.base.vertices)), r),
         }
     if sol.realized_angles is not None:
-        out["realized"] = {
-            "theta": {_ekey(e): v
-                      for e, v in sol.realized_angles.theta.items()},
-            "Theta": {str(k): v
-                      for k, v in sol.realized_angles.Theta.items()},
-        }
+        out["realized"] = _angle_maps(sol.realized_angles)
     if sol.report is not None:
         out["feasibility"] = sol.report.to_dict()
     return out
@@ -228,7 +228,7 @@ def cmd_render(args):
         raise HicpError("malformed input: coords must be a JSON object")
     a = _number_map(coords.get("a"), "coords.a", _edge_from_key)
     b = _number_map(coords.get("b"), "coords.b", int)
-    _require_keys(a, T.free_edges, "coords.a", _ekey)
+    _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
     _require_keys(b, T.v1_vertices, "coords.b", str)
     sl = develop(T, np.array([a[e] for e in T.free_edges]
                              + [b[k] for k in T.v1_vertices]), g)
@@ -253,15 +253,11 @@ def cmd_demo(args):
     x = geo.psi_inv_surface(T, l, r, g)
     target = extract_angles(T, x, g)
     sl = merge_redundant(develop(T, x, g))
-    rep = delaunay_report(sl)
     out = {
         "demo_version": 1,
         "geometry": g,
-        "angles": {
-            "theta": {_ekey(e): v for e, v in target.theta.items()},
-            "Theta": {str(k): v for k, v in target.Theta.items()},
-        },
-        "delaunay": {_ekey(e): r for e, r in rep.items()},
+        "angles": _angle_maps(target),
+        "delaunay": delaunay_json(sl),
         "gauss_bonnet": gauss_bonnet_check(sl),
         "layout": JsonText(layout_json(sl)),
     }
@@ -374,6 +370,7 @@ def cmd_roundtrip(args):
 # Parser
 
 
+@functools.cache  # commands look up what they call when they run
 def build_parser():
     p = argparse.ArgumentParser(
         prog="hicp",

@@ -123,9 +123,6 @@ class CellComplex:
         k = edges_cycle.index(min(edges_cycle))
         return edges_cycle[k:] + edges_cycle[:k], faces_cycle[k:] + faces_cycle[:k]
 
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
 
 def _int_lists(seqs, n=None):
     """Every item of seqs is a list or tuple of integer vertex ids (n of

@@ -251,12 +251,9 @@ def develop(T, x, g):
 
 def delaunay_report(sl):
     """Per-edge record: intersection angle, local Delaunay flag,
-    redundancy flag."""
-    th = sl.th
-    return {e: {"theta": t, "is_delaunay": d, "is_redundant": r}
-            for e, t, d, r in zip(
-                sl.edges, th.tolist(), ((0.0 <= th) & (th < math.pi)).tolist(),
-                (np.abs(th - math.pi) <= MERGE_TOL).tolist())}
+    redundancy flag; the dict view of delaunay_json."""
+    rep = json.loads(delaunay_json(sl))
+    return {e: rep[k] for e, k in zip(sl.edges, edge_keys(sl.edges))}
 
 
 def gauss_bonnet_check(sl):
@@ -409,52 +406,87 @@ def json_text(obj):
     return _text(obj, "") + "\n"
 
 
-def _rounded(a):
-    """The numbers of array a rounded to 12 significant digits, as
-    json_text writes them."""
-    out = list(map(repr, map(float, map("{:.12g}".format,
-                                        a.ravel().tolist()))))
-    if not np.isfinite(a).all():
-        out = [_float(float(v)) for v in out]
-    return out
+def _fill(template, rows, sep=",\n"):
+    """template filled from each row of fields in one pass, joined by sep."""
+    return sep.join([template] * len(rows)) % tuple(
+        itertools.chain.from_iterable(rows))
 
 
-_CHART = ('  "%s": {\n   "circle": {\n    "center": [\n     %s,\n     %s\n'
+def _texts(a, fmt="%r"):
+    """The numbers of array a formatted by fmt in one pass, as json writes
+    float(text).  %g writes a whole number without ".0" and switches to
+    an exponent from 1e12 where repr does from 1e16, so a text with an
+    exponent is read back and written again, as are nan and inf."""
+    v = a.ravel().tolist()
+    return [t if "." in t and "e" not in t
+            else _float(float(t)) if "e" in t or "n" in t else t + ".0"
+            for t in ((fmt + "\n") * len(v) % tuple(v)).split()]
+
+
+def _object(template, keys, *cols, pad=""):
+    """The text of an object closed at indent pad, sorted as json sorts
+    keys: per key the template filled from the escaped key and its fields
+    in cols."""
+    if not keys:
+        return "{}"
+    ks, *cs = zip(*sorted(zip(keys, *cols)))
+    return ("{\n" + _fill(template, list(zip(map(_ESCAPE, ks), *cs))) + "\n"
+            + pad + "}")
+
+
+def float_map(keys, values):
+    """The JsonText of the object {key: value} of str keys and float
+    values: every edge- or vertex-keyed float object hicp writes."""
+    return JsonText(_object(" %s: %s", keys,
+                            _texts(np.asarray(values, float))) + "\n")
+
+
+def edge_keys(edges):
+    """The "u-v" key of each edge (u, v)."""
+    return _fill("%d-%d", edges, "\n").split()
+
+
+_CHART = ('  %s: {\n   "circle": {\n    "center": [\n     %s,\n     %s\n'
           '    ],\n    "radius": %s\n   },\n   "vertices": [\n%s\n   ]\n  }')
 _CHART_VERTEX = '    [\n     %s,\n     %s,\n     %s\n    ]'
-_EDGE = '  "%s": {\n   "theta": %s\n  }'
-_VERTEX = '  "%s": {\n   "cone_angle": %s,\n   "radius": %s\n  }'
+_EDGE = '  %s: {\n   "theta": %s\n  }'
+_VERTEX = '  %s: {\n   "cone_angle": %s,\n   "radius": %s\n  }'
+_DELAUNAY = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,\n'
+             '  "theta": %s\n }')
 
 
-def _members(rows):
-    return "{\n" + ",\n".join(rows) + "\n }" if rows else "{}"
+def delaunay_json(sl):
+    """Per edge keyed "u-v": theta, whether it is locally Delaunay and
+    whether it is redundant, as the JsonText json_text writes."""
+    th = sl.th
+    flags = ((0.0 <= th) & (th < math.pi), np.abs(th - math.pi) <= MERGE_TOL)
+    return JsonText(_object(_DELAUNAY, edge_keys(sl.edges), *(
+        map(("false", "true").__getitem__, f.tolist()) for f in flags),
+        _texts(th)) + "\n")
 
 
 def layout_json(sl):
     """The text of the layout document: per chart its circle and its
     vertices [id, x, y], per edge theta, per vertex its radius and cone
     angle, each number rounded to 12 significant digits.  Formatted in
-    json_text's format from sl's arrays, one template per chart, edge
-    and vertex."""
+    json_text's format from sl's arrays, one % pass for the chart
+    vertices, charts, edges and vertices each."""
     ids = sl.T.base.vertices
     ch = sl.chart
-    rows = list(map(_CHART_VERTEX.__mod__, zip(
-        map(str, map(ids.__getitem__, ch.vert.tolist())),
-        _rounded(ch.z.real), _rounded(ch.z.imag))))
+    x, y, cx, cy, R, th, cone, r = (_texts(a, "%.12g") for a in (
+        ch.z.real, ch.z.imag, ch.center.real, ch.center.imag, ch.R, sl.th,
+        sl.cone, sl.r))
+    rows = _fill(_CHART_VERTEX, list(zip(
+        map(ids.__getitem__, ch.vert.tolist()), x, y)), "\0").split("\0")
     start = ch.start.tolist()
-    charts = sorted(zip(map(str, range(len(ch.R))), _rounded(ch.center.real),
-                        _rounded(ch.center.imag), _rounded(ch.R),
-                        [",\n".join(rows[i:j])
-                         for i, j in zip(start, start[1:])]))
-    edges = sorted(zip([f"{u}-{v}" for u, v in sl.edges], _rounded(sl.th)))
-    verts = sorted(zip(map(str, ids), _rounded(sl.cone), _rounded(sl.r)))
-    return (f'{{\n "charts": {_members(list(map(_CHART.__mod__, charts)))},\n'
-            f' "edges": {_members(list(map(_EDGE.__mod__, edges)))},\n'
-            f' "geometry": {_ESCAPE(sl.geometry)},\n'
-            ' "layout_version": 1,\n'
-            f' "merged": {_scalar(sl.merged)},\n'
-            f' "vertices": {_members(list(map(_VERTEX.__mod__, verts)))}\n'
-            '}\n')
+    blocks = [",\n".join(rows[i:j]) for i, j in zip(start, start[1:])]
+    charts = _object(_CHART, list(map(str, range(len(R)))), cx, cy, R,
+                     blocks, pad=" ")
+    edges = _object(_EDGE, edge_keys(sl.edges), th, pad=" ")
+    verts = _object(_VERTEX, list(map(str, ids)), cone, r, pad=" ")
+    return (f'{{\n "charts": {charts},\n "edges": {edges},\n'
+            f' "geometry": {_ESCAPE(sl.geometry)},\n "layout_version": 1,\n'
+            f' "merged": {_scalar(sl.merged)},\n "vertices": {verts}\n}}\n')
 
 
 def layout_to_dict(sl):
@@ -478,9 +510,22 @@ def export_json(sl, path):
 _PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
 _LINE = '<path d="M %.3f %.3f L %.3f %.3f"' + _PATH
 _ARC = '<path d="M %.3f %.3f A %.3f %.3f 0 0 %d %.3f %.3f"' + _PATH
-_CIRCLE = ('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="%s" '
+_CIRCLE = ('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="{}" '
            'stroke-width="0.8"/>')
 _POINT = '<circle cx="%.3f" cy="%.3f" r="2" fill="#cc3333"/>'
+
+
+def _svg_rows(template, *cols):
+    """One SVG element per row of the columns, one per line."""
+    return "\n".join([template] * len(cols[0])) % tuple(
+        np.column_stack(cols).ravel().tolist())
+
+
+def _interleave(mask, yes, no):
+    """The lines of yes where mask holds and of no elsewhere, in order."""
+    out = np.empty(len(mask), object)
+    out[mask], out[~mask] = yes.splitlines(), no.splitlines()
+    return "\n".join(out.tolist())
 
 
 def _geodesics(z1, z2, g, scale, off):
@@ -491,7 +536,7 @@ def _geodesics(z1, z2, g, scale, off):
     ends = [off + scale * x1, off - scale * y1,
             off + scale * x2, off - scale * y2]
     if g == EUCLIDEAN:
-        return list(map(_LINE.__mod__, zip(*(c.tolist() for c in ends))))
+        return _svg_rows(_LINE, *ends)
     with np.errstate(all="ignore"):
         line = np.abs(x1 * y2 - y1 * x2) < 1e-9
         # solve 2 c . z = |z|^2 + 1 for both points
@@ -502,10 +547,11 @@ def _geodesics(z1, z2, g, scale, off):
         cy = (a1 * c2 - a2 * c1) / det
         dx1, dy1, dx2, dy2 = x1 - cx, y1 - cy, x2 - cx, y2 - cy
         r = np.hypot(dx1, dy1) * scale
-        sweep = (dx1 * dy2 - dy1 * dx2 < 0).astype(int)
-    return [_LINE % (p, q, u, v) if ln else _ARC % (p, q, rr, rr, sw, u, v)
-            for p, q, u, v, rr, sw, ln in zip(
-                *(c.tolist() for c in (*ends, r, sweep, line)))]
+        sweep = dx1 * dy2 - dy1 * dx2 < 0  # written by %d as 0 or 1
+    return _interleave(
+        line, _svg_rows(_LINE, *(c[line] for c in ends)),
+        _svg_rows(_ARC, *(c[~line] for c in (*ends[:2], r, r, sweep,
+                                              *ends[2:]))))
 
 
 def _circles(z, r, g, scale, off, color):
@@ -513,9 +559,8 @@ def _circles(z, r, g, scale, off, color):
     if g == HYPERBOLIC:
         with np.errstate(all="ignore"):
             z, r = geo.disk_circle_reps(z, r)
-    cols = (off + scale * z.real, off - scale * z.imag, r * scale)
-    return [_CIRCLE % (x, y, rr, color)
-            for x, y, rr in zip(*(c.tolist() for c in cols))]
+    return _svg_rows(_CIRCLE.format(color), off + scale * z.real,
+                     off - scale * z.imag, r * scale)
 
 
 def export_svg(sl, path):
@@ -546,14 +591,13 @@ def export_svg(sl, path):
     start = sl.chart.start
     nxt = np.arange(1, len(z) + 1)
     nxt[start[1:] - 1] = start[:-1]
-    lines += _geodesics(z, z[nxt], g, scale, off)
-    lines += _circles(c, R, g, scale, off, "#3366cc")  # face circles
+    lines.append(_geodesics(z, z[nxt], g, scale, off))
+    lines.append(_circles(c, R, g, scale, off, "#3366cc"))  # face circles
     # vertex circles, and a dot at each point vertex
     dot = r <= 0
-    circles = iter(_circles(z[~dot], r[~dot], g, scale, off, "#cc3333"))
-    dots = zip((off + scale * z.real).tolist(),
-               (off - scale * z.imag).tolist())
-    lines += [_POINT % xy if d else next(circles)
-              for d, xy in zip(dot.tolist(), dots)]
+    lines.append(_interleave(
+        dot, _svg_rows(_POINT, off + scale * z.real[dot],
+                       off - scale * z.imag[dot]),
+        _circles(z[~dot], r[~dot], g, scale, off, "#cc3333")))
     lines.append('</svg>')
     write_text(path, "\n".join(lines) + "\n")

@@ -87,12 +87,21 @@ def theta_extended(cc, t):
     return full
 
 
+def _star_terms(cc, th):
+    """Per vertex the terms pi - theta of its edges, in edge order."""
+    terms = {k: [] for k in cc.vertices}
+    for e in cc.edges:
+        for k in e:
+            terms[k].append(math.pi - th[e])
+    return terms
+
+
 def Theta_full(cc, t):
     """Theta on every vertex: stored on V1, derived on V0."""
-    th = theta_extended(cc, t)
+    terms = _star_terms(cc, theta_extended(cc, t))
     full = dict(t.Theta)
     for k in cc.v0:
-        full[k] = sum(math.pi - th[e] for e in cc.edges if k in e)
+        full[k] = sum(terms[k])
     return full
 
 
@@ -301,13 +310,13 @@ def single_star_check(cc, t):
     vertices only (a cheap necessary subset, used by pre_check): for
     OStar(k), k in V1 the inequality reads
     sum over incident edges (pi - theta_ik) + (2 pi - Theta_k) > 2 pi."""
-    th = theta_extended(cc, t)
+    terms = _star_terms(cc, theta_extended(cc, t))
     bad = []
     for k in sorted(cc.v1):
-        lhs = sum(math.pi - th[e] for e in cc.edges if k in e)
+        lhs = sum(terms[k])
         lhs += 2 * math.pi - t.Theta[k]
         rhs = 2 * math.pi
-        if not lhs > rhs + 1e-12 * (1 + cc.degree(k)):
+        if not lhs > rhs + 1e-12 * (1 + len(terms[k])):
             bad.append((("E4" if t.geometry == EUCLIDEAN else "H4"),
                         {"domain": [["v", k]]}, lhs, rhs))
     return bad

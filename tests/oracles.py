@@ -322,6 +322,31 @@ def check_feasibility_by_loop(cc, t, cap=22):
         size=size)
 
 
+def Theta_full_by_scan(cc, t):
+    """``polytope.Theta_full`` with each point vertex's sum taken over a
+    scan of every edge."""
+    th = pt.theta_extended(cc, t)
+    full = dict(t.Theta)
+    for k in cc.v0:
+        full[k] = sum(math.pi - th[e] for e in cc.edges if k in e)
+    return full
+
+
+def single_star_check_by_scan(cc, t):
+    """``polytope.single_star_check`` with each disk's sum and degree
+    taken over a scan of every edge."""
+    th = pt.theta_extended(cc, t)
+    bad = []
+    for k in sorted(cc.v1):
+        lhs = sum(math.pi - th[e] for e in cc.edges if k in e)
+        lhs += 2 * math.pi - t.Theta[k]
+        rhs = 2 * math.pi
+        if not lhs > rhs + 1e-12 * (1 + sum(k in e for e in cc.edges)):
+            bad.append((("E4" if t.geometry == geo.EUCLIDEAN else "H4"),
+                        {"domain": [["v", k]]}, lhs, rhs))
+    return bad
+
+
 def open_star(h, hv):
     """The open star of the hat vertex hv as a ``Domain``."""
     if hv not in h.stars:
@@ -858,6 +883,13 @@ def merge_by_loop(sl):
     return charts
 
 
+def delaunay_report_by_loop(sl):
+    """``layout.delaunay_report`` from sl's arrays, one edge at a time."""
+    return {e: {"theta": t, "is_delaunay": 0.0 <= t < math.pi,
+                "is_redundant": abs(t - math.pi) <= MERGE_TOL}
+            for e, t in zip(sl.edges, sl.th.tolist())}
+
+
 def _fmt(x):
     return float(f"{x:.12g}")
 
@@ -1229,3 +1261,88 @@ def _check_connected(cc, fedges):
                     queue.append(g)
     if len(seen) != len(cc.faces):
         raise NotClosedSurface("complex is not connected")
+
+
+# ---------------------------------------------------------------------------
+# SVG one element at a time, the reference of layout.export_svg
+
+_PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
+_LINE = '<path d="M %.3f %.3f L %.3f %.3f"' + _PATH
+_ARC = '<path d="M %.3f %.3f A %.3f %.3f 0 0 %d %.3f %.3f"' + _PATH
+_CIRCLE = ('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="%s" '
+           'stroke-width="0.8"/>')
+_POINT = '<circle cx="%.3f" cy="%.3f" r="2" fill="#cc3333"/>'
+
+
+def _geodesics_by_loop(z1, z2, g, scale, off):
+    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    ends = [off + scale * x1, off - scale * y1,
+            off + scale * x2, off - scale * y2]
+    if g == geo.EUCLIDEAN:
+        return list(map(_LINE.__mod__, zip(*(c.tolist() for c in ends))))
+    with np.errstate(all="ignore"):
+        line = np.abs(x1 * y2 - y1 * x2) < 1e-9
+        # solve 2 c . z = |z|^2 + 1 for both points
+        a1, b1, c1 = 2 * x1, 2 * y1, np.hypot(x1, y1) ** 2 + 1
+        a2, b2, c2 = 2 * x2, 2 * y2, np.hypot(x2, y2) ** 2 + 1
+        det = a1 * b2 - a2 * b1
+        cx = (c1 * b2 - c2 * b1) / det
+        cy = (a1 * c2 - a2 * c1) / det
+        dx1, dy1, dx2, dy2 = x1 - cx, y1 - cy, x2 - cx, y2 - cy
+        r = np.hypot(dx1, dy1) * scale
+        sweep = (dx1 * dy2 - dy1 * dx2 < 0).astype(int)
+    return [_LINE % (p, q, u, v) if ln else _ARC % (p, q, rr, rr, sw, u, v)
+            for p, q, u, v, rr, sw, ln in zip(
+                *(c.tolist() for c in (*ends, r, sweep, line)))]
+
+
+def _circles_by_loop(z, r, g, scale, off, color):
+    if g == geo.HYPERBOLIC:
+        with np.errstate(all="ignore"):
+            z, r = geo.disk_circle_reps(z, r)
+    cols = (off + scale * z.real, off - scale * z.imag, r * scale)
+    return [_CIRCLE % (x, y, rr, color)
+            for x, y, rr in zip(*(c.tolist() for c in cols))]
+
+
+def svg_by_loop(sl):
+    """The text ``layout.export_svg`` writes of sl, formatted one element
+    at a time."""
+    g = sl.geometry
+    z, c, R = sl.chart.z, sl.chart.center, sl.chart.R
+    r = sl.r[sl.chart.vert]
+    view = 1000
+    if g == geo.EUCLIDEAN:
+        margin = max(max(sl.r.tolist(), default=0.0), float(R.max()))
+        lo = float(min(z.real.min(), z.imag.min())) - margin
+        hi = float(max(z.real.max(), z.imag.max())) + margin
+        scale = view / (hi - lo)
+        off = -lo * scale
+    else:
+        scale = view / 2.2
+        off = view / 2
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{view}" height="{view}" viewBox="0 0 {view} {view}">',
+        f'<rect width="{view}" height="{view}" fill="white"/>',
+    ]
+    if g == geo.HYPERBOLIC:
+        lines.append(
+            f'<circle cx="{off}" cy="{off}" r="{scale}" fill="none" '
+            'stroke="#cccccc" stroke-width="1"/>')
+    # chart edges: each vertex to the next one of its chart
+    start = sl.chart.start
+    nxt = np.arange(1, len(z) + 1)
+    nxt[start[1:] - 1] = start[:-1]
+    lines += _geodesics_by_loop(z, z[nxt], g, scale, off)
+    lines += _circles_by_loop(c, R, g, scale, off, "#3366cc")
+    # vertex circles, and a dot at each point vertex
+    dot = r <= 0
+    circles = iter(_circles_by_loop(z[~dot], r[~dot], g, scale, off,
+                                    "#cc3333"))
+    dots = zip((off + scale * z.real).tolist(),
+               (off - scale * z.imag).tolist())
+    lines += [_POINT % xy if d else next(circles)
+              for d, xy in zip(dot.tolist(), dots)]
+    lines.append('</svg>')
+    return "\n".join(lines) + "\n"

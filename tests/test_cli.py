@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hicp import build_complex, cli, layout, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError
@@ -16,7 +17,9 @@ from hicp.fixtures import (
     FIXTURES,
     fixture_spec,
     grid_torus_spec,
+    reference_pattern,
     tetrahedron_spec,
+    triangulated_torus_spec,
 )
 from hicp.layout import develop, json_text, layout_to_dict, merge_redundant
 from hicp.solver import solve
@@ -516,6 +519,61 @@ def test_documents_are_json_dumps_bytes(tmp_path, name, g):
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
         assert json_text(doc) == text
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("kind", ["tri24", "grid20"])
+def test_benchmark_size_outputs_are_the_reference_bytes(tmp_path, kind, g):
+    """demo --svg and render --svg on the largest tori the benchmark
+    renders write json's bytes and the per-element SVG writer's."""
+    n = int(kind[-2:])
+    build = triangulated_torus_spec if kind.startswith("tri") \
+        else grid_torus_spec
+    spec = build(n, v1=range(0, n * n, 2))
+    T, l, r = reference_pattern(build_complex(spec), g)
+    x = geo.psi_inv_surface(T, l, r, g)
+    n_a = len(T.free_edges)
+    sol = {"solution_version": 1, "geometry": g,
+           "input": dict(spec, geometry=g), "status": "Converged",
+           "coords": {"a": {f"{u}-{v}": a for (u, v), a in
+                            zip(T.free_edges, x[:n_a].tolist())},
+                      "b": {str(k): b for k, b in
+                            zip(T.v1_vertices, x[n_a:].tolist())}}}
+    (tmp_path / "in.json").write_text(json.dumps(sol["input"]))
+    (tmp_path / "sol.json").write_text(json.dumps(sol))
+    for cmd, path in (("demo", "in.json"), ("render", "sol.json")):
+        assert cli.main([cmd, "--input", str(tmp_path / path),
+                         "--output", str(tmp_path / f"{cmd}.json"),
+                         "--svg", str(tmp_path / f"{cmd}.svg")]) == 0
+        text = (tmp_path / f"{cmd}.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=1) + "\n"
+    sl = merge_redundant(develop(T, x, g))
+    svg = oracles.svg_by_loop(sl)
+    assert (tmp_path / "demo.svg").read_text() == svg
+    assert (tmp_path / "render.svg").read_text() == svg
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    """main keeps its parser: a good command, a usage error, help and the
+    good command again exit and write in one process as each does in a
+    fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # the width of usage and help
+    runs = [["validate", "--input", "fixture:grid-torus"], ["solve"],
+            ["demo", "--help"], ["validate", "--input", "fixture:grid-torus"]]
+    got = []
+    for argv in runs:
+        rc = cli.main(argv)
+        got.append([rc, *capsys.readouterr()])
+    assert cli.build_parser() is cli.build_parser()
+    assert [rc for rc, _out, _err in got] == [0, 1, 0, 0]
+    code = ("import sys\nfrom hicp import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv, want in zip(runs, got):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert [proc.returncode, proc.stdout, proc.stderr] == want
 
 
 def test_writers_are_the_traced_names(tmp_path, monkeypatch):

@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 import oracles
 from hicp import build_complex, triangulate
 from hicp import geometry as geo
+from hicp import layout
 from hicp.errors import HicpError, NonRedundantDiagonal
 from hicp.fixtures import FIXTURES, fixture_spec, reference_pattern
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
 from hicp.layout import (
     JsonText,
+    delaunay_json,
     delaunay_report,
     develop,
     export_json,
     export_svg,
+    float_map,
     gauss_bonnet_check,
     json_text,
     layout_json,
@@ -329,6 +332,93 @@ class TestJsonText:
                 json.dumps(value, sort_keys=True, indent=1)
             with pytest.raises(TypeError):
                 json_text(value)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass writers against json and the per-element SVG writer
+
+# numbers where %.12g and repr part ways: whole numbers, exponents from
+# 1e12 (%g) and 1e16 (repr), subnormals, the largest double, non-finite
+ROUNDING_EDGES = [
+    0.0, -0.0, 1.0, -3.0, 100.0, 1e-4, 9.99999999999995e-05, 0.1,
+    999999999999.4, 999999999999.5, 1e12, 123456789012345.0, 1e15,
+    1e16 - 2, 1e16, 1e17, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+def _assert_texts_are_json(xs):
+    # json.dumps writes repr, NaN and +-Infinity
+    a = np.array(xs, float)
+    assert layout._texts(a, "%.12g") == [
+        json.dumps(float(f"{x:.12g}")) for x in xs]
+    assert layout._texts(a) == list(map(json.dumps, xs))
+
+
+def test_texts_are_json_of_12_digits_and_repr():
+    _assert_texts_are_json(
+        ROUNDING_EDGES + [s * 10.0 ** k * m for k in range(-20, 21)
+                          for m in (1.0, 1.2345678901234, 9.9999999999996)
+                          for s in (1, -1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats() | st.sampled_from(ROUNDING_EDGES),
+                   max_size=40))
+def test_texts_are_json_of_12_digits_and_repr_drawn(xs):
+    _assert_texts_are_json(xs)
+
+
+FLOAT_MAPS = st.dictionaries(
+    st.text(max_size=5) | st.sampled_from(["10-2", "2-10", "2", "10"]),
+    st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=FLOAT_MAPS)
+def test_float_map_is_json_dumps(d):
+    text = float_map(list(d), list(d.values()))
+    assert isinstance(text, JsonText)
+    assert text == _dumps(d)
+    assert json_text({"a": [{"b": text}]}) == _dumps({"a": [{"b": d}]})
+
+
+def test_float_map_sorts_keys_as_strings():
+    d = {"2-10": 1.5, "10-2": math.nan, "2": -math.inf, "10": 0.0}
+    assert float_map(list(d), list(d.values())) == _dumps(d)
+    assert list(json.loads(float_map(list(d), list(d.values())))) == [
+        "10", "10-2", "2", "2-10"]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_delaunay_json_is_the_report(name):
+    sl = reference_layout(build_complex(fixture_spec(name)), HYPERBOLIC)
+    th = sl.th.copy()
+    th[:3] = math.nan, math.inf, -math.inf
+    for s in (sl, merge_redundant(sl), dataclasses.replace(sl, th=th)):
+        want = oracles.delaunay_report_by_loop(s)
+        assert delaunay_json(s) == _dumps(
+            {f"{u}-{v}": rec for (u, v), rec in want.items()})
+        if s.th is not th:
+            assert delaunay_report(s) == want
+            assert list(delaunay_report(s)) == list(want)
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_svg_is_the_per_element_writer(tmp_path, name, g):
+    sl = reference_layout(build_complex(fixture_spec(name)), g)
+    for s in (sl, merge_redundant(sl)):
+        p = tmp_path / f"merged-{s.merged}.svg"
+        export_svg(s, p)
+        text = p.read_text()
+        assert text == oracles.svg_by_loop(s)
+        if g == HYPERBOLIC:
+            # the chart edges mix line segments and disk arcs
+            assert " L " in text and " A " in text
+        if name == "genus2-mixed":
+            # point dots and vertex circles mix
+            assert 'r="2" fill' in text and 'stroke="#cc3333"' in text
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from hicp.fixtures import (
     fixture_spec,
     grid_torus_spec,
     reference_pattern,
+    triangulated_torus_spec,
 )
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
 from hicp.polytope import (
@@ -210,6 +212,38 @@ def complexes_and_angles(draw):
     theta = {e: draw(angle) for e in sorted(cc.e1)}
     Theta = {k: draw(st.floats(0.01, 2 * math.pi)) for k in sorted(cc.v1)}
     return cc, theta, Theta
+
+
+# ---------------------------------------------------------------------------
+# Star sums by one pass over the edges against a scan per vertex
+
+
+def _drawn_target(cc, g, seed, lo):
+    """theta drawn in (lo, pi - 0.01) and Theta in (0.01, 2 pi): with lo
+    near pi most disks break their open-star inequality."""
+    rng = random.Random(seed)
+    return make_angle_data(
+        cc, g, {e: rng.uniform(lo, math.pi - 0.01) for e in sorted(cc.e1)},
+        {k: rng.uniform(0.01, 2 * math.pi) for k in sorted(cc.v1)})
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["tri12"])
+def test_star_sums_are_the_scan(name, g):
+    # the same terms added in the same order: equal to the last bit
+    cc = build_complex(triangulated_torus_spec(12, v1=range(0, 144, 2))
+                       if name == "tri12" else fixture_spec(name))
+    flagged = 0
+    for t in (reference_target(cc, g), _drawn_target(cc, g, 1, 0.01),
+              _drawn_target(cc, g, 2, math.pi - 0.3)):
+        full = polytope.Theta_full(cc, t)
+        assert list(full.items()) == list(
+            oracles.Theta_full_by_scan(cc, t).items())
+        bad = single_star_check(cc, t)
+        assert bad == oracles.single_star_check_by_scan(cc, t)
+        flagged += len(bad)
+    # without free edges a star's sum is pi per edge, past any Theta
+    assert flagged or not (cc.v1 and cc.e1)
 
 
 def _assert_slacks_match(cc, t, domains):
