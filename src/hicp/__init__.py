@@ -39,7 +39,6 @@ from .complexes import (
     admissible_domains,
     build_complex,
     euler_char,
-    fan_triangles,
     hat_complex,
     triangulate,
 )
@@ -81,7 +80,7 @@ __all__ = [
     "NotClosedSurface", "NotInTE", "PathLeavesDomain", "RegularityViolation",
     "CellComplex", "Domain", "HatTriangulation", "Triangulation",
     "admissible_domains", "build_complex", "euler_char",
-    "fan_triangles", "hat_complex", "triangulate",
+    "hat_complex", "triangulate",
     "EUCLIDEAN", "HYPERBOLIC", "in_te", "tetra_angles",
     "AngleData", "FeasibilityReport", "check_feasibility", "make_angle_data",
     "Solution", "SolveOptions", "extract_angles", "omega_solve",

@@ -316,9 +316,9 @@ def cmd_roundtrip(args):
         # at most two diagonals, so no constraint loses more than half
         # its slack and (l, r) stays in ER.
         _T, l0, r0 = reference_pattern(cc, g)
-        diag = T.tri_index.eclass == 2
+        diag = T.eclass == 2
         spec = {"vertices": spec["vertices"],
-                "faces": [list(t.verts) for t in T.triangles],
+                "faces": np.array(cc.vertices)[T.vert].tolist(),
                 "tangent_edges": spec.get("tangent_edges", [])}
         cc = build_complex(spec)
         T = triangulate(cc)

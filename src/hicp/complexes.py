@@ -19,7 +19,6 @@ intersection angle, ``E_pi`` edges are the fan diagonals added by
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -60,6 +59,10 @@ class CellComplex:
     e1: frozenset
     # edge -> (face index with the edge directed i->j, face index with j->i)
     edge_faces: Mapping[Edge, tuple] = field(hash=False)
+    # the faces as one array of vertex positions in ``vertices``: face k
+    # is face_vert[face_start[k]:face_start[k + 1]]
+    face_vert: np.ndarray = field(hash=False, compare=False, repr=False)
+    face_start: np.ndarray = field(hash=False, compare=False, repr=False)
 
     @property
     def vertices(self):
@@ -75,9 +78,6 @@ class CellComplex:
 
     def vertex_class(self, v):
         return 0 if v in self.v0 else 1
-
-    def edge_class(self, e):
-        return 0 if e in self.e0 else 1
 
     def vertex_faces(self, v):
         """Face indices incident to v, in cyclic order around v."""
@@ -229,9 +229,12 @@ def build_complex(spec):
                                   (up == up[opp]).tolist(), edge.tolist(),
                                   edges)
     faces = [f[::-1] if fl else f for f, fl in zip(faces, flip)]
+    side = np.arange(N)
+    rev = np.array(flip, bool)[face]
+    side[rev] = (start[face] + start[face + 1] - 1 - side)[rev]
     # per edge: the face traversing it upward, then the other
     s1, s2 = sides.T
-    up1 = up[s1] != np.array(flip, bool)[face[s1]]
+    up1 = up[s1] != rev[s1]
     edge_faces = dict(zip(edges, zip(
         np.where(up1, face[s1], face[s2]).tolist(),
         np.where(up1, face[s2], face[s1]).tolist())))
@@ -280,6 +283,8 @@ def build_complex(spec):
         e0=frozenset(e0),
         e1=frozenset(e1),
         edge_faces=edge_faces,
+        face_vert=p[side],
+        face_start=start,
     )
     if cc.chi % 2 != 0 or cc.chi > 2:
         raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "
@@ -329,44 +334,40 @@ def _orient_faces(start, other, same, edge, edges):
 # Triangulation
 
 
-def fan_triangles(face):
-    """Fan triangulation of a single face from its least vertex id.
-    Returns (triangles, diagonals); a face with n vertices yields n-2
-    triangles and n-3 diagonals."""
-    n = len(face)
-    p = face.index(min(face))
-    cyc = face[p:] + face[:p]
-    apex = cyc[0]
-    tris = [(apex, cyc[t], cyc[t + 1]) for t in range(1, n - 1)]
-    diags = [edge_key(apex, cyc[t]) for t in range(2, n - 1)]
-    return tris, diags
-
-
-@dataclass(frozen=True)
-class Triangle:
-    face: int  # index of the parent face in the base complex
-    verts: tuple  # (u, v, w), oriented like the parent face
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Triangulation:
+    """The fan triangulation of a cell complex as integer arrays: per
+    triangle its vertex and edge positions, in the kernel's column order
+    (corners i, j, k; edges ij, jk, ki), and its base face; per edge of
+    ``edges`` its end vertex positions and its class.  Vertex positions
+    index ``base.vertices``.  The id views are derived once."""
+
     base: CellComplex
-    e_pi: frozenset
-    triangles: tuple  # of Triangle
-    edges: tuple  # all edges of T, sorted
+    vert: np.ndarray  # (F, 3), oriented like the parent face
+    edge: np.ndarray  # (F, 3) positions in ``edges``
+    face: np.ndarray  # (F,) index of the parent face in the base complex
+    ends: np.ndarray  # (E, 2) lower and upper vertex position
+    eclass: np.ndarray  # (E,) 0 for E0, 1 for E1, 2 for the fan diagonals
 
-    def edge_class(self, e):
-        """0 for E0, 1 for E1, 2 for the fan diagonals."""
-        if e in self.e_pi:
-            return 2
-        return self.base.edge_class(e)
+    @cached_property
+    def edges(self):
+        """All edges of T, sorted."""
+        ids = self.base.vertices
+        lo, hi = self.ends.T.tolist()
+        return tuple(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
 
-    @property
+    @cached_property
+    def e_pi(self):
+        return frozenset(itertools.compress(self.edges,
+                                            (self.eclass == 2).tolist()))
+
+    @cached_property
     def free_edges(self):
         """Edges carrying an `a` coordinate, sorted: E1 then diagonals."""
-        return tuple(e for e in self.edges if e not in self.base.e0)
+        return tuple(itertools.compress(self.edges,
+                                        (self.eclass != 0).tolist()))
 
-    @property
+    @cached_property
     def v1_vertices(self):
         return tuple(sorted(self.base.v1))
 
@@ -379,37 +380,22 @@ class Triangulation:
         # by 1.2 MB
         import numpy as np
         cc = self.base
-        verts = cc.vertices
-        vindex = {v: m for m, v in enumerate(verts)}
-        F, E, nv = len(self.triangles), len(self.edges), len(verts)
-        vert = np.fromiter(
-            map(vindex.__getitem__,
-                (v for tri in self.triangles for v in tri.verts)),
-            int, 3 * F).reshape(F, 3)
-        # T.edges is sorted, and so are the vertices: an edge's position
-        # is the rank of its (lower, upper) vertex positions
-        ends = np.fromiter(map(vindex.__getitem__,
-                               (v for e in self.edges for v in e)),
-                           int, 2 * E).reshape(E, 2)
-        heads = vert[:, [1, 2, 0]]  # column m runs from vert[m] to heads[m]
-        edge = np.searchsorted(
-            ends[:, 0] * nv + ends[:, 1],
-            np.minimum(vert, heads) * nv + np.maximum(vert, heads))
-        vclass = np.fromiter(map(cc.vertex_class, verts), int, nv)
-        eclass = np.fromiter(map(self.edge_class, self.edges), int, E)
+        vclass = np.fromiter(map(cc.v1.__contains__, cc.vertices), int,
+                             len(cc.v0) + len(cc.v1))
+        eclass, edge, vert = self.eclass, self.edge, self.vert
         free, disk = eclass != 0, vclass == 1
         n_a = int(free.sum())
         a_slot = np.where(free, np.cumsum(free) - 1, -1)
         b_slot = np.where(disk, n_a + np.cumsum(disk) - 1, -1)
         # every edge lies in exactly two triangles (triangulate checks):
         # its two (row, column) cells, the lesser row first
-        cells = np.argsort(edge.ravel(), kind="stable").reshape(E, 2)
+        cells = np.argsort(edge.ravel(), kind="stable").reshape(-1, 2)
         return TriIndex(vc=vclass[vert], ec=eclass[edge],
                         slots=np.concatenate([a_slot[edge], b_slot[vert]],
                                              axis=1),
                         edge=edge, vert=vert, n_free=n_a + int(disk.sum()),
-                        edge_tri=cells // 3, edge_col=cells % 3, ends=ends,
-                        vclass=vclass, eclass=eclass)
+                        edge_tri=cells // 3, edge_col=cells % 3,
+                        ends=self.ends, vclass=vclass, eclass=eclass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,36 +424,61 @@ class TriIndex:
 
 
 def triangulate(cc):
-    tris = []
-    e_pi = set()
-    base_edges = set(cc.edges)
-    for fi, f in enumerate(cc.faces):
-        ftris, fdiags = fan_triangles(f)
-        for d in fdiags:
-            if d in base_edges:
-                raise RegularityViolation(
-                    f"fan diagonal {d} of face {f} collides with a base edge"
-                )
-            if d in e_pi:
-                raise RegularityViolation(f"fan diagonal {d} produced twice")
-            e_pi.add(d)
-        tris.extend(Triangle(face=fi, verts=t) for t in ftris)
+    """Fan each face of cc from its least vertex, by array passes over
+    its vertex positions: a face of n vertices gives n - 2 triangles and
+    n - 3 diagonals.  Raises RegularityViolation at the first diagonal,
+    in face and fan order, that is a base edge or an earlier diagonal,
+    and at the first edge that does not lie in two triangles."""
+    import numpy as np
+    fv, start = cc.face_vert, cc.face_start
+    sizes = np.diff(start)
+    # triangle t = 1 .. n - 2 of a face: its least vertex (positions are
+    # sorted like ids) and the vertices t and t + 1 after it
+    apex = np.flatnonzero(fv == np.repeat(
+        np.minimum.reduceat(fv, start[:-1]), sizes)) - start[:-1]
+    face = np.repeat(np.arange(len(sizes)), sizes - 2)
+    first_row = start[:-1] - 2 * np.arange(len(sizes))
+    t, n = np.arange(len(face)) + 1 - first_row[face], sizes[face]
+    turn = np.stack([0 * t, t, t + 1], axis=1) + apex[face, None]
+    vert = fv[start[face, None] + turn % n[:, None]]
 
-    edges = tuple(sorted(base_edges | e_pi))
-    count = Counter()
-    for tri in tris:
-        u, v, w = tri.verts
-        count.update((edge_key(u, v), edge_key(v, w), edge_key(w, u)))
-    for e, n in count.items():
-        if n != 2:
-            raise RegularityViolation(f"edge {e} lies in {n} triangles")
+    nv, ids = len(cc.v0) + len(cc.v1), cc.vertices
+    heads = vert[:, [1, 2, 0]]
+    code, first, edge, count = np.unique(
+        (np.minimum(vert, heads) * nv + np.maximum(vert, heads)).ravel(),
+        return_index=True, return_inverse=True, return_counts=True)
+    edge = edge.reshape(-1, 3)
+    ends = np.stack([code // nv, code % nv], axis=1)
 
-    return Triangulation(
-        base=cc,
-        e_pi=frozenset(e_pi),
-        triangles=tuple(tris),
-        edges=edges,
-    )
+    def ids_of(k):
+        return tuple(map(ids.__getitem__, ends[k].tolist()))
+
+    # the face sides are edge jk of every triangle, ij of a fan's first
+    # and ki of its last; each diagonal is ij of one triangle
+    base = np.zeros(len(code), bool)
+    base[edge[np.stack([t == 1, t > 0, t == n - 2], axis=1)]] = True
+    diag = edge[t >= 2, 0]
+    bad = np.ones(len(diag), bool)
+    bad[np.unique(diag, return_index=True)[1]] = False
+    bad |= base[diag]
+    if bad.any():
+        k = int(np.argmax(bad))
+        f = cc.faces[face[t >= 2][k]]
+        raise RegularityViolation(
+            f"fan diagonal {ids_of(diag[k])} of face {f} collides with a "
+            "base edge" if base[diag[k]]
+            else f"fan diagonal {ids_of(diag[k])} produced twice")
+    if (count != 2).any():
+        k = edge.ravel()[first[count != 2].min()]
+        raise RegularityViolation(
+            f"edge {ids_of(k)} lies in {count[k]} triangles")
+
+    eclass = np.where(base, 1, 2)
+    if cc.e0:
+        lo, hi = np.searchsorted(np.array(ids), np.array(sorted(cc.e0))).T
+        eclass[np.searchsorted(code, lo * nv + hi)] = 0
+    return Triangulation(base=cc, vert=vert, edge=edge, face=face,
+                         ends=ends, eclass=eclass)
 
 
 # ---------------------------------------------------------------------------

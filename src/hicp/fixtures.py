@@ -3,12 +3,13 @@ uniform-edge-length pattern whose face circles are solved per face)."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from . import geometry as geo
-from .complexes import build_complex, edge_key, fan_triangles, triangulate
+from .complexes import build_complex, triangulate
 from .errors import DomainError
 from .geometry import EUCLIDEAN, check_geometry
 from .solver import face_chords, omega_solve
@@ -132,40 +133,52 @@ def reference_pattern(cc, g):
     geometry."""
     check_geometry(g)
     T = triangulate(cc)
-    rc = geo.reference_constants(g)[0]
-    l = {e: geo.reference_length(0 if e in cc.e0 else 1, g)
-         for e in cc.edges}
-    r = [rc if v in cc.v1 else 0.0 for v in cc.vertices]
+    ix = T.tri_index
+    l = np.where(ix.eclass == 0, geo.reference_length(0, g),
+                 geo.reference_length(1, g))
+    r = np.where(ix.vclass == 1, geo.reference_constants(g)[0], 0.0)
 
-    chords = {}  # (vertex classes, edge classes) -> face_chords
-    for f in cc.faces:
-        n = len(f)
-        if n == 3:
-            continue
-        vclasses = tuple(cc.vertex_class(v) for v in f)
-        eclasses = tuple(0 if edge_key(f[t], f[(t + 1) % n]) in cc.e0 else 1
-                         for t in range(n))
-        key = (vclasses, eclasses)
-        if key not in chords:
-            chords[key] = face_chords(vclasses, eclasses, g,
-                                      omega_solve(vclasses, eclasses, g))
-        phis, dists = chords[key]
-        # angular position of each face vertex around the face circle
-        psi_ang = [0.0]
-        for t in range(n - 1):
-            psi_ang.append(psi_ang[-1] + phis[t])
-        _tris, diags = fan_triangles(f)
-        pos = {v: t for t, v in enumerate(f)}
-        for d in diags:
-            u, w = d
-            du, dw = dists[pos[u]], dists[pos[w]]
-            dpsi = abs(psi_ang[pos[u]] - psi_ang[pos[w]])
-            if g == EUCLIDEAN:
-                ld = math.sqrt(du * du + dw * dw
-                               - 2 * du * dw * math.cos(dpsi))
-            else:
-                ld = math.acosh(math.cosh(du) * math.cosh(dw)
-                                - math.sinh(du) * math.sinh(dw)
-                                * math.cos(dpsi))
-            l[d] = ld
-    return T, np.array([l[e] for e in T.edges]), np.array(r)
+    # A diagonal's length depends only on the classes of its face's
+    # vertices and sides in face order, the place of the fan's apex in
+    # the face and the diagonal's place in the fan: one evaluation per
+    # distinct (classes, apex place), in face order.
+    fv, start = cc.face_vert, cc.face_start
+    nxt = np.arange(1, len(fv) + 1)
+    nxt[start[1:] - 1] = start[:-1]
+    nv = len(r)
+    side = np.searchsorted(ix.ends[:, 0] * nv + ix.ends[:, 1],
+                           np.minimum(fv, fv[nxt]) * nv
+                           + np.maximum(fv, fv[nxt]))
+    vc, ec = ix.vclass[fv].tolist(), ix.eclass[side].tolist()
+    apex = T.vert[np.unique(T.face, return_index=True)[1], 0]
+    at = (np.flatnonzero(fv == np.repeat(apex, np.diff(start)))
+          - start[:-1]).tolist()
+    chords, lengths, out = {}, {}, []
+    bounds = start.tolist()
+    for k in np.flatnonzero(np.diff(start) > 3).tolist():
+        key = (tuple(vc[bounds[k]:bounds[k + 1]]),
+               tuple(ec[bounds[k]:bounds[k + 1]]))
+        if (key, at[k]) not in lengths:
+            if key not in chords:
+                chords[key] = face_chords(*key, g, omega_solve(*key, g))
+            lengths[key, at[k]] = _diagonal_lengths(*chords[key], at[k], g)
+        out += lengths[key, at[k]]
+    l[T.edge[:, 0][ix.eclass[T.edge[:, 0]] == 2]] = out  # in fan order
+    return T, l, r
+
+
+def _diagonal_lengths(phis, dists, a, g):
+    """The lengths of the diagonals from vertex a of a face to each
+    vertex it does not border, in fan order, in the face's reference
+    polygon (``face_chords``)."""
+    n, du = len(dists), dists[a]
+    # angular position of each face vertex around the face circle
+    psi = list(itertools.accumulate(phis[:n - 1], initial=0.0))
+    out = []
+    for w in ((a + t) % n for t in range(2, n - 1)):
+        dw, c = dists[w], math.cos(abs(psi[a] - psi[w]))
+        out.append(math.sqrt(du * du + dw * dw - 2 * du * dw * c)
+                   if g == EUCLIDEAN else
+                   math.acosh(math.cosh(du) * math.cosh(dw)
+                              - math.sinh(du) * math.sinh(dw) * c))
+    return out

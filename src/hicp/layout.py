@@ -11,9 +11,11 @@ use, and the layout JSON is formatted from the arrays."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -232,7 +234,7 @@ def develop(T, x, g):
     area = (math.pi - dt.beta.sum(axis=1) if g == HYPERBOLIC
             else np.zeros(0))
 
-    F = len(T.triangles)
+    F = len(T.face)
     z, center, (par, ch, edge) = _glue(ix, dt, np.zeros(F, int), g)
     tree = tuple(zip(par.tolist(), ch.tolist(),
                      map(T.edges.__getitem__, edge.tolist())))
@@ -278,16 +280,17 @@ def merge_redundant(sl):
     T = sl.T
     cc = T.base
     g = sl.geometry
-    diags = list(T.e_pi)
-    off = np.abs(np.array([sl.theta[e] for e in diags]) - math.pi) > MERGE_TOL
+    ix = T.tri_index
+    diag = np.flatnonzero(ix.eclass == 2)
+    off = np.abs(sl.th[diag] - math.pi) > MERGE_TOL
     if off.any():
-        e = diags[int(np.argmax(off))]
-        raise NonRedundantDiagonal(f"diagonal {e}: theta = {sl.theta[e]}")
+        k = int(diag[np.argmax(off)])
+        raise NonRedundantDiagonal(f"diagonal {T.edges[k]}: theta = "
+                                   f"{float(sl.th[k])}")
 
     # every fan glued from its face's first triangle, crossing diagonals
-    face = np.fromiter((tri.face for tri in T.triangles), int,
-                       len(T.triangles))
-    z, center, _tree = _glue(T.tri_index, sl.placed, face, g)
+    face = T.face
+    z, center, _tree = _glue(ix, sl.placed, face, g)
     first = np.unique(face, return_index=True)[1]
     root = first[face]
     R = sl.placed.R
@@ -300,20 +303,14 @@ def merge_redundant(sl):
                                    "disagree")
 
     # a vertex of a face takes its place in the last fan triangle that
-    # holds it
-    ix = T.tri_index
-    cell = dict(zip(zip(np.repeat(face, 3).tolist(), ix.vert.ravel().tolist()),
-                    range(3 * len(face))))
-    vindex = {v: m for m, v in enumerate(cc.vertices)}
-    sizes = list(map(len, cc.faces))
-    vert = np.fromiter(map(vindex.__getitem__,
-                           itertools.chain.from_iterable(cc.faces)),
-                       int, sum(sizes))
-    at = np.fromiter(map(cell.__getitem__, zip(
-        np.repeat(np.arange(len(sizes)), sizes).tolist(), vert.tolist())),
-                     int, len(vert))
-    chart = Charts(vert=vert, z=z.ravel()[at],
-                   start=np.concatenate([[0], np.cumsum(sizes)]),
+    # holds it: the last of its (face, vertex) cells
+    nv, start = len(ix.vclass), cc.face_start
+    sizes = np.diff(start)
+    key, at = np.unique((np.repeat(face, 3) * nv + ix.vert.ravel())[::-1],
+                        return_index=True)
+    at = len(face) * 3 - 1 - at[np.searchsorted(key, np.repeat(
+        np.arange(len(sizes)), sizes) * nv + cc.face_vert)]
+    chart = Charts(vert=cc.face_vert, z=z.ravel()[at], start=start,
                    center=center[first], R=R[first])
     area = (np.bincount(face, weights=sl.area) if g == HYPERBOLIC
             else np.zeros(0))
@@ -515,10 +512,45 @@ _CIRCLE = ('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="{}" '
 _POINT = '<circle cx="%.3f" cy="%.3f" r="2" fill="#cc3333"/>'
 
 
+_FIELD = re.compile(r"%\.3f|%d")
+
+
+@functools.cache
+def _milli_texts():
+    """The texts "0" .. "999", then "-0" .. "-999", and ".000" ..
+    ".999"."""
+    ints = [*map(str, range(1000)), *(f"-{i}" for i in range(1000))]
+    return (np.array(ints, object),
+            np.array([f".{i:03d}" for i in range(1000)], object))
+
+
 def _svg_rows(template, *cols):
-    """One SVG element per row of the columns, one per line."""
-    return "\n".join([template] * len(cols[0])) % tuple(
-        np.column_stack(cols).ravel().tolist())
+    """One SVG element per row of the columns, one per line, as %
+    writes them.  A %.3f field is written from k = round(|x| * 1000):
+    its sign and k // 1000, then the decimals of k % 1000, each from a
+    table of texts; a %d field holds 0 or 1.  A row with a number that
+    is not finite or lies within rounding distance of a half, where
+    |x| * 1000 may round the other way, is written by % itself."""
+    v = np.column_stack(cols).astype(float)
+    milli = np.array([f == "%.3f" for f in _FIELD.findall(template)])
+    y = np.abs(v) * 1000
+    with np.errstate(invalid="ignore", over="ignore"):
+        fast = (~milli | (np.abs(y - np.floor(y) - 0.5) > y * 2.0 ** -50)
+                ).all(axis=1)
+    q, m = np.divmod(np.rint(y[fast]).astype(np.int64), 1000)
+    neg = np.signbit(v[fast])
+    ints, decimals = _milli_texts()
+    out = np.stack([ints[np.minimum(q, 999) + 1000 * neg], decimals[m]],
+                   axis=2)
+    big = q > 999
+    out[big, 0] = np.where(neg, -q, q)[big]
+    out[:, ~milli, 1] = ""
+    text = "\n".join([_FIELD.sub("%s%s", template)] * len(q)) % tuple(
+        out.ravel().tolist())
+    if fast.all():
+        return text
+    return _interleave(fast, text, "\n".join(
+        [template] * int((~fast).sum())) % tuple(v[~fast].ravel().tolist()))
 
 
 def _interleave(mask, yes, no):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import strategies as st
@@ -55,6 +56,35 @@ def right_angle_target(cc, geometry="euclidean"):
         cc, geometry,
         {e: math.pi / 2 for e in cc.e1},
         {k: 2 * math.pi for k in cc.v1})
+
+
+def mixed_grid_spec(n, seed):
+    """The n x n grid torus with random quads split along either
+    diagonal, and on even rows random pairs of side-by-side quads made
+    one hexagon; random disk vertices."""
+    rng = random.Random(seed)
+
+    def v(r, c):
+        return (r % n) * n + c % n
+
+    faces = []
+    for r in range(n):
+        c = 0
+        while c < n:
+            p, q, s, t = v(r, c), v(r, c + 1), v(r + 1, c + 1), v(r + 1, c)
+            roll = rng.random()
+            if roll < 0.3 and r % 2 == 0 and r < n - 1 and c + 2 < n:
+                faces.append([p, q, v(r, c + 2), v(r + 1, c + 2), s, t])
+                c += 1
+            elif roll < 0.5:
+                faces += [[p, q, s], [p, s, t]]
+            elif roll < 0.7:
+                faces += [[q, s, t], [t, p, q]]
+            else:
+                faces.append([p, q, s, t])
+            c += 1
+    return {"vertices": [{"id": i, "circle": rng.choice(["disk", "point"])}
+                         for i in range(n * n)], "faces": faces}
 
 
 def _spec(faces, v1, e0=()):

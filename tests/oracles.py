@@ -6,7 +6,7 @@ different from the ones in the package, so agreement is meaningful.
 
 import functools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -637,6 +637,93 @@ def gauge_direction(T):
 
 
 # ---------------------------------------------------------------------------
+# Fan triangulation one face at a time, the reference of
+# complexes.triangulate
+
+
+def fan_triangles(face):
+    """Fan triangulation of a single face from its least vertex id.
+    Returns (triangles, diagonals); a face with n vertices yields n-2
+    triangles and n-3 diagonals."""
+    n = len(face)
+    p = face.index(min(face))
+    cyc = face[p:] + face[:p]
+    apex = cyc[0]
+    tris = [(apex, cyc[t], cyc[t + 1]) for t in range(1, n - 1)]
+    diags = [edge_key(apex, cyc[t]) for t in range(2, n - 1)]
+    return tris, diags
+
+
+@dataclass(frozen=True)
+class Triangle:
+    face: int  # index of the parent face in the base complex
+    verts: tuple  # (u, v, w), oriented like the parent face
+
+
+@dataclass(frozen=True)
+class LoopTriangulation:
+    base: CellComplex
+    e_pi: frozenset
+    triangles: tuple  # of Triangle
+    edges: tuple  # all edges of T, sorted
+
+    def edge_class(self, e):
+        """0 for E0, 1 for E1, 2 for the fan diagonals."""
+        return 2 if e in self.e_pi else 0 if e in self.base.e0 else 1
+
+    @property
+    def free_edges(self):
+        return tuple(e for e in self.edges if e not in self.base.e0)
+
+    @property
+    def v1_vertices(self):
+        return tuple(sorted(self.base.v1))
+
+
+def triangulate_by_loop(cc):
+    """The fan triangulation of cc, one face and one diagonal at a time,
+    with a Counter over every triangle edge."""
+    tris = []
+    e_pi = set()
+    base_edges = set(cc.edges)
+    for fi, f in enumerate(cc.faces):
+        ftris, fdiags = fan_triangles(f)
+        for d in fdiags:
+            if d in base_edges:
+                raise RegularityViolation(
+                    f"fan diagonal {d} of face {f} collides with a base edge"
+                )
+            if d in e_pi:
+                raise RegularityViolation(f"fan diagonal {d} produced twice")
+            e_pi.add(d)
+        tris.extend(Triangle(face=fi, verts=t) for t in ftris)
+
+    edges = tuple(sorted(base_edges | e_pi))
+    count = Counter()
+    for tri in tris:
+        u, v, w = tri.verts
+        count.update((edge_key(u, v), edge_key(v, w), edge_key(w, u)))
+    for e, n in count.items():
+        if n != 2:
+            raise RegularityViolation(f"edge {e} lies in {n} triangles")
+
+    return LoopTriangulation(base=cc, e_pi=frozenset(e_pi),
+                             triangles=tuple(tris), edges=edges)
+
+
+@functools.lru_cache(maxsize=16)
+def loop_triangulation(T):
+    """triangulate_by_loop of T's base complex; cached, since the scalar
+    references read it per triangle."""
+    return triangulate_by_loop(T.base)
+
+
+def triangles(T):
+    """The Triangle rows of T, from triangulate_by_loop."""
+    return loop_triangulation(T).triangles
+
+
+# ---------------------------------------------------------------------------
 # Per-triangle views for the scalar kernel, the reference of the batched one
 
 
@@ -645,14 +732,14 @@ def triangle_tags(T, tri):
     cc = T.base
     i, j, k = tri.verts
     vc = tuple(cc.vertex_class(v) for v in (i, j, k))
-    ec = tuple(T.edge_class(edge_key(u, v))
+    ec = tuple(loop_triangulation(T).edge_class(edge_key(u, v))
                for u, v in ((i, j), (j, k), (k, i)))
     return geo.TriangleTags(vc=vc, ec=ec)
 
 
 def tri_edges(T, ti):
     """The edges ij, jk, ki of triangle ti of T."""
-    i, j, k = T.triangles[ti].verts
+    i, j, k = triangles(T)[ti].verts
     return edge_key(i, j), edge_key(j, k), edge_key(k, i)
 
 
@@ -690,7 +777,7 @@ def local_pair_theta(T, er, e, g):
     chart."""
     placed = {}
     for ti in edge_triangles(T)[e]:
-        tri = T.triangles[ti]
+        tri = triangles(T)[ti]
         zs, circle, _ta = sk.decorate(tri_er(T, er, tri),
                                       triangle_tags(T, tri), g)
         placed[ti] = (dict(zip(tri.verts, zs)), circle)
@@ -720,7 +807,7 @@ def edge_triangles(T):
     the triangles; cached, since the scalar layout reads it per edge.
     Callers must not change the dict."""
     out = {}
-    for ti in range(len(T.triangles)):
+    for ti in range(len(triangles(T))):
         for e in tri_edges(T, ti):
             out.setdefault(e, []).append(ti)
     return {e: tuple(ts) for e, ts in out.items()}
@@ -728,32 +815,34 @@ def edge_triangles(T):
 
 def tri_index_by_loop(T):
     """The arrays of ``T.tri_index``, built triangle by triangle from
-    dicts, and the edge table from ``edge_triangles``."""
+    dicts over ``triangulate_by_loop``, and the edge table from
+    ``edge_triangles``."""
     cc = T.base
-    a_slot = {e: m for m, e in enumerate(T.free_edges)}
-    b_slot = {k: len(a_slot) + m for m, k in enumerate(T.v1_vertices)}
-    eindex = {e: m for m, e in enumerate(T.edges)}
+    LT = loop_triangulation(T)
+    a_slot = {e: m for m, e in enumerate(LT.free_edges)}
+    b_slot = {k: len(a_slot) + m for m, k in enumerate(LT.v1_vertices)}
+    eindex = {e: m for m, e in enumerate(LT.edges)}
     vindex = {v: m for m, v in enumerate(cc.vertices)}
     vc, ec, slots, edge, vert = [], [], [], [], []
-    for ti, tri in enumerate(T.triangles):
+    for ti, tri in enumerate(LT.triangles):
         es = tri_edges(T, ti)
         vc.append([cc.vertex_class(v) for v in tri.verts])
-        ec.append([T.edge_class(e) for e in es])
+        ec.append([LT.edge_class(e) for e in es])
         slots.append([a_slot.get(e, -1) for e in es]
                      + [b_slot.get(v, -1) for v in tri.verts])
         edge.append([eindex[e] for e in es])
         vert.append([vindex[v] for v in tri.verts])
     table = edge_triangles(T)
-    edge_tri = [table[e] for e in T.edges]
+    edge_tri = [table[e] for e in LT.edges]
     edge_col = [[tri_edges(T, ti).index(e) for ti in table[e]]
-                for e in T.edges]
+                for e in LT.edges]
     return {"vc": np.array(vc), "ec": np.array(ec), "slots": np.array(slots),
             "edge": np.array(edge), "vert": np.array(vert),
             "n_free": len(a_slot) + len(b_slot),
             "edge_tri": np.array(edge_tri), "edge_col": np.array(edge_col),
-            "ends": np.array([[vindex[u], vindex[v]] for u, v in T.edges]),
+            "ends": np.array([[vindex[u], vindex[v]] for u, v in LT.edges]),
             "vclass": np.array([cc.vertex_class(v) for v in cc.vertices]),
-            "eclass": np.array([T.edge_class(e) for e in T.edges])}
+            "eclass": np.array([LT.edge_class(e) for e in LT.edges])}
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +870,7 @@ def kernel_placements(T, dt):
     """Per triangle: ({vertex: position}, (center, R)) of the kernel's
     DecoratedTriangles."""
     return [(dict(zip(tri.verts, zs)), (c, R)) for tri, zs, c, R in zip(
-        T.triangles, dt.z.tolist(), dt.center.tolist(), dt.R.tolist())]
+        triangles(T), dt.z.tolist(), dt.center.tolist(), dt.R.tolist())]
 
 
 def glue(T, placed, tis, g):
@@ -799,7 +888,7 @@ def glue(T, placed, tis, g):
     while queue:
         ti = queue.popleft()
         pos = charts[ti][0]
-        vs = T.triangles[ti].verts
+        vs = triangles(T)[ti].verts
         for e, a, b in sorted((edge_key(vs[m], vs[(m + 1) % 3]),
                                vs[m], vs[(m + 1) % 3]) for m in range(3)):
             o1, o2 = table[e]
@@ -838,7 +927,7 @@ def develop_by_loop(T, x, g):
     alpha_sum = dict(zip(T.edges, np.bincount(
         T.tri_index.edge.ravel(), weights=dt.alpha.ravel(),
         minlength=len(T.edges)).tolist()))
-    charts, tree = glue(T, placed, range(len(T.triangles)), g)
+    charts, tree = glue(T, placed, range(len(triangles(T))), g)
     theta = {}
     for e in T.edges:
         if e in T.base.e0:
@@ -859,12 +948,12 @@ def merge_by_loop(sl):
     cc = T.base
     g = sl.geometry
     placed = kernel_placements(T, sl.placed)
-    for e in T.e_pi:
+    for e in sorted(loop_triangulation(T).e_pi):
         if abs(sl.theta[e] - math.pi) > MERGE_TOL:
             raise NonRedundantDiagonal(
                 f"diagonal {e}: theta = {sl.theta[e]}")
     face_tris = {}
-    for ti, tri in enumerate(T.triangles):
+    for ti, tri in enumerate(triangles(T)):
         face_tris.setdefault(tri.face, []).append(ti)
     charts = {}
     for fi, f in enumerate(cc.faces):
@@ -1192,6 +1281,7 @@ def build_complex_by_loop(spec):
         e0.add(e)
     e1 = set(edges) - e0
 
+    pos = {v: m for m, v in enumerate(sorted(seen))}
     cc = CellComplex(
         v1=frozenset(v1),
         v0=frozenset(v0),
@@ -1200,6 +1290,8 @@ def build_complex_by_loop(spec):
         e0=frozenset(e0),
         e1=frozenset(e1),
         edge_faces=edge_faces,
+        face_vert=np.array([pos[v] for f in faces for v in f], int),
+        face_start=np.cumsum([0] + [len(f) for f in faces]),
     )
     if cc.chi % 2 != 0 or cc.chi > 2:
         raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "

@@ -349,7 +349,7 @@ class TestDualChecks:
                 T = triangulate(build_complex(fixture_spec(name)))
                 er = oracles.er_dicts(T, *sampled_er(T, g, rng))
                 alpha_sum = {e: 0.0 for e in T.edges}
-                for tri in T.triangles:
+                for tri in oracles.triangles(T):
                     tags = oracles.triangle_tags(T, tri)
                     ta = triangle_angles(oracles.tri_er(T, er, tri), tags, g)
                     i, j, k = tri.verts

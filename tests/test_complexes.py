@@ -1,14 +1,16 @@
 import copy
 import itertools
 import math
+import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import small_complexes
+from conftest import mixed_grid_spec, small_complexes
 from hicp import (
     CapExceeded,
     E0EndpointInV0,
@@ -17,7 +19,6 @@ from hicp import (
     admissible_domains,
     build_complex,
     euler_char,
-    fan_triangles,
     hat_complex,
     triangulate,
 )
@@ -228,18 +229,18 @@ def test_whole_complex_faults_match_loop(spec):
 
 class TestFanTriangles:
     def test_quad(self):
-        tris, diags = fan_triangles((4, 7, 2, 9))
+        tris, diags = oracles.fan_triangles((4, 7, 2, 9))
         assert diags == [(2, 4)]
         assert [t for t in tris] == [(2, 9, 4), (2, 4, 7)]
 
     def test_hexagon(self):
-        tris, diags = fan_triangles((0, 1, 2, 3, 4, 5))
+        tris, diags = oracles.fan_triangles((0, 1, 2, 3, 4, 5))
         assert len(tris) == 4
         assert len(diags) == 3
         assert all(0 in t for t in tris)
 
     def test_triangle_passthrough(self):
-        tris, diags = fan_triangles((5, 2, 8))
+        tris, diags = oracles.fan_triangles((5, 2, 8))
         assert diags == []
         assert len(tris) == 1
 
@@ -247,7 +248,7 @@ class TestFanTriangles:
 class TestTriangulate:
     def test_grid_torus(self, grid_torus):
         T = triangulate(grid_torus)
-        assert len(T.triangles) == 18
+        assert len(T.face) == 18
         assert len(T.e_pi) == 9
         assert len(T.edges) == 27
         for e in T.edges:
@@ -255,16 +256,130 @@ class TestTriangulate:
 
     def test_edge_classes(self, e0_torus):
         T = triangulate(e0_torus)
+        eclass = dict(zip(T.edges, T.eclass.tolist()))
         for e in e0_torus.e0:
-            assert T.edge_class(e) == 0
+            assert eclass[e] == 0
         for e in T.e_pi:
-            assert T.edge_class(e) == 2
+            assert eclass[e] == 2
         assert set(T.free_edges) == set(T.e_pi)
 
     def test_triangulated_input_is_unchanged(self, tri_torus):
         T = triangulate(tri_torus)
         assert T.e_pi == frozenset()
-        assert len(T.triangles) == len(tri_torus.faces)
+        assert len(T.face) == len(tri_torus.faces)
+
+
+def _relabeled(spec, ids):
+    """spec with each vertex v renamed ids[v]."""
+    return {"vertices": [dict(item, id=ids[item["id"]])
+                         for item in spec["vertices"]],
+            "faces": [[ids[v] for v in f] for f in spec["faces"]],
+            "tangent_edges": [[ids[u], ids[v]]
+                              for u, v in spec.get("tangent_edges", [])]}
+
+
+def _unchecked_complex(faces):
+    """A CellComplex of faces that build_complex would reject: its edges
+    are the face sides, with nothing else checked."""
+    ids = sorted({v for f in faces for v in f})
+    sides = {edge_key(f[k - 1], f[k]) for f in faces for k in range(len(f))}
+    return complexes.CellComplex(
+        v1=frozenset(ids), v0=frozenset(), faces=tuple(map(tuple, faces)),
+        edges=tuple(sorted(sides)), e0=frozenset(), e1=frozenset(sides),
+        edge_faces={}, face_vert=np.array([ids.index(v) for f in faces
+                                           for v in f]),
+        face_start=np.cumsum([0, *map(len, faces)]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except HicpError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_triangulates_as_loop(cc):
+    """triangulate(cc) gives the triangles, faces, edges, diagonals and
+    every TriIndex field of the loop triangulation, or its error."""
+    T, err = _outcome(triangulate, cc)
+    ref, ref_err = _outcome(oracles.triangulate_by_loop, cc)
+    assert err == ref_err
+    if err:
+        return
+    ids = cc.vertices
+    assert [tuple(ids[m] for m in row) for row in T.vert.tolist()] == [
+        tri.verts for tri in ref.triangles]
+    assert T.face.tolist() == [tri.face for tri in ref.triangles]
+    assert T.edges == ref.edges and T.e_pi == ref.e_pi
+    assert T.free_edges == ref.free_edges
+    assert T.free_edges is T.free_edges and T.v1_vertices is T.v1_vertices
+    ix = T.tri_index
+    for key, want in oracles.tri_index_by_loop(T).items():
+        got = getattr(ix, key)
+        if key == "n_free":
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
+
+
+def _assert_spec_triangulates_as_loop(spec):
+    cc = build_complex(spec)
+    ref = oracles.build_complex_by_loop(spec)
+    assert np.array_equal(cc.face_vert, ref.face_vert)
+    assert np.array_equal(cc.face_start, ref.face_start)
+    _assert_triangulates_as_loop(cc)
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(fixture_spec(name), id=name) for name in sorted(FIXTURES)),
+    *(pytest.param(build(n, v1=range(0, n * n, 3)), id=f"{build.__name__}{n}")
+      for build in (grid_torus_spec, triangulated_torus_spec)
+      for n in range(3, 25)),
+])
+def test_triangulate_matches_loop(spec):
+    _assert_spec_triangulates_as_loop(spec)
+
+
+@pytest.mark.parametrize("name", ("genus2-mixed", "dodecahedron", "e0-torus",
+                                  "grid-torus"))
+@pytest.mark.parametrize("kind", ("permuted", "sparse", "negative",
+                                  "reoriented"))
+def test_triangulate_matches_loop_relabeled(name, kind):
+    # ids renamed, or every other face given in the opposite orientation,
+    # which build_complex turns back
+    spec = fixture_spec(name)
+    ids = [item["id"] for item in spec["vertices"]]
+    rng = random.Random(f"{name}-{kind}")
+    new = {"permuted": lambda: rng.sample(ids, len(ids)),
+           "sparse": lambda: rng.sample(range(10 ** 6), len(ids)),
+           "negative": lambda: rng.sample(range(-500, 500), len(ids)),
+           "reoriented": lambda: ids}[kind]()
+    spec = _relabeled(spec, dict(zip(ids, new)))
+    if kind == "reoriented":
+        spec["faces"][1::2] = [f[::-1] for f in spec["faces"][1::2]]
+    _assert_spec_triangulates_as_loop(spec)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_triangulate_matches_loop_on_mixed_grids(seed):
+    spec = mixed_grid_spec(4 + seed % 5, seed)
+    assert any(len(f) == 6 for f in spec["faces"]) or seed % 5 == 0
+    _assert_spec_triangulates_as_loop(spec)
+
+
+@pytest.mark.parametrize("faces", [
+    [[0, 1, 2, 3]],
+    [[0, 1, 2, 3], [0, 2, 4]],
+    [[0, 1, 2, 3], [0, 3, 2, 1]],
+], ids=["open-quad", "diagonal-is-a-side", "diagonal-twice"])
+def test_triangulate_faults_match_loop(faces):
+    # triangulate's own checks fire only on a complex that build_complex
+    # rejects: a diagonal that is a side or another face's diagonal
+    # makes two faces share two vertices without their edge
+    cc = _unchecked_complex(faces)
+    err = _outcome(triangulate, cc)[1]
+    assert err is not None and err[0] is RegularityViolation
+    _assert_triangulates_as_loop(cc)
 
 
 class TestHatComplex:

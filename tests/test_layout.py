@@ -10,11 +10,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import mixed_grid_spec
 from hicp import build_complex, triangulate
 from hicp import geometry as geo
 from hicp import layout
 from hicp.errors import HicpError, NonRedundantDiagonal
-from hicp.fixtures import FIXTURES, fixture_spec, reference_pattern
+from hicp.fixtures import (
+    FIXTURES,
+    fixture_spec,
+    grid_torus_spec,
+    reference_pattern,
+    triangulated_torus_spec,
+)
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
 from hicp.layout import (
     JsonText,
@@ -97,7 +104,7 @@ class TestDevelop:
 
     def test_tree_edges_span(self, grid_layout):
         T = grid_layout.T
-        assert len(grid_layout.tree_edges) == len(T.triangles) - 1
+        assert len(grid_layout.tree_edges) == len(T.face) - 1
 
 
 class TestDelaunay:
@@ -168,7 +175,7 @@ class TestDualConsistency:
                 centers = []
                 radii = []
                 for side, ti in enumerate(oracles.edge_triangles(T)[e]):
-                    tri = T.triangles[ti]
+                    tri = oracles.triangles(T)[ti]
                     i, j, k = tri.verts
                     # rotate so the shared edge comes first
                     while tuple(sorted((i, j))) != e:
@@ -258,7 +265,7 @@ def test_each_face_circle_is_solved_once(monkeypatch, name, g):
 
     monkeypatch.setattr(geo, "decorated_triangles", counting_kernel)
     merge_redundant(develop(T, x, g))
-    assert rows == [len(T.triangles)]
+    assert rows == [len(T.face)]
 
 
 class TestExport:
@@ -404,6 +411,31 @@ def test_delaunay_json_is_the_report(name):
             assert list(delaunay_report(s)) == list(want)
 
 
+@pytest.mark.parametrize("template", (layout._LINE, layout._ARC,
+                                      layout._CIRCLE.format("#3366cc")))
+def test_svg_rows_are_the_percent_text(template):
+    # halves and their neighbours, where x * 1000 may round the other
+    # way than %.3f; tiny negatives, which %.3f writes -0.000; large,
+    # tiny and non-finite numbers; and plain ones
+    rng = np.random.default_rng(7)
+    halves = (rng.integers(-10 ** 7, 10 ** 7, 400) + 0.5) / 1000
+    plain = np.concatenate([
+        rng.uniform(-1000, 1000, 700), rng.uniform(-5e-4, 0, 60),
+        [-0.0, 0.0, -4e-4, 5e-4, 1.0625, 999.9995, -999.9995, 1e3] * 3,
+        10.0 ** rng.uniform(-6, 17, 300) * rng.choice([-1, 1], 300)])
+    values = np.concatenate([
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        [np.nan, np.inf, -np.inf, 1e300, 5e-324, 2.0 ** 53], plain])
+    n = len(layout._FIELD.findall(template))
+    for v in (rng.permutation(values), rng.permutation(plain)):
+        cols = list(v[:len(v) // n * n].reshape(-1, n).T)
+        if template == layout._ARC:
+            cols[4] = cols[4] > 0  # the sweep flag
+        assert layout._svg_rows(template, *cols) == "\n".join(
+            [template] * len(cols[0])) % tuple(
+                np.column_stack(cols).ravel().tolist())
+
+
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_svg_is_the_per_element_writer(tmp_path, name, g):
@@ -489,7 +521,7 @@ def _assert_matches_loop(T, x, g):
     charts, tree, theta = ref
     assert sl.tree_edges == tuple(tree)
     _assert_charts_match(sl.charts, {
-        ti: {"verts": [(v, pos[v]) for v in T.triangles[ti].verts],
+        ti: {"verts": [(v, pos[v]) for v in oracles.triangles(T)[ti].verts],
              "circle": circle} for ti, (pos, circle) in charts.items()})
     assert list(sl.theta) == list(theta)
     eps = np.finfo(float).eps
@@ -543,6 +575,42 @@ def test_layout_matches_scalar_glue_off_reference(name, g, seed, size,
     _assert_matches_loop(T, x, g)
 
 
+def test_merge_names_the_least_diagonal_off_pi(grid_torus):
+    # two diagonals off pi: the message names the lesser in edge order
+    T, l, r = reference_pattern(grid_torus, EUCLIDEAN)
+    x = psi_inv_surface(T, l, r, EUCLIDEAN)
+    diags = sorted(T.e_pi)
+    for e in (diags[6], diags[1]):
+        x[T.free_edges.index(e)] -= 0.02
+    sl = develop(T, x, EUCLIDEAN)
+    err = _outcome(merge_redundant, sl)[1]
+    assert err == (NonRedundantDiagonal,
+                   f"diagonal {diags[1]}: theta = {sl.theta[diags[1]]}")
+    assert err == _outcome(oracles.merge_by_loop, sl)[1]
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("spec", (
+    triangulated_torus_spec(24, v1=range(0, 576, 2)),
+    grid_torus_spec(20, v1=range(0, 400, 2))), ids=("tri24", "grid20"))
+def test_merge_places_as_loop_on_large_tori(spec, g):
+    sl = reference_layout(build_complex(spec), g)
+    _assert_charts_match(merge_redundant(sl).charts,
+                         oracles.merge_by_loop(sl))
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("seed", range(0, 24, 3))
+def test_reference_diagonals_are_redundant_on_mixed_grids(seed, g):
+    # quads and hexagons whose vertex classes differ around the face and
+    # whose least vertex is not the first: every fan diagonal of the
+    # reference pattern lies at pi, so the merge succeeds
+    sl = reference_layout(build_complex(mixed_grid_spec(4 + seed % 5, seed)),
+                          g)
+    assert np.abs(sl.th[sl.T.eclass == 2] - math.pi).max() < 1e-9
+    merge_redundant(sl)
+
+
 def test_diagonal_off_pi_raises_as_scalar(grid_torus):
     T, l, r = reference_pattern(grid_torus, EUCLIDEAN)
     x = psi_inv_surface(T, l, r, EUCLIDEAN)
@@ -558,7 +626,7 @@ def test_fan_circles_disagree_raises_as_scalar(grid_torus, g):
     # one fan triangle's kernel circle grown past the agreement tolerance,
     # with every diagonal still at pi
     sl = reference_layout(grid_torus, g)
-    fan = [ti for ti, tri in enumerate(sl.T.triangles) if tri.face == 5]
+    fan = np.flatnonzero(sl.T.face == 5)
     R = sl.placed.R.copy()
     R[fan[1]] *= 1.01
     sl = dataclasses.replace(sl, placed=sl.placed._replace(R=R))

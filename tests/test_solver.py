@@ -158,7 +158,7 @@ class TestDerivatives:
             return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(geo, "decorated_triangles", counting)
-        F = len(T.triangles)
+        F = len(T.face)
         for scheme, per_tri in (("central", 12), ("forward", 7)):
             rows.clear()
             hessian_U(T, tc, EUCLIDEAN, scheme=scheme)
