@@ -270,27 +270,22 @@ def cmd_demo(args):
 def _er_slack(T, l, r):
     """The smallest slack at (l, r) of the constraints of ER: l > r_u +
     r_v on every edge that is not E0, and the triangle inequalities."""
-    ix = T.tri_index
-    l3, r3 = l[ix.edge], r[ix.vert]
-    nxt, last = [1, 2, 0], [2, 0, 1]  # edge or corner m + 1, m + 2
-    gap = l3 - (r3 + r3[:, nxt])  # l - (r_u + r_v) on edge m = (u, v)
-    return float(min(gap[ix.ec != 0].min(initial=math.inf),
-                     (l3[:, nxt] + l3[:, last] - l3).min()))
+    gap, tri = geo.er_gaps(l[T.edge], r[T.vert])
+    return float(min(gap[T.ec != 0].min(initial=math.inf), tri.min()))
 
 
 def sample_er(T, l0, r0, g, rng, frac=0.1):
     """One random (l, r) in a sub-box around (l0, r0): each coordinate
     moves uniformly within frac of the smallest constraint slack there."""
-    ix = T.tri_index
     d = frac * _er_slack(T, l0, r0)
-    free = (ix.eclass != 0).tolist()
+    free = (T.eclass != 0).tolist()
     while True:
         r = np.array([v + rng.uniform(-d / 2, d / 2) if v > 0 else 0.0
                       for v in r0.tolist()])
         l = np.array([v + rng.uniform(-d, d) if f else 0.0
                       for v, f in zip(l0.tolist(), free)])
         # tangency is an equality
-        l = np.where(free, l, r[ix.ends[:, 0]] + r[ix.ends[:, 1]])
+        l = np.where(free, l, r[T.ends[:, 0]] + r[T.ends[:, 1]])
         try:
             geo.check_er_surface(T, l, r, g)
             return l, r
@@ -304,7 +299,7 @@ def cmd_roundtrip(args):
     spec, g, _theta, _Theta = load_input(args.input, args.geometry)
     cc = build_complex(spec)
     T = triangulate(cc)
-    if T.e_pi:
+    if (T.eclass == 2).any():
         # identifiability sampling is only well-posed when every edge
         # angle is free: fan diagonals of a sampled (l, r) are not
         # redundant, so run on the triangle refinement (same edges and

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
     CapExceeded,
@@ -31,6 +31,8 @@ from .errors import (
     RegularityViolation,
 )
 
+# numpy loads on first use, in each function: importing it here, in the
+# package's first module, raised the import-time peak RSS by 1.2 MB
 if TYPE_CHECKING:
     import numpy as np
 
@@ -166,7 +168,7 @@ def build_complex(spec):
             "malformed complex description: expected 'vertices' (objects "
             "with an integer 'id'), 'faces' (lists of vertex ids) and "
             "optional 'tangent_edges' (pairs of vertex ids)")
-    import numpy as np  # see Triangulation.tri_index
+    import numpy as np
 
     v0, v1 = set(), set()
     seen = set()
@@ -336,11 +338,12 @@ def _orient_faces(start, other, same, edge, edges):
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
-    """The fan triangulation of a cell complex as integer arrays: per
-    triangle its vertex and edge positions, in the kernel's column order
-    (corners i, j, k; edges ij, jk, ki), and its base face; per edge of
-    ``edges`` its end vertex positions and its class.  Vertex positions
-    index ``base.vertices``.  The id views are derived once."""
+    """The fan triangulation of a cell complex as integer arrays, built
+    by ``triangulate``: (F, 3) or (F, 6), one row per triangle, (E, 2)
+    or (E,), one row per edge of ``edges``, and (V,), one per vertex of
+    ``base.vertices``, which vertex positions index.  Triangle columns
+    follow the kernel's order: edges ij, jk, ki and corners i, j, k.
+    The id views are derived once."""
 
     base: CellComplex
     vert: np.ndarray  # (F, 3), oriented like the parent face
@@ -348,6 +351,18 @@ class Triangulation:
     face: np.ndarray  # (F,) index of the parent face in the base complex
     ends: np.ndarray  # (E, 2) lower and upper vertex position
     eclass: np.ndarray  # (E,) 0 for E0, 1 for E1, 2 for the fan diagonals
+    vclass: np.ndarray  # (V,) 1 for a disk, 0 for a point circle
+    vc: np.ndarray  # (F, 3) corner classes
+    ec: np.ndarray  # (F, 3) edge classes
+    # (F, 6) position of a_ij, a_jk, a_ki, b_i, b_j, b_k in the
+    # free-variable order (``free_edges``, then ``v1_vertices``); -1
+    # where fixed (a on E0, b on a point circle)
+    slots: np.ndarray
+    n_free: int  # number of free variables
+    # (E, 2) per edge: its two triangles, the lesser first, and its
+    # column in each
+    edge_tri: np.ndarray
+    edge_col: np.ndarray
 
     @cached_property
     def edges(self):
@@ -370,57 +385,6 @@ class Triangulation:
     @cached_property
     def v1_vertices(self):
         return tuple(sorted(self.base.v1))
-
-    @cached_property
-    def tri_index(self):
-        """The flat array form the batched kernel reads: one row per
-        triangle, in triangle order; see ``TriIndex``."""
-        # numpy loads on first use: importing it at the top of this
-        # module, the package's first, raised the import-time peak RSS
-        # by 1.2 MB
-        import numpy as np
-        cc = self.base
-        vclass = np.fromiter(map(cc.v1.__contains__, cc.vertices), int,
-                             len(cc.v0) + len(cc.v1))
-        eclass, edge, vert = self.eclass, self.edge, self.vert
-        free, disk = eclass != 0, vclass == 1
-        n_a = int(free.sum())
-        a_slot = np.where(free, np.cumsum(free) - 1, -1)
-        b_slot = np.where(disk, n_a + np.cumsum(disk) - 1, -1)
-        # every edge lies in exactly two triangles (triangulate checks):
-        # its two (row, column) cells, the lesser row first
-        cells = np.argsort(edge.ravel(), kind="stable").reshape(-1, 2)
-        return TriIndex(vc=vclass[vert], ec=eclass[edge],
-                        slots=np.concatenate([a_slot[edge], b_slot[vert]],
-                                             axis=1),
-                        edge=edge, vert=vert, n_free=n_a + int(disk.sum()),
-                        edge_tri=cells // 3, edge_col=cells % 3,
-                        ends=self.ends, vclass=vclass, eclass=eclass)
-
-
-@dataclass(frozen=True, eq=False)
-class TriIndex:
-    """A triangulation as integer arrays of shape (F, 3) or (F, 6), one
-    row per triangle, (E, 2) or (E,), one row per edge, and (V,), one
-    per vertex.  Triangle columns follow the kernel's order: edges ij,
-    jk, ki and corners i, j, k."""
-
-    vc: np.ndarray  # corner classes: 1 disk, 0 point circle
-    ec: np.ndarray  # edge classes: 0 E0, 1 E1, 2 fan diagonal
-    # position of a_ij, a_jk, a_ki, b_i, b_j, b_k in the free-variable
-    # order (``free_edges``, then ``v1_vertices``); -1 where fixed (a on
-    # E0, b on a point circle)
-    slots: np.ndarray
-    edge: np.ndarray  # edge positions in ``Triangulation.edges``
-    vert: np.ndarray  # vertex positions in ``CellComplex.vertices``
-    n_free: int  # number of free variables
-    # per edge of ``Triangulation.edges``: its two triangles, the lesser
-    # first, and its column in each
-    edge_tri: np.ndarray
-    edge_col: np.ndarray
-    ends: np.ndarray  # per edge: its lower and upper vertex position
-    vclass: np.ndarray  # per vertex of ``CellComplex.vertices``: its class
-    eclass: np.ndarray  # per edge of ``Triangulation.edges``: its class
 
 
 def triangulate(cc):
@@ -477,8 +441,19 @@ def triangulate(cc):
     if cc.e0:
         lo, hi = np.searchsorted(np.array(ids), np.array(sorted(cc.e0))).T
         eclass[np.searchsorted(code, lo * nv + hi)] = 0
-    return Triangulation(base=cc, vert=vert, edge=edge, face=face,
-                         ends=ends, eclass=eclass)
+    vclass = np.fromiter(map(cc.v1.__contains__, ids), int, nv)
+    free, disk = eclass != 0, vclass == 1
+    n_a = int(free.sum())
+    a_slot = np.where(free, np.cumsum(free) - 1, -1)
+    b_slot = np.where(disk, n_a + np.cumsum(disk) - 1, -1)
+    # each edge's two (row, column) cells, the lesser row first
+    cells = np.argsort(edge.ravel(), kind="stable").reshape(-1, 2)
+    return Triangulation(
+        base=cc, vert=vert, edge=edge, face=face, ends=ends, eclass=eclass,
+        vclass=vclass, vc=vclass[vert], ec=eclass[edge],
+        slots=np.concatenate([a_slot[edge], b_slot[vert]], axis=1),
+        n_free=n_a + int(disk.sum()), edge_tri=cells // 3,
+        edge_col=cells % 3)
 
 
 # ---------------------------------------------------------------------------

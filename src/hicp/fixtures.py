@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .complexes import build_complex, triangulate
+from .complexes import triangulate
 from .errors import DomainError
 from .geometry import EUCLIDEAN, check_geometry
 from .solver import face_chords, omega_solve
@@ -133,10 +133,7 @@ def reference_pattern(cc, g):
     geometry."""
     check_geometry(g)
     T = triangulate(cc)
-    ix = T.tri_index
-    l = np.where(ix.eclass == 0, geo.reference_length(0, g),
-                 geo.reference_length(1, g))
-    r = np.where(ix.vclass == 1, geo.reference_constants(g)[0], 0.0)
+    l, r = geo.reference_metric(T, g)
 
     # A diagonal's length depends only on the classes of its face's
     # vertices and sides in face order, the place of the fan's apex in
@@ -146,10 +143,10 @@ def reference_pattern(cc, g):
     nxt = np.arange(1, len(fv) + 1)
     nxt[start[1:] - 1] = start[:-1]
     nv = len(r)
-    side = np.searchsorted(ix.ends[:, 0] * nv + ix.ends[:, 1],
+    side = np.searchsorted(T.ends[:, 0] * nv + T.ends[:, 1],
                            np.minimum(fv, fv[nxt]) * nv
                            + np.maximum(fv, fv[nxt]))
-    vc, ec = ix.vclass[fv].tolist(), ix.eclass[side].tolist()
+    vc, ec = T.vclass[fv].tolist(), T.eclass[side].tolist()
     apex = T.vert[np.unique(T.face, return_index=True)[1], 0]
     at = (np.flatnonzero(fv == np.repeat(apex, np.diff(start)))
           - start[:-1]).tolist()
@@ -163,7 +160,7 @@ def reference_pattern(cc, g):
                 chords[key] = face_chords(*key, g, omega_solve(*key, g))
             lengths[key, at[k]] = _diagonal_lengths(*chords[key], at[k], g)
         out += lengths[key, at[k]]
-    l[T.edge[:, 0][ix.eclass[T.edge[:, 0]] == 2]] = out  # in fan order
+    l[T.edge[:, 0][T.eclass[T.edge[:, 0]] == 2]] = out  # in fan order
     return T, l, r
 
 

@@ -137,6 +137,14 @@ def psi_rows(x, vc, ec, g):
     return l, r, fails
 
 
+def er_gaps(l, r):
+    """The gaps of ER's strict inequalities on (N, 3) lengths and radii,
+    each an (N, 3) array: l - (r_u + r_v) per edge, and l_v + l_w - l,
+    the triangle inequality's, per edge."""
+    with np.errstate(all="ignore"):
+        return l - (r[:, _U] + r[:, _V]), l[:, _V] + l[:, _W] - l
+
+
 def er_failures(l, r, vc, ec):
     """The edge-radius invariants on (N, 3) lengths and radii, as
     (message, mask) pairs: r > 0 exactly on disk corners, positive
@@ -144,17 +152,17 @@ def er_failures(l, r, vc, ec):
     triangle inequalities."""
     disk = vc == 1
     free = ec != 0
+    gap, tri = er_gaps(l, r)
     with np.errstate(all="ignore"):
-        s = r[:, _U] + r[:, _V]
         scale = 1.0 + l.max(axis=1, keepdims=True)
         return [
             ("radius not positive", disk & (r <= 0.0)),
             ("point circle with nonzero radius", ~disk & (r != 0.0)),
             ("length not positive", ~(l > 0)),
             ("tangency edge with l != r_u + r_v",
-             ~free & (np.abs(l - s) > 1e-9 * scale)),
-            ("l <= r_u + r_v", free & ~(l > s)),
-            ("triangle inequality fails", ~(l < l[:, _V] + l[:, _W])),
+             ~free & (np.abs(gap) > 1e-9 * scale)),
+            ("l <= r_u + r_v", free & ~(gap > 0)),
+            ("triangle inequality fails", ~(tri > 0)),
         ]
 
 
@@ -335,28 +343,34 @@ def reference_length(eclass, g):
     return 2 * rc if eclass == 0 else 2 * (rc + ec)
 
 
+def reference_metric(T, g):
+    """The class metric (l, r) of the reference pattern on T: l per edge
+    of ``T.edges`` by its class (diagonals as E1), r_check per disk and
+    0 per point circle."""
+    return (np.where(T.eclass == 0, reference_length(0, g),
+                     reference_length(1, g)),
+            np.where(T.vclass == 1, reference_constants(g)[0], 0.0))
+
+
 # ---------------------------------------------------------------------------
 # Surface level.  A coordinate point of T is one vector x in free-variable
 # order: a per edge of ``T.free_edges``, then b per vertex of
-# ``T.v1_vertices`` (the order of ``tri_index.slots``).  A metric is two
+# ``T.v1_vertices`` (the order of ``T.slots``).  A metric is two
 # vectors: l per edge of ``T.edges`` and r per vertex of
 # ``T.base.vertices``.
 
 
 def scatter_rows(T, l, r):
-    """Per-edge l and per-vertex r of (F, 3) rows in the columns of
-    ``T.tri_index``."""
-    ix = T.tri_index
-    le, rv = np.empty(len(ix.eclass)), np.empty(len(ix.vclass))
-    le[ix.edge], rv[ix.vert] = l, r
+    """Per-edge l and per-vertex r of (F, 3) rows in T's columns."""
+    le, rv = np.empty(len(T.eclass)), np.empty(len(T.vclass))
+    le[T.edge], rv[T.vert] = l, r
     return le, rv
 
 
 def psi_surface(T, x, g):
     """psi on every triangle of T at once: (l, r), as DomainError; total
     in a."""
-    ix = T.tri_index
-    l, r, fails = psi_rows(gather_coords(T, x), ix.vc, ix.ec, g)
+    l, r, fails = psi_rows(gather_coords(T, x), T.vc, T.ec, g)
     _raise_first(fails, DomainError)
     return scatter_rows(T, l, r)
 
@@ -367,14 +381,13 @@ def psi_inv_surface(T, l, r, g):
     InvariantViolation at a disk with r <= 0 or an edge whose a is not
     defined."""
     check_geometry(g)
-    ix = T.tri_index
-    disk, free = ix.vclass == 1, ix.eclass != 0
+    disk, free = T.vclass == 1, T.eclass != 0
     bad = disk & (r <= 0)
     if bad.any():
         raise InvariantViolation(f"positive-circle vertex with r = "
                                  f"{float(r[np.argmax(bad)])}")
-    u, v = ix.ends[:, 0], ix.ends[:, 1]
-    cu, cv = ix.vclass[u], ix.vclass[v]
+    u, v = T.ends[:, 0], T.ends[:, 1]
+    cu, cv = T.vclass[u], T.vclass[v]
     ru, rv = r[u], r[v]
     rm = np.where(cu == 0, rv, ru)  # the disk end of a mixed edge
     with np.errstate(all="ignore"):
@@ -402,21 +415,18 @@ def psi_inv_surface(T, l, r, g):
 
 def check_er_surface(T, l, r, g):
     """er_failures on every triangle of T at once, as DomainError."""
-    ix = T.tri_index
-    _raise_first(er_failures(l[ix.edge], r[ix.vert], ix.vc, ix.ec),
-                 DomainError)
+    _raise_first(er_failures(l[T.edge], r[T.vert], T.vc, T.ec), DomainError)
 
 
 def gather_coords(T, x):
-    """(F, 6) per-triangle coordinates in the columns of ``T.tri_index``;
+    """(F, 6) per-triangle coordinates in the columns of ``T.slots``;
     0 where a coordinate is fixed."""
-    return np.append(x, 0.0)[T.tri_index.slots]  # slot -1 reads the 0
+    return np.append(x, 0.0)[T.slots]  # slot -1 reads the 0
 
 
 def decorate_surface(T, x, g):
     """decorated_triangles on every triangle of T, in triangle order."""
-    ix = T.tri_index
-    return decorated_triangles(gather_coords(T, x), ix.vc, ix.ec, g)
+    return decorated_triangles(gather_coords(T, x), T.vc, T.ec, g)
 
 
 def in_te(T, x, g):
@@ -432,9 +442,8 @@ def in_te(T, x, g):
 def gauge_vector(T):
     """The generator of the Euclidean scaling action on x: the number of
     point-circle endpoints on each a, -1 on each b."""
-    ix = T.tri_index
-    points = (ix.vclass[ix.ends] == 0).sum(axis=1)[ix.eclass != 0]
-    return np.concatenate([points, -np.ones(ix.n_free - len(points))])
+    points = (T.vclass[T.ends] == 0).sum(axis=1)[T.eclass != 0]
+    return np.concatenate([points, -np.ones(T.n_free - len(points))])
 
 
 def project_gauge(T, x, g):

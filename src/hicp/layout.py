@@ -3,7 +3,7 @@ per-edge circle-intersection angles, redundant-diagonal merging,
 Gauss-Bonnet accounting, and SVG/JSON export.
 
 Everything is computed on the arrays of the one kernel call
-(``geometry.decorate_surface``) and ``Triangulation.tri_index``: theta
+(``geometry.decorate_surface``) and of the ``Triangulation``: theta
 of every edge in one pass, and the chart by moving the triangles of each
 breadth-first level onto their parents in one array step.  A
 ``SurfaceLayout`` holds the arrays; its dict views are built on first
@@ -140,7 +140,7 @@ class SurfaceLayout:
         return dict(zip(self.T.base.vertices, self.r.tolist()))
 
 
-def _glue(ix, dt, group, g):
+def _glue(T, dt, group, g):
     """Develop each group of triangles (``group[ti]`` labels them), each
     connected across shared edges, into one chart: its least triangle
     keeps its kernel placement, and the breadth-first tree from it, least
@@ -152,9 +152,9 @@ def _glue(ix, dt, group, g):
     # per (triangle, column): the triangle across that edge and the
     # edge's column there
     nb, nb_col = np.empty((F, 3), int), np.empty((F, 3), int)
-    t, m = ix.edge_tri, ix.edge_col
+    t, m = T.edge_tri, T.edge_col
     nb[t, m], nb_col[t, m] = t[:, ::-1], m[:, ::-1]
-    by_edge = np.argsort(ix.edge, axis=1)
+    by_edge = np.argsort(T.edge, axis=1)
     z, center = dt.z.copy(), dt.center.copy()
     frontier = np.unique(group, return_index=True)[1]
     seen = np.zeros(F, bool)
@@ -180,7 +180,7 @@ def _glue(ix, dt, group, g):
         z[ch, cb], z[ch, ca] = pb, pa
         z[ch, cw] = inv(fwd(dt.z[ch, cw]))
         center[ch] = inv(fwd(dt.center[ch]))
-        tree.append((par, ch, ix.edge[par, pc]))
+        tree.append((par, ch, T.edge[par, pc]))
         frontier = ch
     return z, center, [np.concatenate(col) for col in zip(*tree)]
 
@@ -192,11 +192,10 @@ def _theta(T, dt, g, alpha_sum):
     the triangles lie on opposite sides; the class-forced 0 on E0 edges.
     Raises InvariantViolation at the first edge where theta and the alpha
     sum disagree."""
-    ix = T.tri_index
-    free = ix.eclass != 0
-    t, m = ix.edge_tri[free], ix.edge_col[free]
+    free = T.eclass != 0
+    t, m = T.edge_tri[free], T.edge_col[free]
     n = (m + 1) % 3
-    up = ix.vert[t, m] < ix.vert[t, n]  # the column traverses u -> v
+    up = T.vert[t, m] < T.vert[t, n]  # the column traverses u -> v
     zm, zn = dt.z[t, m], dt.z[t, n]
     theta = np.zeros(len(T.edges))
     with np.errstate(all="ignore"):
@@ -224,21 +223,20 @@ def develop(T, x, g):
     theta check and merge_redundant move those placements.  theta is the
     class-forced 0 on tangency edges."""
     check_geometry(g)
-    ix = T.tri_index
     dt = geo.decorate_surface(T, x, g)
     l, r = geo.scatter_rows(T, dt.l, dt.r)
-    asum = np.bincount(ix.edge.ravel(), weights=dt.alpha.ravel(),
+    asum = np.bincount(T.edge.ravel(), weights=dt.alpha.ravel(),
                        minlength=len(T.edges))
-    cone = np.bincount(ix.vert.ravel(), weights=dt.beta.ravel(),
+    cone = np.bincount(T.vert.ravel(), weights=dt.beta.ravel(),
                        minlength=len(r))
     area = (math.pi - dt.beta.sum(axis=1) if g == HYPERBOLIC
             else np.zeros(0))
 
     F = len(T.face)
-    z, center, (par, ch, edge) = _glue(ix, dt, np.zeros(F, int), g)
+    z, center, (par, ch, edge) = _glue(T, dt, np.zeros(F, int), g)
     tree = tuple(zip(par.tolist(), ch.tolist(),
                      map(T.edges.__getitem__, edge.tolist())))
-    chart = Charts(vert=ix.vert.ravel(), z=z.ravel(),
+    chart = Charts(vert=T.vert.ravel(), z=z.ravel(),
                    start=np.arange(0, 3 * F + 1, 3), center=center, R=dt.R)
 
     return SurfaceLayout(
@@ -280,8 +278,7 @@ def merge_redundant(sl):
     T = sl.T
     cc = T.base
     g = sl.geometry
-    ix = T.tri_index
-    diag = np.flatnonzero(ix.eclass == 2)
+    diag = np.flatnonzero(T.eclass == 2)
     off = np.abs(sl.th[diag] - math.pi) > MERGE_TOL
     if off.any():
         k = int(diag[np.argmax(off)])
@@ -290,7 +287,7 @@ def merge_redundant(sl):
 
     # every fan glued from its face's first triangle, crossing diagonals
     face = T.face
-    z, center, _tree = _glue(ix, sl.placed, face, g)
+    z, center, _tree = _glue(T, sl.placed, face, g)
     first = np.unique(face, return_index=True)[1]
     root = first[face]
     R = sl.placed.R
@@ -304,9 +301,9 @@ def merge_redundant(sl):
 
     # a vertex of a face takes its place in the last fan triangle that
     # holds it: the last of its (face, vertex) cells
-    nv, start = len(ix.vclass), cc.face_start
+    nv, start = len(T.vclass), cc.face_start
     sizes = np.diff(start)
-    key, at = np.unique((np.repeat(face, 3) * nv + ix.vert.ravel())[::-1],
+    key, at = np.unique((np.repeat(face, 3) * nv + T.vert.ravel())[::-1],
                         return_index=True)
     at = len(face) * 3 - 1 - at[np.searchsorted(key, np.repeat(
         np.arange(len(sizes)), sizes) * nv + cc.face_vert)]
@@ -314,7 +311,7 @@ def merge_redundant(sl):
                    center=center[first], R=R[first])
     area = (np.bincount(face, weights=sl.area) if g == HYPERBOLIC
             else np.zeros(0))
-    base = ix.eclass != 2
+    base = T.eclass != 2
     return SurfaceLayout(
         geometry=g, T=T, l=sl.l, merged=True, chart=chart,
         th=sl.th[base], asum=sl.asum[base], cone=sl.cone, r=sl.r, area=area,

@@ -57,13 +57,9 @@ def reference_coords(T, g):
     inequality (possible when tangency and free edges share a
     triangle)."""
     check_geometry(g)
-    rc = geo.reference_constants(g)[0]
-    cc = T.base
-    ix = T.tri_index
-    l = [geo.reference_length(0 if e in cc.e0 else 1, g) for e in T.edges]
-    r = [rc if v in cc.v1 else 0.0 for v in cc.vertices]
+    l, r = (v.tolist() for v in geo.reference_metric(T, g))
 
-    rows = list(zip(ix.edge.tolist(), ix.vert.tolist(), ix.ec.tolist()))
+    rows = list(zip(T.edge.tolist(), T.vert.tolist(), T.ec.tolist()))
     for _ in range(100):
         changed = False
         for es, vs, ecs in rows:
@@ -204,18 +200,13 @@ def omega_solve(vclasses, eclasses, g):
 # Functional gradient / Hessian
 
 
-def free_variables(T):
-    """Canonical ordering of the optimization variables."""
-    return ([("a", e) for e in T.free_edges]
-            + [("b", k) for k in T.v1_vertices])
-
-
 def lifted_targets(T, target):
-    """Target angle per free variable, in ``free_variables`` order:
-    stored theta on E1, pi on the fan diagonals, Theta on V1."""
-    return np.array([(math.pi if key in T.e_pi else target.theta[key])
-                     if kind == "a" else target.Theta[key]
-                     for kind, key in free_variables(T)])
+    """Target angle per free variable, in free-variable order: stored
+    theta on E1, pi on the fan diagonals, Theta on V1."""
+    diag = (T.eclass[T.eclass != 0] == 2).tolist()
+    return np.array([math.pi if d else target.theta[e]
+                     for e, d in zip(T.free_edges, diag)]
+                    + [target.Theta[k] for k in T.v1_vertices])
 
 
 def _slot_angles(dt):
@@ -226,13 +217,12 @@ def _slot_angles(dt):
 
 def realized_sums(T, x, g):
     """Sum over all triangles, in triangle order, of alpha per free edge
-    and beta per V1 vertex, as one vector in ``free_variables`` order;
+    and beta per V1 vertex, as one vector in free-variable order;
     raises NotInTE outside the domain."""
-    ix = T.tri_index
     angles = _slot_angles(geo.decorate_surface(T, x, g))
-    free = ix.slots >= 0
-    return np.bincount(ix.slots[free], weights=angles[free],
-                       minlength=ix.n_free)
+    free = T.slots >= 0
+    return np.bincount(T.slots[free], weights=angles[free],
+                       minlength=T.n_free)
 
 
 def grad_U(T, x, target, g):
@@ -244,37 +234,24 @@ def grad_U(T, x, target, g):
     return realized_sums(T, x, g) - target
 
 
-def hessian_U(T, x, g, scheme="central", symmetrize=True):
-    """Finite-difference Hessian of the functional (Jacobian of grad_U),
-    symmetrized unless ``symmetrize`` is false.  The functional is a sum
-    of per-triangle terms, so each triangle's block (at most 6 x 6) is
-    differenced on its own, along its own free slots only, and added
-    into the dense matrix.  One kernel call evaluates every difference:
-    per free slot of each triangle one copy of the triangle with that
-    slot moved by +h, h = 1e-5 (1 + |x_m|), and one with -h ("central",
-    the default) or, for "forward" (used inside the Newton loop), one
-    unmoved copy per triangle."""
-    ix = T.tri_index
-    S, n = ix.slots, ix.n_free
+def hessian_U(T, x, g):
+    """Forward-difference Hessian of the functional (Jacobian of grad_U),
+    symmetrized.  The functional is a sum of per-triangle terms, so each
+    triangle's block (at most 6 x 6) is differenced on its own, along its
+    own free slots only, and added into the dense matrix.  One kernel
+    call evaluates every difference: per free slot of each triangle one
+    copy of the triangle with that slot moved by h = 1e-5 (1 + |x_m|),
+    and one unmoved copy per triangle."""
+    S, n = T.slots, T.n_free
     x = geo.gather_coords(T, x)
     t, k = np.nonzero(S >= 0)  # triangle and slot of each difference
     h = 1e-5 * (1 + np.abs(x[t, k]))
-    moved = np.arange(len(t))
     plus = x[t]
-    plus[moved, k] += h
-    if scheme == "forward":
-        other, other_t = x, np.arange(len(S))
-    else:
-        other, other_t = x[t], t
-        other[moved, k] -= h
-    tri = np.concatenate([t, other_t])
+    plus[np.arange(len(t)), k] += h
+    tri = np.concatenate([t, np.arange(len(S))])
     y = _slot_angles(geo.decorated_triangles(
-        np.concatenate([plus, other]), ix.vc[tri], ix.ec[tri], g, tri=tri))
-    yp, yo = y[:len(t)], y[len(t):]
-    if scheme == "forward":
-        D = (yp - yo[t]) / h[:, None]
-    else:
-        D = (yp - yo) / (2 * h[:, None])
+        np.concatenate([plus, x]), T.vc[tri], T.ec[tri], g, tri=tri))
+    D = (y[:len(t)] - y[len(t):][t]) / h[:, None]
     # D[p, j]: derivative of the angle at slot j of triangle t[p] along
     # the variable at slot k[p]
     rows = S[t]
@@ -282,7 +259,7 @@ def hessian_U(T, x, g, scheme="central", symmetrize=True):
     cols = np.broadcast_to(S[t, k][:, None], rows.shape)
     H = np.bincount((rows * n + cols)[keep], weights=D[keep],
                     minlength=n * n).reshape(n, n)
-    return (H + H.T) / 2 if symmetrize else H
+    return (H + H.T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +315,7 @@ def solve(T, target, opts=None):
             status = CONVERGED
             it -= 1
             break
-        H = hessian_U(T, x, g, scheme="forward")
+        H = hessian_U(T, x, g)
         A = H + gauge
         accepted = False
         for _attempt in range(30):

@@ -814,9 +814,9 @@ def edge_triangles(T):
 
 
 def tri_index_by_loop(T):
-    """The arrays of ``T.tri_index``, built triangle by triangle from
-    dicts over ``triangulate_by_loop``, and the edge table from
-    ``edge_triangles``."""
+    """The array fields of the ``Triangulation`` T, by name, built
+    triangle by triangle from dicts over ``triangulate_by_loop``, and the
+    edge table from ``edge_triangles``."""
     cc = T.base
     LT = loop_triangulation(T)
     a_slot = {e: m for m, e in enumerate(LT.free_edges)}
@@ -925,7 +925,7 @@ def develop_by_loop(T, x, g):
     dt = geo.decorate_surface(T, x, g)
     placed = kernel_placements(T, dt)
     alpha_sum = dict(zip(T.edges, np.bincount(
-        T.tri_index.edge.ravel(), weights=dt.alpha.ravel(),
+        T.edge.ravel(), weights=dt.alpha.ravel(),
         minlength=len(T.edges)).tolist()))
     charts, tree = glue(T, placed, range(len(triangles(T))), g)
     theta = {}

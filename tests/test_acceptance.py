@@ -32,7 +32,6 @@ from hicp.solver import (
     CONVERGED,
     INFEASIBLE,
     extract_angles,
-    hessian_U,
     omega_solve,
     omega_value,
     reference_coords,
@@ -137,7 +136,7 @@ class TestConvexity:
             rng = random.Random(hash((name, g)) & 0xFFFF)
             for _ in range(10):
                 x = psi_inv_surface(T, *sampled_er(T, g, rng), g)
-                H = hessian_U(T, x, g, symmetrize=False)
+                H = oracles.full_gradient_hessian(T, x, g)
                 scale = np.max(np.abs(H))
                 assert np.max(np.abs(H - H.T)) < 1e-6 * scale
                 Hs = (H + H.T) / 2

@@ -300,7 +300,7 @@ def _outcome(fn, *args):
 
 def _assert_triangulates_as_loop(cc):
     """triangulate(cc) gives the triangles, faces, edges, diagonals and
-    every TriIndex field of the loop triangulation, or its error."""
+    every array field of the loop triangulation, or its error."""
     T, err = _outcome(triangulate, cc)
     ref, ref_err = _outcome(oracles.triangulate_by_loop, cc)
     assert err == ref_err
@@ -313,9 +313,8 @@ def _assert_triangulates_as_loop(cc):
     assert T.edges == ref.edges and T.e_pi == ref.e_pi
     assert T.free_edges == ref.free_edges
     assert T.free_edges is T.free_edges and T.v1_vertices is T.v1_vertices
-    ix = T.tri_index
     for key, want in oracles.tri_index_by_loop(T).items():
-        got = getattr(ix, key)
+        got = getattr(T, key)
         if key == "n_free":
             assert got == want
         else:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import mixed_grid_spec
-from hicp import build_complex, triangulate
+from hicp import build_complex
 from hicp import geometry as geo
 from hicp import layout
 from hicp.errors import HicpError, NonRedundantDiagonal
@@ -634,15 +634,3 @@ def test_fan_circles_disagree_raises_as_scalar(grid_torus, g):
     assert err == (NonRedundantDiagonal,
                    f"face {sl.base.faces[5]}: fan circles disagree")
     assert err == _outcome(oracles.merge_by_loop, sl)[1]
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_tri_index_matches_loop(name):
-    T = triangulate(build_complex(fixture_spec(name)))
-    ix, ref = T.tri_index, oracles.tri_index_by_loop(T)
-    for key, want in ref.items():
-        got = getattr(ix, key)
-        if key == "n_free":
-            assert got == want
-        else:
-            assert got.dtype == want.dtype and np.array_equal(got, want), key

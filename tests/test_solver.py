@@ -10,7 +10,7 @@ from hicp import build_complex, cli, solver, triangulate
 from hicp import geometry as geo
 from hicp.errors import DomainError, NotInTE
 from hicp.fixtures import FIXTURES, fixture_spec, grid_torus_spec
-from hicp.polytope import make_angle_data
+from hicp.polytope import AngleData, make_angle_data
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -27,6 +27,7 @@ from hicp.solver import (
     extract_angles,
     grad_U,
     hessian_U,
+    lifted_targets,
     omega_bisect,
     omega_solve,
     omega_value,
@@ -113,6 +114,34 @@ class TestReferenceCoords:
                                    rtol=0, atol=1e-12)
 
 
+class TestLiftedTargets:
+    # grid-torus-v1 has a fan diagonal in every face and a disk at every
+    # vertex
+    @pytest.fixture
+    def problem(self):
+        T = triangulate(build_complex(fixture_spec("grid-torus-v1")))
+        cc = T.base
+        theta = {e: 0.1 + 0.01 * m for m, e in enumerate(sorted(cc.e1))}
+        Theta = {k: 3.0 + 0.1 * k for k in sorted(cc.v1)}
+        return T, AngleData(geometry=EUCLIDEAN, theta=theta, Theta=Theta)
+
+    def test_pi_on_diagonals_theta_on_e1_then_Theta(self, problem):
+        T, target = problem
+        assert T.e_pi and len(T.v1_vertices) == 9
+        want = ([math.pi if e in T.e_pi else target.theta[e]
+                 for e in T.free_edges]
+                + [target.Theta[k] for k in T.v1_vertices])
+        got = lifted_targets(T, target)
+        assert got.tolist() == want and len(got) == T.n_free
+
+    def test_missing_e1_key_raises(self, problem):
+        T, target = problem
+        e = sorted(target.theta)[4]
+        theta = {k: v for k, v in target.theta.items() if k != e}
+        with pytest.raises(KeyError):
+            lifted_targets(T, AngleData(EUCLIDEAN, theta, target.Theta))
+
+
 class TestDerivatives:
     def test_gauge_vector_in_hessian_kernel(self, grid_torus_T):
         T = grid_torus_T
@@ -124,8 +153,9 @@ class TestDerivatives:
     def test_forward_and_central_schemes_agree(self, grid_torus_T):
         T = grid_torus_T
         tc = reference_coords(T, EUCLIDEAN)
-        Hf = hessian_U(T, tc, EUCLIDEAN, scheme="forward")
-        Hc = hessian_U(T, tc, EUCLIDEAN, scheme="central")
+        Hf = hessian_U(T, tc, EUCLIDEAN)
+        Hc = oracles.full_gradient_hessian(T, tc, EUCLIDEAN)
+        Hc = (Hc + Hc.T) / 2
         assert np.max(np.abs(Hf - Hc)) < 1e-5 * (1 + np.max(np.abs(Hc)))
 
     @pytest.mark.parametrize("name, g", [("grid-torus", EUCLIDEAN),
@@ -137,17 +167,15 @@ class TestDerivatives:
         rng = random.Random(11)
         for _ in range(3):
             x = geo.psi_inv_surface(T, *cli.sample_er(T, l0, r0, g, rng), g)
-            for scheme in ("central", "forward"):
-                H = hessian_U(T, x, g, scheme=scheme, symmetrize=False)
-                ref = oracles.full_gradient_hessian(T, x, g, scheme=scheme)
-                assert (np.max(np.abs(H - ref))
-                        < 1e-7 * np.max(np.abs(ref))), (name, scheme)
+            H = hessian_U(T, x, g)
+            ref = oracles.full_gradient_hessian(T, x, g, scheme="forward")
+            ref = (ref + ref.T) / 2
+            assert np.max(np.abs(H - ref)) < 1e-7 * np.max(np.abs(ref)), name
 
     def test_hessian_kernel_calls_linear_in_triangles(self, grid_torus_T,
                                                       monkeypatch):
-        # one batched kernel call per Hessian, on at most 12 rows per
-        # triangle (central: two per free slot) or 7 (forward: one per
-        # free slot plus the unmoved triangle)
+        # one batched kernel call per Hessian, on at most 7 rows per
+        # triangle: one per free slot plus the unmoved triangle
         T = grid_torus_T
         tc = reference_coords(T, EUCLIDEAN)
         rows = []
@@ -158,12 +186,9 @@ class TestDerivatives:
             return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(geo, "decorated_triangles", counting)
-        F = len(T.face)
-        for scheme, per_tri in (("central", 12), ("forward", 7)):
-            rows.clear()
-            hessian_U(T, tc, EUCLIDEAN, scheme=scheme)
-            assert len(rows) == 1, scheme
-            assert 0 < rows[0] <= per_tri * F, scheme
+        hessian_U(T, tc, EUCLIDEAN)
+        assert len(rows) == 1
+        assert 0 < rows[0] <= 7 * len(T.face)
 
 
 class TestSolve:
