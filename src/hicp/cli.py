@@ -128,12 +128,15 @@ def load_input(path, geometry=None):
     return _problem(_read_json(path), geometry)
 
 
-def _target_from_input(cc, g, theta, Theta):
-    """Angle data from explicit input, or the reference pattern's angles
-    when the input carries none."""
+def _target_from_input(cc, g, theta, Theta, T=None):
+    """Angle data from explicit input, or, when the input carries none,
+    the reference pattern's angles on T, the triangulation of cc (built
+    here when not given)."""
     if theta is None and Theta is None:
-        T, l, r = reference_pattern(cc, g)
-        return extract_angles(T, geo.psi_inv_surface(T, l, r, g), g)
+        if T is None:
+            T = triangulate(cc)
+        x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
+        return extract_angles(T, x, g)
     return make_angle_data(cc, g, theta or {}, Theta or {})
 
 
@@ -203,8 +206,8 @@ def _solution_dict(spec, g, T, sol):
 def cmd_solve(args):
     spec, g, theta, Theta = load_input(args.input, args.geometry)
     cc = build_complex(spec)
-    t = _target_from_input(cc, g, theta, Theta)
     T = triangulate(cc)
+    t = _target_from_input(cc, g, theta, Theta, T)
     opts = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
     sol = solve(T, t, opts)
     out = _solution_dict(spec, g, T, sol)
@@ -249,8 +252,8 @@ def cmd_render(args):
 def cmd_demo(args):
     spec, g, _theta, _Theta = load_input(args.input, args.geometry)
     cc = build_complex(spec)
-    T, l, r = reference_pattern(cc, g)
-    x = geo.psi_inv_surface(T, l, r, g)
+    T = triangulate(cc)
+    x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
     target = extract_angles(T, x, g)
     sl = merge_redundant(develop(T, x, g))
     out = {
@@ -310,7 +313,7 @@ def cmd_roundtrip(args):
         # and a shorter diagonal has a smaller angle.  A triangle holds
         # at most two diagonals, so no constraint loses more than half
         # its slack and (l, r) stays in ER.
-        _T, l0, r0 = reference_pattern(cc, g)
+        l0, r0 = reference_pattern(T, g)
         diag = T.eclass == 2
         spec = {"vertices": spec["vertices"],
                 "faces": np.array(cc.vertices)[T.vert].tolist(),

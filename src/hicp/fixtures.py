@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .complexes import triangulate
 from .errors import DomainError
 from .geometry import EUCLIDEAN, check_geometry
 from .solver import face_chords, omega_solve
@@ -126,13 +125,13 @@ def fixture_spec(name):
 # Reference pattern construction
 
 
-def reference_pattern(cc, g):
-    """(T, l, r): the triangulated complex, and the edge lengths and
-    radii of its uniform reference pattern: base edges carry the class
+def reference_pattern(T, g):
+    """(l, r): the edge lengths and radii of the uniform reference
+    pattern on the triangulated complex T: base edges carry the class
     length, fan diagonals are measured inside each face's circle
     geometry."""
     check_geometry(g)
-    T = triangulate(cc)
+    cc = T.base
     l, r = geo.reference_metric(T, g)
 
     # A diagonal's length depends only on the classes of its face's
@@ -161,7 +160,7 @@ def reference_pattern(cc, g):
             lengths[key, at[k]] = _diagonal_lengths(*chords[key], at[k], g)
         out += lengths[key, at[k]]
     l[T.edge[:, 0][T.eclass[T.edge[:, 0]] == 2]] = out  # in fan order
-    return T, l, r
+    return l, r
 
 
 def _diagonal_lengths(phis, dists, a, g):

@@ -87,12 +87,12 @@ class DecoratedTriangles(NamedTuple):
 def _raise_first(fails, exc, tri=None):
     """Raise exc naming the first row (``tri[row]`` when given) that some
     (message, (N,) or (N, 3) mask) fails, and its first such message."""
+    if not np.concatenate([m.ravel() for _msg, m in fails]).any():
+        return
     bad = [(msg, m.any(axis=1) if m.ndim == 2 else m) for msg, m in fails]
-    failed = np.logical_or.reduce([m for _msg, m in bad])
-    if failed.any():
-        row = int(np.argmax(failed))
-        msg = next(msg for msg, m in bad if m[row])
-        raise exc(f"triangle {row if tri is None else tri[row]}: {msg}")
+    row = int(np.argmax(np.logical_or.reduce([m for _msg, m in bad])))
+    msg = next(msg for msg, m in bad if m[row])
+    raise exc(f"triangle {row if tri is None else tri[row]}: {msg}")
 
 
 def psi_rows(x, vc, ec, g):

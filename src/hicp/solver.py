@@ -57,8 +57,18 @@ def reference_coords(T, g):
     inequality (possible when tangency and free edges share a
     triangle)."""
     check_geometry(g)
-    l, r = (v.tolist() for v in geo.reference_metric(T, g))
+    l, r = geo.reference_metric(T, g)
+    # the repair's condition, l >= l_v + l_w on a free edge, on every
+    # row at once; the sequential repair runs only where some row needs it
+    if ((geo.er_gaps(l[T.edge], r[T.vert])[1] <= 0) & (T.ec != 0)).any():
+        l, r = _repair_lengths(T, l.tolist(), r.tolist())
+    geo.check_er_surface(T, l, r, g)
+    return geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
 
+
+def _repair_lengths(T, l, r):
+    """Shrink each free edge with l >= l_v + l_w, triangle by triangle
+    in order, until no triangle needs it (at most 100 passes)."""
     rows = list(zip(T.edge.tolist(), T.vert.tolist(), T.ec.tolist()))
     for _ in range(100):
         changed = False
@@ -71,9 +81,7 @@ def reference_coords(T, g):
                     changed = True
         if not changed:
             break
-    l, r = np.array(l), np.array(r)
-    geo.check_er_surface(T, l, r, g)
-    return geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
+    return np.array(l), np.array(r)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +223,19 @@ def _slot_angles(dt):
     return np.concatenate([dt.alpha, dt.beta], axis=1)
 
 
+def _slot_sums(T, angles):
+    """Sum over all triangles, in triangle order, of the (F, 6) slot
+    angles per free variable."""
+    free = T.slots >= 0
+    return np.bincount(T.slots[free], weights=angles[free],
+                       minlength=T.n_free)
+
+
 def realized_sums(T, x, g):
     """Sum over all triangles, in triangle order, of alpha per free edge
     and beta per V1 vertex, as one vector in free-variable order;
     raises NotInTE outside the domain."""
-    angles = _slot_angles(geo.decorate_surface(T, x, g))
-    free = T.slots >= 0
-    return np.bincount(T.slots[free], weights=angles[free],
-                       minlength=T.n_free)
+    return _slot_sums(T, _slot_angles(geo.decorate_surface(T, x, g)))
 
 
 def grad_U(T, x, target, g):
@@ -235,13 +248,15 @@ def grad_U(T, x, target, g):
 
 
 def hessian_U(T, x, g):
-    """Forward-difference Hessian of the functional (Jacobian of grad_U),
-    symmetrized.  The functional is a sum of per-triangle terms, so each
-    triangle's block (at most 6 x 6) is differenced on its own, along its
-    own free slots only, and added into the dense matrix.  One kernel
-    call evaluates every difference: per free slot of each triangle one
-    copy of the triangle with that slot moved by h = 1e-5 (1 + |x_m|),
-    and one unmoved copy per triangle."""
+    """(sums, H): realized_sums at x, and the forward-difference Hessian
+    of the functional (Jacobian of grad_U), symmetrized.  The functional
+    is a sum of per-triangle terms, so each triangle's block (at most
+    6 x 6) is differenced on its own, along its own free slots only, and
+    added into the dense matrix.  One kernel call evaluates every
+    difference: per free slot of each triangle one copy of the triangle
+    with that slot moved by h = 1e-5 (1 + |x_m|), and one unmoved copy
+    per triangle, whose angles give the sums.  Raises NotInTE when any
+    copy leaves the domain."""
     S, n = T.slots, T.n_free
     x = geo.gather_coords(T, x)
     t, k = np.nonzero(S >= 0)  # triangle and slot of each difference
@@ -251,7 +266,8 @@ def hessian_U(T, x, g):
     tri = np.concatenate([t, np.arange(len(S))])
     y = _slot_angles(geo.decorated_triangles(
         np.concatenate([plus, x]), T.vc[tri], T.ec[tri], g, tri=tri))
-    D = (y[:len(t)] - y[len(t):][t]) / h[:, None]
+    y0 = y[len(t):]
+    D = (y[:len(t)] - y0[t]) / h[:, None]
     # D[p, j]: derivative of the angle at slot j of triangle t[p] along
     # the variable at slot k[p]
     rows = S[t]
@@ -259,7 +275,7 @@ def hessian_U(T, x, g):
     cols = np.broadcast_to(S[t, k][:, None], rows.shape)
     H = np.bincount((rows * n + cols)[keep], weights=D[keep],
                     minlength=n * n).reshape(n, n)
-    return (H + H.T) / 2
+    return _slot_sums(T, y0), (H + H.T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +284,12 @@ def hessian_U(T, x, g):
 
 def extract_angles(T, x, g):
     """Realized angle data of a coordinate point."""
-    sums = realized_sums(T, x, g).tolist()
+    return _angle_data(T, realized_sums(T, x, g), g)
+
+
+def _angle_data(T, sums, g):
+    """AngleData of realized sums in free-variable order."""
+    sums = sums.tolist()
     n_a = len(T.free_edges)
     alpha = dict(zip(T.free_edges, sums[:n_a]))
     beta = dict(zip(T.v1_vertices, sums[n_a:]))
@@ -277,8 +298,26 @@ def extract_angles(T, x, g):
                      Theta={k: beta[k] for k in cc.v1})
 
 
+def _evaluate(T, x, targets, g, full=True):
+    """(gradient, sums, H) at x: from one hessian_U call when full, else,
+    or where that call leaves TE (a moved copy may while x is inside),
+    from grad_U alone, with sums and H None.  Raises NotInTE where x is
+    outside TE."""
+    if full:
+        try:
+            sums, H = hessian_U(T, x, g)
+        except NotInTE:
+            pass
+        else:
+            return sums - targets, sums, H
+    return grad_U(T, x, targets, g), None, None
+
+
 def solve(T, target, opts=None):
     """Newton solve for the coordinates realizing the target angles.
+    Each point is evaluated by one kernel call: the start point and the
+    full step's trial by hessian_U, whose Hessian an accepted full step
+    passes on to the next iteration; backtracked trials by grad_U.
     Trial points outside the kernel's domain are rejected by the line
     search."""
     if opts is None:
@@ -303,7 +342,7 @@ def solve(T, target, opts=None):
         c = c / np.linalg.norm(c)
         gauge = np.outer(c, c)
 
-    gvec = grad_U(T, x, targets, g)
+    gvec, sums, H = _evaluate(T, x, targets, g)
     gnorm = float(np.max(np.abs(gvec)))
     mu = 0.0
     collapses = 0
@@ -315,7 +354,8 @@ def solve(T, target, opts=None):
             status = CONVERGED
             it -= 1
             break
-        H = hessian_U(T, x, g)
+        if H is None:  # x was decided by grad_U alone
+            sums, H = hessian_U(T, x, g)
         A = H + gauge
         accepted = False
         for _attempt in range(30):
@@ -328,7 +368,8 @@ def solve(T, target, opts=None):
                 while s > 1e-14:
                     x_new = x + s * step
                     try:
-                        g_new = grad_U(T, x_new, targets, g)
+                        g_new, sums_new, H_new = _evaluate(
+                            T, x_new, targets, g, full=s == 1.0)
                     except NotInTE:
                         pass  # outside the kernel's domain: rejected
                     else:
@@ -344,6 +385,7 @@ def solve(T, target, opts=None):
                     else:
                         collapses = 0
                     x, gvec, gnorm = x_new, g_new, gn_new
+                    sums, H = sums_new, H_new
                     mu *= 0.1
                     accepted = True
                     trace.append((it, gnorm, s))
@@ -360,7 +402,12 @@ def solve(T, target, opts=None):
         status = CONVERGED
 
     x = geo.project_gauge(T, x, g)
-    realized = extract_angles(T, x, g) if status == CONVERGED else None
+    realized = None
+    if status == CONVERGED:
+        # project_gauge moves only a Euclidean point
+        realized = (_angle_data(T, sums, g)
+                    if g != EUCLIDEAN and sums is not None
+                    else extract_angles(T, x, g))
     return Solution(coords=x, residual_norm=gnorm, iterations=it,
                     realized_angles=realized, status=status,
                     trace=tuple(trace))

@@ -15,6 +15,7 @@ import numpy as np
 import scalar_kernel as sk
 from hicp import geometry as geo
 from hicp import polytope as pt
+from hicp import solver
 from hicp.complexes import (
     CellComplex,
     admissible_domains,
@@ -29,6 +30,7 @@ from hicp.errors import (
     InvariantViolation,
     NonRedundantDiagonal,
     NotClosedSurface,
+    NotInTE,
     RegularityViolation,
 )
 from hicp.layout import MERGE_TOL
@@ -191,6 +193,106 @@ def full_gradient_hessian(T, x, g, scheme="central"):
             xm[m] -= h
             H[:, m] = (gp - grad_U(T, xm, zero, g)) / (2 * h)
     return H
+
+
+# ---------------------------------------------------------------------------
+# Reference Newton loop
+
+
+def reference_coords_by_loop(T, g):
+    """solver.reference_coords with its sequential triangle-inequality
+    repair run on every call, whether or not a row needs it."""
+    l, r = (v.tolist() for v in geo.reference_metric(T, g))
+    rows = list(zip(T.edge.tolist(), T.vert.tolist(), T.ec.tolist()))
+    for _ in range(100):
+        changed = False
+        for es, vs, ecs in rows:
+            for m in range(3):
+                cap = l[es[(m + 1) % 3]] + l[es[(m + 2) % 3]]
+                if l[es[m]] >= cap and ecs[m] != 0:
+                    floor = r[vs[m]] + r[vs[(m + 1) % 3]]
+                    l[es[m]] = max(0.9 * cap, 0.5 * (floor + cap))
+                    changed = True
+        if not changed:
+            break
+    l, r = np.array(l), np.array(r)
+    geo.check_er_surface(T, l, r, g)
+    return geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
+
+
+def solve_by_two_calls(T, target, opts=None):
+    """solver.solve with two kernel calls per accepted point: grad_U at
+    every trial and the start point, then hessian_U again at the start
+    of each iteration (its sums unused), and extract_angles at the end.
+    Same step, line search and damping rules."""
+    opts = opts or solver.SolveOptions()
+    g = target.geometry
+    rep = pt.pre_check(T.base, target)
+    if not rep.feasible:
+        return solver.Solution(coords=None, residual_norm=math.inf,
+                               iterations=0, realized_angles=None,
+                               status=solver.INFEASIBLE, report=rep)
+    targets = solver.lifted_targets(T, target)
+    x = solver.reference_coords(T, g)
+    n = len(x)
+    gauge = 0.0
+    if g == geo.EUCLIDEAN:
+        c = geo.gauge_vector(T)
+        c = c / np.linalg.norm(c)
+        gauge = np.outer(c, c)
+    gvec = grad_U(T, x, targets, g)
+    gnorm = float(np.max(np.abs(gvec)))
+    mu, collapses, trace, status, it = 0.0, 0, [], solver.MAXITER, 0
+    for it in range(1, opts.max_iter + 1):
+        if gnorm <= opts.grad_tol:
+            status = solver.CONVERGED
+            it -= 1
+            break
+        H = solver.hessian_U(T, x, g)[1]
+        accepted = False
+        for _attempt in range(30):
+            try:
+                step = np.linalg.solve(H + gauge + mu * np.eye(n), -gvec)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None:
+                s = 1.0
+                while s > 1e-14:
+                    x_new = x + s * step
+                    try:
+                        g_new = grad_U(T, x_new, targets, g)
+                    except NotInTE:
+                        pass
+                    else:
+                        gn_new = float(np.max(np.abs(g_new)))
+                        if gn_new <= (1 - solver.ARMIJO * s) * gnorm:
+                            break
+                    s *= solver.LINE_SEARCH_RATIO
+                else:
+                    s = 0.0
+                if s > 0.0:
+                    small = float(np.max(np.abs(s * step))) < 1e-12
+                    collapses = collapses + 1 if small else 0
+                    x, gvec, gnorm = x_new, g_new, gn_new
+                    mu *= 0.1
+                    accepted = True
+                    trace.append((it, gnorm, s))
+                    break
+            mu = 10 * mu if mu > 0 else 1e-8 * (1 + np.linalg.norm(H))
+        if not accepted:
+            collapses += 1
+            trace.append((it, gnorm, 0.0))
+        if collapses >= 5 and gnorm > 1e3 * opts.grad_tol:
+            status = solver.BOUNDARY
+            break
+    if gnorm <= opts.grad_tol:
+        status = solver.CONVERGED
+    x = geo.project_gauge(T, x, g)
+    realized = (solver.extract_angles(T, x, g)
+                if status == solver.CONVERGED else None)
+    return solver.Solution(coords=x, residual_norm=gnorm, iterations=it,
+                           realized_angles=realized, status=status,
+                           trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,8 @@ class TestGaussBonnet:
 
     def test_hyperbolic_area_identity(self, genus2, e0_torus):
         for cc in (genus2, e0_torus):
-            T, l, r = reference_pattern(cc, HYPERBOLIC)
+            T = triangulate(cc)
+            l, r = reference_pattern(T, HYPERBOLIC)
             target = extract_angles(T, psi_inv_surface(T, l, r, HYPERBOLIC),
                                     HYPERBOLIC)
             sol = solve(T, target)

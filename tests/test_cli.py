@@ -453,6 +453,49 @@ class TestRoundtrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.fixture()
+def right_angle_input(tmp_path):
+    """The grid torus with theta = pi/2 given on every free edge."""
+    spec = grid_torus_spec(3)
+    cc = build_complex(spec)
+    p = tmp_path / "right.json"
+    p.write_text(json.dumps(dict(
+        spec, geometry="euclidean",
+        theta={f"{u}-{v}": math.pi / 2 for u, v in sorted(cc.e1)})))
+    return str(p)
+
+
+@pytest.mark.parametrize("cmd, input_, calls", [
+    ("solve", "fixture:grid-torus", 1),
+    ("validate", "fixture:grid-torus", 1),
+    ("demo", "fixture:grid-torus", 1),
+    ("roundtrip", "fixture:tri-torus", 1),
+    # a fan complex, then its triangle refinement
+    ("roundtrip", "fixture:grid-torus", 2),
+    ("solve", None, 1),
+    ("validate", None, 0),
+])
+def test_triangulate_calls_per_command(tmp_path, monkeypatch,
+                                       right_angle_input, cmd, input_,
+                                       calls):
+    # one triangulation per complex a command reads; none where the
+    # angles are given and nothing is solved or drawn
+    made = []
+
+    def counting(cc):
+        made.append(cc)
+        return triangulate(cc)
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("hicp")]:
+        if getattr(mod, "triangulate", None) is triangulate:
+            monkeypatch.setattr(mod, "triangulate", counting)
+    argv = [cmd, "--input", input_ or right_angle_input]
+    rc, _data = run(tmp_path, *argv,
+                    *(["--samples", "1"] if cmd == "roundtrip" else []))
+    assert rc == 0
+    assert len(made) == calls
+
+
 # the scalar kernel, moved to tests/scalar_kernel.py as the reference of
 # the batched one
 MOVED_SCALAR_KERNEL = (
@@ -530,7 +573,8 @@ def test_benchmark_size_outputs_are_the_reference_bytes(tmp_path, kind, g):
     build = triangulated_torus_spec if kind.startswith("tri") \
         else grid_torus_spec
     spec = build(n, v1=range(0, n * n, 2))
-    T, l, r = reference_pattern(build_complex(spec), g)
+    T = triangulate(build_complex(spec))
+    l, r = reference_pattern(T, g)
     x = geo.psi_inv_surface(T, l, r, g)
     n_a = len(T.free_edges)
     sol = {"solution_version": 1, "geometry": g,

@@ -593,7 +593,8 @@ def test_psi_surface_raises_where_sinh_b_overflows():
 
 @functools.lru_cache(maxsize=None)
 def _reference_pattern(name, g):
-    return reference_pattern(build_complex(fixture_spec(name)), g)
+    T = triangulate(build_complex(fixture_spec(name)))
+    return (T, *reference_pattern(T, g))
 
 
 @settings(max_examples=100, deadline=None)
@@ -661,7 +662,8 @@ BREAKS = {
        seed=st.integers(0, 2 ** 32 - 1), size=st.floats(0.0, 3.0))
 def test_check_er_surface_matches_scalar(kind, data, g, seed, size):
     name = data.draw(st.sampled_from(BREAKS[kind]))
-    T, l, r = reference_pattern(build_complex(fixture_spec(name)), g)
+    T = triangulate(build_complex(fixture_spec(name)))
+    l, r = reference_pattern(T, g)
     er = oracles.er_dicts(T, l, r)
     cc = T.base
     rng = random.Random(seed)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import mixed_grid_spec
-from hicp import build_complex
+from hicp import build_complex, triangulate
 from hicp import geometry as geo
 from hicp import layout
 from hicp.errors import HicpError, NonRedundantDiagonal
@@ -47,7 +47,8 @@ from scalar_kernel import (
 
 
 def reference_layout(cc, g):
-    T, l, r = reference_pattern(cc, g)
+    T = triangulate(cc)
+    l, r = reference_pattern(T, g)
     return develop(T, psi_inv_surface(T, l, r, g), g)
 
 
@@ -238,7 +239,8 @@ class TestMerge:
                 assert signs == {True}
 
     def test_rejects_non_redundant_diagonals(self, grid_torus):
-        T, l, r = reference_pattern(grid_torus, EUCLIDEAN)
+        T = triangulate(grid_torus)
+        l, r = reference_pattern(T, EUCLIDEAN)
         x = psi_inv_surface(T, l, r, EUCLIDEAN)
         e = sorted(T.e_pi)[0]
         # shorten one diagonal: its angle drops below pi
@@ -254,7 +256,8 @@ def test_each_face_circle_is_solved_once(monkeypatch, name, g):
     # develop, its theta check and merge_redundant move the kernel's
     # circle of each triangle instead of solving it again: one batched
     # kernel call with one row per triangle
-    T, l, r = reference_pattern(build_complex(fixture_spec(name)), g)
+    T = triangulate(build_complex(fixture_spec(name)))
+    l, r = reference_pattern(T, g)
     x = psi_inv_surface(T, l, r, g)
     rows = []
     kernel = geo.decorated_triangles
@@ -458,7 +461,8 @@ def test_svg_is_the_per_element_writer(tmp_path, name, g):
 
 
 def _reference_coords(name, g):
-    T, l, r = reference_pattern(build_complex(fixture_spec(name)), g)
+    T = triangulate(build_complex(fixture_spec(name)))
+    l, r = reference_pattern(T, g)
     return T, psi_inv_surface(T, l, r, g)
 
 
@@ -577,7 +581,8 @@ def test_layout_matches_scalar_glue_off_reference(name, g, seed, size,
 
 def test_merge_names_the_least_diagonal_off_pi(grid_torus):
     # two diagonals off pi: the message names the lesser in edge order
-    T, l, r = reference_pattern(grid_torus, EUCLIDEAN)
+    T = triangulate(grid_torus)
+    l, r = reference_pattern(T, EUCLIDEAN)
     x = psi_inv_surface(T, l, r, EUCLIDEAN)
     diags = sorted(T.e_pi)
     for e in (diags[6], diags[1]):
@@ -612,7 +617,8 @@ def test_reference_diagonals_are_redundant_on_mixed_grids(seed, g):
 
 
 def test_diagonal_off_pi_raises_as_scalar(grid_torus):
-    T, l, r = reference_pattern(grid_torus, EUCLIDEAN)
+    T = triangulate(grid_torus)
+    l, r = reference_pattern(T, EUCLIDEAN)
     x = psi_inv_surface(T, l, r, EUCLIDEAN)
     x[T.free_edges.index(sorted(T.e_pi)[3])] -= 0.02  # angle drops below pi
     sl = develop(T, x, EUCLIDEAN)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import right_angle_target, small_complexes
 from hicp import build_complex, check_feasibility, complexes, make_angle_data
-from hicp import polytope
+from hicp import polytope, triangulate
 from hicp.complexes import admissible_domains, hat_complex, make_domain
 from hicp.errors import CapExceeded, IndexMismatch
 from hicp.fixtures import (
@@ -199,7 +199,8 @@ class TestSingleStarCheck:
 def reference_target(cc, g):
     """The reference pattern's angles: what ``validate`` checks when its
     input carries no angles."""
-    T, l, r = reference_pattern(cc, g)
+    T = triangulate(cc)
+    l, r = reference_pattern(T, g)
     return extract_angles(T, psi_inv_surface(T, l, r, g), g)
 
 

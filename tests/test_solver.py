@@ -107,6 +107,24 @@ class TestReferenceCoords:
             grad = grad_U(T, tc, target, g)
             assert np.max(np.abs(grad)) < 1e-9
 
+    def test_repair_runs_only_where_needed(self, monkeypatch):
+        # the same bits as running the sequential repair on every call;
+        # of the fixtures only the hyperbolic e0-torus needs it
+        repair = solver._repair_lengths
+        repaired = []
+
+        def counting(T, l, r):
+            repaired.append((name, g))
+            return repair(T, l, r)
+
+        monkeypatch.setattr(solver, "_repair_lengths", counting)
+        for name in sorted(FIXTURES):
+            T = triangulate(build_complex(fixture_spec(name)))
+            for g in BOTH:
+                want = oracles.reference_coords_by_loop(T, g)
+                assert reference_coords(T, g).tobytes() == want.tobytes()
+        assert repaired == [("e0-torus", HYPERBOLIC)]
+
     def test_euclidean_section(self, grid_torus_T):
         T = grid_torus_T
         x = reference_coords(T, EUCLIDEAN)
@@ -146,14 +164,14 @@ class TestDerivatives:
     def test_gauge_vector_in_hessian_kernel(self, grid_torus_T):
         T = grid_torus_T
         tc = reference_coords(T, EUCLIDEAN)
-        H = hessian_U(T, tc, EUCLIDEAN)
+        H = hessian_U(T, tc, EUCLIDEAN)[1]
         v = gauge_vector(T)
         assert np.linalg.norm(H @ v) < 1e-6 * np.linalg.norm(H)
 
     def test_forward_and_central_schemes_agree(self, grid_torus_T):
         T = grid_torus_T
         tc = reference_coords(T, EUCLIDEAN)
-        Hf = hessian_U(T, tc, EUCLIDEAN)
+        Hf = hessian_U(T, tc, EUCLIDEAN)[1]
         Hc = oracles.full_gradient_hessian(T, tc, EUCLIDEAN)
         Hc = (Hc + Hc.T) / 2
         assert np.max(np.abs(Hf - Hc)) < 1e-5 * (1 + np.max(np.abs(Hc)))
@@ -167,7 +185,7 @@ class TestDerivatives:
         rng = random.Random(11)
         for _ in range(3):
             x = geo.psi_inv_surface(T, *cli.sample_er(T, l0, r0, g, rng), g)
-            H = hessian_U(T, x, g)
+            H = hessian_U(T, x, g)[1]
             ref = oracles.full_gradient_hessian(T, x, g, scheme="forward")
             ref = (ref + ref.T) / 2
             assert np.max(np.abs(H - ref)) < 1e-7 * np.max(np.abs(ref)), name
@@ -262,17 +280,23 @@ class TestSolve:
             self, grid_torus_T, monkeypatch):
         target = right_angle_target(grid_torus_T.base)
         full_step = solve(grid_torus_T, target).trace[0][2]
-        grad = solver.grad_U
         calls = []
 
-        def first_trial_outside(*args):
-            calls.append(1)
-            if len(calls) == 2:  # call 1 is at the start point
-                raise NotInTE("trial point outside the kernel's domain")
-            return grad(*args)
+        def outside_at(fn, at):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                if calls.count(fn.__name__) == at:
+                    raise NotInTE("trial point outside the kernel's domain")
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(solver, "grad_U", first_trial_outside)
+        # hessian_U's call 1 is at the start point; its call 2 and then
+        # grad_U's call 1, the fallback, are at the full step's trial
+        monkeypatch.setattr(solver, "hessian_U",
+                            outside_at(solver.hessian_U, 2))
+        monkeypatch.setattr(solver, "grad_U", outside_at(solver.grad_U, 1))
         sol = solve(grid_torus_T, target)
+        assert calls[:4] == ["hessian_U", "hessian_U", "grad_U", "grad_U"]
         assert sol.status == CONVERGED
         assert sol.trace[0][2] == full_step * 0.5
 
@@ -293,3 +317,111 @@ class TestSolve:
         sol = solve(grid_torus_T, target)
         norms = [row[1] for row in sol.trace]
         assert norms[-1] < norms[0]
+
+
+def _solve_inputs():
+    """(T, target) per fixture and geometry, with the reference pattern's
+    angles (what ``solve`` reads from a fixture), then 20 targets sampled
+    as ``roundtrip`` samples them (the hyperbolic e0-torus solves
+    backtrack)."""
+    from hicp.polytope import single_star_check
+    out = []
+    for name in sorted(FIXTURES):
+        cc = build_complex(fixture_spec(name))
+        for g in BOTH:
+            out.append((triangulate(cc), cli._target_from_input(
+                cc, g, None, None)))
+    for name in ("tri-torus-v1", "e0-torus"):
+        cc = build_complex(fixture_spec(name))
+        T = triangulate(cc)
+        for g in BOTH:
+            l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
+            rng = random.Random(7)
+            kept = 0
+            while kept < 5:
+                l, r = cli.sample_er(T, l0, r0, g, rng)
+                x = project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
+                target = extract_angles(T, x, g)
+                if (all(0 < v < math.pi for v in target.theta.values())
+                        and not single_star_check(cc, target)):
+                    kept += 1
+                    out.append((T, target))
+    return out
+
+
+class TestOneKernelCallPerPoint:
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _solve_inputs()
+
+    def test_same_solve_as_two_calls_per_point(self, inputs):
+        backtracked = 0
+        for T, target in inputs:
+            got = solve(T, target)
+            want = oracles.solve_by_two_calls(T, target)
+            assert got.coords.tobytes() == want.coords.tobytes()
+            assert got.trace == want.trace
+            assert got.iterations == want.iterations
+            assert got.status == want.status == CONVERGED
+            assert got.realized_angles == want.realized_angles
+            backtracked += sum(row[2] < 1.0 for row in got.trace)
+        assert len(inputs) == 36 and backtracked > 0
+
+    def test_hessian_sums_are_realized_sums(self, inputs):
+        for T, target in inputs:
+            g = target.geometry
+            for x in (reference_coords(T, g), solve(T, target).coords):
+                sums = hessian_U(T, x, g)[0]
+                assert sums.tobytes() == \
+                    solver.realized_sums(T, x, g).tobytes()
+
+    @pytest.mark.parametrize("g", BOTH)
+    def test_kernel_calls_per_point(self, g, monkeypatch):
+        # the start point and each accepted full step: one hessian_U
+        # call each; a Euclidean solve evaluates its projected point
+        cc = build_complex(fixture_spec("e0-torus"))
+        T = triangulate(cc)
+        target = cli._target_from_input(cc, g, None, None)
+        calls = []
+        kernel = geo.decorated_triangles
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "decorated_triangles", counting)
+        sol = solve(T, target)
+        assert sol.status == CONVERGED and len(sol.trace) > 3
+        assert all(row[2] == 1.0 for row in sol.trace)
+        assert len(calls) == 1 + len(sol.trace) + (g == EUCLIDEAN)
+
+    def test_realized_sums_decide_when_the_combined_call_raises(
+            self, grid_torus_T, monkeypatch):
+        # a moved copy may leave TE while the trial point lies inside:
+        # grad_U then decides the trial, which is accepted as before,
+        # and the next iteration makes its own hessian_U call
+        target = right_angle_target(grid_torus_T.base)
+        want = solve(grid_torus_T, target)
+        hessian, grad = solver.hessian_U, solver.grad_U
+        calls, trials = [], []
+
+        def raising(T, x, g):
+            calls.append("hessian_U")
+            if calls.count("hessian_U") == 2:  # the full step's trial
+                trials.append(x)
+                raise NotInTE("a moved copy outside the kernel's domain")
+            return hessian(T, x, g)
+
+        def counting(*args):
+            calls.append("grad_U")
+            return grad(*args)
+
+        monkeypatch.setattr(solver, "hessian_U", raising)
+        monkeypatch.setattr(solver, "grad_U", counting)
+        got = solve(grid_torus_T, target)
+        assert in_te(grid_torus_T, trials[0], EUCLIDEAN)
+        assert calls[:4] == ["hessian_U", "hessian_U", "grad_U",
+                             "hessian_U"]
+        assert got.trace == want.trace and got.trace[0][2] == 1.0
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.realized_angles == want.realized_angles
