@@ -74,56 +74,8 @@ class CellComplex:
     def chi(self):
         return len(self.v0) + len(self.v1) - len(self.edges) + len(self.faces)
 
-    @property
-    def genus(self):
-        return (2 - self.chi) // 2
-
     def vertex_class(self, v):
         return 0 if v in self.v0 else 1
-
-    def vertex_faces(self, v):
-        """Face indices incident to v, in cyclic order around v."""
-        return self._vertex_cycle(v)[1]
-
-    def vertex_edges(self, v):
-        """Edges at v, in cyclic order around v (aligned with vertex_faces:
-        face t lies between edge t and edge t+1)."""
-        return self._vertex_cycle(v)[0]
-
-    @cached_property
-    def _face_at(self):
-        """Per vertex, a face incident to it."""
-        return {v: fi for fi, f in enumerate(self.faces) for v in f}
-
-    def _vertex_cycle(self, v):
-        # Walk around v using the orientation: inside face f with directed
-        # edge (v -> w), the next face counterclockwise is across (u -> v).
-        # The cycle is rotated to its least edge below, so any face it
-        # starts from gives the same result.
-        fi = self._face_at.get(v)
-        if fi is None:
-            raise IndexMismatch(f"vertex {v} has no incident face")
-        edges_cycle, faces_cycle = [], []
-        start = fi
-        while True:
-            f = self.faces[fi]
-            p = f.index(v)
-            prev_v = f[p - 1]
-            next_v = f[(p + 1) % len(f)]
-            e_in = edge_key(prev_v, v)  # enter the face across this edge
-            edges_cycle.append(e_in)
-            faces_cycle.append(fi)
-            # leave across (v, next_v): the other face of that edge
-            e_out = edge_key(v, next_v)
-            fa, fb = self.edge_faces[e_out]
-            fi = fb if fa == fi else fa
-            if fi == start:
-                break
-            if len(faces_cycle) > len(self.faces):
-                raise RegularityViolation(f"vertex link of {v} does not close")
-        # rotate so the cycle starts at the smallest edge (determinism)
-        k = edges_cycle.index(min(edges_cycle))
-        return edges_cycle[k:] + edges_cycle[:k], faces_cycle[k:] + faces_cycle[:k]
 
 
 def _int_lists(seqs, n=None):
@@ -295,6 +247,30 @@ def build_complex(spec):
         raise NotClosedSurface("empty complex")
     if n_parts > 1:
         raise NotClosedSurface("complex is not connected")
+
+    # The corners at each vertex must form one cycle.  Corner c is the
+    # oriented side c, which starts at the vertex; the next corner around
+    # it follows the side across from c in that side's face.  In the
+    # oriented faces, side k of a reversed face lies on the edge of the
+    # side before side[k].  Each cycle is labelled by its least corner,
+    # by pointer doubling.
+    prv = np.empty(N, int)
+    prv[nxt] = np.arange(N)
+    across = np.argsort(edge[np.where(rev, prv[side], side)],
+                        kind="stable").reshape(-1, 2)
+    step = np.empty(N, int)
+    step[across] = nxt[across[:, ::-1]]
+    label = np.arange(N)
+    for _ in range(int(np.bincount(cc.face_vert).max() - 1).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    cycles = np.bincount(cc.face_vert[label == np.arange(N)],
+                         minlength=len(verts))
+    if (cycles != 1).any():
+        m = int(np.argmax(cycles != 1))
+        raise RegularityViolation(
+            f"vertex {verts[m]} lies on no face" if not cycles[m] else
+            f"vertex {verts[m]} is pinched: its faces form {cycles[m]} cycles")
     return cc
 
 
@@ -485,9 +461,6 @@ class HatTriangulation:
     findex: dict = field(repr=False, default_factory=dict)
     # per hat vertex: (vmask, emask, fmask) of its open star
     stars: dict = field(repr=False, default_factory=dict)
-    # per hat vertex: cyclic list of cells around it, alternating
-    # ("e", idx) and ("t", idx)
-    links: dict = field(repr=False, default_factory=dict)
     # overlap graph between open stars, as adjacency over hat vertices
     overlap: dict = field(repr=False, default_factory=dict)
     # per hat vertex: (emask, fmask) of its link
@@ -537,37 +510,24 @@ def hat_complex(cc):
 
 def _build_stars_and_links(h):
     cc = h.base
-    # the link of a base vertex k: its corner edges, and between
-    # corner(k, f_t) and corner(k, f_{t+1}) the hat triangle across the
-    # shared base edge e_{t+1}
-    for k in cc.vertices:
-        edges_c, faces_c = cc._vertex_cycle(k)
-        n = len(faces_c)
-        cycle = []
-        for t in range(n):
-            cycle.append(("e", h.eindex[("corner", (k, faces_c[t]))]))
-            cycle.append(("t", h.findex[(k, edges_c[(t + 1) % n])]))
-        h.links[("v", k)] = cycle
-    # the link of a dual vertex O_f: the corner edges of f, the dual edges
-    # of f's base edges, and both hat triangles of each base edge of f
-    for fi, f in enumerate(cc.faces):
-        cycle = []
-        n = len(f)
-        for t in range(n):
-            v, w = f[t], f[(t + 1) % n]
-            e = edge_key(v, w)
-            cycle.append(("e", h.eindex[("corner", (v, fi))]))
-            cycle.append(("t", h.findex[(v, e)]))
-            cycle.append(("e", h.eindex[("dual", e)]))
-            cycle.append(("t", h.findex[(w, e)]))
-        h.links[("f", fi)] = cycle
-    for hv, cycle in h.links.items():
-        masks = {"e": 0, "t": 0}
-        for kind, idx in cycle:
-            masks[kind] |= 1 << idx
-        h.link_masks[hv] = (masks["e"], masks["t"])
+    # the link of a hat vertex, as cell sets read off the incidences: a
+    # corner edge (k, f) lies in the links of k and O_f, a dual edge in
+    # those of its two faces, and a hat face (k, e) in those of k and of
+    # both faces of e
+    emask = dict.fromkeys(h.vertices, 0)
+    fmask = dict.fromkeys(h.vertices, 0)
+    for i, (kind, data) in enumerate(h.edges):
+        ends = ([("f", fi) for fi in cc.edge_faces[data]] if kind == "dual"
+                else [("v", data[0]), ("f", data[1])])
+        for hv in ends:
+            emask[hv] |= 1 << i
+    for i, hf in enumerate(h.hat_faces):
+        for hv in (("v", hf.corner), ("f", hf.duals[0]), ("f", hf.duals[1])):
+            fmask[hv] |= 1 << i
+    for hv in h.vertices:
+        h.link_masks[hv] = (emask[hv], fmask[hv])
         # the open star: the vertex and the cells of its link
-        h.stars[hv] = (1 << h.vindex[hv], *h.link_masks[hv])
+        h.stars[hv] = (1 << h.vindex[hv], emask[hv], fmask[hv])
     h.base_links = tuple((1 << h.vindex[("v", k)], *h.link_masks[("v", k)])
                          for k in cc.vertices)
     h.point_links = tuple(link for k, link in zip(cc.vertices, h.base_links)
@@ -683,8 +643,10 @@ MAX_CAP = 62
 
 
 def check_cap(cap):
-    """Reject an exhaustive-enumeration cap the generator masks cannot
-    hold."""
+    """Reject a negative exhaustive-enumeration cap, and one the
+    generator masks cannot hold."""
+    if cap < 0:
+        raise CapExceeded(f"enumeration cap {cap} is negative")
     if cap > MAX_CAP:
         raise CapExceeded(f"enumeration cap {cap} exceeds {MAX_CAP}, the most"
                           " hat vertices a generator mask holds")

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import strategies as st
 
 from hicp import build_complex, triangulate
-from hicp.fixtures import fixture_spec, grid_torus_spec, tetrahedron_spec
+from hicp.complexes import edge_key
+from hicp.fixtures import (
+    fixture_spec,
+    grid_torus_spec,
+    tetrahedron_spec,
+    triangulated_torus_spec,
+)
 from hicp.polytope import make_angle_data
 
 
@@ -119,3 +125,50 @@ def small_complexes(draw):
     e0 = draw(st.sets(st.sampled_from(disk_edges), max_size=3)
               if disk_edges else st.just(set()))
     return build_complex(_spec(faces, v1, sorted(e0)))
+
+
+def pinched_torus_spec():
+    """The 6 x 6 triangulated torus with vertex 21 renamed 0 and 18
+    renamed 3: every edge keeps two face sides and every pair of faces
+    meets in an edge, a vertex or nothing, but the faces at vertex 0 form
+    two cycles, and the surface is pinched there (χ = -2)."""
+    spec = triangulated_torus_spec(6, v1=range(36))
+    ids = {21: 0, 18: 3}
+    spec["faces"] = [[ids.get(v, v) for v in f] for f in spec["faces"]]
+    spec["vertices"] = [v for v in spec["vertices"] if v["id"] not in ids]
+    return spec
+
+
+def flip_edges(faces, picks):
+    """The triangles ``faces`` after an edge flip per (face index, side)
+    of ``picks``, each taken modulo the counts: side k of face (a, b, c)
+    is the edge from its k-th vertex.  The edge (a, b) with the faces
+    (a, b, c) and (b, a, d) becomes (c, d), with the faces (a, d, c) and
+    (d, b, c).  A flip that would leave a or b with fewer than 3 edges,
+    or make (c, d) a second edge, is skipped."""
+    faces = [tuple(f) for f in faces]
+    for fi, k in picks:
+        fi %= len(faces)
+        a, b, c = faces[fi][k % 3:] + faces[fi][:k % 3]
+        sides = [list(zip(t, t[1:] + t[:1])) for t in faces]
+        gi = next(gi for gi, s in enumerate(sides) if (b, a) in s)
+        d = next(w for v, w in sides[gi] if v == a)
+        edges = {edge_key(*side) for s in sides for side in s}
+        if (min(sum(v in e for e in edges) for v in (a, b)) > 3
+                and edge_key(c, d) not in edges):
+            faces[fi], faces[gi] = (a, d, c), (d, b, c)
+    return [list(f) for f in faces]
+
+
+@st.composite
+def flipped_tori(draw):
+    """The spec of a triangulated n x n torus, n = 3 to 5, after 1 to 12
+    drawn edge flips, less those ``flip_edges`` skips, with drawn disk
+    vertices."""
+    n = draw(st.integers(3, 5))
+    picks = draw(st.lists(st.tuples(st.integers(0, 2 * n * n - 1),
+                                    st.integers(0, 2)),
+                          min_size=1, max_size=12))
+    faces = flip_edges(triangulated_torus_spec(n)["faces"], picks)
+    v1 = draw(st.sets(st.integers(0, n * n - 1)))
+    return triangulated_torus_spec(n, v1=v1) | {"faces": faces}

@@ -515,12 +515,13 @@ def boundary_touches(d, hv):
     return touches_boundary([link], d.vmask, d.emask, d.fmask)
 
 
-def boundary_touches_by_link(d, hv):
+def boundary_touches_by_link(d, hv, links):
     """The link-walk definition of a boundary vertex: hv is outside the
-    domain d and some cell of its link is inside."""
+    domain d and some cell of its link is inside; ``links`` is
+    ``links_by_scan(d.hat)``."""
     if contains_cell(d, "v", d.hat.vindex[hv]):
         return False
-    return any(contains_cell(d, kind, idx) for kind, idx in d.hat.links[hv])
+    return any(contains_cell(d, kind, idx) for kind, idx in links[hv])
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +637,9 @@ def row_bytes(rows):
 
 
 def vertex_cycle_by_scan(cc, v):
-    """(edges, faces) around v in cyclic order, as
-    ``CellComplex.vertex_edges`` and ``vertex_faces``, starting from a
-    scan of every face for the least one incident to v."""
+    """(edges, faces) around v in cyclic order, face t between edge t and
+    edge t + 1, rotated to start at the least edge; the walk starts from
+    a scan of every face for the least one incident to v."""
     fi = start = min(fi for fi, f in enumerate(cc.faces) if v in f)
     edges_cycle, faces_cycle = [], []
     while True:
@@ -1146,8 +1147,9 @@ class BoundaryTrace:
         return n
 
 
-def boundary(h, d):
-    """Boundary trace of an admissible domain as immersed closed walks."""
+def boundary(h, d, links):
+    """Boundary trace of an admissible domain as immersed closed walks;
+    ``links`` is ``links_by_scan(h)``."""
     # directed boundary incidences: (edge index, triangle index) with the
     # triangle inside the domain and the edge outside
     incidences = set()
@@ -1176,9 +1178,9 @@ def boundary(h, d):
     steps = {}
     for ei, ti in incidences:
         a, b = endpoints(ei)
-        head = b if _first_step_is(h, b, ei, ti) else a
+        head = b if _first_step_is(links, b, ei, ti) else a
         tail = a if head == b else b
-        nxt = _rotate_to_next(h, d, head, ei, ti)
+        nxt = _rotate_to_next(links, d, head, ei, ti)
         steps[(ei, ti)] = (tail, head, nxt)
 
     visited = set()
@@ -1202,17 +1204,17 @@ def boundary(h, d):
         i = h.vindex[hv]
         if d.vmask >> i & 1:
             continue
-        link = h.links[hv]
+        link = links[hv]
         if link and all(contains_cell(d, k, idx) for k, idx in link):
             punctures.append(hv)
 
     return BoundaryTrace(walks=tuple(walks), punctures=tuple(sorted(punctures)))
 
 
-def _first_step_is(h, hv, ei, ti):
+def _first_step_is(links, hv, ei, ti):
     """At hat vertex hv, check that in the link cycle the triangle right
     after edge ei (in forward cycle direction) is ti."""
-    link = h.links[hv]
+    link = links[hv]
     n = len(link)
     for p, cell in enumerate(link):
         if cell == ("e", ei):
@@ -1220,12 +1222,12 @@ def _first_step_is(h, hv, ei, ti):
     raise AssertionError(f"edge {ei} not in link of {hv}")
 
 
-def _rotate_to_next(h, d, hv, ei, ti):
+def _rotate_to_next(links, d, hv, ei, ti):
     """Rotate around hv starting at edge ei, stepping first onto triangle
     ti, and return the incidence (edge, triangle) of the first edge not in
     the domain.  Returns None when ti is not the immediate neighbor of ei
     in either rotation sense at hv."""
-    link = h.links[hv]
+    link = links[hv]
     n = len(link)
     try:
         p = link.index(("e", ei))
@@ -1399,6 +1401,7 @@ def build_complex_by_loop(spec):
         raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "
                                "a closed oriented surface")
     _check_connected(cc, fedges)
+    _check_vertex_cycles(cc)
     return cc
 
 
@@ -1455,6 +1458,30 @@ def _check_connected(cc, fedges):
                     queue.append(g)
     if len(seen) != len(cc.faces):
         raise NotClosedSurface("complex is not connected")
+
+
+def _check_vertex_cycles(cc):
+    """Around each vertex, in id order, its faces must form one cycle,
+    walked from face to face across the edges at the vertex."""
+    faces_at = {v: [] for v in cc.vertices}
+    for fi, f in enumerate(cc.faces):
+        for v in f:
+            faces_at[v].append(fi)
+    for v, around in faces_at.items():
+        if not around:
+            raise RegularityViolation(f"vertex {v} lies on no face")
+        todo, cycles = set(around), 0
+        for fi in around:
+            cycles += fi in todo
+            while fi in todo:
+                todo.remove(fi)
+                f = cc.faces[fi]
+                fa, fb = cc.edge_faces[edge_key(v, f[(f.index(v) + 1)
+                                                     % len(f)])]
+                fi = fb if fa == fi else fa
+        if cycles > 1:
+            raise RegularityViolation(
+                f"vertex {v} is pinched: its faces form {cycles} cycles")
 
 
 # ---------------------------------------------------------------------------

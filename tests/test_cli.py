@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import pinched_torus_spec
 from hicp import build_complex, cli, layout, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError
@@ -201,6 +202,25 @@ class TestValidate:
         rc, data = run(tmp_path, "validate", "--input", "fixture:grid-torus",
                        "--enum-cap", "62")
         assert (rc, data["size"]["domains"]) == (0, 510)
+
+    def test_rejects_a_negative_cap(self, tmp_path, capsys):
+        # a negative cap would make every complex partial
+        capsys.readouterr()
+        rc, data = run(tmp_path, "validate", "--input",
+                       "fixture:tri-torus-v1", "--enum-cap", "-1")
+        assert (rc, data) == (1, None)
+        assert capsys.readouterr().err.splitlines() == [
+            "error: enumeration cap -1 is negative"]
+
+    def test_rejects_a_pinched_vertex(self, tmp_path, capsys):
+        # the reference pattern of a pinched torus was called infeasible
+        p = tmp_path / "pinched.json"
+        p.write_text(json.dumps(pinched_torus_spec()))
+        capsys.readouterr()
+        rc, data = run(tmp_path, "validate", "--input", str(p))
+        assert (rc, data) == (1, None)
+        assert capsys.readouterr().err.splitlines() == [
+            "error: vertex 0 is pinched: its faces form 2 cycles"]
 
     def test_reports_method_and_size(self, tmp_path, bad_instance):
         # the 519 strict domains of the grid torus less the stars of its

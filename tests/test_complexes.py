@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import mixed_grid_spec, small_complexes
+from conftest import (
+    flip_edges,
+    flipped_tori,
+    mixed_grid_spec,
+    pinched_torus_spec,
+    small_complexes,
+)
 from hicp import (
     CapExceeded,
     E0EndpointInV0,
@@ -54,13 +60,13 @@ class TestBuildComplex:
         assert len(cc.edges) == 18
         assert len(cc.faces) == 9
         assert cc.chi == 0
-        assert cc.genus == 1
+        assert (2 - cc.chi) // 2 == 1
 
     def test_genus2_counts(self, genus2):
         assert (len(genus2.vertices), len(genus2.edges),
                 len(genus2.faces)) == (15, 51, 34)
         assert genus2.chi == -2
-        assert genus2.genus == 2
+        assert (2 - genus2.chi) // 2 == 2
 
     def test_dodecahedron_counts(self, dodecahedron):
         assert (len(dodecahedron.vertices), len(dodecahedron.edges),
@@ -121,12 +127,24 @@ class TestBuildComplex:
         with pytest.raises(RegularityViolation, match=re.escape(message)):
             build_complex(spec)
 
-    def test_vertex_link_cycles(self, grid_torus):
-        for v in grid_torus.vertices:
-            es = grid_torus.vertex_edges(v)
-            fs = grid_torus.vertex_faces(v)
-            assert len(es) == len(fs) == 4
-            assert sum(v in e for e in grid_torus.edges) == 4
+    def test_pinched_vertex_rejected(self):
+        # the 6 x 6 triangulated torus with vertex 21 renamed 0 and 18
+        # renamed 3: every edge still has two sides and every face pair
+        # meets regularly, but the faces at 0 form two cycles of 6
+        spec = pinched_torus_spec()
+        with pytest.raises(RegularityViolation, match=re.escape(
+                "vertex 0 is pinched: its faces form 2 cycles")):
+            build_complex(spec)
+        assert _by_loop(spec) == _built(spec)
+
+    def test_vertex_on_no_face_rejected(self):
+        # two vertices on no face leave the Euler characteristic at 2
+        spec = triangulated_torus_spec(3)
+        spec["vertices"] += [{"id": 100}, {"id": 101}]
+        with pytest.raises(RegularityViolation,
+                           match="vertex 100 lies on no face"):
+            build_complex(spec)
+        assert _by_loop(spec) == _built(spec)
 
 
 def _built(spec):
@@ -404,40 +422,49 @@ class TestHatComplex:
         assert df.emask.bit_count() == 8
         assert df.fmask.bit_count() == 8
 
-    def test_links_are_cycles(self, grid_torus):
-        h = hat_complex(grid_torus)
-        for hv, link in h.links.items():
-            assert len(link) % 2 == 0
-            assert all(kind in ("e", "t") for kind, _ in link)
-
     @pytest.mark.parametrize("name", sorted(FIXTURES) + ["grid6", "tri6"])
     def test_cells_match_the_long_way(self, name):
-        # each vertex cycle walked once and the overlap graph read off the
-        # incidences give what a scan of every face per cycle and a test
-        # of every pair of stars give
+        # the link masks and the overlap graph read off the incidences
+        # give what a scan of every face per vertex cycle and a test of
+        # every pair of stars give
         spec = {"grid6": lambda: grid_torus_spec(6),
                 "tri6": lambda: triangulated_torus_spec(6)}.get(
                     name, lambda: fixture_spec(name))()
         h = hat_complex(build_complex(spec))
         assert h.stars == {hv: oracles.star_cells(h, hv) for hv in h.vertices}
-        links = oracles.links_by_scan(h)
-        assert h.links == links
-        assert h.link_masks == {
-            hv: tuple(sum(1 << i for kind, i in cycle if kind == k)
-                      for k in "et") for hv, cycle in links.items()}
+        assert h.link_masks == _link_masks_by_scan(h)
         assert h.overlap == oracles.overlap_by_pairs(h)
 
-    def test_walks_each_vertex_cycle_once(self, genus2, monkeypatch):
-        walked = []
-        real = complexes.CellComplex._vertex_cycle
 
-        def counting(cc, v):
-            walked.append(v)
-            return real(cc, v)
+def _link_masks_by_scan(h):
+    """(emask, fmask) of each cyclic link of ``oracles.links_by_scan``."""
+    return {hv: tuple(sum(1 << i for kind, i in cycle if kind == k)
+                      for k in "et")
+            for hv, cycle in oracles.links_by_scan(h).items()}
 
-        monkeypatch.setattr(complexes.CellComplex, "_vertex_cycle", counting)
-        hat_complex(genus2)
-        assert sorted(walked) == genus2.vertices
+
+def test_flip_edges_changes_the_degrees():
+    # the flips of the strategy below do happen: 12 drawn flips of the
+    # 4 x 4 torus, on which every vertex has degree 6, leave a complex
+    # with other degrees that build_complex accepts
+    rng = random.Random(0)
+    faces = flip_edges(triangulated_torus_spec(4)["faces"], [
+        (rng.randrange(32), rng.randrange(3)) for _ in range(12)])
+    cc = build_complex({"vertices": [{"id": i} for i in range(16)],
+                        "faces": faces})
+    degrees = [sum(v in e for e in cc.edges) for v in cc.vertices]
+    assert cc.chi == 0 and min(degrees) >= 3 and set(degrees) != {6}
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=flipped_tori())
+def test_hat_cells_match_the_long_way_on_flipped_tori(spec):
+    cc = build_complex(spec)
+    assert cc.chi == 0
+    h = hat_complex(cc)
+    assert h.link_masks == _link_masks_by_scan(h)
+    assert h.stars == {hv: oracles.star_cells(h, hv) for hv in h.vertices}
+    assert h.overlap == oracles.overlap_by_pairs(h)
 
 
 class TestDomains:
@@ -590,10 +617,11 @@ class TestBoundaryTouches:
     vertex."""
 
     def _check(self, h, domains):
+        links = oracles.links_by_scan(h)
         for d in domains:
             for hv in h.stars:
                 assert (oracles.boundary_touches(d, hv)
-                        == oracles.boundary_touches_by_link(d, hv)), (
+                        == oracles.boundary_touches_by_link(d, hv, links)), (
                     sorted(d.generators), hv)
 
     def test_tetrahedron_enumeration(self):
@@ -609,11 +637,11 @@ class TestBoundaryTouches:
             [("v", 0), ("v", 1), ("f", 0)])])
 
 
-def _boundary_matches_walk(h, d):
+def _boundary_matches_walk(h, d, links):
     cc = h.base
     e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
     mult, n_v, n_e0 = boundary_counts(h, d, e0_duals)
-    tr = oracles.boundary(h, d)
+    tr = oracles.boundary(h, d, links)
     walk_mult = {}
     for ei, m in tr.edge_multiplicities().items():
         kind, e = h.edges[ei]
@@ -633,13 +661,14 @@ class TestAgainstSubsetOracle:
     @staticmethod
     def _check(h, walk_every=1):
         rows = oracles.admissible_by_subsets(h)
+        links = oracles.links_by_scan(h)
         for strict in (False, True):
             want = [row[:4] for row in rows if row[4] or not strict]
             ds = admissible_domains(h, strict=strict, require_exhaustive=True)
             assert [(sorted(d.generators), d.vmask, d.emask, d.fmask)
                     for d in ds] == want
             for d in list(ds)[::1 if strict else walk_every]:
-                _boundary_matches_walk(h, d)
+                _boundary_matches_walk(h, d, links)
 
     @pytest.mark.parametrize("v1", [
         v1 for n in range(5) for v1 in itertools.combinations(range(4), n)])
@@ -666,7 +695,7 @@ class TestBoundary:
     def test_open_star_boundary_closed(self, grid_torus):
         h = hat_complex(grid_torus)
         d = oracles.open_star(h, ("v", 4))
-        tr = oracles.boundary(h, d)
+        tr = oracles.boundary(h, d, oracles.links_by_scan(h))
         assert len(tr.walks) == 1
         assert tr.punctures == ()
         walk = tr.walks[0]
@@ -677,14 +706,15 @@ class TestBoundary:
     def test_face_star_boundary_hits_vertices(self, grid_torus):
         h = hat_complex(grid_torus)
         d = oracles.open_star(h, ("f", 3))
-        tr = oracles.boundary(h, d)
+        tr = oracles.boundary(h, d, oracles.links_by_scan(h))
         assert tr.count_base_vertices() == 4
 
     def test_counts_match_trace(self, grid_torus):
         h = hat_complex(grid_torus)
+        links = oracles.links_by_scan(h)
         for gens in ([("v", 0)], [("f", 1)], [("v", 0), ("f", 0)],
                      [("v", 0), ("v", 1), ("f", 0)]):
-            _boundary_matches_walk(h, make_domain(h, gens))
+            _boundary_matches_walk(h, make_domain(h, gens), links)
 
     def test_puncture(self, grid_torus):
         h = hat_complex(grid_torus)
@@ -693,7 +723,7 @@ class TestBoundary:
         gens = [("f", fi) for fi in range(len(grid_torus.faces))]
         gens += [("v", v) for v in grid_torus.vertices if v != 4]
         d = make_domain(h, gens)
-        tr = oracles.boundary(h, d)
+        tr = oracles.boundary(h, d, oracles.links_by_scan(h))
         assert ("v", 4) in tr.punctures
 
 

@@ -312,7 +312,8 @@ class TestDomainSlacks:
         gens = [("f", fi) for fi in range(len(grid_torus.faces))]
         gens += [("v", v) for v in grid_torus.vertices if v != 4]
         d = make_domain(h, gens)
-        assert ("v", 4) in oracles.boundary(h, d).punctures
+        assert ("v", 4) in oracles.boundary(
+            h, d, oracles.links_by_scan(h)).punctures
         _assert_slacks_match(grid_torus, right_angle_target(grid_torus),
                              [d])
 
