@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -164,13 +165,6 @@ def cmd_validate(args):
     return EXIT_INFEASIBLE
 
 
-def _angle_maps(t):
-    """The theta and Theta objects of angle data t."""
-    return {"theta": float_map(edge_keys(t.theta), list(t.theta.values())),
-            "Theta": float_map(list(map(str, t.Theta)),
-                               list(t.Theta.values()))}
-
-
 def _solution_dict(spec, g, T, sol):
     out = {
         "solution_version": 1,
@@ -196,8 +190,11 @@ def _solution_dict(spec, g, T, sol):
             "l": float_map(edge_keys(T.edges), l),
             "r": float_map(list(map(str, T.base.vertices)), r),
         }
-    if sol.realized_angles is not None:
-        out["realized"] = _angle_maps(sol.realized_angles)
+    if (t := sol.realized_angles) is not None:
+        out["realized"] = {
+            "theta": float_map(edge_keys(t.theta), list(t.theta.values())),
+            "Theta": float_map(list(map(str, t.Theta)),
+                               list(t.Theta.values()))}
     if sol.report is not None:
         out["feasibility"] = sol.report.to_dict()
     return out
@@ -219,6 +216,22 @@ def cmd_solve(args):
     return EXIT_SOLVER
 
 
+def _solution_coords(coords, T):
+    """x of a solution's coords, looked up by the key texts solve writes;
+    other keys or values are parsed key by key and checked."""
+    a, b = coords.get("a"), coords.get("b")
+    ka, kb = edge_keys(T.free_edges), list(map(str, T.v1_vertices))
+    if not (isinstance(a, dict) and isinstance(b, dict) and a.keys() == {*ka}
+            and b.keys() == {*kb}
+            and {*map(type, a.values()), *map(type, b.values())} <= {float}):
+        a = _number_map(a, "coords.a", _edge_from_key)
+        b = _number_map(b, "coords.b", int)
+        _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
+        _require_keys(b, T.v1_vertices, "coords.b", str)
+        ka, kb = T.free_edges, T.v1_vertices
+    return np.array([a[k] for k in ka] + [b[k] for k in kb])
+
+
 def cmd_render(args):
     data = _read_json(args.input)
     if "coords" not in data:
@@ -229,12 +242,7 @@ def cmd_render(args):
     coords = data["coords"]
     if not isinstance(coords, dict):
         raise HicpError("malformed input: coords must be a JSON object")
-    a = _number_map(coords.get("a"), "coords.a", _edge_from_key)
-    b = _number_map(coords.get("b"), "coords.b", int)
-    _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
-    _require_keys(b, T.v1_vertices, "coords.b", str)
-    sl = develop(T, np.array([a[e] for e in T.free_edges]
-                             + [b[k] for k in T.v1_vertices]), g)
+    sl = develop(T, _solution_coords(coords, T), g)
     try:
         sl = merge_redundant(sl)
     except HicpError as exc:
@@ -254,12 +262,18 @@ def cmd_demo(args):
     cc = build_complex(spec)
     T = triangulate(cc)
     x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
-    target = extract_angles(T, x, g)
     sl = merge_redundant(develop(T, x, g))
+    # the realized angles, summed over the kernel rows as extract_angles
+    # sums them: the alpha sums of the E1 edges, the V1 cone angles
+    e1 = T.eclass[T.eclass != 2] == 1
     out = {
         "demo_version": 1,
         "geometry": g,
-        "angles": _angle_maps(target),
+        "angles": {
+            "theta": float_map(list(itertools.compress(edge_keys(sl.edges),
+                                                       e1)), sl.asum[e1]),
+            "Theta": float_map(list(map(str, T.v1_vertices)),
+                               sl.cone[T.vclass == 1])},
         "delaunay": delaunay_json(sl),
         "gauss_bonnet": gauss_bonnet_check(sl),
         "layout": JsonText(layout_json(sl)),

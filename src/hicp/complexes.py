@@ -37,7 +37,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 Edge = tuple  # (i, j) with i < j
-HatVertex = tuple  # ("v", vertex_id) or ("f", face_index)
 
 
 def edge_key(i, j):
@@ -73,9 +72,6 @@ class CellComplex:
     @property
     def chi(self):
         return len(self.v0) + len(self.v1) - len(self.edges) + len(self.faces)
-
-    def vertex_class(self, v):
-        return 0 if v in self.v0 else 1
 
 
 def _int_lists(seqs, n=None):

@@ -6,8 +6,9 @@ Everything is computed on the arrays of the one kernel call
 (``geometry.decorate_surface``) and of the ``Triangulation``: theta
 of every edge in one pass, and the chart by moving the triangles of each
 breadth-first level onto their parents in one array step.  A
-``SurfaceLayout`` holds the arrays; its dict views are built on first
-use, and the layout JSON is formatted from the arrays."""
+``SurfaceLayout`` holds the arrays; its unmerged chart and its dict
+views are built on first use, and the layout JSON is formatted from the
+arrays."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -84,18 +84,42 @@ class SurfaceLayout:
     geometry: str
     T: object  # Triangulation
     l: np.ndarray  # per edge of ``T.edges``: its length
-    merged: bool
-    # chart key: triangle index (unmerged) or base face index (merged)
-    chart: Charts
     th: np.ndarray  # per edge of ``edges``: intersection angle
     asum: np.ndarray  # per edge of ``edges``: alpha + alpha'
     cone: np.ndarray  # per vertex of ``T.base.vertices``: cone angle
     r: np.ndarray  # per vertex of ``T.base.vertices``: its radius
     area: np.ndarray  # per chart: its area (hyperbolic; empty otherwise)
-    tree_edges: tuple = ()
     # the kernel's DecoratedTriangles: per triangle its placement z and
     # its face circle (center, R) there
-    placed: object = None
+    placed: object
+    # merged: one chart per base face; None for the development, whose
+    # chart per triangle is glued from ``placed`` on first use
+    face_charts: Charts = None
+
+    @property
+    def merged(self):
+        return self.face_charts is not None
+
+    @property
+    def chart(self):  # keyed by triangle (unmerged) or base face (merged)
+        return self.face_charts if self.merged else self._glued[0]
+
+    @property
+    def tree_edges(self):  # the development's glue tree; empty when merged
+        return () if self.merged else self._glued[1]
+
+    @cached_property
+    def _glued(self):
+        """(Charts, tree) of every triangle glued into one chart."""
+        T = self.T
+        F = len(T.face)
+        z, center, (par, ch, edge) = _glue(T, self.placed, np.zeros(F, int),
+                                           self.geometry)
+        return (Charts(vert=T.vert.ravel(), z=z.ravel(),
+                       start=np.arange(0, 3 * F + 1, 3), center=center,
+                       R=self.placed.R),
+                tuple(zip(par.tolist(), ch.tolist(),
+                          map(T.edges.__getitem__, edge.tolist()))))
 
     @property
     def base(self):
@@ -219,9 +243,10 @@ def _theta(T, dt, g, alpha_sum):
 def develop(T, x, g):
     """Develop all triangles of T into one model chart by breadth-first
     gluing from the least triangle, crossing least-id edges first.  One
-    kernel call places and circumscribes every triangle; the chart, the
-    theta check and merge_redundant move those placements.  theta is the
-    class-forced 0 on tangency edges."""
+    kernel call places and circumscribes every triangle; the theta check
+    reads those placements here, and the chart (on first use) and
+    merge_redundant move them.  theta is the class-forced 0 on tangency
+    edges."""
     check_geometry(g)
     dt = geo.decorate_surface(T, x, g)
     l, r = geo.scatter_rows(T, dt.l, dt.r)
@@ -231,18 +256,9 @@ def develop(T, x, g):
                        minlength=len(r))
     area = (math.pi - dt.beta.sum(axis=1) if g == HYPERBOLIC
             else np.zeros(0))
-
-    F = len(T.face)
-    z, center, (par, ch, edge) = _glue(T, dt, np.zeros(F, int), g)
-    tree = tuple(zip(par.tolist(), ch.tolist(),
-                     map(T.edges.__getitem__, edge.tolist())))
-    chart = Charts(vert=T.vert.ravel(), z=z.ravel(),
-                   start=np.arange(0, 3 * F + 1, 3), center=center, R=dt.R)
-
     return SurfaceLayout(
-        geometry=g, T=T, l=l, merged=False, chart=chart,
-        th=_theta(T, dt, g, asum), asum=asum, cone=cone, r=r, area=area,
-        tree_edges=tree, placed=dt)
+        geometry=g, T=T, l=l, th=_theta(T, dt, g, asum), asum=asum,
+        cone=cone, r=r, area=area, placed=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +329,8 @@ def merge_redundant(sl):
             else np.zeros(0))
     base = T.eclass != 2
     return SurfaceLayout(
-        geometry=g, T=T, l=sl.l, merged=True, chart=chart,
-        th=sl.th[base], asum=sl.asum[base], cone=sl.cone, r=sl.r, area=area,
-        tree_edges=sl.tree_edges, placed=sl.placed)
+        geometry=g, T=T, l=sl.l, th=sl.th[base], asum=sl.asum[base],
+        cone=sl.cone, r=sl.r, area=area, placed=sl.placed, face_charts=chart)
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +517,11 @@ def export_json(sl, path):
 
 
 _PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
-_LINE = '<path d="M %.3f %.3f L %.3f %.3f"' + _PATH
-_ARC = '<path d="M %.3f %.3f A %.3f %.3f 0 0 %d %.3f %.3f"' + _PATH
-_CIRCLE = ('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="{}" '
+_LINE = '<path d="M %s %s L %s %s"' + _PATH
+_ARC = '<path d="M %s %s A %s %s 0 0 %d %s %s"' + _PATH
+_CIRCLE = ('<circle cx="%s" cy="%s" r="%s" fill="none" stroke="{}" '
            'stroke-width="0.8"/>')
-_POINT = '<circle cx="%.3f" cy="%.3f" r="2" fill="#cc3333"/>'
-
-
-_FIELD = re.compile(r"%\.3f|%d")
+_POINT = '<circle cx="%s" cy="%s" r="2" fill="#cc3333"/>'
 
 
 @functools.cache
@@ -521,33 +533,35 @@ def _milli_texts():
             np.array([f".{i:03d}" for i in range(1000)], object))
 
 
-def _svg_rows(template, *cols):
-    """One SVG element per row of the columns, one per line, as %
-    writes them.  A %.3f field is written from k = round(|x| * 1000):
-    its sign and k // 1000, then the decimals of k % 1000, each from a
-    table of texts; a %d field holds 0 or 1.  A row with a number that
-    is not finite or lies within rounding distance of a half, where
-    |x| * 1000 may round the other way, is written by % itself."""
-    v = np.column_stack(cols).astype(float)
-    milli = np.array([f == "%.3f" for f in _FIELD.findall(template)])
-    y = np.abs(v) * 1000
+def _svg_texts(a):
+    """The text '%.3f' % x of every number x of array a, as an object
+    array.  It is written from k = round(|x| * 1000): its sign and
+    k // 1000, then the decimals of k % 1000, each from a table of texts.
+    A number that is not finite, rounds to 1000 or more, or lies within
+    rounding distance of a half, where |x| * 1000 may round the other
+    way, is written by % itself."""
+    a = np.asarray(a, float)
+    y = np.abs(a) * 1000
     with np.errstate(invalid="ignore", over="ignore"):
-        fast = (~milli | (np.abs(y - np.floor(y) - 0.5) > y * 2.0 ** -50)
-                ).all(axis=1)
+        fast = ((np.abs(y - np.floor(y) - 0.5) > y * 2.0 ** -50)
+                & (y < 999999.5))
     q, m = np.divmod(np.rint(y[fast]).astype(np.int64), 1000)
-    neg = np.signbit(v[fast])
     ints, decimals = _milli_texts()
-    out = np.stack([ints[np.minimum(q, 999) + 1000 * neg], decimals[m]],
-                   axis=2)
-    big = q > 999
-    out[big, 0] = np.where(neg, -q, q)[big]
-    out[:, ~milli, 1] = ""
-    text = "\n".join([_FIELD.sub("%s%s", template)] * len(q)) % tuple(
-        out.ravel().tolist())
-    if fast.all():
-        return text
-    return _interleave(fast, text, "\n".join(
-        [template] * int((~fast).sum())) % tuple(v[~fast].ravel().tolist()))
+    out = np.empty(a.shape, object)
+    out[fast] = ints[q + 1000 * np.signbit(a[fast])] + decimals[m]
+    out[~fast] = ["%.3f" % x for x in a[~fast].tolist()]
+    return out
+
+
+def _screen(z, scale, off):
+    """The texts of the screen x and y of the model points z."""
+    return _svg_texts(off + scale * z.real), _svg_texts(off - scale * z.imag)
+
+
+def _elements(template, *cols):
+    """One SVG element per row of the columns of texts, one per line."""
+    return "\n".join([template] * len(cols[0])) % tuple(
+        np.column_stack(cols).ravel().tolist())
 
 
 def _interleave(mask, yes, no):
@@ -557,15 +571,16 @@ def _interleave(mask, yes, no):
     return "\n".join(out.tolist())
 
 
-def _geodesics(z1, z2, g, scale, off):
-    """The SVG path of the chart geodesic from each z1 to its z2: a line
-    segment, or in the disk the arc of the circle orthogonal to the unit
-    circle through both points."""
-    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
-    ends = [off + scale * x1, off - scale * y1,
-            off + scale * x2, off - scale * y2]
+def _geodesics(z, nxt, x, y, g, scale):
+    """The SVG path of the chart geodesic from each point of z to the
+    point nxt indexes, whose screen coordinates have the texts x and y:
+    a line segment, or in the disk the arc of the circle orthogonal to
+    the unit circle through both points."""
+    ends = (x, y, x[nxt], y[nxt])
     if g == EUCLIDEAN:
-        return _svg_rows(_LINE, *ends)
+        return _elements(_LINE, *ends)
+    x1, y1 = z.real, z.imag
+    x2, y2 = x1[nxt], y1[nxt]
     with np.errstate(all="ignore"):
         line = np.abs(x1 * y2 - y1 * x2) < 1e-9
         # solve 2 c . z = |z|^2 + 1 for both points
@@ -575,12 +590,11 @@ def _geodesics(z1, z2, g, scale, off):
         cx = (c1 * b2 - c2 * b1) / det
         cy = (a1 * c2 - a2 * c1) / det
         dx1, dy1, dx2, dy2 = x1 - cx, y1 - cy, x2 - cx, y2 - cy
-        r = np.hypot(dx1, dy1) * scale
-        sweep = dx1 * dy2 - dy1 * dx2 < 0  # written by %d as 0 or 1
-    return _interleave(
-        line, _svg_rows(_LINE, *(c[line] for c in ends)),
-        _svg_rows(_ARC, *(c[~line] for c in (*ends[:2], r, r, sweep,
-                                              *ends[2:]))))
+        r = _svg_texts(np.hypot(dx1, dy1)[~line] * scale)
+        sweep = (dx1 * dy2 - dy1 * dx2 < 0)[~line]  # written by %d as 0, 1
+    p, q, u, v = (c[~line] for c in ends)
+    return _interleave(line, _elements(_LINE, *(c[line] for c in ends)),
+                       _elements(_ARC, p, q, r, r, sweep, u, v))
 
 
 def _circles(z, r, g, scale, off, color):
@@ -588,11 +602,13 @@ def _circles(z, r, g, scale, off, color):
     if g == HYPERBOLIC:
         with np.errstate(all="ignore"):
             z, r = geo.disk_circle_reps(z, r)
-    return _svg_rows(_CIRCLE.format(color), off + scale * z.real,
-                     off - scale * z.imag, r * scale)
+    return _elements(_CIRCLE.format(color), *_screen(z, scale, off),
+                     _svg_texts(r * scale))
 
 
 def export_svg(sl, path):
+    """Write the SVG of sl's charts.  The texts of a chart point's screen
+    x and y serve its geodesics, its dot or its Euclidean circle."""
     g = sl.geometry
     z, c, R = sl.chart.z, sl.chart.center, sl.chart.R
     r = sl.r[sl.chart.vert]
@@ -616,17 +632,21 @@ def export_svg(sl, path):
         lines.append(
             f'<circle cx="{off}" cy="{off}" r="{scale}" fill="none" '
             'stroke="#cccccc" stroke-width="1"/>')
+    x, y = _screen(z, scale, off)
     # chart edges: each vertex to the next one of its chart
     start = sl.chart.start
     nxt = np.arange(1, len(z) + 1)
     nxt[start[1:] - 1] = start[:-1]
-    lines.append(_geodesics(z, z[nxt], g, scale, off))
+    lines.append(_geodesics(z, nxt, x, y, g, scale))
     lines.append(_circles(c, R, g, scale, off, "#3366cc"))  # face circles
-    # vertex circles, and a dot at each point vertex
+    # vertex circles, and a dot at each point vertex; a Euclidean vertex
+    # circle is centered on its point
     dot = r <= 0
+    ring = ~dot
     lines.append(_interleave(
-        dot, _svg_rows(_POINT, off + scale * z.real[dot],
-                       off - scale * z.imag[dot]),
-        _circles(z[~dot], r[~dot], g, scale, off, "#cc3333")))
+        dot, _elements(_POINT, x[dot], y[dot]),
+        _elements(_CIRCLE.format("#cc3333"), x[ring], y[ring],
+                  _svg_texts(r[ring] * scale)) if g == EUCLIDEAN
+        else _circles(z[ring], r[ring], g, scale, off, "#cc3333")))
     lines.append('</svg>')
     write_text(path, "\n".join(lines) + "\n")

@@ -33,10 +33,15 @@ from hicp.errors import (
     NotInTE,
     RegularityViolation,
 )
-from hicp.layout import MERGE_TOL
+from hicp.layout import MERGE_TOL, edge_keys, float_map
 from hicp.solver import grad_U
 
 mp.mp.dps = 40
+
+
+def vertex_class(cc, v):
+    """0 for a point-circle vertex of cc, 1 for a disk."""
+    return 0 if v in cc.v0 else 1
 
 
 def mp_lobachevsky(theta):
@@ -734,7 +739,7 @@ def gauge_direction(T):
         if e in cc.e0:
             continue
         u, v = e
-        da[e] = float((cc.vertex_class(u) == 0) + (cc.vertex_class(v) == 0))
+        da[e] = float((vertex_class(cc, u) == 0) + (vertex_class(cc, v) == 0))
     db = {k: -1.0 for k in cc.v1}
     return da, db
 
@@ -834,7 +839,7 @@ def triangle_tags(T, tri):
     """Class tags of one triangle of T."""
     cc = T.base
     i, j, k = tri.verts
-    vc = tuple(cc.vertex_class(v) for v in (i, j, k))
+    vc = tuple(vertex_class(cc, v) for v in (i, j, k))
     ec = tuple(loop_triangulation(T).edge_class(edge_key(u, v))
                for u, v in ((i, j), (j, k), (k, i)))
     return geo.TriangleTags(vc=vc, ec=ec)
@@ -899,7 +904,7 @@ def psi_inv_surface_by_loop(T, er, g):
         if e in cc.e0:
             continue
         u, v = e
-        a[e] = sk.inv_edge(g, 1, cc.vertex_class(u), cc.vertex_class(v),
+        a[e] = sk.inv_edge(g, 1, vertex_class(cc, u), vertex_class(cc, v),
                            l[e], r[u], r[v], b.get(u, 0.0), b.get(v, 0.0))
     return a, b
 
@@ -929,7 +934,7 @@ def tri_index_by_loop(T):
     vc, ec, slots, edge, vert = [], [], [], [], []
     for ti, tri in enumerate(LT.triangles):
         es = tri_edges(T, ti)
-        vc.append([cc.vertex_class(v) for v in tri.verts])
+        vc.append([vertex_class(cc, v) for v in tri.verts])
         ec.append([LT.edge_class(e) for e in es])
         slots.append([a_slot.get(e, -1) for e in es]
                      + [b_slot.get(v, -1) for v in tri.verts])
@@ -944,7 +949,7 @@ def tri_index_by_loop(T):
             "n_free": len(a_slot) + len(b_slot),
             "edge_tri": np.array(edge_tri), "edge_col": np.array(edge_col),
             "ends": np.array([[vindex[u], vindex[v]] for u, v in LT.edges]),
-            "vclass": np.array([cc.vertex_class(v) for v in cc.vertices]),
+            "vclass": np.array([vertex_class(cc, v) for v in cc.vertices]),
             "eclass": np.array([LT.edge_class(e) for e in LT.edges])}
 
 
@@ -1110,6 +1115,15 @@ def layout_to_dict_by_loop(sl):
                   for e, th in sorted(sl.theta.items())},
         "charts": charts,
     }
+
+
+def demo_angles_by_extract(T, x, g):
+    """The angles block of demo as extract_angles gives it: the theta and
+    Theta objects of the realized angle data at x."""
+    t = solver.extract_angles(T, x, g)
+    return {"theta": float_map(edge_keys(t.theta), list(t.theta.values())),
+            "Theta": float_map(list(map(str, t.Theta)),
+                               list(t.Theta.values()))}
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,84 @@ class TestRender:
         assert "diagonal is not redundant" in err[0]
         assert out.exists() and svg.exists()
 
+    @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_noncanonical_keys_render_as_canonical(self, tmp_path, name, g):
+        # keys written "v-u" or with leading zeros parse to the same
+        # coordinates as the keys solve writes: the same files
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", f"fixture:{name}",
+                         "--geometry", g, "--output", str(sol)]) == 0
+        data = json.loads(sol.read_text())
+        coords = data["coords"]
+        a = {}
+        for i, (k, v) in enumerate(sorted(coords["a"].items())):
+            u, w = k.split("-")
+            a[f"{w}-{u}" if i % 2 else f"0{u}-00{w}"] = v
+        coords["a"] = a
+        coords["b"] = {"0" + k: v for k, v in coords["b"].items()}
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(data))
+        files = []
+        for doc in (sol, other):
+            svg, out = doc.with_suffix(".svg"), doc.with_suffix(".out")
+            assert cli.main(["render", "--input", str(doc), "--svg", str(svg),
+                             "--output", str(out)]) == 0
+            files.append((svg.read_bytes(), out.read_bytes()))
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c, ka, kb: c["a"].pop(ka),
+         "malformed input: missing key {ka} in coords.a"),
+        (lambda c, ka, kb: c["b"].update({"999": 0.5}),
+         "malformed input: unexpected key 999 in coords.b"),
+        (lambda c, ka, kb: c["a"].update({ka: "abc"}),
+         "malformed input: bad entry in coords.a: could not convert string "
+         "to float: 'abc'"),
+        (lambda c, ka, kb: c["b"].update({kb: None}),
+         "malformed input: bad entry in coords.b: float() argument must be "
+         "a string or a real number, not 'NoneType'"),
+        (lambda c, ka, kb: c["a"].update({ka: [1.0]}),
+         "malformed input: bad entry in coords.a: float() argument must be "
+         "a string or a real number, not 'list'"),
+        (lambda c, ka, kb: c.update(b=[1.0]),
+         "malformed input: coords.b must be a JSON object"),
+        # an int or a bool reads as its float: 2.0 leaves the domain, and
+        # True renders as 1.0 does
+        (lambda c, ka, kb: c["a"].update({ka: 2}),
+         "triangle 12: triangle inequality fails"),
+        (lambda c, ka, kb: c["b"].update({kb: True}), None),
+    ], ids=["missing-key", "extra-key", "string", "null", "list",
+            "non-object", "int", "bool"])
+    def test_bad_coords_exit_as_parsed_key_by_key(self, tmp_path, capsys,
+                                                  edit, message):
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", "fixture:genus2-mixed",
+                         "--geometry", "hyperbolic",
+                         "--output", str(sol)]) == 0
+        data = json.loads(sol.read_text())
+        ka, kb = min(data["coords"]["a"]), min(data["coords"]["b"])
+        outcomes = []
+        for value_of in (None, float):
+            doc = copy.deepcopy(data)
+            edit(doc["coords"], ka, kb)
+            if value_of:  # the number as a float
+                for part in doc["coords"].values():
+                    if isinstance(part, dict):
+                        part.update({k: value_of(v) for k, v in part.items()
+                                     if type(v) in (int, bool)})
+            sol.write_text(json.dumps(doc))
+            capsys.readouterr()
+            rc = cli.main(["render", "--input", str(sol)])
+            outcomes.append((rc, *capsys.readouterr()))
+        rc, out, err = outcomes[0]
+        if message is None:
+            assert rc == 0 and out.startswith("{") and err == ""
+        else:
+            assert (rc, out) == (1, "")
+            assert err.splitlines() == ["error: " + message.format(ka=ka)]
+        assert outcomes[1] == outcomes[0]
+
     def test_large_coordinate_exits_1(self, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         assert cli.main(["solve", "--input", "fixture:tri-torus",
@@ -514,6 +592,53 @@ def test_triangulate_calls_per_command(tmp_path, monkeypatch,
                     *(["--samples", "1"] if cmd == "roundtrip" else []))
     assert rc == 0
     assert len(made) == calls
+
+
+@pytest.mark.parametrize("case", ["demo", "render", "failed-merge"])
+def test_kernel_and_glue_calls_per_drawing(tmp_path, monkeypatch, case):
+    # demo reads its angles off the development: one kernel pass per
+    # drawing command, and one glue, the merge's; when the merge fails,
+    # as in test_failed_merge_warns, the whole-surface chart is glued
+    # once, and both exports read it
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", "--input", "fixture:grid-torus",
+                     "--output", str(sol)]) == 0
+    calls = {"kernel": 0, "glue": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def fail(sl):
+        raise HicpError("diagonal is not redundant")
+
+    monkeypatch.setattr(geo, "decorated_triangles",
+                        counting("kernel", geo.decorated_triangles))
+    monkeypatch.setattr(layout, "_glue", counting("glue", layout._glue))
+    if case == "failed-merge":
+        monkeypatch.setattr(cli, "merge_redundant", fail)
+    argv = (["demo", "--input", "fixture:grid-torus"] if case == "demo"
+            else ["render", "--input", str(sol)])
+    assert cli.main(argv + ["--svg", str(tmp_path / "p.svg"), "--output",
+                            str(tmp_path / "out.json")]) == 0
+    assert calls == {"kernel": 1, "glue": 1}
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_demo_angles_are_the_extracted_angles(monkeypatch, name, g):
+    # the angles block read off the development is the text of
+    # extract_angles at the same point
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda obj, path=None: emitted.append(
+        obj))
+    assert cli.main(["demo", "--input", f"fixture:{name}",
+                     "--geometry", g]) == 0
+    T = triangulate(build_complex(fixture_spec(name)))
+    x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
+    assert emitted[0]["angles"] == oracles.demo_angles_by_extract(T, x, g)
 
 
 # the scalar kernel, moved to tests/scalar_kernel.py as the reference of

@@ -86,8 +86,8 @@ class TestBuildComplex:
 
     def test_vertex_classes(self, genus2_mixed):
         assert genus2_mixed.v1 == frozenset({2, 5, 7, 11, 14})
-        assert genus2_mixed.vertex_class(2) == 1
-        assert genus2_mixed.vertex_class(0) == 0
+        assert oracles.vertex_class(genus2_mixed, 2) == 1
+        assert oracles.vertex_class(genus2_mixed, 0) == 0
 
     def test_e0_requires_disk_endpoints(self):
         spec = grid_torus_spec(3, v1=(0,), e0=[(0, 1)])

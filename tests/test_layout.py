@@ -414,9 +414,7 @@ def test_delaunay_json_is_the_report(name):
             assert list(delaunay_report(s)) == list(want)
 
 
-@pytest.mark.parametrize("template", (layout._LINE, layout._ARC,
-                                      layout._CIRCLE.format("#3366cc")))
-def test_svg_rows_are_the_percent_text(template):
+def test_svg_texts_are_the_percent_text():
     # halves and their neighbours, where x * 1000 may round the other
     # way than %.3f; tiny negatives, which %.3f writes -0.000; large,
     # tiny and non-finite numbers; and plain ones
@@ -429,14 +427,9 @@ def test_svg_rows_are_the_percent_text(template):
     values = np.concatenate([
         halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
         [np.nan, np.inf, -np.inf, 1e300, 5e-324, 2.0 ** 53], plain])
-    n = len(layout._FIELD.findall(template))
-    for v in (rng.permutation(values), rng.permutation(plain)):
-        cols = list(v[:len(v) // n * n].reshape(-1, n).T)
-        if template == layout._ARC:
-            cols[4] = cols[4] > 0  # the sweep flag
-        assert layout._svg_rows(template, *cols) == "\n".join(
-            [template] * len(cols[0])) % tuple(
-                np.column_stack(cols).ravel().tolist())
+    for v in (rng.permutation(values), rng.permutation(plain), values[:0]):
+        assert layout._svg_texts(v).tolist() == [
+            "%.3f" % x for x in v.tolist()]
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
