@@ -432,6 +432,39 @@ def test_svg_texts_are_the_percent_text():
             "%.3f" % x for x in v.tolist()]
 
 
+_PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
+
+
+@pytest.mark.parametrize("template", (
+    '<path d="M %.3f %.3f L %.3f %.3f"' + _PATH,
+    '<path d="M %.3f %.3f A %.3f %.3f 0 0 %d %.3f %.3f"' + _PATH,
+    '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="#3366cc" '
+    'stroke-width="0.8"/>'))
+def test_svg_rows_are_the_percent_text(template):
+    # each SVG element kind, filled from the texts of its %.3f columns,
+    # is the element that % writes from the numbers themselves
+    assert template.replace("%.3f", "%s") in (
+        layout._LINE, layout._ARC, layout._CIRCLE.format("#3366cc"))
+    rng = np.random.default_rng(7)
+    halves = (rng.integers(-10 ** 7, 10 ** 7, 120) + 0.5) / 1000
+    values = np.concatenate([
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        [np.nan, np.inf, -np.inf, 1e300, 5e-324, -0.0, -4e-4, 1e3],
+        rng.uniform(-1000, 1000, 300)])
+    fields = re.findall(r"%\.3f|%d", template)
+    n = len(fields)
+    for v in (rng.permutation(values), values[:0]):
+        cols = list(v[:len(v) // n * n].reshape(-1, n).T)
+        if "%d" in fields:
+            cols[fields.index("%d")] = cols[fields.index("%d")] > 0  # sweep
+        texts = [c if f == "%d" else layout._svg_texts(c)
+                 for f, c in zip(fields, cols)]
+        want = "\n".join([template] * len(cols[0])) % tuple(
+            np.column_stack(cols).ravel().tolist()) if len(cols[0]) else ""
+        got = layout._elements(template.replace("%.3f", "%s"), *texts)
+        assert got == want
+
+
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_svg_is_the_per_element_writer(tmp_path, name, g):
