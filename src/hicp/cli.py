@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import random
@@ -24,6 +23,7 @@ from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
 from .layout import (
     JsonText,
+    angles_json,
     delaunay_json,
     develop,
     edge_keys,
@@ -216,22 +216,6 @@ def cmd_solve(args):
     return EXIT_SOLVER
 
 
-def _solution_coords(coords, T):
-    """x of a solution's coords, looked up by the key texts solve writes;
-    other keys or values are parsed key by key and checked."""
-    a, b = coords.get("a"), coords.get("b")
-    ka, kb = edge_keys(T.free_edges), list(map(str, T.v1_vertices))
-    if not (isinstance(a, dict) and isinstance(b, dict) and a.keys() == {*ka}
-            and b.keys() == {*kb}
-            and {*map(type, a.values()), *map(type, b.values())} <= {float}):
-        a = _number_map(a, "coords.a", _edge_from_key)
-        b = _number_map(b, "coords.b", int)
-        _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
-        _require_keys(b, T.v1_vertices, "coords.b", str)
-        ka, kb = T.free_edges, T.v1_vertices
-    return np.array([a[k] for k in ka] + [b[k] for k in kb])
-
-
 def cmd_render(args):
     data = _read_json(args.input)
     if "coords" not in data:
@@ -242,7 +226,12 @@ def cmd_render(args):
     coords = data["coords"]
     if not isinstance(coords, dict):
         raise HicpError("malformed input: coords must be a JSON object")
-    sl = develop(T, _solution_coords(coords, T), g)
+    a = _number_map(coords.get("a"), "coords.a", _edge_from_key)
+    b = _number_map(coords.get("b"), "coords.b", int)
+    _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
+    _require_keys(b, T.v1_vertices, "coords.b", str)
+    sl = develop(T, np.array([a[e] for e in T.free_edges]
+                             + [b[k] for k in T.v1_vertices]), g)
     try:
         sl = merge_redundant(sl)
     except HicpError as exc:
@@ -263,17 +252,10 @@ def cmd_demo(args):
     T = triangulate(cc)
     x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
     sl = merge_redundant(develop(T, x, g))
-    # the realized angles, summed over the kernel rows as extract_angles
-    # sums them: the alpha sums of the E1 edges, the V1 cone angles
-    e1 = T.eclass[T.eclass != 2] == 1
     out = {
         "demo_version": 1,
         "geometry": g,
-        "angles": {
-            "theta": float_map(list(itertools.compress(edge_keys(sl.edges),
-                                                       e1)), sl.asum[e1]),
-            "Theta": float_map(list(map(str, T.v1_vertices)),
-                               sl.cone[T.vclass == 1])},
+        "angles": angles_json(sl),
         "delaunay": delaunay_json(sl),
         "gauss_bonnet": gauss_bonnet_check(sl),
         "layout": JsonText(layout_json(sl)),

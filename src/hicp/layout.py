@@ -474,6 +474,19 @@ def delaunay_json(sl):
         _texts(th)) + "\n")
 
 
+def angles_json(sl):
+    """The angles sl realizes as float_maps: theta on the E1 edges (their
+    alpha sums) and Theta on the V1 vertices (their cone angles), summed
+    over the kernel rows in triangle order as solver.realized_sums sums
+    them.  A merged layout's edges are T's that are not fan diagonals."""
+    T = sl.T
+    e1 = (T.eclass[T.eclass != 2] if sl.merged else T.eclass) == 1
+    return {"theta": float_map(list(itertools.compress(edge_keys(sl.edges),
+                                                       e1)), sl.asum[e1]),
+            "Theta": float_map(list(map(str, T.v1_vertices)),
+                               sl.cone[T.vclass == 1])}
+
+
 def layout_json(sl):
     """The text of the layout document: per chart its circle and its
     vertices [id, x, y], per edge theta, per vertex its radius and cone
@@ -597,12 +610,15 @@ def _geodesics(z, nxt, x, y, g, scale):
                        _elements(_ARC, p, q, r, r, sweep, u, v))
 
 
-def _circles(z, r, g, scale, off, color):
-    """SVG circles of the model circles (z, r), all r > 0."""
+def _circles(z, r, g, scale, off, color, xy=None):
+    """SVG circles of the model circles (z, r), all r > 0; xy, if given,
+    holds the texts of the screen x and y of z.  A disk circle is drawn
+    from its Euclidean representative, whose center is not z."""
     if g == HYPERBOLIC:
         with np.errstate(all="ignore"):
             z, r = geo.disk_circle_reps(z, r)
-    return _elements(_CIRCLE.format(color), *_screen(z, scale, off),
+        xy = None
+    return _elements(_CIRCLE.format(color), *(xy or _screen(z, scale, off)),
                      _svg_texts(r * scale))
 
 
@@ -639,14 +655,12 @@ def export_svg(sl, path):
     nxt[start[1:] - 1] = start[:-1]
     lines.append(_geodesics(z, nxt, x, y, g, scale))
     lines.append(_circles(c, R, g, scale, off, "#3366cc"))  # face circles
-    # vertex circles, and a dot at each point vertex; a Euclidean vertex
-    # circle is centered on its point
+    # vertex circles, and a dot at each point vertex
     dot = r <= 0
     ring = ~dot
     lines.append(_interleave(
         dot, _elements(_POINT, x[dot], y[dot]),
-        _elements(_CIRCLE.format("#cc3333"), x[ring], y[ring],
-                  _svg_texts(r[ring] * scale)) if g == EUCLIDEAN
-        else _circles(z[ring], r[ring], g, scale, off, "#cc3333")))
+        _circles(z[ring], r[ring], g, scale, off, "#cc3333",
+                 (x[ring], y[ring]))))
     lines.append('</svg>')
     write_text(path, "\n".join(lines) + "\n")

@@ -25,6 +25,7 @@ from hicp.fixtures import (
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
 from hicp.layout import (
     JsonText,
+    angles_json,
     delaunay_json,
     delaunay_report,
     develop,
@@ -412,6 +413,18 @@ def test_delaunay_json_is_the_report(name):
         if s.th is not th:
             assert delaunay_report(s) == want
             assert list(delaunay_report(s)) == list(want)
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_angles_json_is_the_extracted_angles(name, g):
+    # unmerged and merged, the angles read off the layout are the text of
+    # extract_angles at the same point
+    T = triangulate(build_complex(fixture_spec(name)))
+    x = psi_inv_surface(T, *reference_pattern(T, g), g)
+    sl = develop(T, x, g)
+    want = oracles.demo_angles_by_extract(T, x, g)
+    assert angles_json(sl) == angles_json(merge_redundant(sl)) == want
 
 
 def test_svg_texts_are_the_percent_text():
