@@ -42,7 +42,7 @@ from .polytope import (
     PARTIAL,
     check_feasibility,
     make_angle_data,
-    single_star_check,
+    pre_check,
 )
 from .solver import (
     CONVERGED,
@@ -332,8 +332,7 @@ def cmd_roundtrip(args):
             l, r = sample_er(T, l0, r0, g, rng, frac)
             x = geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
             target = extract_angles(T, x, g)
-            if all(0.0 < v < math.pi for v in target.theta.values()) \
-                    and not single_star_check(cc, target):
+            if pre_check(cc, target).feasible:
                 break
             frac *= 0.7
         else:

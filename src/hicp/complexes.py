@@ -65,9 +65,15 @@ class CellComplex:
     face_vert: np.ndarray = field(hash=False, compare=False, repr=False)
     face_start: np.ndarray = field(hash=False, compare=False, repr=False)
 
-    @property
+    @cached_property
     def vertices(self):
         return sorted(self.v0 | self.v1)
+
+    @cached_property
+    def ends(self):
+        """(E, 2) per edge: its ends' positions in ``vertices``."""
+        import numpy as np
+        return np.searchsorted(self.vertices, np.reshape(self.edges, (-1, 2)))
 
     @property
     def chi(self):
@@ -636,6 +642,9 @@ def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
 # A generator set of the exhaustive enumeration is one int64 mask, bit i
 # for hat vertex i, and 1 << cap must fit in it.
 MAX_CAP = 62
+# The most (set, hat vertex) pairs one group of it may expand: the
+# 27-vertex tri-torus needs 1.3 M, the dodecahedron 198 M.
+ENUM_BUDGET = 1 << 22
 
 
 def check_cap(cap):
@@ -672,8 +681,9 @@ def domain_generator_sets(h, strict=False, cap=22, require_exhaustive=False):
               if strict and kind == "f" else [] for kind, x in h.vertices]
     closure = [{i, *p} for i, p in enumerate(points)]
     stars = cell_rows(h, [h.stars[v] for v in h.vertices])
-    find = _small_generator_sets if partial else _connected_generator_sets
-    return find(h, closure, stars), partial
+    if partial:
+        return _small_generator_sets(h, closure, stars), partial
+    return _connected_generator_sets(h, closure, stars, cap), partial
 
 
 def _small_generator_sets(h, closure, stars):
@@ -692,8 +702,9 @@ def _small_generator_sets(h, closure, stars):
     return stars[i] | stars[j]
 
 
-def _connected_generator_sets(h, closure, stars):
-    """The rows of every kept connected set, by int64 generator masks.
+def _connected_generator_sets(h, closure, stars, cap):
+    """The rows of every kept connected set, by int64 generator masks;
+    ``CapExceeded`` for a group past ``ENUM_BUDGET``.
 
     The sets are grouped by their number of generators and built group
     by group: a group is sorted and deduplicated when its turn comes,
@@ -718,6 +729,10 @@ def _connected_generator_sets(h, closure, stars):
         sets = np.sort(np.concatenate([grown[:0], *pending.pop(k, [])]))
         sets = np.concatenate((sets[:1], sets[1:][sets[1:] != sets[:-1]]))
         kept.append(sets)
+        if len(sets) * n > ENUM_BUDGET:
+            raise CapExceeded(f"{n} hat vertices (cap {cap}): {len(sets)} "
+                              f"sets of {k} generators exceed the budget "
+                              f"of {ENUM_BUDGET} (set, vertex) pairs")
         out = _or_through(adj_table, sets) & ~sets
         at, x = divmod(np.flatnonzero(np.unpackbits(
             _bytes(out), axis=1, count=n, bitorder="little")), n)

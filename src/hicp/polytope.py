@@ -79,30 +79,28 @@ def make_angle_data(cc, geometry, theta, Theta):
     return AngleData(geometry=geometry, theta=theta, Theta=Theta)
 
 
+def angle_arrays(cc, t):
+    """The target as arrays: theta per edge of ``cc.edges``, 0 on E0; the
+    star sums sum(pi - theta) per vertex of ``cc.vertices``, each added in
+    edge order; and Theta per vertex, stored on V1 and the star sum on
+    V0.  A missing E1 or V1 key raises KeyError."""
+    theta = np.array([t.theta[e] if e in cc.e1 else 0.0 for e in cc.edges])
+    star = np.bincount(cc.ends.ravel(), weights=np.repeat(math.pi - theta, 2),
+                       minlength=len(cc.vertices))
+    Theta = np.array([t.Theta[k] if k in cc.v1 else s
+                      for k, s in zip(cc.vertices, star.tolist())])
+    return theta, star, Theta
+
+
 def theta_extended(cc, t):
-    """theta on every base edge: stored on E1, zero on E0."""
-    full = dict(t.theta)
-    for e in cc.e0:
-        full[e] = 0.0
-    return full
-
-
-def _star_terms(cc, th):
-    """Per vertex the terms pi - theta of its edges, in edge order."""
-    terms = {k: [] for k in cc.vertices}
-    for e in cc.edges:
-        for k in e:
-            terms[k].append(math.pi - th[e])
-    return terms
+    """theta on every base edge, as a dict: stored on E1, zero on E0."""
+    return dict(zip(cc.edges, angle_arrays(cc, t)[0].tolist()))
 
 
 def Theta_full(cc, t):
-    """Theta on every vertex: stored on V1, derived on V0."""
-    terms = _star_terms(cc, theta_extended(cc, t))
-    full = dict(t.Theta)
-    for k in cc.v0:
-        full[k] = sum(terms[k])
-    return full
+    """Theta on every vertex as a dict: V1 in ``t.Theta`` order, then V0."""
+    full = dict(zip(cc.vertices, angle_arrays(cc, t)[2].tolist()))
+    return {k: full[k] for k in (*t.Theta, *cc.v0)}
 
 
 @dataclass(frozen=True)
@@ -172,25 +170,25 @@ def _bits_equal(rows, mask, value):
     return ((rows[:, cols] & mask[cols]) == value[cols]).all(axis=1)
 
 
-def domain_slacks(h, rows, theta_ext, ThetaF):
+def domain_slacks(h, rows, theta, Theta):
     """For each domain, given as its row of ``complexes.cell_rows``: the
     condition-4 lhs - rhs of ``domain_inequality``, and whether it is
-    the open star of a point vertex.
+    the open star of a point vertex.  ``theta`` and ``Theta`` are those
+    of ``angle_arrays``.
 
     The slack is a sum of weights over the domain's cells:
-        -2 pi per dual vertex,  -Theta_k per base vertex k,
+        -Theta_k per base vertex k,  -2 pi per dual vertex,
         2 theta_e per dual edge,  pi per corner edge,
         -theta of the base edge it straddles per hat face,
         pi per puncture: a base vertex outside whose link is all inside.
     This is lhs - rhs rearranged: a dual edge inside has both hat faces
     across it inside, and over all base vertices the link's (hat faces
     - corner edges) inside sum to |F| - |E_corner|, where a vertex
-    inside adds 0 (see ``boundary_counts``)."""
-    weights = [-ThetaF[i] if kind == "v" else -2 * math.pi
-               for kind, i in h.vertices]
-    weights += [2 * theta_ext[c] if kind == "dual" else math.pi
-                for kind, c in h.edges]
-    weights += [-theta_ext[t.across] for t in h.hat_faces]
+    inside adds 0 (see ``boundary_counts``).  The weights are in the
+    cell order of ``hat_complex``."""
+    weights = np.concatenate([
+        -Theta, np.full(len(h.base.faces), -2 * math.pi), 2 * theta,
+        np.full(len(h.edges) - len(theta), math.pi), np.repeat(-theta, 2)])
     slack = _weigh(rows, weights)
     for vbit, lemask, lfmask in h.base_links:
         mask, link = cell_rows(h, [(vbit, lemask, lfmask),
@@ -205,39 +203,39 @@ def domain_slacks(h, rows, theta_ext, ThetaF):
 
 
 def _conditions_1_to_3(cc, t):
-    """Conditions 1-3 in order: (violations, Theta on every vertex, the
+    """Conditions 1-3 in order: (violations, ``angle_arrays``, the
     Gauss-Bonnet residual, the comparison tolerance)."""
     if not isinstance(t, AngleData):
         raise IndexMismatch("expected AngleData")
     check_geometry(t.geometry)
     if set(t.theta) != set(cc.e1) or set(t.Theta) != set(cc.v1):
         raise IndexMismatch("angle data index sets do not match the complex")
+    arrays = theta, _star, Theta = angle_arrays(cc, t)
 
     violations = []
     euclidean = t.geometry == EUCLIDEAN
-    for e in sorted(cc.e1):
-        v = t.theta[e]
-        if not 0.0 < v < math.pi:
+    # edges and vertices are sorted, so E1 and V1 are met in sorted order
+    for e, v in zip(cc.edges, theta.tolist()):
+        if e in cc.e1 and not 0.0 < v < math.pi:
             violations.append(("E1" if euclidean else "H1",
                                {"edge": list(e)}, v, None))
-    for k in sorted(cc.v1):
-        v = t.Theta[k]
-        if not v > 0.0:
+    for k, v in zip(cc.vertices, Theta.tolist()):
+        if k in cc.v1 and not v > 0.0:
             violations.append(("E2" if euclidean else "H2",
                                {"vertex": k}, v, 0.0))
 
-    ThetaF = Theta_full(cc, t)
-    total = sum(2 * math.pi - ThetaF[k] for k in ThetaF)
+    # added left to right in Theta_full's order: cumsum adds sequentially,
+    # where sum of floats is compensated from Python 3.12
+    order = np.searchsorted(cc.vertices, [*t.Theta, *cc.v0])
+    total = np.cumsum(2 * math.pi - Theta[order])[-1].item()
     target = 2 * math.pi * cc.chi
     gb_residual = total - target
-    tol = 1e-12 * (1 + len(ThetaF))
-    if euclidean:
-        if abs(gb_residual) > tol:
-            violations.append(("E3", {"surface": True}, total, target))
-    else:
-        if not gb_residual > tol:
-            violations.append(("H3", {"surface": True}, total, target))
-    return violations, ThetaF, gb_residual, tol
+    tol = 1e-12 * (1 + len(Theta))
+    if euclidean and abs(gb_residual) > tol:
+        violations.append(("E3", {"surface": True}, total, target))
+    elif not euclidean and not gb_residual > tol:
+        violations.append(("H3", {"surface": True}, total, target))
+    return violations, arrays, gb_residual, tol
 
 
 def _conditions_size(cc):
@@ -248,21 +246,23 @@ def check_feasibility(cc, t, cap=22):
     """Decide polytope membership of the angle data on the complex.
     Raises ``CapExceeded`` for a ``cap`` above ``complexes.MAX_CAP``."""
     check_cap(cap)
-    violations, ThetaF, gb_residual, tol = _conditions_1_to_3(cc, t)
+    violations, (theta, _star, Theta), gb_residual, tol = \
+        _conditions_1_to_3(cc, t)
     partial = False
     method, size = CONDITIONS_1_3, _conditions_size(cc)
     if not violations:
-        theta_ext = theta_extended(cc, t)
         h = hat_complex(cc)
         rows, partial = domain_generator_sets(h, strict=True, cap=cap)
-        slack, point_star = domain_slacks(h, rows, theta_ext, ThetaF)
+        slack, point_star = domain_slacks(h, rows, theta, Theta)
         # The cell weights add up in another order than domain_inequality,
         # so a row not clearly above the threshold (or NaN) is decided by
         # domain_inequality itself, which also gives a witness its lhs
         # and rhs.
         band = ~(slack > tol + 1e-9 * (1 + np.abs(slack))) & ~point_star
         cond = "E4" if t.geometry == EUCLIDEAN else "H4"
-        e0_duals = _e0_dual_indices(h, cc)
+        e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+        theta_ext = dict(zip(cc.edges, theta.tolist()))
+        ThetaF = dict(zip(cc.vertices, Theta.tolist()))
         for i in np.flatnonzero(band):
             d = row_domain(h, rows[i])
             lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF,
@@ -290,10 +290,10 @@ def pre_check(cc, t):
     """The solver's cheap necessary test: conditions 1-3, then the
     single-star subset of condition 4.  Infeasible with the violations
     found, or feasible under this partial check."""
-    violations, _ThetaF, gb_residual, _tol = _conditions_1_to_3(cc, t)
+    violations, arrays, gb_residual, _tol = _conditions_1_to_3(cc, t)
     method, size = CONDITIONS_1_3, _conditions_size(cc)
     if not violations:
-        violations = single_star_check(cc, t)
+        violations = single_star_check(cc, t, arrays)
         method, size = SINGLE_STAR, {"stars": len(cc.v1)}
     return FeasibilityReport(
         verdict=INFEASIBLE if violations else PARTIAL,
@@ -301,22 +301,18 @@ def pre_check(cc, t):
         partial=not violations, method=method, size=size)
 
 
-def _e0_dual_indices(h, cc):
-    return {h.eindex[("dual", e)] for e in cc.e0}
-
-
-def single_star_check(cc, t):
+def single_star_check(cc, t, arrays=None):
     """The condition-4 inequalities over open stars of positive-circle
     vertices only (a cheap necessary subset, used by pre_check): for
     OStar(k), k in V1 the inequality reads
-    sum over incident edges (pi - theta_ik) + (2 pi - Theta_k) > 2 pi."""
-    terms = _star_terms(cc, theta_extended(cc, t))
-    bad = []
-    for k in sorted(cc.v1):
-        lhs = sum(terms[k])
-        lhs += 2 * math.pi - t.Theta[k]
-        rhs = 2 * math.pi
-        if not lhs > rhs + 1e-12 * (1 + len(terms[k])):
-            bad.append((("E4" if t.geometry == EUCLIDEAN else "H4"),
-                        {"domain": [["v", k]]}, lhs, rhs))
-    return bad
+    sum over incident edges (pi - theta_ik) + (2 pi - Theta_k) > 2 pi.
+    ``arrays`` is ``angle_arrays(cc, t)`` when the caller has it."""
+    _theta, star, Theta = angle_arrays(cc, t) if arrays is None else arrays
+    lhs = star + (2 * math.pi - Theta)
+    rhs = 2 * math.pi
+    degree = np.bincount(cc.ends.ravel(), minlength=len(lhs))
+    ok = lhs > rhs + 1e-12 * (1 + degree)
+    cond = "E4" if t.geometry == EUCLIDEAN else "H4"
+    return [(cond, {"domain": [["v", k]]}, v, rhs)
+            for k, v, good in zip(cc.vertices, lhs.tolist(), ok.tolist())
+            if k in cc.v1 and not good]

@@ -12,7 +12,7 @@ import numpy as np
 from . import geometry as geo
 from .errors import DomainError, IndexMismatch, NotInTE
 from .geometry import EUCLIDEAN, check_geometry
-from .polytope import AngleData, pre_check
+from .polytope import AngleData, angle_arrays, pre_check
 
 CONVERGED = "Converged"
 INFEASIBLE = "Infeasible"
@@ -211,10 +211,11 @@ def omega_solve(vclasses, eclasses, g):
 def lifted_targets(T, target):
     """Target angle per free variable, in free-variable order: stored
     theta on E1, pi on the fan diagonals, Theta on V1."""
-    diag = (T.eclass[T.eclass != 0] == 2).tolist()
-    return np.array([math.pi if d else target.theta[e]
-                     for e, d in zip(T.free_edges, diag)]
-                    + [target.Theta[k] for k in T.v1_vertices])
+    theta, _star, Theta = angle_arrays(T.base, target)
+    # the base edges of the sorted T.edges are the base's, in order
+    lifted = np.full(len(T.eclass), math.pi)
+    lifted[T.eclass != 2] = theta
+    return np.concatenate([lifted[T.eclass != 0], Theta[T.vclass == 1]])
 
 
 def _slot_angles(dt):
@@ -238,13 +239,11 @@ def realized_sums(T, x, g):
     return _slot_sums(T, _slot_angles(geo.decorate_surface(T, x, g)))
 
 
-def grad_U(T, x, target, g):
+def grad_U(T, x, targets, g):
     """Gradient of the angle functional: realized minus target angles,
-    one entry per free variable.  ``target`` is AngleData or the vector
+    one entry per free variable; ``targets`` is the vector
     ``lifted_targets`` returns."""
-    if not isinstance(target, np.ndarray):
-        target = lifted_targets(T, target)
-    return realized_sums(T, x, g) - target
+    return realized_sums(T, x, g) - targets
 
 
 def hessian_U(T, x, g):

@@ -387,15 +387,61 @@ def admissible_by_subsets(h):
     return out
 
 
+def theta_extended_by_dict(cc, t):
+    """theta on every base edge: stored on E1, zero on E0."""
+    full = dict(t.theta)
+    for e in cc.e0:
+        full[e] = 0.0
+    return full
+
+
+def conditions_1_to_3_by_loop(cc, t):
+    """Conditions 1-3 as ``polytope._conditions_1_to_3`` decides them,
+    by loops over the sorted E1 and V1 and a left-to-right total over
+    ``Theta_full_by_scan`` in its order: (violations, Theta on every
+    vertex, the Gauss-Bonnet residual, the comparison tolerance)."""
+    if not isinstance(t, pt.AngleData):
+        raise IndexMismatch("expected AngleData")
+    geo.check_geometry(t.geometry)
+    if set(t.theta) != set(cc.e1) or set(t.Theta) != set(cc.v1):
+        raise IndexMismatch("angle data index sets do not match the complex")
+    violations = []
+    euclidean = t.geometry == geo.EUCLIDEAN
+    for e in sorted(cc.e1):
+        v = t.theta[e]
+        if not 0.0 < v < math.pi:
+            violations.append(("E1" if euclidean else "H1",
+                               {"edge": list(e)}, v, None))
+    for k in sorted(cc.v1):
+        v = t.Theta[k]
+        if not v > 0.0:
+            violations.append(("E2" if euclidean else "H2",
+                               {"vertex": k}, v, 0.0))
+    ThetaF = Theta_full_by_scan(cc, t)
+    total = 0.0
+    for v in ThetaF.values():
+        total += 2 * math.pi - v
+    target = 2 * math.pi * cc.chi
+    gb_residual = total - target
+    tol = 1e-12 * (1 + len(ThetaF))
+    if euclidean:
+        if abs(gb_residual) > tol:
+            violations.append(("E3", {"surface": True}, total, target))
+    elif not gb_residual > tol:
+        violations.append(("H3", {"surface": True}, total, target))
+    return violations, ThetaF, gb_residual, tol
+
+
 def check_feasibility_by_loop(cc, t, cap=22):
-    """``polytope.check_feasibility`` with condition 4 decided domain by
+    """``polytope.check_feasibility`` with conditions 1-3 by
+    ``conditions_1_to_3_by_loop`` and condition 4 decided domain by
     domain: every strict admissible domain made as a ``Domain`` and its
     inequality evaluated by ``domain_inequality``."""
-    violations, ThetaF, gb_residual, tol = pt._conditions_1_to_3(cc, t)
+    violations, ThetaF, gb_residual, tol = conditions_1_to_3_by_loop(cc, t)
     partial = False
     method, size = pt.CONDITIONS_1_3, pt._conditions_size(cc)
     if not violations:
-        theta_ext = pt.theta_extended(cc, t)
+        theta_ext = theta_extended_by_dict(cc, t)
         h = hat_complex(cc)
         domains = admissible_domains(h, strict=True, cap=cap)
         partial = domains.partial
@@ -430,22 +476,28 @@ def check_feasibility_by_loop(cc, t, cap=22):
 
 
 def Theta_full_by_scan(cc, t):
-    """``polytope.Theta_full`` with each point vertex's sum taken over a
-    scan of every edge."""
-    th = pt.theta_extended(cc, t)
+    """``polytope.Theta_full`` with each point vertex's sum taken left to
+    right over a scan of every edge."""
+    th = theta_extended_by_dict(cc, t)
     full = dict(t.Theta)
     for k in cc.v0:
-        full[k] = sum(math.pi - th[e] for e in cc.edges if k in e)
+        full[k] = 0.0
+        for e in cc.edges:
+            if k in e:
+                full[k] += math.pi - th[e]
     return full
 
 
 def single_star_check_by_scan(cc, t):
-    """``polytope.single_star_check`` with each disk's sum and degree
-    taken over a scan of every edge."""
-    th = pt.theta_extended(cc, t)
+    """``polytope.single_star_check`` with each disk's sum (left to
+    right) and degree taken over a scan of every edge."""
+    th = theta_extended_by_dict(cc, t)
     bad = []
     for k in sorted(cc.v1):
-        lhs = sum(math.pi - th[e] for e in cc.edges if k in e)
+        lhs = 0.0
+        for e in cc.edges:
+            if k in e:
+                lhs += math.pi - th[e]
         lhs += 2 * math.pi - t.Theta[k]
         rhs = 2 * math.pi
         if not lhs > rhs + 1e-12 * (1 + sum(k in e for e in cc.edges)):

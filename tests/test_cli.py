@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -202,6 +203,27 @@ class TestValidate:
         rc, data = run(tmp_path, "validate", "--input", "fixture:grid-torus",
                        "--enum-cap", "62")
         assert (rc, data["size"]["domains"]) == (0, 510)
+
+    def test_enumeration_stops_within_its_budget(self):
+        # the dodecahedron's 32 hat vertices at the largest cap: the
+        # groups of the exhaustive enumeration would outgrow 1 GB of
+        # address space; the budget stops them with one error line
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from hicp import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   HICP_THREADS="1")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "validate", "--input",
+             "fixture:dodecahedron", "--enum-cap", "62"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 5
+        assert (proc.returncode, proc.stdout) == (1, "")
+        err = proc.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: 32 hat vertices (cap 62): ")
 
     def test_rejects_a_negative_cap(self, tmp_path, capsys):
         # a negative cap would make every complex partial

@@ -611,6 +611,18 @@ class TestArrayEnumerator:
         with pytest.raises(CapExceeded):
             admissible_domains(h, cap=MAX_CAP + 1)
 
+    def test_budget_stops_before_a_group(self, grid_torus, monkeypatch):
+        # the largest group of the 18 hat vertices holds 117 sets of 14
+        # generators: 2106 (set, hat vertex) pairs to expand
+        h = hat_complex(grid_torus)
+        monkeypatch.setattr(complexes, "ENUM_BUDGET", 2105)
+        with pytest.raises(CapExceeded, match=r"^18 hat vertices \(cap 22\):"
+                           r" 117 sets of 14 generators exceed the budget"
+                           r" of 2105 "):
+            domain_generator_sets(h, True)
+        monkeypatch.setattr(complexes, "ENUM_BUDGET", 2106)
+        assert len(domain_generator_sets(h, True)[0]) == 519
+
 
 class TestBoundaryTouches:
     """The mask test agrees with the link-walk definition at every hat

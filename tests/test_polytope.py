@@ -253,9 +253,10 @@ def _assert_slacks_match(cc, t, domains):
     h = hat_complex(cc)
     theta_ext, ThetaF = theta_extended(cc, t), Theta_full(cc, t)
     e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+    theta, _star, Theta = polytope.angle_arrays(cc, t)
     slack, point_star = domain_slacks(
         h, complexes.cell_rows(h, [(d.vmask, d.emask, d.fmask)
-                                   for d in domains]), theta_ext, ThetaF)
+                                   for d in domains]), theta, Theta)
     assert len(slack) == len(point_star) == len(domains)
     for d, s, p in zip(domains, slack, point_star):
         lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals)
@@ -419,8 +420,8 @@ class TestBuildsDomainsOnlyInTheBand:
         rep, built, called = self._count(monkeypatch, cc, t)
         h = hat_complex(cc)
         rows, _partial = complexes.domain_generator_sets(h, True)
-        slack, point_star = domain_slacks(
-            h, rows, theta_extended(cc, t), Theta_full(cc, t))
+        theta, _star, Theta = polytope.angle_arrays(cc, t)
+        slack, point_star = domain_slacks(h, rows, theta, Theta)
         band = int(np.sum(~(slack > GRID_TOL + 1e-9 * (1 + np.abs(slack)))
                           & ~point_star))
         assert rep.verdict == INFEASIBLE

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestReferenceCoords:
         for g in BOTH:
             tc = reference_coords(T, g)
             target = extract_angles(T, tc, g)
-            grad = grad_U(T, tc, target, g)
+            grad = grad_U(T, tc, lifted_targets(T, target), g)
             assert np.max(np.abs(grad)) < 1e-9
 
     def test_repair_runs_only_where_needed(self, monkeypatch):
@@ -152,12 +153,14 @@ class TestLiftedTargets:
         got = lifted_targets(T, target)
         assert got.tolist() == want and len(got) == T.n_free
 
-    def test_missing_e1_key_raises(self, problem):
+    @pytest.mark.parametrize("field", ["theta", "Theta"], ids=["E1", "V1"])
+    def test_missing_key_raises(self, problem, field):
         T, target = problem
-        e = sorted(target.theta)[4]
-        theta = {k: v for k, v in target.theta.items() if k != e}
+        values = getattr(target, field)
+        key = sorted(values)[4]
+        kept = {k: v for k, v in values.items() if k != key}
         with pytest.raises(KeyError):
-            lifted_targets(T, AngleData(EUCLIDEAN, theta, target.Theta))
+            lifted_targets(T, replace(target, **{field: kept}))
 
 
 class TestDerivatives:
