@@ -83,13 +83,22 @@ def _read_json(path):
 
 
 def _number_map(raw, what, parse_key):
-    """A JSON object of numbers as {parsed key: float}."""
+    """A JSON object of numbers as {parsed key: float}; two keys that
+    parse to one, such as "0-1" and "1-0", are an error."""
     if not isinstance(raw, dict):
         raise HicpError(f"malformed input: {what} must be a JSON object")
     try:
-        return {parse_key(k): float(v) for k, v in raw.items()}
+        out = {parse_key(k): float(v) for k, v in raw.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise HicpError(f"malformed input: bad entry in {what}: {exc}")
+    if len(out) < len(raw):
+        first = {}
+        for k in raw:
+            other = first.setdefault(parse_key(k), k)
+            if other != k:
+                raise HicpError(f"malformed input: keys {other!r} and {k!r}"
+                                f" in {what} name the same entry")
+    return out
 
 
 def _require_keys(got, want, what, fmt):

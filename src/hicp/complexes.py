@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
@@ -438,116 +438,73 @@ def triangulate(cc):
 # Hat triangulation (corner subdivision of the dual complex)
 
 
-@dataclass(frozen=True)
-class HatFace:
-    """Hat triangle with one base-vertex corner and two dual corners.
-    ``across`` is the base edge the triangle straddles."""
-
-    corner: int  # base vertex
-    duals: tuple  # (face index, face index), sorted
-    across: Edge
-    # hat edge indices: the dual edge of ``across``, then the corner
-    # edges from ``corner`` to duals[0] and duals[1]
-    edges: tuple
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HatTriangulation:
+    """The corner subdivision of the dual complex of ``base``, built by
+    ``hat_complex``.  Hat vertex k < V is base vertex k (a position in
+    ``base.vertices``) and V + f is the center of face f.  Hat edge
+    e < E is the dual of base edge e (a position in ``base.edges``); the
+    corner edges follow, face by face, each face's vertices in id order.
+    Hat face 2 e + j straddles base edge e at its j-th end.  A cell row
+    holds one little-endian bit per hat cell: the vertices, then the
+    edges, then the faces."""
+
     base: CellComplex
-    vertices: list  # hat vertices: ("v", id) then ("f", face index)
-    edges: list  # ("dual", base_edge) and ("corner", (v, face index))
-    hat_faces: list  # of HatFace
-    # index lookups
-    vindex: dict = field(repr=False, default_factory=dict)
-    eindex: dict = field(repr=False, default_factory=dict)
-    findex: dict = field(repr=False, default_factory=dict)
-    # per hat vertex: (vmask, emask, fmask) of its open star
-    stars: dict = field(repr=False, default_factory=dict)
-    # overlap graph between open stars, as adjacency over hat vertices
-    overlap: dict = field(repr=False, default_factory=dict)
-    # per hat vertex: (emask, fmask) of its link
-    link_masks: dict = field(repr=False, default_factory=dict)
-    # per base vertex, and per point vertex: (vertex bit, link emask,
-    # link fmask)
-    base_links: tuple = field(repr=False, default=())
-    point_links: tuple = field(repr=False, default=())
-    # per base edge, in ``base.edges`` order: (edge, dual edge bit, fmask
-    # of the two hat faces across it)
-    dual_cells: tuple = field(repr=False, default=())
+    star_rows: np.ndarray  # (V + F, bytes) per hat vertex: its open star
+    # per hat edge, its two hat vertices: a dual edge joins two centers, a
+    # corner edge a base vertex, then a center.  Two open stars share a
+    # cell exactly when a hat edge joins their vertices, and no two hat
+    # edges join the same two
+    edge_ends: np.ndarray
+
+    @cached_property
+    def vertices(self):
+        """The hat vertices by name: ("v", id), then ("f", face index)."""
+        return ([("v", k) for k in self.base.vertices]
+                + [("f", fi) for fi in range(len(self.base.faces))])
+
+    @cached_property
+    def vindex(self):
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def eindex(self):
+        """The dual hat edges' positions by name: ("dual", base edge)."""
+        return {("dual", e): i for i, e in enumerate(self.base.edges)}
+
+    @cached_property
+    def base_links(self):
+        """Per base vertex: (vertex bit, link emask, link fmask) of its
+        open star, as Python ints for ``boundary_counts``."""
+        return tuple((1 << k, *_masks(self, row)[1:]) for k, row in
+                     enumerate(self.star_rows[:len(self.base.vertices)]))
 
 
 def hat_complex(cc):
-    h = HatTriangulation(base=cc, vertices=[], edges=[], hat_faces=[])
-    for v in cc.vertices:
-        h.vindex[("v", v)] = len(h.vertices)
-        h.vertices.append(("v", v))
-    for fi in range(len(cc.faces)):
-        h.vindex[("f", fi)] = len(h.vertices)
-        h.vertices.append(("f", fi))
-
-    for e in cc.edges:
-        h.eindex[("dual", e)] = len(h.edges)
-        h.edges.append(("dual", e))
-    for fi, f in enumerate(cc.faces):
-        for v in sorted(f):
-            h.eindex[("corner", (v, fi))] = len(h.edges)
-            h.edges.append(("corner", (v, fi)))
-
-    for e in cc.edges:
-        fa, fb = cc.edge_faces[e]
-        duals = tuple(sorted((fa, fb)))
-        for v in e:
-            h.findex[(v, e)] = len(h.hat_faces)
-            h.hat_faces.append(HatFace(
-                corner=v, duals=duals, across=e,
-                edges=(h.eindex[("dual", e)],
-                       h.eindex[("corner", (v, duals[0]))],
-                       h.eindex[("corner", (v, duals[1]))])))
-    h.dual_cells = tuple(
-        (e, 1 << h.eindex[("dual", e)],
-         sum(1 << h.findex[(v, e)] for v in e)) for e in cc.edges)
-    _build_stars_and_links(h)
-    return h
-
-
-def _build_stars_and_links(h):
-    cc = h.base
-    # the link of a hat vertex, as cell sets read off the incidences: a
-    # corner edge (k, f) lies in the links of k and O_f, a dual edge in
-    # those of its two faces, and a hat face (k, e) in those of k and of
-    # both faces of e
-    emask = dict.fromkeys(h.vertices, 0)
-    fmask = dict.fromkeys(h.vertices, 0)
-    for i, (kind, data) in enumerate(h.edges):
-        ends = ([("f", fi) for fi in cc.edge_faces[data]] if kind == "dual"
-                else [("v", data[0]), ("f", data[1])])
-        for hv in ends:
-            emask[hv] |= 1 << i
-    for i, hf in enumerate(h.hat_faces):
-        for hv in (("v", hf.corner), ("f", hf.duals[0]), ("f", hf.duals[1])):
-            fmask[hv] |= 1 << i
-    for hv in h.vertices:
-        h.link_masks[hv] = (emask[hv], fmask[hv])
-        # the open star: the vertex and the cells of its link
-        h.stars[hv] = (1 << h.vindex[hv], emask[hv], fmask[hv])
-    h.base_links = tuple((1 << h.vindex[("v", k)], *h.link_masks[("v", k)])
-                         for k in cc.vertices)
-    h.point_links = tuple(link for k, link in zip(cc.vertices, h.base_links)
-                          if k in cc.v0)
-
-    # overlap graph: two open stars share a cell exactly when a base
-    # vertex lies on a face (their corner edge) or two faces share a base
-    # edge (its dual edge); a hat face has one base corner, so two base
-    # vertices' stars never meet
-    h.overlap = {v: set() for v in h.vertices}
-    for fi, f in enumerate(cc.faces):
-        for v in f:
-            h.overlap[("v", v)].add(("f", fi))
-            h.overlap[("f", fi)].add(("v", v))
-    for fa, fb in cc.edge_faces.values():
-        if fa != fb:
-            h.overlap[("f", fa)].add(("f", fb))
-            h.overlap[("f", fb)].add(("f", fa))
+    """The hat triangulation of cc: every (hat vertex, cell) incidence
+    scattered into the star rows by one ``bitwise_or.at``.  A hat vertex
+    is a corner of itself, a hat edge has its ends as corners, and a hat
+    face its base vertex and the centers of both faces of its edge."""
+    import numpy as np
+    V, F = len(cc.vertices), len(cc.faces)
+    fv, start = cc.face_vert, cc.face_start
+    face = np.repeat(np.arange(F), np.diff(start))
+    order = np.lexsort((fv, face))
+    centers = V + np.array([cc.edge_faces[e] for e in cc.edges],
+                           int).reshape(-1, 2)
+    # no two hat edges join the same two vertices: a face holds a vertex
+    # once and two faces share at most one edge
+    ends = np.concatenate([centers,
+                           np.stack([fv[order], V + face[order]], axis=1)])
+    faces = np.column_stack([cc.ends.ravel(), np.repeat(centers, 2, axis=0)])
+    n = V + F
+    vert = np.concatenate([np.arange(n), ends.ravel(), faces.ravel()])
+    cell = np.repeat(np.arange(n + len(ends) + len(faces)),
+                     np.repeat([1, 2, 3], [n, len(ends), len(faces)]))
+    rows = np.zeros((n, cell[-1] // 8 + 1), np.uint8)
+    np.bitwise_or.at(rows, (vert, cell >> 3),
+                     np.left_shift(1, cell & 7).astype(np.uint8))
+    return HatTriangulation(base=cc, star_rows=rows, edge_ends=ends)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +530,9 @@ def make_domain(h, generators, masks=None):
     """The union of the open stars of ``generators``; ``masks`` is its
     (vmask, emask, fmask) when the caller has it already."""
     if masks is None:
-        vmask = emask = fmask = 0
-        for g in generators:
-            vm, em, fm = h.stars[g]
-            vmask |= vm
-            emask |= em
-            fmask |= fm
-        masks = (vmask, emask, fmask)
+        import numpy as np
+        masks = _masks(h, np.bitwise_or.reduce(
+            h.star_rows[[h.vindex[g] for g in generators]]))
     return Domain(h, frozenset(generators), *masks)
 
 
@@ -588,26 +541,20 @@ def euler_char(d):
     return (d.vmask.bit_count() - d.emask.bit_count() + d.fmask.bit_count())
 
 
-def cell_rows(h, masks):
-    """One row of little-endian bytes per (vmask, emask, fmask): one bit
-    per hat cell, the vertices, then the edges, then the faces."""
-    import numpy as np
-    se, sf = len(h.vertices), len(h.vertices) + len(h.edges)
-    nbytes = -(-(sf + len(h.hat_faces)) // 8)
-    return np.frombuffer(
-        b"".join((v | e << se | f << sf).to_bytes(nbytes, "little")
-                 for v, e, f in masks), np.uint8).reshape(-1, nbytes)
+def _masks(h, row):
+    """(vmask, emask, fmask) of one cell row."""
+    cells = int.from_bytes(row, "little")
+    nv, ne = len(h.star_rows), len(h.edge_ends)
+    return (cells & ((1 << nv) - 1), cells >> nv & ((1 << ne) - 1),
+            cells >> nv + ne)
 
 
 def row_domain(h, row):
-    """The ``Domain`` of one row of ``cell_rows`` that holds a union of
-    open stars: its generators are its vertex bits."""
-    cells = int.from_bytes(row, "little")
-    nv, ne = len(h.vertices), len(h.edges)
-    vmask = cells & ((1 << nv) - 1)
+    """The ``Domain`` of one cell row that holds a union of open stars:
+    its generators are its vertex bits."""
+    masks = _masks(h, row)
     return make_domain(
-        h, [v for i, v in enumerate(h.vertices) if vmask >> i & 1],
-        (vmask, cells >> nv & ((1 << ne) - 1), cells >> nv + ne))
+        h, [v for i, v in enumerate(h.vertices) if masks[0] >> i & 1], masks)
 
 
 class DomainEnumeration:
@@ -660,8 +607,8 @@ def check_cap(cap):
 def domain_generator_sets(h, strict=False, cap=22, require_exhaustive=False):
     """The enumeration behind ``admissible_domains``, without a
     ``Domain``: (cell rows, partial).  A kept set of generators is one
-    row of ``cell_rows``, the union of their open stars, whose vertex
-    bits are the generators themselves.
+    cell row, the union of their open stars, whose vertex bits are the
+    generators themselves.
 
     A kept set is nonempty, connected in the star-overlap graph, holds a
     base vertex and is not every hat vertex (the whole surface).  Under
@@ -671,38 +618,46 @@ def domain_generator_sets(h, strict=False, cap=22, require_exhaustive=False):
     each of its faces.  So sets grow by the closure of a vertex (itself,
     and the point vertices of a face under ``strict``), and only strict
     sets are built."""
+    import numpy as np
     check_cap(cap)
-    nv = len(h.vertices)
+    nv = len(h.star_rows)
     partial = nv > cap
     if partial and require_exhaustive:
         raise CapExceeded(f"{nv} hat vertices exceed the cap of {cap}")
-    v0 = h.base.v0
-    points = [[h.vindex[("v", k)] for k in h.base.faces[x] if k in v0]
-              if strict and kind == "f" else [] for kind, x in h.vertices]
-    closure = [{i, *p} for i, p in enumerate(points)]
-    stars = cell_rows(h, [h.stars[v] for v in h.vertices])
+    # under strict, the corner edges (point k, center c): c needs k; a
+    # dual edge begins at a center, never at a point
+    point = np.zeros(nv, bool)
+    if strict:
+        point[:len(h.base.vertices)] = np.isin(h.base.vertices,
+                                               list(h.base.v0))
+    k, c = h.edge_ends[point[h.edge_ends[:, 0]]].T
     if partial:
-        return _small_generator_sets(h, closure, stars), partial
-    return _connected_generator_sets(h, closure, stars, cap), partial
+        return _small_generator_sets(h, point, c), partial
+    closure = np.left_shift(1, np.arange(nv, dtype=np.int64))
+    np.bitwise_or.at(closure, c, 1 << k)
+    return _connected_generator_sets(h, closure, cap), partial
 
 
-def _small_generator_sets(h, closure, stars):
+def _small_generator_sets(h, point, needs):
     """The rows of every kept one-generator set and two-generator
-    connected set, by sets of generator positions."""
+    connected set.  ``point`` tells which hat vertices are point
+    vertices under strict, and ``needs`` lists a dual vertex once per
+    point vertex of its face: a set is kept when it holds a base vertex
+    and every point vertex its dual vertices need.  A pair of stars
+    shares a cell only across a face, so the one point vertex a dual
+    vertex may need in a pair is the base vertex beside it."""
     import numpy as np
-    n, n_base = len(h.vertices), len(h.base.vertices)
-    pairs = [(i, i) for i in range(n)] + [
-        (i, h.vindex[w]) for i, v in enumerate(h.vertices)
-        for w in h.overlap[v] if i < h.vindex[w]]
-    # the base vertices come first in h.vertices
-    i, j = np.array([(i, j) for i, j in pairs
-                     if closure[i] | closure[j] == {i, j}
-                     and min(i, j) < n_base and len({i, j}) < n],
-                    int).reshape(-1, 2).T
-    return stars[i] | stars[j]
+    n = len(h.star_rows)
+    need = np.bincount(needs, minlength=n)
+    i, j = np.concatenate([np.arange(n).repeat(2).reshape(-1, 2),
+                           h.edge_ends]).T
+    # the base vertices come first
+    keep = ((np.minimum(i, j) < len(h.base.vertices))
+            & (need[i] <= point[j]) & (need[j] <= point[i]))
+    return h.star_rows[i[keep]] | h.star_rows[j[keep]]
 
 
-def _connected_generator_sets(h, closure, stars, cap):
+def _connected_generator_sets(h, closure, cap):
     """The rows of every kept connected set, by int64 generator masks;
     ``CapExceeded`` for a group past ``ENUM_BUDGET``.
 
@@ -715,10 +670,10 @@ def _connected_generator_sets(h, closure, stars, cap):
     are ORs of per-vertex masks and star rows through one 256-entry
     table per byte of the generator mask."""
     import numpy as np
-    n = len(h.vertices)
-    adj = np.array([sum(1 << h.vindex[w] for w in h.overlap[v])
-                    for v in h.vertices], np.int64)
-    closure = np.array([sum(1 << i for i in c) for c in closure], np.int64)
+    n = len(h.star_rows)
+    i, j = np.concatenate([h.edge_ends, h.edge_ends[:, ::-1]]).T
+    adj = np.zeros(n, np.int64)
+    np.bitwise_or.at(adj, i, np.left_shift(1, j, dtype=np.int64))
     adj_table = _or_table(adj)
     pending, grown, kept = {}, closure, []
     # the group of n holds the whole surface alone
@@ -738,9 +693,9 @@ def _connected_generator_sets(h, closure, stars, cap):
             _bytes(out), axis=1, count=n, bitorder="little")), n)
         grown = sets[at] | closure[x]
     sets = np.concatenate(kept)
-    # the base vertices come first in h.vertices
+    # the base vertices come first
     sets = sets[sets & ((1 << len(h.base.vertices)) - 1) != 0]
-    return _or_through(_or_table(stars), sets)
+    return _or_through(_or_table(h.star_rows), sets)
 
 
 def _bytes(masks):
@@ -748,12 +703,17 @@ def _bytes(masks):
     return masks.astype("<i8", copy=False).view("u1").reshape(-1, 8)
 
 
+@cache
+def _byte_popcounts():
+    """The number of set bits of each byte value 0 .. 255."""
+    import numpy as np
+    return np.unpackbits(np.arange(256, dtype="u1")[:, None], axis=1).sum(
+        axis=1, dtype=int)
+
+
 def _popcount(masks, n):
     """The number of set bits of each of the n-bit int64 ``masks``."""
-    import numpy as np
-    pop = np.unpackbits(np.arange(256, dtype="u1")[:, None], axis=1).sum(
-        axis=1, dtype=int)
-    by = _bytes(masks)
+    pop, by = _byte_popcounts(), _bytes(masks)
     return sum(pop[by[:, p]] for p in range(-(-n // 8)))
 
 
@@ -800,13 +760,15 @@ def boundary_counts(h, d, e0_dual_indices=None):
     e0_mask = sum(1 << ei for ei in e0_dual_indices or ())
     dual_mult = {}
     n_e0 = 0
-    for e, ebit, faces in h.dual_cells:
-        if emask & ebit:
+    # the dual of base edge i is hat edge i, the hat faces across it are
+    # 2 i and 2 i + 1
+    for i, e in enumerate(h.base.edges):
+        if emask >> i & 1:
             continue
-        m = (fmask & faces).bit_count()
+        m = (fmask >> 2 * i & 3).bit_count()
         if m:
             dual_mult[e] = m
-            if ebit & e0_mask:
+            if e0_mask >> i & 1:
                 n_e0 += m
 
     n_v = 0

@@ -28,7 +28,6 @@ import numpy as np
 
 from .complexes import (
     boundary_counts,
-    cell_rows,
     check_cap,
     domain_generator_sets,
     euler_char,
@@ -75,7 +74,10 @@ def make_angle_data(cc, geometry, theta, Theta):
                 f"Theta given for point vertex {k}: that value is derived")
     if set(Theta) != set(cc.v1):
         missing = set(cc.v1) - set(Theta)
-        raise IndexMismatch(f"Theta missing for vertices {sorted(missing)}")
+        extra = set(Theta) - set(cc.v1)
+        raise IndexMismatch(
+            f"Theta keys do not match the disk vertices: missing"
+            f" {sorted(missing)}, unexpected {sorted(extra)}")
     return AngleData(geometry=geometry, theta=theta, Theta=Theta)
 
 
@@ -98,9 +100,8 @@ def theta_extended(cc, t):
 
 
 def Theta_full(cc, t):
-    """Theta on every vertex as a dict: V1 in ``t.Theta`` order, then V0."""
-    full = dict(zip(cc.vertices, angle_arrays(cc, t)[2].tolist()))
-    return {k: full[k] for k in (*t.Theta, *cc.v0)}
+    """Theta on every vertex as a dict, in ``cc.vertices`` order."""
+    return dict(zip(cc.vertices, angle_arrays(cc, t)[2].tolist()))
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def _bits_equal(rows, mask, value):
 
 
 def domain_slacks(h, rows, theta, Theta):
-    """For each domain, given as its row of ``complexes.cell_rows``: the
+    """For each domain, given as its cell row (see ``HatTriangulation``): the
     condition-4 lhs - rhs of ``domain_inequality``, and whether it is
     the open star of a point vertex.  ``theta`` and ``Theta`` are those
     of ``angle_arrays``.
@@ -188,17 +189,19 @@ def domain_slacks(h, rows, theta, Theta):
     cell order of ``hat_complex``."""
     weights = np.concatenate([
         -Theta, np.full(len(h.base.faces), -2 * math.pi), 2 * theta,
-        np.full(len(h.edges) - len(theta), math.pi), np.repeat(-theta, 2)])
+        np.full(len(h.edge_ends) - len(theta), math.pi),
+        np.repeat(-theta, 2)])
     slack = _weigh(rows, weights)
-    for vbit, lemask, lfmask in h.base_links:
-        mask, link = cell_rows(h, [(vbit, lemask, lfmask),
-                                   (0, lemask, lfmask)])
-        slack += math.pi * _bits_equal(rows, mask, link)
+    # a row's vertex bits are its generators, and a base vertex's star
+    # holds one vertex bit, its own
+    vbits = np.packbits(np.arange(8 * rows.shape[1]) < len(h.star_rows),
+                        bitorder="little")
+    point = np.isin(h.base.vertices, list(h.base.v0)).tolist()
     point_star = np.zeros(len(rows), bool)
-    for vbit, _lemask, _lfmask in h.point_links:
-        mask, star = cell_rows(h, [((1 << len(h.vertices)) - 1, 0, 0),
-                                   (vbit, 0, 0)])
-        point_star |= _bits_equal(rows, mask, star)
+    for star, is_point in zip(h.star_rows, point):
+        slack += math.pi * _bits_equal(rows, star, star & ~vbits)
+        if is_point:
+            point_star |= _bits_equal(rows, vbits, star & vbits)
     return slack, point_star
 
 
@@ -224,10 +227,10 @@ def _conditions_1_to_3(cc, t):
             violations.append(("E2" if euclidean else "H2",
                                {"vertex": k}, v, 0.0))
 
-    # added left to right in Theta_full's order: cumsum adds sequentially,
-    # where sum of floats is compensated from Python 3.12
-    order = np.searchsorted(cc.vertices, [*t.Theta, *cc.v0])
-    total = np.cumsum(2 * math.pi - Theta[order])[-1].item()
+    # added left to right in vertex order, whatever the order of the
+    # input's keys: cumsum adds sequentially, where sum of floats is
+    # compensated from Python 3.12
+    total = np.cumsum(2 * math.pi - Theta)[-1].item()
     target = 2 * math.pi * cc.chi
     gb_residual = total - target
     tol = 1e-12 * (1 + len(Theta))
@@ -260,7 +263,7 @@ def check_feasibility(cc, t, cap=22):
         # and rhs.
         band = ~(slack > tol + 1e-9 * (1 + np.abs(slack))) & ~point_star
         cond = "E4" if t.geometry == EUCLIDEAN else "H4"
-        e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+        e0_duals = {i for i, e in enumerate(cc.edges) if e in cc.e0}
         theta_ext = dict(zip(cc.edges, theta.tolist()))
         ThetaF = dict(zip(cc.vertices, Theta.tolist()))
         for i in np.flatnonzero(band):
@@ -271,7 +274,7 @@ def check_feasibility(cc, t, cap=22):
                 violations.append((cond, {"domain": _domain_witness(d)},
                                    lhs, rhs))
         method = ENUMERATION
-        size = {"hat_vertices": len(h.vertices),
+        size = {"hat_vertices": len(h.star_rows),
                 "domains": len(rows) - int(point_star.sum())}
 
     violations.sort(key=lambda v: (v[0], str(v[1])))

@@ -7,7 +7,7 @@ different from the ones in the package, so agreement is meaningful.
 import functools
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +19,6 @@ from hicp import solver
 from hicp.complexes import (
     CellComplex,
     admissible_domains,
-    cell_rows,
     edge_key,
     hat_complex,
     make_domain,
@@ -306,14 +305,15 @@ def solve_by_two_calls(T, target, opts=None):
 
 def generators_connected(h, gens):
     """True when gens is nonempty and connected in the star-overlap graph
-    ``h.overlap``, by breadth-first search."""
+    of ``hat_reference``, by breadth-first search."""
+    overlap = hat_reference(h.base).overlap
     gens = set(gens)
     if not gens:
         return False
     root = min(gens)
     seen, queue = {root}, deque([root])
     while queue:
-        for nb in h.overlap[queue.popleft()]:
+        for nb in overlap[queue.popleft()]:
             if nb in gens and nb not in seen:
                 seen.add(nb)
                 queue.append(nb)
@@ -324,6 +324,7 @@ def star_cells(h, hv):
     """(vmask, emask, fmask) of the open star of hat vertex hv, read off
     the cell incidences: hv itself and every hat edge and hat face that
     has hv as a corner."""
+    h = hat_reference(h.base)
     cc = h.base
 
     def edge_ends(edge):
@@ -345,11 +346,13 @@ def admissible_by_subsets(h):
     """Every admissible domain of h, by trying each subset of hat
     vertices: [(sorted generators, vmask, emask, fmask, strict)], sorted.
 
-    A subset is kept when it is nonempty and connected in ``h.overlap``
-    (breadth-first search) and the union of its open stars
-    (``star_cells``) is not the whole surface and holds a base vertex.
+    A subset is kept when it is nonempty and connected in the overlap
+    graph of ``hat_reference`` (breadth-first search) and the union of
+    its open stars (``star_cells``) is not the whole surface and holds a
+    base vertex.
     It is strict when no point vertex lies outside the union with an
     incident cell inside it."""
+    h = hat_reference(h.base)
     verts = sorted(h.stars)
     n = len(verts)
     stars = [star_cells(h, v) for v in verts]
@@ -446,7 +449,7 @@ def check_feasibility_by_loop(cc, t, cap=22):
         domains = admissible_domains(h, strict=True, cap=cap)
         partial = domains.partial
         cond = "E4" if t.geometry == geo.EUCLIDEAN else "H4"
-        e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+        e0_duals = {hat_reference(cc).eindex[("dual", e)] for e in cc.e0}
         evaluated = 0
         for d in domains:
             star_of = d.is_open_star_of()
@@ -477,10 +480,13 @@ def check_feasibility_by_loop(cc, t, cap=22):
 
 def Theta_full_by_scan(cc, t):
     """``polytope.Theta_full`` with each point vertex's sum taken left to
-    right over a scan of every edge."""
+    right over a scan of every edge, the vertices in id order."""
     th = theta_extended_by_dict(cc, t)
-    full = dict(t.Theta)
-    for k in cc.v0:
+    full = {}
+    for k in sorted(cc.v0 | cc.v1):
+        if k in cc.v1:
+            full[k] = t.Theta[k]
+            continue
         full[k] = 0.0
         for e in cc.edges:
             if k in e:
@@ -508,12 +514,13 @@ def single_star_check_by_scan(cc, t):
 
 def open_star(h, hv):
     """The open star of the hat vertex hv as a ``Domain``."""
-    if hv not in h.stars:
+    if hv not in hat_reference(h.base).stars:
         raise IndexMismatch(f"unknown hat vertex {hv}")
     return make_domain(h, [hv])
 
 
 def covers_surface(h, vmask, emask, fmask):
+    h = hat_reference(h.base)
     return (vmask == (1 << len(h.vertices)) - 1
             and emask == (1 << len(h.edges)) - 1
             and fmask == (1 << len(h.hat_faces)) - 1)
@@ -540,8 +547,8 @@ def admits(h, vmask, emask, fmask, strict):
     ``strict``, no point vertex on the boundary."""
     return (meets_base(h, vmask)
             and not covers_surface(h, vmask, emask, fmask)
-            and not (strict and touches_boundary(h.point_links, vmask,
-                                                 emask, fmask)))
+            and not (strict and touches_boundary(
+                hat_reference(h.base).point_links, vmask, emask, fmask)))
 
 
 def is_whole_surface(d):
@@ -554,8 +561,8 @@ def meets_base_vertices(d):
 
 def is_strict(d):
     """No point vertex on the boundary of d (strict admissibility)."""
-    return not touches_boundary(d.hat.point_links, d.vmask, d.emask,
-                                d.fmask)
+    return not touches_boundary(hat_reference(d.hat.base).point_links,
+                                d.vmask, d.emask, d.fmask)
 
 
 def contains_cell(d, kind, idx):
@@ -567,7 +574,7 @@ def contains_cell(d, kind, idx):
 def boundary_touches(d, hv):
     """The mask test of a boundary vertex: hv is outside the domain d and
     some cell of its link is inside."""
-    h = d.hat
+    h = hat_reference(d.hat.base)
     link = (1 << h.vindex[hv], *h.link_masks[hv])
     return touches_boundary([link], d.vmask, d.emask, d.fmask)
 
@@ -576,7 +583,7 @@ def boundary_touches_by_link(d, hv, links):
     """The link-walk definition of a boundary vertex: hv is outside the
     domain d and some cell of its link is inside; ``links`` is
     ``links_by_scan(d.hat)``."""
-    if contains_cell(d, "v", d.hat.vindex[hv]):
+    if contains_cell(d, "v", hat_reference(d.hat.base).vindex[hv]):
         return False
     return any(contains_cell(d, kind, idx) for kind, idx in links[hv])
 
@@ -591,7 +598,7 @@ class StarBits:
     mask."""
 
     def __init__(self, h):
-        self.hat = h
+        self.hat = h = hat_reference(h.base)
         self.verts = sorted(h.stars)
         bit = {v: 1 << i for i, v in enumerate(self.verts)}
         self.stars = [h.stars[v] for v in self.verts]
@@ -675,6 +682,7 @@ def generator_sets_by_dfs(h, strict, cap=22):
     ``small_generator_sets`` above it.  The generators are a mask over
     ``h.vertices`` and the row is its bytes."""
     sb = StarBits(h)
+    h = sb.hat
     find = (connected_generator_sets if len(sb.verts) <= cap
             else small_generator_sets)
     found = find(sb, strict)
@@ -687,6 +695,134 @@ def row_bytes(rows):
     """The bytes of each row of a 2-d uint8 array."""
     data, n = rows.tobytes(), rows.shape[1]
     return [data[i:i + n] for i in range(0, len(data), n)]
+
+
+# ---------------------------------------------------------------------------
+# Hat complex by named cells, one at a time: the reference of
+# complexes.hat_complex
+
+
+@dataclass(frozen=True)
+class HatFace:
+    """Hat triangle with one base-vertex corner and two dual corners.
+    ``across`` is the base edge the triangle straddles."""
+
+    corner: int  # base vertex
+    duals: tuple  # (face index, face index), sorted
+    across: tuple
+    # hat edge indices: the dual edge of ``across``, then the corner
+    # edges from ``corner`` to duals[0] and duals[1]
+    edges: tuple
+
+
+@dataclass
+class HatReference:
+    """The hat complex of ``base`` by named cells and Python-int masks
+    over them, numbered as the cells are met."""
+
+    base: CellComplex
+    vertices: list  # hat vertices: ("v", id) then ("f", face index)
+    edges: list  # ("dual", base_edge) and ("corner", (v, face index))
+    hat_faces: list  # of HatFace
+    # index lookups
+    vindex: dict = field(repr=False, default_factory=dict)
+    eindex: dict = field(repr=False, default_factory=dict)
+    findex: dict = field(repr=False, default_factory=dict)
+    # per hat vertex: (vmask, emask, fmask) of its open star
+    stars: dict = field(repr=False, default_factory=dict)
+    # overlap graph between open stars, as adjacency over hat vertices
+    overlap: dict = field(repr=False, default_factory=dict)
+    # per hat vertex: (emask, fmask) of its link
+    link_masks: dict = field(repr=False, default_factory=dict)
+    # per base vertex, and per point vertex: (vertex bit, link emask,
+    # link fmask)
+    base_links: tuple = field(repr=False, default=())
+    point_links: tuple = field(repr=False, default=())
+
+
+@functools.lru_cache(maxsize=32)
+def hat_reference(cc):
+    """The hat complex of cc built by loops: the hat vertices, the dual
+    edges in edge order, the corner edges face by face (each face's
+    vertices in id order) and the two hat faces of each base edge, one
+    per end; then the links read off the incidences cell by cell.  The
+    oracles here that take a hat complex ``h`` read the names and masks
+    of ``hat_reference(h.base)``, so they number the cells themselves."""
+    h = HatReference(base=cc, vertices=[], edges=[], hat_faces=[])
+    for v in cc.vertices:
+        h.vindex[("v", v)] = len(h.vertices)
+        h.vertices.append(("v", v))
+    for fi in range(len(cc.faces)):
+        h.vindex[("f", fi)] = len(h.vertices)
+        h.vertices.append(("f", fi))
+
+    for e in cc.edges:
+        h.eindex[("dual", e)] = len(h.edges)
+        h.edges.append(("dual", e))
+    for fi, f in enumerate(cc.faces):
+        for v in sorted(f):
+            h.eindex[("corner", (v, fi))] = len(h.edges)
+            h.edges.append(("corner", (v, fi)))
+
+    for e in cc.edges:
+        fa, fb = cc.edge_faces[e]
+        duals = tuple(sorted((fa, fb)))
+        for v in e:
+            h.findex[(v, e)] = len(h.hat_faces)
+            h.hat_faces.append(HatFace(
+                corner=v, duals=duals, across=e,
+                edges=(h.eindex[("dual", e)],
+                       h.eindex[("corner", (v, duals[0]))],
+                       h.eindex[("corner", (v, duals[1]))])))
+
+    # the link of a hat vertex: a corner edge (k, f) lies in the links of
+    # k and O_f, a dual edge in those of its two faces, and a hat face
+    # (k, e) in those of k and of both faces of e
+    emask = dict.fromkeys(h.vertices, 0)
+    fmask = dict.fromkeys(h.vertices, 0)
+    for i, (kind, data) in enumerate(h.edges):
+        ends = ([("f", fi) for fi in cc.edge_faces[data]] if kind == "dual"
+                else [("v", data[0]), ("f", data[1])])
+        for hv in ends:
+            emask[hv] |= 1 << i
+    for i, hf in enumerate(h.hat_faces):
+        for hv in (("v", hf.corner), ("f", hf.duals[0]), ("f", hf.duals[1])):
+            fmask[hv] |= 1 << i
+    for hv in h.vertices:
+        h.link_masks[hv] = (emask[hv], fmask[hv])
+        # the open star: the vertex and the cells of its link
+        h.stars[hv] = (1 << h.vindex[hv], emask[hv], fmask[hv])
+    h.base_links = tuple((1 << h.vindex[("v", k)], *h.link_masks[("v", k)])
+                         for k in cc.vertices)
+    h.point_links = tuple(link for k, link in zip(cc.vertices, h.base_links)
+                          if k in cc.v0)
+
+    # overlap graph: two open stars share a cell exactly when a base
+    # vertex lies on a face (their corner edge) or two faces share a base
+    # edge (its dual edge); a hat face has one base corner, so two base
+    # vertices' stars never meet
+    h.overlap = {v: set() for v in h.vertices}
+    for fi, f in enumerate(cc.faces):
+        for v in f:
+            h.overlap[("v", v)].add(("f", fi))
+            h.overlap[("f", fi)].add(("v", v))
+    for fa, fb in cc.edge_faces.values():
+        if fa != fb:
+            h.overlap[("f", fa)].add(("f", fb))
+            h.overlap[("f", fb)].add(("f", fa))
+    return h
+
+
+def cell_rows(h, masks):
+    """One row of little-endian bytes per (vmask, emask, fmask) over the
+    cells of ``hat_reference(h.base)``: one bit per hat cell, the
+    vertices, then the edges, then the faces."""
+    h = hat_reference(h.base)
+    se, sf = len(h.vertices), len(h.vertices) + len(h.edges)
+    nbytes = -(-(sf + len(h.hat_faces)) // 8)
+    return np.frombuffer(
+        b"".join((v | e << se | f << sf).to_bytes(nbytes, "little")
+                 for v, e, f in masks), np.uint8).reshape(-1, nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +852,7 @@ def vertex_cycle_by_scan(cc, v):
 def links_by_scan(h):
     """Per hat vertex, its cyclic link of ("e", idx) and ("t", idx)
     cells, with each base vertex's cycle from ``vertex_cycle_by_scan``."""
+    h = hat_reference(h.base)
     cc = h.base
     links = {}
     for k in cc.vertices:
@@ -740,6 +877,7 @@ def links_by_scan(h):
 def overlap_by_pairs(h):
     """The star-overlap graph by testing every pair of open stars for a
     shared cell."""
+    h = hat_reference(h.base)
     verts = list(h.stars)
     overlap = {v: set() for v in verts}
     for i, a in enumerate(verts):
@@ -1216,6 +1354,7 @@ class BoundaryTrace:
 def boundary(h, d, links):
     """Boundary trace of an admissible domain as immersed closed walks;
     ``links`` is ``links_by_scan(h)``."""
+    h = hat_reference(h.base)
     # directed boundary incidences: (edge index, triangle index) with the
     # triangle inside the domain and the edge outside
     incidences = set()

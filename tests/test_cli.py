@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -102,6 +103,15 @@ def _without_vertex_id():
     return doc
 
 
+def _reference_doc(name, g):
+    """The problem document of a fixture with its reference target."""
+    spec = fixture_spec(name)
+    t = cli._target_from_input(build_complex(spec), g, None, None)
+    return dict(spec, geometry=g,
+                theta={f"{u}-{v}": x for (u, v), x in t.theta.items()},
+                Theta={str(k): x for k, x in t.Theta.items()})
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("doc", [
         {},
@@ -121,6 +131,50 @@ class TestMalformedInput:
             assert cli.main([cmd, "--input", str(p)]) == 1, cmd
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:"), cmd
+
+    def test_names_an_unexpected_Theta_vertex(self, tmp_path, capsys):
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(_with(Theta={"0": 2.0, "1": 2.0, "9": 2.0})))
+        for cmd in ("validate", "solve"):
+            capsys.readouterr()
+            assert cli.main([cmd, "--input", str(p)]) == 1, cmd
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "unexpected [9]" in err[0], cmd
+
+    @pytest.mark.parametrize("part, key, twin", [
+        ("theta", "0-1", "1-0"), ("Theta", "4", "04")])
+    def test_two_spellings_of_one_key_exit_1(self, tmp_path, capsys, part,
+                                             key, twin):
+        # without the check the last spelling won and turned the partial
+        # verdict (exit 3) into Infeasible (exit 2)
+        doc = _reference_doc("tri-torus-v1", "euclidean")
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--input", str(p)]) == 3
+        doc[part][twin] = 5.0 if part == "theta" else -1.0
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["validate", "--input", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: malformed input: keys {key!r} and {twin!r} in {part}"
+            " name the same entry"]
+
+    @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+    def test_report_does_not_depend_on_key_order(self, tmp_path, g):
+        doc = _reference_doc("dodecahedron", g)
+        rng = random.Random(0)
+        p, out = tmp_path / "in.json", tmp_path / "out.json"
+        reports = set()
+        for _ in range(4):
+            for part in ("theta", "Theta"):
+                items = list(doc[part].items())
+                rng.shuffle(items)
+                doc[part] = dict(items)
+            p.write_text(json.dumps(doc))
+            assert cli.main(["validate", "--input", str(p),
+                             "--output", str(out)]) == 3
+            reports.add(out.read_bytes())
+        assert len(reports) == 1
 
     def test_render_solution_without_input(self, tmp_path):
         sol = tmp_path / "sol.json"

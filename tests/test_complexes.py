@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,13 +402,13 @@ def test_triangulate_faults_match_loop(faces):
 
 class TestHatComplex:
     def test_cell_counts(self, grid_torus):
-        h = hat_complex(grid_torus)
+        ref = oracles.hat_reference(grid_torus)
         # vertices: base + one center per face; edges: one dual per edge
         # plus one corner edge per face corner; triangles: one per side
         # of each base edge
-        assert len(h.vertices) == 9 + 9
-        assert len(h.edges) == 18 + 36
-        assert len(h.hat_faces) == 36
+        assert len(ref.vertices) == 9 + 9
+        assert len(ref.edges) == 18 + 36
+        assert len(ref.hat_faces) == 36
 
     def test_star_sizes(self, grid_torus):
         h = hat_complex(grid_torus)
@@ -424,16 +425,54 @@ class TestHatComplex:
 
     @pytest.mark.parametrize("name", sorted(FIXTURES) + ["grid6", "tri6"])
     def test_cells_match_the_long_way(self, name):
-        # the link masks and the overlap graph read off the incidences
-        # give what a scan of every face per vertex cycle and a test of
-        # every pair of stars give
         spec = {"grid6": lambda: grid_torus_spec(6),
                 "tri6": lambda: triangulated_torus_spec(6)}.get(
                     name, lambda: fixture_spec(name))()
-        h = hat_complex(build_complex(spec))
-        assert h.stars == {hv: oracles.star_cells(h, hv) for hv in h.vertices}
-        assert h.link_masks == _link_masks_by_scan(h)
-        assert h.overlap == oracles.overlap_by_pairs(h)
+        _assert_hat_matches_the_long_way(build_complex(spec))
+
+    def test_memory_stays_near_the_rows(self):
+        # the incidences are scattered into the rows: no dense (hat vertex
+        # x cell) or (hat vertex x hat vertex) array on the way
+        cc = build_complex(triangulated_torus_spec(24))
+        tracemalloc.start()
+        try:
+            h = hat_complex(cc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.star_rows.shape == (1728, 1296)
+        assert peak <= 2 * h.star_rows.nbytes
+
+
+def _assert_hat_matches_the_long_way(cc):
+    """hat_complex's arrays against the hat complex built by loops
+    (``oracles.hat_reference``): the star rows, the ends of each hat
+    edge, which join each pair of overlapping stars once, the names and
+    the base links.  And the reference's stars, link masks and overlap
+    graph, read off the incidences, against a scan of the cells per hat
+    vertex, a scan of every face per vertex cycle and a test of every
+    pair of stars."""
+    h, ref = hat_complex(cc), oracles.hat_reference(cc)
+    assert ref.stars == {hv: oracles.star_cells(ref, hv)
+                         for hv in ref.vertices}
+    assert ref.link_masks == _link_masks_by_scan(ref)
+    assert ref.overlap == oracles.overlap_by_pairs(ref)
+    assert np.array_equal(h.star_rows, oracles.cell_rows(
+        ref, [ref.stars[hv] for hv in ref.vertices]))
+    ends = [tuple(map(ref.vertices.__getitem__, pair))
+            for pair in h.edge_ends.tolist()]
+    assert ends == [
+        tuple(("f", f) for f in cc.edge_faces[x]) if kind == "dual"
+        else (("v", x[0]), ("f", x[1])) for kind, x in ref.edges]
+    overlap = {hv: set() for hv in ref.vertices}
+    for a, b in ends:
+        overlap[a].add(b)
+        overlap[b].add(a)
+    assert overlap == ref.overlap
+    assert 2 * len(ends) == sum(map(len, ref.overlap.values()))
+    assert (h.vertices, h.vindex, h.base_links) == (
+        ref.vertices, ref.vindex, ref.base_links)
+    assert h.eindex.items() <= ref.eindex.items()
 
 
 def _link_masks_by_scan(h):
@@ -461,10 +500,7 @@ def test_flip_edges_changes_the_degrees():
 def test_hat_cells_match_the_long_way_on_flipped_tori(spec):
     cc = build_complex(spec)
     assert cc.chi == 0
-    h = hat_complex(cc)
-    assert h.link_masks == _link_masks_by_scan(h)
-    assert h.stars == {hv: oracles.star_cells(h, hv) for hv in h.vertices}
-    assert h.overlap == oracles.overlap_by_pairs(h)
+    _assert_hat_matches_the_long_way(cc)
 
 
 class TestDomains:
@@ -631,7 +667,7 @@ class TestBoundaryTouches:
     def _check(self, h, domains):
         links = oracles.links_by_scan(h)
         for d in domains:
-            for hv in h.stars:
+            for hv in h.vertices:
                 assert (oracles.boundary_touches(d, hv)
                         == oracles.boundary_touches_by_link(d, hv, links)), (
                     sorted(d.generators), hv)
@@ -651,12 +687,13 @@ class TestBoundaryTouches:
 
 def _boundary_matches_walk(h, d, links):
     cc = h.base
-    e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
+    ref = oracles.hat_reference(cc)
+    e0_duals = {ref.eindex[("dual", e)] for e in cc.e0}
     mult, n_v, n_e0 = boundary_counts(h, d, e0_duals)
     tr = oracles.boundary(h, d, links)
     walk_mult = {}
     for ei, m in tr.edge_multiplicities().items():
-        kind, e = h.edges[ei]
+        kind, e = ref.edges[ei]
         if kind == "dual":
             walk_mult[e] = walk_mult.get(e, 0) + m
     assert mult == walk_mult, sorted(d.generators)

@@ -255,8 +255,8 @@ def _assert_slacks_match(cc, t, domains):
     e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
     theta, _star, Theta = polytope.angle_arrays(cc, t)
     slack, point_star = domain_slacks(
-        h, complexes.cell_rows(h, [(d.vmask, d.emask, d.fmask)
-                                   for d in domains]), theta, Theta)
+        h, oracles.cell_rows(h, [(d.vmask, d.emask, d.fmask)
+                                 for d in domains]), theta, Theta)
     assert len(slack) == len(point_star) == len(domains)
     for d, s, p in zip(domains, slack, point_star):
         lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals)
