@@ -59,11 +59,10 @@ from .solver import (
     Solution,
     SolveOptions,
     extract_angles,
-    omega_solve,
     reference_coords,
     solve,
 )
-from .fixtures import FIXTURES, fixture_spec, reference_pattern
+from .fixtures import FIXTURES, fixture_spec, omega_solve, reference_pattern
 from .layout import (
     SurfaceLayout,
     delaunay_report,

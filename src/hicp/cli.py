@@ -42,7 +42,6 @@ from .polytope import (
     PARTIAL,
     check_feasibility,
     make_angle_data,
-    pre_check,
 )
 from .solver import (
     CONVERGED,
@@ -68,11 +67,22 @@ def _edge_from_key(s):
         raise HicpError(f"bad edge key {s!r}; expected 'i-j'")
 
 
+def _unique_keys(pairs):
+    """A JSON object's members as a dict; a repeated key, whose last
+    value json would keep without a word, is an error."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [k for k, _v in pairs]
+        k = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise HicpError(f"malformed input: key {k!r} repeats in a JSON object")
+    return out
+
+
 def _read_json(path):
     """The JSON object stored in a file."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise IoError(str(exc))
     except ValueError as exc:  # JSON syntax or text encoding
@@ -334,19 +344,18 @@ def cmd_roundtrip(args):
     statuses = []
     frac = 0.1
     for _ in range(args.samples):
-        # resample (shrinking the box) until the extracted angles are in
-        # the admissible ranges: ER contains non-Delaunay points whose
+        # resample (shrinking the box) until the extracted angles pass
+        # the solver's pre-check: ER contains non-Delaunay points whose
         # realized theta leaves (0, pi)
         for _attempt in range(500):
             l, r = sample_er(T, l0, r0, g, rng, frac)
             x = geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
-            target = extract_angles(T, x, g)
-            if pre_check(cc, target).feasible:
+            sol = solve(T, extract_angles(T, x, g), opts)
+            if sol.status != INFEASIBLE:
                 break
             frac *= 0.7
         else:
             raise HicpError("could not sample angle-admissible (l, r)")
-        sol = solve(T, target, opts)
         statuses.append(sol.status)
         if sol.status != CONVERGED:
             errors.append(math.inf)

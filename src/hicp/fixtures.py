@@ -1,17 +1,19 @@
-"""Built-in test complexes and the reference-pattern builder (the
-uniform-edge-length pattern whose face circles are solved per face)."""
+"""Built-in test complexes and the reference pattern: the class lengths
+of its edges and radii, the face-circle radius solve (omega) of its
+polygons, and the pattern itself, whose fan diagonals are measured in
+each face's circle."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from . import geometry as geo
-from .errors import DomainError
+from .errors import DomainError, IndexMismatch
 from .geometry import EUCLIDEAN, check_geometry
-from .solver import face_chords, omega_solve
 
 
 def grid_torus_spec(n=3, v1=(), e0=()):
@@ -122,6 +124,155 @@ def fixture_spec(name):
 
 
 # ---------------------------------------------------------------------------
+# The reference pattern's class lengths
+
+
+def reference_constants(g):
+    """(r_check, eps_check): radius and separation of the reference
+    pattern construction."""
+    if g == EUCLIDEAN:
+        return 1.0, 0.25
+    return math.asinh(0.1), math.asinh(0.125)
+
+
+def reference_length(eclass, g):
+    """Length of an edge of class eclass in the reference pattern: 2 r_check
+    on E0 (tangent circles), 2 (r_check + eps_check) otherwise."""
+    rc, ec = reference_constants(g)
+    return 2 * rc if eclass == 0 else 2 * (rc + ec)
+
+
+def reference_metric(T, g):
+    """The class metric (l, r) of the reference pattern on T: l per edge
+    of ``T.edges`` by its class (diagonals as E1), r_check per disk and
+    0 per point circle."""
+    return (np.where(T.eclass == 0, reference_length(0, g),
+                     reference_length(1, g)),
+            np.where(T.vclass == 1, reference_constants(g)[0], 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Face-circle radius solve (omega)
+
+
+def _vertex_distance(g, vclass, x, rc):
+    """Distance from the face-circle center to a face vertex, as a
+    function of the positive-circle vertex distance x."""
+    if vclass == 1:
+        return x
+    # point vertices sit on the face circle: distance = R with
+    # orthogonality R from the positive-circle distance x
+    if g == EUCLIDEAN:
+        y2 = x * x - rc * rc
+        if y2 <= 0:
+            raise DomainError("x below the orthogonality bound")
+        return math.sqrt(y2)
+    c = math.cosh(x) / math.cosh(rc)
+    if c <= 1.0:
+        raise DomainError("x below the orthogonality bound")
+    return math.acosh(c)
+
+
+def _chord_angle(g, du, dv, L):
+    """Angle subtended at the face-circle center by a chord of length L
+    whose endpoints are at distances du, dv."""
+    if g == EUCLIDEAN:
+        c = (du * du + dv * dv - L * L) / (2 * du * dv)
+    else:
+        c = ((math.cosh(du) * math.cosh(dv) - math.cosh(L))
+             / (math.sinh(du) * math.sinh(dv)))
+    if c >= 1.0:
+        return 0.0
+    if c <= -1.0:
+        return math.pi
+    return math.acos(c)
+
+
+def face_chords(vclasses, eclasses, g, x):
+    """The reference polygon around a face circle at positive-circle
+    vertex distance x: the angle each edge subtends at the center, and
+    the center-to-vertex distances."""
+    rc = reference_constants(g)[0]
+    n = len(vclasses)
+    dists = [_vertex_distance(g, c, x, rc) for c in vclasses]
+    phis = [_chord_angle(g, dists[t], dists[(t + 1) % n],
+                         reference_length(eclasses[t], g))
+            for t in range(n)]
+    return phis, dists
+
+
+def omega_value(vclasses, eclasses, g, x):
+    """Total angle at the face-circle center of the reference polygon,
+    as a function of the vertex distance x."""
+    # reduce adds left to right; sum of floats is compensated from 3.12
+    return reduce(add, face_chords(vclasses, eclasses, g, x)[0])
+
+
+def _omega_floor(vclasses, eclasses, g):
+    """chi_0: the largest x at which some edge chord degenerates (the
+    subtended angle reaches pi)."""
+    rc = reference_constants(g)[0]
+    n = len(vclasses)
+    floor = rc + 1e-15 if any(c == 0 for c in vclasses) else 1e-15
+    for t in range(n):
+        cu, cv = vclasses[t], vclasses[(t + 1) % n]
+        L = reference_length(eclasses[t], g)
+
+        def slack(x):
+            du = _vertex_distance(g, cu, x, rc)
+            dv = _vertex_distance(g, cv, x, rc)
+            return du + dv - L
+
+        lo, hi = floor, floor + 1.0
+        while slack(hi) < 0:
+            hi += 1.0
+        if slack(lo) > 0:
+            continue
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if slack(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        floor = max(floor, hi)
+    return floor
+
+
+def omega_bisect(vclasses, eclasses, g):
+    """The unique x with omega(x) = 2 pi, by bisection on the strictly
+    decreasing omega over (chi_0, infinity)."""
+    lo = _omega_floor(vclasses, eclasses, g)
+    hi = lo + 1.0
+    while omega_value(vclasses, eclasses, g, hi) > 2 * math.pi:
+        lo = hi
+        hi += 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if omega_value(vclasses, eclasses, g, mid) > 2 * math.pi:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * (1 + hi):
+            break
+    return (lo + hi) / 2
+
+
+def omega_solve(vclasses, eclasses, g):
+    """Positive-circle vertex distance x* of the reference polygon's
+    face circle.  vclasses: per-vertex class around the face; eclasses:
+    per-edge class (edge t joins vertices t, t+1).  Raises DomainError
+    when the polygon has no face circle: omega stays off 2 pi."""
+    check_geometry(g)
+    n = len(vclasses)
+    if n < 3 or len(eclasses) != n:
+        raise IndexMismatch("face class lists must have equal length >= 3")
+    x = omega_bisect(vclasses, eclasses, g)
+    if abs(omega_value(vclasses, eclasses, g, x) - 2 * math.pi) > 1e-9:
+        raise DomainError(f"no face circle for classes {vclasses} {eclasses}")
+    return x
+
+
+# ---------------------------------------------------------------------------
 # Reference pattern construction
 
 
@@ -132,7 +283,7 @@ def reference_pattern(T, g):
     geometry."""
     check_geometry(g)
     cc = T.base
-    l, r = geo.reference_metric(T, g)
+    l, r = reference_metric(T, g)
 
     # A diagonal's length depends only on the classes of its face's
     # vertices and sides in face order, the place of the fan's apex in

@@ -14,7 +14,6 @@ diagonal (metrically identical to 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -325,34 +324,6 @@ def _row_angles(dt):
 
 
 # ---------------------------------------------------------------------------
-# The reference pattern's class lengths
-
-
-def reference_constants(g):
-    """(r_check, eps_check): radius and separation of the reference
-    pattern construction."""
-    if g == EUCLIDEAN:
-        return 1.0, 0.25
-    return math.asinh(0.1), math.asinh(0.125)
-
-
-def reference_length(eclass, g):
-    """Length of an edge of class eclass in the reference pattern: 2 r_check
-    on E0 (tangent circles), 2 (r_check + eps_check) otherwise."""
-    rc, ec = reference_constants(g)
-    return 2 * rc if eclass == 0 else 2 * (rc + ec)
-
-
-def reference_metric(T, g):
-    """The class metric (l, r) of the reference pattern on T: l per edge
-    of ``T.edges`` by its class (diagonals as E1), r_check per disk and
-    0 per point circle."""
-    return (np.where(T.eclass == 0, reference_length(0, g),
-                     reference_length(1, g)),
-            np.where(T.vclass == 1, reference_constants(g)[0], 0.0))
-
-
-# ---------------------------------------------------------------------------
 # Surface level.  A coordinate point of T is one vector x in free-variable
 # order: a per edge of ``T.free_edges``, then b per vertex of
 # ``T.v1_vertices`` (the order of ``T.slots``).  A metric is two
@@ -453,4 +424,5 @@ def project_gauge(T, x, g):
     if g == HYPERBOLIC:
         return x
     c = gauge_vector(T)
-    return x - sum((x * c).tolist()) / (c @ c) * c
+    # cumsum adds left to right; sum of floats is compensated from 3.12
+    return x - np.cumsum(x * c)[-1].item() / (c @ c) * c

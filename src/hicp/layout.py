@@ -275,11 +275,12 @@ def delaunay_report(sl):
 def gauss_bonnet_check(sl):
     """Residual record of the Gauss-Bonnet identity."""
     cc = sl.base
-    total = sum((2 * math.pi - sl.cone).tolist())
+    # cumsum adds left to right; sum of floats is compensated from 3.12
+    total = np.cumsum(2 * math.pi - sl.cone)[-1].item()
     target = 2 * math.pi * cc.chi
     if sl.geometry == EUCLIDEAN:
         return {"residual": total - target, "area": 0.0}
-    area = sum(sl.area.tolist())
+    area = np.cumsum(sl.area)[-1].item()
     return {"residual": total - target - area, "area": area}
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -142,11 +144,13 @@ def _domain_witness(d):
 def domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals):
     """(lhs, rhs) of the condition-4 inequality for one strict domain."""
     dual_mult, n_v, _n_e0 = boundary_counts(h, d, e0_duals)
-    lhs = sum((math.pi - theta_ext[e]) * m for e, m in dual_mult.items())
+    # reduce adds left to right; sum of floats is compensated from 3.12
+    lhs = reduce(add, ((math.pi - theta_ext[e]) * m
+                       for e, m in dual_mult.items()), 0.0)
     # in sorted order: a frozenset's order follows the hash seed and the
     # insertion order, and would move the sum's last bits with them
-    lhs += sum(2 * math.pi - ThetaF[g[1]]
-               for g in sorted(d.generators) if g[0] == "v")
+    lhs += reduce(add, (2 * math.pi - ThetaF[g[1]]
+                        for g in sorted(d.generators) if g[0] == "v"), 0.0)
     rhs = 2 * math.pi * euler_char(d) - math.pi * n_v
     return lhs, rhs
 
@@ -291,8 +295,9 @@ def check_feasibility(cc, t, cap=22):
 
 def pre_check(cc, t):
     """The solver's cheap necessary test: conditions 1-3, then the
-    single-star subset of condition 4.  Infeasible with the violations
-    found, or feasible under this partial check."""
+    single-star subset of condition 4.  (report, ``angle_arrays``): the
+    report is infeasible with the violations found, or feasible under
+    this partial check."""
     violations, arrays, gb_residual, _tol = _conditions_1_to_3(cc, t)
     method, size = CONDITIONS_1_3, _conditions_size(cc)
     if not violations:
@@ -301,7 +306,7 @@ def pre_check(cc, t):
     return FeasibilityReport(
         verdict=INFEASIBLE if violations else PARTIAL,
         violations=tuple(violations), gauss_bonnet_residual=gb_residual,
-        partial=not violations, method=method, size=size)
+        partial=not violations, method=method, size=size), arrays
 
 
 def single_star_check(cc, t, arrays=None):

@@ -1,6 +1,6 @@
 """Damped Newton minimization of the angle functional over the gauge
-section of the tetrahedral coordinate space, plus the reference-pattern
-initialization (face-circle radius solve omega)."""
+section of the tetrahedral coordinate space, from the reference
+pattern's class metric."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import DomainError, IndexMismatch, NotInTE
+from .errors import DomainError, NotInTE
+from .fixtures import reference_metric
 from .geometry import EUCLIDEAN, check_geometry
-from .polytope import AngleData, angle_arrays, pre_check
+from .polytope import AngleData, pre_check
 
 CONVERGED = "Converged"
 INFEASIBLE = "Infeasible"
@@ -57,7 +58,7 @@ def reference_coords(T, g):
     inequality (possible when tangency and free edges share a
     triangle)."""
     check_geometry(g)
-    l, r = geo.reference_metric(T, g)
+    l, r = reference_metric(T, g)
     # the repair's condition, l >= l_v + l_w on a free edge, on every
     # row at once; the sequential repair runs only where some row needs it
     if ((geo.er_gaps(l[T.edge], r[T.vert])[1] <= 0) & (T.ec != 0)).any():
@@ -85,133 +86,13 @@ def _repair_lengths(T, l, r):
 
 
 # ---------------------------------------------------------------------------
-# Face-circle radius solve (omega)
-
-
-def _vertex_distance(g, vclass, x, rc):
-    """Distance from the face-circle center to a face vertex, as a
-    function of the positive-circle vertex distance x."""
-    if vclass == 1:
-        return x
-    # point vertices sit on the face circle: distance = R with
-    # orthogonality R from the positive-circle distance x
-    if g == EUCLIDEAN:
-        y2 = x * x - rc * rc
-        if y2 <= 0:
-            raise DomainError("x below the orthogonality bound")
-        return math.sqrt(y2)
-    c = math.cosh(x) / math.cosh(rc)
-    if c <= 1.0:
-        raise DomainError("x below the orthogonality bound")
-    return math.acosh(c)
-
-
-def _chord_angle(g, du, dv, L):
-    """Angle subtended at the face-circle center by a chord of length L
-    whose endpoints are at distances du, dv."""
-    if g == EUCLIDEAN:
-        c = (du * du + dv * dv - L * L) / (2 * du * dv)
-    else:
-        c = ((math.cosh(du) * math.cosh(dv) - math.cosh(L))
-             / (math.sinh(du) * math.sinh(dv)))
-    if c >= 1.0:
-        return 0.0
-    if c <= -1.0:
-        return math.pi
-    return math.acos(c)
-
-
-def face_chords(vclasses, eclasses, g, x):
-    """The reference polygon around a face circle at positive-circle
-    vertex distance x: the angle each edge subtends at the center, and
-    the center-to-vertex distances."""
-    rc = geo.reference_constants(g)[0]
-    n = len(vclasses)
-    dists = [_vertex_distance(g, c, x, rc) for c in vclasses]
-    phis = [_chord_angle(g, dists[t], dists[(t + 1) % n],
-                         geo.reference_length(eclasses[t], g))
-            for t in range(n)]
-    return phis, dists
-
-
-def omega_value(vclasses, eclasses, g, x):
-    """Total angle at the face-circle center of the reference polygon,
-    as a function of the vertex distance x."""
-    return sum(face_chords(vclasses, eclasses, g, x)[0])
-
-
-def _omega_floor(vclasses, eclasses, g):
-    """chi_0: the largest x at which some edge chord degenerates (the
-    subtended angle reaches pi)."""
-    rc = geo.reference_constants(g)[0]
-    n = len(vclasses)
-    floor = rc + 1e-15 if any(c == 0 for c in vclasses) else 1e-15
-    for t in range(n):
-        cu, cv = vclasses[t], vclasses[(t + 1) % n]
-        L = geo.reference_length(eclasses[t], g)
-
-        def slack(x):
-            du = _vertex_distance(g, cu, x, rc)
-            dv = _vertex_distance(g, cv, x, rc)
-            return du + dv - L
-
-        lo, hi = floor, floor + 1.0
-        while slack(hi) < 0:
-            hi += 1.0
-        if slack(lo) > 0:
-            continue
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if slack(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        floor = max(floor, hi)
-    return floor
-
-
-def omega_bisect(vclasses, eclasses, g):
-    """The unique x with omega(x) = 2 pi, by bisection on the strictly
-    decreasing omega over (chi_0, infinity)."""
-    lo = _omega_floor(vclasses, eclasses, g)
-    hi = lo + 1.0
-    while omega_value(vclasses, eclasses, g, hi) > 2 * math.pi:
-        lo = hi
-        hi += 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if omega_value(vclasses, eclasses, g, mid) > 2 * math.pi:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * (1 + hi):
-            break
-    return (lo + hi) / 2
-
-
-def omega_solve(vclasses, eclasses, g):
-    """Positive-circle vertex distance x* of the reference polygon's
-    face circle.  vclasses: per-vertex class around the face; eclasses:
-    per-edge class (edge t joins vertices t, t+1).  Raises DomainError
-    when the polygon has no face circle: omega stays off 2 pi."""
-    check_geometry(g)
-    n = len(vclasses)
-    if n < 3 or len(eclasses) != n:
-        raise IndexMismatch("face class lists must have equal length >= 3")
-    x = omega_bisect(vclasses, eclasses, g)
-    if abs(omega_value(vclasses, eclasses, g, x) - 2 * math.pi) > 1e-9:
-        raise DomainError(f"no face circle for classes {vclasses} {eclasses}")
-    return x
-
-
-# ---------------------------------------------------------------------------
 # Functional gradient / Hessian
 
 
-def lifted_targets(T, target):
+def lifted_targets(T, theta, Theta):
     """Target angle per free variable, in free-variable order: stored
-    theta on E1, pi on the fan diagonals, Theta on V1."""
-    theta, _star, Theta = angle_arrays(T.base, target)
+    theta on E1, pi on the fan diagonals, Theta on V1.  ``theta`` and
+    ``Theta`` are those of ``polytope.angle_arrays`` on ``T.base``."""
     # the base edges of the sorted T.edges are the base's, in order
     lifted = np.full(len(T.eclass), math.pi)
     lifted[T.eclass != 2] = theta
@@ -297,38 +178,22 @@ def _angle_data(T, sums, g):
                      Theta={k: beta[k] for k in cc.v1})
 
 
-def _evaluate(T, x, targets, g, full=True):
-    """(gradient, sums, H) at x: from one hessian_U call when full, else,
-    or where that call leaves TE (a moved copy may while x is inside),
-    from grad_U alone, with sums and H None.  Raises NotInTE where x is
-    outside TE."""
-    if full:
-        try:
-            sums, H = hessian_U(T, x, g)
-        except NotInTE:
-            pass
-        else:
-            return sums - targets, sums, H
-    return grad_U(T, x, targets, g), None, None
-
-
 def solve(T, target, opts=None):
     """Newton solve for the coordinates realizing the target angles.
-    Each point is evaluated by one kernel call: the start point and the
-    full step's trial by hessian_U, whose Hessian an accepted full step
-    passes on to the next iteration; backtracked trials by grad_U.
-    Trial points outside the kernel's domain are rejected by the line
-    search."""
-    if opts is None:
-        opts = SolveOptions()
+    Each point, the start point and every trial, is evaluated by one
+    hessian_U call, whose Hessian an accepted trial passes on to the
+    next iteration.  The line search rejects a trial where that call
+    raises NotInTE: the point, or one of its moved copies, is outside
+    the kernel's domain."""
+    opts = opts or SolveOptions()
     g = target.geometry
-    rep = pre_check(T.base, target)
+    rep, (theta, _star, Theta) = pre_check(T.base, target)
     if not rep.feasible:
         return Solution(coords=None, residual_norm=math.inf, iterations=0,
                         realized_angles=None, status=INFEASIBLE,
                         report=rep)
 
-    targets = lifted_targets(T, target)
+    targets = lifted_targets(T, theta, Theta)
     x = reference_coords(T, g)
     n = len(x)
 
@@ -341,25 +206,19 @@ def solve(T, target, opts=None):
         c = c / np.linalg.norm(c)
         gauge = np.outer(c, c)
 
-    gvec, sums, H = _evaluate(T, x, targets, g)
+    sums, H = hessian_U(T, x, g)
+    gvec = sums - targets
     gnorm = float(np.max(np.abs(gvec)))
-    mu = 0.0
-    collapses = 0
-    trace = []
-    status = MAXITER
-    it = 0
+    mu, collapses, trace, status, it = 0.0, 0, [], MAXITER, 0
     for it in range(1, opts.max_iter + 1):
         if gnorm <= opts.grad_tol:
             status = CONVERGED
             it -= 1
             break
-        if H is None:  # x was decided by grad_U alone
-            sums, H = hessian_U(T, x, g)
-        A = H + gauge
         accepted = False
         for _attempt in range(30):
             try:
-                step = np.linalg.solve(A + mu * np.eye(n), -gvec)
+                step = np.linalg.solve(H + gauge + mu * np.eye(n), -gvec)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None:
@@ -367,11 +226,11 @@ def solve(T, target, opts=None):
                 while s > 1e-14:
                     x_new = x + s * step
                     try:
-                        g_new, sums_new, H_new = _evaluate(
-                            T, x_new, targets, g, full=s == 1.0)
+                        sums_new, H_new = hessian_U(T, x_new, g)
                     except NotInTE:
                         pass  # outside the kernel's domain: rejected
                     else:
+                        g_new = sums_new - targets
                         gn_new = float(np.max(np.abs(g_new)))
                         if gn_new <= (1 - ARMIJO * s) * gnorm:
                             break
@@ -379,10 +238,8 @@ def solve(T, target, opts=None):
                 else:
                     s = 0.0
                 if s > 0.0:
-                    if float(np.max(np.abs(s * step))) < 1e-12:
-                        collapses += 1
-                    else:
-                        collapses = 0
+                    small = float(np.max(np.abs(s * step))) < 1e-12
+                    collapses = collapses + 1 if small else 0
                     x, gvec, gnorm = x_new, g_new, gn_new
                     sums, H = sums_new, H_new
                     mu *= 0.1
@@ -404,8 +261,7 @@ def solve(T, target, opts=None):
     realized = None
     if status == CONVERGED:
         # project_gauge moves only a Euclidean point
-        realized = (_angle_data(T, sums, g)
-                    if g != EUCLIDEAN and sums is not None
+        realized = (_angle_data(T, sums, g) if g != EUCLIDEAN
                     else extract_angles(T, x, g))
     return Solution(coords=x, residual_norm=gnorm, iterations=it,
                     realized_angles=realized, status=status,

@@ -32,6 +32,7 @@ from hicp.errors import (
     NotInTE,
     RegularityViolation,
 )
+from hicp.fixtures import reference_metric
 from hicp.layout import MERGE_TOL, edge_keys, float_map
 from hicp.solver import grad_U
 
@@ -206,7 +207,7 @@ def full_gradient_hessian(T, x, g, scheme="central"):
 def reference_coords_by_loop(T, g):
     """solver.reference_coords with its sequential triangle-inequality
     repair run on every call, whether or not a row needs it."""
-    l, r = (v.tolist() for v in geo.reference_metric(T, g))
+    l, r = (v.tolist() for v in reference_metric(T, g))
     rows = list(zip(T.edge.tolist(), T.vert.tolist(), T.ec.tolist()))
     for _ in range(100):
         changed = False
@@ -231,12 +232,12 @@ def solve_by_two_calls(T, target, opts=None):
     Same step, line search and damping rules."""
     opts = opts or solver.SolveOptions()
     g = target.geometry
-    rep = pt.pre_check(T.base, target)
+    rep, (theta, _star, Theta) = pt.pre_check(T.base, target)
     if not rep.feasible:
         return solver.Solution(coords=None, residual_norm=math.inf,
                                iterations=0, realized_angles=None,
                                status=solver.INFEASIBLE, report=rep)
-    targets = solver.lifted_targets(T, target)
+    targets = solver.lifted_targets(T, theta, Theta)
     x = solver.reference_coords(T, g)
     n = len(x)
     gauge = 0.0

@@ -18,9 +18,8 @@ from hicp.geometry import (
     HYPERBOLIC,
     TriangleAngles,
     check_geometry,
-    reference_constants,
-    reference_length,
 )
+from hicp.fixtures import reference_constants, reference_length
 from scalar_kernel import psi_inv, tetra_angles, triangle_angles
 
 

@@ -16,7 +16,7 @@ from conftest import right_angle_target
 from hicp import build_complex, cli, triangulate
 from hicp import geometry as geo
 from hicp.fixtures import FIXTURES, fixture_spec, grid_torus_spec, \
-    reference_pattern
+    omega_solve, omega_value, reference_pattern
 from hicp.geometry import (
     CORNERS_OF_EDGE,
     EUCLIDEAN,
@@ -32,8 +32,6 @@ from hicp.solver import (
     CONVERGED,
     INFEASIBLE,
     extract_angles,
-    omega_solve,
-    omega_value,
     reference_coords,
     solve,
 )

@@ -159,6 +159,19 @@ class TestMalformedInput:
             f"error: malformed input: keys {key!r} and {twin!r} in {part}"
             " name the same entry"]
 
+    def test_a_repeated_key_exits_1(self, tmp_path, capsys):
+        # json alone keeps the last of the two values: the target was
+        # then decided as Infeasible (exit 2) with no error
+        text = json.dumps(_reference_doc("tri-torus-v1", "euclidean"))
+        head, sep, tail = text.partition('"0-1": ')
+        value, comma, rest = tail.partition(", ")
+        p = tmp_path / "in.json"
+        p.write_text(f'{head}{sep}{value}, "0-1": 5.0, {rest}')
+        capsys.readouterr()
+        assert cli.main(["validate", "--input", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: malformed input: key '0-1' repeats in a JSON object"]
+
     @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
     def test_report_does_not_depend_on_key_order(self, tmp_path, g):
         doc = _reference_doc("dodecahedron", g)

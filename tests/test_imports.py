@@ -1,6 +1,7 @@
 """No dead imports in the package: every name a module of ``src/hicp``
 imports is used in it, listed in its ``__all__``, or marked
-``# noqa: F401`` on its line."""
+``# noqa: F401`` on its line.  And the reference pattern does not
+depend on the solver."""
 
 import ast
 import pathlib
@@ -41,3 +42,24 @@ def test_finds_an_unused_import():
             "    pi,\n    tau,\n)\n__all__ = ['tau']\n")
     assert unused_imports(text) == [(1, "os"), (4, "pi")]
     assert unused_imports("import numpy as np\nnp.zeros(1)\n") == []
+
+
+def imported_modules(text):
+    """The package modules a module's source imports from, as names
+    relative to the package (``solver`` for ``from .solver import x``,
+    ``from . import solver`` and ``import hicp.solver``)."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.removeprefix("hicp.") for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("hicp").lstrip(".")
+            out |= {base} if base else {a.name for a in node.names}
+    return out
+
+
+def test_fixtures_imports_nothing_from_the_solver():
+    assert "solver" not in imported_modules((SRC / "fixtures.py").read_text())
+    assert "solver" in imported_modules("from . import solver\n")
+    assert "solver" in imported_modules("from .solver import solve\n")
+    assert "solver" in imported_modules("import hicp.solver\n")

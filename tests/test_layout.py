@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,6 +160,14 @@ class TestGaussBonnet:
         gb = gauss_bonnet_check(genus2_layout)
         assert gb["area"] > 0
         assert gb["residual"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_totals_add_left_to_right(self):
+        # the built-in sum is compensated from Python 3.12 and gives 1.0
+        sl = SimpleNamespace(base=SimpleNamespace(chi=0),
+                             geometry=HYPERBOLIC,
+                             area=np.array([1e16, 1.0, -1e16]),
+                             cone=np.full(3, 2 * math.pi))
+        assert gauss_bonnet_check(sl) == {"residual": 0.0, "area": 0.0}
 
 
 class TestDualConsistency:
