@@ -1,22 +1,6 @@
 """Circle patterns with hyper-ideal centers: combinatorics, feasibility,
 variational solver, and layout export."""
 
-import os
-
-
-def _apply_thread_cap():
-    """Cap BLAS/OpenMP threads at ``HICP_THREADS``.  The libraries read
-    these variables when numpy loads, so this runs before any submodule
-    import."""
-    cap = os.environ.get("HICP_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
-
 from .errors import (
     CapExceeded,
     DomainError,

@@ -15,14 +15,12 @@ import sys
 
 import numpy as np
 
-from . import _apply_thread_cap  # noqa: F401  (re-exported)
 from . import geometry as geo
 from .complexes import build_complex, edge_key, triangulate
 from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
 from .layout import (
-    JsonText,
     angles_json,
     delaunay_json,
     develop,
@@ -94,7 +92,9 @@ def _read_json(path):
 
 def _number_map(raw, what, parse_key):
     """A JSON object of numbers as {parsed key: float}; two keys that
-    parse to one, such as "0-1" and "1-0", are an error."""
+    parse to one, such as "0-1" and "1-0", are an error, and so is a
+    value that float() reads but JSON does not write as a number, such
+    as "1.5" or true."""
     if not isinstance(raw, dict):
         raise HicpError(f"malformed input: {what} must be a JSON object")
     try:
@@ -108,6 +108,10 @@ def _number_map(raw, what, parse_key):
             if other != k:
                 raise HicpError(f"malformed input: keys {other!r} and {k!r}"
                                 f" in {what} name the same entry")
+    if not {int, float}.issuperset(map(type, raw.values())):
+        k = next(k for k, v in raw.items() if type(v) not in (int, float))
+        raise HicpError(f"malformed input: bad entry in {what}: the value "
+                        f"of {k!r} is not a number")
     return out
 
 
@@ -261,7 +265,7 @@ def cmd_render(args):
     if args.output:
         export_json(sl, args.output)
     if not args.svg and not args.output:
-        _emit(JsonText(layout_json(sl)))
+        _emit(layout_json(sl))
     return EXIT_OK
 
 
@@ -277,7 +281,7 @@ def cmd_demo(args):
         "angles": angles_json(sl),
         "delaunay": delaunay_json(sl),
         "gauss_bonnet": gauss_bonnet_check(sl),
-        "layout": JsonText(layout_json(sl)),
+        "layout": layout_json(sl),
     }
     _emit(out, args.output)
     if args.svg:

@@ -268,7 +268,7 @@ def develop(T, x, g):
 def delaunay_report(sl):
     """Per-edge record: intersection angle, local Delaunay flag,
     redundancy flag; the dict view of delaunay_json."""
-    rep = json.loads(delaunay_json(sl))
+    rep = json.loads(delaunay_json(sl).text)
     return {e: rep[k] for e, k in zip(sl.edges, edge_keys(sl.edges))}
 
 
@@ -338,9 +338,13 @@ def merge_redundant(sl):
 # Export
 
 
-class JsonText(str):
-    """A JSON document already written as json_text writes it;
-    json_text places it as a value, indented to its depth."""
+@dataclass(frozen=True)
+class JsonText:
+    """A JSON document already written as json_text writes it, final
+    newline included; json_text places it as a value, indented to its
+    depth."""
+
+    text: str
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -356,64 +360,35 @@ def _float(x):
     return float.__repr__(x)
 
 
-def _scalar(x):
-    """x as json writes a value that is no container."""
-    if isinstance(x, str):
-        return _ESCAPE(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON "
-                    "serializable")
+def _dumps(obj, mark):
+    """json.dumps's text of obj with the string mark in place of each
+    JsonText, and the texts of the JsonTexts in order."""
+    blocks = []
 
+    def place(o):
+        if not isinstance(o, JsonText):
+            raise TypeError(f"{type(o).__name__} is not JSON serializable")
+        blocks.append(o.text)
+        return mark
 
-_SCALARS = {str: _ESCAPE, int: int.__repr__, float: _float, bool: _scalar,
-            type(None): _scalar}
-
-
-def _key(k):
-    return _ESCAPE(k if isinstance(k, str) else _scalar(k))
-
-
-def _text(obj, pad):
-    """obj as json writes it with sorted keys and indent 1, its lines
-    after the first indented by pad.  A container writes its scalars in
-    its one join, without a call each."""
-    get = _SCALARS.get
-    if w := get(type(obj)):
-        return w(obj)
-    if isinstance(obj, JsonText):
-        return obj[:-1].replace("\n", "\n" + pad)
-    inner = pad + " "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = sep.join([
-            f"{_key(k)}: {w(v) if (w := get(type(v))) else _text(v, inner)}"
-            for k, v in sorted(obj.items())])
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = sep.join([w(v) if (w := get(type(v))) else _text(v, inner)
-                         for v in obj])
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return _scalar(obj)
+    return json.dumps(obj, sort_keys=True, indent=1, default=place), blocks
 
 
 def json_text(obj):
-    """obj as the text of every JSON file hicp writes: sorted keys, one
-    space of indent, a final newline; the bytes of
-    ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``."""
-    return _text(obj, "") + "\n"
+    """obj as the text of every JSON file hicp writes: the bytes of
+    ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, each JsonText
+    written as the document it holds.  json.dumps writes a marker for
+    each JsonText, lengthened until no other text of obj holds it, and
+    each block replaces its marker, its lines indented as the marker's."""
+    for mark in itertools.accumulate(itertools.repeat("\0")):
+        text, blocks = _dumps(obj, mark)
+        if len(pieces := text.split(_ESCAPE(mark))) == len(blocks) + 1:
+            break
+    out = []
+    for piece, block in zip(pieces, blocks):
+        pad = piece.rpartition("\n")[2].partition('"')[0]
+        out += piece, block[:-1].replace("\n", "\n" + pad)
+    return "".join(out) + pieces[-1] + "\n"
 
 
 def _fill(template, rows, sep=",\n"):
@@ -489,7 +464,7 @@ def angles_json(sl):
 
 
 def layout_json(sl):
-    """The text of the layout document: per chart its circle and its
+    """The JsonText of the layout document: per chart its circle and its
     vertices [id, x, y], per edge theta, per vertex its radius and cone
     angle, each number rounded to 12 significant digits.  Formatted in
     json_text's format from sl's arrays, one % pass for the chart
@@ -507,14 +482,15 @@ def layout_json(sl):
                      blocks, pad=" ")
     edges = _object(_EDGE, edge_keys(sl.edges), th, pad=" ")
     verts = _object(_VERTEX, list(map(str, ids)), cone, r, pad=" ")
-    return (f'{{\n "charts": {charts},\n "edges": {edges},\n'
-            f' "geometry": {_ESCAPE(sl.geometry)},\n "layout_version": 1,\n'
-            f' "merged": {_scalar(sl.merged)},\n "vertices": {verts}\n}}\n')
+    return JsonText(
+        f'{{\n "charts": {charts},\n "edges": {edges},\n'
+        f' "geometry": {_ESCAPE(sl.geometry)},\n "layout_version": 1,\n'
+        f' "merged": {json.dumps(sl.merged)},\n "vertices": {verts}\n}}\n')
 
 
 def layout_to_dict(sl):
     """The layout document that export_json writes, as a dict."""
-    return json.loads(layout_json(sl))
+    return json.loads(layout_json(sl).text)
 
 
 def write_text(path, text):
@@ -527,7 +503,7 @@ def write_text(path, text):
 
 
 def export_json(sl, path):
-    write_text(path, layout_json(sl))
+    write_text(path, layout_json(sl).text)
 
 
 _PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'

@@ -298,7 +298,7 @@ class TestExport:
         th = grid_layout.th.copy()
         th[:3] = math.nan, math.inf, -math.inf
         sl = dataclasses.replace(grid_layout, th=th)
-        text = layout_json(sl)
+        text = layout_json(sl).text
         assert text == _dumps(oracles.layout_to_dict_by_loop(sl))
         assert "NaN" in text and "-Infinity" in text
 
@@ -397,16 +397,16 @@ FLOAT_MAPS = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(d=FLOAT_MAPS)
 def test_float_map_is_json_dumps(d):
-    text = float_map(list(d), list(d.values()))
-    assert isinstance(text, JsonText)
-    assert text == _dumps(d)
-    assert json_text({"a": [{"b": text}]}) == _dumps({"a": [{"b": d}]})
+    block = float_map(list(d), list(d.values()))
+    assert isinstance(block, JsonText)
+    assert block.text == _dumps(d)
+    assert json_text({"a": [{"b": block}]}) == _dumps({"a": [{"b": d}]})
 
 
 def test_float_map_sorts_keys_as_strings():
     d = {"2-10": 1.5, "10-2": math.nan, "2": -math.inf, "10": 0.0}
-    assert float_map(list(d), list(d.values())) == _dumps(d)
-    assert list(json.loads(float_map(list(d), list(d.values())))) == [
+    assert float_map(list(d), list(d.values())).text == _dumps(d)
+    assert list(json.loads(float_map(list(d), list(d.values())).text)) == [
         "10", "10-2", "2", "2-10"]
 
 
@@ -417,7 +417,7 @@ def test_delaunay_json_is_the_report(name):
     th[:3] = math.nan, math.inf, -math.inf
     for s in (sl, merge_redundant(sl), dataclasses.replace(sl, th=th)):
         want = oracles.delaunay_report_by_loop(s)
-        assert delaunay_json(s) == _dumps(
+        assert delaunay_json(s).text == _dumps(
             {f"{u}-{v}": rec for (u, v), rec in want.items()})
         if s.th is not th:
             assert delaunay_report(s) == want
@@ -597,7 +597,7 @@ def _assert_layout_document_matches_loop(sl):
     # rounded number at a time
     want = oracles.layout_to_dict_by_loop(sl)
     assert layout_to_dict(sl) == want
-    assert layout_json(sl) == _dumps(want)
+    assert layout_json(sl).text == _dumps(want)
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
