@@ -17,22 +17,14 @@ from .errors import (
 )
 from .complexes import (
     CellComplex,
-    Domain,
     HatTriangulation,
     Triangulation,
-    admissible_domains,
     build_complex,
-    euler_char,
     hat_complex,
     triangulate,
 )
 
-from .geometry import (
-    EUCLIDEAN,
-    HYPERBOLIC,
-    in_te,
-    tetra_angles,
-)
+from .geometry import EUCLIDEAN, HYPERBOLIC
 from .polytope import (
     AngleData,
     FeasibilityReport,
@@ -49,7 +41,6 @@ from .solver import (
 from .fixtures import FIXTURES, fixture_spec, omega_solve, reference_pattern
 from .layout import (
     SurfaceLayout,
-    delaunay_report,
     develop,
     export_json,
     export_svg,
@@ -61,15 +52,14 @@ __all__ = [
     "CapExceeded", "DomainError", "E0EndpointInV0", "HicpError",
     "IndexMismatch", "InvariantViolation", "IoError", "NonRedundantDiagonal",
     "NotClosedSurface", "NotInTE", "PathLeavesDomain", "RegularityViolation",
-    "CellComplex", "Domain", "HatTriangulation", "Triangulation",
-    "admissible_domains", "build_complex", "euler_char",
+    "CellComplex", "HatTriangulation", "Triangulation", "build_complex",
     "hat_complex", "triangulate",
-    "EUCLIDEAN", "HYPERBOLIC", "in_te", "tetra_angles",
+    "EUCLIDEAN", "HYPERBOLIC",
     "AngleData", "FeasibilityReport", "check_feasibility", "make_angle_data",
     "Solution", "SolveOptions", "extract_angles", "omega_solve",
     "reference_coords", "solve",
     "FIXTURES", "fixture_spec", "reference_pattern",
-    "SurfaceLayout", "delaunay_report", "develop", "export_json",
+    "SurfaceLayout", "develop", "export_json",
     "export_svg", "gauss_bonnet_check", "merge_redundant",
 ]
 

@@ -331,8 +331,10 @@ def cmd_roundtrip(args):
         # diagonals sit at theta = pi, the boundary of the angle ranges,
         # and a shorter diagonal has a smaller angle.  A triangle holds
         # at most two diagonals, so no constraint loses more than half
-        # its slack and (l, r) stays in ER.
+        # its slack and (l, r) stays in ER, if the pattern is in ER: a
+        # base point outside it leaves sample_er no sample to accept.
         l0, r0 = reference_pattern(T, g)
+        geo.check_er_surface(T, l0, r0, g)
         diag = T.eclass == 2
         spec = {"vertices": spec["vertices"],
                 "faces": np.array(cc.vertices)[T.vert].tolist(),

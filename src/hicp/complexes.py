@@ -472,13 +472,6 @@ class HatTriangulation:
         """The dual hat edges' positions by name: ("dual", base edge)."""
         return {("dual", e): i for i, e in enumerate(self.base.edges)}
 
-    @cached_property
-    def base_links(self):
-        """Per base vertex: (vertex bit, link emask, link fmask) of its
-        open star, as Python ints for ``boundary_counts``."""
-        return tuple((1 << k, *_masks(self, row)[1:]) for k, row in
-                     enumerate(self.star_rows[:len(self.base.vertices)]))
-
 
 def hat_complex(cc):
     """The hat triangulation of cc: every (hat vertex, cell) incidence
@@ -526,19 +519,15 @@ class Domain:
         return None
 
 
-def make_domain(h, generators, masks=None):
-    """The union of the open stars of ``generators``; ``masks`` is its
-    (vmask, emask, fmask) when the caller has it already."""
-    if masks is None:
-        import numpy as np
-        masks = _masks(h, np.bitwise_or.reduce(
-            h.star_rows[[h.vindex[g] for g in generators]]))
-    return Domain(h, frozenset(generators), *masks)
+def make_domain(h, generators):
+    """The union of the open stars of ``generators``."""
+    return row_domain(h, star_union(h, generators))
 
 
-def euler_char(d):
-    """Euler characteristic of the open domain by open-cell counting."""
-    return (d.vmask.bit_count() - d.emask.bit_count() + d.fmask.bit_count())
+def star_union(h, generators):
+    """The cell row of the union of the open stars of ``generators``."""
+    import numpy as np
+    return np.bitwise_or.reduce(h.star_rows[[h.vindex[g] for g in generators]])
 
 
 def _masks(h, row):
@@ -552,24 +541,18 @@ def _masks(h, row):
 def row_domain(h, row):
     """The ``Domain`` of one cell row that holds a union of open stars:
     its generators are its vertex bits."""
-    masks = _masks(h, row)
-    return make_domain(
-        h, [v for i, v in enumerate(h.vertices) if masks[0] >> i & 1], masks)
+    vmask, emask, fmask = _masks(h, row)
+    generators = [v for i, v in enumerate(h.vertices) if vmask >> i & 1]
+    return Domain(h, frozenset(generators), vmask, emask, fmask)
 
 
-class DomainEnumeration:
-    """Iterable over admissible domains; ``partial`` is True when the
-    complex was too large for exhaustive enumeration."""
+class DomainEnumeration(list):
+    """The admissible domains; ``partial`` is True when the complex was
+    too large for exhaustive enumeration."""
 
     def __init__(self, domains, partial):
-        self._domains = domains
+        super().__init__(domains)
         self.partial = partial
-
-    def __iter__(self):
-        return iter(self._domains)
-
-    def __len__(self):
-        return len(self._domains)
 
 
 def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
@@ -581,9 +564,9 @@ def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
     one-generator and two-generator connected domains.  A ``Domain`` is
     made only for a kept set (see ``domain_generator_sets``)."""
     rows, partial = domain_generator_sets(h, strict, cap, require_exhaustive)
-    domains = [row_domain(h, row) for row in rows]
-    domains.sort(key=lambda d: sorted(d.generators))
-    return DomainEnumeration(domains, partial)
+    return DomainEnumeration(sorted((row_domain(h, row) for row in rows),
+                                    key=lambda d: sorted(d.generators)),
+                             partial)
 
 
 # A generator set of the exhaustive enumeration is one int64 mask, bit i
@@ -744,10 +727,11 @@ def _or_through(table, masks):
 # Boundary statistics
 
 
-def boundary_counts(h, d, e0_dual_indices=None):
-    """(dual-edge multiplicity map, |boundary ∩ V|, |boundary ∩ E0|)
-    computed directly from the cell masks; agrees with the counts of the
-    walk-based boundary trace that the tests keep as its oracle.
+def boundary_arrays(h, rows):
+    """Per domain, given as its cell row: (the times each dual edge lies
+    on its boundary, in ``base.edges`` order; |boundary ∩ V|; the Euler
+    characteristic), the counts of the walk-based boundary trace that
+    the tests keep as its oracle.
 
     A dual edge outside the domain is on the boundary once per hat face
     across it that is inside.  Around a base vertex outside the domain,
@@ -755,27 +739,40 @@ def boundary_counts(h, d, e0_dual_indices=None):
     since the open domain holds both faces next to each edge it holds.
     So each arc has one face more than it has edges, and the vertex is
     visited (faces - edges) times, or once, as a puncture, when its
-    whole link is inside."""
-    vmask, emask, fmask = d.vmask, d.emask, d.fmask
-    e0_mask = sum(1 << ei for ei in e0_dual_indices or ())
-    dual_mult = {}
-    n_e0 = 0
-    # the dual of base edge i is hat edge i, the hat faces across it are
-    # 2 i and 2 i + 1
-    for i, e in enumerate(h.base.edges):
-        if emask >> i & 1:
-            continue
-        m = (fmask >> 2 * i & 3).bit_count()
-        if m:
-            dual_mult[e] = m
-            if e0_mask >> i & 1:
-                n_e0 += m
+    whole link is inside.  The link cells inside are counted by a byte
+    popcount of the row AND each nonzero byte of the vertex's star row."""
+    import numpy as np
+    V, E = len(h.base.vertices), len(h.base.edges)
+    nv, ne = len(h.star_rows), len(h.edge_ends)
+    bits = np.unpackbits(rows, axis=1, count=nv + ne + 2 * E,
+                         bitorder="little")
+    vert, edge, face = np.split(bits, [nv, nv + ne], axis=1)
+    chi = (vert.sum(axis=1, dtype=int) - edge.sum(axis=1, dtype=int)
+           + face.sum(axis=1, dtype=int))
+    # the hat faces across dual edge i are 2 i and 2 i + 1
+    mult = (face[:, ::2] + face[:, 1::2]) * (1 - edge[:, :E])
+    cell = np.arange(8 * rows.shape[1])
+    ebytes = np.packbits((nv <= cell) & (cell < nv + ne), bitorder="little")
+    fbytes = np.packbits(cell >= nv + ne, bitorder="little")
+    # each base vertex's nonzero star bytes and their columns, padded
+    # with zero bytes to the longest star: (V, P)
+    k, col = np.nonzero(h.star_rows[:V])
+    slot = np.arange(len(k)) - np.searchsorted(k, k)
+    at = np.zeros((V, slot.max() + 1), int)
+    star = np.zeros(at.shape, np.uint8)
+    at[k, slot], star[k, slot] = col, h.star_rows[k, col]
+    link = rows[:, at] & star
+    pop = _byte_popcounts().astype(np.uint8)
+    e_in, f_in = (pop[link & m[at]].sum(axis=2, dtype=int)
+                  for m in (ebytes, fbytes))
+    visits = np.where(f_in > e_in, f_in - e_in, f_in > 0) * (1 - vert[:, :V])
+    return mult, visits.sum(axis=1), chi
 
-    n_v = 0
-    for vbit, lemask, lfmask in h.base_links:
-        if vmask & vbit:
-            continue
-        faces_in = (fmask & lfmask).bit_count()
-        if faces_in:
-            n_v += faces_in - (emask & lemask).bit_count() or 1
-    return dual_mult, n_v, n_e0
+
+def boundary_counts(h, d, e0_dual_indices=None):
+    """``boundary_arrays`` of one ``Domain``: (dual-edge multiplicity map,
+    |boundary ∩ V|, |boundary ∩ E0| over ``e0_dual_indices``)."""
+    mult, n_v, _chi = boundary_arrays(h, star_union(h, d.generators)[None])
+    mult = mult[0].tolist()
+    return ({e: m for e, m in zip(h.base.edges, mult) if m}, n_v.item(),
+            sum(mult[i] for i in e0_dual_indices or ()))

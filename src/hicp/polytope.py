@@ -15,26 +15,23 @@ The conditions, checked in order:
      with theta extended by 0 on tangency edges (which realizes the
      tangency-corrected variant of the inequality automatically).
      ``domain_slacks`` evaluates it for every enumerated domain in one
-     array pass; ``domain_inequality`` decides the rows near the
-     threshold and supplies the witnesses' lhs and rhs.
+     array pass; ``domain_sides`` decides the rows near the threshold
+     and supplies the witnesses' lhs and rhs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
 from .complexes import (
-    boundary_counts,
+    boundary_arrays,
     check_cap,
     domain_generator_sets,
-    euler_char,
     hat_complex,
-    row_domain,
+    star_union,
 )
 from .errors import IndexMismatch
 from .geometry import EUCLIDEAN, check_geometry
@@ -137,22 +134,29 @@ class FeasibilityReport:
         }
 
 
-def _domain_witness(d):
-    return sorted([list(g) for g in d.generators])
+def domain_sides(h, rows, theta, Theta):
+    """(lhs, rhs) of the condition-4 inequality per domain, given as its
+    cell row; ``theta`` and ``Theta`` are those of ``angle_arrays``.
+    Each of lhs's two sums adds left to right: the boundary dual edges
+    in edge order, then the base vertices inside in vertex order."""
+    mult, n_v, chi = boundary_arrays(h, rows)
+    inside = np.unpackbits(rows, axis=1, count=len(Theta), bitorder="little")
+    # cumsum adds sequentially, where sum of floats is compensated from
+    # Python 3.12; a masked term is +0.0
+    lhs = (np.cumsum(np.where(mult > 0, (math.pi - theta) * mult, 0.0),
+                     axis=1)[:, -1]
+           + np.cumsum(np.where(inside, 2 * math.pi - Theta, 0.0),
+                       axis=1)[:, -1])
+    return lhs, 2 * math.pi * chi - math.pi * n_v
 
 
 def domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals):
-    """(lhs, rhs) of the condition-4 inequality for one strict domain."""
-    dual_mult, n_v, _n_e0 = boundary_counts(h, d, e0_duals)
-    # reduce adds left to right; sum of floats is compensated from 3.12
-    lhs = reduce(add, ((math.pi - theta_ext[e]) * m
-                       for e, m in dual_mult.items()), 0.0)
-    # in sorted order: a frozenset's order follows the hash seed and the
-    # insertion order, and would move the sum's last bits with them
-    lhs += reduce(add, (2 * math.pi - ThetaF[g[1]]
-                        for g in sorted(d.generators) if g[0] == "v"), 0.0)
-    rhs = 2 * math.pi * euler_char(d) - math.pi * n_v
-    return lhs, rhs
+    """``domain_sides`` of one strict ``Domain``, from dicts of theta and
+    Theta; ``e0_duals`` is not read, as theta is 0 on E0."""
+    lhs, rhs = domain_sides(h, star_union(h, d.generators)[None],
+                            np.array([theta_ext[e] for e in cc.edges]),
+                            np.array([ThetaF[k] for k in cc.vertices]))
+    return lhs.item(), rhs.item()
 
 
 def _weigh(rows, weights):
@@ -261,22 +265,19 @@ def check_feasibility(cc, t, cap=22):
         h = hat_complex(cc)
         rows, partial = domain_generator_sets(h, strict=True, cap=cap)
         slack, point_star = domain_slacks(h, rows, theta, Theta)
-        # The cell weights add up in another order than domain_inequality,
-        # so a row not clearly above the threshold (or NaN) is decided by
-        # domain_inequality itself, which also gives a witness its lhs
-        # and rhs.
-        band = ~(slack > tol + 1e-9 * (1 + np.abs(slack))) & ~point_star
+        # The cell weights add up in another order than domain_sides, so
+        # a row not clearly above the threshold (or NaN) is decided by
+        # domain_sides; a witness's generators are its row's vertex bits.
+        band = rows[~(slack > tol + 1e-9 * (1 + np.abs(slack)))
+                    & ~point_star]
         cond = "E4" if t.geometry == EUCLIDEAN else "H4"
-        e0_duals = {i for i, e in enumerate(cc.edges) if e in cc.e0}
-        theta_ext = dict(zip(cc.edges, theta.tolist()))
-        ThetaF = dict(zip(cc.vertices, Theta.tolist()))
-        for i in np.flatnonzero(band):
-            d = row_domain(h, rows[i])
-            lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF,
-                                         e0_duals)
-            if not lhs > rhs + tol:
-                violations.append((cond, {"domain": _domain_witness(d)},
-                                   lhs, rhs))
+        lhs, rhs = domain_sides(h, band, theta, Theta)
+        gens = np.unpackbits(band, axis=1, count=len(h.star_rows),
+                             bitorder="little")
+        for g, l, r in zip(gens, lhs.tolist(), rhs.tolist()):
+            if not l > r + tol:
+                witness = sorted(list(h.vertices[i]) for i in g.nonzero()[0])
+                violations.append((cond, {"domain": witness}, l, r))
         method = ENUMERATION
         size = {"hat_vertices": len(h.star_rows),
                 "domains": len(rows) - int(point_star.sum())}

@@ -8,6 +8,7 @@ import functools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from operator import add
 
 import mpmath as mp
 import numpy as np
@@ -440,7 +441,7 @@ def check_feasibility_by_loop(cc, t, cap=22):
     """``polytope.check_feasibility`` with conditions 1-3 by
     ``conditions_1_to_3_by_loop`` and condition 4 decided domain by
     domain: every strict admissible domain made as a ``Domain`` and its
-    inequality evaluated by ``domain_inequality``."""
+    inequality evaluated by ``domain_inequality_by_loop``."""
     violations, ThetaF, gb_residual, tol = conditions_1_to_3_by_loop(cc, t)
     partial = False
     method, size = pt.CONDITIONS_1_3, pt._conditions_size(cc)
@@ -458,10 +459,10 @@ def check_feasibility_by_loop(cc, t, cap=22):
                     and star_of[1] in cc.v0:
                 continue  # condition-2 identity, not a constraint
             evaluated += 1
-            lhs, rhs = pt.domain_inequality(cc, h, d, theta_ext, ThetaF,
-                                            e0_duals)
+            lhs, rhs = domain_inequality_by_loop(cc, h, d, theta_ext, ThetaF,
+                                                 e0_duals)
             if not lhs > rhs + tol:
-                violations.append((cond, {"domain": pt._domain_witness(d)},
+                violations.append((cond, {"domain": domain_witness(d)},
                                    lhs, rhs))
         method = pt.ENUMERATION
         size = {"hat_vertices": len(h.vertices), "domains": evaluated}
@@ -477,6 +478,62 @@ def check_feasibility_by_loop(cc, t, cap=22):
         verdict=verdict, violations=tuple(violations),
         gauss_bonnet_residual=gb_residual, partial=partial, method=method,
         size=size)
+
+
+def euler_char(d):
+    """Euler characteristic of the open domain by open-cell counting."""
+    return (d.vmask.bit_count() - d.emask.bit_count() + d.fmask.bit_count())
+
+
+def domain_witness(d):
+    """A condition-4 witness: the domain's generators as sorted lists."""
+    return sorted([list(g) for g in d.generators])
+
+
+def boundary_counts_by_loop(h, d, e0_dual_indices=None):
+    """``complexes.boundary_counts`` by Python-int masks, one dual edge and
+    one base link (``hat_reference(h.base).base_links``) at a time: a
+    dual edge outside the domain is on the boundary once per hat face
+    across it that is inside, and a base vertex outside is visited once
+    per arc of its link inside (faces - edges), or once as a puncture."""
+    vmask, emask, fmask = d.vmask, d.emask, d.fmask
+    e0_mask = sum(1 << ei for ei in e0_dual_indices or ())
+    dual_mult = {}
+    n_e0 = 0
+    # the dual of base edge i is hat edge i, the hat faces across it are
+    # 2 i and 2 i + 1
+    for i, e in enumerate(h.base.edges):
+        if emask >> i & 1:
+            continue
+        m = (fmask >> 2 * i & 3).bit_count()
+        if m:
+            dual_mult[e] = m
+            if e0_mask >> i & 1:
+                n_e0 += m
+
+    n_v = 0
+    for vbit, lemask, lfmask in hat_reference(h.base).base_links:
+        if vmask & vbit:
+            continue
+        faces_in = (fmask & lfmask).bit_count()
+        if faces_in:
+            n_v += faces_in - (emask & lemask).bit_count() or 1
+    return dual_mult, n_v, n_e0
+
+
+def domain_inequality_by_loop(cc, h, d, theta_ext, ThetaF, e0_duals):
+    """``polytope.domain_inequality`` term by term: (lhs, rhs) of the
+    condition-4 inequality for one strict domain, each of lhs's sums
+    added left to right by ``reduce``, the boundary dual edges in edge
+    order, then the generators' base vertices in sorted order."""
+    dual_mult, n_v, _n_e0 = boundary_counts_by_loop(h, d, e0_duals)
+    lhs = functools.reduce(add, ((math.pi - theta_ext[e]) * m
+                                 for e, m in dual_mult.items()), 0.0)
+    lhs += functools.reduce(add, (2 * math.pi - ThetaF[g[1]]
+                                  for g in sorted(d.generators)
+                                  if g[0] == "v"), 0.0)
+    rhs = 2 * math.pi * euler_char(d) - math.pi * n_v
+    return lhs, rhs
 
 
 def Theta_full_by_scan(cc, t):

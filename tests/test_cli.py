@@ -640,6 +640,27 @@ class TestRoundtrip:
         assert data["statuses"] == ["Converged"] * 3
         assert data["max_error"] < 1e-6
 
+    def test_fan_base_point_outside_er_exits_1(self, tmp_path, capsys):
+        # the hyperbolic 3x3 grid of disks with one quad split and two
+        # tangent sides on its first triangle: the reference pattern
+        # breaks that triangle's inequality, so the sampler around it
+        # would never accept a sample; roundtrip exits like validate
+        spec = grid_torus_spec(3, v1=range(9), e0=[(0, 1), (1, 4)])
+        spec["faces"] = [[0, 1, 4], [0, 4, 3]] + spec["faces"][1:]
+        p = tmp_path / "split.json"
+        p.write_text(json.dumps(spec))
+        line = "error: triangle 0: triangle inequality fails"
+        rc, _ = run(tmp_path, "validate", "--input", str(p),
+                    "--geometry", "hyperbolic")
+        assert (rc, capsys.readouterr().err.splitlines()) == (1, [line])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hicp.cli", "roundtrip", "--input",
+             str(p), "--geometry", "hyperbolic", "--samples", "1"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [line]
+
     def test_rejects_zero_samples(self, tmp_path, capsys):
         rc, data = run(tmp_path, "roundtrip", "--input", "fixture:tri-torus",
                        "--samples", "0")

@@ -248,19 +248,17 @@ def test_star_sums_are_the_scan(name, g):
 
 
 def _assert_slacks_match(cc, t, domains):
-    """domain_slacks against domain_inequality's lhs - rhs on every
-    domain, and its point-star flags against Domain.is_open_star_of."""
+    """domain_slacks against domain_sides' lhs - rhs on every domain, and
+    its point-star flags against Domain.is_open_star_of."""
     h = hat_complex(cc)
-    theta_ext, ThetaF = theta_extended(cc, t), Theta_full(cc, t)
-    e0_duals = {h.eindex[("dual", e)] for e in cc.e0}
     theta, _star, Theta = polytope.angle_arrays(cc, t)
-    slack, point_star = domain_slacks(
-        h, oracles.cell_rows(h, [(d.vmask, d.emask, d.fmask)
-                                 for d in domains]), theta, Theta)
+    rows = oracles.cell_rows(h, [(d.vmask, d.emask, d.fmask)
+                                 for d in domains])
+    slack, point_star = domain_slacks(h, rows, theta, Theta)
+    lhs, rhs = polytope.domain_sides(h, rows, theta, Theta)
     assert len(slack) == len(point_star) == len(domains)
-    for d, s, p in zip(domains, slack, point_star):
-        lhs, rhs = domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals)
-        assert abs(s - (lhs - rhs)) <= 1e-12, sorted(d.generators)
+    for d, s, p, diff in zip(domains, slack, point_star, lhs - rhs):
+        assert abs(s - diff) <= 1e-12, sorted(d.generators)
         star = d.is_open_star_of()
         assert p == (star is not None and star[0] == "v"
                      and star[1] in cc.v0)
@@ -286,7 +284,7 @@ def fixture_complexes():
 
 
 class TestDomainSlacks:
-    """The cell-weight slack is domain_inequality's lhs - rhs."""
+    """The cell-weight slack is domain_sides' lhs - rhs."""
 
     @pytest.mark.parametrize("name, g", FIXTURE_CASES)
     def test_fixture(self, fixture_complexes, name, g):
@@ -381,52 +379,98 @@ class TestReportMatchesLoop:
             assert flagged == (slack < 0)
 
 
-class TestBuildsDomainsOnlyInTheBand:
-    """check_feasibility makes a Domain, and calls domain_inequality,
-    only for a row its cell weights leave near the threshold."""
+def _band_rows(cc, t):
+    """The rows check_feasibility's cell weights leave near the
+    threshold on the 3x3 grid, and every strict domain's row."""
+    h = hat_complex(cc)
+    rows, _partial = complexes.domain_generator_sets(h, True)
+    theta, _star, Theta = polytope.angle_arrays(cc, t)
+    slack, point_star = domain_slacks(h, rows, theta, Theta)
+    return rows[~(slack > GRID_TOL + 1e-9 * (1 + np.abs(slack)))
+                & ~point_star], rows
+
+
+class TestDecidesTheBandOnRows:
+    """check_feasibility builds no Domain and calls neither
+    domain_inequality nor boundary_counts: domain_sides receives exactly
+    the rows its cell weights leave near the threshold."""
 
     @staticmethod
-    def _count(monkeypatch, cc, t):
-        built, called = [], []
-        domain, inequality = complexes.Domain, polytope.domain_inequality
+    def _run(monkeypatch, cc, t):
+        domain_layer = {f.__code__: f.__name__ for f in (
+            complexes.Domain.__init__, complexes.make_domain,
+            complexes.row_domain, complexes.boundary_counts,
+            polytope.domain_inequality)}
+        called, received = [], []
+        sides = polytope.domain_sides
 
-        def counting_domain(*args, **kwargs):
-            built.append(1)
-            return domain(*args, **kwargs)
+        def spy(h, rows, theta, Theta):
+            received.append(rows)
+            return sides(h, rows, theta, Theta)
 
-        def counting_inequality(*args, **kwargs):
-            called.append(1)
-            return inequality(*args, **kwargs)
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code in domain_layer:
+                called.append(domain_layer[frame.f_code])
 
-        monkeypatch.setattr(complexes, "Domain", counting_domain)
-        monkeypatch.setattr(polytope, "domain_inequality",
-                            counting_inequality)
-        rep = check_feasibility(cc, t)
+        monkeypatch.setattr(polytope, "domain_sides", spy)
+        sys.setprofile(profile)
+        try:
+            rep = check_feasibility(cc, t)
+        finally:
+            sys.setprofile(None)
         monkeypatch.undo()
-        return rep, len(built), len(called)
+        band, _rows = _band_rows(cc, t)
+        assert len(received) == 1 and np.array_equal(received[0], band)
+        assert called == []
+        return rep, band
 
-    def test_feasible_builds_none(self, monkeypatch, fixture_complexes):
+    def test_feasible(self, monkeypatch, fixture_complexes):
         cc = fixture_complexes["grid-torus-v1"]
-        rep, built, called = self._count(
-            monkeypatch, cc, reference_target(cc, EUCLIDEAN))
+        rep, band = self._run(monkeypatch, cc,
+                              reference_target(cc, EUCLIDEAN))
         assert rep.verdict == FEASIBLE
         assert rep.size["domains"] == 199131
-        assert built == called == 0
+        assert len(band) == 0
 
-    def test_infeasible_builds_its_band(self, monkeypatch,
-                                        fixture_complexes):
+    def test_infeasible(self, monkeypatch, fixture_complexes):
         cc = fixture_complexes["grid-torus-v1"]
         t = right_angle_target(cc)  # every open star of a vertex at 0
-        rep, built, called = self._count(monkeypatch, cc, t)
-        h = hat_complex(cc)
-        rows, _partial = complexes.domain_generator_sets(h, True)
-        theta, _star, Theta = polytope.angle_arrays(cc, t)
-        slack, point_star = domain_slacks(h, rows, theta, Theta)
-        band = int(np.sum(~(slack > GRID_TOL + 1e-9 * (1 + np.abs(slack)))
-                          & ~point_star))
+        rep, band = self._run(monkeypatch, cc, t)
         assert rep.verdict == INFEASIBLE
-        assert len(rep.violations) <= band == built == called
-        assert band < len(rows) / 100
+        assert 0 < len(rep.violations) <= len(band) < 199131 / 100
+
+
+class TestDomainSidesMatchLoop:
+    """domain_sides against the loop form of the inequality
+    (``oracles.domain_inequality_by_loop``, Python-int masks and reduce):
+    the same lhs and rhs to the last bit."""
+
+    @staticmethod
+    def _check(cc, t, rows):
+        h = hat_complex(cc)
+        theta, _star, Theta = polytope.angle_arrays(cc, t)
+        lhs, rhs = polytope.domain_sides(h, rows, theta, Theta)
+        theta_ext, ThetaF = theta_extended(cc, t), Theta_full(cc, t)
+        assert list(zip(lhs.tolist(), rhs.tolist())) == [
+            oracles.domain_inequality_by_loop(
+                cc, h, complexes.row_domain(h, row), theta_ext, ThetaF, ())
+            for row in rows]
+
+    @pytest.mark.parametrize("g", [EUCLIDEAN, HYPERBOLIC])
+    @pytest.mark.parametrize("name", ["grid-torus", "e0-torus"])
+    def test_every_strict_domain(self, fixture_complexes, name, g):
+        cc = fixture_complexes[name]
+        t = reference_target(cc, g)
+        rows = _band_rows(cc, t)[1]
+        assert len(rows) == (519 if name == "grid-torus" else 199131)
+        self._check(cc, t, rows)
+
+    def test_band_of_an_infeasible_target(self, fixture_complexes):
+        cc = fixture_complexes["grid-torus-v1"]
+        t = right_angle_target(cc)
+        band = _band_rows(cc, t)[0]
+        assert len(band)
+        self._check(cc, t, band)
 
 
 def test_rejects_a_cap_above_the_mask_width(grid_torus):
