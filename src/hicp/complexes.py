@@ -364,6 +364,20 @@ class Triangulation:
     def v1_vertices(self):
         return tuple(sorted(self.base.v1))
 
+    @cached_property
+    def difference_plan(self):
+        """Index arrays of ``solver.hessian_U``'s kernel call: triangle
+        t and slot k per difference; per row (one per difference, then
+        each triangle once) its triangle and class tags; the flat
+        positions in D of the derivatives that land in H, and in H."""
+        import numpy as np
+        S, n = self.slots, self.n_free
+        t, k = np.nonzero(S >= 0)
+        tri = np.concatenate([t, np.arange(len(S))])
+        keep = np.flatnonzero(S[t] >= 0)
+        cell = (S[t] * n + S[t, k][:, None]).ravel()[keep]
+        return t, k, tri, self.vc[tri], self.ec[tri], keep, cell
+
 
 def triangulate(cc):
     """Fan each face of cc from its least vertex, by array passes over

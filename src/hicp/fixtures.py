@@ -210,7 +210,9 @@ def omega_value(vclasses, eclasses, g, x):
 
 def _omega_floor(vclasses, eclasses, g):
     """chi_0: the largest x at which some edge chord degenerates (the
-    subtended angle reaches pi)."""
+    subtended angle reaches pi).  Each edge's bisection stops at the
+    first halving that leaves the bracket as it was, since every later
+    one would too, and after 200 halvings at most."""
     rc = reference_constants(g)[0]
     n = len(vclasses)
     floor = rc + 1e-15 if any(c == 0 for c in vclasses) else 1e-15
@@ -230,10 +232,10 @@ def _omega_floor(vclasses, eclasses, g):
             continue
         for _ in range(200):
             mid = (lo + hi) / 2
-            if slack(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
+            bracket = (mid, hi) if slack(mid) < 0 else (lo, mid)
+            if bracket == (lo, hi):
+                break
+            lo, hi = bracket
         floor = max(floor, hi)
     return floor
 

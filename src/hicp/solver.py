@@ -135,27 +135,35 @@ def hessian_U(T, x, g):
     added into the dense matrix.  One kernel call evaluates every
     difference: per free slot of each triangle one copy of the triangle
     with that slot moved by h = 1e-5 (1 + |x_m|), and one unmoved copy
-    per triangle, whose angles give the sums.  Raises NotInTE when any
-    copy leaves the domain."""
-    S, n = T.slots, T.n_free
-    x = geo.gather_coords(T, x)
-    t, k = np.nonzero(S >= 0)  # triangle and slot of each difference
-    h = 1e-5 * (1 + np.abs(x[t, k]))
-    plus = x[t]
-    plus[np.arange(len(t)), k] += h
-    tri = np.concatenate([t, np.arange(len(S))])
-    y = _slot_angles(geo.decorated_triangles(
-        np.concatenate([plus, x]), T.vc[tri], T.ec[tri], g, tri=tri))
-    y0 = y[len(t):]
-    D = (y[:len(t)] - y0[t]) / h[:, None]
-    # D[p, j]: derivative of the angle at slot j of triangle t[p] along
-    # the variable at slot k[p]
-    rows = S[t]
-    keep = rows >= 0
-    cols = np.broadcast_to(S[t, k][:, None], rows.shape)
-    H = np.bincount((rows * n + cols)[keep], weights=D[keep],
+    per triangle, whose angles give the sums.  The index arrays are
+    ``T.difference_plan``'s.  Raises NotInTE when any copy leaves the
+    domain."""
+    t, k, tri, vc, ec, keep, cell = T.difference_plan
+    n, p = T.n_free, len(t)
+    y = geo.gather_coords(T, x)[tri]
+    moved = (np.arange(p), k)
+    h = 1e-5 * (1 + np.abs(y[moved]))
+    y[moved] += h
+    y = _slot_angles(geo.decorated_triangles(y, vc, ec, g, tri=tri))
+    y0 = y[p:]
+    # D[i, j]: derivative of the angle at slot j of triangle t[i] along
+    # the variable at slot k[i]
+    D = (y[:p] - y0[t]) / h[:, None]
+    H = np.bincount(cell, weights=D.ravel()[keep],
                     minlength=n * n).reshape(n, n)
     return _slot_sums(T, y0), (H + H.T) / 2
+
+
+def _lean_sums(T, x, g):
+    """realized_sums at x and at its gauge projection, from one kernel
+    call on unmoved triangles only (twice F rows for a Euclidean x)."""
+    if g != EUCLIDEAN:
+        sums = realized_sums(T, x, g)
+        return sums, sums
+    rows = [geo.gather_coords(T, v) for v in (x, geo.project_gauge(T, x, g))]
+    y = _slot_angles(geo.decorated_triangles(
+        np.concatenate(rows), np.tile(T.vc, (2, 1)), np.tile(T.ec, (2, 1)), g))
+    return _slot_sums(T, y[:len(y) // 2]), _slot_sums(T, y[len(y) // 2:])
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +188,13 @@ def _angle_data(T, sums, g):
 
 def solve(T, target, opts=None):
     """Newton solve for the coordinates realizing the target angles.
-    Each point, the start point and every trial, is evaluated by one
-    hessian_U call, whose Hessian an accepted trial passes on to the
-    next iteration.  The line search rejects a trial where that call
-    raises NotInTE: the point, or one of its moved copies, is outside
-    the kernel's domain."""
+    The start point and each trial are evaluated by one hessian_U call,
+    whose Hessian an accepted trial passes on, except a lean trial: a
+    full step (s = 1, mu = 0) after a full step from norm g' to g whose
+    predicted norm g^3 / g'^2 meets grad_tol.  It is evaluated by
+    ``_lean_sums``, and again by hessian_U if accepted unconverged.  The
+    line search rejects a trial where an evaluation raises NotInTE: the
+    point, or one of its moved copies, is outside the kernel's domain."""
     opts = opts or SolveOptions()
     g = target.geometry
     rep, (theta, _star, Theta) = pre_check(T.base, target)
@@ -207,9 +217,12 @@ def solve(T, target, opts=None):
         gauge = np.outer(c, c)
 
     sums, H = hessian_U(T, x, g)
+    # realized sums at the gauge-projected point, where at hand
+    shown = None if g == EUCLIDEAN else sums
     gvec = sums - targets
     gnorm = float(np.max(np.abs(gvec)))
     mu, collapses, trace, status, it = 0.0, 0, [], MAXITER, 0
+    last = 0.0  # the norm before the last accepted step, if a full one
     for it in range(1, opts.max_iter + 1):
         if gnorm <= opts.grad_tol:
             status = CONVERGED
@@ -225,23 +238,32 @@ def solve(T, target, opts=None):
                 s = 1.0
                 while s > 1e-14:
                     x_new = x + s * step
+                    lean = (s == 1.0 and mu == 0.0 and gnorm * gnorm * gnorm
+                            <= opts.grad_tol * last * last)
                     try:
-                        sums_new, H_new = hessian_U(T, x_new, g)
-                    except NotInTE:
-                        pass  # outside the kernel's domain: rejected
-                    else:
+                        if lean:
+                            sums_new, shown_new = _lean_sums(T, x_new, g)
+                            H_new = None
+                        else:
+                            sums_new, H_new = hessian_U(T, x_new, g)
+                            shown_new = None if g == EUCLIDEAN else sums_new
                         g_new = sums_new - targets
                         gn_new = float(np.max(np.abs(g_new)))
                         if gn_new <= (1 - ARMIJO * s) * gnorm:
+                            if H_new is None and gn_new > opts.grad_tol:
+                                H_new = hessian_U(T, x_new, g)[1]
                             break
+                    except NotInTE:
+                        pass  # outside the kernel's domain: rejected
                     s *= LINE_SEARCH_RATIO
                 else:
                     s = 0.0
                 if s > 0.0:
                     small = float(np.max(np.abs(s * step))) < 1e-12
                     collapses = collapses + 1 if small else 0
+                    last = gnorm if s == 1.0 and mu == 0.0 else 0.0
                     x, gvec, gnorm = x_new, g_new, gn_new
-                    sums, H = sums_new, H_new
+                    H, shown = H_new, shown_new
                     mu *= 0.1
                     accepted = True
                     trace.append((it, gnorm, s))
@@ -260,9 +282,8 @@ def solve(T, target, opts=None):
     x = geo.project_gauge(T, x, g)
     realized = None
     if status == CONVERGED:
-        # project_gauge moves only a Euclidean point
-        realized = (_angle_data(T, sums, g) if g != EUCLIDEAN
-                    else extract_angles(T, x, g))
+        realized = (extract_angles(T, x, g) if shown is None
+                    else _angle_data(T, shown, g))
     return Solution(coords=x, residual_norm=gnorm, iterations=it,
                     realized_angles=realized, status=status,
                     trace=tuple(trace))

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 
 import scalar_kernel as sk
+from hicp import fixtures as fx
 from hicp import geometry as geo
 from hicp import polytope as pt
 from hicp import solver
@@ -224,6 +225,35 @@ def reference_coords_by_loop(T, g):
     l, r = np.array(l), np.array(r)
     geo.check_er_surface(T, l, r, g)
     return geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
+
+
+def omega_floor_by_halving(vclasses, eclasses, g):
+    """fixtures._omega_floor with every edge's bisection run for all of
+    its 200 halvings."""
+    rc = fx.reference_constants(g)[0]
+    n = len(vclasses)
+    floor = rc + 1e-15 if any(c == 0 for c in vclasses) else 1e-15
+    for t in range(n):
+        cu, cv = vclasses[t], vclasses[(t + 1) % n]
+        L = fx.reference_length(eclasses[t], g)
+
+        def slack(x):
+            return (fx._vertex_distance(g, cu, x, rc)
+                    + fx._vertex_distance(g, cv, x, rc) - L)
+
+        lo, hi = floor, floor + 1.0
+        while slack(hi) < 0:
+            hi += 1.0
+        if slack(lo) > 0:
+            continue
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if slack(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        floor = max(floor, hi)
+    return floor
 
 
 def solve_by_two_calls(T, target, opts=None):

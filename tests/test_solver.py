@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import right_angle_target
+from conftest import mixed_grid_spec, right_angle_target
 from hicp import build_complex, cli, fixtures, solver, triangulate
 from hicp import geometry as geo
+from hicp.complexes import edge_key
 from hicp.errors import DomainError, NotInTE
 from hicp.fixtures import (
     FIXTURES,
@@ -50,6 +51,26 @@ def _lifted(T, target):
 
 
 class TestOmega:
+    def test_floor_matches_200_halvings(self):
+        # every face class, in each rotation, of the fixtures and of
+        # mixed grids (hexagons, quads and triangles, random disks)
+        specs = [fixture_spec(name) for name in sorted(FIXTURES)]
+        specs += [mixed_grid_spec(4 + seed % 5, seed) for seed in range(10)]
+        keys = set()
+        for spec in specs:
+            cc = build_complex(spec)
+            for f in cc.faces:
+                vc = [int(v in cc.v1) for v in f]
+                ec = [int(edge_key(u, v) not in cc.e0)
+                      for u, v in zip(f, f[1:] + f[:1])]
+                keys.update((tuple(vc[i:] + vc[:i]), tuple(ec[i:] + ec[:i]))
+                            for i in range(len(f)))
+        assert len(keys) > 50
+        for g in BOTH:
+            for vc, ec in sorted(keys):
+                want = oracles.omega_floor_by_halving(vc, ec, g)
+                assert fixtures._omega_floor(vc, ec, g).hex() == want.hex()
+
     def test_tangent_quad_pinned(self):
         vc, ec = (1, 1, 1, 1), (0, 0, 0, 0)
         assert omega_solve(vc, ec, EUCLIDEAN) == pytest.approx(
@@ -397,23 +418,80 @@ class TestOneKernelCallPerPoint:
 
     @pytest.mark.parametrize("g", BOTH)
     def test_kernel_calls_per_point(self, g, monkeypatch):
-        # the start point and each accepted full step: one hessian_U
-        # call each; a Euclidean solve evaluates its projected point
+        # the start point and each accepted full step: one kernel call
+        # each, with the moved copies except at the converging step,
+        # whose call carries a Euclidean point's projection too
         cc = build_complex(fixture_spec("e0-torus"))
         T = triangulate(cc)
         target = cli._target_from_input(cc, g, None, None)
-        calls = []
+        rows = []
         kernel = geo.decorated_triangles
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def counting(x, *args, **kwargs):
+            rows.append(len(x))
+            return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(geo, "decorated_triangles", counting)
         sol = solve(T, target)
         assert sol.status == CONVERGED and len(sol.trace) > 3
         assert all(row[2] == 1.0 for row in sol.trace)
-        assert len(calls) == 1 + len(sol.trace) + (g == EUCLIDEAN)
+        assert len(rows) == 1 + len(sol.trace)
+        F, P = len(T.slots), len(T.difference_plan[0])
+        assert sum(rows) == (len(sol.trace) * (P + F)
+                             + F * (1 + (g == EUCLIDEAN)))
+
+    @pytest.mark.parametrize("g", BOTH)
+    def test_converging_step_builds_no_hessian(self, g, monkeypatch):
+        cc = build_complex(fixture_spec("e0-torus"))
+        T = triangulate(cc)
+        target = cli._target_from_input(cc, g, None, None)
+        hessian, calls = solver.hessian_U, []
+
+        def counting(*args):
+            calls.append(1)
+            return hessian(*args)
+
+        monkeypatch.setattr(solver, "hessian_U", counting)
+        sol = solve(T, target)
+        assert sol.status == CONVERGED and len(sol.trace) > 3
+        assert len(calls) == len(sol.trace)
+
+    @pytest.mark.parametrize("g", BOTH)
+    def test_missed_prediction_is_evaluated_again(self, g, monkeypatch):
+        # at grad_tol = 1e-13 rounding stops quadratic convergence short
+        # of the predicted norm: the lean trial is accepted without
+        # converging and evaluated again by hessian_U
+        T = triangulate(build_complex(fixtures.triangulated_torus_spec(4)))
+        opts = SolveOptions(grad_tol=1e-13)
+        l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
+        rng = random.Random(7)
+        targets = []
+        for _ in range(3):
+            l, r = cli.sample_er(T, l0, r0, g, rng)
+            targets.append(extract_angles(T, project_gauge(
+                T, geo.psi_inv_surface(T, l, r, g), g), g))
+        wants = [oracles.solve_by_two_calls(T, t, opts) for t in targets]
+        lean, hessian = solver._lean_sums, solver.hessian_U
+        points, again = [], []
+
+        def lean_spy(T, x, g):
+            points.append(x)
+            return lean(T, x, g)
+
+        def hessian_spy(T, x, g):
+            again.extend(p for p in points if np.array_equal(x, p))
+            return hessian(T, x, g)
+
+        monkeypatch.setattr(solver, "_lean_sums", lean_spy)
+        monkeypatch.setattr(solver, "hessian_U", hessian_spy)
+        for t, want in zip(targets, wants):
+            got = solve(T, t, opts)
+            assert got.coords.tobytes() == want.coords.tobytes()
+            assert got.trace == want.trace
+            assert got.iterations == want.iterations
+            assert got.status == want.status == CONVERGED
+            assert got.realized_angles == want.realized_angles
+        assert len(again) >= 1
 
     def test_a_trial_that_always_raises_is_rejected(self, grid_torus_T,
                                                     monkeypatch):
