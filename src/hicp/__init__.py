@@ -12,7 +12,6 @@ from .errors import (
     NonRedundantDiagonal,
     NotClosedSurface,
     NotInTE,
-    PathLeavesDomain,
     RegularityViolation,
 )
 from .complexes import (
@@ -51,7 +50,7 @@ from .layout import (
 __all__ = [
     "CapExceeded", "DomainError", "E0EndpointInV0", "HicpError",
     "IndexMismatch", "InvariantViolation", "IoError", "NonRedundantDiagonal",
-    "NotClosedSurface", "NotInTE", "PathLeavesDomain", "RegularityViolation",
+    "NotClosedSurface", "NotInTE", "RegularityViolation",
     "CellComplex", "HatTriangulation", "Triangulation", "build_complex",
     "hat_complex", "triangulate",
     "EUCLIDEAN", "HYPERBOLIC",

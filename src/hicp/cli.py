@@ -91,10 +91,11 @@ def _read_json(path):
 
 
 def _number_map(raw, what, parse_key):
-    """A JSON object of numbers as {parsed key: float}; two keys that
-    parse to one, such as "0-1" and "1-0", are an error, and so is a
-    value that float() reads but JSON does not write as a number, such
-    as "1.5" or true."""
+    """A JSON object of finite numbers as {parsed key: float}; two keys
+    that parse to one, such as "0-1" and "1-0", are an error, and so is
+    a value that float() reads but JSON does not write as a number, such
+    as "1.5" or true, or one that is not finite, such as NaN, Infinity
+    or 1e400."""
     if not isinstance(raw, dict):
         raise HicpError(f"malformed input: {what} must be a JSON object")
     try:
@@ -112,6 +113,10 @@ def _number_map(raw, what, parse_key):
         k = next(k for k, v in raw.items() if type(v) not in (int, float))
         raise HicpError(f"malformed input: bad entry in {what}: the value "
                         f"of {k!r} is not a number")
+    if not all(map(math.isfinite, out.values())):
+        k = next(k for k, v in raw.items() if not math.isfinite(v))
+        raise HicpError(f"malformed input: bad entry in {what}: the value "
+                        f"of {k!r} is not a finite number")
     return out
 
 

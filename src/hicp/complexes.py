@@ -350,11 +350,6 @@ class Triangulation:
         return tuple(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
 
     @cached_property
-    def e_pi(self):
-        return frozenset(itertools.compress(self.edges,
-                                            (self.eclass == 2).tolist()))
-
-    @cached_property
     def free_edges(self):
         """Edges carrying an `a` coordinate, sorted: E1 then diagonals."""
         return tuple(itertools.compress(self.edges,

@@ -39,10 +39,6 @@ class NotInTE(HicpError):
     """Tetrahedral coordinates whose image fails the edge-length invariants."""
 
 
-class PathLeavesDomain(HicpError):
-    """An integration segment exits the admissible angle region."""
-
-
 class NonRedundantDiagonal(HicpError):
     """A fan diagonal carries an intersection angle away from pi."""
 

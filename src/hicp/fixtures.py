@@ -90,16 +90,6 @@ def dodecahedron_spec(v1=None):
     return {"vertices": verts, "faces": faces}
 
 
-def tetrahedron_spec(v1=None):
-    faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
-    ids = [0, 1, 2, 3]
-    if v1 is None:
-        v1 = ids
-    verts = [{"id": i, "circle": "disk" if i in set(v1) else "point"}
-             for i in ids]
-    return {"vertices": verts, "faces": faces}
-
-
 FIXTURES = {
     "grid-torus": lambda: grid_torus_spec(3),
     "grid-torus-v1": lambda: grid_torus_spec(3, v1=range(9)),

@@ -36,24 +36,6 @@ def check_geometry(g):
 
 
 @dataclass(frozen=True)
-class TriangleTags:
-    """Class tags of one triangle: vc[corner] in {0,1}, ec[edge] in
-    {0,1,2}."""
-
-    vc: tuple
-    ec: tuple
-
-    def __post_init__(self):
-        for m, c in enumerate(self.ec):
-            if c == 0:
-                u, v = CORNERS_OF_EDGE[m]
-                if self.vc[u] == 0 or self.vc[v] == 0:
-                    raise InvariantViolation(
-                        "tangency edge with a point-circle endpoint"
-                    )
-
-
-@dataclass(frozen=True)
 class TriangleAngles:
     alpha: tuple  # per edge, in [0, pi)
     beta: tuple  # per corner, in (0, pi)
@@ -300,7 +282,8 @@ def decorate_rows(l, r, vc, ec, g, fails=(), tri=None, exc=NotInTE):
 def tetra_angles(tc_tri, tags, g):
     """decorated_triangles on one triangle: the angles of the
     coordinates ((a_ij, a_jk, a_ki), (b_i, b_j, b_k)) of a triangle with
-    class tags ``tags``, as TriangleAngles.  Raises NotInTE outside TE."""
+    class tags ``tags.vc`` (per corner) and ``tags.ec`` (per edge), as
+    TriangleAngles.  Raises NotInTE outside TE."""
     a3, b3 = tc_tri
     return _row_angles(decorated_triangles(
         np.array([[*a3, *b3]], float), np.array([tags.vc]),

@@ -6,9 +6,8 @@ Everything is computed on the arrays of the one kernel call
 (``geometry.decorate_surface``) and of the ``Triangulation``: theta
 of every edge in one pass, and the chart by moving the triangles of each
 breadth-first level onto their parents in one array step.  A
-``SurfaceLayout`` holds the arrays; its unmerged chart and its dict
-views are built on first use, and the layout JSON is formatted from the
-arrays."""
+``SurfaceLayout`` holds the arrays; its unmerged chart is built on
+first use, and the layout JSON is formatted from the arrays."""
 
 from __future__ import annotations
 
@@ -100,68 +99,23 @@ class SurfaceLayout:
     def merged(self):
         return self.face_charts is not None
 
-    @property
-    def chart(self):  # keyed by triangle (unmerged) or base face (merged)
-        return self.face_charts if self.merged else self._glued[0]
-
-    @property
-    def tree_edges(self):  # the development's glue tree; empty when merged
-        return () if self.merged else self._glued[1]
-
     @cached_property
-    def _glued(self):
-        """(Charts, tree) of every triangle glued into one chart."""
+    def chart(self):
+        """The Charts, one per triangle glued into one chart on first use
+        (unmerged) or one per base face (merged)."""
+        if self.merged:
+            return self.face_charts
         T = self.T
         F = len(T.face)
-        z, center, (par, ch, edge) = _glue(T, self.placed, np.zeros(F, int),
-                                           self.geometry)
-        return (Charts(vert=T.vert.ravel(), z=z.ravel(),
-                       start=np.arange(0, 3 * F + 1, 3), center=center,
-                       R=self.placed.R),
-                tuple(zip(par.tolist(), ch.tolist(),
-                          map(T.edges.__getitem__, edge.tolist()))))
-
-    @property
-    def base(self):
-        return self.T.base
+        z, center = _glue(T, self.placed, np.zeros(F, int), self.geometry)
+        return Charts(vert=T.vert.ravel(), z=z.ravel(),
+                      start=np.arange(0, 3 * F + 1, 3), center=center,
+                      R=self.placed.R)
 
     @property
     def edges(self):
         """The layout's edges: the base complex's when merged."""
         return self.T.base.edges if self.merged else self.T.edges
-
-    # dict views
-
-    @cached_property
-    def charts(self):
-        """key -> {"verts": [(vertex id, place)], "circle": (center, R)},
-        in the order the charts were developed."""
-        ch = self.chart
-        ids = self.T.base.vertices
-        verts = list(zip(map(ids.__getitem__, ch.vert.tolist()),
-                         ch.z.tolist()))
-        start = ch.start.tolist()
-        circles = list(zip(ch.center.tolist(), ch.R.tolist()))
-        order = (range(len(circles)) if self.merged
-                 else [0, *(c for _p, c, _e in self.tree_edges)])
-        return {k: {"verts": verts[start[k]:start[k + 1]],
-                    "circle": circles[k]} for k in order}
-
-    @cached_property
-    def theta(self):
-        return dict(zip(self.edges, self.th.tolist()))
-
-    @cached_property
-    def alpha_sum(self):
-        return dict(zip(self.edges, self.asum.tolist()))
-
-    @cached_property
-    def Theta(self):
-        return dict(zip(self.T.base.vertices, self.cone.tolist()))
-
-    @cached_property
-    def radii(self):
-        return dict(zip(self.T.base.vertices, self.r.tolist()))
 
 
 def _glue(T, dt, group, g):
@@ -170,8 +124,7 @@ def _glue(T, dt, group, g):
     keeps its kernel placement, and the breadth-first tree from it, least
     edge first, is moved level by level, each child by one isometry onto
     its placed parent.  Returns the chart positions (F, 3) and circle
-    centers (F,), and the tree as (parent, child, edge position) arrays
-    in breadth-first order."""
+    centers (F,)."""
     F = len(group)
     # per (triangle, column): the triangle across that edge and the
     # edge's column there
@@ -183,7 +136,6 @@ def _glue(T, dt, group, g):
     frontier = np.unique(group, return_index=True)[1]
     seen = np.zeros(F, bool)
     seen[frontier] = True
-    tree = []
     while frontier.size:
         par = np.repeat(frontier, 3)
         pc = by_edge[frontier].ravel()
@@ -204,9 +156,8 @@ def _glue(T, dt, group, g):
         z[ch, cb], z[ch, ca] = pb, pa
         z[ch, cw] = inv(fwd(dt.z[ch, cw]))
         center[ch] = inv(fwd(dt.center[ch]))
-        tree.append((par, ch, T.edge[par, pc]))
         frontier = ch
-    return z, center, [np.concatenate(col) for col in zip(*tree)]
+    return z, center
 
 
 def _theta(T, dt, g, alpha_sum):
@@ -274,7 +225,7 @@ def delaunay_report(sl):
 
 def gauss_bonnet_check(sl):
     """Residual record of the Gauss-Bonnet identity."""
-    cc = sl.base
+    cc = sl.T.base
     # cumsum adds left to right; sum of floats is compensated from 3.12
     total = np.cumsum(2 * math.pi - sl.cone)[-1].item()
     target = 2 * math.pi * cc.chi
@@ -304,7 +255,7 @@ def merge_redundant(sl):
 
     # every fan glued from its face's first triangle, crossing diagonals
     face = T.face
-    z, center, _tree = _glue(T, sl.placed, face, g)
+    z, center = _glue(T, sl.placed, face, g)
     first = np.unique(face, return_index=True)[1]
     root = first[face]
     R = sl.placed.R

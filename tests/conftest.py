@@ -9,10 +9,19 @@ from hicp.complexes import edge_key
 from hicp.fixtures import (
     fixture_spec,
     grid_torus_spec,
-    tetrahedron_spec,
     triangulated_torus_spec,
 )
 from hicp.polytope import make_angle_data
+
+
+def tetrahedron_spec(v1=None):
+    faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+    ids = [0, 1, 2, 3]
+    if v1 is None:
+        v1 = ids
+    verts = [{"id": i, "circle": "disk" if i in set(v1) else "point"}
+             for i in ids]
+    return {"vertices": verts, "faces": faces}
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +62,11 @@ def e0_torus():
 @pytest.fixture(scope="session")
 def grid_torus_T(grid_torus):
     return triangulate(grid_torus)
+
+
+def fan_diagonals(T):
+    """The fan diagonals of T (its edges of class 2), sorted."""
+    return [e for e, c in zip(T.edges, T.eclass.tolist()) if c == 2]
 
 
 def right_angle_target(cc, geometry="euclidean"):

@@ -1120,7 +1120,7 @@ def triangle_tags(T, tri):
     vc = tuple(vertex_class(cc, v) for v in (i, j, k))
     ec = tuple(loop_triangulation(T).edge_class(edge_key(u, v))
                for u, v in ((i, j), (j, k), (k, i)))
-    return geo.TriangleTags(vc=vc, ec=ec)
+    return sk.TriangleTags(vc=vc, ec=ec)
 
 
 def tri_edges(T, ti):
@@ -1264,12 +1264,11 @@ def glue(T, placed, tis, g):
     chart: the first keeps its kernel placement, and each next one is
     moved by one isometry onto a placed neighbour (breadth first,
     least-id edges first).  Returns per triangle its positions and circle
-    in the chart, and the crossed edges as (from, to, edge)."""
+    in the chart."""
     members = set(tis)
     table = edge_triangles(T)
     root = tis[0]
     charts = {root: placed[root]}
-    tree = []
     queue = deque([root])
     while queue:
         ti = queue.popleft()
@@ -1281,7 +1280,6 @@ def glue(T, placed, tis, g):
             nb = o2 if o1 == ti else o1
             if nb not in members or nb in charts:
                 continue
-            tree.append((ti, nb, e))
             npos, (c, R) = placed[nb]
             w = next(x for x in npos if x not in e)
             fwd = sk.frame(npos[b], npos[a], g)[0]
@@ -1289,7 +1287,7 @@ def glue(T, placed, tis, g):
             charts[nb] = ({a: pos[a], b: pos[b], w: inv(fwd(npos[w]))},
                           (inv(fwd(c)), R))
             queue.append(nb)
-    return charts, tree
+    return charts
 
 
 def pair_theta(T, placed, e, g):
@@ -1306,14 +1304,14 @@ def pair_theta(T, placed, e, g):
 
 
 def develop_by_loop(T, x, g):
-    """develop's chart, tree and theta by glue and pair_theta: (charts as
-    {triangle: (positions, circle)}, tree, theta)."""
+    """develop's chart and theta by glue and pair_theta: (charts as
+    {triangle: (positions, circle)}, theta)."""
     dt = geo.decorate_surface(T, x, g)
     placed = kernel_placements(T, dt)
     alpha_sum = dict(zip(T.edges, np.bincount(
         T.edge.ravel(), weights=dt.alpha.ravel(),
         minlength=len(T.edges)).tolist()))
-    charts, tree = glue(T, placed, range(len(triangles(T))), g)
+    charts = glue(T, placed, range(len(triangles(T))), g)
     theta = {}
     for e in T.edges:
         if e in T.base.e0:
@@ -1325,7 +1323,7 @@ def develop_by_loop(T, x, g):
             raise InvariantViolation(
                 f"edge {e}: circle angle {th} != alpha sum {alpha_sum[e]}")
         theta[e] = th
-    return charts, tree, theta
+    return charts, theta
 
 
 def merge_by_loop(sl):
@@ -1334,16 +1332,16 @@ def merge_by_loop(sl):
     cc = T.base
     g = sl.geometry
     placed = kernel_placements(T, sl.placed)
+    theta = dict(zip(sl.edges, sl.th.tolist()))
     for e in sorted(loop_triangulation(T).e_pi):
-        if abs(sl.theta[e] - math.pi) > MERGE_TOL:
-            raise NonRedundantDiagonal(
-                f"diagonal {e}: theta = {sl.theta[e]}")
+        if abs(theta[e] - math.pi) > MERGE_TOL:
+            raise NonRedundantDiagonal(f"diagonal {e}: theta = {theta[e]}")
     face_tris = {}
     for ti, tri in enumerate(triangles(T)):
         face_tris.setdefault(tri.face, []).append(ti)
     charts = {}
     for fi, f in enumerate(cc.faces):
-        fan, _tree = glue(T, placed, face_tris[fi], g)
+        fan = glue(T, placed, face_tris[fi], g)
         pos = {}
         for p, _circle in fan.values():
             pos.update(p)
@@ -1369,12 +1367,24 @@ def _fmt(x):
     return float(f"{x:.12g}")
 
 
+def chart_dict(sl):
+    """The charts of sl as {key: {"verts": [(vertex id, place)], "circle":
+    (center, R)}}, keyed by triangle (unmerged) or base face (merged)."""
+    ch = sl.chart
+    ids = sl.T.base.vertices
+    verts = list(zip(map(ids.__getitem__, ch.vert.tolist()), ch.z.tolist()))
+    start = ch.start.tolist()
+    return {k: {"verts": verts[start[k]:start[k + 1]], "circle": circle}
+            for k, circle in enumerate(zip(ch.center.tolist(),
+                                           ch.R.tolist()))}
+
+
 def layout_to_dict_by_loop(sl):
-    """The layout document from the dict views of sl, one chart and one
-    rounded number at a time: the reference of layout.layout_json."""
+    """The layout document from chart_dict and sl's per-edge and
+    per-vertex arrays, one chart and one rounded number at a time: the
+    reference of layout.layout_json."""
     charts = {}
-    for key in sorted(sl.charts):
-        ch = sl.charts[key]
+    for key, ch in chart_dict(sl).items():
         c, R = ch["circle"]
         charts[str(key)] = {
             "vertices": [[v, _fmt(z.real), _fmt(z.imag)]
@@ -1386,11 +1396,11 @@ def layout_to_dict_by_loop(sl):
         "layout_version": 1,
         "geometry": sl.geometry,
         "merged": sl.merged,
-        "vertices": {str(v): {"radius": _fmt(sl.radii[v]),
-                              "cone_angle": _fmt(sl.Theta[v])}
-                     for v in sorted(sl.Theta)},
+        "vertices": {str(v): {"radius": _fmt(r), "cone_angle": _fmt(cone)}
+                     for v, r, cone in zip(sl.T.base.vertices,
+                                           sl.r.tolist(), sl.cone.tolist())},
         "edges": {f"{e[0]}-{e[1]}": {"theta": _fmt(th)}
-                  for e, th in sorted(sl.theta.items())},
+                  for e, th in zip(sl.edges, sl.th.tolist())},
         "charts": charts,
     }
 

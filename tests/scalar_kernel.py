@@ -27,6 +27,24 @@ from hicp.geometry import (
 
 
 @dataclass(frozen=True)
+class TriangleTags:
+    """Class tags of one triangle: vc[corner] in {0,1}, ec[edge] in
+    {0,1,2}."""
+
+    vc: tuple
+    ec: tuple
+
+    def __post_init__(self):
+        for m, c in enumerate(self.ec):
+            if c == 0:
+                u, v = CORNERS_OF_EDGE[m]
+                if self.vc[u] == 0 or self.vc[v] == 0:
+                    raise InvariantViolation(
+                        "tangency edge with a point-circle endpoint"
+                    )
+
+
+@dataclass(frozen=True)
 class FaceCircleData:
     R: float  # face-circle radius (geodesic)
     dist: tuple  # center-to-vertex distances, per corner

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from hicp.errors import InvariantViolation, NotInTE, PathLeavesDomain
+from hicp.errors import HicpError, InvariantViolation, NotInTE
 from hicp.geometry import (
     CORNERS_OF_EDGE,
     EDGES_AT_CORNER,
@@ -21,6 +21,10 @@ from hicp.geometry import (
 )
 from hicp.fixtures import reference_constants, reference_length
 from scalar_kernel import psi_inv, tetra_angles, triangle_angles
+
+
+class PathLeavesDomain(HicpError):
+    """An integration segment exits the admissible angle region."""
 
 
 def angles_valid(ta, tags, g):

@@ -1,15 +1,19 @@
 """The benchmark under ``perfbench/`` wraps package functions by name
 (``SPANNED`` and ``COUNTED`` in ``tracing.py``), reads the file a writer
 wrote from its argument at a recorded position (``WRITES``) and imports
-other functions (``gen.py``).  Both files are read here, not imported or
-changed, so a cleanup that renames or removes one of those functions, or
-moves a writer's path, fails a test instead of breaking the traced
-benchmark run."""
+other functions (``gen.py``).  Both files are read here, not changed,
+so a cleanup that renames or removes one of those functions, or moves a
+writer's path, fails a test instead of breaking the traced benchmark
+run.  ``gen.py`` is also imported, without writing bytecode, and its
+freeze step is run against ``verdicts.json``, which catches what it
+reads from the package's results as well."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
+import sys
 
 import pytest
 
@@ -71,6 +75,24 @@ def gen_calls():
             and node.func.id in imported]
 
 
+def frozen_verdicts():
+    with open(os.path.join(BENCH, "verdicts.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def gen():
+    """perfbench/gen.py, imported with perfbench/ on the path for its own
+    ``model`` import, and with no bytecode written there."""
+    path, nobytecode = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, BENCH)
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("gen")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, nobytecode
+
+
 def test_contract_is_found():
     assert len(traced_names()) > 20
     assert len(writes()) >= 3
@@ -99,3 +121,16 @@ def test_writer_takes_path_at_the_recorded_position(module, name, pos):
     # tracing takes the path from args[pos], or else from kwargs["path"]
     sig = inspect.signature(getattr(importlib.import_module(module), name))
     assert list(sig.parameters)[pos] == "path"
+
+
+@pytest.mark.parametrize("key", sorted(frozen_verdicts()))
+def test_freeze_reproduces_the_frozen_verdict(gen, key):
+    # gen.py --freeze reads attributes of the package's results (a
+    # domain's is_open_star_of, the angle data's dicts, the complex's e0,
+    # v0 and chi): its slack and domain count are equal to the frozen ones
+    # bit for bit.  It reads the hat complex's eindex only on E0 edges,
+    # which none of the frozen complexes has
+    name, g = key.split("/")
+    want = frozen_verdicts()[key]
+    assert gen.reference_slack(gen.complex_spec(name), g) == (
+        want["slack"], want["strict_domains"])

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import pinched_torus_spec
+from conftest import pinched_torus_spec, tetrahedron_spec
 from hicp import build_complex, cli, layout, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError
@@ -21,7 +21,6 @@ from hicp.fixtures import (
     fixture_spec,
     grid_torus_spec,
     reference_pattern,
-    tetrahedron_spec,
     triangulated_torus_spec,
 )
 from hicp.layout import develop, json_text, layout_to_dict, merge_redundant
@@ -190,6 +189,33 @@ class TestMalformedInput:
             assert capsys.readouterr().err.splitlines() == [
                 f"error: malformed input: bad entry in {part}: the value of"
                 f" {key!r} is not a number"], cmd
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_a_value_that_is_not_finite_exits_1(self, tmp_path, capsys,
+                                                text):
+        # json reads each of these as a float: validate and solve wrote it
+        # back as "lhs": NaN or Infinity, which is no JSON
+        doc = _reference_doc("tri-torus-v1", "euclidean")
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", "fixture:tri-torus-v1",
+                         "--output", str(sol)]) == 0
+        solution = json.loads(sol.read_text())
+        cases = [(doc, doc[part], part, ("validate", "solve", "demo"))
+                 for part in ("theta", "Theta")]
+        cases += [(solution, solution["coords"][part], f"coords.{part}",
+                   ("render",)) for part in "ab"]
+        p = tmp_path / "in.json"
+        for top, obj, what, cmds in cases:
+            key = min(obj)
+            was, obj[key] = obj[key], 1234567.5
+            p.write_text(json.dumps(top).replace("1234567.5", text))
+            obj[key] = was
+            for cmd in cmds:
+                capsys.readouterr()
+                assert cli.main([cmd, "--input", str(p)]) == 1, cmd
+                assert capsys.readouterr().err.splitlines() == [
+                    f"error: malformed input: bad entry in {what}: the value"
+                    f" of {key!r} is not a finite number"], cmd
 
     @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
     def test_report_does_not_depend_on_key_order(self, tmp_path, g):

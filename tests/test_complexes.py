@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
+    fan_diagonals,
     flip_edges,
     flipped_tori,
     mixed_grid_spec,
     pinched_torus_spec,
     small_complexes,
+    tetrahedron_spec,
 )
 from hicp import (
     CapExceeded,
@@ -43,7 +45,6 @@ from hicp.fixtures import (
     dodecahedron_spec,
     fixture_spec,
     grid_torus_spec,
-    tetrahedron_spec,
     triangulated_torus_spec,
 )
 
@@ -267,7 +268,7 @@ class TestTriangulate:
     def test_grid_torus(self, grid_torus):
         T = triangulate(grid_torus)
         assert len(T.face) == 18
-        assert len(T.e_pi) == 9
+        assert len(fan_diagonals(T)) == 9
         assert len(T.edges) == 27
         for e in T.edges:
             assert len(oracles.edge_triangles(T)[e]) == 2
@@ -277,13 +278,11 @@ class TestTriangulate:
         eclass = dict(zip(T.edges, T.eclass.tolist()))
         for e in e0_torus.e0:
             assert eclass[e] == 0
-        for e in T.e_pi:
-            assert eclass[e] == 2
-        assert set(T.free_edges) == set(T.e_pi)
+        assert set(T.free_edges) == set(fan_diagonals(T))
 
     def test_triangulated_input_is_unchanged(self, tri_torus):
         T = triangulate(tri_torus)
-        assert T.e_pi == frozenset()
+        assert fan_diagonals(T) == []
         assert len(T.face) == len(tri_torus.faces)
 
 
@@ -328,7 +327,8 @@ def _assert_triangulates_as_loop(cc):
     assert [tuple(ids[m] for m in row) for row in T.vert.tolist()] == [
         tri.verts for tri in ref.triangles]
     assert T.face.tolist() == [tri.face for tri in ref.triangles]
-    assert T.edges == ref.edges and T.e_pi == ref.e_pi
+    assert T.edges == ref.edges
+    assert set(fan_diagonals(T)) == ref.e_pi
     assert T.free_edges == ref.free_edges
     assert T.free_edges is T.free_edges and T.v1_vertices is T.v1_vertices
     for key, want in oracles.tri_index_by_loop(T).items():

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 import scalar_kernel as sk
+from conftest import tetrahedron_spec
 from hicp import build_complex, cli, triangulate
 from hicp import geometry as geo
 from hicp.fixtures import (
     FIXTURES,
     fixture_spec,
     reference_pattern,
-    tetrahedron_spec,
 )
 from hicp.solver import reference_coords
 from hicp.errors import DomainError, HicpError, InvariantViolation, NotInTE
@@ -25,12 +25,12 @@ from hicp.geometry import (
     EDGES_AT_CORNER,
     EUCLIDEAN,
     HYPERBOLIC,
-    TriangleTags,
     gauge_vector,
     in_te,
     project_gauge,
 )
 from scalar_kernel import (
+    TriangleTags,
     check_er_triangle,
     dual_edge_length,
     edge_length,

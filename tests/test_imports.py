@@ -1,12 +1,17 @@
 """No dead imports in the package: every name a module of ``src/hicp``
 imports is used in it, listed in its ``__all__``, or marked
-``# noqa: F401`` on its line.  And the reference pattern does not
-depend on the solver."""
+``# noqa: F401`` on its line.  No dead definitions either: every
+module-level function or class is read by the package, exported, or
+named by the benchmark, so code only the tests use lives with them.
+And the reference pattern does not depend on the solver."""
 
 import ast
 import pathlib
 
 import pytest
+
+import hicp
+from test_bench_contract import gen_imports, traced_names
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hicp"
 
@@ -42,6 +47,64 @@ def test_finds_an_unused_import():
             "    pi,\n    tau,\n)\n__all__ = ['tau']\n")
     assert unused_imports(text) == [(1, "os"), (4, "pi")]
     assert unused_imports("import numpy as np\nnp.zeros(1)\n") == []
+
+
+def package_reads(module, text):
+    """(module, name) for every package name a module's source reads: a
+    name it imports from a package module, an attribute of a package
+    module it imported, and a name of its own module read outside that
+    name's own definition."""
+    tree = ast.parse(text)
+    out, alias = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                if node.module:
+                    out.add((node.module, a.name))
+                else:
+                    alias[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in alias):
+            out.add((alias[node.value.id], node.attr))
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        out |= {(module, node.id) for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id != own}
+    return out
+
+
+def unread_definitions(sources, exported, pinned):
+    """(module, name) of every module-level function or class of
+    sources ({module: text}) that no module reads, that is not in
+    exported and that pinned does not hold, sorted."""
+    read = set().union(*(package_reads(m, text)
+                         for m, text in sources.items()))
+    return sorted(
+        (m, node.name) for m, text in sources.items()
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (m, node.name) not in read | pinned
+        and node.name not in exported)
+
+
+def test_every_definition_is_read_exported_or_benchmarked():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")
+               if p.stem != "__init__"}
+    pinned = {(m.removeprefix("hicp."), n)
+              for m, n in traced_names() + gen_imports()}
+    assert unread_definitions(sources, set(hicp.__all__), pinned) == []
+
+
+def test_finds_an_unread_definition():
+    sources = {"a": "def f():\n    return f()\n\n\ndef g():\n    pass\n",
+               "b": "from .a import g\n\n\nclass C:\n    pass\n",
+               "c": "from . import a as m\n\n\ndef h():\n    m.g()\n"}
+    # f calls only itself
+    assert unread_definitions(sources, set(), set()) == [
+        ("a", "f"), ("b", "C"), ("c", "h")]
+    assert unread_definitions(sources, {"C"}, {("a", "f"), ("c", "h")}) == []
 
 
 def imported_modules(text):

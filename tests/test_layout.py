@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import mixed_grid_spec
+from conftest import fan_diagonals, mixed_grid_spec
 from hicp import build_complex, triangulate
 from hicp import geometry as geo
 from hicp import layout
@@ -76,7 +76,7 @@ class TestDevelop:
         for sl in (grid_layout, genus2_layout):
             g = sl.geometry
             length = dict(zip(sl.T.edges, sl.l))
-            for key, chart in sl.charts.items():
+            for chart in oracles.chart_dict(sl).values():
                 verts = chart["verts"]
                 n = len(verts)
                 for t in range(n):
@@ -89,25 +89,19 @@ class TestDevelop:
     def test_vertex_dual_distances(self, grid_layout, genus2_layout):
         for sl in (grid_layout, genus2_layout):
             g = sl.geometry
-            for key, chart in sl.charts.items():
+            radius = dict(zip(sl.T.base.vertices, sl.r.tolist()))
+            for chart in oracles.chart_dict(sl).values():
                 center, R = chart["circle"]
                 for vid, z in chart["verts"]:
                     d = model_distance(center, z, g)
                     assert d == pytest.approx(
-                        vertex_dual_length(R, sl.radii[vid], g), abs=1e-9)
+                        vertex_dual_length(R, radius[vid], g), abs=1e-9)
 
     def test_cone_angles_close_up(self, grid_layout):
-        for v, Th in grid_layout.Theta.items():
-            assert Th == pytest.approx(2 * math.pi, abs=1e-9)
+        assert grid_layout.cone == pytest.approx(2 * math.pi, abs=1e-9)
 
     def test_hyperbolic_disk_model(self, genus2_layout):
-        for chart in genus2_layout.charts.values():
-            for _vid, z in chart["verts"]:
-                assert abs(z) < 1.0
-
-    def test_tree_edges_span(self, grid_layout):
-        T = grid_layout.T
-        assert len(grid_layout.tree_edges) == len(T.face) - 1
+        assert (np.abs(genus2_layout.chart.z) < 1.0).all()
 
 
 class TestDelaunay:
@@ -115,22 +109,23 @@ class TestDelaunay:
                                              genus2_layout, e0_layout):
         for sl in (grid_layout, genus2_layout, e0_layout):
             rep = delaunay_report(sl)
+            diagonals = fan_diagonals(sl.T)
             for e, r in rep.items():
-                if e in sl.T.e_pi:
+                if e in diagonals:
                     assert r["is_redundant"]
                 else:
                     assert r["is_delaunay"]
 
     def test_diagonals_are_redundant(self, grid_layout):
         rep = delaunay_report(grid_layout)
-        for e in grid_layout.T.e_pi:
+        for e in fan_diagonals(grid_layout.T):
             assert rep[e]["is_redundant"]
-        for e in grid_layout.base.e1:
+        for e in grid_layout.T.base.e1:
             assert not rep[e]["is_redundant"]
 
     def test_tangency_edges_have_zero_angle(self, e0_layout):
         rep = delaunay_report(e0_layout)
-        for e in e0_layout.base.e0:
+        for e in e0_layout.T.base.e0:
             assert rep[e]["theta"] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
@@ -163,7 +158,7 @@ class TestGaussBonnet:
 
     def test_totals_add_left_to_right(self):
         # the built-in sum is compensated from Python 3.12 and gives 1.0
-        sl = SimpleNamespace(base=SimpleNamespace(chi=0),
+        sl = SimpleNamespace(T=SimpleNamespace(base=SimpleNamespace(chi=0)),
                              geometry=HYPERBOLIC,
                              area=np.array([1e16, 1.0, -1e16]),
                              cone=np.full(3, 2 * math.pi))
@@ -179,6 +174,8 @@ class TestDualConsistency:
         for sl in (grid_layout, genus2_layout):
             g, T = sl.geometry, sl.T
             length = dict(zip(T.edges, sl.l))
+            asum = dict(zip(T.edges, sl.asum.tolist()))
+            radius = dict(zip(T.base.vertices, sl.r.tolist()))
             edges = sorted(T.edges)
             for _ in range(12):
                 e = edges[rng.integers(len(edges))]
@@ -202,13 +199,13 @@ class TestDualConsistency:
                     zc = place_third(za, zb, l_ik,
                                      beta if side == 0 else -beta, g)
                     pos = [za, zb, zc]
-                    rs = [sl.radii[i], sl.radii[j], sl.radii[k]]
+                    rs = [radius[i], radius[j], radius[k]]
                     c, R = circumscribe(pos, rs, g)
                     centers.append(c)
                     radii.append(R)
                 d = model_distance(centers[0], centers[1], g)
                 want = dual_edge_length(radii[0], radii[1],
-                                        sl.alpha_sum[e], g)
+                                        asum[e], g)
                 assert d == pytest.approx(want, abs=1e-9)
 
 
@@ -225,14 +222,13 @@ class TestMerge:
     def test_merged_quads(self, grid_layout):
         m = merge_redundant(grid_layout)
         assert m.merged
-        assert len(m.charts) == len(grid_layout.base.faces)
-        for chart in m.charts.values():
-            assert len(chart["verts"]) == 4
+        assert (np.diff(m.chart.start) == 4).all()
+        assert len(m.chart.R) == len(grid_layout.T.base.faces)
 
     def test_voronoi_containment(self, grid_layout, e0_layout):
         for sl, g in ((grid_layout, EUCLIDEAN), (e0_layout, HYPERBOLIC)):
             m = merge_redundant(sl)
-            for chart in m.charts.values():
+            for chart in oracles.chart_dict(m).values():
                 center, _R = chart["circle"]
                 poly = [z for _vid, z in chart["verts"]]
                 if g == HYPERBOLIC:
@@ -252,7 +248,7 @@ class TestMerge:
         T = triangulate(grid_torus)
         l, r = reference_pattern(T, EUCLIDEAN)
         x = psi_inv_surface(T, l, r, EUCLIDEAN)
-        e = sorted(T.e_pi)[0]
+        e = fan_diagonals(T)[0]
         # shorten one diagonal: its angle drops below pi
         x[T.free_edges.index(e)] -= 0.02
         sl = develop(T, x, EUCLIDEAN)
@@ -553,8 +549,9 @@ def _theta_spread(sl, e, th):
     return k / abs(math.sin(th))
 
 
-def _assert_charts_match(charts, ref):
-    assert list(charts) == list(ref)
+def _assert_charts_match(sl, ref):
+    charts = oracles.chart_dict(sl)
+    assert charts.keys() == ref.keys()
     for key, chart in charts.items():
         verts, (c, R) = ref[key]["verts"], ref[key]["circle"]
         assert [v for v, _z in chart["verts"]] == [v for v, _z in verts]
@@ -570,25 +567,24 @@ def _assert_matches_loop(T, x, g):
     _assert_same_error(err, ref_err)
     if err:
         return
-    charts, tree, theta = ref
-    assert sl.tree_edges == tuple(tree)
-    _assert_charts_match(sl.charts, {
+    charts, theta = ref
+    _assert_charts_match(sl, {
         ti: {"verts": [(v, pos[v]) for v in oracles.triangles(T)[ti].verts],
              "circle": circle} for ti, (pos, circle) in charts.items()})
-    assert list(sl.theta) == list(theta)
+    assert list(sl.edges) == list(theta)
     eps = np.finfo(float).eps
-    for e, th in theta.items():
+    for e, got, th in zip(sl.edges, sl.th.tolist(), theta.values()):
         if e in T.base.e0:
-            assert sl.theta[e] == th == 0.0
+            assert got == th == 0.0
         else:
-            assert (abs(sl.theta[e] - th)
+            assert (abs(got - th)
                     <= 1e-12 + 64 * eps * _theta_spread(sl, e, th))
     _assert_layout_document_matches_loop(sl)
     merged, err = _outcome(merge_redundant, sl)
     ref, ref_err = _outcome(oracles.merge_by_loop, sl)
     _assert_same_error(err, ref_err)
     if not err:
-        _assert_charts_match(merged.charts, ref)
+        _assert_charts_match(merged, ref)
         _assert_layout_document_matches_loop(merged)
 
 
@@ -618,9 +614,10 @@ def test_layout_matches_scalar_glue_off_reference(name, g, seed, size,
     # merge_redundant mostly raises, as the scalar path does
     T, x = _reference_coords(name, g)
     a, b = oracles.unpack(T, x)
+    diagonals = fan_diagonals(T)
     rng = random.Random(seed)
     x = oracles.pack(T, {e: v + rng.uniform(-size, size)
-                         - (shorten if e in T.e_pi else 0.0)
+                         - (shorten if e in diagonals else 0.0)
                          for e, v in a.items()},
                      {k: v + rng.uniform(-size, size) for k, v in b.items()})
     assume(geo.in_te(T, x, g))
@@ -632,13 +629,14 @@ def test_merge_names_the_least_diagonal_off_pi(grid_torus):
     T = triangulate(grid_torus)
     l, r = reference_pattern(T, EUCLIDEAN)
     x = psi_inv_surface(T, l, r, EUCLIDEAN)
-    diags = sorted(T.e_pi)
+    diags = fan_diagonals(T)
     for e in (diags[6], diags[1]):
         x[T.free_edges.index(e)] -= 0.02
     sl = develop(T, x, EUCLIDEAN)
     err = _outcome(merge_redundant, sl)[1]
     assert err == (NonRedundantDiagonal,
-                   f"diagonal {diags[1]}: theta = {sl.theta[diags[1]]}")
+                   f"diagonal {diags[1]}: theta = "
+                   f"{float(sl.th[T.edges.index(diags[1])])}")
     assert err == _outcome(oracles.merge_by_loop, sl)[1]
 
 
@@ -648,8 +646,7 @@ def test_merge_names_the_least_diagonal_off_pi(grid_torus):
     grid_torus_spec(20, v1=range(0, 400, 2))), ids=("tri24", "grid20"))
 def test_merge_places_as_loop_on_large_tori(spec, g):
     sl = reference_layout(build_complex(spec), g)
-    _assert_charts_match(merge_redundant(sl).charts,
-                         oracles.merge_by_loop(sl))
+    _assert_charts_match(merge_redundant(sl), oracles.merge_by_loop(sl))
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
@@ -668,7 +665,7 @@ def test_diagonal_off_pi_raises_as_scalar(grid_torus):
     T = triangulate(grid_torus)
     l, r = reference_pattern(T, EUCLIDEAN)
     x = psi_inv_surface(T, l, r, EUCLIDEAN)
-    x[T.free_edges.index(sorted(T.e_pi)[3])] -= 0.02  # angle drops below pi
+    x[T.free_edges.index(fan_diagonals(T)[3])] -= 0.02  # angle drops below pi
     sl = develop(T, x, EUCLIDEAN)
     _result, err = _outcome(merge_redundant, sl)
     assert err is not None and err[0] is NonRedundantDiagonal
@@ -686,5 +683,5 @@ def test_fan_circles_disagree_raises_as_scalar(grid_torus, g):
     sl = dataclasses.replace(sl, placed=sl.placed._replace(R=R))
     _result, err = _outcome(merge_redundant, sl)
     assert err == (NonRedundantDiagonal,
-                   f"face {sl.base.faces[5]}: fan circles disagree")
+                   f"face {sl.T.base.faces[5]}: fan circles disagree")
     assert err == _outcome(oracles.merge_by_loop, sl)[1]

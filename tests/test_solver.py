@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import mixed_grid_spec, right_angle_target
+from conftest import fan_diagonals, mixed_grid_spec, right_angle_target
 from hicp import build_complex, cli, fixtures, solver, triangulate
 from hicp import geometry as geo
 from hicp.complexes import edge_key
@@ -183,8 +183,9 @@ class TestLiftedTargets:
 
     def test_pi_on_diagonals_theta_on_e1_then_Theta(self, problem):
         T, target = problem
-        assert T.e_pi and len(T.v1_vertices) == 9
-        want = ([math.pi if e in T.e_pi else target.theta[e]
+        diagonals = fan_diagonals(T)
+        assert diagonals and len(T.v1_vertices) == 9
+        want = ([math.pi if e in diagonals else target.theta[e]
                  for e in T.free_edges]
                 + [target.Theta[k] for k in T.v1_vertices])
         got = _lifted(T, target)
