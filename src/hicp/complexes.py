@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import (
@@ -360,6 +360,14 @@ class Triangulation:
         return tuple(sorted(self.base.v1))
 
     @cached_property
+    def free_slots(self):
+        """The flat positions of the free slots in ``slots``, row-major,
+        and their free variables."""
+        import numpy as np
+        at = np.flatnonzero(self.slots >= 0)
+        return at, self.slots.ravel()[at]
+
+    @cached_property
     def difference_plan(self):
         """Index arrays of ``solver.hessian_U``'s kernel call: triangle
         t and slot k per difference; per row (one per difference, then
@@ -660,7 +668,8 @@ def _connected_generator_sets(h, closure, cap):
     each of its vertices is reached so from the closure of any one of
     them, and no other set is built.  A set's neighbours, and its row,
     are ORs of per-vertex masks and star rows through one 256-entry
-    table per byte of the generator mask."""
+    table per byte of the generator mask (``_or_table``), and a set's
+    number of generators is ``np.bitwise_count`` of its mask."""
     import numpy as np
     n = len(h.star_rows)
     i, j = np.concatenate([h.edge_ends, h.edge_ends[:, ::-1]]).T
@@ -670,7 +679,7 @@ def _connected_generator_sets(h, closure, cap):
     pending, grown, kept = {}, closure, []
     # the group of n holds the whole surface alone
     for k in range(1, n):
-        counts = _popcount(grown, n)
+        counts = np.bitwise_count(grown)
         for c in np.flatnonzero(np.bincount(counts)):
             pending.setdefault(c, []).append(grown[counts == c])
         sets = np.sort(np.concatenate([grown[:0], *pending.pop(k, [])]))
@@ -695,32 +704,19 @@ def _bytes(masks):
     return masks.astype("<i8", copy=False).view("u1").reshape(-1, 8)
 
 
-@cache
-def _byte_popcounts():
-    """The number of set bits of each byte value 0 .. 255."""
-    import numpy as np
-    return np.unpackbits(np.arange(256, dtype="u1")[:, None], axis=1).sum(
-        axis=1, dtype=int)
-
-
-def _popcount(masks, n):
-    """The number of set bits of each of the n-bit int64 ``masks``."""
-    pop, by = _byte_popcounts(), _bytes(masks)
-    return sum(pop[by[:, p]] for p in range(-(-n // 8)))
-
-
 def _or_table(values):
     """table[p, b] = the OR of values[8 p + j] over the set bits j of the
-    byte b, for each byte position p of a generator mask."""
+    byte b, for each byte position p of a generator mask.  Built by
+    doubling: the entries for bits 0 .. j - 1, then each ORed with value
+    8 p + j."""
     import numpy as np
     n, rest = len(values), values.shape[1:]
-    n_pos = -(-n // 8)
-    padded = np.zeros((8 * n_pos, *rest), values.dtype)
-    padded[:n] = values
-    bit_of = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
-    picked = np.where(bit_of.reshape(1, 256, 8, *(1,) * len(rest)),
-                      padded.reshape(n_pos, 1, 8, *rest), 0)
-    return np.bitwise_or.reduce(picked, axis=2)
+    padded = np.zeros((-(-n // 8), 8, *rest), values.dtype)
+    padded.reshape(-1, *rest)[:n] = values
+    table = np.zeros((len(padded), 1, *rest), values.dtype)
+    for j in range(8):
+        table = np.concatenate([table, table | padded[:, j:j + 1]], axis=1)
+    return table
 
 
 def _or_through(table, masks):
@@ -748,8 +744,9 @@ def boundary_arrays(h, rows):
     since the open domain holds both faces next to each edge it holds.
     So each arc has one face more than it has edges, and the vertex is
     visited (faces - edges) times, or once, as a puncture, when its
-    whole link is inside.  The link cells inside are counted by a byte
-    popcount of the row AND each nonzero byte of the vertex's star row."""
+    whole link is inside.  The link cells inside are counted by
+    ``np.bitwise_count`` of the row AND each nonzero byte of the
+    vertex's star row."""
     import numpy as np
     V, E = len(h.base.vertices), len(h.base.edges)
     nv, ne = len(h.star_rows), len(h.edge_ends)
@@ -771,8 +768,7 @@ def boundary_arrays(h, rows):
     star = np.zeros(at.shape, np.uint8)
     at[k, slot], star[k, slot] = col, h.star_rows[k, col]
     link = rows[:, at] & star
-    pop = _byte_popcounts().astype(np.uint8)
-    e_in, f_in = (pop[link & m[at]].sum(axis=2, dtype=int)
+    e_in, f_in = (np.bitwise_count(link & m[at]).sum(axis=2, dtype=int)
                   for m in (ebytes, fbytes))
     visits = np.where(f_in > e_in, f_in - e_in, f_in > 0) * (1 - vert[:, :V])
     return mult, visits.sum(axis=1), chi

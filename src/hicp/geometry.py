@@ -6,10 +6,10 @@ The per-triangle kernel is one batched function, ``decorated_triangles``,
 which evaluates N triangles in one array pass; ``tetra_angles`` and
 ``triangle_angles`` are its one-row forms.  Triangle rows follow the
 fixed column order ``edges = (ij, jk, ki)``, ``corners = (i, j, k)``;
-corner ``v`` touches the edges ``EDGES_AT_CORNER[v]``.  Class tags:
-vertex class 1 for a positive-radius circle, 0 for a point circle; edge
-class 0 for forced tangency (E0), 1 for a free angle, 2 for a fan
-diagonal (metrically identical to 1).
+corner ``v`` touches the two edges that name it.  Class tags: vertex
+class 1 for a positive-radius circle, 0 for a point circle; edge class 0
+for forced tangency (E0), 1 for a free angle, 2 for a fan diagonal
+(metrically identical to 1).
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from .errors import DomainError, InvariantViolation, NotInTE
 EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
 GEOMETRIES = (EUCLIDEAN, HYPERBOLIC)
-
-EDGES_AT_CORNER = ((0, 2), (0, 1), (1, 2))
-CORNERS_OF_EDGE = ((0, 1), (1, 2), (2, 0))
 
 
 def check_geometry(g):
@@ -47,8 +44,8 @@ class TriangleAngles:
 
 _U, _V = [0, 1, 2], [1, 2, 0]  # the corners of edge m
 _W = [2, 0, 1]  # the corner opposite edge m
-# the corner angle at v from its two edges (EDGES_AT_CORNER) and the
-# opposite edge, by the law of cosines
+# the corner angle at v from its two edges, _AB[v] and _AW[v], and the
+# opposite edge _BW[v], by the law of cosines
 _AB, _AW, _BW = [0, 0, 1], [2, 1, 2], [1, 2, 0]
 
 

@@ -108,9 +108,8 @@ def _slot_angles(dt):
 def _slot_sums(T, angles):
     """Sum over all triangles, in triangle order, of the (F, 6) slot
     angles per free variable."""
-    free = T.slots >= 0
-    return np.bincount(T.slots[free], weights=angles[free],
-                       minlength=T.n_free)
+    at, var = T.free_slots
+    return np.bincount(var, weights=angles.ravel()[at], minlength=T.n_free)
 
 
 def realized_sums(T, x, g):

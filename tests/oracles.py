@@ -785,6 +785,37 @@ def row_bytes(rows):
     return [data[i:i + n] for i in range(0, len(data), n)]
 
 
+def or_table_by_bits(values):
+    """``complexes._or_table`` entry by entry: table[p][b] is the OR of
+    values[8 p + j] over the set bits j of the byte b."""
+    n, zero = len(values), np.zeros_like(values[0])
+    table = []
+    for p in range(-(-n // 8)):
+        row = []
+        for b in range(256):
+            out = zero.copy()
+            for j in range(min(8, n - 8 * p)):
+                if b >> j & 1:
+                    out = out | values[8 * p + j]
+            row.append(out)
+        table.append(row)
+    return np.array(table, values.dtype)
+
+
+def or_table_by_where(values):
+    """``complexes._or_table`` by one ``np.where`` over (byte positions,
+    256, 8 bits, the rest of a value) and an OR reduction over the bits:
+    the package's earlier form, the reference of its row order."""
+    n, rest = len(values), values.shape[1:]
+    n_pos = -(-n // 8)
+    padded = np.zeros((8 * n_pos, *rest), values.dtype)
+    padded[:n] = values
+    bit_of = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)
+    picked = np.where(bit_of.reshape(1, 256, 8, *(1,) * len(rest)),
+                      padded.reshape(n_pos, 1, 8, *rest), 0)
+    return np.bitwise_or.reduce(picked, axis=2)
+
+
 # ---------------------------------------------------------------------------
 # Hat complex by named cells, one at a time: the reference of
 # complexes.hat_complex

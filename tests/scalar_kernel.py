@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 from hicp.errors import DomainError, InvariantViolation, NotInTE
 from hicp.geometry import (
-    CORNERS_OF_EDGE,
-    EDGES_AT_CORNER,
     EUCLIDEAN,
     HYPERBOLIC,
     TriangleAngles,
     check_geometry,
 )
+
+EDGES_AT_CORNER = ((0, 2), (0, 1), (1, 2))
+CORNERS_OF_EDGE = ((0, 1), (1, 2), (2, 0))
 
 
 @dataclass(frozen=True)

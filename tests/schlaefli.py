@@ -12,15 +12,19 @@ import numpy as np
 
 from hicp.errors import HicpError, InvariantViolation, NotInTE
 from hicp.geometry import (
-    CORNERS_OF_EDGE,
-    EDGES_AT_CORNER,
     EUCLIDEAN,
     HYPERBOLIC,
     TriangleAngles,
     check_geometry,
 )
 from hicp.fixtures import reference_constants, reference_length
-from scalar_kernel import psi_inv, tetra_angles, triangle_angles
+from scalar_kernel import (
+    CORNERS_OF_EDGE,
+    EDGES_AT_CORNER,
+    psi_inv,
+    tetra_angles,
+    triangle_angles,
+)
 
 
 class PathLeavesDomain(HicpError):

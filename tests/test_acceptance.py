@@ -18,7 +18,6 @@ from hicp import geometry as geo
 from hicp.fixtures import FIXTURES, fixture_spec, grid_torus_spec, \
     omega_solve, omega_value, reference_pattern
 from hicp.geometry import (
-    CORNERS_OF_EDGE,
     EUCLIDEAN,
     HYPERBOLIC,
     gauge_vector,
@@ -35,6 +34,7 @@ from hicp.solver import (
     solve,
 )
 from scalar_kernel import (
+    CORNERS_OF_EDGE,
     TriangleTags,
     check_er_triangle,
     dual_edge_length,

@@ -12,10 +12,14 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import os
 import sys
 
 import pytest
+
+from hicp.complexes import build_complex, domain_generator_sets, hat_complex
+from hicp.polytope import angle_arrays, domain_sides, make_angle_data
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench")
@@ -134,3 +138,37 @@ def test_freeze_reproduces_the_frozen_verdict(gen, key):
     want = frozen_verdicts()[key]
     assert gen.reference_slack(gen.complex_spec(name), g) == (
         want["slack"], want["strict_domains"])
+
+
+@pytest.mark.parametrize("g, slack", [("euclidean", 1.0157),
+                                      ("hyperbolic", 0.3130)])
+def test_freeze_reads_the_duals_of_tangent_edges(gen, g, slack):
+    # gen.py --freeze reads the hat complex's eindex on E0 edges only, and
+    # no frozen complex has one: here the cube gets the tangent edge
+    # (0, 1) between two disks.  The slack is recomputed from the strict
+    # rows by domain_sides, less the open stars of point vertices, and
+    # from the condition 1-3 slacks
+    spec = gen.complex_spec("cube:0,1,2")
+    spec["tangent_edges"] = [[0, 1]]
+    got = gen.reference_slack(spec, g)
+
+    cc = build_complex(spec)
+    assert cc.e0 == {(0, 1)}
+    t = make_angle_data(cc, g, *gen.reference_target(gen.Surface(spec), g))
+    h = hat_complex(cc)
+    rows, partial = domain_generator_sets(h, strict=True,
+                                          require_exhaustive=True)
+    theta, _star, Theta = angle_arrays(cc, t)
+    lhs, rhs = domain_sides(h, rows, theta, Theta)
+    point_stars = {h.star_rows[i].tobytes()
+                   for i, k in enumerate(cc.vertices) if k in cc.v0}
+    slacks = [l - r for l, r, row in zip(lhs.tolist(), rhs.tolist(), rows)
+              if row.tobytes() not in point_stars]
+    slacks += [min(v, math.pi - v) for v in t.theta.values()]
+    slacks += list(t.Theta.values())
+    if g == "hyperbolic":
+        slacks.append(sum(2 * math.pi - v for v in Theta.tolist())
+                      - 2 * math.pi * cc.chi)
+    assert not partial
+    assert got == (min(slacks), len(rows))
+    assert got == (pytest.approx(slack, abs=5e-5), 416)

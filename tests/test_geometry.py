@@ -21,8 +21,6 @@ from hicp.fixtures import (
 from hicp.solver import reference_coords
 from hicp.errors import DomainError, HicpError, InvariantViolation, NotInTE
 from hicp.geometry import (
-    CORNERS_OF_EDGE,
-    EDGES_AT_CORNER,
     EUCLIDEAN,
     HYPERBOLIC,
     gauge_vector,
@@ -30,6 +28,8 @@ from hicp.geometry import (
     project_gauge,
 )
 from scalar_kernel import (
+    CORNERS_OF_EDGE,
+    EDGES_AT_CORNER,
     TriangleTags,
     check_er_triangle,
     dual_edge_length,

@@ -1,8 +1,9 @@
 """No dead imports in the package: every name a module of ``src/hicp``
 imports is used in it, listed in its ``__all__``, or marked
 ``# noqa: F401`` on its line.  No dead definitions either: every
-module-level function or class is read by the package, exported, or
-named by the benchmark, so code only the tests use lives with them.
+module-level function, class or constant is read by the package,
+exported, or named by the benchmark, so code only the tests use lives
+with them.
 And the reference pattern does not depend on the solver."""
 
 import ast
@@ -49,6 +50,17 @@ def test_finds_an_unused_import():
     assert unused_imports("import numpy as np\nnp.zeros(1)\n") == []
 
 
+def defined_names(top):
+    """The names a module-level statement defines: a function's or a
+    class's name, or the names an assignment binds."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = (top.targets if isinstance(top, ast.Assign)
+               else [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return {node.id for t in targets for node in ast.walk(t)
+            if isinstance(node, ast.Name)}
+
+
 def package_reads(module, text):
     """(module, name) for every package name a module's source reads: a
     name it imports from a package module, an attribute of a package
@@ -69,24 +81,23 @@ def package_reads(module, text):
                 and node.value.id in alias):
             out.add((alias[node.value.id], node.attr))
     for top in tree.body:
-        own = getattr(top, "name", None)
+        own = defined_names(top)
         out |= {(module, node.id) for node in ast.walk(top)
-                if isinstance(node, ast.Name) and node.id != own}
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load) and node.id not in own}
     return out
 
 
 def unread_definitions(sources, exported, pinned):
-    """(module, name) of every module-level function or class of
-    sources ({module: text}) that no module reads, that is not in
-    exported and that pinned does not hold, sorted."""
+    """(module, name) of every module-level function, class or
+    constant of sources ({module: text}) that no module reads, that is
+    not in exported and that pinned does not hold, sorted."""
     read = set().union(*(package_reads(m, text)
                          for m, text in sources.items()))
     return sorted(
-        (m, node.name) for m, text in sources.items()
-        for node in ast.parse(text).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and (m, node.name) not in read | pinned
-        and node.name not in exported)
+        (m, name) for m, text in sources.items()
+        for node in ast.parse(text).body for name in defined_names(node)
+        if (m, name) not in read | pinned and name not in exported)
 
 
 def test_every_definition_is_read_exported_or_benchmarked():
@@ -100,11 +111,15 @@ def test_every_definition_is_read_exported_or_benchmarked():
 def test_finds_an_unread_definition():
     sources = {"a": "def f():\n    return f()\n\n\ndef g():\n    pass\n",
                "b": "from .a import g\n\n\nclass C:\n    pass\n",
-               "c": "from . import a as m\n\n\ndef h():\n    m.g()\n"}
-    # f calls only itself
+               "c": "from . import a as m\n\n\ndef h():\n    m.g()\n",
+               "d": "K = 1\nL, (M, N) = 2, (K, 3)\nP: int = M\nQ = Q\n"
+                    "\n\ndef u():\n    return N\n"}
+    # f calls only itself, and Q reads only itself; K, M and N are read
     assert unread_definitions(sources, set(), set()) == [
-        ("a", "f"), ("b", "C"), ("c", "h")]
-    assert unread_definitions(sources, {"C"}, {("a", "f"), ("c", "h")}) == []
+        ("a", "f"), ("b", "C"), ("c", "h"), ("d", "L"), ("d", "P"),
+        ("d", "Q"), ("d", "u")]
+    assert unread_definitions(sources, {"C", "L", "P"}, {
+        ("a", "f"), ("c", "h"), ("d", "Q"), ("d", "u")}) == []
 
 
 def imported_modules(text):
