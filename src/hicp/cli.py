@@ -371,8 +371,7 @@ def cmd_roundtrip(args):
         if sol.status != CONVERGED:
             errors.append(math.inf)
             continue
-        got = geo.project_gauge(T, sol.coords, g)
-        errors.append(float(np.max(np.abs(got - x))))
+        errors.append(float(np.max(np.abs(sol.coords - x))))
     max_err = max(errors)
     out = {
         "roundtrip_version": 1,

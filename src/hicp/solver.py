@@ -30,15 +30,15 @@ class SolveOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise DomainError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise DomainError("grad_tol must be a finite positive number")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
 class Solution:
-    coords: np.ndarray | None  # x in free-variable order
+    coords: np.ndarray | None  # x on the gauge section, in free-variable order
     residual_norm: float
     iterations: int
     realized_angles: AngleData | None
@@ -153,18 +153,6 @@ def hessian_U(T, x, g):
     return _slot_sums(T, y0), (H + H.T) / 2
 
 
-def _lean_sums(T, x, g):
-    """realized_sums at x and at its gauge projection, from one kernel
-    call on unmoved triangles only (twice F rows for a Euclidean x)."""
-    if g != EUCLIDEAN:
-        sums = realized_sums(T, x, g)
-        return sums, sums
-    rows = [geo.gather_coords(T, v) for v in (x, geo.project_gauge(T, x, g))]
-    y = _slot_angles(geo.decorated_triangles(
-        np.concatenate(rows), np.tile(T.vc, (2, 1)), np.tile(T.ec, (2, 1)), g))
-    return _slot_sums(T, y[:len(y) // 2]), _slot_sums(T, y[len(y) // 2:])
-
-
 # ---------------------------------------------------------------------------
 # Newton solver
 
@@ -187,13 +175,17 @@ def _angle_data(T, sums, g):
 
 def solve(T, target, opts=None):
     """Newton solve for the coordinates realizing the target angles.
-    The start point and each trial are evaluated by one hessian_U call,
-    whose Hessian an accepted trial passes on, except a lean trial: a
-    full step (s = 1, mu = 0) after a full step from norm g' to g whose
-    predicted norm g^3 / g'^2 meets grad_tol.  It is evaluated by
-    ``_lean_sums``, and again by hessian_U if accepted unconverged.  The
-    line search rejects a trial where an evaluation raises NotInTE: the
-    point, or one of its moved copies, is outside the kernel's domain."""
+    The iterate stays on the gauge section: the start point is
+    projected, and so is each trial x + s * step (the identity in
+    hyperbolic geometry), so the point evaluated is the point accepted
+    and the point reported.  The start point and each trial are
+    evaluated by one hessian_U call, whose Hessian an accepted trial
+    passes on, except a lean trial: a full step (s = 1, mu = 0) after a
+    full step from norm g' to g whose predicted norm g^3 / g'^2 meets
+    grad_tol.  It is evaluated by realized_sums, and again by hessian_U
+    if accepted unconverged.  The line search rejects a trial where an
+    evaluation raises NotInTE: the point, or one of its moved copies, is
+    outside the kernel's domain."""
     opts = opts or SolveOptions()
     g = target.geometry
     rep, (theta, _star, Theta) = pre_check(T.base, target)
@@ -216,8 +208,6 @@ def solve(T, target, opts=None):
         gauge = np.outer(c, c)
 
     sums, H = hessian_U(T, x, g)
-    # realized sums at the gauge-projected point, where at hand
-    shown = None if g == EUCLIDEAN else sums
     gvec = sums - targets
     gnorm = float(np.max(np.abs(gvec)))
     mu, collapses, trace, status, it = 0.0, 0, [], MAXITER, 0
@@ -236,16 +226,15 @@ def solve(T, target, opts=None):
             if step is not None:
                 s = 1.0
                 while s > 1e-14:
-                    x_new = x + s * step
+                    x_new = geo.project_gauge(T, x + s * step, g)
                     lean = (s == 1.0 and mu == 0.0 and gnorm * gnorm * gnorm
                             <= opts.grad_tol * last * last)
                     try:
                         if lean:
-                            sums_new, shown_new = _lean_sums(T, x_new, g)
+                            sums_new = realized_sums(T, x_new, g)
                             H_new = None
                         else:
                             sums_new, H_new = hessian_U(T, x_new, g)
-                            shown_new = None if g == EUCLIDEAN else sums_new
                         g_new = sums_new - targets
                         gn_new = float(np.max(np.abs(g_new)))
                         if gn_new <= (1 - ARMIJO * s) * gnorm:
@@ -261,8 +250,8 @@ def solve(T, target, opts=None):
                     small = float(np.max(np.abs(s * step))) < 1e-12
                     collapses = collapses + 1 if small else 0
                     last = gnorm if s == 1.0 and mu == 0.0 else 0.0
-                    x, gvec, gnorm = x_new, g_new, gn_new
-                    H, shown = H_new, shown_new
+                    x, sums, gvec, gnorm = x_new, sums_new, g_new, gn_new
+                    H = H_new
                     mu *= 0.1
                     accepted = True
                     trace.append((it, gnorm, s))
@@ -278,11 +267,7 @@ def solve(T, target, opts=None):
     if gnorm <= opts.grad_tol:
         status = CONVERGED
 
-    x = geo.project_gauge(T, x, g)
-    realized = None
-    if status == CONVERGED:
-        realized = (extract_angles(T, x, g) if shown is None
-                    else _angle_data(T, shown, g))
+    realized = _angle_data(T, sums, g) if status == CONVERGED else None
     return Solution(coords=x, residual_norm=gnorm, iterations=it,
                     realized_angles=realized, status=status,
                     trace=tuple(trace))

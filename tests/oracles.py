@@ -260,7 +260,8 @@ def solve_by_two_calls(T, target, opts=None):
     """solver.solve with two kernel calls per accepted point: grad_U at
     every trial and the start point, then hessian_U again at the start
     of each iteration (its sums unused), and extract_angles at the end.
-    Same step, line search and damping rules."""
+    Same step, line search and damping rules, and each trial projected
+    to the gauge section the same way."""
     opts = opts or solver.SolveOptions()
     g = target.geometry
     rep, (theta, _star, Theta) = pt.pre_check(T.base, target)
@@ -294,7 +295,7 @@ def solve_by_two_calls(T, target, opts=None):
             if step is not None:
                 s = 1.0
                 while s > 1e-14:
-                    x_new = x + s * step
+                    x_new = geo.project_gauge(T, x + s * step, g)
                     try:
                         g_new = grad_U(T, x_new, targets, g)
                     except NotInTE:
@@ -323,7 +324,6 @@ def solve_by_two_calls(T, target, opts=None):
             break
     if gnorm <= opts.grad_tol:
         status = solver.CONVERGED
-    x = geo.project_gauge(T, x, g)
     realized = (solver.extract_angles(T, x, g)
                 if status == solver.CONVERGED else None)
     return solver.Solution(coords=x, residual_norm=gnorm, iterations=it,

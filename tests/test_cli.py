@@ -217,6 +217,16 @@ class TestMalformedInput:
                     f"error: malformed input: bad entry in {what}: the value"
                     f" of {key!r} is not a finite number"], cmd
 
+    def test_a_tol_that_is_not_finite_exits_1(self, tmp_path, capsys):
+        # any residual meets --tol inf: solve called its start point
+        # Converged, and roundtrip compared that point with each sample
+        for cmd in ("solve", "roundtrip"):
+            capsys.readouterr()
+            assert run(tmp_path, cmd, "--input", "fixture:tri-torus-v1",
+                       "--tol", "inf") == (1, None), cmd
+            assert capsys.readouterr().err.splitlines() == [
+                "error: grad_tol must be a finite positive number"], cmd
+
     @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
     def test_report_does_not_depend_on_key_order(self, tmp_path, g):
         doc = _reference_doc("dodecahedron", g)

@@ -2,8 +2,9 @@
 imports is used in it, listed in its ``__all__``, or marked
 ``# noqa: F401`` on its line.  No dead definitions either: every
 module-level function, class or constant is read by the package,
-exported, or named by the benchmark, so code only the tests use lives
-with them.
+exported, or named by the benchmark, and every method or property of a
+package class is read as ``.name`` by the package or the benchmark, so
+code only the tests use lives with them.
 And the reference pattern does not depend on the solver."""
 
 import ast
@@ -12,7 +13,7 @@ import pathlib
 import pytest
 
 import hicp
-from test_bench_contract import gen_imports, traced_names
+from test_bench_contract import BENCH, gen_imports, traced_names
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hicp"
 
@@ -88,16 +89,39 @@ def package_reads(module, text):
     return out
 
 
-def unread_definitions(sources, exported, pinned):
+def members(top):
+    """The methods and properties a module-level class defines, except
+    those named ``__*``, which Python calls on its own."""
+    if not isinstance(top, ast.ClassDef):
+        return set()
+    return {node.name for node in top.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("__")}
+
+
+def attribute_reads(text):
+    """Every name a source reads as an attribute, ``obj.name``."""
+    return {node.attr for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_definitions(sources, exported, pinned, readers=()):
     """(module, name) of every module-level function, class or
     constant of sources ({module: text}) that no module reads, that is
-    not in exported and that pinned does not hold, sorted."""
+    not in exported and that pinned does not hold, then (module,
+    "Class.member") of every member that neither sources nor the texts
+    of readers read as an attribute, sorted."""
     read = set().union(*(package_reads(m, text)
                          for m, text in sources.items()))
+    attrs = set().union(*map(attribute_reads, [*sources.values(), *readers]))
+    tops = [(m, top) for m, text in sources.items()
+            for top in ast.parse(text).body]
     return sorted(
-        (m, name) for m, text in sources.items()
-        for node in ast.parse(text).body for name in defined_names(node)
-        if (m, name) not in read | pinned and name not in exported)
+        [(m, name) for m, top in tops for name in defined_names(top)
+         if (m, name) not in read | pinned and name not in exported]
+        + [(m, f"{top.name}.{name}") for m, top in tops
+           for name in members(top) if name not in attrs])
 
 
 def test_every_definition_is_read_exported_or_benchmarked():
@@ -105,21 +129,28 @@ def test_every_definition_is_read_exported_or_benchmarked():
                if p.stem != "__init__"}
     pinned = {(m.removeprefix("hicp."), n)
               for m, n in traced_names() + gen_imports()}
-    assert unread_definitions(sources, set(hicp.__all__), pinned) == []
+    bench = [p.read_text() for p in pathlib.Path(BENCH).glob("*.py")]
+    assert unread_definitions(sources, set(hicp.__all__), pinned,
+                              bench) == []
 
 
 def test_finds_an_unread_definition():
     sources = {"a": "def f():\n    return f()\n\n\ndef g():\n    pass\n",
-               "b": "from .a import g\n\n\nclass C:\n    pass\n",
+               "b": "from .a import g\n\n\nclass C:\n    def m(self):\n"
+                    "        return self.n\n\n    @property\n"
+                    "    def n(self):\n        pass\n\n"
+                    "    def __len__(self):\n        return 0\n",
                "c": "from . import a as m\n\n\ndef h():\n    m.g()\n",
                "d": "K = 1\nL, (M, N) = 2, (K, 3)\nP: int = M\nQ = Q\n"
                     "\n\ndef u():\n    return N\n"}
-    # f calls only itself, and Q reads only itself; K, M and N are read
+    # f calls only itself, and Q reads only itself; K, M and N are read;
+    # C.m reads the property n, and no one reads C.m
     assert unread_definitions(sources, set(), set()) == [
-        ("a", "f"), ("b", "C"), ("c", "h"), ("d", "L"), ("d", "P"),
-        ("d", "Q"), ("d", "u")]
+        ("a", "f"), ("b", "C"), ("b", "C.m"), ("c", "h"), ("d", "L"),
+        ("d", "P"), ("d", "Q"), ("d", "u")]
+    # a reader outside the package, such as the benchmark, reads C.m
     assert unread_definitions(sources, {"C", "L", "P"}, {
-        ("a", "f"), ("c", "h"), ("d", "Q"), ("d", "u")}) == []
+        ("a", "f"), ("c", "h"), ("d", "Q"), ("d", "u")}, ["c.m()\n"]) == []
 
 
 def imported_modules(text):

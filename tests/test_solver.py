@@ -417,11 +417,35 @@ class TestOneKernelCallPerPoint:
                 assert sums.tobytes() == \
                     solver.realized_sums(T, x, g).tobytes()
 
+    def test_every_point_evaluated_is_on_the_gauge_section(self, inputs,
+                                                           monkeypatch):
+        # the solve reports the point it evaluated last, so coords and
+        # realized angles describe one point
+        hessian, sums, points = solver.hessian_U, solver.realized_sums, []
+
+        def spy(fn):
+            def call(T, x, g):
+                points.append(x)
+                return fn(T, x, g)
+            return call
+
+        monkeypatch.setattr(solver, "hessian_U", spy(hessian))
+        monkeypatch.setattr(solver, "realized_sums", spy(sums))
+        for T, target in inputs:
+            points.clear()
+            sol = solve(T, target)
+            assert sol.status == CONVERGED
+            assert sol.coords.tobytes() == points[-1].tobytes()
+            if target.geometry == EUCLIDEAN:
+                c = gauge_vector(T)
+                for x in points:
+                    off = abs(np.cumsum(x * c)[-1])
+                    assert off <= 1e-12 * (1 + np.abs(x).max())
+
     @pytest.mark.parametrize("g", BOTH)
     def test_kernel_calls_per_point(self, g, monkeypatch):
         # the start point and each accepted full step: one kernel call
-        # each, with the moved copies except at the converging step,
-        # whose call carries a Euclidean point's projection too
+        # each, with the moved copies except at the converging step
         cc = build_complex(fixture_spec("e0-torus"))
         T = triangulate(cc)
         target = cli._target_from_input(cc, g, None, None)
@@ -438,8 +462,7 @@ class TestOneKernelCallPerPoint:
         assert all(row[2] == 1.0 for row in sol.trace)
         assert len(rows) == 1 + len(sol.trace)
         F, P = len(T.slots), len(T.difference_plan[0])
-        assert sum(rows) == (len(sol.trace) * (P + F)
-                             + F * (1 + (g == EUCLIDEAN)))
+        assert sum(rows) == len(sol.trace) * (P + F) + F
 
     @pytest.mark.parametrize("g", BOTH)
     def test_converging_step_builds_no_hessian(self, g, monkeypatch):
@@ -472,7 +495,7 @@ class TestOneKernelCallPerPoint:
             targets.append(extract_angles(T, project_gauge(
                 T, geo.psi_inv_surface(T, l, r, g), g), g))
         wants = [oracles.solve_by_two_calls(T, t, opts) for t in targets]
-        lean, hessian = solver._lean_sums, solver.hessian_U
+        lean, hessian = solver.realized_sums, solver.hessian_U
         points, again = [], []
 
         def lean_spy(T, x, g):
@@ -483,7 +506,7 @@ class TestOneKernelCallPerPoint:
             again.extend(p for p in points if np.array_equal(x, p))
             return hessian(T, x, g)
 
-        monkeypatch.setattr(solver, "_lean_sums", lean_spy)
+        monkeypatch.setattr(solver, "realized_sums", lean_spy)
         monkeypatch.setattr(solver, "hessian_U", hessian_spy)
         for t, want in zip(targets, wants):
             got = solve(T, t, opts)
