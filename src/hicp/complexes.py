@@ -21,7 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
@@ -30,11 +32,6 @@ from .errors import (
     NotClosedSurface,
     RegularityViolation,
 )
-
-# numpy loads on first use, in each function: importing it here, in the
-# package's first module, raised the import-time peak RSS by 1.2 MB
-if TYPE_CHECKING:
-    import numpy as np
 
 Edge = tuple  # (i, j) with i < j
 
@@ -72,7 +69,6 @@ class CellComplex:
     @cached_property
     def ends(self):
         """(E, 2) per edge: its ends' positions in ``vertices``."""
-        import numpy as np
         return np.searchsorted(self.vertices, np.reshape(self.edges, (-1, 2)))
 
     @property
@@ -122,7 +118,6 @@ def build_complex(spec):
             "malformed complex description: expected 'vertices' (objects "
             "with an integer 'id'), 'faces' (lists of vertex ids) and "
             "optional 'tangent_edges' (pairs of vertex ids)")
-    import numpy as np
 
     v0, v1 = set(), set()
     seen = set()
@@ -363,9 +358,17 @@ class Triangulation:
     def free_slots(self):
         """The flat positions of the free slots in ``slots``, row-major,
         and their free variables."""
-        import numpy as np
         at = np.flatnonzero(self.slots >= 0)
         return at, self.slots.ravel()[at]
+
+    @cached_property
+    def gauge(self):
+        """The generator of the Euclidean scaling action on x, read-only:
+        the number of point-circle endpoints on each a, -1 on each b."""
+        points = (self.vclass[self.ends] == 0).sum(axis=1)[self.eclass != 0]
+        c = np.concatenate([points, -np.ones(self.n_free - len(points))])
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def difference_plan(self):
@@ -373,7 +376,6 @@ class Triangulation:
         t and slot k per difference; per row (one per difference, then
         each triangle once) its triangle and class tags; the flat
         positions in D of the derivatives that land in H, and in H."""
-        import numpy as np
         S, n = self.slots, self.n_free
         t, k = np.nonzero(S >= 0)
         tri = np.concatenate([t, np.arange(len(S))])
@@ -388,7 +390,6 @@ def triangulate(cc):
     n - 3 diagonals.  Raises RegularityViolation at the first diagonal,
     in face and fan order, that is a base edge or an earlier diagonal,
     and at the first edge that does not lie in two triangles."""
-    import numpy as np
     fv, start = cc.face_vert, cc.face_start
     sizes = np.diff(start)
     # triangle t = 1 .. n - 2 of a face: its least vertex (positions are
@@ -495,7 +496,6 @@ def hat_complex(cc):
     scattered into the star rows by one ``bitwise_or.at``.  A hat vertex
     is a corner of itself, a hat edge has its ends as corners, and a hat
     face its base vertex and the centers of both faces of its edge."""
-    import numpy as np
     V, F = len(cc.vertices), len(cc.faces)
     fv, start = cc.face_vert, cc.face_start
     face = np.repeat(np.arange(F), np.diff(start))
@@ -543,7 +543,6 @@ def make_domain(h, generators):
 
 def star_union(h, generators):
     """The cell row of the union of the open stars of ``generators``."""
-    import numpy as np
     return np.bitwise_or.reduce(h.star_rows[[h.vindex[g] for g in generators]])
 
 
@@ -618,7 +617,6 @@ def domain_generator_sets(h, strict=False, cap=22, require_exhaustive=False):
     each of its faces.  So sets grow by the closure of a vertex (itself,
     and the point vertices of a face under ``strict``), and only strict
     sets are built."""
-    import numpy as np
     check_cap(cap)
     nv = len(h.star_rows)
     partial = nv > cap
@@ -646,7 +644,6 @@ def _small_generator_sets(h, point, needs):
     and every point vertex its dual vertices need.  A pair of stars
     shares a cell only across a face, so the one point vertex a dual
     vertex may need in a pair is the base vertex beside it."""
-    import numpy as np
     n = len(h.star_rows)
     need = np.bincount(needs, minlength=n)
     i, j = np.concatenate([np.arange(n).repeat(2).reshape(-1, 2),
@@ -668,14 +665,13 @@ def _connected_generator_sets(h, closure, cap):
     each of its vertices is reached so from the closure of any one of
     them, and no other set is built.  A set's neighbours, and its row,
     are ORs of per-vertex masks and star rows through one 256-entry
-    table per byte of the generator mask (``_or_table``), and a set's
+    table per byte of the generator mask (``byte_table``), and a set's
     number of generators is ``np.bitwise_count`` of its mask."""
-    import numpy as np
     n = len(h.star_rows)
     i, j = np.concatenate([h.edge_ends, h.edge_ends[:, ::-1]]).T
     adj = np.zeros(n, np.int64)
     np.bitwise_or.at(adj, i, np.left_shift(1, j, dtype=np.int64))
-    adj_table = _or_table(adj)
+    adj_table = byte_table(adj, np.bitwise_or)
     pending, grown, kept = {}, closure, []
     # the group of n holds the whole surface alone
     for k in range(1, n):
@@ -689,14 +685,15 @@ def _connected_generator_sets(h, closure, cap):
             raise CapExceeded(f"{n} hat vertices (cap {cap}): {len(sets)} "
                               f"sets of {k} generators exceed the budget "
                               f"of {ENUM_BUDGET} (set, vertex) pairs")
-        out = _or_through(adj_table, sets) & ~sets
+        out = reduce_bytes(adj_table, _bytes(sets), np.bitwise_or) & ~sets
         at, x = divmod(np.flatnonzero(np.unpackbits(
             _bytes(out), axis=1, count=n, bitorder="little")), n)
         grown = sets[at] | closure[x]
     sets = np.concatenate(kept)
     # the base vertices come first
     sets = sets[sets & ((1 << len(h.base.vertices)) - 1) != 0]
-    return _or_through(_or_table(h.star_rows), sets)
+    return reduce_bytes(byte_table(h.star_rows, np.bitwise_or), _bytes(sets),
+                        np.bitwise_or)
 
 
 def _bytes(masks):
@@ -704,32 +701,44 @@ def _bytes(masks):
     return masks.astype("<i8", copy=False).view("u1").reshape(-1, 8)
 
 
-def _or_table(values):
-    """table[p, b] = the OR of values[8 p + j] over the set bits j of the
-    byte b, for each byte position p of a generator mask.  Built by
-    doubling: the entries for bits 0 .. j - 1, then each ORed with value
-    8 p + j."""
-    import numpy as np
+def byte_table(values, op):
+    """table[p, b] = 0 combined by ``op``, a binary ufunc, with
+    values[8 p + j] for each set bit j of the byte b, lowest first, for
+    each byte position p of a row of bits.  Built by doubling: the
+    entries for bits 0 .. j - 1, then each combined with value 8 p + j."""
     n, rest = len(values), values.shape[1:]
     padded = np.zeros((-(-n // 8), 8, *rest), values.dtype)
     padded.reshape(-1, *rest)[:n] = values
     table = np.zeros((len(padded), 1, *rest), values.dtype)
     for j in range(8):
-        table = np.concatenate([table, table | padded[:, j:j + 1]], axis=1)
+        table = np.concatenate([table, op(table, padded[:, j:j + 1])], axis=1)
     return table
 
 
-def _or_through(table, masks):
-    """Per int64 mask, the OR of ``_or_table``'s entries of its bytes."""
-    by = _bytes(masks)
+def reduce_bytes(table, by, op):
+    """Per row of bytes, the ``op`` of ``byte_table``'s entries of its
+    bytes, position by position."""
     out = table[0][by[:, 0]]
     for p in range(1, len(table)):
-        out |= table[p][by[:, p]]
+        op(out, table[p][by[:, p]], out=out)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Boundary statistics
+
+
+def punctures(h, rows):
+    """Per domain, given as its cell row, the base vertices outside it
+    whose whole link, the rest of their open star, is inside."""
+    vbits = np.packbits(np.arange(8 * rows.shape[1]) < len(h.star_rows),
+                        bitorder="little")
+    count = np.zeros(len(rows), int)
+    for star in h.star_rows[:len(h.base.vertices)]:
+        cols = np.flatnonzero(star)
+        count += ((rows[:, cols] & star[cols])
+                  == (star & ~vbits)[cols]).all(axis=1)
+    return count
 
 
 def boundary_arrays(h, rows):
@@ -744,34 +753,21 @@ def boundary_arrays(h, rows):
     since the open domain holds both faces next to each edge it holds.
     So each arc has one face more than it has edges, and the vertex is
     visited (faces - edges) times, or once, as a puncture, when its
-    whole link is inside.  The link cells inside are counted by
-    ``np.bitwise_count`` of the row AND each nonzero byte of the
-    vertex's star row."""
-    import numpy as np
-    V, E = len(h.base.vertices), len(h.base.edges)
+    whole link is inside.  A base vertex inside holds as many of each,
+    and a hat face has one base corner and a corner edge one base end:
+    so |boundary ∩ V| is the hat faces inside - the corner edges inside
+    + the punctures."""
+    E = len(h.base.edges)
     nv, ne = len(h.star_rows), len(h.edge_ends)
     bits = np.unpackbits(rows, axis=1, count=nv + ne + 2 * E,
                          bitorder="little")
     vert, edge, face = np.split(bits, [nv, nv + ne], axis=1)
-    chi = (vert.sum(axis=1, dtype=int) - edge.sum(axis=1, dtype=int)
-           + face.sum(axis=1, dtype=int))
+    faces = face.sum(axis=1, dtype=int)
+    chi = vert.sum(axis=1, dtype=int) - edge.sum(axis=1, dtype=int) + faces
     # the hat faces across dual edge i are 2 i and 2 i + 1
     mult = (face[:, ::2] + face[:, 1::2]) * (1 - edge[:, :E])
-    cell = np.arange(8 * rows.shape[1])
-    ebytes = np.packbits((nv <= cell) & (cell < nv + ne), bitorder="little")
-    fbytes = np.packbits(cell >= nv + ne, bitorder="little")
-    # each base vertex's nonzero star bytes and their columns, padded
-    # with zero bytes to the longest star: (V, P)
-    k, col = np.nonzero(h.star_rows[:V])
-    slot = np.arange(len(k)) - np.searchsorted(k, k)
-    at = np.zeros((V, slot.max() + 1), int)
-    star = np.zeros(at.shape, np.uint8)
-    at[k, slot], star[k, slot] = col, h.star_rows[k, col]
-    link = rows[:, at] & star
-    e_in, f_in = (np.bitwise_count(link & m[at]).sum(axis=2, dtype=int)
-                  for m in (ebytes, fbytes))
-    visits = np.where(f_in > e_in, f_in - e_in, f_in > 0) * (1 - vert[:, :V])
-    return mult, visits.sum(axis=1), chi
+    visits = faces - edge[:, E:].sum(axis=1, dtype=int) + punctures(h, rows)
+    return mult, visits, chi
 
 
 def boundary_counts(h, d, e0_dual_indices=None):

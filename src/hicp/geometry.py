@@ -391,10 +391,9 @@ def in_te(T, x, g):
 
 
 def gauge_vector(T):
-    """The generator of the Euclidean scaling action on x: the number of
-    point-circle endpoints on each a, -1 on each b."""
-    points = (T.vclass[T.ends] == 0).sum(axis=1)[T.eclass != 0]
-    return np.concatenate([points, -np.ones(T.n_free - len(points))])
+    """The generator of the Euclidean scaling action on x, built once
+    per triangulation (``Triangulation.gauge``)."""
+    return T.gauge
 
 
 def project_gauge(T, x, g):

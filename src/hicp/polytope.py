@@ -28,9 +28,12 @@ import numpy as np
 
 from .complexes import (
     boundary_arrays,
+    byte_table,
     check_cap,
     domain_generator_sets,
     hat_complex,
+    punctures,
+    reduce_bytes,
     star_union,
 )
 from .errors import IndexMismatch
@@ -159,26 +162,6 @@ def domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals):
     return lhs.item(), rhs.item()
 
 
-def _weigh(rows, weights):
-    """Per row of cell bytes, the sum of ``weights`` (one per bit) over
-    its set bits, by one 256-entry table per byte position."""
-    w = np.zeros(8 * rows.shape[1])
-    w[:len(weights)] = weights
-    byte_bits = np.arange(256)[:, None] >> np.arange(8) & 1  # [b, j]: bit j
-    table = byte_bits @ w.reshape(-1, 8).T
-    out = np.zeros(len(rows))
-    for p in range(rows.shape[1]):
-        out += table[rows[:, p], p]
-    return out
-
-
-def _bits_equal(rows, mask, value):
-    """Per row of cell bytes, whether its bits under the row ``mask``
-    are the row ``value``."""
-    cols = np.flatnonzero(mask)
-    return ((rows[:, cols] & mask[cols]) == value[cols]).all(axis=1)
-
-
 def domain_slacks(h, rows, theta, Theta):
     """For each domain, given as its cell row (see ``HatTriangulation``): the
     condition-4 lhs - rhs of ``domain_inequality``, and whether it is
@@ -191,26 +174,23 @@ def domain_slacks(h, rows, theta, Theta):
         -theta of the base edge it straddles per hat face,
         pi per puncture: a base vertex outside whose link is all inside.
     This is lhs - rhs rearranged: a dual edge inside has both hat faces
-    across it inside, and over all base vertices the link's (hat faces
-    - corner edges) inside sum to |F| - |E_corner|, where a vertex
-    inside adds 0 (see ``boundary_counts``).  The weights are in the
-    cell order of ``hat_complex``."""
+    across it inside, and |boundary ∩ V| is |F| - |E_corner| + the
+    punctures (see ``boundary_arrays``).  The weights are in the cell
+    order of ``hat_complex``."""
     weights = np.concatenate([
         -Theta, np.full(len(h.base.faces), -2 * math.pi), 2 * theta,
         np.full(len(h.edge_ends) - len(theta), math.pi),
         np.repeat(-theta, 2)])
-    slack = _weigh(rows, weights)
-    # a row's vertex bits are its generators, and a base vertex's star
-    # holds one vertex bit, its own
-    vbits = np.packbits(np.arange(8 * rows.shape[1]) < len(h.star_rows),
-                        bitorder="little")
-    point = np.isin(h.base.vertices, list(h.base.v0)).tolist()
-    point_star = np.zeros(len(rows), bool)
-    for star, is_point in zip(h.star_rows, point):
-        slack += math.pi * _bits_equal(rows, star, star & ~vbits)
-        if is_point:
-            point_star |= _bits_equal(rows, vbits, star & vbits)
-    return slack, point_star
+    slack = reduce_bytes(byte_table(weights, np.add), rows, np.add)
+    slack += math.pi * punctures(h, rows)
+    # a row's vertex bits are its generators, and no two base vertices'
+    # stars meet: a connected domain of point generators is one's star
+    other = np.ones(len(h.star_rows), bool)
+    other[:len(h.base.vertices)] = ~np.isin(h.base.vertices, list(h.base.v0))
+    held = np.zeros(len(rows), np.uint8)
+    for p, m in enumerate(np.packbits(other, bitorder="little")):
+        held |= rows[:, p] & m
+    return slack, held == 0
 
 
 def _conditions_1_to_3(cc, t):

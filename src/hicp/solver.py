@@ -53,36 +53,21 @@ class Solution:
 
 def reference_coords(T, g):
     """Tetrahedral coordinates x of the uniform-edge-length reference
-    configuration, projected to the gauge section.  Free-edge lengths
-    are shrunk where the class lengths would break a triangle
-    inequality (possible when tangency and free edges share a
-    triangle)."""
+    configuration, projected to the gauge section.  A free edge with
+    l >= cap = l_v + l_w in a triangle (possible when tangency and free
+    edges share it) is shrunk to max(0.9 cap, (floor + cap) / 2), floor
+    = r_u + r_v.  In the class metric only a triangle with two tangency
+    sides and one free side can fail, and tangency sides are never
+    shrunk, so one pass over the triangles suffices."""
     check_geometry(g)
     l, r = reference_metric(T, g)
-    # the repair's condition, l >= l_v + l_w on a free edge, on every
-    # row at once; the sequential repair runs only where some row needs it
-    if ((geo.er_gaps(l[T.edge], r[T.vert])[1] <= 0) & (T.ec != 0)).any():
-        l, r = _repair_lengths(T, l.tolist(), r.tolist())
+    le, rv = l[T.edge], r[T.vert]
+    cap = le[:, [1, 2, 0]] + le[:, [2, 0, 1]]
+    fails = (le >= cap) & (T.ec != 0)
+    l[T.edge[fails]] = np.maximum(0.9 * cap,
+                                  (rv + rv[:, [1, 2, 0]] + cap) / 2)[fails]
     geo.check_er_surface(T, l, r, g)
     return geo.project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
-
-
-def _repair_lengths(T, l, r):
-    """Shrink each free edge with l >= l_v + l_w, triangle by triangle
-    in order, until no triangle needs it (at most 100 passes)."""
-    rows = list(zip(T.edge.tolist(), T.vert.tolist(), T.ec.tolist()))
-    for _ in range(100):
-        changed = False
-        for es, vs, ecs in rows:
-            for m in range(3):
-                cap = l[es[(m + 1) % 3]] + l[es[(m + 2) % 3]]
-                if l[es[m]] >= cap and ecs[m] != 0:
-                    floor = r[vs[m]] + r[vs[(m + 1) % 3]]
-                    l[es[m]] = max(0.9 * cap, 0.5 * (floor + cap))
-                    changed = True
-        if not changed:
-            break
-    return np.array(l), np.array(r)
 
 
 # ---------------------------------------------------------------------------

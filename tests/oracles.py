@@ -786,8 +786,8 @@ def row_bytes(rows):
 
 
 def or_table_by_bits(values):
-    """``complexes._or_table`` entry by entry: table[p][b] is the OR of
-    values[8 p + j] over the set bits j of the byte b."""
+    """``complexes.byte_table`` under OR, entry by entry: table[p][b] is
+    the OR of values[8 p + j] over the set bits j of the byte b."""
     n, zero = len(values), np.zeros_like(values[0])
     table = []
     for p in range(-(-n // 8)):
@@ -803,9 +803,9 @@ def or_table_by_bits(values):
 
 
 def or_table_by_where(values):
-    """``complexes._or_table`` by one ``np.where`` over (byte positions,
-    256, 8 bits, the rest of a value) and an OR reduction over the bits:
-    the package's earlier form, the reference of its row order."""
+    """``complexes.byte_table`` under OR by one ``np.where`` over (byte
+    positions, 256, 8 bits, the rest of a value) and an OR reduction over
+    the bits: the package's earlier form, the reference of its row order."""
     n, rest = len(values), values.shape[1:]
     n_pos = -(-n // 8)
     padded = np.zeros((8 * n_pos, *rest), values.dtype)

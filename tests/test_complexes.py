@@ -670,7 +670,7 @@ class TestMaskTables:
     def test_or_table_of_masks(self, n):
         rng = np.random.default_rng(n)
         values = rng.integers(0, 1 << 62, n, dtype=np.int64)
-        table = complexes._or_table(values)
+        table = complexes.byte_table(values, np.bitwise_or)
         assert table.shape == (-(-n // 8), 256)
         assert table.dtype == np.int64
         assert np.array_equal(table, oracles.or_table_by_bits(values))
@@ -679,7 +679,7 @@ class TestMaskTables:
     def test_or_table_of_star_rows(self, n):
         rng = np.random.default_rng(100 + n)
         values = rng.integers(0, 256, (n, 5), dtype=np.uint8)
-        table = complexes._or_table(values)
+        table = complexes.byte_table(values, np.bitwise_or)
         assert table.shape == (-(-n // 8), 256, 5)
         assert table.dtype == np.uint8
         assert np.array_equal(table, oracles.or_table_by_bits(values))
@@ -705,7 +705,8 @@ class TestMaskTables:
                 return str(e)
 
         got = run()
-        monkeypatch.setattr(complexes, "_or_table", oracles.or_table_by_where)
+        monkeypatch.setattr(complexes, "byte_table",
+                            lambda v, op: oracles.or_table_by_where(v))
         want = run()
         if isinstance(want, str):
             assert got == want
@@ -753,25 +754,29 @@ def _boundary_matches_walk(h, d, links):
     assert mult == walk_mult, sorted(d.generators)
     assert n_v == tr.count_base_vertices(), sorted(d.generators)
     assert n_e0 == sum(m for e, m in walk_mult.items() if e in cc.e0)
+    return sum(p[0] == "v" for p in tr.punctures)
 
 
 class TestAgainstSubsetOracle:
     """admissible_domains against every subset of hat vertices
     (``oracles.admissible_by_subsets``): the same domains with the same
     masks in the same order, strict and not; and on the domains found,
-    boundary_counts against the walk-based boundary()."""
+    boundary_counts against the walk-based boundary(), some of them
+    punctured."""
 
     @staticmethod
     def _check(h, walk_every=1):
         rows = oracles.admissible_by_subsets(h)
         links = oracles.links_by_scan(h)
+        punctured = 0
         for strict in (False, True):
             want = [row[:4] for row in rows if row[4] or not strict]
             ds = admissible_domains(h, strict=strict, require_exhaustive=True)
             assert [(sorted(d.generators), d.vmask, d.emask, d.fmask)
                     for d in ds] == want
             for d in list(ds)[::1 if strict else walk_every]:
-                _boundary_matches_walk(h, d, links)
+                punctured += _boundary_matches_walk(h, d, links) > 0
+        assert punctured
 
     @pytest.mark.parametrize("v1", [
         v1 for n in range(5) for v1 in itertools.combinations(range(4), n)])
@@ -785,6 +790,24 @@ class TestAgainstSubsetOracle:
         # non-strict ones
         spec = grid_torus_spec(3, v1=(0, 1, 4), e0=e0)
         self._check(hat_complex(build_complex(spec)), walk_every=40)
+
+
+class TestPunctures:
+    """complexes.punctures against a loop over each row's base vertices:
+    one is a puncture when it is outside the row and the rest of its
+    open star, its link, is inside."""
+
+    def test_tetrahedron_rows(self):
+        h = hat_complex(build_complex(tetrahedron_spec(v1=[0, 1])))
+        rows, _partial = domain_generator_sets(h)
+        stars = [oracles.star_cells(h, ("v", k)) for k in h.base.vertices]
+        want = []
+        for row in rows:
+            d = row_domain(h, row)
+            want.append(sum(not d.vmask & v and d.emask & e == e
+                            and d.fmask & f == f for v, e, f in stars))
+        assert complexes.punctures(h, rows).tolist() == want
+        assert max(want) > 0
 
 
 @pytest.mark.slow

@@ -1,6 +1,7 @@
 """No dead imports in the package: every name a module of ``src/hicp``
 imports is used in it, listed in its ``__all__``, or marked
-``# noqa: F401`` on its line.  No dead definitions either: every
+``# noqa: F401`` on its line, and every import sits at module level,
+outside any function or class.  No dead definitions either: every
 module-level function, class or constant is read by the package,
 exported, or named by the benchmark, and every method or property of a
 package class is read as ``.name`` by the package or the benchmark, so
@@ -49,6 +50,29 @@ def test_finds_an_unused_import():
             "    pi,\n    tau,\n)\n__all__ = ['tau']\n")
     assert unused_imports(text) == [(1, "os"), (4, "pi")]
     assert unused_imports("import numpy as np\nnp.zeros(1)\n") == []
+
+
+def nested_imports(text):
+    """The lines of a module's source that import inside a function or a
+    class, sorted."""
+    return sorted({node.lineno for top in ast.walk(ast.parse(text))
+                   if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                   for node in ast.walk(top)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_finds_a_nested_import():
+    text = ("import os\nif os.name:\n    import sys\n\n\ndef f():\n"
+            "    import json\n\n    def g():\n        from math import pi\n"
+            "\n\nclass C:\n    import re\n")
+    assert nested_imports(text) == [7, 10, 14]
 
 
 def defined_names(top):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import fan_diagonals, mixed_grid_spec, right_angle_target
+from conftest import (
+    fan_diagonals,
+    mixed_grid_spec,
+    right_angle_target,
+    tetrahedron_spec,
+)
 from hicp import build_complex, cli, fixtures, solver, triangulate
 from hicp import geometry as geo
 from hicp.complexes import edge_key
@@ -18,6 +23,7 @@ from hicp.fixtures import (
     omega_bisect,
     omega_solve,
     omega_value,
+    triangulated_torus_spec,
 )
 from hicp.polytope import AngleData, angle_arrays, make_angle_data
 from hicp.geometry import (
@@ -145,23 +151,27 @@ class TestReferenceCoords:
             grad = grad_U(T, tc, _lifted(T, target), g)
             assert np.max(np.abs(grad)) < 1e-9
 
-    def test_repair_runs_only_where_needed(self, monkeypatch):
+    def test_repair_runs_only_where_needed(self):
         # the same bits as running the sequential repair on every call;
-        # of the fixtures only the hyperbolic e0-torus needs it
-        repair = solver._repair_lengths
-        repaired = []
-
-        def counting(T, l, r):
-            repaired.append((name, g))
-            return repair(T, l, r)
-
-        monkeypatch.setattr(solver, "_repair_lengths", counting)
-        for name in sorted(FIXTURES):
-            T = triangulate(build_complex(fixture_spec(name)))
+        # of the fixtures only the hyperbolic e0-torus needs it, and so
+        # do the tangent edges of a tetrahedron and of a tri-torus
+        tet = tetrahedron_spec()
+        tri = triangulated_torus_spec(3, v1=range(9))
+        cases = [(name, fixture_spec(name)) for name in sorted(FIXTURES)]
+        cases += [("tet", {**tet, "tangent_edges": [[0, 1], [0, 2]]}),
+                  ("tri", {**tri, "tangent_edges": [[0, 1], [0, 4], [3, 4],
+                                                    [4, 5]]})]
+        needed = []
+        for name, spec in cases:
+            T = triangulate(build_complex(spec))
             for g in BOTH:
                 want = oracles.reference_coords_by_loop(T, g)
                 assert reference_coords(T, g).tobytes() == want.tobytes()
-        assert repaired == [("e0-torus", HYPERBOLIC)]
+                l, r = fixtures.reference_metric(T, g)
+                if (geo.er_gaps(l[T.edge], r[T.vert])[1] <= 0).any():
+                    needed.append((name, g))
+        assert needed == [("e0-torus", HYPERBOLIC), ("tet", HYPERBOLIC),
+                          ("tri", HYPERBOLIC)]
 
     def test_euclidean_section(self, grid_torus_T):
         T = grid_torus_T
