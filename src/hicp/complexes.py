@@ -523,11 +523,10 @@ def hat_complex(cc):
 
 @dataclass(frozen=True)
 class Domain:
-    hat: HatTriangulation = field(hash=False, compare=False)
     generators: frozenset  # of hat vertices
-    vmask: int
-    emask: int
-    fmask: int
+    # the cell row of the union of their open stars (see
+    # ``HatTriangulation``)
+    row: np.ndarray = field(compare=False, hash=False, repr=False)
 
     def is_open_star_of(self):
         """The hat vertex whose open star this is, or None."""
@@ -546,29 +545,12 @@ def star_union(h, generators):
     return np.bitwise_or.reduce(h.star_rows[[h.vindex[g] for g in generators]])
 
 
-def _masks(h, row):
-    """(vmask, emask, fmask) of one cell row."""
-    cells = int.from_bytes(row, "little")
-    nv, ne = len(h.star_rows), len(h.edge_ends)
-    return (cells & ((1 << nv) - 1), cells >> nv & ((1 << ne) - 1),
-            cells >> nv + ne)
-
-
 def row_domain(h, row):
     """The ``Domain`` of one cell row that holds a union of open stars:
     its generators are its vertex bits."""
-    vmask, emask, fmask = _masks(h, row)
-    generators = [v for i, v in enumerate(h.vertices) if vmask >> i & 1]
-    return Domain(h, frozenset(generators), vmask, emask, fmask)
-
-
-class DomainEnumeration(list):
-    """The admissible domains; ``partial`` is True when the complex was
-    too large for exhaustive enumeration."""
-
-    def __init__(self, domains, partial):
-        super().__init__(domains)
-        self.partial = partial
+    cells = int.from_bytes(row, "little")
+    return Domain(frozenset(v for i, v in enumerate(h.vertices)
+                            if cells >> i & 1), row)
 
 
 def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
@@ -576,13 +558,12 @@ def admissible_domains(h, strict=False, cap=22, require_exhaustive=False):
     by their sorted generators.
 
     Exhaustive when the hat triangulation has at most ``cap`` vertices;
-    otherwise the enumeration is flagged PARTIAL and covers all
-    one-generator and two-generator connected domains.  A ``Domain`` is
-    made only for a kept set (see ``domain_generator_sets``)."""
-    rows, partial = domain_generator_sets(h, strict, cap, require_exhaustive)
-    return DomainEnumeration(sorted((row_domain(h, row) for row in rows),
-                                    key=lambda d: sorted(d.generators)),
-                             partial)
+    otherwise the enumeration covers all one-generator and two-generator
+    connected domains (``domain_generator_sets`` says which).  A
+    ``Domain`` is made only for a kept set."""
+    rows, _partial = domain_generator_sets(h, strict, cap, require_exhaustive)
+    return sorted((row_domain(h, row) for row in rows),
+                  key=lambda d: sorted(d.generators))
 
 
 # A generator set of the exhaustive enumeration is one int64 mask, bit i
@@ -773,7 +754,7 @@ def boundary_arrays(h, rows):
 def boundary_counts(h, d, e0_dual_indices=None):
     """``boundary_arrays`` of one ``Domain``: (dual-edge multiplicity map,
     |boundary ∩ V|, |boundary ∩ E0| over ``e0_dual_indices``)."""
-    mult, n_v, _chi = boundary_arrays(h, star_union(h, d.generators)[None])
+    mult, n_v, _chi = boundary_arrays(h, d.row[None])
     mult = mult[0].tolist()
     return ({e: m for e, m in zip(h.base.edges, mult) if m}, n_v.item(),
             sum(mult[i] for i in e0_dual_indices or ()))

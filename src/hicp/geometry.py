@@ -390,18 +390,12 @@ def in_te(T, x, g):
     return True
 
 
-def gauge_vector(T):
-    """The generator of the Euclidean scaling action on x, built once
-    per triangulation (``Triangulation.gauge``)."""
-    return T.gauge
-
-
 def project_gauge(T, x, g):
     """Orthogonal projection of x onto the section
     sum(point-incident a) - sum(b) = 0 of the gauge action
     (hyperbolic: identity)."""
     if g == HYPERBOLIC:
         return x
-    c = gauge_vector(T)
+    c = T.gauge
     # cumsum adds left to right; sum of floats is compensated from 3.12
     return x - np.cumsum(x * c)[-1].item() / (c @ c) * c

@@ -82,7 +82,6 @@ class Charts(NamedTuple):
 class SurfaceLayout:
     geometry: str
     T: object  # Triangulation
-    l: np.ndarray  # per edge of ``T.edges``: its length
     th: np.ndarray  # per edge of ``edges``: intersection angle
     asum: np.ndarray  # per edge of ``edges``: alpha + alpha'
     cone: np.ndarray  # per vertex of ``T.base.vertices``: cone angle
@@ -200,7 +199,7 @@ def develop(T, x, g):
     edges."""
     check_geometry(g)
     dt = geo.decorate_surface(T, x, g)
-    l, r = geo.scatter_rows(T, dt.l, dt.r)
+    _l, r = geo.scatter_rows(T, dt.l, dt.r)
     asum = np.bincount(T.edge.ravel(), weights=dt.alpha.ravel(),
                        minlength=len(T.edges))
     cone = np.bincount(T.vert.ravel(), weights=dt.beta.ravel(),
@@ -208,7 +207,7 @@ def develop(T, x, g):
     area = (math.pi - dt.beta.sum(axis=1) if g == HYPERBOLIC
             else np.zeros(0))
     return SurfaceLayout(
-        geometry=g, T=T, l=l, th=_theta(T, dt, g, asum), asum=asum,
+        geometry=g, T=T, th=_theta(T, dt, g, asum), asum=asum,
         cone=cone, r=r, area=area, placed=dt)
 
 
@@ -281,7 +280,7 @@ def merge_redundant(sl):
             else np.zeros(0))
     base = T.eclass != 2
     return SurfaceLayout(
-        geometry=g, T=T, l=sl.l, th=sl.th[base], asum=sl.asum[base],
+        geometry=g, T=T, th=sl.th[base], asum=sl.asum[base],
         cone=sl.cone, r=sl.r, area=area, placed=sl.placed, face_charts=chart)
 
 

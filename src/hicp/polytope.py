@@ -34,7 +34,6 @@ from .complexes import (
     hat_complex,
     punctures,
     reduce_bytes,
-    star_union,
 )
 from .errors import IndexMismatch
 from .geometry import EUCLIDEAN, check_geometry
@@ -156,7 +155,7 @@ def domain_sides(h, rows, theta, Theta):
 def domain_inequality(cc, h, d, theta_ext, ThetaF, e0_duals):
     """``domain_sides`` of one strict ``Domain``, from dicts of theta and
     Theta; ``e0_duals`` is not read, as theta is 0 on E0."""
-    lhs, rhs = domain_sides(h, star_union(h, d.generators)[None],
+    lhs, rhs = domain_sides(h, d.row[None],
                             np.array([theta_ext[e] for e in cc.edges]),
                             np.array([ThetaF[k] for k in cc.vertices]))
     return lhs.item(), rhs.item()
@@ -290,13 +289,13 @@ def pre_check(cc, t):
         partial=not violations, method=method, size=size), arrays
 
 
-def single_star_check(cc, t, arrays=None):
+def single_star_check(cc, t, arrays):
     """The condition-4 inequalities over open stars of positive-circle
     vertices only (a cheap necessary subset, used by pre_check): for
     OStar(k), k in V1 the inequality reads
     sum over incident edges (pi - theta_ik) + (2 pi - Theta_k) > 2 pi.
-    ``arrays`` is ``angle_arrays(cc, t)`` when the caller has it."""
-    _theta, star, Theta = angle_arrays(cc, t) if arrays is None else arrays
+    ``arrays`` is ``angle_arrays(cc, t)``."""
+    _theta, star, Theta = arrays
     lhs = star + (2 * math.pi - Theta)
     rhs = 2 * math.pi
     degree = np.bincount(cc.ends.ravel(), minlength=len(lhs))

@@ -188,7 +188,7 @@ def solve(T, target, opts=None):
     # nonsingular without changing the step across the gauge.
     gauge = 0.0
     if g == EUCLIDEAN:
-        c = geo.gauge_vector(T)
+        c = T.gauge
         c = c / np.linalg.norm(c)
         gauge = np.outer(c, c)
 

@@ -9,6 +9,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import add
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -20,10 +21,11 @@ from hicp import polytope as pt
 from hicp import solver
 from hicp.complexes import (
     CellComplex,
-    admissible_domains,
+    domain_generator_sets,
     edge_key,
     hat_complex,
     make_domain,
+    row_domain,
 )
 from hicp.errors import (
     E0EndpointInV0,
@@ -274,7 +276,7 @@ def solve_by_two_calls(T, target, opts=None):
     n = len(x)
     gauge = 0.0
     if g == geo.EUCLIDEAN:
-        c = geo.gauge_vector(T)
+        c = T.gauge
         c = c / np.linalg.norm(c)
         gauge = np.outer(c, c)
     gvec = grad_U(T, x, targets, g)
@@ -478,8 +480,8 @@ def check_feasibility_by_loop(cc, t, cap=22):
     if not violations:
         theta_ext = theta_extended_by_dict(cc, t)
         h = hat_complex(cc)
-        domains = admissible_domains(h, strict=True, cap=cap)
-        partial = domains.partial
+        rows, partial = domain_generator_sets(h, strict=True, cap=cap)
+        domains = [masked(h, row_domain(h, row)) for row in rows]
         cond = "E4" if t.geometry == geo.EUCLIDEAN else "H4"
         e0_duals = {hat_reference(cc).eindex[("dual", e)] for e in cc.e0}
         evaluated = 0
@@ -600,11 +602,24 @@ def single_star_check_by_scan(cc, t):
     return bad
 
 
+def masked(h, d):
+    """The ``Domain`` d of h with its cells as Python-int masks, the form
+    the oracles read: ``hat`` (h), ``generators``, ``vmask``, ``emask``
+    and ``fmask`` (bit i for hat vertex, edge or face i) and
+    ``is_open_star_of``."""
+    cells = int.from_bytes(d.row, "little")
+    nv, ne = len(h.star_rows), len(h.edge_ends)
+    return SimpleNamespace(
+        hat=h, generators=d.generators, vmask=cells & ((1 << nv) - 1),
+        emask=cells >> nv & ((1 << ne) - 1), fmask=cells >> nv + ne,
+        is_open_star_of=d.is_open_star_of)
+
+
 def open_star(h, hv):
-    """The open star of the hat vertex hv as a ``Domain``."""
+    """The open star of the hat vertex hv as a ``masked`` domain."""
     if hv not in hat_reference(h.base).stars:
         raise IndexMismatch(f"unknown hat vertex {hv}")
-    return make_domain(h, [hv])
+    return masked(h, make_domain(h, [hv]))
 
 
 def covers_surface(h, vmask, emask, fmask):

@@ -20,7 +20,6 @@ from hicp.fixtures import FIXTURES, fixture_spec, grid_torus_spec, \
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
-    gauge_vector,
     psi_inv_surface,
 )
 from hicp.layout import develop, gauss_bonnet_check
@@ -139,7 +138,7 @@ class TestConvexity:
                 assert np.max(np.abs(H - H.T)) < 1e-6 * scale
                 Hs = (H + H.T) / 2
                 if g == EUCLIDEAN:
-                    c = gauge_vector(T)
+                    c = T.gauge
                     c = c / np.linalg.norm(c)
                     assert (np.linalg.norm(Hs @ c)
                             < 1e-6 * np.linalg.norm(Hs))

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -290,6 +292,74 @@ def test_fuzz_mutated_input_exits_cleanly(tmp_path, doc, cmd):
     p.write_text(json.dumps(doc))
     assert cli.main([cmd, "--input", str(p),
                      "--output", str(tmp_path / "out.json")]) in range(6)
+
+
+# what a mutation puts in place of one value of a document
+ODD_VALUES = [None, True, "x", [1.0], {"a": 1.0}, 1e308, 10 ** 20]
+
+
+@st.composite
+def mutated_document(draw, doc):
+    """A deep copy of doc with one key dropped, or one value replaced by
+    one of ``ODD_VALUES``, at any depth."""
+    doc = node = copy.deepcopy(doc)
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(st.sampled_from(ODD_VALUES))
+        return doc
+
+
+@pytest.fixture(scope="module")
+def tetrahedron_documents(tmp_path_factory):
+    """Per geometry, the problem document of a tetrahedron of two disks
+    and two points with its reference target, and its solution
+    document."""
+    tmp = tmp_path_factory.mktemp("documents")
+    spec = tetrahedron_spec(v1=(0, 1))
+    docs = {}
+    for g in (geo.EUCLIDEAN, geo.HYPERBOLIC):
+        t = cli._target_from_input(build_complex(spec), g, None, None)
+        problem = dict(spec, geometry=g,
+                       theta={f"{u}-{v}": x for (u, v), x in t.theta.items()},
+                       Theta={str(k): x for k, x in t.Theta.items()})
+        p, sol = tmp / f"{g}.json", tmp / f"{g}-solution.json"
+        p.write_text(json.dumps(problem))
+        assert cli.main(["solve", "--input", str(p), "--output",
+                         str(sol)]) == 0
+        docs[g] = problem, json.loads(sol.read_text())
+    return docs
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), g=st.sampled_from([geo.EUCLIDEAN, geo.HYPERBOLIC]),
+       cmd=st.sampled_from(["validate", "solve", "demo", "render"]))
+def test_mutated_documents_keep_the_exit_code_contract(
+        tmp_path, tetrahedron_documents, data, g, cmd):
+    # render reads the solution document, the others the problem
+    problem, solution = tetrahedron_documents[g]
+    doc = data.draw(mutated_document(solution if cmd == "render"
+                                     else problem))
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    argv = [cmd, "--input", str(p), "--output", str(tmp_path / "out.json")]
+    argv += {"solve": ["--max-iter", "5"],
+             "render": ["--svg", str(tmp_path / "out.svg")]}.get(cmd, [])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in range(6)
+    if rc == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestValidate:

@@ -23,7 +23,6 @@ from hicp.errors import DomainError, HicpError, InvariantViolation, NotInTE
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
-    gauge_vector,
     in_te,
     project_gauge,
 )
@@ -717,13 +716,13 @@ class TestGauge:
         T = grid_torus_T
         x = self._ref(T)
         dt = geo.decorate_surface(T, x, EUCLIDEAN)
-        dt2 = geo.decorate_surface(T, x + 0.37 * gauge_vector(T), EUCLIDEAN)
+        dt2 = geo.decorate_surface(T, x + 0.37 * T.gauge, EUCLIDEAN)
         np.testing.assert_allclose(dt2.alpha, dt.alpha, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dt2.beta, dt.beta, rtol=0, atol=1e-12)
 
     def test_project_gauge_idempotent(self, grid_torus_T):
         T = grid_torus_T
-        p = project_gauge(T, self._ref(T) + 0.9 * gauge_vector(T), EUCLIDEAN)
+        p = project_gauge(T, self._ref(T) + 0.9 * T.gauge, EUCLIDEAN)
         a, b = oracles.unpack(T, p)
         da, db = oracles.gauge_direction(T)
         s = (sum(a[e] * da[e] for e in a)
@@ -735,7 +734,7 @@ class TestGauge:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_gauge_vector_matches_loop(self, name):
         T = _triangulated(name)
-        assert np.array_equal(gauge_vector(T),
+        assert np.array_equal(T.gauge,
                               oracles.pack(T, *oracles.gauge_direction(T)))
 
     def test_in_te(self, grid_torus_T):

@@ -3,13 +3,14 @@ imports is used in it, listed in its ``__all__``, or marked
 ``# noqa: F401`` on its line, and every import sits at module level,
 outside any function or class.  No dead definitions either: every
 module-level function, class or constant is read by the package,
-exported, or named by the benchmark, and every method or property of a
-package class is read as ``.name`` by the package or the benchmark, so
-code only the tests use lives with them.
+exported, or named by the benchmark, and every method, property or
+field of a package class is read as ``.name`` by the package or the
+benchmark, so code and state only the tests use live with them.
 And the reference pattern does not depend on the solver."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -114,13 +115,17 @@ def package_reads(module, text):
 
 
 def members(top):
-    """The methods and properties a module-level class defines, except
-    those named ``__*``, which Python calls on its own."""
+    """The methods, properties and annotated fields (of a dataclass or a
+    NamedTuple) a module-level class defines, except those named
+    ``__*``, which Python calls on its own."""
     if not isinstance(top, ast.ClassDef):
         return set()
-    return {node.name for node in top.body
-            if isinstance(node, ast.FunctionDef)
-            and not node.name.startswith("__")}
+    names = {node.name for node in top.body
+             if isinstance(node, ast.FunctionDef)}
+    names |= {node.target.id for node in top.body
+              if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
 
 
 def attribute_reads(text):
@@ -160,21 +165,31 @@ def test_every_definition_is_read_exported_or_benchmarked():
 
 def test_finds_an_unread_definition():
     sources = {"a": "def f():\n    return f()\n\n\ndef g():\n    pass\n",
-               "b": "from .a import g\n\n\nclass C:\n    def m(self):\n"
-                    "        return self.n\n\n    @property\n"
+               "b": "from .a import g\n\n\nclass C:\n    k: int\n"
+                    "    j: int = 0\n\n    def m(self):\n"
+                    "        return self.n, self.k\n\n    @property\n"
                     "    def n(self):\n        pass\n\n"
                     "    def __len__(self):\n        return 0\n",
                "c": "from . import a as m\n\n\ndef h():\n    m.g()\n",
                "d": "K = 1\nL, (M, N) = 2, (K, 3)\nP: int = M\nQ = Q\n"
                     "\n\ndef u():\n    return N\n"}
     # f calls only itself, and Q reads only itself; K, M and N are read;
-    # C.m reads the property n, and no one reads C.m
+    # C.m reads the property n and the field k, and no one reads C.m or
+    # the field j
     assert unread_definitions(sources, set(), set()) == [
-        ("a", "f"), ("b", "C"), ("b", "C.m"), ("c", "h"), ("d", "L"),
-        ("d", "P"), ("d", "Q"), ("d", "u")]
+        ("a", "f"), ("b", "C"), ("b", "C.j"), ("b", "C.m"), ("c", "h"),
+        ("d", "L"), ("d", "P"), ("d", "Q"), ("d", "u")]
     # a reader outside the package, such as the benchmark, reads C.m
+    # and C.j
     assert unread_definitions(sources, {"C", "L", "P"}, {
-        ("a", "f"), ("c", "h"), ("d", "Q"), ("d", "u")}, ["c.m()\n"]) == []
+        ("a", "f"), ("c", "h"), ("d", "Q"), ("d", "u")},
+        ["c.m()\nc.j\n"]) == []
+
+
+def test_every_export_is_documented():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    assert [name for name in hicp.__all__
+            if not re.search(rf"\b{re.escape(name)}\b", readme)] == []
 
 
 def imported_modules(text):

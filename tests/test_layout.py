@@ -75,7 +75,8 @@ class TestDevelop:
         # intrinsic lengths
         for sl in (grid_layout, genus2_layout):
             g = sl.geometry
-            length = dict(zip(sl.T.edges, sl.l))
+            length = dict(zip(sl.T.edges, geo.scatter_rows(
+                sl.T, sl.placed.l, sl.placed.r)[0]))
             for chart in oracles.chart_dict(sl).values():
                 verts = chart["verts"]
                 n = len(verts)
@@ -173,7 +174,8 @@ class TestDualConsistency:
         rng = np.random.default_rng(5)
         for sl in (grid_layout, genus2_layout):
             g, T = sl.geometry, sl.T
-            length = dict(zip(T.edges, sl.l))
+            length = dict(zip(T.edges, geo.scatter_rows(
+                T, sl.placed.l, sl.placed.r)[0]))
             asum = dict(zip(T.edges, sl.asum.tolist()))
             radius = dict(zip(T.base.vertices, sl.r.tolist()))
             edges = sorted(T.edges)

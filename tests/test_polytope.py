@@ -180,7 +180,7 @@ class TestSingleStarCheck:
         t = make_angle_data(cc, "euclidean",
                             {e: math.pi / 2 for e in cc.e1},
                             {4: 2 * math.pi})
-        bad = single_star_check(cc, t)
+        bad = single_star_check(cc, t, polytope.angle_arrays(cc, t))
         assert len(bad) == 1
         assert bad[0][1] == {"domain": [["v", 4]]}
 
@@ -189,7 +189,7 @@ class TestSingleStarCheck:
         t = make_angle_data(cc, "euclidean",
                             {e: math.pi / 2 for e in cc.e1},
                             {4: 2 * math.pi - 0.5})
-        assert single_star_check(cc, t) == []
+        assert single_star_check(cc, t, polytope.angle_arrays(cc, t)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_star_sums_are_the_scan(name, g):
         full = polytope.Theta_full(cc, t)
         assert list(full.items()) == list(
             oracles.Theta_full_by_scan(cc, t).items())
-        bad = single_star_check(cc, t)
+        bad = single_star_check(cc, t, polytope.angle_arrays(cc, t))
         assert bad == oracles.single_star_check_by_scan(cc, t)
         flagged += len(bad)
     # without free edges a star's sum is pi per edge, past any Theta
@@ -252,8 +252,8 @@ def _assert_slacks_match(cc, t, domains):
     its point-star flags against Domain.is_open_star_of."""
     h = hat_complex(cc)
     theta, _star, Theta = polytope.angle_arrays(cc, t)
-    rows = oracles.cell_rows(h, [(d.vmask, d.emask, d.fmask)
-                                 for d in domains])
+    rows = oracles.cell_rows(h, [(m.vmask, m.emask, m.fmask) for m in (
+        oracles.masked(h, d) for d in domains)])
     slack, point_star = domain_slacks(h, rows, theta, Theta)
     lhs, rhs = polytope.domain_sides(h, rows, theta, Theta)
     assert len(slack) == len(point_star) == len(domains)
@@ -312,7 +312,7 @@ class TestDomainSlacks:
         gens += [("v", v) for v in grid_torus.vertices if v != 4]
         d = make_domain(h, gens)
         assert ("v", 4) in oracles.boundary(
-            h, d, oracles.links_by_scan(h)).punctures
+            h, oracles.masked(h, d), oracles.links_by_scan(h)).punctures
         _assert_slacks_match(grid_torus, right_angle_target(grid_torus),
                              [d])
 
@@ -453,7 +453,8 @@ class TestDomainSidesMatchLoop:
         theta_ext, ThetaF = theta_extended(cc, t), Theta_full(cc, t)
         assert list(zip(lhs.tolist(), rhs.tolist())) == [
             oracles.domain_inequality_by_loop(
-                cc, h, complexes.row_domain(h, row), theta_ext, ThetaF, ())
+                cc, h, oracles.masked(h, complexes.row_domain(h, row)),
+                theta_ext, ThetaF, ())
             for row in rows]
 
     @pytest.mark.parametrize("g", [EUCLIDEAN, HYPERBOLIC])

@@ -29,7 +29,6 @@ from hicp.polytope import AngleData, angle_arrays, make_angle_data
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
-    gauge_vector,
     in_te,
     project_gauge,
 )
@@ -216,7 +215,7 @@ class TestDerivatives:
         T = grid_torus_T
         tc = reference_coords(T, EUCLIDEAN)
         H = hessian_U(T, tc, EUCLIDEAN)[1]
-        v = gauge_vector(T)
+        v = T.gauge
         assert np.linalg.norm(H @ v) < 1e-6 * np.linalg.norm(H)
 
     def test_forward_and_central_schemes_agree(self, grid_torus_T):
@@ -294,7 +293,7 @@ class TestSolve:
         # psi reads a between two disks only through cosh a, so without
         # the a > 0 guard some of these solves converged to the mirrored
         # point -a (1 Euclidean, 4 hyperbolic of the 40)
-        from hicp.polytope import single_star_check
+        from hicp.polytope import angle_arrays, single_star_check
         T = triangulate(tri_torus_v1)
         l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
         rng = random.Random(5)
@@ -307,7 +306,8 @@ class TestSolve:
             except NotInTE:
                 continue
             if (not all(0 < v < math.pi for v in target.theta.values())
-                    or single_star_check(tri_torus_v1, target)):
+                    or single_star_check(tri_torus_v1, target,
+                                         angle_arrays(tri_torus_v1, target))):
                 continue
             solved += 1
             sol = solve(T, target)
@@ -376,7 +376,7 @@ def _solve_inputs():
     angles (what ``solve`` reads from a fixture), then 20 targets sampled
     as ``roundtrip`` samples them (the hyperbolic e0-torus solves
     backtrack)."""
-    from hicp.polytope import single_star_check
+    from hicp.polytope import angle_arrays, single_star_check
     out = []
     for name in sorted(FIXTURES):
         cc = build_complex(fixture_spec(name))
@@ -395,7 +395,8 @@ def _solve_inputs():
                 x = project_gauge(T, geo.psi_inv_surface(T, l, r, g), g)
                 target = extract_angles(T, x, g)
                 if (all(0 < v < math.pi for v in target.theta.values())
-                        and not single_star_check(cc, target)):
+                        and not single_star_check(
+                            cc, target, angle_arrays(cc, target))):
                     kept += 1
                     out.append((T, target))
     return out
@@ -447,7 +448,7 @@ class TestOneKernelCallPerPoint:
             assert sol.status == CONVERGED
             assert sol.coords.tobytes() == points[-1].tobytes()
             if target.geometry == EUCLIDEAN:
-                c = gauge_vector(T)
+                c = T.gauge
                 for x in points:
                     off = abs(np.cumsum(x * c)[-1])
                     assert off <= 1e-12 * (1 + np.abs(x).max())
