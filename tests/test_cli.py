@@ -264,11 +264,10 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def mutated_tetrahedron(draw):
-    """The tetrahedron document with one value replaced or one key
-    removed, at any depth."""
-    doc = tetrahedron_doc()
-    node = doc
+def mutated_document(draw, doc, values):
+    """A deep copy of doc with one value replaced by a draw of values or
+    one key removed, at any depth."""
+    doc = node = copy.deepcopy(doc)
     while True:
         keys = list(node) if isinstance(node, dict) else range(len(node))
         key = draw(st.sampled_from(keys))
@@ -279,8 +278,14 @@ def mutated_tetrahedron(draw):
         if isinstance(node, dict) and draw(st.booleans()):
             del node[key]
         else:
-            node[key] = draw(JSON_VALUES)
+            node[key] = draw(values)
         return doc
+
+
+def mutated_tetrahedron():
+    """The tetrahedron document with one value replaced or one key
+    removed, at any depth."""
+    return mutated_document(tetrahedron_doc(), JSON_VALUES)
 
 
 @settings(max_examples=60, deadline=None,
@@ -295,26 +300,8 @@ def test_fuzz_mutated_input_exits_cleanly(tmp_path, doc, cmd):
 
 
 # what a mutation puts in place of one value of a document
-ODD_VALUES = [None, True, "x", [1.0], {"a": 1.0}, 1e308, 10 ** 20]
-
-
-@st.composite
-def mutated_document(draw, doc):
-    """A deep copy of doc with one key dropped, or one value replaced by
-    one of ``ODD_VALUES``, at any depth."""
-    doc = node = copy.deepcopy(doc)
-    while True:
-        keys = list(node) if isinstance(node, dict) else range(len(node))
-        key = draw(st.sampled_from(keys))
-        child = node[key]
-        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
-            node = child
-            continue
-        if isinstance(node, dict) and draw(st.booleans()):
-            del node[key]
-        else:
-            node[key] = draw(st.sampled_from(ODD_VALUES))
-        return doc
+ODD_VALUES = st.sampled_from([None, True, "x", [1.0], {"a": 1.0}, 1e308,
+                              10 ** 20])
 
 
 @pytest.fixture(scope="module")
@@ -346,8 +333,8 @@ def test_mutated_documents_keep_the_exit_code_contract(
         tmp_path, tetrahedron_documents, data, g, cmd):
     # render reads the solution document, the others the problem
     problem, solution = tetrahedron_documents[g]
-    doc = data.draw(mutated_document(solution if cmd == "render"
-                                     else problem))
+    doc = data.draw(mutated_document(
+        solution if cmd == "render" else problem, ODD_VALUES))
     p = tmp_path / "in.json"
     p.write_text(json.dumps(doc))
     argv = [cmd, "--input", str(p), "--output", str(tmp_path / "out.json")]

@@ -293,7 +293,7 @@ class TestSolve:
         # psi reads a between two disks only through cosh a, so without
         # the a > 0 guard some of these solves converged to the mirrored
         # point -a (1 Euclidean, 4 hyperbolic of the 40)
-        from hicp.polytope import angle_arrays, single_star_check
+        from hicp.polytope import single_star_check
         T = triangulate(tri_torus_v1)
         l0, r0 = geo.psi_surface(T, reference_coords(T, g), g)
         rng = random.Random(5)
@@ -376,7 +376,7 @@ def _solve_inputs():
     angles (what ``solve`` reads from a fixture), then 20 targets sampled
     as ``roundtrip`` samples them (the hyperbolic e0-torus solves
     backtrack)."""
-    from hicp.polytope import angle_arrays, single_star_check
+    from hicp.polytope import single_star_check
     out = []
     for name in sorted(FIXTURES):
         cc = build_complex(fixture_spec(name))
