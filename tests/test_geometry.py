@@ -532,6 +532,148 @@ def _assert_one_row_forms_match(tc, tags, g, want):
 
 
 # ---------------------------------------------------------------------------
+# Every failure of the kernel, by its full message and its precedence
+
+# the conditions of decorated_triangles, in the order it checks them
+KERNEL_MESSAGES = (
+    "a not positive on an edge between two disks",
+    "hyperbolic b not positive",
+    "coordinates out of range",
+    "radius not positive",
+    "point circle with nonzero radius",
+    "length not positive",
+    "tangency edge with l != r_u + r_v",
+    "l <= r_u + r_v",
+    "triangle inequality fails",
+    "degenerate corner angle",
+    "vertex-circle centers are collinear",
+    "no real orthogonal circle",
+    "face circle leaves the hyperbolic plane",
+    "angles not finite",
+)
+DISKS = FREE = (1, 1, 1)
+POINTS = TANGENT = (0, 0, 0)
+MIXED = (0, 1, 1)  # corner i a point circle
+
+# (geometry, corner classes, edge classes, x, message): a row that fails
+# the condition and no condition checked before it
+KERNEL_FAILURES = [
+    (EUCLIDEAN, DISKS, FREE, [-0.5, 1, 1, 0, 0, 0], KERNEL_MESSAGES[0]),
+    # l = e^1000 overflows
+    (EUCLIDEAN, POINTS, FREE, [2000, 1, 1, 0, 0, 0], KERNEL_MESSAGES[2]),
+    # r = e^-1000 underflows to 0
+    (EUCLIDEAN, DISKS, FREE, [1, 1, 1, 1000, 0, 0], KERNEL_MESSAGES[3]),
+    # l = e^-1000 underflows to 0
+    (EUCLIDEAN, POINTS, FREE, [-2000, 1, 1, 0, 0, 0],
+     KERNEL_MESSAGES[5]),
+    # cosh 1e-10 rounds to 1, so l_ij = 2 = r_i + r_j
+    (EUCLIDEAN, DISKS, FREE, [1e-10, 1, 1, 0, 0, 0], KERNEL_MESSAGES[7]),
+    (EUCLIDEAN, POINTS, FREE, [10, 0, 0, 0, 0, 0], KERNEL_MESSAGES[8]),
+    # two sides e^20 and one of 1: the cosine at i rounds to 1
+    (EUCLIDEAN, POINTS, FREE, [40, 0, 40, 0, 0, 0], KERNEL_MESSAGES[9]),
+    # r_k = 2e-16 beside r_i = 1: the radical center's power rounds to 0
+    (EUCLIDEAN, DISKS, TANGENT, [0, 0, 0, 0, 2.691913789270872, 36.84],
+     KERNEL_MESSAGES[11]),
+    # sides near e^355: the face circle's center overflows
+    (EUCLIDEAN, MIXED, FREE, [709, 709, 710, 0, 0.5, 1.5],
+     KERNEL_MESSAGES[13]),
+    (HYPERBOLIC, DISKS, FREE, [-0.5, 1, 1, 1, 1, 1], KERNEL_MESSAGES[0]),
+    (HYPERBOLIC, DISKS, FREE, [1, 1, 1, -0.5, 1, 1], KERNEL_MESSAGES[1]),
+    # sinh b overflows, so r is inf
+    (HYPERBOLIC, DISKS, FREE, [1, 1, 1, 1000, 1, 1], KERNEL_MESSAGES[2]),
+    (HYPERBOLIC, POINTS, FREE, [-2000, 1, 1, 0, 0, 0],
+     KERNEL_MESSAGES[5]),
+    # e^a underflows: edge ij is tangent to the circle at j, and l_ij
+    # rounds to at most r_j
+    (HYPERBOLIC, MIXED, FREE, [-2000, 1, 1, 0, 2, 1],
+     KERNEL_MESSAGES[7]),
+    (HYPERBOLIC, POINTS, FREE, [10, 0, 0, 0, 0, 0], KERNEL_MESSAGES[8]),
+    (HYPERBOLIC, POINTS, FREE, [80, 0, 80, 0, 0, 0], KERNEL_MESSAGES[9]),
+    (HYPERBOLIC, DISKS, TANGENT, [0, 0, 0, 2e-8, 0.31, 1.76],
+     KERNEL_MESSAGES[11]),
+    # a triangle with no circumcircle, only a hypercycle
+    (HYPERBOLIC, POINTS, FREE, [0, 2, 0, 0, 0, 0], KERNEL_MESSAGES[12]),
+]
+
+# (geometry, condition, corner classes, edge classes, x, message): the
+# conditions no row reaches first from coordinates, each with a row that
+# comes close and the earlier condition that catches it
+KERNEL_CAUGHT_EARLIER = [
+    # r = asinh(1 / sinh b) > 0 wherever 0 < sinh b < inf; b <= 0 fails
+    # "hyperbolic b not positive", and where sinh b overflows r is inf
+    (HYPERBOLIC, KERNEL_MESSAGES[3], DISKS, FREE,
+     [1, 1, 1, 1000, 1, 1], KERNEL_MESSAGES[2]),
+    # i is placed at 0 and j on the positive real axis, so the
+    # determinant is (2 Re p_j)(2 Im p_k): it is 0 only where sin beta_i
+    # is 0 or the product of the sides at i underflows, and there the
+    # cosine of beta_i, which divides by the same product, is +-1 or NaN
+    (EUCLIDEAN, KERNEL_MESSAGES[10], POINTS, FREE,
+     [-750, -750, -750, 0, 0, 0], KERNEL_MESSAGES[9]),
+    (HYPERBOLIC, KERNEL_MESSAGES[10], POINTS, FREE,
+     [-750, -750, -750, 0, 0, 0], KERNEL_MESSAGES[9]),
+    # no crafted or random row reached it first; a side long enough that
+    # tanh(l / 2) rounds to 1 puts j on the unit circle, and the corner
+    # angle check catches it
+    (HYPERBOLIC, KERNEL_MESSAGES[13], POINTS, FREE,
+     [80, 40, 40, 0, 0, 0], KERNEL_MESSAGES[9]),
+]
+
+# (corner classes, edge classes, l, r, message): the conditions psi
+# always meets (r = 0 on a point circle, l = r_u + r_v on a tangency
+# edge), reached from lengths and radii
+ER_ONLY_FAILURES = [
+    (MIXED, FREE, (2.5, 3, 3), (0.1, 1, 1), KERNEL_MESSAGES[4]),
+    (DISKS, MIXED, (2.5, 3, 3), (1, 1, 1), KERNEL_MESSAGES[6]),
+]
+
+
+def _failure_batch(g, vc, ec, x, k):
+    """A 3-row batch with the given row at position k and a row inside
+    TE elsewhere."""
+    good = [1, 1, 1, 0, 0, 0] if g == EUCLIDEAN else [1, 1, 1, 1, 1, 1]
+    rows = [(DISKS, FREE, good)] * 3
+    rows[k] = (vc, ec, x)
+    return (np.array([x for _vc, _ec, x in rows], float),
+            np.array([vc for vc, _ec, _x in rows]),
+            np.array([ec for _vc, ec, _x in rows]))
+
+
+@pytest.mark.parametrize("case", [
+    (*row[:4], row[4], 1 + i % 2) for i, row in enumerate(KERNEL_FAILURES)
+] + [
+    (g, vc, ec, x, msg, 1 + i % 2)
+    for i, (g, _cond, vc, ec, x, msg) in enumerate(KERNEL_CAUGHT_EARLIER)
+], ids=lambda case: f"{case[0]}-{case[4]}-at-{case[5]}")
+def test_kernel_failure_message(case):
+    g, vc, ec, x, msg, k = case
+    x, vc, ec = _failure_batch(g, vc, ec, x, k)
+    with pytest.raises(NotInTE) as info:
+        geo.decorated_triangles(x, vc, ec, g)
+    assert str(info.value) == f"triangle {k}: {msg}"
+
+
+@pytest.mark.parametrize("g", BOTH)
+@pytest.mark.parametrize("case", ER_ONLY_FAILURES, ids=lambda c: c[4])
+def test_er_only_failure_message(case, g):
+    vc, ec, l, r, msg = case
+    with pytest.raises(InvariantViolation) as info:
+        geo.triangle_angles((l, r), TriangleTags(vc, ec), g)
+    assert str(info.value) == f"triangle 0: {msg}"
+
+
+def test_kernel_failure_tables_cover_every_condition():
+    for g in BOTH:
+        reached = {row[4] for row in KERNEL_FAILURES if row[0] == g}
+        caught = {row[1] for row in KERNEL_CAUGHT_EARLIER if row[0] == g}
+        lr_only = {row[4] for row in ER_ONLY_FAILURES}
+        hyperbolic_only = {KERNEL_MESSAGES[1], KERNEL_MESSAGES[12]}
+        want = set(KERNEL_MESSAGES) - (
+            hyperbolic_only if g == EUCLIDEAN else set())
+        assert not reached & caught and not (reached | caught) & lr_only
+        assert reached | caught | lr_only == want, g
+
+
+# ---------------------------------------------------------------------------
 # Surface-level psi and (l, r) checks against the scalar psi and
 # check_er_triangle, triangle by triangle
 
