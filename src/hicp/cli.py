@@ -298,7 +298,7 @@ def _er_slack(T, l, r):
     """The smallest slack at (l, r) of the constraints of ER: l > r_u +
     r_v on every edge that is not E0, and the triangle inequalities."""
     gap, tri = geo.er_gaps(l[T.edge], r[T.vert])
-    return float(min(gap[T.ec != 0].min(initial=math.inf), tri.min()))
+    return float(min(gap[T.rows.free].min(initial=math.inf), tri.min()))
 
 
 def sample_er(T, l0, r0, g, rng, frac=0.1):
@@ -383,7 +383,7 @@ def cmd_roundtrip(args):
         "max_error": max_err,
     }
     _emit(out, args.output)
-    print(f"max recovery error: {max_err:.3e}")
+    print(f"max recovery error: {max_err:.3e}", file=sys.stderr)
     return EXIT_OK if max_err < 1e-6 else EXIT_SOLVER
 
 

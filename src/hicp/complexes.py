@@ -25,6 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import geometry as geo
 from .errors import (
     CapExceeded,
     E0EndpointInV0,
@@ -371,17 +372,24 @@ class Triangulation:
         return c
 
     @cached_property
+    def rows(self):
+        """The kernel's RowClasses of T's triangles."""
+        return geo.row_classes(self.vc, self.ec)
+
+    @cached_property
     def difference_plan(self):
         """Index arrays of ``solver.hessian_U``'s kernel call: triangle
         t and slot k per difference; per row (one per difference, then
-        each triangle once) its triangle and class tags; the flat
-        positions in D of the derivatives that land in H, and in H."""
+        each triangle once) its triangle, its slots and, for all rows,
+        their RowClasses; the flat positions in D of the derivatives
+        that land in H, and in H."""
         S, n = self.slots, self.n_free
         t, k = np.nonzero(S >= 0)
         tri = np.concatenate([t, np.arange(len(S))])
         keep = np.flatnonzero(S[t] >= 0)
         cell = (S[t] * n + S[t, k][:, None]).ravel()[keep]
-        return t, k, tri, self.vc[tri], self.ec[tri], keep, cell
+        return (t, k, tri, S[tri],
+                geo.row_classes(self.vc[tri], self.ec[tri]), keep, cell)
 
 
 def triangulate(cc):

@@ -42,11 +42,30 @@ class TriangleAngles:
 # Batched kernel
 
 
-_U, _V = [0, 1, 2], [1, 2, 0]  # the corners of edge m
-_W = [2, 0, 1]  # the corner opposite edge m
-# the corner angle at v from its two edges, _AB[v] and _AW[v], and the
-# opposite edge _BW[v], by the law of cosines
-_AB, _AW, _BW = [0, 0, 1], [2, 1, 2], [1, 2, 0]
+# edge m joins corners m and _V[m] and faces corner _W[m]; the angle at
+# corner v lies between edges _AB[v] and _AW[v] and faces edge _V[v]
+_V, _W = np.array([1, 2, 0]), np.array([2, 0, 1])
+_AB, _AW = np.array([0, 0, 1]), np.array([2, 1, 2])
+
+
+class RowClasses(NamedTuple):
+    """The kernel's masks of N rows' class tags, (N, 3) in its columns."""
+
+    disk: np.ndarray  # disk corners
+    point: np.ndarray  # point corners: on edge m, a mixed edge's point end
+    free: np.ndarray  # free edges
+    e0: np.ndarray  # tangency edges
+    disk_edge: np.ndarray  # edges between two disks
+    point_edge: np.ndarray  # edges between two point circles
+    fold: np.ndarray  # free edges between two disks
+    tangent: bool  # some edge is a tangency edge
+
+
+def row_classes(vc, ec):
+    """The RowClasses of (N, 3) corner classes vc and edge classes ec."""
+    disk, free, ends = vc == 1, ec != 0, vc + vc[:, _V]
+    return RowClasses(disk, ~disk, free, ~free, ends == 2, ends == 0,
+                      free & (ends == 2), not free.all())
 
 
 class DecoratedTriangles(NamedTuple):
@@ -73,31 +92,31 @@ def _raise_first(fails, exc, tri=None):
     raise exc(f"triangle {row if tri is None else tri[row]}: {msg}")
 
 
-def psi_rows(x, vc, ec, g):
+def psi_rows(x, rc, g):
     """psi, the map from tetrahedral coordinates to lengths and radii,
-    on the rows of decorated_triangles' x, vc, ec, each edge by its
+    on the rows of decorated_triangles' x and rc, each edge by its
     endpoint classes; slots fixed by class (a on E0, b on point corners)
     are ignored.  Returns (N, 3) lengths l and radii r, and (message,
     mask) pairs failing where they are undefined."""
     check_geometry(g)
-    a, b = x[:, :3], x[:, 3:]
-    disk = vc == 1
-    bu, bv = b[:, _U], b[:, _V]
-    bm = np.where(vc[:, _U] == 0, bv, bu)  # the disk end of a mixed edge
+    a, bu = x[:, :3], x[:, 3:]
+    bv = bu[:, _V]
+    bm = np.where(rc.point, bv, bu)  # the disk end of a mixed edge
     fails = []
     with np.errstate(all="ignore"):
         if g == EUCLIDEAN:
-            r = np.where(disk, np.exp(-b), 0.0)
+            r = np.where(rc.disk, np.exp(-bu), 0.0)
             disks = np.sqrt(np.exp(-2 * bu) + np.exp(-2 * bv)
                             + 2 * np.exp(-bu - bv) * np.cosh(a))
             points = np.exp(a / 2)
             mixed = np.sqrt(np.exp(-2 * bm) + np.exp(a - bm))
         else:
-            fails.append(("hyperbolic b not positive", disk & ~(b > 0)))
-            sh = np.sinh(b)
-            r = np.where(disk, np.arcsinh(1.0 / sh), 0.0)
+            fails.append(("hyperbolic b not positive",
+                          rc.disk & ~(bu > 0)))
+            sh = np.sinh(bu)
+            r = np.where(rc.disk, np.arcsinh(1.0 / sh), 0.0)
             # where sinh b overflows, 1 / sinh b alone would read r = 0
-            r[disk & np.isinf(sh)] = np.inf
+            r[rc.disk & np.isinf(sh)] = np.inf
             # l = acosh(x) loses digits near x = 1; take the forms
             # l = 2 asinh(√((cosh l - 1) / 2)) with cosh l - 1 =
             # (cosh a + cosh(bu - bv)) / (sinh bu sinh bv) (two disks)
@@ -108,8 +127,10 @@ def psi_rows(x, vc, ec, g):
             points = 2 * np.arcsinh(np.exp(a / 2))
             mixed = 2 * np.arcsinh(np.sqrt(
                 (np.exp(a) + np.exp(-bm)) / np.sinh(bm) / 2))
-        l = np.where(ec == 0, r[:, _U] + r[:, _V], np.choose(
-            vc[:, _U] + vc[:, _V], (points, mixed, disks)))
+        l = np.where(rc.disk_edge, disks,
+                     np.where(rc.point_edge, points, mixed))
+        if rc.tangent:
+            l = np.where(rc.e0, r + r[:, _V], l)
     fails.append(("coordinates out of range",
                   ~(np.isfinite(l) & np.isfinite(r))))
     return l, r, fails
@@ -120,26 +141,26 @@ def er_gaps(l, r):
     each an (N, 3) array: l - (r_u + r_v) per edge, and l_v + l_w - l,
     the triangle inequality's, per edge."""
     with np.errstate(all="ignore"):
-        return l - (r[:, _U] + r[:, _V]), l[:, _V] + l[:, _W] - l
+        return l - (r + r[:, _V]), l[:, _V] + l[:, _W] - l
 
 
-def er_failures(l, r, vc, ec):
+def er_failures(l, r, rc):
     """The edge-radius invariants on (N, 3) lengths and radii, as
     (message, mask) pairs: r > 0 exactly on disk corners, positive
     lengths, l = r_u + r_v on E0 and l > r_u + r_v otherwise, and strict
     triangle inequalities."""
-    disk = vc == 1
-    free = ec != 0
     gap, tri = er_gaps(l, r)
     with np.errstate(all="ignore"):
-        scale = 1.0 + l.max(axis=1, keepdims=True)
+        off = rc.e0  # all false without tangency edges
+        if rc.tangent:
+            scale = 1.0 + l.max(axis=1, keepdims=True)
+            off = off & (np.abs(gap) > 1e-9 * scale)
         return [
-            ("radius not positive", disk & (r <= 0.0)),
-            ("point circle with nonzero radius", ~disk & (r != 0.0)),
+            ("radius not positive", rc.disk & (r <= 0.0)),
+            ("point circle with nonzero radius", rc.point & (r != 0.0)),
             ("length not positive", ~(l > 0)),
-            ("tangency edge with l != r_u + r_v",
-             ~free & (np.abs(gap) > 1e-9 * scale)),
-            ("l <= r_u + r_v", free & ~(gap > 0)),
+            ("tangency edge with l != r_u + r_v", off),
+            ("l <= r_u + r_v", rc.free & ~(gap > 0)),
             ("triangle inequality fails", ~(tri > 0)),
         ]
 
@@ -197,24 +218,23 @@ def _radical_centers(p, rad):
 _FOLD = "a not positive on an edge between two disks"
 
 
-def decorated_triangles(x, vc, ec, g, tri=None):
+def decorated_triangles(x, rc, g, tri=None):
     """The decorated-triangle kernel on N triangles at once, each stage
     one array operation over all rows: the psi stage (psi_rows and the
     fold check), then decorate_rows from its lengths and radii.  x:
-    (N, 6) coordinates a_ij, a_jk, a_ki, b_i, b_j, b_k; vc, ec: (N, 3)
-    class tags.  Its domain is the solver's domain TE: raises NotInTE
+    (N, 6) coordinates a_ij, a_jk, a_ki, b_i, b_j, b_k; rc: the rows'
+    RowClasses.  Its domain is the solver's domain TE: raises NotInTE
     naming the first failing row (``tri[row]`` when given) and the first
     condition it fails, in this order: a not positive on a free edge
     between two disks (psi reads a there only through cosh a, so -a
     would give the same triangle), psi_rows' conditions, then
     decorate_rows'."""
-    disk = vc == 1
-    l, r, psi_fails = psi_rows(x, vc, ec, g)
-    fold = (ec != 0) & disk[:, _U] & disk[:, _V] & ~(x[:, :3] > 0)
-    return decorate_rows(l, r, vc, ec, g, [(_FOLD, fold)] + psi_fails, tri)
+    l, r, psi_fails = psi_rows(x, rc, g)
+    fold = rc.fold & ~(x[:, :3] > 0)
+    return decorate_rows(l, r, rc, g, [(_FOLD, fold)] + psi_fails, tri)
 
 
-def decorate_rows(l, r, vc, ec, g, fails=(), tri=None, exc=NotInTE):
+def decorate_rows(l, r, rc, g, fails=(), tri=None, exc=NotInTE):
     """The decoration stage of decorated_triangles from (N, 3) lengths l
     and radii r: er_failures, the corner angles beta, the placement (i
     at the origin, j on the positive real axis, k above it), the face
@@ -228,16 +248,15 @@ def decorate_rows(l, r, vc, ec, g, fails=(), tri=None, exc=NotInTE):
     (hyperbolic).  Raises exc naming the first row that fails a
     condition, the (message, mask) pairs ``fails`` of the stages before
     first."""
-    free = ec != 0
-    fails = [*fails, *er_failures(l, r, vc, ec)]
+    fails = [*fails, *er_failures(l, r, rc)]
     with np.errstate(all="ignore"):
-        lab, law, lbw = l[:, _AB], l[:, _AW], l[:, _BW]
+        lab, law, lbw = l[:, _AB], l[:, _AW], l[:, _V]
         if g == EUCLIDEAN:
             c = (lab ** 2 + law ** 2 - lbw ** 2) / (2 * lab * law)
             t = l
         else:
             ch, sh = np.cosh(l), np.sinh(l)
-            c = ((ch[:, _AB] * ch[:, _AW] - ch[:, _BW])
+            c = ((ch[:, _AB] * ch[:, _AW] - ch[:, _V])
                  / (sh[:, _AB] * sh[:, _AW]))
             t = np.tanh(l / 2)
         fails.append(("degenerate corner angle", ~((-1.0 < c) & (c < 1.0))))
@@ -264,12 +283,12 @@ def decorate_rows(l, r, vc, ec, g, fails=(), tri=None, exc=NotInTE):
             fails.append(("face circle leaves the hyperbolic plane",
                           ~(d + Re < 1.0)))
         # alpha from the center w in each edge's frame
-        w = frames(z[:, _U], z[:, _V], g)[0](center[:, None])
+        w = frames(z, z[:, _V], g)[0](center[:, None])
         if g == EUCLIDEAN:
             c = w.imag / R[:, None]
         else:
             c = 2 * w.imag / (1 - np.abs(w) ** 2) / np.sinh(R)[:, None]
-        alpha = np.where(free, np.arccos(np.clip(c, -1.0, 1.0)), 0.0)
+        alpha = np.where(rc.free, np.arccos(np.clip(c, -1.0, 1.0)), 0.0)
         fails.append(("angles not finite",
                       ~(np.isfinite(alpha) & np.isfinite(beta))))
     _raise_first(fails, exc, tri)
@@ -283,8 +302,8 @@ def tetra_angles(tc_tri, tags, g):
     TriangleAngles.  Raises NotInTE outside TE."""
     a3, b3 = tc_tri
     return _row_angles(decorated_triangles(
-        np.array([[*a3, *b3]], float), np.array([tags.vc]),
-        np.array([tags.ec]), g))
+        np.array([[*a3, *b3]], float),
+        row_classes(np.array([tags.vc]), np.array([tags.ec])), g))
 
 
 def triangle_angles(er_tri, tags, g):
@@ -294,8 +313,9 @@ def triangle_angles(er_tri, tags, g):
     check_geometry(g)
     l3, r3 = er_tri
     return _row_angles(decorate_rows(
-        np.array([l3], float), np.array([r3], float), np.array([tags.vc]),
-        np.array([tags.ec]), g, exc=InvariantViolation))
+        np.array([l3], float), np.array([r3], float),
+        row_classes(np.array([tags.vc]), np.array([tags.ec])), g,
+        exc=InvariantViolation))
 
 
 def _row_angles(dt):
@@ -321,7 +341,7 @@ def scatter_rows(T, l, r):
 def psi_surface(T, x, g):
     """psi on every triangle of T at once: (l, r), as DomainError; total
     in a."""
-    l, r, fails = psi_rows(gather_coords(T, x), T.vc, T.ec, g)
+    l, r, fails = psi_rows(gather_coords(x, T.slots), T.rows, g)
     _raise_first(fails, DomainError)
     return scatter_rows(T, l, r)
 
@@ -366,18 +386,18 @@ def psi_inv_surface(T, l, r, g):
 
 def check_er_surface(T, l, r, g):
     """er_failures on every triangle of T at once, as DomainError."""
-    _raise_first(er_failures(l[T.edge], r[T.vert], T.vc, T.ec), DomainError)
+    _raise_first(er_failures(l[T.edge], r[T.vert], T.rows), DomainError)
 
 
-def gather_coords(T, x):
-    """(F, 6) per-triangle coordinates in the columns of ``T.slots``;
-    0 where a coordinate is fixed."""
-    return np.append(x, 0.0)[T.slots]  # slot -1 reads the 0
+def gather_coords(x, slots):
+    """Per-row coordinates in the columns of rows of ``T.slots``; 0
+    where a coordinate is fixed."""
+    return np.append(x, 0.0)[slots]  # slot -1 reads the 0
 
 
 def decorate_surface(T, x, g):
     """decorated_triangles on every triangle of T, in triangle order."""
-    return decorated_triangles(gather_coords(T, x), T.vc, T.ec, g)
+    return decorated_triangles(gather_coords(x, T.slots), T.rows, g)
 
 
 def in_te(T, x, g):

@@ -63,7 +63,7 @@ def reference_coords(T, g):
     l, r = reference_metric(T, g)
     le, rv = l[T.edge], r[T.vert]
     cap = le[:, [1, 2, 0]] + le[:, [2, 0, 1]]
-    fails = (le >= cap) & (T.ec != 0)
+    fails = (le >= cap) & T.rows.free
     l[T.edge[fails]] = np.maximum(0.9 * cap,
                                   (rv + rv[:, [1, 2, 0]] + cap) / 2)[fails]
     geo.check_er_surface(T, l, r, g)
@@ -122,13 +122,13 @@ def hessian_U(T, x, g):
     per triangle, whose angles give the sums.  The index arrays are
     ``T.difference_plan``'s.  Raises NotInTE when any copy leaves the
     domain."""
-    t, k, tri, vc, ec, keep, cell = T.difference_plan
+    t, k, tri, slots, rows, keep, cell = T.difference_plan
     n, p = T.n_free, len(t)
-    y = geo.gather_coords(T, x)[tri]
+    y = geo.gather_coords(x, slots)
     moved = (np.arange(p), k)
     h = 1e-5 * (1 + np.abs(y[moved]))
     y[moved] += h
-    y = _slot_angles(geo.decorated_triangles(y, vc, ec, g, tri=tri))
+    y = _slot_angles(geo.decorated_triangles(y, rows, g, tri=tri))
     y0 = y[p:]
     # D[i, j]: derivative of the angle at slot j of triangle t[i] along
     # the variable at slot k[i]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from hicp.fixtures import (
     triangulated_torus_spec,
 )
 from hicp.layout import develop, json_text, layout_to_dict, merge_redundant
-from hicp.solver import solve
+from hicp.solver import extract_angles, reference_coords, solve
 
 
 def run(tmp_path, *argv):
@@ -763,6 +764,15 @@ class TestRoundtrip:
         assert len(err) == 1
         assert err[0].startswith("error:")
 
+    def test_stdout_is_one_document(self, capsys):
+        # the summary line goes to stderr, after the report on stdout
+        assert cli.main(["roundtrip", "--input", "fixture:tri-torus",
+                         "--samples", "1"]) == 0
+        out, err = capsys.readouterr()
+        data = json.loads(out)
+        assert err.splitlines() == [
+            f"max recovery error: {data['max_error']:.3e}"]
+
     def test_deterministic(self, tmp_path):
         p1 = tmp_path / "r1.json"
         p2 = tmp_path / "r2.json"
@@ -846,6 +856,57 @@ def test_kernel_and_glue_calls_per_drawing(tmp_path, monkeypatch, case):
     assert cli.main(argv + ["--svg", str(tmp_path / "p.svg"), "--output",
                             str(tmp_path / "out.json")]) == 0
     assert calls == {"kernel": 1, "glue": 1}
+
+
+def _count_row_classes(monkeypatch):
+    """The row counts of every geometry.row_classes call from now on."""
+    builds = []
+    build = geo.row_classes
+
+    def counting(vc, ec):
+        builds.append(len(vc))
+        return build(vc, ec)
+
+    monkeypatch.setattr(geo, "row_classes", counting)
+    return builds
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("max_iter", ["1", "100"])
+def test_solve_builds_row_classes_once_per_row_set(tmp_path, monkeypatch,
+                                                   g, max_iter):
+    # the kernel's class masks are built for T's rows and for the
+    # difference plan's rows, however many Newton points are evaluated;
+    # the target angles are those of a point off the reference point
+    spec = triangulated_torus_spec(4, v1=(0, 5, 10, 15))
+    T = triangulate(build_complex(spec))
+    assert T.rows is T.rows
+    want = [len(T.slots), len(T.difference_plan[2])]
+    x = reference_coords(T, g)
+    ad = extract_angles(T, x + 0.05 * np.cos(np.arange(len(x))), g)
+    p = tmp_path / "torus.json"
+    p.write_text(json.dumps({
+        **spec, "geometry": g,
+        "theta": {f"{u}-{v}": t for (u, v), t in ad.theta.items()},
+        "Theta": {str(k): t for k, t in ad.Theta.items()}}))
+    builds = _count_row_classes(monkeypatch)
+    cli.main(["solve", "--input", str(p), "--geometry", g, "--max-iter",
+              max_iter, "--output", str(tmp_path / "sol.json")])
+    sol = json.loads((tmp_path / "sol.json").read_text())
+    assert (sol["iterations"] > 1) == (max_iter == "100")
+    assert builds == want
+
+
+def test_drawing_commands_build_row_classes_once(tmp_path, monkeypatch):
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", "--input", "fixture:grid-torus",
+                     "--output", str(sol)]) == 0
+    builds = _count_row_classes(monkeypatch)
+    for argv in (["demo", "--input", "fixture:grid-torus"],
+                 ["render", "--input", str(sol)]):
+        builds.clear()
+        assert cli.main(argv + ["--output", str(tmp_path / "out.json")]) == 0
+        assert len(builds) == 1, argv
 
 
 @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])

@@ -143,7 +143,8 @@ class TestPsi:
         x = np.array([[a, a, a, bu, bv, bv] for a, bu, bv in dd]
                      + [[a, a, a, 0.0, b, b] for a, b in mixed])
         vc = np.array([[1, 1, 1]] * n + [[0, 1, 1]] * n)
-        l, _r, _fails = geo.psi_rows(x, vc, np.ones_like(vc), HYPERBOLIC)
+        l, _r, _fails = geo.psi_rows(
+            x, geo.row_classes(vc, np.ones_like(vc)), HYPERBOLIC)
         assert scalar == pytest.approx(want, rel=2e-15, abs=0)
         assert list(l[:, 0]) == pytest.approx(want, rel=2e-15, abs=0)
 
@@ -489,9 +490,9 @@ def test_batched_kernel_matches_scalar(g, rows):
             _assert_one_row_forms_match(tc, tg, g, want)
         if first is not None:
             with pytest.raises(NotInTE, match=f"^triangle {first}: "):
-                geo.decorated_triangles(x, vc, ec, g)
+                geo.decorated_triangles(x, geo.row_classes(vc, ec), g)
             return
-        dt = geo.decorated_triangles(x, vc, ec, g)
+        dt = geo.decorated_triangles(x, geo.row_classes(vc, ec), g)
     for i, (zs, (center, R), ta) in enumerate(ref):
         tol = dict(rel=1e-12, abs=1e-12)
         assert tuple(dt.alpha[i]) == pytest.approx(ta.alpha, **tol)
@@ -648,7 +649,7 @@ def test_kernel_failure_message(case):
     g, vc, ec, x, msg, k = case
     x, vc, ec = _failure_batch(g, vc, ec, x, k)
     with pytest.raises(NotInTE) as info:
-        geo.decorated_triangles(x, vc, ec, g)
+        geo.decorated_triangles(x, geo.row_classes(vc, ec), g)
     assert str(info.value) == f"triangle {k}: {msg}"
 
 

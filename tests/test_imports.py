@@ -192,6 +192,14 @@ def test_every_export_is_documented():
             if not re.search(rf"\b{re.escape(name)}\b", readme)] == []
 
 
+def test_distribution_is_named_after_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert (project["name"], project["version"]) == ("hicp",
+                                                     hicp.__version__)
+
+
 def imported_modules(text):
     """The package modules a module's source imports from, as names
     relative to the package (``solver`` for ``from .solver import x``,
