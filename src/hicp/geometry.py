@@ -99,21 +99,20 @@ def psi_rows(x, rc, g):
     are ignored.  Returns (N, 3) lengths l and radii r, and (message,
     mask) pairs failing where they are undefined."""
     check_geometry(g)
-    a, bu = x[:, :3], x[:, 3:]
-    bv = bu[:, _V]
+    a, b = x[:, :3], x[:, 3:]
+    bu, bv = b, b[:, _V]
     bm = np.where(rc.point, bv, bu)  # the disk end of a mixed edge
     fails = []
     with np.errstate(all="ignore"):
         if g == EUCLIDEAN:
-            r = np.where(rc.disk, np.exp(-bu), 0.0)
+            r = np.where(rc.disk, np.exp(-b), 0.0)
             disks = np.sqrt(np.exp(-2 * bu) + np.exp(-2 * bv)
                             + 2 * np.exp(-bu - bv) * np.cosh(a))
             points = np.exp(a / 2)
             mixed = np.sqrt(np.exp(-2 * bm) + np.exp(a - bm))
         else:
-            fails.append(("hyperbolic b not positive",
-                          rc.disk & ~(bu > 0)))
-            sh = np.sinh(bu)
+            fails.append(("hyperbolic b not positive", rc.disk & ~(b > 0)))
+            sh = np.sinh(b)
             r = np.where(rc.disk, np.arcsinh(1.0 / sh), 0.0)
             # where sinh b overflows, 1 / sinh b alone would read r = 0
             r[rc.disk & np.isinf(sh)] = np.inf
