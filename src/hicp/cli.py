@@ -21,6 +21,7 @@ from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
 from .layout import (
+    JsonText,
     angles_json,
     delaunay_json,
     develop,
@@ -193,39 +194,58 @@ def cmd_validate(args):
     return EXIT_INFEASIBLE
 
 
-def _solution_dict(spec, g, T, sol):
-    out = {
-        "solution_version": 1,
-        "geometry": g,
-        "input": {"geometry": g, "vertices": spec["vertices"],
-                  "faces": [list(f) for f in spec["faces"]],
-                  "tangent_edges": [list(e) for e in
-                                    spec.get("tangent_edges", [])]},
-        "status": sol.status,
-        "iterations": sol.iterations,
-        "residual_norm": (sol.residual_norm
-                          if math.isfinite(sol.residual_norm) else None),
-        "trace": [list(row) for row in sol.trace],
-    }
+_SOLUTION = ('{\n%s "geometry": %s,\n "input": {\n  "faces": %s,\n'
+             '  "geometry": %s,\n  "tangent_edges": %s,\n  "vertices": %s\n'
+             ' },\n "iterations": %d,\n%s "residual_norm": %s,\n'
+             ' "solution_version": 1,\n "status": %s,\n "trace": %s\n}\n')
+
+
+def _lists(rows, pad):
+    """json's text at indent pad of a list of non-empty lists of texts."""
+    item = f",\n{pad}  %s"
+    text = ",\n".join([f"{pad} [\n{pad}  %s" + item * (len(row) - 1)
+                       + f"\n{pad} ]" for row in rows])
+    return (f"[\n{text}\n{pad}]" if rows else "[]") % tuple(
+        t for row in rows for t in row)
+
+
+def _nested(obj, pad):
+    """json_text of obj as a value at indent pad, without its newline."""
+    return json_text(obj)[:-1].replace("\n", "\n" + pad)
+
+
+def _solution_json(spec, g, T, sol):
+    """The JsonText of the solution document for every status: one %
+    template in json's key order, filled from sol's arrays.  Only the
+    echoed vertices (any fields) and a feasibility report go through
+    json_text; build_complex has checked spec's faces and tangent edges."""
+    def floats(keys, values):
+        return float_map(keys, values, "  ").text[:-1]
+    head = mid = ""
     if sol.coords is not None:
-        l, r = geo.psi_surface(T, sol.coords, g)
-        n_a = len(T.free_edges)
-        out["coords"] = {
-            "a": float_map(edge_keys(T.free_edges), sol.coords[:n_a]),
-            "b": float_map(list(map(str, T.v1_vertices)), sol.coords[n_a:]),
-        }
-        out["lengths"] = {
-            "l": float_map(edge_keys(T.edges), l),
-            "r": float_map(list(map(str, T.base.vertices)), r),
-        }
+        x, n_a = sol.coords, len(T.free_edges)
+        l, r = geo.psi_surface(T, x, g)
+        head = ' "coords": {\n  "a": %s,\n  "b": %s\n },\n' % (
+            floats(edge_keys(T.free_edges), x[:n_a]),
+            floats(list(map(str, T.v1_vertices)), x[n_a:]))
+        mid = ' "lengths": {\n  "l": %s,\n  "r": %s\n },\n' % (
+            floats(edge_keys(T.edges), l),
+            floats(list(map(str, T.base.vertices)), r))
     if (t := sol.realized_angles) is not None:
-        out["realized"] = {
-            "theta": float_map(edge_keys(t.theta), list(t.theta.values())),
-            "Theta": float_map(list(map(str, t.Theta)),
-                               list(t.Theta.values()))}
+        mid += ' "realized": {\n  "Theta": %s,\n  "theta": %s\n },\n' % (
+            floats(list(map(str, t.Theta)), list(t.Theta.values())),
+            floats(edge_keys(t.theta), list(t.theta.values())))
     if sol.report is not None:
-        out["feasibility"] = sol.report.to_dict()
-    return out
+        head += ' "feasibility": %s,\n' % _nested(sol.report.to_dict(), " ")
+    trace = json.dumps([v for row in sol.trace for v in row])[1:-1].split(", ")
+    res = sol.residual_norm
+    return JsonText(_SOLUTION % (
+        head, json.dumps(g), _lists(spec["faces"], "  "), json.dumps(g),
+        _lists(spec.get("tangent_edges", []), "  "),
+        _nested(spec["vertices"], "  "), sol.iterations, mid,
+        repr(res) if math.isfinite(res) else "null", json.dumps(sol.status),
+        _lists([trace[k:k + 3] for k in range(0, 3 * len(sol.trace), 3)],
+               " ")))
 
 
 def cmd_solve(args):
@@ -235,8 +255,7 @@ def cmd_solve(args):
     t = _target_from_input(cc, g, theta, Theta, T)
     opts = SolveOptions(grad_tol=args.tol, max_iter=args.max_iter)
     sol = solve(T, t, opts)
-    out = _solution_dict(spec, g, T, sol)
-    _emit(out, args.output)
+    _emit(_solution_json(spec, g, T, sol), args.output)
     if sol.status == CONVERGED:
         return EXIT_OK
     if sol.status == INFEASIBLE:

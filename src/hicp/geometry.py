@@ -43,9 +43,8 @@ class TriangleAngles:
 
 
 # edge m joins corners m and _V[m] and faces corner _W[m]; the angle at
-# corner v lies between edges _AB[v] and _AW[v] and faces edge _V[v]
+# corner v lies between edges v and _W[v] and faces edge _V[v]
 _V, _W = np.array([1, 2, 0]), np.array([2, 0, 1])
-_AB, _AW = np.array([0, 0, 1]), np.array([2, 1, 2])
 
 
 class RowClasses(NamedTuple):
@@ -106,10 +105,10 @@ def psi_rows(x, rc, g):
     with np.errstate(all="ignore"):
         if g == EUCLIDEAN:
             r = np.where(rc.disk, np.exp(-b), 0.0)
-            disks = np.sqrt(np.exp(-2 * bu) + np.exp(-2 * bv)
-                            + 2 * np.exp(-bu - bv) * np.cosh(a))
+            e2 = np.exp(-2 * b)
+            disks = np.sqrt(e2 + e2[:, _V] + 2 * np.exp(-bu - bv) * np.cosh(a))
             points = np.exp(a / 2)
-            mixed = np.sqrt(np.exp(-2 * bm) + np.exp(a - bm))
+            mixed = np.sqrt(np.where(rc.point, e2[:, _V], e2) + np.exp(a - bm))
         else:
             fails.append(("hyperbolic b not positive", rc.disk & ~(b > 0)))
             sh = np.sinh(b)
@@ -121,11 +120,11 @@ def psi_rows(x, rc, g):
             # (cosh a + cosh(bu - bv)) / (sinh bu sinh bv) (two disks)
             # and (e^a + e^-b) / sinh b (one disk)
             disks = 2 * np.arcsinh(np.sqrt(
-                (np.cosh(a) + np.cosh(bu - bv))
-                / (np.sinh(bu) * np.sinh(bv)) / 2))
+                (np.cosh(a) + np.cosh(bu - bv)) / (sh * sh[:, _V]) / 2))
             points = 2 * np.arcsinh(np.exp(a / 2))
             mixed = 2 * np.arcsinh(np.sqrt(
-                (np.exp(a) + np.exp(-bm)) / np.sinh(bm) / 2))
+                (np.exp(a) + np.exp(-bm)) / np.where(rc.point, sh[:, _V], sh)
+                / 2))
         l = np.where(rc.disk_edge, disks,
                      np.where(rc.point_edge, points, mixed))
         if rc.tangent:
@@ -199,19 +198,18 @@ def disk_circle_reps(z, r):
 
 def _radical_centers(p, rad):
     """The circle orthogonal to three circles, per row of (N, 3) complex
-    centers and radii: centers, squared radii and the determinant of
-    the linear solve."""
+    centers and radii, placed with the first center at 0 and the second
+    real: centers, squared radii and the determinant of the linear
+    solve."""
     x, y = p.real, p.imag
-    n0 = x[:, 0] * x[:, 0] + y[:, 0] * y[:, 0]
-    a11, a12 = 2 * (x[:, 1] - x[:, 0]), 2 * (y[:, 1] - y[:, 0])
-    a21, a22 = 2 * (x[:, 2] - x[:, 0]), 2 * (y[:, 2] - y[:, 0])
-    b1 = x[:, 1] ** 2 + y[:, 1] ** 2 - n0 - rad[:, 1] ** 2 + rad[:, 0] ** 2
-    b2 = x[:, 2] ** 2 + y[:, 2] ** 2 - n0 - rad[:, 2] ** 2 + rad[:, 0] ** 2
-    det = a11 * a22 - a12 * a21
+    a11, a21, a22 = 2 * x[:, 1], 2 * x[:, 2], 2 * y[:, 2]
+    b1 = x[:, 1] ** 2 - rad[:, 1] ** 2 + rad[:, 0] ** 2
+    b2 = x[:, 2] ** 2 + y[:, 2] ** 2 - rad[:, 2] ** 2 + rad[:, 0] ** 2
+    det = a11 * a22
     o = np.empty(len(det), complex)
-    o.real = (b1 * a22 - b2 * a12) / det
+    o.real = b1 * a22 / det
     o.imag = (a11 * b2 - a21 * b1) / det
-    return o, np.abs(o - p[:, 0]) ** 2 - rad[:, 0] ** 2, det
+    return o, np.abs(o) ** 2 - rad[:, 0] ** 2, det
 
 
 _FOLD = "a not positive on an edge between two disks"
@@ -249,14 +247,14 @@ def decorate_rows(l, r, rc, g, fails=(), tri=None, exc=NotInTE):
     first."""
     fails = [*fails, *er_failures(l, r, rc)]
     with np.errstate(all="ignore"):
-        lab, law, lbw = l[:, _AB], l[:, _AW], l[:, _V]
+        # the cosine at corner v from edges v and _W[v], facing _V[v]
         if g == EUCLIDEAN:
-            c = (lab ** 2 + law ** 2 - lbw ** 2) / (2 * lab * law)
+            l2 = l ** 2
+            c = (l2 + l2[:, _W] - l2[:, _V]) / (2 * l * l[:, _W])
             t = l
         else:
             ch, sh = np.cosh(l), np.sinh(l)
-            c = ((ch[:, _AB] * ch[:, _AW] - ch[:, _V])
-                 / (sh[:, _AB] * sh[:, _AW]))
+            c = (ch * ch[:, _W] - ch[:, _V]) / (sh * sh[:, _W])
             t = np.tanh(l / 2)
         fails.append(("degenerate corner angle", ~((-1.0 < c) & (c < 1.0))))
         beta = np.arccos(c)

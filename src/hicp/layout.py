@@ -300,14 +300,7 @@ class JsonText:
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
-def _float(x):
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _dumps(obj, mark):
@@ -348,14 +341,23 @@ def _fill(template, rows, sep=",\n"):
 
 
 def _texts(a, fmt="%r"):
-    """The numbers of array a formatted by fmt in one pass, as json writes
-    float(text).  %g writes a whole number without ".0" and switches to
-    an exponent from 1e12 where repr does from 1e16, so a text with an
-    exponent is read back and written again, as are nan and inf."""
-    v = a.ravel().tolist()
-    return [t if "." in t and "e" not in t
-            else _float(float(t)) if "e" in t or "n" in t else t + ".0"
-            for t in ((fmt + "\n") * len(v) % tuple(v)).split()]
+    """The numbers of array a as json writes float(fmt % x); "%r" is
+    json's own C-encoded text of the list.  A 12-digit %g text keeps a
+    decimal digit below 1e11 except near a whole number, so only numbers
+    within 1e-11 |x| of one, below 1e-4 or from 1e11 in size (where an
+    exponent may show) or not finite are read back and written again."""
+    v = a.ravel()
+    if fmt == "%r":
+        return json.dumps(v.tolist())[1:-1].split(", ") if v.size else []
+    texts = ((fmt + "\n") * v.size % tuple(v.tolist())).split()
+    m = np.abs(v)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        fine = (1e-4 <= m) & (m < 1e11) & (np.abs(v - np.round(v)) > 1e-11 * m)
+    for i in np.flatnonzero(~fine).tolist():
+        t = texts[i]
+        texts[i] = _NONFINITE.get(t) or (
+            repr(float(t)) if "e" in t else t if "." in t else t + ".0")
+    return texts
 
 
 def _object(template, keys, *cols, pad=""):
@@ -369,11 +371,11 @@ def _object(template, keys, *cols, pad=""):
             + pad + "}")
 
 
-def float_map(keys, values):
-    """The JsonText of the object {key: value} of str keys and float
-    values: every edge- or vertex-keyed float object hicp writes."""
-    return JsonText(_object(" %s: %s", keys,
-                            _texts(np.asarray(values, float))) + "\n")
+def float_map(keys, values, pad=""):
+    """The JsonText of {key: value}, str keys and float values, closed at
+    indent pad: every edge- or vertex-keyed float object hicp writes."""
+    return JsonText(_object(pad + " %s: %s", keys, _texts(
+        np.asarray(values, float)), pad=pad) + "\n")
 
 
 def edge_keys(edges):

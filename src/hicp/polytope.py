@@ -217,7 +217,8 @@ def _conditions_1_to_3(cc, t):
     # added left to right in vertex order, whatever the order of the
     # input's keys: cumsum adds sequentially, where sum of floats is
     # compensated from Python 3.12
-    total = np.cumsum(2 * math.pi - Theta)[-1].item()
+    with np.errstate(over="ignore"):  # a huge Theta may overflow to +-inf
+        total = np.cumsum(2 * math.pi - Theta)[-1].item()
     target = 2 * math.pi * cc.chi
     gb_residual = total - target
     tol = 1e-12 * (1 + len(Theta))

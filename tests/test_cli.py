@@ -992,6 +992,65 @@ def test_documents_are_json_dumps_bytes(tmp_path, name, g):
         assert json_text(doc) == text
 
 
+SOLUTION_CASES = {
+    "converged": (["--input", "fixture:e0-torus"], 0,
+                  {"coords", "lengths", "realized"}),
+    "max-iter-1": (["--input", "fixture:e0-torus", "--max-iter", "1"], 4,
+                   {"coords", "lengths"}),
+    "infeasible": ([], 2, {"feasibility"}),
+}
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("case", sorted(SOLUTION_CASES))
+def test_solution_documents_are_json_dumps_bytes(tmp_path, capsys,
+                                                 bad_instance, case, g):
+    """solve writes one document for each status: a converged run, one
+    stopped after one iteration (coords without realized angles) and an
+    infeasible target (a feasibility report, no coords).  The file
+    --output writes is the text solve writes to stdout, and both are the
+    text json.dumps writes of it."""
+    argv, code, parts = SOLUTION_CASES[case]
+    argv = ["solve", *(argv or ["--input", str(bad_instance)]),
+            "--geometry", g]
+    out = tmp_path / "sol.json"
+    assert cli.main([*argv, "--output", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert cli.main(argv) == code
+    text = capsys.readouterr().out
+    assert out.read_text() == text
+    doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert set(doc) == parts | {
+        "geometry", "input", "iterations", "residual_norm",
+        "solution_version", "status", "trace"}
+    assert doc["input"]["tangent_edges"] or case == "infeasible"
+    assert doc["trace"] or case == "infeasible"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_huge_cone_angles_overflow_without_a_warning(tmp_path, capsys, g,
+                                                     big):
+    """On a tetrahedron of four disks with every Theta = +-1e308 the
+    Gauss-Bonnet total overflows to an infinity: validate and solve exit
+    2 with that total in the report, and numpy warns of nothing."""
+    spec = tetrahedron_spec()
+    cc = build_complex(spec)
+    doc = dict(spec, geometry=g,
+               theta={f"{u}-{v}": 1.0 for u, v in sorted(cc.e1)},
+               Theta={str(k): big for k in range(4)})
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    for cmd in ("validate", "solve"):
+        rc, data = run(tmp_path, cmd, "--input", str(p))
+        assert rc == 2
+        rep = data if cmd == "validate" else data["feasibility"]
+        assert rep["gauss_bonnet_residual"] == -math.copysign(math.inf, big)
+        assert capsys.readouterr().err == ""
+
+
 def test_solve_echoes_vertex_fields_as_json_dumps_bytes(tmp_path):
     """solve writes the input's vertex objects back as they came, here
     with fields of control, line-separator and non-ASCII text, strings
@@ -1071,10 +1130,10 @@ def test_parser_is_built_once(monkeypatch, capsys):
 
 
 def test_writers_are_the_traced_names(tmp_path, monkeypatch):
-    """demo --output writes through cli._emit and render --output through
-    layout.export_json, once each: the benchmark times these names, in
-    every hicp namespace that binds them, as cli.emit and
-    layout.export_json."""
+    """solve --output and demo --output write through cli._emit and
+    render --output through layout.export_json, once each: the benchmark
+    times these names, in every hicp namespace that binds them, as
+    cli.emit and layout.export_json."""
     calls = []
 
     def count(mod, name):
@@ -1094,6 +1153,7 @@ def test_writers_are_the_traced_names(tmp_path, monkeypatch):
     fx = ["--input", "fixture:grid-torus"]
     sol = str(tmp_path / "sol.json")
     assert cli.main(["solve", *fx, "--output", sol]) == 0
+    assert calls == ["_emit"]
     for cmd, argv, via in (("demo", fx, "_emit"),
                            ("render", ["--input", sol], "export_json")):
         calls.clear()

@@ -356,12 +356,18 @@ class TestJsonText:
 # The one-pass writers against json and the per-element SVG writer
 
 # numbers where %.12g and repr part ways: whole numbers, exponents from
-# 1e12 (%g) and 1e16 (repr), subnormals, the largest double, non-finite
+# 1e12 (%g) and 1e16 (repr), subnormals, the largest double, non-finite;
+# and each side of the bounds outside which _texts fixes up a %.12g
+# text: 1e-4, 1e11 and 1e-11 |x| from a whole number
 ROUNDING_EDGES = [
     0.0, -0.0, 1.0, -3.0, 100.0, 1e-4, 9.99999999999995e-05, 0.1,
     999999999999.4, 999999999999.5, 1e12, 123456789012345.0, 1e15,
     1e16 - 2, 1e16, 1e17, 5e-324, 2.2250738585072014e-308,
-    1.7976931348623157e308, math.nan, math.inf, -math.inf]
+    1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 1e11,
+    math.nextafter(1e11, 0), math.nextafter(1e11, math.inf),
+    99999999999.99999, 3 - 3e-11, 3 + 3e-11, 12345.000000000002,
+    -5e-324, 1e-310]
 
 
 def _assert_texts_are_json(xs):
