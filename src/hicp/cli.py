@@ -201,7 +201,7 @@ _SOLUTION = ('{\n%s "geometry": %s,\n "input": {\n  "faces": %s,\n'
 
 
 def _lists(rows, pad):
-    """json's text at indent pad of a list of non-empty lists of texts."""
+    """json's text at indent pad of a list of non-empty int or text lists."""
     item = f",\n{pad}  %s"
     text = ",\n".join([f"{pad} [\n{pad}  %s" + item * (len(row) - 1)
                        + f"\n{pad} ]" for row in rows])

@@ -367,7 +367,7 @@ ROUNDING_EDGES = [
     math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 1e11,
     math.nextafter(1e11, 0), math.nextafter(1e11, math.inf),
     99999999999.99999, 3 - 3e-11, 3 + 3e-11, 12345.000000000002,
-    -5e-324, 1e-310]
+    1.0000000000049, -12345.0000000499, -5e-324, 1e-310]
 
 
 def _assert_texts_are_json(xs):
