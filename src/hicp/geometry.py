@@ -247,7 +247,6 @@ def decorate_rows(l, r, rc, g, fails=(), tri=None, exc=NotInTE):
     first."""
     fails = [*fails, *er_failures(l, r, rc)]
     with np.errstate(all="ignore"):
-        # the cosine at corner v from edges v and _W[v], facing _V[v]
         if g == EUCLIDEAN:
             l2 = l ** 2
             c = (l2 + l2[:, _W] - l2[:, _V]) / (2 * l * l[:, _W])
