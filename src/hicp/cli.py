@@ -20,17 +20,14 @@ from .complexes import build_complex, edge_key, triangulate
 from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
+from .jsontext import JsonText, edge_keys, float_map, json_text, key_order
 from .layout import (
-    JsonText,
     angles_json,
     delaunay_json,
     develop,
-    edge_keys,
     export_json,
     export_svg,
-    float_map,
     gauss_bonnet_check,
-    json_text,
     layout_json,
     merge_redundant,
     write_text,
@@ -171,10 +168,13 @@ def _target_from_input(cc, g, theta, Theta, T=None):
 
 
 def _emit(obj, path=None):
+    """Write json_text of obj, or the text of a JsonText as it stands, to
+    the file at path or to stdout."""
+    text = obj.text if isinstance(obj, JsonText) else json_text(obj)
     if path:
-        write_text(path, json_text(obj))
+        write_text(path, text)
     else:
-        sys.stdout.write(json_text(obj))
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def _solution_json(spec, g, T, sol):
     echoed vertices (any fields) and a feasibility report go through
     json_text; build_complex has checked spec's faces and tangent edges."""
     def floats(keys, values):
-        return float_map(keys, values, "  ").text[:-1]
+        return float_map(key_order(keys), values, "  ").text[:-1]
     head = mid = ""
     if sol.coords is not None:
         x, n_a = sol.coords, len(T.free_edges)
@@ -293,21 +293,31 @@ def cmd_render(args):
     return EXIT_OK
 
 
+_DEMO = ('{\n "angles": {\n  "Theta": %s,\n  "theta": %s\n },\n'
+         ' "delaunay": %s,\n "demo_version": 1,\n "gauss_bonnet": {\n'
+         '  "area": %s,\n  "residual": %s\n },\n "geometry": %s,\n'
+         ' "layout": %s}\n')
+
+
+def _demo_json(sl):
+    """The JsonText of demo's document on the layout sl: one % template
+    in json's key order, each block written at its depth."""
+    angles = angles_json(sl, "  ")
+    gb = gauss_bonnet_check(sl)
+    return JsonText(_DEMO % (
+        angles["Theta"].text[:-1], angles["theta"].text[:-1],
+        delaunay_json(sl, " ").text[:-1], json.dumps(gb["area"]),
+        json.dumps(gb["residual"]), json.dumps(sl.geometry),
+        layout_json(sl, " ").text))
+
+
 def cmd_demo(args):
     spec, g, _theta, _Theta = load_input(args.input, args.geometry)
     cc = build_complex(spec)
     T = triangulate(cc)
     x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
     sl = merge_redundant(develop(T, x, g))
-    out = {
-        "demo_version": 1,
-        "geometry": g,
-        "angles": angles_json(sl),
-        "delaunay": delaunay_json(sl),
-        "gauss_bonnet": gauss_bonnet_check(sl),
-        "layout": layout_json(sl),
-    }
-    _emit(out, args.output)
+    _emit(_demo_json(sl), args.output)
     if args.svg:
         export_svg(sl, args.svg)
     return EXIT_OK

@@ -12,7 +12,6 @@ first use, and the layout JSON is formatted from the arrays."""
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +23,15 @@ import numpy as np
 from . import geometry as geo
 from .errors import InvariantViolation, IoError, NonRedundantDiagonal
 from .geometry import EUCLIDEAN, HYPERBOLIC, check_geometry
+from .jsontext import (
+    JsonText,
+    edge_keys,
+    float_map,
+    indent,
+    key_order,
+    number_texts,
+    object_text,
+)
 
 # |theta - pi| below which a fan diagonal counts as redundant
 MERGE_TOL = 1e-6
@@ -115,6 +123,16 @@ class SurfaceLayout:
     def edges(self):
         """The layout's edges: the base complex's when merged."""
         return self.T.base.edges if self.merged else self.T.edges
+
+    @cached_property
+    def edge_order(self):
+        """The KeyOrder of the edges' "u-v" keys."""
+        return key_order(edge_keys(self.edges))
+
+    @cached_property
+    def vertex_order(self):
+        """The KeyOrder of the keys of ``T.base.vertices``."""
+        return key_order(list(map(str, self.T.base.vertices)))
 
 
 def _glue(T, dt, group, g):
@@ -288,103 +306,9 @@ def merge_redundant(sl):
 # Export
 
 
-@dataclass(frozen=True)
-class JsonText:
-    """A JSON document already written as json_text writes it, final
-    newline included; json_text places it as a value, indented to its
-    depth."""
-
-    text: str
-
-
-_ESCAPE = json.encoder.encode_basestring_ascii
-
-
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _dumps(obj, mark):
-    """json.dumps's text of obj with the string mark in place of each
-    JsonText, and the texts of the JsonTexts in order."""
-    blocks = []
-
-    def place(o):
-        if not isinstance(o, JsonText):
-            raise TypeError(f"{type(o).__name__} is not JSON serializable")
-        blocks.append(o.text)
-        return mark
-
-    return json.dumps(obj, sort_keys=True, indent=1, default=place), blocks
-
-
-def json_text(obj):
-    """obj as the text of every JSON file hicp writes: the bytes of
-    ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, each JsonText
-    written as the document it holds.  json.dumps writes a marker for
-    each JsonText, lengthened until no other text of obj holds it, and
-    each block replaces its marker, its lines indented as the marker's."""
-    for mark in itertools.accumulate(itertools.repeat("\0")):
-        text, blocks = _dumps(obj, mark)
-        if len(pieces := text.split(_ESCAPE(mark))) == len(blocks) + 1:
-            break
-    out = []
-    for piece, block in zip(pieces, blocks):
-        pad = piece.rpartition("\n")[2].partition('"')[0]
-        out += piece, block[:-1].replace("\n", "\n" + pad)
-    return "".join(out) + pieces[-1] + "\n"
-
-
-def _fill(template, rows, sep=",\n"):
-    """template filled from each row of fields in one pass, joined by sep."""
-    return sep.join([template] * len(rows)) % tuple(
-        itertools.chain.from_iterable(rows))
-
-
-def _texts(a, fmt="%r"):
-    """The numbers of array a as json writes float(fmt % x); "%r" is
-    json's own C-encoded text of the list.  A 12-digit %g text keeps a
-    decimal digit below 1e11 except near a whole number, so only numbers
-    within 1e-11 |x| of one, below 1e-4 or from 1e11 in size (where an
-    exponent may show) or not finite are read back and written again."""
-    v = a.ravel()
-    if fmt == "%r":
-        return json.dumps(v.tolist())[1:-1].split(", ") if v.size else []
-    texts = ((fmt + "\n") * v.size % tuple(v.tolist())).split()
-    m = np.abs(v)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        fine = (1e-4 <= m) & (m < 1e11) & (np.abs(v - np.round(v)) > 1e-11 * m)
-    for i in np.flatnonzero(~fine).tolist():
-        t = texts[i]
-        texts[i] = _NONFINITE.get(t) or (
-            repr(float(t)) if "e" in t else t if "." in t else t + ".0")
-    return texts
-
-
-def _object(template, keys, *cols, pad=""):
-    """The text of an object closed at indent pad, sorted as json sorts
-    keys: per key the template filled from the escaped key and its fields
-    in cols."""
-    if not keys:
-        return "{}"
-    ks, *cs = zip(*sorted(zip(keys, *cols)))
-    return ("{\n" + _fill(template, list(zip(map(_ESCAPE, ks), *cs))) + "\n"
-            + pad + "}")
-
-
-def float_map(keys, values, pad=""):
-    """The JsonText of {key: value}, str keys and float values, closed at
-    indent pad: every edge- or vertex-keyed float object hicp writes."""
-    return JsonText(_object(pad + " %s: %s", keys, _texts(
-        np.asarray(values, float)), pad=pad) + "\n")
-
-
-def edge_keys(edges):
-    """The "u-v" key of each edge (u, v)."""
-    return _fill("%d-%d", edges, "\n").split()
-
-
 _CHART = ('  %s: {\n   "circle": {\n    "center": [\n     %s,\n     %s\n'
-          '    ],\n    "radius": %s\n   },\n   "vertices": [\n%s\n   ]\n  }')
+          '    ],\n    "radius": %s\n   },\n   "vertices": [\n')
+_CHART_END = '\n   ]\n  }'
 _CHART_VERTEX = '    [\n     %s,\n     %s,\n     %s\n    ]'
 _EDGE = '  %s: {\n   "theta": %s\n  }'
 _VERTEX = '  %s: {\n   "cone_angle": %s,\n   "radius": %s\n  }'
@@ -392,52 +316,89 @@ _DELAUNAY = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,\n'
              '  "theta": %s\n }')
 
 
-def delaunay_json(sl):
+def delaunay_json(sl, pad=""):
     """Per edge keyed "u-v": theta, whether it is locally Delaunay and
-    whether it is redundant, as the JsonText json_text writes."""
-    th = sl.th
+    whether it is redundant, as the JsonText json_text writes, closed at
+    indent pad."""
+    order = sl.edge_order
+    th = sl.th[order.at]
     flags = ((0.0 <= th) & (th < math.pi), np.abs(th - math.pi) <= MERGE_TOL)
-    return JsonText(_object(_DELAUNAY, edge_keys(sl.edges), *(
+    return JsonText(object_text(indent(_DELAUNAY, pad), order, *(
         map(("false", "true").__getitem__, f.tolist()) for f in flags),
-        _texts(th)) + "\n")
+        number_texts(th), pad=pad) + "\n")
 
 
-def angles_json(sl):
-    """The angles sl realizes as float_maps: theta on the E1 edges (their
-    alpha sums) and Theta on the V1 vertices (their cone angles), summed
-    over the kernel rows in triangle order as solver.realized_sums sums
-    them.  A merged layout's edges are T's that are not fan diagonals."""
+def angles_json(sl, pad=""):
+    """The angles sl realizes as float_maps closed at indent pad: theta
+    on the E1 edges (their alpha sums) and Theta on the V1 vertices
+    (their cone angles), summed over the kernel rows in triangle order as
+    solver.realized_sums sums them.  A merged layout's edges are T's
+    that are not fan diagonals."""
     T = sl.T
     e1 = (T.eclass[T.eclass != 2] if sl.merged else T.eclass) == 1
-    return {"theta": float_map(list(itertools.compress(edge_keys(sl.edges),
-                                                       e1)), sl.asum[e1]),
-            "Theta": float_map(list(map(str, T.v1_vertices)),
-                               sl.cone[T.vclass == 1])}
+    return {"theta": float_map(sl.edge_order.masked(e1), sl.asum, pad),
+            "Theta": float_map(sl.vertex_order.masked(T.vclass == 1),
+                               sl.cone, pad)}
 
 
-def layout_json(sl):
-    """The JsonText of the layout document: per chart its circle and its
-    vertices [id, x, y], per edge theta, per vertex its radius and cone
-    angle, each number rounded to 12 significant digits.  Formatted in
-    json_text's format from sl's arrays, one % pass for the chart
-    vertices, charts, edges and vertices each."""
-    ids = sl.T.base.vertices
-    ch = sl.chart
-    x, y, cx, cy, R, th, cone, r = (_texts(a, "%.12g") for a in (
-        ch.z.real, ch.z.imag, ch.center.real, ch.center.imag, ch.R, sl.th,
-        sl.cone, sl.r))
-    rows = _fill(_CHART_VERTEX, list(zip(
-        map(ids.__getitem__, ch.vert.tolist()), x, y)), "\0").split("\0")
-    start = ch.start.tolist()
-    blocks = [",\n".join(rows[i:j]) for i, j in zip(start, start[1:])]
-    charts = _object(_CHART, list(map(str, range(len(R)))), cx, cy, R,
-                     blocks, pad=" ")
-    edges = _object(_EDGE, edge_keys(sl.edges), th, pad=" ")
-    verts = _object(_VERTEX, list(map(str, ids)), cone, r, pad=" ")
+def _place(fields, first, cols):
+    """Put the rows of the columns cols into the object array fields,
+    row i from position first[i] on."""
+    for k, col in enumerate(cols):
+        fields[first + k] = col
+
+
+@functools.cache
+def _chart_template(size, pad):
+    """The template of a chart of size vertices at indent pad: its key,
+    its circle's center x, y and radius, then each vertex's id, x, y."""
+    return indent(_CHART + ",\n".join([_CHART_VERTEX] * size) + _CHART_END,
+                   pad)
+
+
+def _charts(ch, ids, pad):
+    """The text of the charts object, closed at indent pad: one % pass
+    over the templates of the charts' sizes in json's key order, "0" <
+    "1" < "10", from one flat list of fields that index arithmetic on
+    ch.start puts in that order."""
+    order = key_order(list(map(str, range(len(ch.R)))))
+    at = order.at
+    size = np.diff(ch.start)[at]
+    before = np.cumsum(size) - size
+    rows = (np.repeat(ch.start[at] - before, size)  # in key order
+            + np.arange(len(ch.vert)))
+    head = 4 * np.arange(len(at)) + 3 * before
+    cell = 4 * np.repeat(np.arange(1, len(at) + 1), size) + 3 * np.arange(
+        len(rows))
+    fields = np.empty(4 * len(head) + 3 * len(rows), object)
+    _place(fields, head, [order.texts, *(number_texts(a, "%.12g") for a in (
+        ch.center.real[at], ch.center.imag[at], ch.R[at]))])
+    _place(fields, cell, [ids[ch.vert[rows]], *(
+        number_texts(a, "%.12g") for a in (ch.z.real[rows], ch.z.imag[rows]))])
+    sizes, which = np.unique(size, return_inverse=True)
+    templates = np.array([_chart_template(k, pad) for k in sizes.tolist()],
+                         object)[which]
+    return ("{\n" + ",\n".join(templates.tolist()) % tuple(fields.tolist())
+            + "\n" + pad + " }")
+
+
+def layout_json(sl, pad=""):
+    """The JsonText of the layout document, closed at indent pad: per
+    chart its circle and its vertices [id, x, y], per edge theta, per
+    vertex its radius and cone angle, each number rounded to 12
+    significant digits.  Formatted in json_text's format from sl's
+    arrays, one % pass for the charts, edges and vertices each."""
+    eo, vo = sl.edge_order, sl.vertex_order
+    charts = _charts(sl.chart, np.array(sl.T.base.vertices), pad)
+    edges = object_text(indent(_EDGE, pad), eo, number_texts(
+        sl.th[eo.at], "%.12g"), pad=pad + " ")
+    verts = object_text(indent(_VERTEX, pad), vo, *(number_texts(
+        a[vo.at], "%.12g") for a in (sl.cone, sl.r)), pad=pad + " ")
     return JsonText(
-        f'{{\n "charts": {charts},\n "edges": {edges},\n'
-        f' "geometry": {_ESCAPE(sl.geometry)},\n "layout_version": 1,\n'
-        f' "merged": {json.dumps(sl.merged)},\n "vertices": {verts}\n}}\n')
+        f'{{\n{pad} "charts": {charts},\n{pad} "edges": {edges},\n'
+        f'{pad} "geometry": {json.dumps(sl.geometry)},\n'
+        f'{pad} "layout_version": 1,\n{pad} "merged": '
+        f'{json.dumps(sl.merged)},\n{pad} "vertices": {verts}\n{pad}}}\n')
 
 
 def layout_to_dict(sl):
@@ -506,11 +467,18 @@ def _elements(template, *cols):
         np.column_stack(cols).ravel().tolist())
 
 
-def _interleave(mask, yes, no):
-    """The lines of yes where mask holds and of no elsewhere, in order."""
-    out = np.empty(len(mask), object)
-    out[mask], out[~mask] = yes.splitlines(), no.splitlines()
-    return "\n".join(out.tolist())
+def _mixed(mask, yes, no):
+    """One SVG element per row, one per line, in one pass: where mask
+    holds, yes's template filled from the next row of its columns of
+    texts, and elsewhere no's; yes and no are (template, *columns)."""
+    (t_yes, *c_yes), (t_no, *c_no) = yes, no
+    width = np.where(mask, len(c_yes), len(c_no))
+    at = np.cumsum(width) - width  # each row's first field
+    fields = np.empty(int(width.sum()), object)
+    _place(fields, at[mask], c_yes)
+    _place(fields, at[~mask], c_no)
+    return "\n".join(np.array((t_no, t_yes), object)[mask.astype(int)]
+                     .tolist()) % tuple(fields.tolist())
 
 
 def _geodesics(z, nxt, x, y, g, scale):
@@ -535,20 +503,21 @@ def _geodesics(z, nxt, x, y, g, scale):
         r = _svg_texts(np.hypot(dx1, dy1)[~line] * scale)
         sweep = (dx1 * dy2 - dy1 * dx2 < 0)[~line]  # written by %d as 0, 1
     p, q, u, v = (c[~line] for c in ends)
-    return _interleave(line, _elements(_LINE, *(c[line] for c in ends)),
-                       _elements(_ARC, p, q, r, r, sweep, u, v))
+    return _mixed(line, (_LINE, *(c[line] for c in ends)),
+                  (_ARC, p, q, r, r, sweep, u, v))
 
 
 def _circles(z, r, g, scale, off, color, xy=None):
-    """SVG circles of the model circles (z, r), all r > 0; xy, if given,
-    holds the texts of the screen x and y of z.  A disk circle is drawn
-    from its Euclidean representative, whose center is not z."""
+    """The template and the columns of texts of the SVG circles of the
+    model circles (z, r), all r > 0; xy, if given, holds the texts of the
+    screen x and y of z.  A disk circle is drawn from its Euclidean
+    representative, whose center is not z."""
     if g == HYPERBOLIC:
         with np.errstate(all="ignore"):
             z, r = geo.disk_circle_reps(z, r)
         xy = None
-    return _elements(_CIRCLE.format(color), *(xy or _screen(z, scale, off)),
-                     _svg_texts(r * scale))
+    return (_CIRCLE.format(color), *(xy or _screen(z, scale, off)),
+            _svg_texts(r * scale))
 
 
 def export_svg(sl, path):
@@ -583,13 +552,11 @@ def export_svg(sl, path):
     nxt = np.arange(1, len(z) + 1)
     nxt[start[1:] - 1] = start[:-1]
     lines.append(_geodesics(z, nxt, x, y, g, scale))
-    lines.append(_circles(c, R, g, scale, off, "#3366cc"))  # face circles
-    # vertex circles, and a dot at each point vertex
+    # face circles, then vertex circles and a dot at each point vertex
+    lines.append(_elements(*_circles(c, R, g, scale, off, "#3366cc")))
     dot = r <= 0
     ring = ~dot
-    lines.append(_interleave(
-        dot, _elements(_POINT, x[dot], y[dot]),
-        _circles(z[ring], r[ring], g, scale, off, "#cc3333",
-                 (x[ring], y[ring]))))
+    lines.append(_mixed(dot, (_POINT, x[dot], y[dot]), _circles(
+        z[ring], r[ring], g, scale, off, "#cc3333", (x[ring], y[ring]))))
     lines.append('</svg>')
     write_text(path, "\n".join(lines) + "\n")

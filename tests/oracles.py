@@ -5,6 +5,8 @@ different from the ones in the package, so agreement is meaningful.
 """
 
 import functools
+import itertools
+import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -17,6 +19,7 @@ import numpy as np
 import scalar_kernel as sk
 from hicp import fixtures as fx
 from hicp import geometry as geo
+from hicp import layout
 from hicp import polytope as pt
 from hicp import solver
 from hicp.complexes import (
@@ -37,7 +40,17 @@ from hicp.errors import (
     RegularityViolation,
 )
 from hicp.fixtures import reference_metric
-from hicp.layout import MERGE_TOL, edge_keys, float_map
+from hicp.jsontext import (
+    _ESCAPE,
+    JsonText,
+    _fill,
+    edge_keys,
+    float_map,
+    json_text,
+    key_order,
+    number_texts,
+)
+from hicp.layout import MERGE_TOL
 from hicp.solver import grad_U
 
 mp.mp.dps = 40
@@ -1455,9 +1468,84 @@ def demo_angles_by_extract(T, x, g):
     """The angles block of demo as extract_angles gives it: the theta and
     Theta objects of the realized angle data at x."""
     t = solver.extract_angles(T, x, g)
-    return {"theta": float_map(edge_keys(t.theta), list(t.theta.values())),
-            "Theta": float_map(list(map(str, t.Theta)),
+    return {"theta": float_map(key_order(edge_keys(t.theta)),
+                               list(t.theta.values())),
+            "Theta": float_map(key_order(list(map(str, t.Theta))),
                                list(t.Theta.values()))}
+
+
+# The splice writers of demo's and render's documents as they were
+# before the one-pass writers: each keyed block sorts its own keys,
+# the chart vertices go through a \0 split and a join per chart, and
+# json_text splices the blocks into demo's json.dumps skeleton.
+
+_CHART_BY_SPLICE = ('  %s: {\n   "circle": {\n    "center": [\n     %s,\n'
+                    '     %s\n    ],\n    "radius": %s\n   },\n'
+                    '   "vertices": [\n%s\n   ]\n  }')
+_CHART_VERTEX_BY_SPLICE = '    [\n     %s,\n     %s,\n     %s\n    ]'
+_EDGE_BY_SPLICE = '  %s: {\n   "theta": %s\n  }'
+_VERTEX_BY_SPLICE = '  %s: {\n   "cone_angle": %s,\n   "radius": %s\n  }'
+_DELAUNAY_BY_SPLICE = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,'
+                       '\n  "theta": %s\n }')
+
+
+def _object_by_splice(template, keys, *cols, pad=""):
+    if not keys:
+        return "{}"
+    ks, *cs = zip(*sorted(zip(keys, *cols)))
+    return ("{\n" + _fill(template, list(zip(map(_ESCAPE, ks), *cs)))
+            + "\n" + pad + "}")
+
+
+def _float_map_by_splice(keys, values):
+    return JsonText(_object_by_splice(" %s: %s", keys, number_texts(
+        np.asarray(values, float))) + "\n")
+
+
+def layout_text_by_splice(sl):
+    """The layout document as layout_json wrote it before its one-pass
+    charts: render's document."""
+    ids = sl.T.base.vertices
+    ch = sl.chart
+    x, y, cx, cy, R, th, cone, r = (number_texts(a, "%.12g") for a in (
+        ch.z.real, ch.z.imag, ch.center.real, ch.center.imag, ch.R, sl.th,
+        sl.cone, sl.r))
+    rows = _fill(_CHART_VERTEX_BY_SPLICE, list(zip(
+        map(ids.__getitem__, ch.vert.tolist()), x, y)), "\0").split("\0")
+    start = ch.start.tolist()
+    blocks = [",\n".join(rows[i:j]) for i, j in zip(start, start[1:])]
+    charts = _object_by_splice(_CHART_BY_SPLICE, list(map(str, range(len(R)))),
+                               cx, cy, R, blocks, pad=" ")
+    edges = _object_by_splice(_EDGE_BY_SPLICE, edge_keys(sl.edges), th,
+                              pad=" ")
+    verts = _object_by_splice(_VERTEX_BY_SPLICE, list(map(str, ids)), cone, r,
+                              pad=" ")
+    return (f'{{\n "charts": {charts},\n "edges": {edges},\n'
+            f' "geometry": {json.dumps(sl.geometry)},\n'
+            f' "layout_version": 1,\n "merged": {json.dumps(sl.merged)},\n'
+            f' "vertices": {verts}\n}}\n')
+
+
+def demo_text_by_splice(sl):
+    """demo's document on the layout sl as the splice writer wrote it:
+    json_text of a dict whose angles, delaunay and layout are
+    JsonText blocks."""
+    T = sl.T
+    th = sl.th
+    keys = edge_keys(sl.edges)
+    flags = ((0.0 <= th) & (th < math.pi), np.abs(th - math.pi) <= MERGE_TOL)
+    delaunay = JsonText(_object_by_splice(_DELAUNAY_BY_SPLICE, keys, *(
+        map(("false", "true").__getitem__, f.tolist()) for f in flags),
+        number_texts(th)) + "\n")
+    e1 = (T.eclass[T.eclass != 2] if sl.merged else T.eclass) == 1
+    angles = {"theta": _float_map_by_splice(
+                  list(itertools.compress(keys, e1)), sl.asum[e1]),
+              "Theta": _float_map_by_splice(list(map(str, T.v1_vertices)),
+                                            sl.cone[T.vclass == 1])}
+    return json_text({
+        "demo_version": 1, "geometry": sl.geometry, "angles": angles,
+        "delaunay": delaunay, "gauss_bonnet": layout.gauss_bonnet_check(sl),
+        "layout": JsonText(layout_text_by_splice(sl))})
 
 
 # ---------------------------------------------------------------------------

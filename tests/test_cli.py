@@ -15,7 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import pinched_torus_spec, tetrahedron_spec
+from conftest import (
+    fan_diagonals,
+    mixed_grid_spec,
+    pinched_torus_spec,
+    tetrahedron_spec,
+)
 from hicp import build_complex, cli, layout, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError
@@ -26,7 +31,8 @@ from hicp.fixtures import (
     reference_pattern,
     triangulated_torus_spec,
 )
-from hicp.layout import develop, json_text, layout_to_dict, merge_redundant
+from hicp.jsontext import json_text
+from hicp.layout import develop, layout_to_dict, merge_redundant
 from hicp.solver import extract_angles, reference_coords, solve
 
 
@@ -921,7 +927,9 @@ def test_demo_angles_are_the_extracted_angles(monkeypatch, name, g):
                      "--geometry", g]) == 0
     T = triangulate(build_complex(fixture_spec(name)))
     x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
-    assert emitted[0]["angles"] == oracles.demo_angles_by_extract(T, x, g)
+    assert json.loads(emitted[0].text)["angles"] == {
+        k: json.loads(block.text) for k, block in
+        oracles.demo_angles_by_extract(T, x, g).items()}
 
 
 # the scalar kernel, moved to tests/scalar_kernel.py as the reference of
@@ -1073,6 +1081,20 @@ def test_solve_echoes_vertex_fields_as_json_dumps_bytes(tmp_path):
     assert set(sol["coords"]) == {"a", "b"}
 
 
+def _write_render_inputs(d, spec, T, x, g):
+    """Write demo's input in.json and render's input sol.json, a
+    converged solution at x, into the directory d."""
+    n_a = len(T.free_edges)
+    sol = {"solution_version": 1, "geometry": g,
+           "input": dict(spec, geometry=g), "status": "Converged",
+           "coords": {"a": {f"{u}-{v}": a for (u, v), a in
+                            zip(T.free_edges, x[:n_a].tolist())},
+                      "b": {str(k): b for k, b in
+                            zip(T.v1_vertices, x[n_a:].tolist())}}}
+    (d / "in.json").write_text(json.dumps(sol["input"]))
+    (d / "sol.json").write_text(json.dumps(sol))
+
+
 @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
 @pytest.mark.parametrize("kind", ["tri24", "grid20"])
 def test_benchmark_size_outputs_are_the_reference_bytes(tmp_path, kind, g):
@@ -1085,15 +1107,7 @@ def test_benchmark_size_outputs_are_the_reference_bytes(tmp_path, kind, g):
     T = triangulate(build_complex(spec))
     l, r = reference_pattern(T, g)
     x = geo.psi_inv_surface(T, l, r, g)
-    n_a = len(T.free_edges)
-    sol = {"solution_version": 1, "geometry": g,
-           "input": dict(spec, geometry=g), "status": "Converged",
-           "coords": {"a": {f"{u}-{v}": a for (u, v), a in
-                            zip(T.free_edges, x[:n_a].tolist())},
-                      "b": {str(k): b for k, b in
-                            zip(T.v1_vertices, x[n_a:].tolist())}}}
-    (tmp_path / "in.json").write_text(json.dumps(sol["input"]))
-    (tmp_path / "sol.json").write_text(json.dumps(sol))
+    _write_render_inputs(tmp_path, spec, T, x, g)
     for cmd, path in (("demo", "in.json"), ("render", "sol.json")):
         assert cli.main([cmd, "--input", str(tmp_path / path),
                          "--output", str(tmp_path / f"{cmd}.json"),
@@ -1105,6 +1119,46 @@ def test_benchmark_size_outputs_are_the_reference_bytes(tmp_path, kind, g):
     svg = oracles.svg_by_loop(sl)
     assert (tmp_path / "demo.svg").read_text() == svg
     assert (tmp_path / "render.svg").read_text() == svg
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("case", ["mixed", "unmerged"])
+def test_layout_documents_are_the_splice_writers_bytes(tmp_path, capsys,
+                                                       case, g):
+    """demo and render on a grid torus of triangles, quads and hexagons,
+    whose merged charts have three sizes and more than ten keys, and on
+    its development with a fan diagonal off pi, render's unmerged
+    fallback, keyed by T's edges, diagonals included: each document is
+    json's text of itself and the text of the splice writer."""
+    spec = mixed_grid_spec(6, 5)
+    T = triangulate(build_complex(spec))
+    x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
+    if case == "unmerged":
+        x[T.free_edges.index(fan_diagonals(T)[0])] -= 0.02
+    _write_render_inputs(tmp_path, spec, T, x, g)
+    sl = develop(T, x, g)
+    assert cli.main(["render", "--input", str(tmp_path / "sol.json")]) == 0
+    out, err = capsys.readouterr()
+    got = {"render": (out, oracles.layout_text_by_splice(
+        sl if case == "unmerged" else merge_redundant(sl)))}
+    if case == "unmerged":
+        assert err.startswith("warning: merge failed")
+        assert len(sl.edges) == len(T.edges) > len(T.base.edges)
+        # demo merges or fails; its writer takes the development as is
+        got["demo"] = (cli._demo_json(sl).text,
+                       oracles.demo_text_by_splice(sl))
+    else:
+        assert err == ""
+        sl = merge_redundant(sl)
+        sizes = set(np.diff(sl.chart.start).tolist())
+        assert len(sl.chart.R) > 10 and sizes == {3, 4, 6}
+        assert cli.main(["demo", "--input", str(tmp_path / "in.json")]) == 0
+        got["demo"] = (capsys.readouterr().out,
+                       oracles.demo_text_by_splice(sl))
+    for cmd, (text, want) in got.items():
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  indent=1) + "\n", cmd
+        assert text == want, cmd
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

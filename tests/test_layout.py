@@ -14,7 +14,7 @@ import oracles
 from conftest import fan_diagonals, mixed_grid_spec
 from hicp import build_complex, triangulate
 from hicp import geometry as geo
-from hicp import layout
+from hicp import jsontext, layout
 from hicp.errors import HicpError, NonRedundantDiagonal
 from hicp.fixtures import (
     FIXTURES,
@@ -24,17 +24,15 @@ from hicp.fixtures import (
     triangulated_torus_spec,
 )
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
+from hicp.jsontext import JsonText, float_map, json_text, key_order
 from hicp.layout import (
-    JsonText,
     angles_json,
     delaunay_json,
     delaunay_report,
     develop,
     export_json,
     export_svg,
-    float_map,
     gauss_bonnet_check,
-    json_text,
     layout_json,
     layout_to_dict,
     merge_redundant,
@@ -357,7 +355,7 @@ class TestJsonText:
 
 # numbers where %.12g and repr part ways: whole numbers, exponents from
 # 1e12 (%g) and 1e16 (repr), subnormals, the largest double, non-finite;
-# and each side of the bounds outside which _texts fixes up a %.12g
+# and each side of the bounds outside which number_texts fixes up a %.12g
 # text: 1e-4, 1e11 and 1e-11 |x| from a whole number
 ROUNDING_EDGES = [
     0.0, -0.0, 1.0, -3.0, 100.0, 1e-4, 9.99999999999995e-05, 0.1,
@@ -373,9 +371,9 @@ ROUNDING_EDGES = [
 def _assert_texts_are_json(xs):
     # json.dumps writes repr, NaN and +-Infinity
     a = np.array(xs, float)
-    assert layout._texts(a, "%.12g") == [
+    assert jsontext.number_texts(a, "%.12g") == [
         json.dumps(float(f"{x:.12g}")) for x in xs]
-    assert layout._texts(a) == list(map(json.dumps, xs))
+    assert jsontext.number_texts(a) == list(map(json.dumps, xs))
 
 
 def test_texts_are_json_of_12_digits_and_repr():
@@ -401,7 +399,7 @@ FLOAT_MAPS = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(d=FLOAT_MAPS)
 def test_float_map_is_json_dumps(d):
-    block = float_map(list(d), list(d.values()))
+    block = float_map(key_order(list(d)), list(d.values()))
     assert isinstance(block, JsonText)
     assert block.text == _dumps(d)
     assert json_text({"a": [{"b": block}]}) == _dumps({"a": [{"b": d}]})
@@ -409,8 +407,9 @@ def test_float_map_is_json_dumps(d):
 
 def test_float_map_sorts_keys_as_strings():
     d = {"2-10": 1.5, "10-2": math.nan, "2": -math.inf, "10": 0.0}
-    assert float_map(list(d), list(d.values())).text == _dumps(d)
-    assert list(json.loads(float_map(list(d), list(d.values())).text)) == [
+    block = float_map(key_order(list(d)), list(d.values()))
+    assert block.text == _dumps(d)
+    assert list(json.loads(block.text)) == [
         "10", "10-2", "2", "2-10"]
 
 
@@ -438,6 +437,36 @@ def test_angles_json_is_the_extracted_angles(name, g):
     sl = develop(T, x, g)
     want = oracles.demo_angles_by_extract(T, x, g)
     assert angles_json(sl) == angles_json(merge_redundant(sl)) == want
+
+
+def _wrapped(text, depth):
+    """The text of a document of depth objects, each the value of the
+    key "k" in the one around it, with the block text innermost,
+    written at its depth."""
+    head = "".join('{\n' + " " * (d + 1) + '"k": ' for d in range(depth))
+    return head + text + "".join(" " * d + "}\n"
+                                 for d in reversed(range(depth)))
+
+
+@pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
+@pytest.mark.parametrize("name", ("e0-torus", "genus2", "grid-torus"))
+def test_padded_blocks_are_json_texts_placement(name, g):
+    # a block written at indent pad is the text json_text places for the
+    # unpadded block at that depth: demo writes its layout and delaunay
+    # blocks at depth 1 and its angle maps at depth 2
+    sl = reference_layout(build_complex(fixture_spec(name)), g)
+    for s in (sl, merge_redundant(sl)):
+        for depth in (1, 2):
+            pad = " " * depth
+            pairs = [(layout_json(s), layout_json(s, pad)),
+                     (delaunay_json(s), delaunay_json(s, pad))]
+            pairs += zip(angles_json(s).values(),
+                         angles_json(s, pad).values())
+            for block, padded in pairs:
+                doc = block
+                for _ in range(depth):
+                    doc = {"k": doc}
+                assert json_text(doc) == _wrapped(padded.text, depth)
 
 
 def test_svg_texts_are_the_percent_text():
