@@ -20,7 +20,7 @@ from .complexes import build_complex, edge_key, triangulate
 from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
-from .jsontext import JsonText, edge_keys, float_map, json_text, key_order
+from .jsontext import edge_keys, float_map, json_text, key_order
 from .layout import (
     angles_json,
     delaunay_json,
@@ -81,7 +81,7 @@ def _read_json(path):
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise IoError(str(exc))
-    except ValueError as exc:  # JSON syntax or text encoding
+    except (ValueError, RecursionError) as exc:  # syntax, encoding, depth
         raise HicpError(f"malformed JSON input: {exc}")
     if not isinstance(data, dict):
         raise HicpError("malformed input: expected a JSON object")
@@ -167,14 +167,16 @@ def _target_from_input(cc, g, theta, Theta, T=None):
     return make_angle_data(cc, g, theta or {}, Theta or {})
 
 
-def _emit(obj, path=None):
-    """Write json_text of obj, or the text of a JsonText as it stands, to
-    the file at path or to stdout."""
-    text = obj.text if isinstance(obj, JsonText) else json_text(obj)
+def _emit(text, path=None):
+    """Write the document text and a final newline to the file at path
+    or to stdout; an OSError becomes IoError."""
     if path:
         write_text(path, text)
     else:
-        sys.stdout.write(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            raise IoError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,7 @@ def cmd_validate(args):
     cc = build_complex(spec)
     t = _target_from_input(cc, g, theta, Theta)
     rep = check_feasibility(cc, t, cap=args.enum_cap)
-    _emit(rep.to_dict(), args.output)
+    _emit(json_text(rep.to_dict()), args.output)
     if rep.verdict == FEASIBLE:
         return EXIT_OK
     if rep.verdict == PARTIAL:
@@ -197,7 +199,7 @@ def cmd_validate(args):
 _SOLUTION = ('{\n%s "geometry": %s,\n "input": {\n  "faces": %s,\n'
              '  "geometry": %s,\n  "tangent_edges": %s,\n  "vertices": %s\n'
              ' },\n "iterations": %d,\n%s "residual_norm": %s,\n'
-             ' "solution_version": 1,\n "status": %s,\n "trace": %s\n}\n')
+             ' "solution_version": 1,\n "status": %s,\n "trace": %s\n}')
 
 
 def _lists(rows, pad):
@@ -209,18 +211,13 @@ def _lists(rows, pad):
         t for row in rows for t in row)
 
 
-def _nested(obj, pad):
-    """json_text of obj as a value at indent pad, without its newline."""
-    return json_text(obj)[:-1].replace("\n", "\n" + pad)
-
-
 def _solution_json(spec, g, T, sol):
-    """The JsonText of the solution document for every status: one %
+    """The text of the solution document for every status: one %
     template in json's key order, filled from sol's arrays.  Only the
     echoed vertices (any fields) and a feasibility report go through
     json_text; build_complex has checked spec's faces and tangent edges."""
     def floats(keys, values):
-        return float_map(key_order(keys), values, "  ").text[:-1]
+        return float_map(key_order(keys), values, "  ")
     head = mid = ""
     if sol.coords is not None:
         x, n_a = sol.coords, len(T.free_edges)
@@ -236,16 +233,16 @@ def _solution_json(spec, g, T, sol):
             floats(list(map(str, t.Theta)), list(t.Theta.values())),
             floats(edge_keys(t.theta), list(t.theta.values())))
     if sol.report is not None:
-        head += ' "feasibility": %s,\n' % _nested(sol.report.to_dict(), " ")
+        head += ' "feasibility": %s,\n' % json_text(sol.report.to_dict(), " ")
     trace = json.dumps([v for row in sol.trace for v in row])[1:-1].split(", ")
     res = sol.residual_norm
-    return JsonText(_SOLUTION % (
+    return _SOLUTION % (
         head, json.dumps(g), _lists(spec["faces"], "  "), json.dumps(g),
         _lists(spec.get("tangent_edges", []), "  "),
-        _nested(spec["vertices"], "  "), sol.iterations, mid,
+        json_text(spec["vertices"], "  "), sol.iterations, mid,
         repr(res) if math.isfinite(res) else "null", json.dumps(sol.status),
         _lists([trace[k:k + 3] for k in range(0, 3 * len(sol.trace), 3)],
-               " ")))
+               " "))
 
 
 def cmd_solve(args):
@@ -296,19 +293,18 @@ def cmd_render(args):
 _DEMO = ('{\n "angles": {\n  "Theta": %s,\n  "theta": %s\n },\n'
          ' "delaunay": %s,\n "demo_version": 1,\n "gauss_bonnet": {\n'
          '  "area": %s,\n  "residual": %s\n },\n "geometry": %s,\n'
-         ' "layout": %s}\n')
+         ' "layout": %s\n}')
 
 
 def _demo_json(sl):
-    """The JsonText of demo's document on the layout sl: one % template
+    """The text of demo's document on the layout sl: one % template
     in json's key order, each block written at its depth."""
     angles = angles_json(sl, "  ")
     gb = gauss_bonnet_check(sl)
-    return JsonText(_DEMO % (
-        angles["Theta"].text[:-1], angles["theta"].text[:-1],
-        delaunay_json(sl, " ").text[:-1], json.dumps(gb["area"]),
-        json.dumps(gb["residual"]), json.dumps(sl.geometry),
-        layout_json(sl, " ").text))
+    return _DEMO % (
+        angles["Theta"], angles["theta"], delaunay_json(sl, " "),
+        json.dumps(gb["area"]), json.dumps(gb["residual"]),
+        json.dumps(sl.geometry), layout_json(sl, " "))
 
 
 def cmd_demo(args):
@@ -411,7 +407,7 @@ def cmd_roundtrip(args):
         "errors": errors,
         "max_error": max_err,
     }
-    _emit(out, args.output)
+    _emit(json_text(out), args.output)
     print(f"max recovery error: {max_err:.3e}", file=sys.stderr)
     return EXIT_OK if max_err < 1e-6 else EXIT_SOLVER
 

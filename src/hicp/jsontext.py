@@ -1,26 +1,16 @@
 """The text of every JSON document hicp writes: the bytes of
-``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, written by
-json_text from a document, or by the block writers straight from arrays
-of numbers and lists of keys, one % pass per block."""
+``json.dumps(obj, sort_keys=True, indent=1)``, written by json_text
+from a document, or by the block writers straight from arrays of
+numbers and lists of keys, one % pass per block.  A text has no final
+newline; the writer of the file or of stdout adds it."""
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class JsonText:
-    """A JSON document already written as json_text writes it, final
-    newline included; json_text places it as a value, indented to its
-    depth."""
-
-    text: str
-
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 
@@ -28,35 +18,12 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _dumps(obj, mark):
-    """json.dumps's text of obj with the string mark in place of each
-    JsonText, and the texts of the JsonTexts in order."""
-    blocks = []
-
-    def place(o):
-        if not isinstance(o, JsonText):
-            raise TypeError(f"{type(o).__name__} is not JSON serializable")
-        blocks.append(o.text)
-        return mark
-
-    return json.dumps(obj, sort_keys=True, indent=1, default=place), blocks
-
-
-def json_text(obj):
-    """obj as the text of every JSON file hicp writes: the bytes of
-    ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, each JsonText
-    written as the document it holds.  json.dumps writes a marker for
-    each JsonText, lengthened until no other text of obj holds it, and
-    each block replaces its marker, its lines indented as the marker's."""
-    for mark in itertools.accumulate(itertools.repeat("\0")):
-        text, blocks = _dumps(obj, mark)
-        if len(pieces := text.split(_ESCAPE(mark))) == len(blocks) + 1:
-            break
-    out = []
-    for piece, block in zip(pieces, blocks):
-        pad = piece.rpartition("\n")[2].partition('"')[0]
-        out += piece, block[:-1].replace("\n", "\n" + pad)
-    return "".join(out) + pieces[-1] + "\n"
+def json_text(obj, pad=""):
+    """``json.dumps(obj, sort_keys=True, indent=1)`` as a value at indent
+    pad: each line after the first indented by pad more (json escapes
+    every newline inside a string)."""
+    text = json.dumps(obj, sort_keys=True, indent=1)
+    return text.replace("\n", "\n" + pad)
 
 
 def _fill(template, rows, sep=",\n"):
@@ -122,11 +89,11 @@ def object_text(template, order, *cols, pad=""):
 
 
 def float_map(order, values, pad=""):
-    """The JsonText of {key: value} over the keys of a KeyOrder, their
-    float values in list order, closed at indent pad: every edge- or
+    """The text of {key: value} over the keys of a KeyOrder, their float
+    values in list order, closed at indent pad: every edge- or
     vertex-keyed float object hicp writes."""
-    return JsonText(object_text(pad + " %s: %s", order, number_texts(
-        np.asarray(values, float)[order.at]), pad=pad) + "\n")
+    return object_text(pad + " %s: %s", order, number_texts(
+        np.asarray(values, float)[order.at]), pad=pad)
 
 
 def edge_keys(edges):

@@ -24,7 +24,6 @@ from . import geometry as geo
 from .errors import InvariantViolation, IoError, NonRedundantDiagonal
 from .geometry import EUCLIDEAN, HYPERBOLIC, check_geometry
 from .jsontext import (
-    JsonText,
     edge_keys,
     float_map,
     indent,
@@ -236,7 +235,7 @@ def develop(T, x, g):
 def delaunay_report(sl):
     """Per-edge record: intersection angle, local Delaunay flag,
     redundancy flag; the dict view of delaunay_json."""
-    rep = json.loads(delaunay_json(sl).text)
+    rep = json.loads(delaunay_json(sl))
     return {e: rep[k] for e, k in zip(sl.edges, edge_keys(sl.edges))}
 
 
@@ -318,14 +317,13 @@ _DELAUNAY = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,\n'
 
 def delaunay_json(sl, pad=""):
     """Per edge keyed "u-v": theta, whether it is locally Delaunay and
-    whether it is redundant, as the JsonText json_text writes, closed at
-    indent pad."""
+    whether it is redundant, closed at indent pad."""
     order = sl.edge_order
     th = sl.th[order.at]
     flags = ((0.0 <= th) & (th < math.pi), np.abs(th - math.pi) <= MERGE_TOL)
-    return JsonText(object_text(indent(_DELAUNAY, pad), order, *(
+    return object_text(indent(_DELAUNAY, pad), order, *(
         map(("false", "true").__getitem__, f.tolist()) for f in flags),
-        number_texts(th), pad=pad) + "\n")
+        number_texts(th), pad=pad)
 
 
 def angles_json(sl, pad=""):
@@ -383,7 +381,7 @@ def _charts(ch, ids, pad):
 
 
 def layout_json(sl, pad=""):
-    """The JsonText of the layout document, closed at indent pad: per
+    """The text of the layout document, closed at indent pad: per
     chart its circle and its vertices [id, x, y], per edge theta, per
     vertex its radius and cone angle, each number rounded to 12
     significant digits.  Formatted in json_text's format from sl's
@@ -394,29 +392,29 @@ def layout_json(sl, pad=""):
         sl.th[eo.at], "%.12g"), pad=pad + " ")
     verts = object_text(indent(_VERTEX, pad), vo, *(number_texts(
         a[vo.at], "%.12g") for a in (sl.cone, sl.r)), pad=pad + " ")
-    return JsonText(
-        f'{{\n{pad} "charts": {charts},\n{pad} "edges": {edges},\n'
-        f'{pad} "geometry": {json.dumps(sl.geometry)},\n'
-        f'{pad} "layout_version": 1,\n{pad} "merged": '
-        f'{json.dumps(sl.merged)},\n{pad} "vertices": {verts}\n{pad}}}\n')
+    return (f'{{\n{pad} "charts": {charts},\n{pad} "edges": {edges},\n'
+            f'{pad} "geometry": {json.dumps(sl.geometry)},\n'
+            f'{pad} "layout_version": 1,\n{pad} "merged": '
+            f'{json.dumps(sl.merged)},\n{pad} "vertices": {verts}\n{pad}}}')
 
 
 def layout_to_dict(sl):
     """The layout document that export_json writes, as a dict."""
-    return json.loads(layout_json(sl).text)
+    return json.loads(layout_json(sl))
 
 
 def write_text(path, text):
-    """Write text to the file at path; an OSError becomes IoError."""
+    """Write text and a final newline to the file at path; an OSError
+    becomes IoError."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            print(text, file=fh)
     except OSError as exc:
         raise IoError(str(exc))
 
 
 def export_json(sl, path):
-    write_text(path, layout_json(sl).text)
+    write_text(path, layout_json(sl))
 
 
 _PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
@@ -559,4 +557,4 @@ def export_svg(sl, path):
     lines.append(_mixed(dot, (_POINT, x[dot], y[dot]), _circles(
         z[ring], r[ring], g, scale, off, "#cc3333", (x[ring], y[ring]))))
     lines.append('</svg>')
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines))

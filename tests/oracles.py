@@ -42,11 +42,9 @@ from hicp.errors import (
 from hicp.fixtures import reference_metric
 from hicp.jsontext import (
     _ESCAPE,
-    JsonText,
     _fill,
     edge_keys,
     float_map,
-    json_text,
     key_order,
     number_texts,
 )
@@ -1477,7 +1475,49 @@ def demo_angles_by_extract(T, x, g):
 # The splice writers of demo's and render's documents as they were
 # before the one-pass writers: each keyed block sorts its own keys,
 # the chart vertices go through a \0 split and a join per chart, and
-# json_text splices the blocks into demo's json.dumps skeleton.
+# json_text_by_splice splices the blocks into demo's json.dumps
+# skeleton.
+
+
+@dataclass(frozen=True)
+class JsonText:
+    """A JSON document already written as json_text_by_splice writes it,
+    final newline included; json_text_by_splice places it as a value,
+    indented to its depth."""
+
+    text: str
+
+
+def _dumps_marked(obj, mark):
+    """json.dumps's text of obj with the string mark in place of each
+    JsonText, and the texts of the JsonTexts in order."""
+    blocks = []
+
+    def place(o):
+        if not isinstance(o, JsonText):
+            raise TypeError(f"{type(o).__name__} is not JSON serializable")
+        blocks.append(o.text)
+        return mark
+
+    return json.dumps(obj, sort_keys=True, indent=1, default=place), blocks
+
+
+def json_text_by_splice(obj):
+    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, each
+    JsonText written as the document it holds.  json.dumps writes a
+    marker for each JsonText, lengthened until no other text of obj
+    holds it, and each block replaces its marker, its lines indented as
+    the marker's."""
+    for mark in itertools.accumulate(itertools.repeat("\0")):
+        text, blocks = _dumps_marked(obj, mark)
+        if len(pieces := text.split(_ESCAPE(mark))) == len(blocks) + 1:
+            break
+    out = []
+    for piece, block in zip(pieces, blocks):
+        pad = piece.rpartition("\n")[2].partition('"')[0]
+        out += piece, block[:-1].replace("\n", "\n" + pad)
+    return "".join(out) + pieces[-1] + "\n"
+
 
 _CHART_BY_SPLICE = ('  %s: {\n   "circle": {\n    "center": [\n     %s,\n'
                     '     %s\n    ],\n    "radius": %s\n   },\n'
@@ -1528,7 +1568,7 @@ def layout_text_by_splice(sl):
 
 def demo_text_by_splice(sl):
     """demo's document on the layout sl as the splice writer wrote it:
-    json_text of a dict whose angles, delaunay and layout are
+    json_text_by_splice of a dict whose angles, delaunay and layout are
     JsonText blocks."""
     T = sl.T
     th = sl.th
@@ -1542,7 +1582,7 @@ def demo_text_by_splice(sl):
                   list(itertools.compress(keys, e1)), sl.asum[e1]),
               "Theta": _float_map_by_splice(list(map(str, T.v1_vertices)),
                                             sl.cone[T.vclass == 1])}
-    return json_text({
+    return json_text_by_splice({
         "demo_version": 1, "geometry": sl.geometry, "angles": angles,
         "delaunay": delaunay, "gauss_bonnet": layout.gauss_bonnet_check(sl),
         "layout": JsonText(layout_text_by_splice(sl))})

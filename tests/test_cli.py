@@ -89,6 +89,42 @@ class TestUsage:
         rc, _ = run(tmp_path, "validate", "--input", str(p))
         assert rc == 1
 
+    @pytest.mark.parametrize("cmd", ["validate", "render"])
+    def test_json_too_deep_to_read(self, tmp_path, capsys, cmd):
+        # json.load raises RecursionError past the interpreter's limit
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main([cmd, "--input", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON input: maximum recursion")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", ["validate", "demo"])
+    def test_failed_write_to_stdout(self, capsys, monkeypatch, cmd):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert cli.main([cmd, "--input", "fixture:grid-torus"]) == 5
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device\n")
+
+    def test_closed_stdout_pipe(self):
+        read, write = os.pipe()
+        os.close(read)
+        code = "import sys\nfrom hicp import cli\nsys.exit(cli.main())\n"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "validate", "--input",
+                 "fixture:grid-torus"], stdout=write, stderr=subprocess.PIPE,
+                env=env, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert [proc.returncode, proc.stderr] == [
+            5, "error: [Errno 32] Broken pipe\n"]
+
 
 def tetrahedron_doc():
     spec = tetrahedron_spec(v1=(0, 1))
@@ -927,8 +963,8 @@ def test_demo_angles_are_the_extracted_angles(monkeypatch, name, g):
                      "--geometry", g]) == 0
     T = triangulate(build_complex(fixture_spec(name)))
     x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
-    assert json.loads(emitted[0].text)["angles"] == {
-        k: json.loads(block.text) for k, block in
+    assert json.loads(emitted[0])["angles"] == {
+        k: json.loads(block) for k, block in
         oracles.demo_angles_by_extract(T, x, g).items()}
 
 
@@ -984,20 +1020,20 @@ def test_commands_run_only_the_batched_kernel(tmp_path, monkeypatch, name,
 @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_documents_are_json_dumps_bytes(tmp_path, name, g):
-    """Each document validate, solve, render and demo write is the text
-    json.dumps writes of it, and json_text writes the same."""
+    """Each document validate, solve, render, demo and roundtrip write is
+    the text json.dumps writes of it, and json_text writes the same."""
     fx = ["--input", f"fixture:{name}", "--geometry", g]
     sol = str(tmp_path / "solve.json")
     cli.main(["solve", *fx, "--output", sol])
     for cmd, argv in (("validate", fx), ("render", ["--input", sol]),
-                      ("demo", fx)):
+                      ("demo", fx), ("roundtrip", [*fx, "--samples", "2"])):
         cli.main([cmd, *argv, "--output", str(tmp_path / f"{cmd}.json")])
-    assert len(list(tmp_path.iterdir())) == 4
+    assert len(list(tmp_path.iterdir())) == 5
     for p in tmp_path.iterdir():
         text = p.read_text()
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
-        assert json_text(doc) == text
+        assert json_text(doc) + "\n" == text
 
 
 SOLUTION_CASES = {
@@ -1062,8 +1098,8 @@ def test_huge_cone_angles_overflow_without_a_warning(tmp_path, capsys, g,
 def test_solve_echoes_vertex_fields_as_json_dumps_bytes(tmp_path):
     """solve writes the input's vertex objects back as they came, here
     with fields of control, line-separator and non-ASCII text, strings
-    and a key that equal json_text's first splice markers, nested lists
-    and a NaN: the document is the text json.dumps writes of it."""
+    and a key of NUL characters, nested lists and a NaN: the document is
+    the text json.dumps writes of it."""
     spec = fixture_spec("tri-torus-v1")
     extra = {"label": "\u0000", "note": "x\"\u0000\u2028\u00e9\U0001f600",
              "path": [[1, ["\u0000\u0000", None]], {"\u0000": True}],
@@ -1145,7 +1181,7 @@ def test_layout_documents_are_the_splice_writers_bytes(tmp_path, capsys,
         assert err.startswith("warning: merge failed")
         assert len(sl.edges) == len(T.edges) > len(T.base.edges)
         # demo merges or fails; its writer takes the development as is
-        got["demo"] = (cli._demo_json(sl).text,
+        got["demo"] = (cli._demo_json(sl) + "\n",
                        oracles.demo_text_by_splice(sl))
     else:
         assert err == ""

@@ -24,7 +24,7 @@ from hicp.fixtures import (
     triangulated_torus_spec,
 )
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
-from hicp.jsontext import JsonText, float_map, json_text, key_order
+from hicp.jsontext import float_map, json_text, key_order
 from hicp.layout import (
     angles_json,
     delaunay_json,
@@ -294,8 +294,8 @@ class TestExport:
         th = grid_layout.th.copy()
         th[:3] = math.nan, math.inf, -math.inf
         sl = dataclasses.replace(grid_layout, th=th)
-        text = layout_json(sl).text
-        assert text == _dumps(oracles.layout_to_dict_by_loop(sl))
+        text = layout_json(sl)
+        assert text + "\n" == _dumps(oracles.layout_to_dict_by_loop(sl))
         assert "NaN" in text and "-Infinity" in text
 
     def test_svg(self, genus2_layout, tmp_path):
@@ -326,21 +326,19 @@ class TestJsonText:
     @settings(max_examples=300, deadline=None)
     @given(doc=JSON_DOCS)
     def test_is_json_dumps(self, doc):
-        assert json_text(doc) == _dumps(doc)
+        assert json_text(doc) + "\n" == _dumps(doc)
 
     @settings(max_examples=100, deadline=None)
-    @given(doc=JSON_DOCS, inner=JSON_DOCS)
-    def test_places_a_written_block_at_its_depth(self, doc, inner):
-        block = JsonText(json_text(inner))
-        assert (json_text([doc, {"k": [block]}])
-                == _dumps([doc, {"k": [inner]}]))
-        assert json_text(block) == _dumps(inner)
+    @given(doc=JSON_DOCS, depth=st.integers(1, 3))
+    def test_pad_places_the_text_at_its_depth(self, doc, depth):
+        assert (_wrapped(json_text(doc, " " * depth), depth) + "\n"
+                == _dumps(_nest(doc, depth)))
 
     @pytest.mark.parametrize("value", [
         np.float64(0.1), np.float64("nan"), 2 ** 70, -(2 ** 70),
         {1: "a", 2.5: "b"}, {True: 1}, {None: 0}, "\u00e9\u2028\x00\"\\"])
     def test_scalars_and_keys_as_json(self, value):
-        assert json_text(value) == _dumps(value)
+        assert json_text(value) + "\n" == _dumps(value)
 
     def test_rejects_what_json_rejects(self):
         for value in (np.int64(1), {1, 2}, {(1, 2): 0}):
@@ -400,16 +398,14 @@ FLOAT_MAPS = st.dictionaries(
 @given(d=FLOAT_MAPS)
 def test_float_map_is_json_dumps(d):
     block = float_map(key_order(list(d)), list(d.values()))
-    assert isinstance(block, JsonText)
-    assert block.text == _dumps(d)
-    assert json_text({"a": [{"b": block}]}) == _dumps({"a": [{"b": d}]})
+    assert block + "\n" == _dumps(d)
 
 
 def test_float_map_sorts_keys_as_strings():
     d = {"2-10": 1.5, "10-2": math.nan, "2": -math.inf, "10": 0.0}
     block = float_map(key_order(list(d)), list(d.values()))
-    assert block.text == _dumps(d)
-    assert list(json.loads(block.text)) == [
+    assert block + "\n" == _dumps(d)
+    assert list(json.loads(block)) == [
         "10", "10-2", "2", "2-10"]
 
 
@@ -420,7 +416,7 @@ def test_delaunay_json_is_the_report(name):
     th[:3] = math.nan, math.inf, -math.inf
     for s in (sl, merge_redundant(sl), dataclasses.replace(sl, th=th)):
         want = oracles.delaunay_report_by_loop(s)
-        assert delaunay_json(s).text == _dumps(
+        assert delaunay_json(s) + "\n" == _dumps(
             {f"{u}-{v}": rec for (u, v), rec in want.items()})
         if s.th is not th:
             assert delaunay_report(s) == want
@@ -439,34 +435,39 @@ def test_angles_json_is_the_extracted_angles(name, g):
     assert angles_json(sl) == angles_json(merge_redundant(sl)) == want
 
 
+def _nest(doc, depth):
+    """doc as the value of the key "k" in depth objects, one in another."""
+    for _ in range(depth):
+        doc = {"k": doc}
+    return doc
+
+
 def _wrapped(text, depth):
-    """The text of a document of depth objects, each the value of the
-    key "k" in the one around it, with the block text innermost,
-    written at its depth."""
+    """The text of _nest's document of depth objects with the block text
+    innermost, written at its depth."""
     head = "".join('{\n' + " " * (d + 1) + '"k": ' for d in range(depth))
-    return head + text + "".join(" " * d + "}\n"
+    return head + text + "".join("\n" + " " * d + "}"
                                  for d in reversed(range(depth)))
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
 @pytest.mark.parametrize("name", ("e0-torus", "genus2", "grid-torus"))
 def test_padded_blocks_are_json_texts_placement(name, g):
-    # a block written at indent pad is the text json_text places for the
-    # unpadded block at that depth: demo writes its layout and delaunay
-    # blocks at depth 1 and its angle maps at depth 2
+    # a block written at indent pad is json's text of the unpadded
+    # block's document at that depth (at depth 0, of itself): demo writes
+    # its layout and delaunay blocks at depth 1 and its angle maps at
+    # depth 2
     sl = reference_layout(build_complex(fixture_spec(name)), g)
     for s in (sl, merge_redundant(sl)):
-        for depth in (1, 2):
+        for depth in (0, 1, 2):
             pad = " " * depth
             pairs = [(layout_json(s), layout_json(s, pad)),
                      (delaunay_json(s), delaunay_json(s, pad))]
             pairs += zip(angles_json(s).values(),
                          angles_json(s, pad).values())
             for block, padded in pairs:
-                doc = block
-                for _ in range(depth):
-                    doc = {"k": doc}
-                assert json_text(doc) == _wrapped(padded.text, depth)
+                assert (_wrapped(padded, depth) + "\n"
+                        == _dumps(_nest(json.loads(block), depth)))
 
 
 def test_svg_texts_are_the_percent_text():
@@ -630,7 +631,7 @@ def _assert_layout_document_matches_loop(sl):
     # rounded number at a time
     want = oracles.layout_to_dict_by_loop(sl)
     assert layout_to_dict(sl) == want
-    assert layout_json(sl).text == _dumps(want)
+    assert layout_json(sl) + "\n" == _dumps(want)
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
