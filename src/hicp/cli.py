@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -56,11 +57,16 @@ EXIT_IO = 5
 
 
 def _edge_from_key(s):
-    try:
-        i, j = s.split("-")
-        return edge_key(int(i), int(j))
-    except ValueError:
-        raise HicpError(f"bad edge key {s!r}; expected 'i-j'")
+    """The edge of an "i-j" key: two ids joined by "-", in either order,
+    each as int reads it, so either may be negative ("-1-0", "0--1").
+    Only one "-" can split a key into two ids."""
+    k = s.find("-", 1)
+    while k > 0:
+        try:
+            return edge_key(int(s[:k]), int(s[k + 1:]))
+        except ValueError:
+            k = s.find("-", k + 1)
+    raise HicpError(f"bad edge key {s!r}; expected 'i-j'")
 
 
 def _unique_keys(pairs):
@@ -124,6 +130,36 @@ def _require_keys(got, want, what, fmt):
     if bad:
         kind = "missing" if bad[0] in want else "unexpected"
         raise HicpError(f"malformed input: {kind} key {fmt(bad[0])} in {what}")
+
+
+def _coord_keys(T):
+    """The keys solve writes for the coordinates on T, in free-variable
+    order: "u-v" (u < v) per free edge, then the id per disk."""
+    ids = T.base.vertices
+    return (edge_keys(ids, T.ends[T.eclass != 0]),
+            list(map(str, itertools.compress(ids, T.vclass.tolist()))))
+
+
+def _coords(T, a, b):
+    """The coordinate vector of a solution's coords.a and coords.b: one
+    lookup per key of _coord_keys when those are all their keys and the
+    values are finite JSON numbers, else the dict reading, which takes
+    any key _edge_from_key or int reads and names the first fault."""
+    keys_a, keys_b = _coord_keys(T)
+    try:
+        values = [a[k] for k in keys_a] + [b[k] for k in keys_b]
+        if (type(a) is type(b) is dict and len(a) + len(b) == len(values)
+                and {int, float}.issuperset(map(type, values))
+                and np.isfinite(x := np.array(values, float)).all()):
+            return x
+    except (KeyError, TypeError, OverflowError):
+        pass
+    a = _number_map(a, "coords.a", _edge_from_key)
+    b = _number_map(b, "coords.b", int)
+    _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
+    _require_keys(b, T.v1_vertices, "coords.b", str)
+    return np.array([a[e] for e in T.free_edges]
+                    + [b[k] for k in T.v1_vertices])
 
 
 def _problem(data, geometry=None):
@@ -220,18 +256,17 @@ def _solution_json(spec, g, T, sol):
         return float_map(key_order(keys), values, "  ")
     head = mid = ""
     if sol.coords is not None:
-        x, n_a = sol.coords, len(T.free_edges)
+        x, (a, b) = sol.coords, _coord_keys(T)
         l, r = geo.psi_surface(T, x, g)
         head = ' "coords": {\n  "a": %s,\n  "b": %s\n },\n' % (
-            floats(edge_keys(T.free_edges), x[:n_a]),
-            floats(list(map(str, T.v1_vertices)), x[n_a:]))
+            floats(a, x[:len(a)]), floats(b, x[len(a):]))
         mid = ' "lengths": {\n  "l": %s,\n  "r": %s\n },\n' % (
-            floats(edge_keys(T.edges), l),
+            floats(edge_keys(T.base.vertices, T.ends), l),
             floats(list(map(str, T.base.vertices)), r))
     if (t := sol.realized_angles) is not None:
         mid += ' "realized": {\n  "Theta": %s,\n  "theta": %s\n },\n' % (
             floats(list(map(str, t.Theta)), list(t.Theta.values())),
-            floats(edge_keys(t.theta), list(t.theta.values())))
+            floats(["%d-%d" % e for e in t.theta], list(t.theta.values())))
     if sol.report is not None:
         head += ' "feasibility": %s,\n' % json_text(sol.report.to_dict(), " ")
     trace = json.dumps([v for row in sol.trace for v in row])[1:-1].split(", ")
@@ -270,12 +305,7 @@ def cmd_render(args):
     coords = data["coords"]
     if not isinstance(coords, dict):
         raise HicpError("malformed input: coords must be a JSON object")
-    a = _number_map(coords.get("a"), "coords.a", _edge_from_key)
-    b = _number_map(coords.get("b"), "coords.b", int)
-    _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
-    _require_keys(b, T.v1_vertices, "coords.b", str)
-    sl = develop(T, np.array([a[e] for e in T.free_edges]
-                             + [b[k] for k in T.v1_vertices]), g)
+    sl = develop(T, _coords(T, coords.get("a"), coords.get("b")), g)
     try:
         sl = merge_redundant(sl)
     except HicpError as exc:

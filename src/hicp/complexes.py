@@ -19,9 +19,9 @@ intersection angle, ``E_pi`` edges are the fan diagonals added by
 from __future__ import annotations
 
 import itertools
+from itertools import compress
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -34,47 +34,71 @@ from .errors import (
     RegularityViolation,
 )
 
-Edge = tuple  # (i, j) with i < j
-
 
 def edge_key(i, j):
     return (i, j) if i < j else (j, i)
+
+
+def _id_pairs(ids, ends):
+    """The id pairs of the rows of ends, positions in the list ids."""
+    lo, hi = ends.T.tolist()
+    return tuple(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
 
 
 # ---------------------------------------------------------------------------
 # CellComplex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellComplex:
     """A validated geodesic-cell-complex combinatorics on a closed
-    oriented surface."""
+    oriented surface, as arrays over the positions of its vertices in
+    ``vertices`` and of its edges, sorted by their ends.  The id views
+    (``faces``, ``edges`` and the class sets) are built on first read."""
 
-    v1: frozenset
-    v0: frozenset
-    faces: tuple  # consistently oriented cyclic vertex tuples
-    edges: tuple  # sorted edge pairs
-    e0: frozenset
-    e1: frozenset
-    # edge -> (face index with the edge directed i->j, face index with j->i)
-    edge_faces: Mapping[Edge, tuple] = field(hash=False)
-    # the faces as one array of vertex positions in ``vertices``: face k
-    # is face_vert[face_start[k]:face_start[k + 1]]
-    face_vert: np.ndarray = field(hash=False, compare=False, repr=False)
-    face_start: np.ndarray = field(hash=False, compare=False, repr=False)
-
-    @cached_property
-    def vertices(self):
-        return sorted(self.v0 | self.v1)
+    vertices: list  # the vertex ids, sorted
+    vclass: np.ndarray  # (V,) 1 for a disk (V1), 0 for a point circle (V0)
+    # the consistently oriented faces as one array of vertex positions:
+    # face k is face_vert[face_start[k]:face_start[k + 1]]
+    face_vert: np.ndarray
+    face_start: np.ndarray
+    ends: np.ndarray  # (E, 2) per edge, sorted: its lower and upper end
+    eclass: np.ndarray  # (E,) 0 for E0, 1 for E1
+    # (E, 2) per edge: the face that traverses it from its lower end to
+    # its upper end, then the face that traverses it back
+    edge_face: np.ndarray
 
     @cached_property
-    def ends(self):
-        """(E, 2) per edge: its ends' positions in ``vertices``."""
-        return np.searchsorted(self.vertices, np.reshape(self.edges, (-1, 2)))
+    def faces(self):
+        """The faces as cyclic tuples of vertex ids."""
+        fv = list(map(self.vertices.__getitem__, self.face_vert.tolist()))
+        s = self.face_start.tolist()
+        return tuple(tuple(fv[a:b]) for a, b in zip(s, s[1:]))
+
+    @cached_property
+    def edges(self):
+        """The edges as sorted id pairs, sorted."""
+        return _id_pairs(self.vertices, self.ends)
+
+    @cached_property
+    def v1(self):
+        return frozenset(compress(self.vertices, self.vclass.tolist()))
+
+    @cached_property
+    def v0(self):
+        return frozenset(self.vertices) - self.v1
+
+    @cached_property
+    def e0(self):
+        return frozenset(compress(self.edges, (self.eclass == 0).tolist()))
+
+    @cached_property
+    def e1(self):
+        return frozenset(self.edges) - self.e0
 
     @property
     def chi(self):
-        return len(self.v0) + len(self.v1) - len(self.edges) + len(self.faces)
+        return len(self.vertices) - len(self.ends) + len(self.face_start) - 1
 
 
 def _int_lists(seqs, n=None):
@@ -101,11 +125,21 @@ def _check_face(f, seen):
             raise IndexMismatch(f"face {f} uses unknown vertex {v}")
 
 
+def _positions(keys, x):
+    """The positions in the sorted array keys of the entries of x, and
+    where each is one of keys."""
+    at = np.searchsorted(keys, x)
+    known = at < len(keys)
+    known[known] = keys[at[known]] == x[known]
+    return at, known
+
+
 def build_complex(spec):
     """Validate a raw cell description (parsed JSON dict) and derive the
-    edge set.  See the module docstring for the conventions.  Faces,
-    sides and face pairs are checked by set and array passes; each check
-    raises at its first violation in face order."""
+    edge set.  See the module docstring for the conventions.  Vertices,
+    faces, sides, face pairs and tangent edges are checked by array
+    passes over vertex positions and edge codes; each check raises at its
+    first violation in input order."""
     if not (isinstance(spec, dict)
             and isinstance(spec.get("vertices"), (list, tuple))
             and all(issubclass(t, dict)
@@ -120,84 +154,82 @@ def build_complex(spec):
             "with an integer 'id'), 'faces' (lists of vertex ids) and "
             "optional 'tangent_edges' (pairs of vertex ids)")
 
-    v0, v1 = set(), set()
-    seen = set()
-    for item in spec["vertices"]:
-        vid = item["id"]
-        if vid in seen:
-            raise RegularityViolation(f"duplicate vertex id {vid}")
-        seen.add(vid)
-        circle = item.get("circle", "disk")
-        if circle == "disk":
-            v1.add(vid)
-        elif circle == "point":
-            v0.add(vid)
-        else:
-            raise IndexMismatch(f"unknown circle tag {circle!r} on vertex {vid}")
-
-    faces = list(map(tuple, spec["faces"]))
-    F = len(faces)
-    sizes = np.fromiter(map(len, faces), int, F)
-    if (sizes.min(initial=3) < 3
-            or not np.array_equal(np.fromiter(map(len, map(set, faces)), int,
-                                              F), sizes)
-            or not seen.issuperset(itertools.chain.from_iterable(faces))):
-        for f in faces:
-            _check_face(f, seen)
+    ids = [item["id"] for item in spec["vertices"]]
+    circles = [item.get("circle", "disk") for item in spec["vertices"]]
+    seen = set(ids)
+    if (len(seen) < len(ids)
+            or circles.count("disk") + circles.count("point") < len(ids)):
+        seen = set()
+        for vid, circle in zip(ids, circles):
+            if vid in seen:
+                raise RegularityViolation(f"duplicate vertex id {vid}")
+            seen.add(vid)
+            if circle not in ("disk", "point"):
+                raise IndexMismatch(
+                    f"unknown circle tag {circle!r} on vertex {vid}")
+    faces, tangent = spec["faces"], spec.get("tangent_edges", [])
+    lists = ids, list(itertools.chain.from_iterable(faces)), tangent
+    try:
+        vid, fid, tid = (np.array(x, np.int64) for x in lists)
+    except OverflowError:  # an id beyond int64
+        vid, fid, tid = (np.array(x, object) for x in lists)
+    order = np.argsort(vid, kind="stable")
+    keys, V = vid[order], len(ids)
+    verts = keys.tolist()
+    vclass = np.array([c == "disk" for c in circles], int)[order]
 
     # one row per face side: side s of face face[s] runs from vertex
     # position p[s] to q[s]
-    verts = sorted(seen)
-    vindex = {v: m for m, v in enumerate(verts)}
+    F = len(faces)
+    sizes = np.fromiter(map(len, faces), int, F)
+    face = np.repeat(np.arange(F), sizes)
+    p, known = _positions(keys, fid)
+    # sides by vertex, faces ascending: a face that revisits a vertex
+    # holds two neighbours
+    at = np.argsort(p, kind="stable")
+    pa, fa = p[at], face[at]
+    if (sizes.min(initial=3) < 3 or not known.all()
+            or ((pa[1:] == pa[:-1]) & (fa[1:] == fa[:-1])).any()):
+        for f in faces:
+            _check_face(tuple(f), seen)
     start = np.concatenate([[0], np.cumsum(sizes)])
     N = int(start[-1])
-    face = np.repeat(np.arange(F), sizes)
-    p = np.fromiter(map(vindex.__getitem__,
-                        itertools.chain.from_iterable(faces)), int, N)
     nxt = np.arange(1, N + 1)
     nxt[start[1:] - 1] = start[:-1]
     q = p[nxt]
     lo, hi = np.minimum(p, q), np.maximum(p, q)
 
+    def pair(s):  # the ids of the edge of side s
+        return verts[lo[s]], verts[hi[s]]
+
     # Each unordered pair must be covered by exactly two face sides; the
     # first violation is at the edge that appears first.
     code, first, edge, count = np.unique(
-        lo * len(verts) + hi, return_index=True, return_inverse=True,
+        lo * V + hi, return_index=True, return_inverse=True,
         return_counts=True)
     if (count != 2).any():
         s = int(first[count != 2].min())
-        e, c = (verts[lo[s]], verts[hi[s]]), int(count[edge[s]])
+        c = int(count[edge[s]])
         if c > 2:
-            raise RegularityViolation(
-                f"edge {e} appears {c} times: parallel edges are not allowed")
-        raise NotClosedSurface(f"edge {e} bounds {c} face side(s), expected 2")
-    edges = tuple(zip(map(verts.__getitem__, (code // len(verts)).tolist()),
-                      map(verts.__getitem__, (code % len(verts)).tolist())))
+            raise RegularityViolation(f"edge {pair(s)} appears {c} times: "
+                                      "parallel edges are not allowed")
+        raise NotClosedSurface(
+            f"edge {pair(s)} bounds {c} face side(s), expected 2")
     sides = np.argsort(edge, kind="stable").reshape(-1, 2)
     opp = np.empty(N, int)
     opp[sides] = sides[:, ::-1]
     up = p < q
     flip, n_parts = _orient_faces(start.tolist(), face[opp].tolist(),
-                                  (up == up[opp]).tolist(), edge.tolist(),
-                                  edges)
-    faces = [f[::-1] if fl else f for f, fl in zip(faces, flip)]
+                                  (up == up[opp]).tolist(), pair)
     side = np.arange(N)
     rev = np.array(flip, bool)[face]
     side[rev] = (start[face] + start[face + 1] - 1 - side)[rev]
-    # per edge: the face traversing it upward, then the other
-    s1, s2 = sides.T
-    up1 = up[s1] != rev[s1]
-    edge_faces = dict(zip(edges, zip(
-        np.where(up1, face[s1], face[s2]).tolist(),
-        np.where(up1, face[s2], face[s1]).tolist())))
 
     # Pairwise face regularity, over the pairs (fi < fj) of faces that
     # meet in at least two vertices, in lexicographic order: they must
     # share exactly one edge and no further vertex.  Orienting a face
     # keeps its vertex and edge sets.
-    at = np.argsort(p, kind="stable")  # sides by vertex, faces ascending
-    fa = face[at]
-    later = np.searchsorted(p[at], p[at], side="right") - np.arange(N) - 1
+    later = np.searchsorted(pa, pa, side="right") - np.arange(N) - 1
     left = np.repeat(np.arange(N), later)
     right = (left + 1 + np.arange(len(left))
              - np.repeat(np.cumsum(later) - later, later))
@@ -209,39 +241,43 @@ def build_complex(spec):
     bad = (common >= 2) & ~((shared == 1) & (common == 2))
     if bad.any():
         k = int(np.argmax(bad))
-        fi, fj = divmod(int(pairs[k]), F)
+        face_i, face_j = (tuple(faces[f])[::-1] if flip[f] else
+                          tuple(faces[f]) for f in divmod(int(pairs[k]), F))
         n_v, n_e = int(common[k]), int(shared[k])
         what = (f"share {n_e} edges" if n_e > 1
                 else f"share an edge and {n_v} vertices" if n_e
                 else f"share {n_v} vertices but no edge")
-        raise RegularityViolation(f"faces {faces[fi]} and {faces[fj]} {what}")
+        raise RegularityViolation(f"faces {face_i} and {face_j} {what}")
 
-    e0 = set()
-    for pair in spec.get("tangent_edges", []):
-        e = edge_key(*pair)
-        if e not in edge_faces:
-            raise IndexMismatch(f"tangent edge {e} is not an edge of the complex")
-        for v in e:
-            if v in v0:
-                raise E0EndpointInV0(f"tangency edge {e} has point vertex {v}")
-        e0.add(e)
-    e1 = set(edges) - e0
+    # Each tangent edge, in input order, must be an edge with no point
+    # vertex at either end.
+    eclass = np.ones(len(code), int)
+    if tangent:
+        t, known = _positions(keys, tid.reshape(-1, 2))
+        e0, is_edge = _positions(code, np.sort(t, axis=1) @ [V, 1])
+        is_edge &= known.all(axis=1)
+        if not (is_edge.all() and vclass[t].all()):
+            for pair, ok in zip(tangent, is_edge.tolist()):
+                e = edge_key(*pair)
+                if not ok:
+                    raise IndexMismatch(
+                        f"tangent edge {e} is not an edge of the complex")
+                for v in e:
+                    if circles[ids.index(v)] == "point":
+                        raise E0EndpointInV0(
+                            f"tangency edge {e} has point vertex {v}")
+        eclass[e0] = 0
 
+    # per edge: the face traversing it upward, then the other
+    up1 = up[sides[:, 0]] != rev[sides[:, 0]]
     cc = CellComplex(
-        v1=frozenset(v1),
-        v0=frozenset(v0),
-        faces=tuple(faces),
-        edges=edges,
-        e0=frozenset(e0),
-        e1=frozenset(e1),
-        edge_faces=edge_faces,
-        face_vert=p[side],
-        face_start=start,
-    )
+        vertices=verts, vclass=vclass, face_vert=p[side], face_start=start,
+        ends=np.stack([lo[first], hi[first]], axis=1), eclass=eclass,
+        edge_face=np.where(up1[:, None], face[sides], face[sides[:, ::-1]]))
     if cc.chi % 2 != 0 or cc.chi > 2:
         raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "
                                "a closed oriented surface")
-    if not faces:
+    if not F:
         raise NotClosedSurface("empty complex")
     if n_parts > 1:
         raise NotClosedSurface("complex is not connected")
@@ -272,12 +308,12 @@ def build_complex(spec):
     return cc
 
 
-def _orient_faces(start, other, same, edge, edges):
+def _orient_faces(start, other, same, pair):
     """Per face whether to reverse its cycle so that every edge is
     traversed once in each direction, and the number of connected parts.
-    Face k has the sides start[k]:start[k + 1]; side s lies on the edge
-    edges[edge[s]], whose other side lies in face other[s], and same[s]
-    tells whether both sides traverse it the same way.  Each part is
+    Face k has the sides start[k]:start[k + 1]; the other side of the
+    edge pair(s) of side s lies in face other[s], and same[s] tells
+    whether both sides traverse it the same way.  Each part is
     walked depth first from its least face, which keeps its direction."""
     flip = [None] * (len(start) - 1)
     n_parts = 0
@@ -302,7 +338,7 @@ def _orient_faces(start, other, same, edge, edges):
                     bad = flip[o] != want
                 if bad:
                     raise NotClosedSurface(
-                        f"non-orientable gluing along edge {edges[edge[s]]}")
+                        f"non-orientable gluing along edge {pair(s)}")
     return flip, n_parts
 
 
@@ -341,19 +377,16 @@ class Triangulation:
     @cached_property
     def edges(self):
         """All edges of T, sorted."""
-        ids = self.base.vertices
-        lo, hi = self.ends.T.tolist()
-        return tuple(zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi)))
+        return _id_pairs(self.base.vertices, self.ends)
 
     @cached_property
     def free_edges(self):
         """Edges carrying an `a` coordinate, sorted: E1 then diagonals."""
-        return tuple(itertools.compress(self.edges,
-                                        (self.eclass != 0).tolist()))
+        return tuple(compress(self.edges, (self.eclass != 0).tolist()))
 
     @cached_property
     def v1_vertices(self):
-        return tuple(sorted(self.base.v1))
+        return tuple(compress(self.base.vertices, self.vclass.tolist()))
 
     @cached_property
     def free_slots(self):
@@ -410,16 +443,13 @@ def triangulate(cc):
     turn = np.stack([0 * t, t, t + 1], axis=1) + apex[face, None]
     vert = fv[start[face, None] + turn % n[:, None]]
 
-    nv, ids = len(cc.v0) + len(cc.v1), cc.vertices
+    nv, ids = len(cc.vertices), cc.vertices
     heads = vert[:, [1, 2, 0]]
     code, first, edge, count = np.unique(
         (np.minimum(vert, heads) * nv + np.maximum(vert, heads)).ravel(),
         return_index=True, return_inverse=True, return_counts=True)
     edge = edge.reshape(-1, 3)
     ends = np.stack([code // nv, code % nv], axis=1)
-
-    def ids_of(k):
-        return tuple(map(ids.__getitem__, ends[k].tolist()))
 
     # the face sides are edge jk of every triangle, ij of a fan's first
     # and ki of its last; each diagonal is ij of one triangle
@@ -431,21 +461,18 @@ def triangulate(cc):
     bad |= base[diag]
     if bad.any():
         k = int(np.argmax(bad))
-        f = cc.faces[face[t >= 2][k]]
+        d, f = _id_pairs(ids, ends[diag[[k]]])[0], cc.faces[face[t >= 2][k]]
         raise RegularityViolation(
-            f"fan diagonal {ids_of(diag[k])} of face {f} collides with a "
-            "base edge" if base[diag[k]]
-            else f"fan diagonal {ids_of(diag[k])} produced twice")
+            f"fan diagonal {d} of face {f} collides with a base edge"
+            if base[diag[k]] else f"fan diagonal {d} produced twice")
     if (count != 2).any():
         k = edge.ravel()[first[count != 2].min()]
-        raise RegularityViolation(
-            f"edge {ids_of(k)} lies in {count[k]} triangles")
+        e = _id_pairs(ids, ends[[k]])[0]
+        raise RegularityViolation(f"edge {e} lies in {count[k]} triangles")
 
-    eclass = np.where(base, 1, 2)
-    if cc.e0:
-        lo, hi = np.searchsorted(np.array(ids), np.array(sorted(cc.e0))).T
-        eclass[np.searchsorted(code, lo * nv + hi)] = 0
-    vclass = np.fromiter(map(cc.v1.__contains__, ids), int, nv)
+    # the base edges are cc's, in the same (sorted) order
+    eclass, vclass = np.full(len(code), 2), cc.vclass
+    eclass[base] = cc.eclass
     free, disk = eclass != 0, vclass == 1
     n_a = int(free.sum())
     a_slot = np.where(free, np.cumsum(free) - 1, -1)
@@ -487,7 +514,7 @@ class HatTriangulation:
     def vertices(self):
         """The hat vertices by name: ("v", id), then ("f", face index)."""
         return ([("v", k) for k in self.base.vertices]
-                + [("f", fi) for fi in range(len(self.base.faces))])
+                + [("f", fi) for fi in range(len(self.base.face_start) - 1)])
 
     @cached_property
     def vindex(self):
@@ -504,12 +531,11 @@ def hat_complex(cc):
     scattered into the star rows by one ``bitwise_or.at``.  A hat vertex
     is a corner of itself, a hat edge has its ends as corners, and a hat
     face its base vertex and the centers of both faces of its edge."""
-    V, F = len(cc.vertices), len(cc.faces)
+    V, F = len(cc.vertices), len(cc.face_start) - 1
     fv, start = cc.face_vert, cc.face_start
     face = np.repeat(np.arange(F), np.diff(start))
     order = np.lexsort((fv, face))
-    centers = V + np.array([cc.edge_faces[e] for e in cc.edges],
-                           int).reshape(-1, 2)
+    centers = V + cc.edge_face
     # no two hat edges join the same two vertices: a face holds a vertex
     # once and two faces share at most one edge
     ends = np.concatenate([centers,
@@ -615,8 +641,7 @@ def domain_generator_sets(h, strict=False, cap=22, require_exhaustive=False):
     # dual edge begins at a center, never at a point
     point = np.zeros(nv, bool)
     if strict:
-        point[:len(h.base.vertices)] = np.isin(h.base.vertices,
-                                               list(h.base.v0))
+        point[:len(h.base.vertices)] = h.base.vclass == 0
     k, c = h.edge_ends[point[h.edge_ends[:, 0]]].T
     if partial:
         return _small_generator_sets(h, point, c), partial

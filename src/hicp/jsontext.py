@@ -96,6 +96,8 @@ def float_map(order, values, pad=""):
         np.asarray(values, float)[order.at]), pad=pad)
 
 
-def edge_keys(edges):
-    """The "u-v" key of each edge (u, v)."""
-    return _fill("%d-%d", edges, "\n").split()
+def edge_keys(ids, ends):
+    """The "u-v" key of each edge, a row of the (E, 2) array ends: u and
+    v are the ids at the positions of its ends in the list ids."""
+    return ("%d-%d\n" * len(ends) % tuple(
+        map(ids.__getitem__, ends.ravel().tolist()))).split()

@@ -126,7 +126,9 @@ class SurfaceLayout:
     @cached_property
     def edge_order(self):
         """The KeyOrder of the edges' "u-v" keys."""
-        return key_order(edge_keys(self.edges))
+        T = self.T
+        return key_order(edge_keys(T.base.vertices,
+                                   T.base.ends if self.merged else T.ends))
 
     @cached_property
     def vertex_order(self):
@@ -188,7 +190,7 @@ def _theta(T, dt, g, alpha_sum):
     n = (m + 1) % 3
     up = T.vert[t, m] < T.vert[t, n]  # the column traverses u -> v
     zm, zn = dt.z[t, m], dt.z[t, n]
-    theta = np.zeros(len(T.edges))
+    theta = np.zeros(len(T.ends))
     with np.errstate(all="ignore"):
         w = geo.frames(np.where(up, zm, zn), np.where(up, zn, zm),
                        g)[0](dt.center[t])
@@ -218,7 +220,7 @@ def develop(T, x, g):
     dt = geo.decorate_surface(T, x, g)
     _l, r = geo.scatter_rows(T, dt.l, dt.r)
     asum = np.bincount(T.edge.ravel(), weights=dt.alpha.ravel(),
-                       minlength=len(T.edges))
+                       minlength=len(T.ends))
     cone = np.bincount(T.vert.ravel(), weights=dt.beta.ravel(),
                        minlength=len(r))
     area = (math.pi - dt.beta.sum(axis=1) if g == HYPERBOLIC
@@ -236,7 +238,7 @@ def delaunay_report(sl):
     """Per-edge record: intersection angle, local Delaunay flag,
     redundancy flag; the dict view of delaunay_json."""
     rep = json.loads(delaunay_json(sl))
-    return {e: rep[k] for e, k in zip(sl.edges, edge_keys(sl.edges))}
+    return {e: rep["%d-%d" % e] for e in sl.edges}
 
 
 def gauss_bonnet_check(sl):

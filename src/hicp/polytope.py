@@ -185,7 +185,7 @@ def domain_slacks(h, rows, theta, Theta):
     # a row's vertex bits are its generators, and no two base vertices'
     # stars meet: a connected domain of point generators is one's star
     other = np.ones(len(h.star_rows), bool)
-    other[:len(h.base.vertices)] = ~np.isin(h.base.vertices, list(h.base.v0))
+    other[:len(h.base.vertices)] = h.base.vclass == 1
     held = np.zeros(len(rows), np.uint8)
     for p, m in enumerate(np.packbits(other, bitorder="little")):
         held |= rows[:, p] & m

@@ -18,6 +18,7 @@ import numpy as np
 
 import scalar_kernel as sk
 from hicp import fixtures as fx
+from hicp import cli
 from hicp import geometry as geo
 from hicp import layout
 from hicp import polytope as pt
@@ -32,6 +33,7 @@ from hicp.complexes import (
 )
 from hicp.errors import (
     E0EndpointInV0,
+    HicpError,
     IndexMismatch,
     InvariantViolation,
     NonRedundantDiagonal,
@@ -43,7 +45,6 @@ from hicp.fixtures import reference_metric
 from hicp.jsontext import (
     _ESCAPE,
     _fill,
-    edge_keys,
     float_map,
     key_order,
     number_texts,
@@ -370,12 +371,12 @@ def star_cells(h, hv):
     the cell incidences: hv itself and every hat edge and hat face that
     has hv as a corner."""
     h = hat_reference(h.base)
-    cc = h.base
+    faces_of = edge_faces(h.base)
 
     def edge_ends(edge):
         kind, data = edge
         if kind == "dual":
-            return {("f", fi) for fi in cc.edge_faces[data]}
+            return {("f", fi) for fi in faces_of[data]}
         v, fi = data
         return {("v", v), ("f", fi)}
 
@@ -909,8 +910,9 @@ def hat_reference(cc):
             h.eindex[("corner", (v, fi))] = len(h.edges)
             h.edges.append(("corner", (v, fi)))
 
+    faces_of = edge_faces(cc)
     for e in cc.edges:
-        fa, fb = cc.edge_faces[e]
+        fa, fb = faces_of[e]
         duals = tuple(sorted((fa, fb)))
         for v in e:
             h.findex[(v, e)] = len(h.hat_faces)
@@ -926,7 +928,7 @@ def hat_reference(cc):
     emask = dict.fromkeys(h.vertices, 0)
     fmask = dict.fromkeys(h.vertices, 0)
     for i, (kind, data) in enumerate(h.edges):
-        ends = ([("f", fi) for fi in cc.edge_faces[data]] if kind == "dual"
+        ends = ([("f", fi) for fi in faces_of[data]] if kind == "dual"
                 else [("v", data[0]), ("f", data[1])])
         for hv in ends:
             emask[hv] |= 1 << i
@@ -951,7 +953,7 @@ def hat_reference(cc):
         for v in f:
             h.overlap[("v", v)].add(("f", fi))
             h.overlap[("f", fi)].add(("v", v))
-    for fa, fb in cc.edge_faces.values():
+    for fa, fb in faces_of.values():
         if fa != fb:
             h.overlap[("f", fa)].add(("f", fb))
             h.overlap[("f", fb)].add(("f", fa))
@@ -979,13 +981,14 @@ def vertex_cycle_by_scan(cc, v):
     edge t + 1, rotated to start at the least edge; the walk starts from
     a scan of every face for the least one incident to v."""
     fi = start = min(fi for fi, f in enumerate(cc.faces) if v in f)
+    faces_of = edge_faces(cc)
     edges_cycle, faces_cycle = [], []
     while True:
         f = cc.faces[fi]
         p = f.index(v)
         edges_cycle.append(edge_key(f[p - 1], v))
         faces_cycle.append(fi)
-        fa, fb = cc.edge_faces[edge_key(v, f[(p + 1) % len(f)])]
+        fa, fb = faces_of[edge_key(v, f[(p + 1) % len(f)])]
         fi = fb if fa == fi else fa
         if fi == start:
             break
@@ -1462,11 +1465,16 @@ def layout_to_dict_by_loop(sl):
     }
 
 
+def _edge_keys(edges):
+    """The "u-v" key of each edge (u, v)."""
+    return ["%d-%d" % e for e in edges]
+
+
 def demo_angles_by_extract(T, x, g):
     """The angles block of demo as extract_angles gives it: the theta and
     Theta objects of the realized angle data at x."""
     t = solver.extract_angles(T, x, g)
-    return {"theta": float_map(key_order(edge_keys(t.theta)),
+    return {"theta": float_map(key_order(_edge_keys(t.theta)),
                                list(t.theta.values())),
             "Theta": float_map(key_order(list(map(str, t.Theta))),
                                list(t.Theta.values()))}
@@ -1556,7 +1564,7 @@ def layout_text_by_splice(sl):
     blocks = [",\n".join(rows[i:j]) for i, j in zip(start, start[1:])]
     charts = _object_by_splice(_CHART_BY_SPLICE, list(map(str, range(len(R)))),
                                cx, cy, R, blocks, pad=" ")
-    edges = _object_by_splice(_EDGE_BY_SPLICE, edge_keys(sl.edges), th,
+    edges = _object_by_splice(_EDGE_BY_SPLICE, _edge_keys(sl.edges), th,
                               pad=" ")
     verts = _object_by_splice(_VERTEX_BY_SPLICE, list(map(str, ids)), cone, r,
                               pad=" ")
@@ -1572,7 +1580,7 @@ def demo_text_by_splice(sl):
     JsonText blocks."""
     T = sl.T
     th = sl.th
-    keys = edge_keys(sl.edges)
+    keys = _edge_keys(sl.edges)
     flags = ((0.0 <= th) & (th < math.pi), np.abs(th - math.pi) <= MERGE_TOL)
     delaunay = JsonText(_object_by_splice(_DELAUNAY_BY_SPLICE, keys, *(
         map(("false", "true").__getitem__, f.tolist()) for f in flags),
@@ -1627,6 +1635,7 @@ def boundary(h, d, links):
     """Boundary trace of an admissible domain as immersed closed walks;
     ``links`` is ``links_by_scan(h)``."""
     h = hat_reference(h.base)
+    faces_of = edge_faces(h.base)
     # directed boundary incidences: (edge index, triangle index) with the
     # triangle inside the domain and the edge outside
     incidences = set()
@@ -1640,7 +1649,7 @@ def boundary(h, d, links):
     def endpoints(ei):
         kind, data = h.edges[ei]
         if kind == "dual":
-            fa, fb = h.base.edge_faces[data]
+            fa, fb = faces_of[data]
             return ("f", min(fa, fb)), ("f", max(fa, fb))
         v, fi = data
         return ("v", v), ("f", fi)
@@ -1810,17 +1819,6 @@ def build_complex_by_loop(spec):
 
     faces = _orient_faces(faces, fedges)
 
-    edges = tuple(sorted(side_count))
-    edge_faces = {}
-    for fi, f in enumerate(faces):
-        n = len(f)
-        for t in range(n):
-            a, b = f[t], f[(t + 1) % n]
-            e = edge_key(a, b)
-            pair = edge_faces.setdefault(e, [None, None])
-            pair[0 if a < b else 1] = fi
-    edge_faces = {e: tuple(p) for e, p in edge_faces.items()}
-
     # Pairwise face regularity, over the pairs (fi < fj) of faces that
     # meet at a vertex, in lexicographic order.  Orienting a face keeps
     # its vertex and edge sets.
@@ -1860,26 +1858,52 @@ def build_complex_by_loop(spec):
             if v in v0:
                 raise E0EndpointInV0(f"tangency edge {e} has point vertex {v}")
         e0.add(e)
-    e1 = set(edges) - e0
 
-    pos = {v: m for m, v in enumerate(sorted(seen))}
-    cc = CellComplex(
-        v1=frozenset(v1),
-        v0=frozenset(v0),
-        faces=tuple(faces),
-        edges=edges,
-        e0=frozenset(e0),
-        e1=frozenset(e1),
-        edge_faces=edge_faces,
-        face_vert=np.array([pos[v] for f in faces for v in f], int),
-        face_start=np.cumsum([0] + [len(f) for f in faces]),
-    )
+    cc = cell_complex(v1, v0, faces, e0)
     if cc.chi % 2 != 0 or cc.chi > 2:
         raise NotClosedSurface(f"Euler characteristic {cc.chi} is not that of "
                                "a closed oriented surface")
     _check_connected(cc, fedges)
     _check_vertex_cycles(cc)
     return cc
+
+
+def cell_complex(v1, v0, faces, e0=()):
+    """The CellComplex of the disk ids v1, the point ids v0, the faces
+    (id tuples, as oriented) and the E0 edges e0, by loops: its edges are
+    the face sides, and nothing is checked.  In ``edge_face`` a side no
+    face traverses has face -1."""
+    ids = sorted({*v1, *v0})
+    pos = {v: m for m, v in enumerate(ids)}
+    faces_of = {}
+    for fi, f in enumerate(faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            faces_of.setdefault(edge_key(a, b), [-1, -1])[a > b] = fi
+    edges = sorted(faces_of)
+    return CellComplex(
+        vertices=ids, vclass=np.array([int(v in v1) for v in ids], int),
+        face_vert=np.array([pos[v] for f in faces for v in f], int),
+        face_start=np.cumsum([0] + [len(f) for f in faces]),
+        ends=np.array([[pos[u], pos[v]] for u, v in edges],
+                      int).reshape(-1, 2),
+        eclass=np.array([int(e not in e0) for e in edges], int),
+        edge_face=np.array([faces_of[e] for e in edges], int).reshape(-1, 2))
+
+
+def edge_faces(cc):
+    """The dict view of ``cc.edge_face``: edge -> (the face traversing
+    it i -> j, the face traversing it j -> i)."""
+    return dict(zip(cc.edges, map(tuple, cc.edge_face.tolist())))
+
+
+def complex_views(cc):
+    """Every array and id view of cc, for comparing two complexes."""
+    return {**{k: (a.dtype, a.shape, a.tolist()) for k, a in (
+        (k, getattr(cc, k)) for k in ("vclass", "face_vert", "face_start",
+                                      "ends", "eclass", "edge_face"))},
+            **{k: getattr(cc, k) for k in ("vertices", "faces", "edges", "v0",
+                                           "v1", "e0", "e1", "chi")},
+            "edge_faces": edge_faces(cc)}
 
 
 def _orient_faces(faces, fedges):
@@ -1926,10 +1950,11 @@ def _check_connected(cc, fedges):
         raise NotClosedSurface("empty complex")
     seen = {0}
     queue = [0]
+    faces_of = edge_faces(cc)
     while queue:
         fi = queue.pop()
         for e in fedges[fi]:
-            for g in cc.edge_faces[e]:
+            for g in faces_of[e]:
                 if g not in seen:
                     seen.add(g)
                     queue.append(g)
@@ -1944,6 +1969,7 @@ def _check_vertex_cycles(cc):
     for fi, f in enumerate(cc.faces):
         for v in f:
             faces_at[v].append(fi)
+    faces_of = edge_faces(cc)
     for v, around in faces_at.items():
         if not around:
             raise RegularityViolation(f"vertex {v} lies on no face")
@@ -1953,8 +1979,8 @@ def _check_vertex_cycles(cc):
             while fi in todo:
                 todo.remove(fi)
                 f = cc.faces[fi]
-                fa, fb = cc.edge_faces[edge_key(v, f[(f.index(v) + 1)
-                                                     % len(f)])]
+                fa, fb = faces_of[edge_key(v, f[(f.index(v) + 1)
+                                                % len(f)])]
                 fi = fb if fa == fi else fa
         if cycles > 1:
             raise RegularityViolation(
@@ -2044,3 +2070,56 @@ def svg_by_loop(sl):
               for d, xy in zip(dot.tolist(), dots)]
     lines.append('</svg>')
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# render's coordinate read key by key into dicts, the reference of
+# cli._coords
+
+
+def _number_map(raw, what, parse_key):
+    """A JSON object of finite numbers as {parsed key: float}; two keys
+    that parse to one are an error, and so is a value that float()
+    reads but JSON does not write as a number, or one not finite."""
+    if not isinstance(raw, dict):
+        raise HicpError(f"malformed input: {what} must be a JSON object")
+    try:
+        out = {parse_key(k): float(v) for k, v in raw.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise HicpError(f"malformed input: bad entry in {what}: {exc}")
+    if len(out) < len(raw):
+        first = {}
+        for k in raw:
+            other = first.setdefault(parse_key(k), k)
+            if other != k:
+                raise HicpError(f"malformed input: keys {other!r} and {k!r}"
+                                f" in {what} name the same entry")
+    for k, v in raw.items():
+        if type(v) not in (int, float):
+            raise HicpError(f"malformed input: bad entry in {what}: the "
+                            f"value of {k!r} is not a number")
+    for k, v in raw.items():
+        if not math.isfinite(v):
+            raise HicpError(f"malformed input: bad entry in {what}: the "
+                            f"value of {k!r} is not a finite number")
+    return out
+
+
+def _require_keys(got, want, what, fmt):
+    """Raise naming the least key that is in got or want but not both."""
+    bad = sorted(set(got) ^ set(want))
+    if bad:
+        kind = "missing" if bad[0] in want else "unexpected"
+        raise HicpError(f"malformed input: {kind} key {fmt(bad[0])} in {what}")
+
+
+def coords_by_dict(T, a, b):
+    """The coordinate vector of coords.a and coords.b on T, each read
+    into a dict by its parsed keys (``cli._edge_from_key`` and int) and
+    checked against T's free edges and disks."""
+    a = _number_map(a, "coords.a", cli._edge_from_key)
+    b = _number_map(b, "coords.b", int)
+    _require_keys(a, T.free_edges, "coords.a", "{0[0]}-{0[1]}".format)
+    _require_keys(b, T.v1_vertices, "coords.b", str)
+    return np.array([a[e] for e in T.free_edges]
+                    + [b[k] for k in T.v1_vertices])

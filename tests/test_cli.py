@@ -5,13 +5,14 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,7 +22,7 @@ from conftest import (
     pinched_torus_spec,
     tetrahedron_spec,
 )
-from hicp import build_complex, cli, layout, triangulate
+from hicp import build_complex, cli, complexes, layout, triangulate
 from hicp import geometry as geo
 from hicp.errors import HicpError
 from hicp.fixtures import (
@@ -722,6 +723,189 @@ class TestRender:
         want = layout_to_dict(merge_redundant(develop(T, sol.coords, g)))
         assert json.loads(out.read_text()) == json.loads(json.dumps(want))
 
+    @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+    def test_negative_ids_solve_then_render(self, tmp_path, g):
+        # the tri-torus with every id shifted by -2: solve writes keys
+        # such as "-1-0" and "-2--1", and render reads them back; the
+        # shift keeps the order of the ids, so the drawing is the same
+        spec = fixture_spec("tri-torus")
+        shifted = {"geometry": g, "faces": [[v - 2 for v in f]
+                                            for f in spec["faces"]],
+                   "vertices": [dict(v, id=v["id"] - 2)
+                                for v in spec["vertices"]]}
+        svgs = []
+        for doc in (dict(spec, geometry=g), shifted):
+            p, sol = tmp_path / "in.json", tmp_path / "sol.json"
+            p.write_text(json.dumps(doc))
+            assert cli.main(["solve", "--input", str(p),
+                             "--output", str(sol)]) == 0
+            svg = tmp_path / "out.svg"
+            assert cli.main(["render", "--input", str(sol),
+                             "--svg", str(svg)]) == 0
+            svgs.append(svg.read_bytes())
+        assert {"-1-0", "-2--1"} <= set(json.loads(sol.read_text())[
+            "coords"]["a"])
+        assert svgs[0] == svgs[1]
+
+    @pytest.mark.parametrize("key, edge", [
+        ("0-1", (0, 1)), ("1-0", (0, 1)), ("00-1", (0, 1)),
+        (" 1 - 2 ", (1, 2)), ("1_0-2", (2, 10)), ("-1-0", (-1, 0)),
+        ("0--1", (-1, 0)), ("-3--1", (-3, -1)), ("+1-2", (1, 2)),
+    ])
+    def test_edge_keys_int_reads(self, key, edge):
+        assert cli._edge_from_key(key) == edge
+
+    @pytest.mark.parametrize("key", [
+        "", "-", "1", "-1", "1-", "-1-", "1-2-3", "1--", "a-b", "1.0-2",
+        "--1-2"])
+    def test_bad_edge_keys(self, key):
+        with pytest.raises(HicpError, match=re.escape(
+                f"bad edge key {key!r}; expected 'i-j'")):
+            cli._edge_from_key(key)
+
+    @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+    @pytest.mark.parametrize("name", ["genus2-mixed", "dodecahedron",
+                                      "e0-torus"])
+    def test_render_and_demo_build_no_id_view(self, tmp_path, monkeypatch,
+                                              name, g):
+        # the id views of the complex and of its triangulation raise, and
+        # render and demo still write the same bytes: they run on arrays
+        sol = tmp_path / "sol.json"
+        assert cli.main(["solve", "--input", f"fixture:{name}",
+                         "--geometry", g, "--output", str(sol)]) == 0
+
+        def files(tag):
+            out = []
+            for argv in (["render", "--input", str(sol)],
+                         ["demo", "--input", f"fixture:{name}",
+                          "--geometry", g]):
+                paths = [tmp_path / f"{tag}-{argv[0]}.{x}"
+                         for x in ("json", "svg")]
+                assert cli.main(argv + ["--output", str(paths[0]),
+                                        "--svg", str(paths[1])]) == 0
+                out += [p.read_bytes() for p in paths]
+            return out
+
+        want = files("plain")
+
+        def refuse(self):
+            raise AssertionError("an id view was built")
+
+        for cls, names in ((complexes.CellComplex, ("faces", "edges", "v0",
+                                                    "v1", "e0", "e1")),
+                           (complexes.Triangulation, ("edges", "free_edges",
+                                                      "v1_vertices"))):
+            for view in names:
+                monkeypatch.setattr(cls, view, property(refuse))
+        assert files("patched") == want
+
+
+# render's coordinate read, and its reference
+_READS = (cli._coords, oracles.coords_by_dict)
+# a value, and the JSON text of one json.dumps cannot write
+_VALUES = {"true": True, "text": "1.5", "nan": "NaN", "big": "1e400"}
+_EDITS = ("reverse", "pad", "twin", "drop", "foreign", *_VALUES)
+
+
+def _mutated(coords, edits):
+    """coords with each edit (part, key number, kind) made in turn: the
+    key reversed or zero-padded, a twin of the key (its reverse, or a
+    padded spelling) added beside it, the key dropped, a foreign key
+    added, or its value replaced (``_VALUES``); and the texts that
+    stand for the values json.dumps cannot write."""
+    coords = copy.deepcopy(coords)
+    for part, n, kind in edits:
+        keys = sorted(coords[part])
+        if not keys:
+            continue
+        k = keys[n % len(keys)]
+        if part == "a":
+            u, v = k.split("-")
+            other = {"reverse": f"{v}-{u}", "pad": f"0{u}-00{v}",
+                     "twin": f"{v}-{u}", "foreign": "999-1000"}.get(kind)
+        else:
+            other = {"reverse": "0" + k, "pad": "00" + k, "twin": "0" + k,
+                     "foreign": "999"}.get(kind)
+        if kind in ("reverse", "pad"):
+            coords[part][other] = coords[part].pop(k)
+        elif kind in ("twin", "foreign"):
+            coords[part][other] = coords[part][k]
+        elif kind == "drop":
+            del coords[part][k]
+        else:
+            coords[part][k] = f"__{kind}__"
+    return coords
+
+
+_CASES = [("tri-torus-v1", "euclidean"), ("genus2-mixed", "hyperbolic")]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 99),
+                                st.sampled_from(_EDITS)),
+                      min_size=1, max_size=3),
+       case=st.sampled_from(_CASES))
+@example(edits=[], case=_CASES[0])
+@example(edits=[("a", 0, "reverse"), ("b", 0, "pad")], case=_CASES[1])
+@example(edits=[("b", 3, "reverse"), ("a", 5, "pad")], case=_CASES[0])
+@example(edits=[("a", 1, "twin"), ("b", 2, "big")], case=_CASES[1])
+@example(edits=[("b", 4, "drop"), ("a", 2, "drop")], case=_CASES[0])
+@example(edits=[("a", 3, "foreign"), ("b", 1, "foreign")], case=_CASES[1])
+@example(edits=[("a", 6, "true"), ("b", 1, "text")], case=_CASES[0])
+@example(edits=[("b", 7, "drop"), ("b", 2, "twin")], case=_CASES[1])
+@example(edits=[("b", 0, "true")], case=_CASES[1])
+@example(edits=[("a", 2, "text")], case=_CASES[0])
+@example(edits=[("a", 4, "nan")], case=_CASES[0])
+@example(edits=[("b", 4, "nan")], case=_CASES[1])
+@example(edits=[("a", 1, "big")], case=_CASES[1])
+def test_coordinate_read_matches_the_dict_reading(tmp_path, monkeypatch,
+                                                  capsys, edits, case):
+    # render of a mutated solution: the same exit code, stdout and
+    # stderr line as with its coordinates read by the dict reference
+    name, g = case
+    sol = tmp_path / f"{name}-{g}.json"
+    if not sol.exists():
+        assert cli.main(["solve", "--input", f"fixture:{name}",
+                         "--geometry", g, "--output", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["coords"] = _mutated(doc["coords"], edits)
+    text = json.dumps(doc)
+    for kind, value in _VALUES.items():
+        text = text.replace(f'"__{kind}__"', json.dumps(value)
+                            if kind in ("true", "text") else value)
+    outcomes = _render_by_each_read(tmp_path, monkeypatch, capsys, text)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("b", [[], "", {}])
+def test_coords_without_keys_match_the_dict_reading(tmp_path, monkeypatch,
+                                                   capsys, b):
+    # the tri-torus has no disk, so coords.b holds no key; it must still
+    # be a JSON object
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", "--input", "fixture:tri-torus",
+                     "--output", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["coords"]["b"] = b
+    outcomes = _render_by_each_read(tmp_path, monkeypatch, capsys,
+                                    json.dumps(doc))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if b == {} else 1)
+
+
+def _render_by_each_read(tmp_path, monkeypatch, capsys, text):
+    """(exit code, stdout, stderr) of render of the solution text, with
+    each coordinate read of ``_READS``."""
+    p = tmp_path / "mutated.json"
+    p.write_text(text)
+    outcomes = []
+    for read in _READS:
+        monkeypatch.setattr(cli, "_coords", read)
+        capsys.readouterr()
+        outcomes.append((cli.main(["render", "--input", str(p)]),
+                         *capsys.readouterr()))
+    return outcomes
 
 class TestDemo:
     def test_grid_torus(self, tmp_path):
