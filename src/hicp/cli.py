@@ -21,10 +21,15 @@ from .complexes import build_complex, edge_key, triangulate
 from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
-from .jsontext import edge_keys, float_map, json_text, key_order
+from .jsontext import (
+    edge_keys,
+    float_map,
+    json_text,
+    key_order,
+    number_blocks,
+)
 from .layout import (
-    angles_json,
-    delaunay_json,
+    angle_blocks,
     develop,
     export_json,
     export_svg,
@@ -251,22 +256,31 @@ def _solution_json(spec, g, T, sol):
     """The text of the solution document for every status: one %
     template in json's key order, filled from sol's arrays.  Only the
     echoed vertices (any fields) and a feasibility report go through
-    json_text; build_complex has checked spec's faces and tangent edges."""
-    def floats(keys, values):
-        return float_map(key_order(keys), values, "  ")
-    head = mid = ""
+    json_text; build_complex has checked spec's faces and tangent edges.
+    The numbers of the float maps are written in one pass."""
+    maps = []  # (keys, values) of each float map, in document order
     if sol.coords is not None:
         x, (a, b) = sol.coords, _coord_keys(T)
         l, r = geo.psi_surface(T, x, g)
-        head = ' "coords": {\n  "a": %s,\n  "b": %s\n },\n' % (
-            floats(a, x[:len(a)]), floats(b, x[len(a):]))
-        mid = ' "lengths": {\n  "l": %s,\n  "r": %s\n },\n' % (
-            floats(edge_keys(T.base.vertices, T.ends), l),
-            floats(list(map(str, T.base.vertices)), r))
+        maps += [(a, x[:len(a)]), (b, x[len(a):]),
+                 (edge_keys(T.base.vertices, T.ends), l),
+                 (list(map(str, T.base.vertices)), r)]
     if (t := sol.realized_angles) is not None:
-        mid += ' "realized": {\n  "Theta": %s,\n  "theta": %s\n },\n' % (
-            floats(list(map(str, t.Theta)), list(t.Theta.values())),
-            floats(["%d-%d" % e for e in t.theta], list(t.theta.values())))
+        maps += [(list(map(str, t.Theta)), list(t.Theta.values())),
+                 (["%d-%d" % e for e in t.theta], list(t.theta.values()))]
+    orders = [key_order(keys) for keys, _ in maps]
+    floats = [float_map(o, texts, "  ") for o, texts in zip(
+        orders, number_blocks([np.asarray(v, float)[o.at]
+                               for o, (_, v) in zip(orders, maps)]))]
+    head = mid = ""
+    if sol.coords is not None:
+        head = ' "coords": {\n  "a": %s,\n  "b": %s\n },\n' % tuple(
+            floats[:2])
+        mid = ' "lengths": {\n  "l": %s,\n  "r": %s\n },\n' % tuple(
+            floats[2:4])
+    if sol.realized_angles is not None:
+        mid += (' "realized": {\n  "Theta": %s,\n  "theta": %s\n },\n'
+                % tuple(floats[-2:]))
     if sol.report is not None:
         head += ' "feasibility": %s,\n' % json_text(sol.report.to_dict(), " ")
     trace = json.dumps([v for row in sol.trace for v in row])[1:-1].split(", ")
@@ -329,10 +343,10 @@ _DEMO = ('{\n "angles": {\n  "Theta": %s,\n  "theta": %s\n },\n'
 def _demo_json(sl):
     """The text of demo's document on the layout sl: one % template
     in json's key order, each block written at its depth."""
-    angles = angles_json(sl, "  ")
+    blocks = angle_blocks(sl, " ")
     gb = gauss_bonnet_check(sl)
     return _DEMO % (
-        angles["Theta"], angles["theta"], delaunay_json(sl, " "),
+        blocks["Theta"], blocks["theta"], blocks["delaunay"],
         json.dumps(gb["area"]), json.dumps(gb["residual"]),
         json.dumps(sl.geometry), layout_json(sl, " "))
 

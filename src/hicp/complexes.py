@@ -125,6 +125,31 @@ def _check_face(f, seen):
             raise IndexMismatch(f"face {f} uses unknown vertex {v}")
 
 
+def stable_argsort(key):
+    """np.argsort(key, kind="stable") of the 1-d int array key >= 0, by
+    one default-kind (SIMD) sort of key * n + position, n = len(key),
+    which is 4x faster than the stable sort.  Where that code could pass
+    the int64 range, the stable argsort itself."""
+    n = len(key)
+    if not n or (int(key.max()) + 1) * n > 2 ** 63:
+        return np.argsort(key, kind="stable")
+    return np.sort(key * n + np.arange(n)) % n
+
+
+def unique_index(key):
+    """np.unique(key, return_index=True, return_inverse=True,
+    return_counts=True) of the 1-d int array key >= 0, from its
+    stable_argsort."""
+    order = stable_argsort(key)
+    s = key[order]
+    new = np.ones(len(s), bool)
+    new[1:] = s[1:] != s[:-1]
+    group = np.cumsum(new) - 1
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    return s[new], order[new], inverse, np.bincount(group)
+
+
 def _positions(keys, x):
     """The positions in the sorted array keys of the entries of x, and
     where each is one of keys."""
@@ -173,7 +198,7 @@ def build_complex(spec):
         vid, fid, tid = (np.array(x, np.int64) for x in lists)
     except OverflowError:  # an id beyond int64
         vid, fid, tid = (np.array(x, object) for x in lists)
-    order = np.argsort(vid, kind="stable")
+    order = np.argsort(vid)  # the ids are distinct
     keys, V = vid[order], len(ids)
     verts = keys.tolist()
     vclass = np.array([c == "disk" for c in circles], int)[order]
@@ -186,7 +211,7 @@ def build_complex(spec):
     p, known = _positions(keys, fid)
     # sides by vertex, faces ascending: a face that revisits a vertex
     # holds two neighbours
-    at = np.argsort(p, kind="stable")
+    at = stable_argsort(p)
     pa, fa = p[at], face[at]
     if (sizes.min(initial=3) < 3 or not known.all()
             or ((pa[1:] == pa[:-1]) & (fa[1:] == fa[:-1])).any()):
@@ -204,9 +229,7 @@ def build_complex(spec):
 
     # Each unordered pair must be covered by exactly two face sides; the
     # first violation is at the edge that appears first.
-    code, first, edge, count = np.unique(
-        lo * V + hi, return_index=True, return_inverse=True,
-        return_counts=True)
+    code, first, edge, count = unique_index(lo * V + hi)
     if (count != 2).any():
         s = int(first[count != 2].min())
         c = int(count[edge[s]])
@@ -215,7 +238,7 @@ def build_complex(spec):
                                       "parallel edges are not allowed")
         raise NotClosedSurface(
             f"edge {pair(s)} bounds {c} face side(s), expected 2")
-    sides = np.argsort(edge, kind="stable").reshape(-1, 2)
+    sides = stable_argsort(edge).reshape(-1, 2)
     opp = np.empty(N, int)
     opp[sides] = sides[:, ::-1]
     up = p < q
@@ -290,8 +313,8 @@ def build_complex(spec):
     # by pointer doubling.
     prv = np.empty(N, int)
     prv[nxt] = np.arange(N)
-    across = np.argsort(edge[np.where(rev, prv[side], side)],
-                        kind="stable").reshape(-1, 2)
+    across = stable_argsort(edge[np.where(rev, prv[side], side)]).reshape(
+        -1, 2)
     step = np.empty(N, int)
     step[across] = nxt[across[:, ::-1]]
     label = np.arange(N)
@@ -445,9 +468,8 @@ def triangulate(cc):
 
     nv, ids = len(cc.vertices), cc.vertices
     heads = vert[:, [1, 2, 0]]
-    code, first, edge, count = np.unique(
-        (np.minimum(vert, heads) * nv + np.maximum(vert, heads)).ravel(),
-        return_index=True, return_inverse=True, return_counts=True)
+    code, first, edge, count = unique_index(
+        (np.minimum(vert, heads) * nv + np.maximum(vert, heads)).ravel())
     edge = edge.reshape(-1, 3)
     ends = np.stack([code // nv, code % nv], axis=1)
 
@@ -457,7 +479,7 @@ def triangulate(cc):
     base[edge[np.stack([t == 1, t > 0, t == n - 2], axis=1)]] = True
     diag = edge[t >= 2, 0]
     bad = np.ones(len(diag), bool)
-    bad[np.unique(diag, return_index=True)[1]] = False
+    bad[unique_index(diag)[1]] = False
     bad |= base[diag]
     if bad.any():
         k = int(np.argmax(bad))
@@ -478,7 +500,7 @@ def triangulate(cc):
     a_slot = np.where(free, np.cumsum(free) - 1, -1)
     b_slot = np.where(disk, n_a + np.cumsum(disk) - 1, -1)
     # each edge's two (row, column) cells, the lesser row first
-    cells = np.argsort(edge.ravel(), kind="stable").reshape(-1, 2)
+    cells = stable_argsort(edge.ravel()).reshape(-1, 2)
     return Triangulation(
         base=cc, vert=vert, edge=edge, face=face, ends=ends, eclass=eclass,
         vclass=vclass, vc=vclass[vert], ec=eclass[edge],

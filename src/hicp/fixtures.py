@@ -289,7 +289,8 @@ def reference_pattern(T, g):
                            np.minimum(fv, fv[nxt]) * nv
                            + np.maximum(fv, fv[nxt]))
     vc, ec = T.vclass[fv].tolist(), T.eclass[side].tolist()
-    apex = T.vert[np.unique(T.face, return_index=True)[1], 0]
+    # each face's first triangle (T.face is sorted)
+    apex = T.vert[np.flatnonzero(np.diff(T.face, prepend=-1)), 0]
     at = (np.flatnonzero(fv == np.repeat(apex, np.diff(start)))
           - start[:-1]).tolist()
     chords, lengths, out = {}, {}, []

@@ -11,11 +11,12 @@ import json
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # each exact
 
 
 def json_text(obj, pad=""):
@@ -37,24 +38,58 @@ def indent(template, pad):
     return pad + template.replace("\n", "\n" + pad)
 
 
-def number_texts(a, fmt="%r"):
-    """The numbers of array a as json writes float(fmt % x); "%r" is
-    json's own C-encoded text of the list.  A 12-digit %g text keeps a
-    decimal digit below 1e11 except near a whole number, so only numbers
-    within 1e-11 |x| of one, below 1e-4 or from 1e11 in size (where an
-    exponent may show) or not finite are read back and written again."""
-    v = a.ravel()
-    if fmt == "%r":
-        return json.dumps(v.tolist())[1:-1].split(", ") if v.size else []
-    texts = ((fmt + "\n") * v.size % tuple(v.tolist())).split()
+def _rounded(v):
+    """float("%.12g" % x) for each x of the 1-d array v.  For
+    1e-11 <= |x| < 1e12 the 12 digits are rint(p), p = |x| 10^k with
+    k = 11 - floor(log10 |x|) and 10^k exact, when p is in [1e11, 1e12)
+    and more than 1e-3 from a half: p is then within 2^-14 of the exact
+    product, so its rint is the decimal rounding, and dividing it by
+    10^k rounds once, as reading its text does.  Every other x is
+    formatted and read back."""
     m = np.abs(v)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        fine = (1e-4 <= m) & (m < 1e11) & (np.abs(v - np.round(v)) > 1e-11 * m)
-    for i in np.flatnonzero(~fine).tolist():
-        t = texts[i]
-        texts[i] = _NONFINITE.get(t) or (
-            repr(float(t)) if "e" in t else t if "." in t else t + ".0")
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10(0), inf
+        k = 11 - np.floor(np.log10(m))
+        ok = (0 <= k) & (k <= 22)
+        scale = _POW10[np.where(ok, k, 0).astype(int)]
+        p = m * scale
+        d = np.rint(p)
+        ok &= (1e11 <= p) & (d < 1e12) & (np.abs(p - np.floor(p) - 0.5) > 1e-3)
+    y = np.copysign(d / scale, v)  # and 0 for 0
+    back = ~ok & (v != 0)
+    y[back] = [float("%.12g" % x) for x in v[back].tolist()]
+    return y
+
+
+def number_texts(a, fmt="%r"):
+    """The numbers of array a as json writes float(fmt % x), for fmt
+    "%r" or "%.12g" (the number rounded to 12 significant digits).  The
+    texts are orjson's, the shortest digits that read back as the number
+    (repr's, as they are unique) where it writes them as repr does:
+    |y| < 1e-9 (0, or an exponent of two or more digits) and 1e-4 <= |y|
+    < 1e16.  Between, orjson writes 0.00001 and 1e-6 for repr's 1e-05
+    and 1e-06, from 1e16 it writes 1e16 for 1e+16, and it writes null
+    for a number that is not finite; there the text is json's own."""
+    v = np.ascontiguousarray(a, float).ravel()
+    if fmt == "%.12g":
+        v = _rounded(v)
+    if not v.size:
+        return []
+    texts = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode(
+        ).split(",")
+    m = np.abs(v)
+    agree = (m < 1e-9) | ((1e-4 <= m) & (m < 1e16))
+    for i in np.flatnonzero(~agree).tolist():
+        texts[i] = json.dumps(float(v[i]))
     return texts
+
+
+def number_blocks(arrays, fmt="%r"):
+    """number_texts of each array of the list arrays, written in one
+    pass: a list of text lists."""
+    flat = [np.asarray(a, float).ravel() for a in arrays]
+    texts = number_texts(np.concatenate([np.zeros(0), *flat]), fmt)
+    ends = np.cumsum([len(a) for a in flat]).tolist()
+    return [texts[i:j] for i, j in zip([0, *ends], ends)]
 
 
 class KeyOrder(NamedTuple):
@@ -88,12 +123,11 @@ def object_text(template, order, *cols, pad=""):
             + pad + "}")
 
 
-def float_map(order, values, pad=""):
-    """The text of {key: value} over the keys of a KeyOrder, their float
-    values in list order, closed at indent pad: every edge- or
-    vertex-keyed float object hicp writes."""
-    return object_text(pad + " %s: %s", order, number_texts(
-        np.asarray(values, float)[order.at]), pad=pad)
+def float_map(order, texts, pad=""):
+    """The text of {key: value} over the keys of a KeyOrder, the number
+    texts of their values in key order, closed at indent pad: every edge-
+    or vertex-keyed float object hicp writes."""
+    return object_text(pad + " %s: %s", order, texts, pad=pad)
 
 
 def edge_keys(ids, ends):

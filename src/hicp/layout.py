@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry as geo
+from .complexes import unique_index
 from .errors import InvariantViolation, IoError, NonRedundantDiagonal
 from .geometry import EUCLIDEAN, HYPERBOLIC, check_geometry
 from .jsontext import (
@@ -28,7 +29,7 @@ from .jsontext import (
     float_map,
     indent,
     key_order,
-    number_texts,
+    number_blocks,
     object_text,
 )
 
@@ -151,7 +152,7 @@ def _glue(T, dt, group, g):
     nb[t, m], nb_col[t, m] = t[:, ::-1], m[:, ::-1]
     by_edge = np.argsort(T.edge, axis=1)
     z, center = dt.z.copy(), dt.center.copy()
-    frontier = np.unique(group, return_index=True)[1]
+    frontier = np.flatnonzero(np.diff(group, prepend=-1))  # group is sorted
     seen = np.zeros(F, bool)
     seen[frontier] = True
     while frontier.size:
@@ -236,8 +237,8 @@ def develop(T, x, g):
 
 def delaunay_report(sl):
     """Per-edge record: intersection angle, local Delaunay flag,
-    redundancy flag; the dict view of delaunay_json."""
-    rep = json.loads(delaunay_json(sl))
+    redundancy flag; the dict view of angle_blocks' "delaunay"."""
+    rep = json.loads(angle_blocks(sl)["delaunay"])
     return {e: rep["%d-%d" % e] for e in sl.edges}
 
 
@@ -274,7 +275,7 @@ def merge_redundant(sl):
     # every fan glued from its face's first triangle, crossing diagonals
     face = T.face
     z, center = _glue(T, sl.placed, face, g)
-    first = np.unique(face, return_index=True)[1]
+    first = np.flatnonzero(np.diff(face, prepend=-1))  # face is sorted
     root = first[face]
     R = sl.placed.R
     with np.errstate(all="ignore"):
@@ -289,8 +290,8 @@ def merge_redundant(sl):
     # holds it: the last of its (face, vertex) cells
     nv, start = len(T.vclass), cc.face_start
     sizes = np.diff(start)
-    key, at = np.unique((np.repeat(face, 3) * nv + T.vert.ravel())[::-1],
-                        return_index=True)
+    key, at = unique_index(
+        (np.repeat(face, 3) * nv + T.vert.ravel())[::-1])[:2]
     at = len(face) * 3 - 1 - at[np.searchsorted(key, np.repeat(
         np.arange(len(sizes)), sizes) * nv + cc.face_vert)]
     chart = Charts(vert=cc.face_vert, z=z.ravel()[at], start=start,
@@ -317,28 +318,26 @@ _DELAUNAY = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,\n'
              '  "theta": %s\n }')
 
 
-def delaunay_json(sl, pad=""):
-    """Per edge keyed "u-v": theta, whether it is locally Delaunay and
-    whether it is redundant, closed at indent pad."""
-    order = sl.edge_order
-    th = sl.th[order.at]
+def angle_blocks(sl, pad=""):
+    """demo's blocks of the angles of sl, their numbers written in one
+    pass.  "delaunay", closed at indent pad: per edge keyed "u-v" theta,
+    whether it is locally Delaunay and whether it is redundant.  "theta"
+    and "Theta", float_maps one level deeper (closed at pad + " "): the
+    angles sl realizes, theta on the E1 edges (their alpha sums) and
+    Theta on the V1 vertices (their cone angles), summed over the kernel
+    rows in triangle order as solver.realized_sums sums them.  A merged
+    layout's edges are T's that are not fan diagonals."""
+    T, eo = sl.T, sl.edge_order
+    e1 = eo.masked((T.eclass[T.eclass != 2] if sl.merged else T.eclass) == 1)
+    v1 = sl.vertex_order.masked(T.vclass == 1)
+    th = sl.th[eo.at]
+    texts, asum, cone = number_blocks([th, sl.asum[e1.at], sl.cone[v1.at]])
     flags = ((0.0 <= th) & (th < math.pi), np.abs(th - math.pi) <= MERGE_TOL)
-    return object_text(indent(_DELAUNAY, pad), order, *(
-        map(("false", "true").__getitem__, f.tolist()) for f in flags),
-        number_texts(th), pad=pad)
-
-
-def angles_json(sl, pad=""):
-    """The angles sl realizes as float_maps closed at indent pad: theta
-    on the E1 edges (their alpha sums) and Theta on the V1 vertices
-    (their cone angles), summed over the kernel rows in triangle order as
-    solver.realized_sums sums them.  A merged layout's edges are T's
-    that are not fan diagonals."""
-    T = sl.T
-    e1 = (T.eclass[T.eclass != 2] if sl.merged else T.eclass) == 1
-    return {"theta": float_map(sl.edge_order.masked(e1), sl.asum, pad),
-            "Theta": float_map(sl.vertex_order.masked(T.vclass == 1),
-                               sl.cone, pad)}
+    return {"delaunay": object_text(indent(_DELAUNAY, pad), eo, *(
+                map(("false", "true").__getitem__, f.tolist())
+                for f in flags), texts, pad=pad),
+            "theta": float_map(e1, asum, pad + " "),
+            "Theta": float_map(v1, cone, pad + " ")}
 
 
 def _place(fields, first, cols):
@@ -356,25 +355,20 @@ def _chart_template(size, pad):
                    pad)
 
 
-def _charts(ch, ids, pad):
+def _charts(size, heads, cells, pad):
     """The text of the charts object, closed at indent pad: one % pass
-    over the templates of the charts' sizes in json's key order, "0" <
-    "1" < "10", from one flat list of fields that index arithmetic on
-    ch.start puts in that order."""
-    order = key_order(list(map(str, range(len(ch.R)))))
-    at = order.at
-    size = np.diff(ch.start)[at]
+    over the templates of the charts' sizes, from one flat list of
+    fields that index arithmetic on size puts in order.  Chart k has
+    size[k] vertices, its fields are the columns heads (its key, its
+    circle's center x, y and radius) and those of its vertices the
+    columns cells (id, x, y), the charts and vertices in key order."""
     before = np.cumsum(size) - size
-    rows = (np.repeat(ch.start[at] - before, size)  # in key order
-            + np.arange(len(ch.vert)))
-    head = 4 * np.arange(len(at)) + 3 * before
-    cell = 4 * np.repeat(np.arange(1, len(at) + 1), size) + 3 * np.arange(
-        len(rows))
-    fields = np.empty(4 * len(head) + 3 * len(rows), object)
-    _place(fields, head, [order.texts, *(number_texts(a, "%.12g") for a in (
-        ch.center.real[at], ch.center.imag[at], ch.R[at]))])
-    _place(fields, cell, [ids[ch.vert[rows]], *(
-        number_texts(a, "%.12g") for a in (ch.z.real[rows], ch.z.imag[rows]))])
+    head = 4 * np.arange(len(size)) + 3 * before
+    cell = 4 * np.repeat(np.arange(1, len(size) + 1), size) + 3 * np.arange(
+        len(cells[0]))
+    fields = np.empty(4 * len(head) + 3 * len(cell), object)
+    _place(fields, head, heads)
+    _place(fields, cell, cells)
     sizes, which = np.unique(size, return_inverse=True)
     templates = np.array([_chart_template(k, pad) for k in sizes.tolist()],
                          object)[which]
@@ -387,13 +381,23 @@ def layout_json(sl, pad=""):
     chart its circle and its vertices [id, x, y], per edge theta, per
     vertex its radius and cone angle, each number rounded to 12
     significant digits.  Formatted in json_text's format from sl's
-    arrays, one % pass for the charts, edges and vertices each."""
-    eo, vo = sl.edge_order, sl.vertex_order
-    charts = _charts(sl.chart, np.array(sl.T.base.vertices), pad)
-    edges = object_text(indent(_EDGE, pad), eo, number_texts(
-        sl.th[eo.at], "%.12g"), pad=pad + " ")
-    verts = object_text(indent(_VERTEX, pad), vo, *(number_texts(
-        a[vo.at], "%.12g") for a in (sl.cone, sl.r)), pad=pad + " ")
+    arrays: one number_texts pass, then one % pass for the charts, edges
+    and vertices each."""
+    ch, eo, vo = sl.chart, sl.edge_order, sl.vertex_order
+    # the charts in json's key order, "0" < "1" < "10", and the rows of
+    # their vertices in that order
+    co = key_order(list(map(str, range(len(ch.R)))))
+    at = co.at
+    size = np.diff(ch.start)[at]
+    rows = (np.repeat(ch.start[at] - np.cumsum(size) + size, size)
+            + np.arange(len(ch.vert)))
+    cx, cy, R, x, y, th, cone, r = number_blocks([
+        ch.center.real[at], ch.center.imag[at], ch.R[at], ch.z.real[rows],
+        ch.z.imag[rows], sl.th[eo.at], sl.cone[vo.at], sl.r[vo.at]], "%.12g")
+    charts = _charts(size, [co.texts, cx, cy, R],
+                     [np.array(sl.T.base.vertices)[ch.vert[rows]], x, y], pad)
+    edges = object_text(indent(_EDGE, pad), eo, th, pad=pad + " ")
+    verts = object_text(indent(_VERTEX, pad), vo, cone, r, pad=pad + " ")
     return (f'{{\n{pad} "charts": {charts},\n{pad} "edges": {edges},\n'
             f'{pad} "geometry": {json.dumps(sl.geometry)},\n'
             f'{pad} "layout_version": 1,\n{pad} "merged": '

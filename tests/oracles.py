@@ -47,7 +47,6 @@ from hicp.jsontext import (
     _fill,
     float_map,
     key_order,
-    number_texts,
 )
 from hicp.layout import MERGE_TOL
 from hicp.solver import grad_U
@@ -1470,14 +1469,42 @@ def _edge_keys(edges):
     return ["%d-%d" % e for e in edges]
 
 
-def demo_angles_by_extract(T, x, g):
+def demo_angles_by_extract(T, x, g, pad=""):
     """The angles block of demo as extract_angles gives it: the theta and
-    Theta objects of the realized angle data at x."""
+    Theta objects of the realized angle data at x, closed at indent
+    pad."""
     t = solver.extract_angles(T, x, g)
-    return {"theta": float_map(key_order(_edge_keys(t.theta)),
-                               list(t.theta.values())),
-            "Theta": float_map(key_order(list(map(str, t.Theta))),
-                               list(t.Theta.values()))}
+    out = {}
+    for name, d, keys in (("theta", t.theta, _edge_keys(t.theta)),
+                          ("Theta", t.Theta, list(map(str, t.Theta)))):
+        order = key_order(keys)
+        out[name] = float_map(order, number_texts(
+            np.array(list(d.values()), float)[order.at]), pad)
+    return out
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def number_texts(a, fmt="%r"):
+    """The numbers of array a as json writes float(fmt % x), one Python
+    text per number: the reference of jsontext.number_texts.  "%r" is
+    json's own C-encoded text of the list.  A 12-digit %g text keeps a
+    decimal digit below 1e11 except near a whole number, so only numbers
+    within 1e-11 |x| of one, below 1e-4 or from 1e11 in size (where an
+    exponent may show) or not finite are read back and written again."""
+    v = a.ravel()
+    if fmt == "%r":
+        return json.dumps(v.tolist())[1:-1].split(", ") if v.size else []
+    texts = ((fmt + "\n") * v.size % tuple(v.tolist())).split()
+    m = np.abs(v)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        fine = (1e-4 <= m) & (m < 1e11) & (np.abs(v - np.round(v)) > 1e-11 * m)
+    for i in np.flatnonzero(~fine).tolist():
+        t = texts[i]
+        texts[i] = _NONFINITE.get(t) or (
+            repr(float(t)) if "e" in t else t if "." in t else t + ".0")
+    return texts
 
 
 # The splice writers of demo's and render's documents as they were

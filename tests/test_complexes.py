@@ -38,6 +38,8 @@ from hicp.complexes import (
     edge_key,
     make_domain,
     row_domain,
+    stable_argsort,
+    unique_index,
 )
 from hicp.errors import DomainError, HicpError
 from hicp.fixtures import (
@@ -875,3 +877,38 @@ def test_all_fixtures_build():
     for name in FIXTURES:
         cc = build_complex(fixture_spec(name))
         assert cc.chi % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# The stable sort by one default-kind sort
+
+
+def _n_keys(n):
+    """Lists of n keys from both sides of the int64 guard: key * n +
+    position fits below 2^63 for every key up to 2^63 // n - 1."""
+    edge = 2 ** 63 // n
+    return st.lists(st.sampled_from([0, 1, edge - 1, min(edge, 2 ** 63 - 1)])
+                    | st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n)
+
+
+def _assert_sorts_as_numpy(keys):
+    k = np.array(keys, np.int64)
+    assert stable_argsort(k).tolist() == np.argsort(k, kind="stable").tolist()
+    for got, want in zip(unique_index(k), np.unique(
+            k, return_index=True, return_inverse=True, return_counts=True)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("keys", [
+    [], [5], [3] * 7, list(range(20, 0, -1)),
+    [2 ** 61 - 1, 0, 2 ** 61 - 1, 3],  # 4 keys: the largest fast code
+    [2 ** 61, 0, 2 ** 61, 3]])  # past the guard: the stable argsort
+def test_stable_argsort_and_unique_index_are_numpys(keys):
+    _assert_sorts_as_numpy(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.integers(0, 30), max_size=60)
+       | st.integers(1, 40).flatmap(_n_keys))
+def test_stable_argsort_and_unique_index_are_numpys_drawn(keys):
+    _assert_sorts_as_numpy(keys)

@@ -24,10 +24,9 @@ from hicp.fixtures import (
     triangulated_torus_spec,
 )
 from hicp.geometry import EUCLIDEAN, HYPERBOLIC, psi_inv_surface
-from hicp.jsontext import float_map, json_text, key_order
+from hicp.jsontext import float_map, json_text, key_order, number_texts
 from hicp.layout import (
-    angles_json,
-    delaunay_json,
+    angle_blocks,
     delaunay_report,
     develop,
     export_json,
@@ -353,8 +352,13 @@ class TestJsonText:
 
 # numbers where %.12g and repr part ways: whole numbers, exponents from
 # 1e12 (%g) and 1e16 (repr), subnormals, the largest double, non-finite;
-# and each side of the bounds outside which number_texts fixes up a %.12g
-# text: 1e-4, 1e11 and 1e-11 |x| from a whole number
+# each side of the bounds where the reference writer fixes up a %.12g
+# text: 1e-4, 1e11 and 1e-11 |x| from a whole number; where orjson and
+# repr write different texts: from 1e-9 to 1e-4 (0.00001 against 1e-05),
+# from 1e16 (1e16 against 1e+16), non-finite (null); and where the 12-digit
+# rounding must fall back to formatting: near ties (M + 0.5) 10^(e - 11),
+# powers of ten and the numbers just below them (log10 on the wrong side
+# of a power of ten), and 999999999999.5, which rounds up to 13 digits
 ROUNDING_EDGES = [
     0.0, -0.0, 1.0, -3.0, 100.0, 1e-4, 9.99999999999995e-05, 0.1,
     999999999999.4, 999999999999.5, 1e12, 123456789012345.0, 1e15,
@@ -363,7 +367,11 @@ ROUNDING_EDGES = [
     math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), 1e11,
     math.nextafter(1e11, 0), math.nextafter(1e11, math.inf),
     99999999999.99999, 3 - 3e-11, 3 + 3e-11, 12345.000000000002,
-    1.0000000000049, -12345.0000000499, -5e-324, 1e-310]
+    1.0000000000049, -12345.0000000499, -5e-324, 1e-310,
+    1e-5, 5e-5, -5e-5, 1.5e300, 1e-9, math.nextafter(1e-9, 0), -3e-7,
+    *[(123456789012 + 0.5) * 10.0 ** (e - 11) for e in range(-4, 11)],
+    *[x for k in range(-12, 17) for x in (10.0 ** k,
+                                          math.nextafter(10.0 ** k, 0))]]
 
 
 def _assert_texts_are_json(xs):
@@ -388,6 +396,28 @@ def test_texts_are_json_of_12_digits_and_repr_drawn(xs):
     _assert_texts_are_json(xs)
 
 
+# numbers of every size the 12-digit rounding takes (1e-11 to 1e12) and
+# either side of it, with 12 to 14 significant digits, so that ties and
+# mantissas that round up to 13 digits come up
+SIZED = st.builds(lambda m, e, s: s * m * 10.0 ** e,
+                  st.integers(10 ** 11, 10 ** 13) | st.floats(1, 10),
+                  st.integers(-26, 8), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats() | SIZED | st.sampled_from(ROUNDING_EDGES),
+                   max_size=40), cut=st.integers(0, 40))
+def test_texts_are_the_reference_writers(xs, cut):
+    # the one-pass writer against the one-text-per-number reference, in
+    # both formats, and written as one list or as two blocks
+    a = np.array(xs, float)
+    for fmt in ("%r", "%.12g"):
+        want = oracles.number_texts(a, fmt)
+        assert number_texts(a, fmt) == want
+        assert jsontext.number_blocks([a[:cut], a[cut:]], fmt) == [
+            want[:cut], want[cut:]]
+
+
 FLOAT_MAPS = st.dictionaries(
     st.text(max_size=5) | st.sampled_from(["10-2", "2-10", "2", "10"]),
     st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
@@ -397,13 +427,17 @@ FLOAT_MAPS = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(d=FLOAT_MAPS)
 def test_float_map_is_json_dumps(d):
-    block = float_map(key_order(list(d)), list(d.values()))
+    order = key_order(list(d))
+    block = float_map(order, number_texts(
+        np.array(list(d.values()), float)[order.at]))
     assert block + "\n" == _dumps(d)
 
 
 def test_float_map_sorts_keys_as_strings():
     d = {"2-10": 1.5, "10-2": math.nan, "2": -math.inf, "10": 0.0}
-    block = float_map(key_order(list(d)), list(d.values()))
+    order = key_order(list(d))
+    block = float_map(order, number_texts(
+        np.array(list(d.values()))[order.at]))
     assert block + "\n" == _dumps(d)
     assert list(json.loads(block)) == [
         "10", "10-2", "2", "2-10"]
@@ -416,7 +450,7 @@ def test_delaunay_json_is_the_report(name):
     th[:3] = math.nan, math.inf, -math.inf
     for s in (sl, merge_redundant(sl), dataclasses.replace(sl, th=th)):
         want = oracles.delaunay_report_by_loop(s)
-        assert delaunay_json(s) + "\n" == _dumps(
+        assert angle_blocks(s)["delaunay"] + "\n" == _dumps(
             {f"{u}-{v}": rec for (u, v), rec in want.items()})
         if s.th is not th:
             assert delaunay_report(s) == want
@@ -431,8 +465,10 @@ def test_angles_json_is_the_extracted_angles(name, g):
     T = triangulate(build_complex(fixture_spec(name)))
     x = psi_inv_surface(T, *reference_pattern(T, g), g)
     sl = develop(T, x, g)
-    want = oracles.demo_angles_by_extract(T, x, g)
-    assert angles_json(sl) == angles_json(merge_redundant(sl)) == want
+    want = oracles.demo_angles_by_extract(T, x, g, " ")
+    for s in (sl, merge_redundant(sl)):
+        blocks = angle_blocks(s)
+        assert {k: blocks[k] for k in want} == want
 
 
 def _nest(doc, depth):
@@ -456,18 +492,18 @@ def test_padded_blocks_are_json_texts_placement(name, g):
     # a block written at indent pad is json's text of the unpadded
     # block's document at that depth (at depth 0, of itself): demo writes
     # its layout and delaunay blocks at depth 1 and its angle maps at
-    # depth 2
+    # depth 2, one level below the delaunay block's
     sl = reference_layout(build_complex(fixture_spec(name)), g)
     for s in (sl, merge_redundant(sl)):
         for depth in (0, 1, 2):
             pad = " " * depth
-            pairs = [(layout_json(s), layout_json(s, pad)),
-                     (delaunay_json(s), delaunay_json(s, pad))]
-            pairs += zip(angles_json(s).values(),
-                         angles_json(s, pad).values())
-            for block, padded in pairs:
-                assert (_wrapped(padded, depth) + "\n"
-                        == _dumps(_nest(json.loads(block), depth)))
+            blocks, padded = angle_blocks(s), angle_blocks(s, pad)
+            pairs = [(layout_json(s), layout_json(s, pad), depth)] + [
+                (blocks[k], padded[k], depth + (k != "delaunay"))
+                for k in blocks]
+            for block, text, d in pairs:
+                assert (_wrapped(text, d) + "\n"
+                        == _dumps(_nest(json.loads(block), d)))
 
 
 def test_svg_texts_are_the_percent_text():
