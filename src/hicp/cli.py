@@ -88,7 +88,7 @@ def _unique_keys(pairs):
 def _read_json(path):
     """The JSON object stored in a file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise IoError(str(exc))

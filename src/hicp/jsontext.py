@@ -27,10 +27,29 @@ def json_text(obj, pad=""):
     return text.replace("\n", "\n" + pad)
 
 
-def _fill(template, rows, sep=",\n"):
-    """template filled from each row of fields in one pass, joined by sep."""
-    return sep.join([template] * len(rows)) % tuple(
-        itertools.chain.from_iterable(rows))
+def rows_text(kind, groups, sep=",\n"):
+    """Rows joined by sep, written in one % pass.  Each group is
+    (template, *columns) and row i is the template of group kind[i]
+    filled from that group's next row, its fields placed by offsets.
+    kind holds ints or bools; with one group it is not read, as each
+    row of the columns is a row."""
+    if len(groups) == 1:
+        (template, *cols), = groups
+        n, w = len(cols[0]), len(cols)
+        fields = [None] * (n * w)
+        for j, col in enumerate(cols):
+            fields[j::w] = col.tolist() if isinstance(col, np.ndarray) else col
+        return sep.join([template] * n) % tuple(fields)
+    kind = np.asarray(kind, int)
+    width = np.array([len(g) - 1 for g in groups])[kind]
+    at = np.cumsum(width) - width  # each row's first field
+    fields = np.empty(int(width.sum()), object)
+    for k, (_template, *cols) in enumerate(groups):
+        first = at[kind == k]
+        for j, col in enumerate(cols):
+            fields[first + j] = col
+    return sep.join(np.array([g[0] for g in groups], object)[kind].tolist()
+                    ) % tuple(fields.tolist())
 
 
 def indent(template, pad):
@@ -119,7 +138,7 @@ def object_text(template, order, *cols, pad=""):
     which run in key order too."""
     if not order.texts:
         return "{}"
-    return ("{\n" + _fill(template, list(zip(order.texts, *cols))) + "\n"
+    return ("{\n" + rows_text(None, [(template, order.texts, *cols)]) + "\n"
             + pad + "}")
 
 

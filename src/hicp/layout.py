@@ -31,6 +31,7 @@ from .jsontext import (
     key_order,
     number_blocks,
     object_text,
+    rows_text,
 )
 
 # |theta - pi| below which a fan diagonal counts as redundant
@@ -312,6 +313,9 @@ _CHART = ('  %s: {\n   "circle": {\n    "center": [\n     %s,\n     %s\n'
           '    ],\n    "radius": %s\n   },\n   "vertices": [\n')
 _CHART_END = '\n   ]\n  }'
 _CHART_VERTEX = '    [\n     %s,\n     %s,\n     %s\n    ]'
+# a chart's head row (closing the chart before it), a further vertex's row
+_CHART_HEAD = _CHART_END + ",\n" + _CHART + _CHART_VERTEX
+_CHART_NEXT = ",\n" + _CHART_VERTEX
 _EDGE = '  %s: {\n   "theta": %s\n  }'
 _VERTEX = '  %s: {\n   "cone_angle": %s,\n   "radius": %s\n  }'
 _DELAUNAY = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,\n'
@@ -340,42 +344,6 @@ def angle_blocks(sl, pad=""):
             "Theta": float_map(v1, cone, pad + " ")}
 
 
-def _place(fields, first, cols):
-    """Put the rows of the columns cols into the object array fields,
-    row i from position first[i] on."""
-    for k, col in enumerate(cols):
-        fields[first + k] = col
-
-
-@functools.cache
-def _chart_template(size, pad):
-    """The template of a chart of size vertices at indent pad: its key,
-    its circle's center x, y and radius, then each vertex's id, x, y."""
-    return indent(_CHART + ",\n".join([_CHART_VERTEX] * size) + _CHART_END,
-                   pad)
-
-
-def _charts(size, heads, cells, pad):
-    """The text of the charts object, closed at indent pad: one % pass
-    over the templates of the charts' sizes, from one flat list of
-    fields that index arithmetic on size puts in order.  Chart k has
-    size[k] vertices, its fields are the columns heads (its key, its
-    circle's center x, y and radius) and those of its vertices the
-    columns cells (id, x, y), the charts and vertices in key order."""
-    before = np.cumsum(size) - size
-    head = 4 * np.arange(len(size)) + 3 * before
-    cell = 4 * np.repeat(np.arange(1, len(size) + 1), size) + 3 * np.arange(
-        len(cells[0]))
-    fields = np.empty(4 * len(head) + 3 * len(cell), object)
-    _place(fields, head, heads)
-    _place(fields, cell, cells)
-    sizes, which = np.unique(size, return_inverse=True)
-    templates = np.array([_chart_template(k, pad) for k in sizes.tolist()],
-                         object)[which]
-    return ("{\n" + ",\n".join(templates.tolist()) % tuple(fields.tolist())
-            + "\n" + pad + " }")
-
-
 def layout_json(sl, pad=""):
     """The text of the layout document, closed at indent pad: per
     chart its circle and its vertices [id, x, y], per edge theta, per
@@ -385,17 +353,27 @@ def layout_json(sl, pad=""):
     and vertices each."""
     ch, eo, vo = sl.chart, sl.edge_order, sl.vertex_order
     # the charts in json's key order, "0" < "1" < "10", and the rows of
-    # their vertices in that order
+    # their vertices in that order: each chart's first vertex goes in its
+    # head row, with its key and circle, and each further one in its own
     co = key_order(list(map(str, range(len(ch.R)))))
     at = co.at
     size = np.diff(ch.start)[at]
     rows = (np.repeat(ch.start[at] - np.cumsum(size) + size, size)
             + np.arange(len(ch.vert)))
-    cx, cy, R, x, y, th, cone, r = number_blocks([
-        ch.center.real[at], ch.center.imag[at], ch.R[at], ch.z.real[rows],
-        ch.z.imag[rows], sl.th[eo.at], sl.cone[vo.at], sl.r[vo.at]], "%.12g")
-    charts = _charts(size, [co.texts, cx, cy, R],
-                     [np.array(sl.T.base.vertices)[ch.vert[rows]], x, y], pad)
+    head = np.zeros(len(rows), bool)
+    head[np.cumsum(size) - size] = True
+    first, rest = ch.start[at], rows[~head]
+    cx, cy, R, x1, y1, x, y, th, cone, r = number_blocks([
+        ch.center.real[at], ch.center.imag[at], ch.R[at], ch.z.real[first],
+        ch.z.imag[first], ch.z.real[rest], ch.z.imag[rest], sl.th[eo.at],
+        sl.cone[vo.at], sl.r[vo.at]], "%.12g")
+    ids = np.array(sl.T.base.vertices)[ch.vert]
+    end = _CHART_END.replace("\n", "\n" + pad)
+    charts = rows_text(head, [
+        (t.replace("\n", "\n" + pad), *cols) for t, *cols in (
+            (_CHART_NEXT, ids[rest], x, y),
+            (_CHART_HEAD, co.texts, cx, cy, R, ids[first], x1, y1))], "")
+    charts = "{" + charts[len(end) + 1:] + end + "\n" + pad + " }"
     edges = object_text(indent(_EDGE, pad), eo, th, pad=pad + " ")
     verts = object_text(indent(_VERTEX, pad), vo, cone, r, pad=pad + " ")
     return (f'{{\n{pad} "charts": {charts},\n{pad} "edges": {edges},\n'
@@ -465,26 +443,6 @@ def _screen(z, scale, off):
     return _svg_texts(off + scale * z.real), _svg_texts(off - scale * z.imag)
 
 
-def _elements(template, *cols):
-    """One SVG element per row of the columns of texts, one per line."""
-    return "\n".join([template] * len(cols[0])) % tuple(
-        np.column_stack(cols).ravel().tolist())
-
-
-def _mixed(mask, yes, no):
-    """One SVG element per row, one per line, in one pass: where mask
-    holds, yes's template filled from the next row of its columns of
-    texts, and elsewhere no's; yes and no are (template, *columns)."""
-    (t_yes, *c_yes), (t_no, *c_no) = yes, no
-    width = np.where(mask, len(c_yes), len(c_no))
-    at = np.cumsum(width) - width  # each row's first field
-    fields = np.empty(int(width.sum()), object)
-    _place(fields, at[mask], c_yes)
-    _place(fields, at[~mask], c_no)
-    return "\n".join(np.array((t_no, t_yes), object)[mask.astype(int)]
-                     .tolist()) % tuple(fields.tolist())
-
-
 def _geodesics(z, nxt, x, y, g, scale):
     """The SVG path of the chart geodesic from each point of z to the
     point nxt indexes, whose screen coordinates have the texts x and y:
@@ -492,7 +450,7 @@ def _geodesics(z, nxt, x, y, g, scale):
     the unit circle through both points."""
     ends = (x, y, x[nxt], y[nxt])
     if g == EUCLIDEAN:
-        return _elements(_LINE, *ends)
+        return rows_text(None, [(_LINE, *ends)], "\n")
     x1, y1 = z.real, z.imag
     x2, y2 = x1[nxt], y1[nxt]
     with np.errstate(all="ignore"):
@@ -507,8 +465,8 @@ def _geodesics(z, nxt, x, y, g, scale):
         r = _svg_texts(np.hypot(dx1, dy1)[~line] * scale)
         sweep = (dx1 * dy2 - dy1 * dx2 < 0)[~line]  # written by %d as 0, 1
     p, q, u, v = (c[~line] for c in ends)
-    return _mixed(line, (_LINE, *(c[line] for c in ends)),
-                  (_ARC, p, q, r, r, sweep, u, v))
+    return rows_text(line, [(_ARC, p, q, r, r, sweep, u, v),
+                            (_LINE, *(c[line] for c in ends))], "\n")
 
 
 def _circles(z, r, g, scale, off, color, xy=None):
@@ -557,10 +515,12 @@ def export_svg(sl, path):
     nxt[start[1:] - 1] = start[:-1]
     lines.append(_geodesics(z, nxt, x, y, g, scale))
     # face circles, then vertex circles and a dot at each point vertex
-    lines.append(_elements(*_circles(c, R, g, scale, off, "#3366cc")))
+    lines.append(rows_text(None, [_circles(c, R, g, scale, off, "#3366cc")],
+                           "\n"))
     dot = r <= 0
     ring = ~dot
-    lines.append(_mixed(dot, (_POINT, x[dot], y[dot]), _circles(
-        z[ring], r[ring], g, scale, off, "#cc3333", (x[ring], y[ring]))))
+    lines.append(rows_text(dot, [_circles(
+        z[ring], r[ring], g, scale, off, "#cc3333", (x[ring], y[ring])),
+        (_POINT, x[dot], y[dot])], "\n"))
     lines.append('</svg>')
     write_text(path, "\n".join(lines))

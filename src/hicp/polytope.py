@@ -61,7 +61,12 @@ class AngleData:
 def make_angle_data(cc, geometry, theta, Theta):
     """Validate index sets against the complex."""
     check_geometry(geometry)
-    theta = {tuple(sorted(e)): float(v) for e, v in theta.items()}
+    keys = {}  # each edge's key as given
+    for e in theta:
+        if (given := keys.setdefault(tuple(sorted(e)), e)) != e:
+            raise IndexMismatch(
+                f"theta keys {given} and {e} name the same edge")
+    theta = {k: float(theta[e]) for k, e in keys.items()}
     Theta = {k: float(v) for k, v in Theta.items()}
     if set(theta) != set(cc.e1):
         missing = set(cc.e1) - set(theta)

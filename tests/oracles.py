@@ -44,7 +44,6 @@ from hicp.errors import (
 from hicp.fixtures import reference_metric
 from hicp.jsontext import (
     _ESCAPE,
-    _fill,
     float_map,
     key_order,
 )
@@ -1562,6 +1561,12 @@ _EDGE_BY_SPLICE = '  %s: {\n   "theta": %s\n  }'
 _VERTEX_BY_SPLICE = '  %s: {\n   "cone_angle": %s,\n   "radius": %s\n  }'
 _DELAUNAY_BY_SPLICE = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,'
                        '\n  "theta": %s\n }')
+
+
+def _fill(template, rows, sep=",\n"):
+    """template filled from each row of fields in one pass, joined by sep."""
+    return sep.join([template] * len(rows)) % tuple(
+        itertools.chain.from_iterable(rows))
 
 
 def _object_by_splice(template, keys, *cols, pad=""):

@@ -90,6 +90,22 @@ class TestUsage:
         rc, _ = run(tmp_path, "validate", "--input", str(p))
         assert rc == 1
 
+    def test_json_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # RFC 8259 8.1: JSON text is UTF-8, whatever the locale's encoding
+        spec = grid_torus_spec(3)
+        spec["vertices"][0]["label"] = "caf\u00e9"
+        p = tmp_path / "cafe.json"
+        p.write_bytes(json.dumps({"geometry": "euclidean", **spec},
+                                 ensure_ascii=False).encode())
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        code = "import sys\nfrom hicp import cli\nsys.exit(cli.main())\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--input", str(p)],
+            capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b'"label": "caf\\u00e9"' in proc.stdout
+
     @pytest.mark.parametrize("cmd", ["validate", "render"])
     def test_json_too_deep_to_read(self, tmp_path, capsys, cmd):
         # json.load raises RecursionError past the interpreter's limit

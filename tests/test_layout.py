@@ -433,6 +433,43 @@ def test_float_map_is_json_dumps(d):
     assert block + "\n" == _dumps(d)
 
 
+# a group of rows_text: a template of width fields ("%s" or "%d"), and
+# the rows of its columns as lists of texts or bools
+GROUPS = st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.sampled_from(["%s", "%d"]), min_size=width, max_size=width),
+    st.sampled_from(["<%s>", "[%s]\n", "%s"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes=st.lists(GROUPS, min_size=1, max_size=4), data=st.data(),
+       sep=st.sampled_from([",\n", "\n", ""]))
+def test_rows_text_is_the_per_row_writer(shapes, data, sep):
+    # the one-pass writer against one % per row: drawn kinds (zero rows
+    # too, and bools for two groups), %d fields from bool arrays, and %s
+    # columns given as lists or as object arrays
+    kind = data.draw(st.lists(st.integers(0, len(shapes) - 1), max_size=20))
+    groups, rows = [], []
+    for k, (fields, wrap) in enumerate(shapes):
+        n = kind.count(k)
+        cols = []
+        for f in fields:
+            if f == "%d":
+                cols.append(np.array(data.draw(
+                    st.lists(st.booleans(), min_size=n, max_size=n)), bool))
+            else:
+                col = data.draw(st.lists(st.text(max_size=3), min_size=n,
+                                         max_size=n))
+                cols.append(np.array(col, object)
+                            if data.draw(st.booleans()) else col)
+        template = wrap % " ".join(fields)
+        groups.append((template, *cols))
+        rows.append([template % r for r in zip(*cols)])
+    want = sep.join(rows[k].pop(0) for k in kind)
+    given = (None, np.array(kind, bool), np.array(kind, int))[
+        min(len(shapes), 3) - 1]
+    assert jsontext.rows_text(given, groups, sep) == want
+
+
 def test_float_map_sorts_keys_as_strings():
     d = {"2-10": 1.5, "10-2": math.nan, "2": -math.inf, "10": 0.0}
     order = key_order(list(d))
@@ -553,7 +590,8 @@ def test_svg_rows_are_the_percent_text(template):
                  for f, c in zip(fields, cols)]
         want = "\n".join([template] * len(cols[0])) % tuple(
             np.column_stack(cols).ravel().tolist()) if len(cols[0]) else ""
-        got = layout._elements(template.replace("%.3f", "%s"), *texts)
+        got = jsontext.rows_text(None, [(template.replace("%.3f", "%s"),
+                                         *texts)], "\n")
         assert got == want
 
 

@@ -65,6 +65,13 @@ class TestMakeAngleData:
         with pytest.raises(IndexMismatch):
             make_angle_data(grid_torus_v1, "euclidean", theta, {})
 
+    def test_two_keys_of_one_edge(self, grid_torus):
+        # (0, 1) and (1, 0) name one edge: neither value may win silently
+        theta = {e: math.pi / 2 for e in grid_torus.e1}
+        theta[(1, 0)] = 3.0
+        with pytest.raises(IndexMismatch, match=r"\(0, 1\) and \(1, 0\)"):
+            make_angle_data(grid_torus, "euclidean", theta, {})
+
     def test_edge_keys_normalized(self, grid_torus):
         theta = {(max(e), min(e)): math.pi / 2 for e in grid_torus.e1}
         t = make_angle_data(grid_torus, "euclidean", theta, {})
