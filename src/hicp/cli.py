@@ -21,13 +21,7 @@ from .complexes import build_complex, edge_key, triangulate
 from .errors import HicpError, IoError
 from .fixtures import fixture_spec, reference_pattern
 from .geometry import EUCLIDEAN, GEOMETRIES
-from .jsontext import (
-    edge_keys,
-    float_map,
-    json_text,
-    key_order,
-    number_blocks,
-)
+from .jsontext import float_map, json_text, key_order, number_blocks
 from .layout import (
     angle_blocks,
     develop,
@@ -140,9 +134,9 @@ def _require_keys(got, want, what, fmt):
 def _coord_keys(T):
     """The keys solve writes for the coordinates on T, in free-variable
     order: "u-v" (u < v) per free edge, then the id per disk."""
-    ids = T.base.vertices
-    return (edge_keys(ids, T.ends[T.eclass != 0]),
-            list(map(str, itertools.compress(ids, T.vclass.tolist()))))
+    return (list(itertools.compress(T.edge_keys, (T.eclass != 0).tolist())),
+            list(map(str, itertools.compress(T.base.vertices,
+                                             T.vclass.tolist()))))
 
 
 def _coords(T, a, b):
@@ -263,7 +257,7 @@ def _solution_json(spec, g, T, sol):
         x, (a, b) = sol.coords, _coord_keys(T)
         l, r = geo.psi_surface(T, x, g)
         maps += [(a, x[:len(a)]), (b, x[len(a):]),
-                 (edge_keys(T.base.vertices, T.ends), l),
+                 (T.edge_keys, l),
                  (list(map(str, T.base.vertices)), r)]
     if (t := sol.realized_angles) is not None:
         maps += [(list(map(str, t.Theta)), list(t.Theta.values())),

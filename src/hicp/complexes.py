@@ -403,6 +403,13 @@ class Triangulation:
         return _id_pairs(self.base.vertices, self.ends)
 
     @cached_property
+    def edge_keys(self):
+        """The "u-v" key of each edge of ``edges``, as solve writes it."""
+        ids = self.base.vertices
+        return ("%d-%d\n" * len(self.ends) % tuple(
+            map(ids.__getitem__, self.ends.ravel().tolist()))).split()
+
+    @cached_property
     def free_edges(self):
         """Edges carrying an `a` coordinate, sorted: E1 then diagonals."""
         return tuple(compress(self.edges, (self.eclass != 0).tolist()))

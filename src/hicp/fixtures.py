@@ -276,12 +276,14 @@ def reference_pattern(T, g):
     check_geometry(g)
     cc = T.base
     l, r = reference_metric(T, g)
+    fv, start = cc.face_vert, cc.face_start
+    if (np.diff(start) == 3).all():
+        return l, r  # no diagonals
 
     # A diagonal's length depends only on the classes of its face's
     # vertices and sides in face order, the place of the fan's apex in
     # the face and the diagonal's place in the fan: one evaluation per
     # distinct (classes, apex place), in face order.
-    fv, start = cc.face_vert, cc.face_start
     nxt = np.arange(1, len(fv) + 1)
     nxt[start[1:] - 1] = start[:-1]
     nv = len(r)

@@ -1,19 +1,21 @@
 """The text of every JSON document hicp writes: the bytes of
 ``json.dumps(obj, sort_keys=True, indent=1)``, written by json_text
 from a document, or by the block writers straight from arrays of
-numbers and lists of keys, one % pass per block.  A text has no final
+numbers and lists of keys, one str.join per block.  A text has no final
 newline; the writer of the file or of stdout adds it."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from typing import NamedTuple
 
 import numpy as np
 import orjson
 
 _ESCAPE = json.encoder.encode_basestring_ascii
+_FIELD = re.compile("%[sd]")  # a field of a rows_text template
 
 
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # each exact
@@ -28,28 +30,56 @@ def json_text(obj, pad=""):
 
 
 def rows_text(kind, groups, sep=",\n"):
-    """Rows joined by sep, written in one % pass.  Each group is
-    (template, *columns) and row i is the template of group kind[i]
-    filled from that group's next row, its fields placed by offsets.
-    kind holds ints or bools; with one group it is not read, as each
-    row of the columns is a row."""
+    """Rows joined by sep.  Each group is (template, *columns), its
+    fields %s or %d, and row i is the template of group kind[i] filled
+    from that group's next row.  One group, kind not read, is one
+    str.join of its pieces; with several, each row is the str.join of
+    its head and its own pieces, and the rows are taken in kind order."""
     if len(groups) == 1:
-        (template, *cols), = groups
-        n, w = len(cols[0]), len(cols)
-        fields = [None] * (n * w)
-        for j, col in enumerate(cols):
-            fields[j::w] = col.tolist() if isinstance(col, np.ndarray) else col
-        return sep.join([template] * n) % tuple(fields)
+        out = _pieces(*groups[0], sep=sep)
+        return "".join(out) if len(out) > 1 else ""
     kind = np.asarray(kind, int)
-    width = np.array([len(g) - 1 for g in groups])[kind]
-    at = np.cumsum(width) - width  # each row's first field
-    fields = np.empty(int(width.sum()), object)
-    for k, (_template, *cols) in enumerate(groups):
-        first = at[kind == k]
-        for j, col in enumerate(cols):
-            fields[first + j] = col
-    return sep.join(np.array([g[0] for g in groups], object)[kind].tolist()
-                    ) % tuple(fields.tolist())
+    rows = []
+    for n, group in zip(np.bincount(kind, minlength=len(groups)).tolist(),
+                        groups):
+        head, *out = _pieces(*group)
+        m = 2 * len(group) - 2  # the pieces of a row after its head
+        if len(out) != n * m:
+            raise ValueError("a group's rows are not the count of its kind")
+        rows.append(map("".join, zip(itertools.repeat(head),
+                                     *[iter(out)] * m)))
+    return sep.join(map(next, map(rows.__getitem__, kind.tolist())))
+
+
+def _pieces(template, *cols, sep=None):
+    """The head of template, then per row filled from the columns cols
+    the texts of its fields and the literal pieces after them in turn;
+    with sep, sep and the head follow the last piece of each row but the
+    last."""
+    cols = [_texts(c, f) for c, f in zip(cols, _FIELD.findall(template),
+                                         strict=True)]
+    n, m = len(cols[0]), 2 * len(cols)
+    head, *pieces, tail = _FIELD.split(template)
+    out = [None] * (n * m + 1)
+    out[::2] = [head, *[*pieces, tail if sep is None else tail + sep + head]
+                * n]
+    for j, col in enumerate(cols):
+        out[2 * j + 1::m] = col
+    if n:
+        out[-1] = tail
+    return out
+
+
+def _texts(col, field):
+    """The texts of the column col in the field "%s" or "%d", as % writes
+    them: a list, iterator or array of texts, or of numbers (a %d column
+    is read as ints), which are written here by str.  Its first item
+    tells which."""
+    if field == "%d":
+        col = np.asarray(col, int)
+    col = col.tolist() if isinstance(col, np.ndarray) else (
+        col if isinstance(col, list) else list(col))
+    return col if not col or isinstance(col[0], str) else list(map(str, col))
 
 
 def indent(template, pad):
@@ -148,9 +178,3 @@ def float_map(order, texts, pad=""):
     or vertex-keyed float object hicp writes."""
     return object_text(pad + " %s: %s", order, texts, pad=pad)
 
-
-def edge_keys(ids, ends):
-    """The "u-v" key of each edge, a row of the (E, 2) array ends: u and
-    v are the ids at the positions of its ends in the list ids."""
-    return ("%d-%d\n" * len(ends) % tuple(
-        map(ids.__getitem__, ends.ravel().tolist()))).split()

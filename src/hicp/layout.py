@@ -12,6 +12,7 @@ first use, and the layout JSON is formatted from the arrays."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,11 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry as geo
-from .complexes import unique_index
+from .complexes import stable_argsort, unique_index
 from .errors import InvariantViolation, IoError, NonRedundantDiagonal
 from .geometry import EUCLIDEAN, HYPERBOLIC, check_geometry
 from .jsontext import (
-    edge_keys,
     float_map,
     indent,
     key_order,
@@ -128,9 +128,9 @@ class SurfaceLayout:
     @cached_property
     def edge_order(self):
         """The KeyOrder of the edges' "u-v" keys."""
-        T = self.T
-        return key_order(edge_keys(T.base.vertices,
-                                   T.base.ends if self.merged else T.ends))
+        keys = self.T.edge_keys
+        return key_order(list(itertools.compress(keys, (
+            self.T.eclass != 2).tolist())) if self.merged else keys)
 
     @cached_property
     def vertex_order(self):
@@ -311,11 +311,8 @@ def merge_redundant(sl):
 
 _CHART = ('  %s: {\n   "circle": {\n    "center": [\n     %s,\n     %s\n'
           '    ],\n    "radius": %s\n   },\n   "vertices": [\n')
-_CHART_END = '\n   ]\n  }'
 _CHART_VERTEX = '    [\n     %s,\n     %s,\n     %s\n    ]'
-# a chart's head row (closing the chart before it), a further vertex's row
-_CHART_HEAD = _CHART_END + ",\n" + _CHART + _CHART_VERTEX
-_CHART_NEXT = ",\n" + _CHART_VERTEX
+_CHART_END = '\n   ]\n  }'
 _EDGE = '  %s: {\n   "theta": %s\n  }'
 _VERTEX = '  %s: {\n   "cone_angle": %s,\n   "radius": %s\n  }'
 _DELAUNAY = (' %s: {\n  "is_delaunay": %s,\n  "is_redundant": %s,\n'
@@ -349,31 +346,33 @@ def layout_json(sl, pad=""):
     chart its circle and its vertices [id, x, y], per edge theta, per
     vertex its radius and cone angle, each number rounded to 12
     significant digits.  Formatted in json_text's format from sl's
-    arrays: one number_texts pass, then one % pass for the charts, edges
-    and vertices each."""
+    arrays: one number_texts pass, then one rows_text call for the
+    charts, edges and vertices each."""
     ch, eo, vo = sl.chart, sl.edge_order, sl.vertex_order
-    # the charts in json's key order, "0" < "1" < "10", and the rows of
-    # their vertices in that order: each chart's first vertex goes in its
-    # head row, with its key and circle, and each further one in its own
+    # the charts in json's key order, "0" < "1" < "10", one row each: its
+    # key, circle and vertices, with a kind of row per chart size; the
+    # numbers in the order of the groups of a size
     co = key_order(list(map(str, range(len(ch.R)))))
-    at = co.at
-    size = np.diff(ch.start)[at]
-    rows = (np.repeat(ch.start[at] - np.cumsum(size) + size, size)
+    sizes, _first, kind, count = unique_index(np.diff(ch.start)[co.at])
+    by = stable_argsort(kind)
+    at = co.at[by]
+    n = np.diff(ch.start)[at]
+    rows = (np.repeat(ch.start[at] - np.cumsum(n) + n, n)
             + np.arange(len(ch.vert)))
-    head = np.zeros(len(rows), bool)
-    head[np.cumsum(size) - size] = True
-    first, rest = ch.start[at], rows[~head]
-    cx, cy, R, x1, y1, x, y, th, cone, r = number_blocks([
-        ch.center.real[at], ch.center.imag[at], ch.R[at], ch.z.real[first],
-        ch.z.imag[first], ch.z.real[rest], ch.z.imag[rest], sl.th[eo.at],
-        sl.cone[vo.at], sl.r[vo.at]], "%.12g")
-    ids = np.array(sl.T.base.vertices)[ch.vert]
-    end = _CHART_END.replace("\n", "\n" + pad)
-    charts = rows_text(head, [
-        (t.replace("\n", "\n" + pad), *cols) for t, *cols in (
-            (_CHART_NEXT, ids[rest], x, y),
-            (_CHART_HEAD, co.texts, cx, cy, R, ids[first], x1, y1))], "")
-    charts = "{" + charts[len(end) + 1:] + end + "\n" + pad + " }"
+    cx, cy, R, x, y, th, cone, r = number_blocks([
+        ch.center.real[at], ch.center.imag[at], ch.R[at], ch.z.real[rows],
+        ch.z.imag[rows], sl.th[eo.at], sl.cone[vo.at], sl.r[vo.at]], "%.12g")
+    keys = list(map(co.texts.__getitem__, by.tolist()))
+    ids = np.array(sl.T.base.vertices)[ch.vert[rows]]
+    groups, c, v = [], 0, 0
+    for s, m in zip(sizes.tolist(), count.tolist()):
+        cols = [keys[c:c + m], cx[c:c + m], cy[c:c + m], R[c:c + m]]
+        for j in range(v, v + s):
+            cols += [ids[j:v + m * s:s], x[j:v + m * s:s], y[j:v + m * s:s]]
+        groups.append((indent(_CHART + ",\n".join([_CHART_VERTEX] * s)
+                              + _CHART_END, pad), *cols))
+        c, v = c + m, v + m * s
+    charts = "{\n" + rows_text(kind, groups) + "\n" + pad + " }"
     edges = object_text(indent(_EDGE, pad), eo, th, pad=pad + " ")
     verts = object_text(indent(_VERTEX, pad), vo, cone, r, pad=pad + " ")
     return (f'{{\n{pad} "charts": {charts},\n{pad} "edges": {edges},\n'
@@ -401,12 +400,14 @@ def export_json(sl, path):
     write_text(path, layout_json(sl))
 
 
-_PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
-_LINE = '<path d="M %s %s L %s %s"' + _PATH
-_ARC = '<path d="M %s %s A %s %s 0 0 %d %s %s"' + _PATH
-_CIRCLE = ('<circle cx="%s" cy="%s" r="%s" fill="none" stroke="{}" '
-           'stroke-width="0.8"/>')
-_POINT = '<circle cx="%s" cy="%s" r="2" fill="#cc3333"/>'
+# a chart edge's path, its middle "L" or an arc's "A r r 0 0 sweep", and
+# a circle, its tail a ring's or a dot's
+_PATH = ('<path d="M %s %s %s %s %s" stroke="#222222" fill="none" '
+         'stroke-width="1"/>')
+_ARC = "A %s %s 0 0 %d"
+_CIRCLE = '<circle cx="%s" cy="%s" r="%s" %s'
+_RING = 'fill="none" stroke="{}" stroke-width="0.8"/>'
+_DOT = 'fill="#cc3333"/>'
 
 
 @functools.cache
@@ -448,38 +449,36 @@ def _geodesics(z, nxt, x, y, g, scale):
     point nxt indexes, whose screen coordinates have the texts x and y:
     a line segment, or in the disk the arc of the circle orthogonal to
     the unit circle through both points."""
-    ends = (x, y, x[nxt], y[nxt])
-    if g == EUCLIDEAN:
-        return rows_text(None, [(_LINE, *ends)], "\n")
-    x1, y1 = z.real, z.imag
-    x2, y2 = x1[nxt], y1[nxt]
-    with np.errstate(all="ignore"):
-        line = np.abs(x1 * y2 - y1 * x2) < 1e-9
-        # solve 2 c . z = |z|^2 + 1 for both points
-        a1, b1, c1 = 2 * x1, 2 * y1, np.hypot(x1, y1) ** 2 + 1
-        a2, b2, c2 = 2 * x2, 2 * y2, np.hypot(x2, y2) ** 2 + 1
-        det = a1 * b2 - a2 * b1
-        cx = (c1 * b2 - c2 * b1) / det
-        cy = (a1 * c2 - a2 * c1) / det
-        dx1, dy1, dx2, dy2 = x1 - cx, y1 - cy, x2 - cx, y2 - cy
-        r = _svg_texts(np.hypot(dx1, dy1)[~line] * scale)
-        sweep = (dx1 * dy2 - dy1 * dx2 < 0)[~line]  # written by %d as 0, 1
-    p, q, u, v = (c[~line] for c in ends)
-    return rows_text(line, [(_ARC, p, q, r, r, sweep, u, v),
-                            (_LINE, *(c[line] for c in ends))], "\n")
+    mid = ["L"] * len(z)
+    if g == HYPERBOLIC:
+        x1, y1 = z.real, z.imag
+        x2, y2 = x1[nxt], y1[nxt]
+        with np.errstate(all="ignore"):
+            line = np.abs(x1 * y2 - y1 * x2) < 1e-9
+            # solve 2 c . z = |z|^2 + 1 for both points
+            a1, b1, c1 = 2 * x1, 2 * y1, np.hypot(x1, y1) ** 2 + 1
+            a2, b2, c2 = 2 * x2, 2 * y2, np.hypot(x2, y2) ** 2 + 1
+            det = a1 * b2 - a2 * b1
+            cx = (c1 * b2 - c2 * b1) / det
+            cy = (a1 * c2 - a2 * c1) / det
+            dx1, dy1, dx2, dy2 = x1 - cx, y1 - cy, x2 - cx, y2 - cy
+            r = _svg_texts(np.hypot(dx1, dy1)[~line] * scale)
+            sweep = (dx1 * dy2 - dy1 * dx2 < 0)[~line]  # %d writes 0, 1
+        mid = np.array(mid, object)
+        mid[~line] = rows_text(None, [(_ARC, r, r, sweep)], "\n").splitlines()
+    return rows_text(None, [(_PATH, x, y, mid, x[nxt], y[nxt])], "\n")
 
 
-def _circles(z, r, g, scale, off, color, xy=None):
-    """The template and the columns of texts of the SVG circles of the
-    model circles (z, r), all r > 0; xy, if given, holds the texts of the
+def _circles(z, r, g, scale, off, xy=None):
+    """The texts of the screen x, y and r of the SVG circles of the model
+    circles (z, r), all r > 0; xy, if given, holds the texts of the
     screen x and y of z.  A disk circle is drawn from its Euclidean
     representative, whose center is not z."""
     if g == HYPERBOLIC:
         with np.errstate(all="ignore"):
             z, r = geo.disk_circle_reps(z, r)
         xy = None
-    return (_CIRCLE.format(color), *(xy or _screen(z, scale, off)),
-            _svg_texts(r * scale))
+    return (*(xy or _screen(z, scale, off)), _svg_texts(r * scale))
 
 
 def export_svg(sl, path):
@@ -514,13 +513,17 @@ def export_svg(sl, path):
     nxt = np.arange(1, len(z) + 1)
     nxt[start[1:] - 1] = start[:-1]
     lines.append(_geodesics(z, nxt, x, y, g, scale))
-    # face circles, then vertex circles and a dot at each point vertex
-    lines.append(rows_text(None, [_circles(c, R, g, scale, off, "#3366cc")],
-                           "\n"))
+    # face circles, then per vertex its circle or, at a point, a dot
+    lines.append(rows_text(None, [(_CIRCLE, *_circles(c, R, g, scale, off),
+                                   [_RING.format("#3366cc")] * len(R))], "\n"))
     dot = r <= 0
     ring = ~dot
-    lines.append(rows_text(dot, [_circles(
-        z[ring], r[ring], g, scale, off, "#cc3333", (x[ring], y[ring])),
-        (_POINT, x[dot], y[dot])], "\n"))
+    cols = x.copy(), y.copy(), np.full(len(z), "2", object)
+    for col, texts in zip(cols, _circles(z[ring], r[ring], g, scale, off,
+                                         (x[ring], y[ring]))):
+        col[ring] = texts
+    tails = (_RING.format("#cc3333"), _DOT)
+    lines.append(rows_text(None, [(_CIRCLE, *cols, list(map(
+        tails.__getitem__, dot.tolist())))], "\n"))
     lines.append('</svg>')
     write_text(path, "\n".join(lines))

@@ -1397,6 +1397,38 @@ def test_layout_documents_are_the_splice_writers_bytes(tmp_path, capsys,
         assert text == want, cmd
 
 
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("name", ["tri-torus", "grid-torus"])
+def test_outputs_take_ids_beyond_int64(tmp_path, name, g):
+    """demo and render on a fixture whose ids lie beyond int64, an object
+    array of ints, write the splice writers' documents and the
+    per-element SVG writer's text."""
+    spec = fixture_spec(name)
+    ids = [item["id"] for item in spec["vertices"]]
+    rng = random.Random(name)
+    new = dict(zip(ids, [(k % 2 * 2 - 1) * 2 ** 64 + k for k in
+                         rng.sample(range(-500, 500), len(ids))]))
+    spec = {"vertices": [dict(item, id=new[item["id"]])
+                         for item in spec["vertices"]],
+            "faces": [[new[v] for v in f] for f in spec["faces"]]}
+    T = triangulate(build_complex(spec))
+    assert np.array(T.base.vertices).dtype == object
+    x = geo.psi_inv_surface(T, *reference_pattern(T, g), g)
+    _write_render_inputs(tmp_path, spec, T, x, g)
+    for cmd, path in (("demo", "in.json"), ("render", "sol.json")):
+        assert cli.main([cmd, "--input", str(tmp_path / path),
+                         "--output", str(tmp_path / f"{cmd}.json"),
+                         "--svg", str(tmp_path / f"{cmd}.svg")]) == 0
+    merged = merge_redundant(develop(T, x, g))
+    assert ((tmp_path / "demo.json").read_text()
+            == oracles.demo_text_by_splice(merged))
+    assert ((tmp_path / "render.json").read_text()
+            == oracles.layout_text_by_splice(merged))
+    svg = oracles.svg_by_loop(merged)
+    assert (tmp_path / "demo.svg").read_text() == svg
+    assert (tmp_path / "render.svg").read_text() == svg
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     """main keeps its parser: a good command, a usage error, help and the
     good command again exit and write in one process as each does in a
@@ -1455,9 +1487,9 @@ def test_writers_are_the_traced_names(tmp_path, monkeypatch):
 
 
 def _fresh_commands(tmp_path, modules):
-    """Run validate (partial and exhaustive), solve, render and demo in
-    one fresh interpreter: (their exit codes, which of ``modules`` are
-    loaded after them)."""
+    """Run validate (partial and exhaustive), solve, render, and demo on
+    triangles and on quads, in one fresh interpreter: (their exit codes,
+    which of ``modules`` are loaded after them)."""
     fx = ["--input", "fixture:tri-torus"]
     sol, out, svg = (str(tmp_path / n) for n in ("sol.json", "out.json",
                                                  "out.svg"))
@@ -1465,7 +1497,9 @@ def _fresh_commands(tmp_path, modules):
             ["validate", "--input", "fixture:grid-torus", "--output", out],
             ["solve", *fx, "--output", sol],
             ["render", "--input", sol, "--output", out, "--svg", svg],
-            ["demo", *fx, "--output", out, "--svg", svg]]
+            ["demo", *fx, "--output", out, "--svg", svg],
+            ["demo", "--input", "fixture:grid-torus", "--output", out,
+             "--svg", svg]]
     code = ("import json, sys\n"
             "from hicp import cli\n"
             "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
@@ -1482,7 +1516,7 @@ def _fresh_commands(tmp_path, modules):
 def test_commands_do_not_load_scipy(tmp_path):
     # scipy is a test dependency: no command may import it
     codes, loaded = _fresh_commands(tmp_path, ["scipy"])
-    assert codes == [3, 0, 0, 0, 0]
+    assert codes == [3, 0, 0, 0, 0, 0]
     assert loaded == [False]
 
 
@@ -1490,5 +1524,5 @@ def test_commands_do_not_load_numpy_ma(tmp_path):
     # numpy.ma costs about 14 ms of import in a fresh interpreter, and
     # np.unique loads it in numpy 2.4
     codes, loaded = _fresh_commands(tmp_path, ["numpy.ma"])
-    assert codes == [3, 0, 0, 0, 0]
+    assert codes == [3, 0, 0, 0, 0, 0]
     assert loaded == [False]

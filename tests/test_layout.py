@@ -444,30 +444,44 @@ GROUPS = st.integers(1, 4).flatmap(lambda width: st.tuples(
 @given(shapes=st.lists(GROUPS, min_size=1, max_size=4), data=st.data(),
        sep=st.sampled_from([",\n", "\n", ""]))
 def test_rows_text_is_the_per_row_writer(shapes, data, sep):
-    # the one-pass writer against one % per row: drawn kinds (zero rows
-    # too, and bools for two groups), %d fields from bool arrays, and %s
-    # columns given as lists or as object arrays
+    # the writer against one % per row: drawn kinds (zero rows too, and
+    # bools for two groups), %d fields from bool arrays, and %s columns
+    # given as lists, object arrays or map iterators of texts, as int
+    # arrays (vertex ids), and as object arrays of ints beyond int64
     kind = data.draw(st.lists(st.integers(0, len(shapes) - 1), max_size=20))
     groups, rows = [], []
     for k, (fields, wrap) in enumerate(shapes):
         n = kind.count(k)
-        cols = []
+        cols, given = [], []
         for f in fields:
-            if f == "%d":
-                cols.append(np.array(data.draw(
-                    st.lists(st.booleans(), min_size=n, max_size=n)), bool))
-            else:
-                col = data.draw(st.lists(st.text(max_size=3), min_size=n,
-                                         max_size=n))
-                cols.append(np.array(col, object)
-                            if data.draw(st.booleans()) else col)
+            form = "bool" if f == "%d" else data.draw(st.sampled_from(
+                ["list", "object", "map", "int", "huge"]))
+            item = {"bool": st.booleans(),
+                    "int": st.integers(-2 ** 63, 2 ** 63 - 1),
+                    "huge": st.integers(-500, 500).map(
+                        lambda k: (k % 2 * 2 - 1) * 2 ** 64 + k)
+                    }.get(form, st.text(max_size=3))
+            col = data.draw(st.lists(item, min_size=n, max_size=n))
+            cols.append(col)
+            given.append(col if form == "list" else map(str, col)
+                         if form == "map" else np.array(col, {
+                             "bool": bool, "int": int}.get(form, object)))
         template = wrap % " ".join(fields)
-        groups.append((template, *cols))
+        groups.append((template, *given))
         rows.append([template % r for r in zip(*cols)])
     want = sep.join(rows[k].pop(0) for k in kind)
     given = (None, np.array(kind, bool), np.array(kind, int))[
         min(len(shapes), 3) - 1]
     assert jsontext.rows_text(given, groups, sep) == want
+
+
+def test_rows_text_rejects_rows_that_do_not_fit():
+    # a column past the template's fields, and a group whose rows are
+    # not the count of its kind, are caller errors
+    with pytest.raises(ValueError):
+        jsontext.rows_text(None, [("<%s>", ["a"], ["b"])])
+    with pytest.raises(ValueError):
+        jsontext.rows_text([0, 1], [("<%s>", ["a", "b"]), ("%d", [1])])
 
 
 def test_float_map_sorts_keys_as_strings():
@@ -570,10 +584,10 @@ _PATH = ' stroke="#222222" fill="none" stroke-width="1"/>'
     '<circle cx="%.3f" cy="%.3f" r="%.3f" fill="none" stroke="#3366cc" '
     'stroke-width="0.8"/>'))
 def test_svg_rows_are_the_percent_text(template):
-    # each SVG element kind, filled from the texts of its %.3f columns,
-    # is the element that % writes from the numbers themselves
-    assert template.replace("%.3f", "%s") in (
-        layout._LINE, layout._ARC, layout._CIRCLE.format("#3366cc"))
+    # each SVG element kind, written from the texts of its %.3f columns
+    # as export_svg writes it (a path with the middle "L" or an arc's
+    # text, a circle with a ring's tail), is the element that % writes
+    # from the numbers themselves
     rng = np.random.default_rng(7)
     halves = (rng.integers(-10 ** 7, 10 ** 7, 120) + 0.5) / 1000
     values = np.concatenate([
@@ -588,11 +602,17 @@ def test_svg_rows_are_the_percent_text(template):
             cols[fields.index("%d")] = cols[fields.index("%d")] > 0  # sweep
         texts = [c if f == "%d" else layout._svg_texts(c)
                  for f, c in zip(fields, cols)]
-        want = "\n".join([template] * len(cols[0])) % tuple(
-            np.column_stack(cols).ravel().tolist()) if len(cols[0]) else ""
-        got = jsontext.rows_text(None, [(template.replace("%.3f", "%s"),
-                                         *texts)], "\n")
-        assert got == want
+        m = len(cols[0])
+        want = "\n".join([template] * m) % tuple(
+            np.column_stack(cols).ravel().tolist()) if m else ""
+        if n == 3:  # a face circle
+            groups = [(layout._CIRCLE, *texts,
+                       [layout._RING.format("#3366cc")] * m)]
+        else:  # a line, or an arc's x, y, r, r, sweep, then its end
+            mid = ["L"] * m if n == 4 else jsontext.rows_text(
+                None, [(layout._ARC, *texts[2:5])], "\n").splitlines()
+            groups = [(layout._PATH, *texts[:2], mid, *texts[-2:])]
+        assert jsontext.rows_text(None, groups, "\n") == want
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
@@ -756,21 +776,39 @@ def test_merge_names_the_least_diagonal_off_pi(grid_torus):
 @pytest.mark.parametrize("spec", (
     triangulated_torus_spec(24, v1=range(0, 576, 2)),
     grid_torus_spec(20, v1=range(0, 400, 2))), ids=("tri24", "grid20"))
-def test_merge_places_as_loop_on_large_tori(spec, g):
+def test_merge_places_as_loop_on_large_tori(tmp_path, spec, g):
+    # and its documents are the loops': on tri24 in the disk, 2304 of the
+    # 3456 chart edges are lines and the others arcs
     sl = reference_layout(build_complex(spec), g)
-    _assert_charts_match(merge_redundant(sl), oracles.merge_by_loop(sl))
+    merged = merge_redundant(sl)
+    _assert_charts_match(merged, oracles.merge_by_loop(sl))
+    _assert_documents_match_loop(tmp_path, merged)
+    if g == HYPERBOLIC and len(merged.chart.z) == 3456:
+        svg = (tmp_path / "out.svg").read_text()
+        assert (svg.count(" L "), svg.count(" A ")) == (2304, 1152)
 
 
 @pytest.mark.parametrize("g", (EUCLIDEAN, HYPERBOLIC))
 @pytest.mark.parametrize("seed", range(0, 24, 3))
-def test_reference_diagonals_are_redundant_on_mixed_grids(seed, g):
+def test_reference_diagonals_are_redundant_on_mixed_grids(tmp_path, seed, g):
     # quads and hexagons whose vertex classes differ around the face and
     # whose least vertex is not the first: every fan diagonal of the
     # reference pattern lies at pi, so the merge succeeds
     sl = reference_layout(build_complex(mixed_grid_spec(4 + seed % 5, seed)),
                           g)
     assert np.abs(sl.th[sl.T.eclass == 2] - math.pi).max() < 1e-9
-    merge_redundant(sl)
+    # the merged charts take more than one size, so the layout's charts
+    # are rows of several kinds
+    merged = merge_redundant(sl)
+    assert len(set(np.diff(merged.chart.start).tolist())) > 1
+    _assert_documents_match_loop(tmp_path, merged)
+
+
+def _assert_documents_match_loop(tmp_path, sl):
+    """The layout document and the SVG of sl are the loops' texts."""
+    _assert_layout_document_matches_loop(sl)
+    export_svg(sl, tmp_path / "out.svg")
+    assert (tmp_path / "out.svg").read_text() == oracles.svg_by_loop(sl)
 
 
 def test_diagonal_off_pi_raises_as_scalar(grid_torus):
