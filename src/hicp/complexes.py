@@ -34,6 +34,8 @@ from .errors import (
     RegularityViolation,
 )
 
+_TAGS = np.array([["disk"], ["point"]], object)  # the circle tags
+
 
 def edge_key(i, j):
     return (i, j) if i < j else (j, i)
@@ -111,20 +113,6 @@ def _int_lists(seqs, n=None):
                         seqs)))))
 
 
-def _check_face(f, seen):
-    """Raise at the first fault of face f over the vertex ids seen."""
-    if len(f) < 3:
-        raise RegularityViolation(f"face {f} has fewer than 3 vertices")
-    for a, b in zip(f, f[1:] + f[:1]):
-        if a == b:
-            raise RegularityViolation(f"loop edge at vertex {a} in face {f}")
-    if len(set(f)) != len(f):
-        raise RegularityViolation(f"face {f} revisits a vertex")
-    for v in f:
-        if v not in seen:
-            raise IndexMismatch(f"face {f} uses unknown vertex {v}")
-
-
 def stable_argsort(key):
     """np.argsort(key, kind="stable") of the 1-d int array key >= 0, by
     one default-kind (SIMD) sort of key * n + position, n = len(key),
@@ -161,10 +149,12 @@ def _positions(keys, x):
 
 def build_complex(spec):
     """Validate a raw cell description (parsed JSON dict) and derive the
-    edge set.  See the module docstring for the conventions.  Vertices,
-    faces, sides, face pairs and tangent edges are checked by array
-    passes over vertex positions and edge codes; each check raises at its
-    first violation in input order."""
+    edge set (conventions in the module docstring).  Checked in order,
+    each naming its first fault: the input types; per vertex a repeated
+    id, then its circle tag; per face < 3 sides, a loop side, a revisit,
+    then an unknown id; two sides per edge; orientation; face pairs; per
+    tangent pair no edge, then a point end (lower first); the Euler
+    characteristic, emptiness, connectedness; one face cycle per vertex."""
     if not (isinstance(spec, dict)
             and isinstance(spec.get("vertices"), (list, tuple))
             and all(issubclass(t, dict)
@@ -181,46 +171,57 @@ def build_complex(spec):
 
     ids = [item["id"] for item in spec["vertices"]]
     circles = [item.get("circle", "disk") for item in spec["vertices"]]
-    seen = set(ids)
-    if (len(seen) < len(ids)
-            or circles.count("disk") + circles.count("point") < len(ids)):
-        seen = set()
-        for vid, circle in zip(ids, circles):
-            if vid in seen:
-                raise RegularityViolation(f"duplicate vertex id {vid}")
-            seen.add(vid)
-            if circle not in ("disk", "point"):
-                raise IndexMismatch(
-                    f"unknown circle tag {circle!r} on vertex {vid}")
     faces, tangent = spec["faces"], spec.get("tangent_edges", [])
     lists = ids, list(itertools.chain.from_iterable(faces)), tangent
     try:
         vid, fid, tid = (np.array(x, np.int64) for x in lists)
     except OverflowError:  # an id beyond int64
         vid, fid, tid = (np.array(x, object) for x in lists)
-    order = np.argsort(vid)  # the ids are distinct
+    order = np.argsort(vid, kind="stable")
     keys, V = vid[order], len(ids)
+    repeat = np.zeros(V, bool)
+    repeat[order[1:]] = keys[1:] == keys[:-1]
+    disk, point = np.fromiter(circles, object, V) == _TAGS
+    bad = repeat | (disk == point)  # a repeat, or neither tag
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise (RegularityViolation(f"duplicate vertex id {ids[m]}")
+               if repeat[m] else IndexMismatch(
+                   f"unknown circle tag {circles[m]!r} on vertex {ids[m]}"))
     verts = keys.tolist()
-    vclass = np.array([c == "disk" for c in circles], int)[order]
+    vclass = disk[order].astype(int)
 
     # one row per face side: side s of face face[s] runs from vertex
-    # position p[s] to q[s]
+    # position p[s] to q[s] = p[nxt[s]]; an unknown id has its own p >= V
     F = len(faces)
     sizes = np.fromiter(map(len, faces), int, F)
     face = np.repeat(np.arange(F), sizes)
+    start = np.concatenate([[0], sizes]).cumsum()
+    N = int(start[-1])
+    nxt = np.arange(1, N + 1)
+    ring = sizes > 0  # an empty face has no side to close
+    nxt[start[1:][ring] - 1] = start[:-1][ring]
+    fault = np.zeros((F, 4), bool)  # per face, in the docstring's order
+    fault[:, 0] = sizes < 3
     p, known = _positions(keys, fid)
+    if not known.all():
+        p[~known] = V + np.unique(fid[~known], return_inverse=True)[1]
+        fault[face[~known], 3] = True
     # sides by vertex, faces ascending: a face that revisits a vertex
     # holds two neighbours
     at = stable_argsort(p)
     pa, fa = p[at], face[at]
-    if (sizes.min(initial=3) < 3 or not known.all()
-            or ((pa[1:] == pa[:-1]) & (fa[1:] == fa[:-1])).any()):
-        for f in faces:
-            _check_face(tuple(f), seen)
-    start = np.concatenate([[0], np.cumsum(sizes)])
-    N = int(start[-1])
-    nxt = np.arange(1, N + 1)
-    nxt[start[1:] - 1] = start[:-1]
+    loop = p == p[nxt]
+    fault[face[loop], 1] = True
+    fault[fa[1:][(pa[1:] == pa[:-1]) & (fa[1:] == fa[:-1])], 2] = True
+    if fault.any():
+        k, c = divmod(int(np.argmax(fault)), 4)
+        f, s = tuple(faces[k]), slice(start[k], start[k + 1])
+        v = f[np.argmax((loop if c == 1 else ~known)[s])] if c % 2 else None
+        raise (RegularityViolation(f"face {f} has fewer than 3 vertices"),
+               RegularityViolation(f"loop edge at vertex {v} in face {f}"),
+               RegularityViolation(f"face {f} revisits a vertex"),
+               IndexMismatch(f"face {f} uses unknown vertex {v}"))[c]
     q = p[nxt]
     lo, hi = np.minimum(p, q), np.maximum(p, q)
 
@@ -272,23 +273,21 @@ def build_complex(spec):
                 else f"share {n_v} vertices but no edge")
         raise RegularityViolation(f"faces {face_i} and {face_j} {what}")
 
-    # Each tangent edge, in input order, must be an edge with no point
-    # vertex at either end.
     eclass = np.ones(len(code), int)
     if tangent:
-        t, known = _positions(keys, tid.reshape(-1, 2))
-        e0, is_edge = _positions(code, np.sort(t, axis=1) @ [V, 1])
+        t, known = _positions(keys, np.sort(tid.reshape(-1, 2), axis=1))
+        e0, is_edge = _positions(code, t @ [V, 1])
         is_edge &= known.all(axis=1)
-        if not (is_edge.all() and vclass[t].all()):
-            for pair, ok in zip(tangent, is_edge.tolist()):
-                e = edge_key(*pair)
-                if not ok:
-                    raise IndexMismatch(
-                        f"tangent edge {e} is not an edge of the complex")
-                for v in e:
-                    if circles[ids.index(v)] == "point":
-                        raise E0EndpointInV0(
-                            f"tangency edge {e} has point vertex {v}")
+        point = np.append(vclass, 1)[t] == 0  # an unknown end: t <= V
+        bad = ~is_edge | point.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            e = edge_key(*tangent[i])
+            if not is_edge[i]:
+                raise IndexMismatch(
+                    f"tangent edge {e} is not an edge of the complex")
+            raise E0EndpointInV0(f"tangency edge {e} has point vertex "
+                                 f"{e[np.argmax(point[i])]}")
         eclass[e0] = 0
 
     # per edge: the face traversing it upward, then the other

@@ -23,6 +23,7 @@ from conftest import (
 from hicp import (
     CapExceeded,
     E0EndpointInV0,
+    IndexMismatch,
     NotClosedSurface,
     RegularityViolation,
     build_complex,
@@ -167,25 +168,34 @@ def _by_loop(spec):
 
 
 MUTATIONS = ("rename", "rename-all", "duplicate", "drop", "reverse",
-             "non-int", "bool")
+             "non-int", "bool", "copy-id", "tag", "unknown", "cut", "loop",
+             "tangent-unknown", "tangent-side")
+BAD_TAGS = ("ring", None, 1, [], {}, True)
 
 
 @st.composite
 def mutated_spec(draw):
     """A fixture spec with one to three of: a vertex renamed in one face
-    or everywhere, a face duplicated, dropped or reversed, or an id
-    replaced by a non-int or a bool."""
+    or everywhere, a face duplicated, dropped, reversed or cut to at
+    most two vertices, an id replaced by a non-int, a bool, its face
+    neighbour or two distinct unknown ids, a vertex id copied onto
+    another vertex, a bad circle tag, or a tangent pair with an unknown
+    end or on a face side (a point end where the fixture has points)."""
     spec = copy.deepcopy(fixture_spec(draw(st.sampled_from(sorted(
         FIXTURES)))))
     faces = spec["faces"]
     ids = [v["id"] for v in spec["vertices"]]
+    # above the greatest id, below the least, and beyond int64
+    unknown = st.sampled_from([max(ids) + 1, max(ids) + 2, min(ids) - 1,
+                               min(ids) - 2, 2 ** 63, -2 ** 63 - 1, 2 ** 64])
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(MUTATIONS))
         fi = draw(st.integers(0, len(faces) - 1))
-        k = draw(st.integers(0, len(faces[fi]) - 1))
-        if kind == "rename":
+        k = draw(st.integers(0, max(len(faces[fi]) - 1, 0)))
+        vi = draw(st.integers(0, len(spec["vertices"]) - 1))
+        if kind == "rename" and faces[fi]:
             faces[fi][k] = draw(st.sampled_from(ids + [max(ids) + 1]))
-        elif kind == "rename-all":
+        elif kind == "rename-all" and faces[fi]:
             old, new = faces[fi][k], draw(st.sampled_from(ids))
             spec["faces"] = faces = [[new if v == old else v for v in f]
                                      for f in faces]
@@ -195,14 +205,35 @@ def mutated_spec(draw):
             del faces[fi]
         elif kind == "reverse":
             faces[fi] = faces[fi][::-1]
-        elif kind == "non-int":
+        elif kind == "non-int" and faces[fi]:
             faces[fi][k] = draw(st.sampled_from([1.0, "3", None, [1]]))
         elif kind == "bool":
             where = draw(st.sampled_from(["face", "vertex"]))
-            if where == "face":
+            if where == "face" and faces[fi]:
                 faces[fi][k] = draw(st.booleans())
-            else:
-                spec["vertices"][k]["id"] = draw(st.booleans())
+            elif where == "vertex":
+                spec["vertices"][vi]["id"] = draw(st.booleans())
+        elif kind == "copy-id":
+            spec["vertices"][vi]["id"] = draw(st.sampled_from(ids))
+        elif kind == "tag":
+            spec["vertices"][vi]["circle"] = draw(st.sampled_from(BAD_TAGS))
+        elif kind == "unknown" and len(faces[fi]) > 1:
+            k2 = draw(st.integers(0, len(faces[fi]) - 1).filter(
+                lambda j: j != k))
+            faces[fi][k] = draw(unknown)
+            faces[fi][k2] = draw(unknown.filter(
+                lambda v: v != faces[fi][k]))
+        elif kind == "cut":
+            faces[fi] = faces[fi][:draw(st.integers(0, 2))]
+        elif kind == "loop" and faces[fi]:
+            faces[fi][k] = faces[fi][k - 1]
+        elif kind in ("tangent-unknown", "tangent-side") and faces[fi]:
+            pair = ([draw(st.sampled_from(ids)), draw(unknown)]
+                    if kind == "tangent-unknown" else
+                    [faces[fi][k - 1], faces[fi][k]])
+            spec.setdefault("tangent_edges", []).insert(
+                draw(st.integers(0, len(spec["tangent_edges"]))),
+                pair[::draw(st.sampled_from([1, -1]))])
     return spec
 
 
@@ -261,6 +292,39 @@ def test_tangent_edges_match_loop(tangent):
 def test_whole_complex_faults_match_loop(spec):
     assert isinstance(_built(spec), tuple)
     assert _built(spec) == _by_loop(spec)
+
+
+def _square_torus(faces=(), v1=range(9), tangent=(), vertices=()):
+    """The 3 x 3 grid torus with the faces, vertices and tangent pairs
+    given appended."""
+    spec = grid_torus_spec(3, v1=v1, e0=tangent)
+    spec["faces"] += [list(f) for f in faces]
+    spec["vertices"] += list(vertices)
+    return spec
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    (_square_torus(vertices=[{"id": 4, "circle": "ring"}]),
+     RegularityViolation, "duplicate vertex id 4"),
+    (_square_torus(vertices=[{"id": 9, "circle": "ring"}, {"id": 4}]),
+     IndexMismatch, "unknown circle tag 'ring' on vertex 9"),
+    (_square_torus(faces=[[0, 99]]),
+     RegularityViolation, "face (0, 99) has fewer than 3 vertices"),
+    (_square_torus(faces=[[99, 0, 0, 1]]),
+     RegularityViolation, "loop edge at vertex 0 in face (99, 0, 0, 1)"),
+    (_square_torus(faces=[[99, 0, 1, 0, 2]]),
+     RegularityViolation, "face (99, 0, 1, 0, 2) revisits a vertex"),
+    (_square_torus(v1=(0, 1, 2, 3), tangent=[(0, 1), (0, 4)]),
+     IndexMismatch, "tangent edge (0, 4) is not an edge of the complex"),
+    (_square_torus(v1=(0, 1, 2, 3), tangent=[(5, 4)]),
+     E0EndpointInV0, "tangency edge (4, 5) has point vertex 4"),
+], ids=["duplicate-and-tag", "tag-before-repeat", "short-and-unknown",
+        "loop-and-unknown", "revisit-and-unknown", "no-edge-and-point",
+        "two-points"])
+def test_the_first_fault_of_an_item_is_named(spec, error, message):
+    # two faults in one vertex, face or tangent pair: the one checked
+    # first is named; a repeated id is a fault of its second vertex
+    assert _built(spec) == (error, message) == _by_loop(spec)
 
 
 class TestFanTriangles:
