@@ -259,9 +259,11 @@ def _solution_json(spec, g, T, sol):
         maps += [(a, x[:len(a)]), (b, x[len(a):]),
                  (T.edge_keys, l),
                  (list(map(str, T.base.vertices)), r)]
-    if (t := sol.realized_angles) is not None:
-        maps += [(list(map(str, t.Theta)), list(t.Theta.values())),
-                 (["%d-%d" % e for e in t.theta], list(t.theta.values()))]
+    if (t := sol.realized_angles) is not None:  # converged: b is set
+        maps += [(b, t.Th[T.vclass == 1]),
+                 (list(itertools.compress(T.edge_keys,
+                                          (T.eclass == 1).tolist())),
+                  t.th[T.base.eclass == 1])]
     orders = [key_order(keys) for keys, _ in maps]
     floats = [float_map(o, texts, "  ") for o, texts in zip(
         orders, number_blocks([np.asarray(v, float)[o.at]

@@ -138,13 +138,29 @@ def unique_index(key):
     return s[new], order[new], inverse, np.bincount(group)
 
 
-def _positions(keys, x):
+def positions(keys, x):
     """The positions in the sorted array keys of the entries of x, and
     where each is one of keys."""
     at = np.searchsorted(keys, x)
-    known = at < len(keys)
-    known[known] = keys[at[known]] == x[known]
-    return at, known
+    return at, (keys.take(at, mode="clip") == x if len(keys) else at < 0)
+
+
+def id_array(ids):
+    """The int ids as an int64 array, or as an object array when one lies
+    beyond int64."""
+    try:
+        return np.array(ids, np.int64)
+    except OverflowError:
+        return np.array(ids, object)
+
+
+def id_positions(keys, x):
+    """The positions in the sorted id array keys of the ids x; an unknown
+    id has its own position from len(keys) on, the same for equal ids."""
+    p, known = positions(keys, x)
+    if not known.all():
+        p[~known] = len(keys) + np.unique(x[~known], return_inverse=True)[1]
+    return p
 
 
 def build_complex(spec):
@@ -172,11 +188,8 @@ def build_complex(spec):
     ids = [item["id"] for item in spec["vertices"]]
     circles = [item.get("circle", "disk") for item in spec["vertices"]]
     faces, tangent = spec["faces"], spec.get("tangent_edges", [])
-    lists = ids, list(itertools.chain.from_iterable(faces)), tangent
-    try:
-        vid, fid, tid = (np.array(x, np.int64) for x in lists)
-    except OverflowError:  # an id beyond int64
-        vid, fid, tid = (np.array(x, object) for x in lists)
+    vid, fid, tid = map(id_array, (ids, list(itertools.chain.from_iterable(
+        faces)), tangent))
     order = np.argsort(vid, kind="stable")
     keys, V = vid[order], len(ids)
     repeat = np.zeros(V, bool)
@@ -203,10 +216,9 @@ def build_complex(spec):
     nxt[start[1:][ring] - 1] = start[:-1][ring]
     fault = np.zeros((F, 4), bool)  # per face, in the docstring's order
     fault[:, 0] = sizes < 3
-    p, known = _positions(keys, fid)
-    if not known.all():
-        p[~known] = V + np.unique(fid[~known], return_inverse=True)[1]
-        fault[face[~known], 3] = True
+    p = id_positions(keys, fid)
+    known = p < V
+    fault[face[~known], 3] = True
     # sides by vertex, faces ascending: a face that revisits a vertex
     # holds two neighbours
     at = stable_argsort(p)
@@ -275,8 +287,8 @@ def build_complex(spec):
 
     eclass = np.ones(len(code), int)
     if tangent:
-        t, known = _positions(keys, np.sort(tid.reshape(-1, 2), axis=1))
-        e0, is_edge = _positions(code, t @ [V, 1])
+        t, known = positions(keys, np.sort(tid.reshape(-1, 2), axis=1))
+        e0, is_edge = positions(code, t @ [V, 1])
         is_edge &= known.all(axis=1)
         point = np.append(vclass, 1)[t] == 0  # an unknown end: t <= V
         bad = ~is_edge | point.any(axis=1)
@@ -799,7 +811,7 @@ def boundary_arrays(h, rows):
     and a hat face has one base corner and a corner edge one base end:
     so |boundary ∩ V| is the hat faces inside - the corner edges inside
     + the punctures."""
-    E = len(h.base.edges)
+    E = len(h.base.ends)
     nv, ne = len(h.star_rows), len(h.edge_ends)
     bits = np.unpackbits(rows, axis=1, count=nv + ne + 2 * E,
                          bitorder="little")

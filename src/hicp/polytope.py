@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,6 +35,9 @@ from .complexes import (
     check_cap,
     domain_generator_sets,
     hat_complex,
+    id_array,
+    id_positions,
+    positions,
     punctures,
     reduce_bytes,
 )
@@ -48,66 +54,136 @@ ENUMERATION = "enumeration"
 SINGLE_STAR = "single-star"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleData:
-    """Target angles: theta on free (E1) edges, Theta on positive-circle
-    (V1) vertices.  Values on E0/V0 are derived, never stored."""
+    """Target angles as arrays over the positions of the complex ``cc``.
+    ``theta`` and ``Theta`` are read-only dict views over E1 and V1,
+    built on first read.  Two are equal when their geometry, complex and
+    values are."""
 
     geometry: str
-    theta: dict  # edge -> radians in (0, pi)
-    Theta: dict  # vertex -> radians > 0
+    cc: object  # the CellComplex
+    th: np.ndarray  # per edge of ``cc.edges``: radians, 0 on E0
+    Th: np.ndarray  # per vertex of ``cc.vertices``: the star sum on V0
+
+    def __eq__(self, other):
+        return (isinstance(other, AngleData)
+                and self.geometry == other.geometry
+                and _same_positions(self.cc, other.cc)
+                and np.array_equal(self.th, other.th)
+                and np.array_equal(self.Th, other.Th))
+
+    @cached_property
+    def theta(self):
+        return _view(self.cc.edges, self.th, self.cc.eclass)
+
+    @cached_property
+    def Theta(self):
+        return _view(self.cc.vertices, self.Th, self.cc.vclass)
+
+
+def _same_positions(a, b):
+    """Whether the complexes a and b have the same vertices and edges,
+    of the same classes, at the same positions."""
+    return a is b or (a.vertices == b.vertices and all(map(
+        np.array_equal, (a.vclass, a.ends, a.eclass),
+        (b.vclass, b.ends, b.eclass))))
+
+
+def _view(names, values, cls):
+    """The values of the items of class 1 as a read-only dict."""
+    return MappingProxyType(dict(compress(zip(names, values.tolist()),
+                                          (cls == 1).tolist())))
+
+
+def star_sums(cc, theta):
+    """sum(pi - theta) over each vertex's edges, added in edge order."""
+    return np.bincount(cc.ends.ravel(), weights=np.repeat(math.pi - theta, 2),
+                       minlength=len(cc.vertices))
 
 
 def make_angle_data(cc, geometry, theta, Theta):
-    """Validate index sets against the complex."""
+    """Angle data of dicts: theta keyed by the free (E1) edges as id
+    pairs in either order, Theta by the disk (V1) vertex ids.  The keys
+    are looked up as positions of ``cc`` in one array pass, ids, then
+    edge codes.  Checked in order, each naming its first fault in key
+    order: the geometry; keys that are not ids; two theta keys of one
+    edge; the values, as float reads them; theta keys that are not E1,
+    or E1 edges with none; Theta on a point vertex; Theta keys that are
+    not V1, or V1 vertices with none."""
     check_geometry(geometry)
-    keys = {}  # each edge's key as given
-    for e in theta:
-        if (given := keys.setdefault(tuple(sorted(e)), e)) != e:
+    keys, vkeys, V = list(theta), list(Theta), len(cc.vertices)
+    try:
+        x = id_array(flat := [*chain.from_iterable(keys), *vkeys])
+        ok = x.tolist() == flat and not set(map(len, keys)) - {2}
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise IndexMismatch("angle data keys are not vertex ids: theta takes"
+                            " pairs of ints, Theta ints")
+    p = id_positions(id_array(cc.vertices), x)  # an unknown id: >= V
+    N = V + p.size
+    pairs = p[:2 * len(keys)].reshape(-1, 2)
+    code = pairs @ [N, 1]
+    # distinct keys of increasing ids name distinct edges
+    if not (pairs[:, 0] < pairs[:, 1]).all():
+        code = np.sort(pairs, axis=1) @ [N, 1]
+        order = np.argsort(code, kind="stable")
+        twin = order[1:][code[order[1:]] == code[order[:-1]]]
+        if len(twin):
+            i = int(twin.min())
             raise IndexMismatch(
-                f"theta keys {given} and {e} name the same edge")
-    theta = {k: float(theta[e]) for k, e in keys.items()}
-    Theta = {k: float(v) for k, v in Theta.items()}
-    if set(theta) != set(cc.e1):
-        missing = set(cc.e1) - set(theta)
-        extra = set(theta) - set(cc.e1)
+                f"theta keys {keys[np.argmax(code == code[i])]} and "
+                f"{keys[i]} name the same edge")
+    values = np.fromiter(map(float, theta.values()), float, len(theta))
+    vvalues = np.fromiter(map(float, Theta.values()), float, len(Theta))
+
+    # the keys are distinct: they match when each is an E1 edge, or a
+    # disk, and there are as many as E1 edges, or disks
+    at, free = positions(cc.ends @ [N, 1], code)
+    free &= cc.eclass.take(at, mode="clip") == 1
+    if not free.all() or len(keys) != np.count_nonzero(cc.eclass):
+        missing = cc.eclass == 1
+        missing[at[free]] = False
         raise IndexMismatch(
-            f"theta keys do not match the free edges: missing {sorted(missing)},"
-            f" unexpected {sorted(extra)}")
-    for k in Theta:
-        if k in cc.v0:
-            raise IndexMismatch(
-                f"Theta given for point vertex {k}: that value is derived")
-    if set(Theta) != set(cc.v1):
-        missing = set(cc.v1) - set(Theta)
-        extra = set(Theta) - set(cc.v1)
+            "theta keys do not match the free edges: missing"
+            f" {list(compress(cc.edges, missing.tolist()))}, unexpected "
+            f"{sorted(tuple(sorted(e)) for e in compress(keys, ~free))}")
+    k = np.minimum(p[2 * len(keys):], V)
+    kind = np.append(cc.vclass, -1)[k]  # -1 for no vertex
+    if not (kind > 0).all() or len(vkeys) != np.count_nonzero(cc.vclass):
+        if (kind == 0).any():
+            raise IndexMismatch(f"Theta given for point vertex "
+                                f"{vkeys[np.argmax(kind == 0)]}: that value"
+                                " is derived")
+        missing = cc.vclass == 1
+        missing[k[kind > 0]] = False
         raise IndexMismatch(
-            f"Theta keys do not match the disk vertices: missing"
-            f" {sorted(missing)}, unexpected {sorted(extra)}")
-    return AngleData(geometry=geometry, theta=theta, Theta=Theta)
+            "Theta keys do not match the disk vertices: missing"
+            f" {list(compress(cc.vertices, missing.tolist()))}, unexpected "
+            f"{sorted(compress(vkeys, kind < 0))}")
+    th = np.zeros(len(cc.ends))
+    th[at] = values
+    Th = star_sums(cc, th)
+    Th[k] = vvalues
+    return AngleData(geometry=geometry, cc=cc, th=th, Th=Th)
 
 
 def angle_arrays(cc, t):
-    """The target as arrays: theta per edge of ``cc.edges``, 0 on E0; the
-    star sums sum(pi - theta) per vertex of ``cc.vertices``, each added in
-    edge order; and Theta per vertex, stored on V1 and the star sum on
-    V0.  A missing E1 or V1 key raises KeyError."""
-    theta = np.array([t.theta[e] if e in cc.e1 else 0.0 for e in cc.edges])
-    star = np.bincount(cc.ends.ravel(), weights=np.repeat(math.pi - theta, 2),
-                       minlength=len(cc.vertices))
-    Theta = np.array([t.Theta[k] if k in cc.v1 else s
-                      for k, s in zip(cc.vertices, star.tolist())])
-    return theta, star, Theta
+    """The target as arrays: theta per edge of ``cc.edges``, the star
+    sums sum(pi - theta) per vertex of ``cc.vertices``, each added in
+    edge order, and Theta per vertex."""
+    return t.th, star_sums(cc, t.th), t.Th
 
 
 def theta_extended(cc, t):
     """theta on every base edge, as a dict: stored on E1, zero on E0."""
-    return dict(zip(cc.edges, angle_arrays(cc, t)[0].tolist()))
+    return dict(zip(cc.edges, t.th.tolist()))
 
 
 def Theta_full(cc, t):
     """Theta on every vertex as a dict, in ``cc.vertices`` order."""
-    return dict(zip(cc.vertices, angle_arrays(cc, t)[2].tolist()))
+    return dict(zip(cc.vertices, t.Th.tolist()))
 
 
 @dataclass(frozen=True)
@@ -182,7 +258,7 @@ def domain_slacks(h, rows, theta, Theta):
     punctures (see ``boundary_arrays``).  The weights are in the cell
     order of ``hat_complex``."""
     weights = np.concatenate([
-        -Theta, np.full(len(h.base.faces), -2 * math.pi), 2 * theta,
+        -Theta, np.full(len(h.base.face_start) - 1, -2 * math.pi), 2 * theta,
         np.full(len(h.edge_ends) - len(theta), math.pi),
         np.repeat(-theta, 2)])
     slack = reduce_bytes(byte_table(weights, np.add), rows, np.add)
@@ -203,21 +279,24 @@ def _conditions_1_to_3(cc, t):
     if not isinstance(t, AngleData):
         raise IndexMismatch("expected AngleData")
     check_geometry(t.geometry)
-    if set(t.theta) != set(cc.e1) or set(t.Theta) != set(cc.v1):
+    if not _same_positions(cc, t.cc):
         raise IndexMismatch("angle data index sets do not match the complex")
     arrays = theta, _star, Theta = angle_arrays(cc, t)
 
-    violations = []
     euclidean = t.geometry == EUCLIDEAN
     # edges and vertices are sorted, so E1 and V1 are met in sorted order
-    for e, v in zip(cc.edges, theta.tolist()):
-        if e in cc.e1 and not 0.0 < v < math.pi:
-            violations.append(("E1" if euclidean else "H1",
-                               {"edge": list(e)}, v, None))
-    for k, v in zip(cc.vertices, Theta.tolist()):
-        if k in cc.v1 and not v > 0.0:
-            violations.append(("E2" if euclidean else "H2",
-                               {"vertex": k}, v, 0.0))
+    ids, violations = cc.vertices, []
+    bad = (cc.eclass == 1) & ~((0 < theta) & (theta < math.pi))
+    if bad.any():
+        violations += [("E1" if euclidean else "H1",
+                        {"edge": [ids[a], ids[b]]}, v, None)
+                       for (a, b), v in zip(cc.ends[bad].tolist(),
+                                            theta[bad].tolist())]
+    bad = (cc.vclass == 1) & ~(Theta > 0)
+    if bad.any():
+        violations += [("E2" if euclidean else "H2", {"vertex": ids[k]}, v,
+                        0.0) for k, v in zip(np.flatnonzero(bad).tolist(),
+                                             Theta[bad].tolist())]
 
     # added left to right in vertex order, whatever the order of the
     # input's keys: cumsum adds sequentially, where sum of floats is
@@ -235,7 +314,7 @@ def _conditions_1_to_3(cc, t):
 
 
 def _conditions_size(cc):
-    return {"edges": len(cc.e1), "vertices": len(cc.v0) + len(cc.v1)}
+    return {"edges": int(cc.eclass.sum()), "vertices": len(cc.vertices)}
 
 
 def check_feasibility(cc, t, cap=22):
@@ -288,7 +367,7 @@ def pre_check(cc, t):
     method, size = CONDITIONS_1_3, _conditions_size(cc)
     if not violations:
         violations = single_star_check(cc, t, arrays)
-        method, size = SINGLE_STAR, {"stars": len(cc.v1)}
+        method, size = SINGLE_STAR, {"stars": int(cc.vclass.sum())}
     return FeasibilityReport(
         verdict=INFEASIBLE if violations else PARTIAL,
         violations=tuple(violations), gauss_bonnet_residual=gb_residual,
@@ -305,8 +384,9 @@ def single_star_check(cc, t, arrays):
     lhs = star + (2 * math.pi - Theta)
     rhs = 2 * math.pi
     degree = np.bincount(cc.ends.ravel(), minlength=len(lhs))
-    ok = lhs > rhs + 1e-12 * (1 + degree)
+    bad = (cc.vclass == 1) & ~(lhs > rhs + 1e-12 * (1 + degree))
+    if not bad.any():
+        return []
     cond = "E4" if t.geometry == EUCLIDEAN else "H4"
-    return [(cond, {"domain": [["v", k]]}, v, rhs)
-            for k, v, good in zip(cc.vertices, lhs.tolist(), ok.tolist())
-            if k in cc.v1 and not good]
+    return [(cond, {"domain": [["v", cc.vertices[k]]]}, v, rhs)
+            for k, v in zip(np.flatnonzero(bad).tolist(), lhs[bad].tolist())]

@@ -13,7 +13,7 @@ from . import geometry as geo
 from .errors import DomainError, NotInTE
 from .fixtures import reference_metric
 from .geometry import EUCLIDEAN, check_geometry
-from .polytope import AngleData, pre_check
+from .polytope import AngleData, pre_check, star_sums
 
 CONVERGED = "Converged"
 INFEASIBLE = "Infeasible"
@@ -149,13 +149,13 @@ def extract_angles(T, x, g):
 
 def _angle_data(T, sums, g):
     """AngleData of realized sums in free-variable order."""
-    sums = sums.tolist()
-    n_a = len(T.free_edges)
-    alpha = dict(zip(T.free_edges, sums[:n_a]))
-    beta = dict(zip(T.v1_vertices, sums[n_a:]))
-    cc = T.base
-    return AngleData(geometry=g, theta={e: alpha[e] for e in cc.e1},
-                     Theta={k: beta[k] for k in cc.v1})
+    n_a = len(sums) - int(T.vclass.sum())
+    alpha = np.zeros(len(T.eclass))
+    alpha[T.eclass != 0] = sums[:n_a]
+    theta = alpha[T.eclass != 2]  # the base edges, 0 on E0
+    Theta = star_sums(T.base, theta)
+    Theta[T.vclass == 1] = sums[n_a:]
+    return AngleData(geometry=g, cc=T.base, th=theta, Th=Theta)
 
 
 def solve(T, target, opts=None):

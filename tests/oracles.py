@@ -434,6 +434,62 @@ def admissible_by_subsets(h):
     return out
 
 
+def relabelled(spec, new):
+    """spec with each vertex id k renamed new(k) in its vertices, faces
+    and tangent edges."""
+    return {"vertices": [dict(item, id=new(item["id"]))
+                         for item in spec["vertices"]],
+            "faces": [[new(v) for v in f] for f in spec["faces"]],
+            "tangent_edges": [[new(v) for v in e]
+                              for e in spec.get("tangent_edges", [])]}
+
+
+def make_angle_data_by_dict(cc, geometry, theta, Theta):
+    """``polytope.make_angle_data`` on keys that are ids, by dicts and
+    sets keyed by edge and vertex, each fault named in the same order:
+    (geometry, theta on E1, Theta on V1), each dict keyed by sorted id
+    pairs or ids."""
+    geo.check_geometry(geometry)
+    keys = {}  # each edge's key as given
+    for e in theta:
+        if (given := keys.setdefault(tuple(sorted(e)), e)) != e:
+            raise IndexMismatch(
+                f"theta keys {given} and {e} name the same edge")
+    theta = {k: float(theta[e]) for k, e in keys.items()}
+    Theta = {k: float(v) for k, v in Theta.items()}
+    if set(theta) != set(cc.e1):
+        missing = set(cc.e1) - set(theta)
+        extra = set(theta) - set(cc.e1)
+        raise IndexMismatch(
+            f"theta keys do not match the free edges: missing {sorted(missing)},"
+            f" unexpected {sorted(extra)}")
+    for k in Theta:
+        if k in cc.v0:
+            raise IndexMismatch(
+                f"Theta given for point vertex {k}: that value is derived")
+    if set(Theta) != set(cc.v1):
+        missing = set(cc.v1) - set(Theta)
+        extra = set(Theta) - set(cc.v1)
+        raise IndexMismatch(
+            f"Theta keys do not match the disk vertices: missing"
+            f" {sorted(missing)}, unexpected {sorted(extra)}")
+    return geometry, theta, Theta
+
+
+def angle_arrays_by_dict(cc, theta, Theta):
+    """``polytope.angle_arrays`` of the dicts of ``make_angle_data_by_dict``,
+    one lookup per edge and vertex: theta per edge of ``cc.edges``, 0 on
+    E0; the star sums sum(pi - theta) per vertex, each added in edge
+    order; and Theta per vertex, the given value on V1, the star sum on
+    V0."""
+    th = np.array([theta[e] if e in cc.e1 else 0.0 for e in cc.edges])
+    star = np.bincount(cc.ends.ravel(), weights=np.repeat(math.pi - th, 2),
+                       minlength=len(cc.vertices))
+    Th = np.array([Theta[k] if k in cc.v1 else s
+                   for k, s in zip(cc.vertices, star.tolist())])
+    return th, star, Th
+
+
 def theta_extended_by_dict(cc, t):
     """theta on every base edge: stored on E1, zero on E0."""
     full = dict(t.theta)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from conftest import (
 )
 from hicp import build_complex, cli, complexes, layout, triangulate
 from hicp import geometry as geo
+from hicp.complexes import edge_key
 from hicp.errors import HicpError
 from hicp.fixtures import (
     FIXTURES,
@@ -803,17 +805,47 @@ class TestRender:
             return out
 
         want = files("plain")
-
-        def refuse(self):
-            raise AssertionError("an id view was built")
-
-        for cls, names in ((complexes.CellComplex, ("faces", "edges", "v0",
-                                                    "v1", "e0", "e1")),
-                           (complexes.Triangulation, ("edges", "free_edges",
-                                                      "v1_vertices"))):
-            for view in names:
-                monkeypatch.setattr(cls, view, property(refuse))
+        _refuse_id_views(monkeypatch)
         assert files("patched") == want
+
+    @pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+    @pytest.mark.parametrize("name", ["genus2-mixed", "dodecahedron",
+                                      "e0-torus"])
+    def test_validate_and_solve_build_no_id_view(self, tmp_path, monkeypatch,
+                                                 name, g):
+        # the same for validate and solve, with the reference target given
+        # as angles and without angles: they read and check the target,
+        # and write the realized angles, on arrays
+        given = tmp_path / "given.json"
+        given.write_text(json.dumps(_reference_doc(name, g)))
+
+        def files(tag):
+            out = []
+            for cmd, argv in itertools.product(("validate", "solve"), (
+                    ["--input", f"fixture:{name}", "--geometry", g],
+                    ["--input", str(given)])):
+                path = tmp_path / f"{tag}-{cmd}.json"
+                rc = cli.main([cmd, *argv, "--output", str(path)])
+                assert rc in ((0, 3) if cmd == "validate" else (0,)), cmd
+                out.append(path.read_bytes())
+            return out
+
+        want = files("plain")
+        _refuse_id_views(monkeypatch)
+        assert files("patched") == want
+
+
+def _refuse_id_views(monkeypatch):
+    """Make the id views of every complex and triangulation raise."""
+    def refuse(self):
+        raise AssertionError("an id view was built")
+
+    for cls, names in ((complexes.CellComplex, ("faces", "edges", "v0",
+                                                "v1", "e0", "e1")),
+                       (complexes.Triangulation, ("edges", "free_edges",
+                                                  "v1_vertices"))):
+        for view in names:
+            monkeypatch.setattr(cls, view, property(refuse))
 
 
 # render's coordinate read, and its reference
@@ -1427,6 +1459,99 @@ def test_outputs_take_ids_beyond_int64(tmp_path, name, g):
     svg = oracles.svg_by_loop(merged)
     assert (tmp_path / "demo.svg").read_text() == svg
     assert (tmp_path / "render.svg").read_text() == svg
+
+
+def _relabelling(name, kind):
+    """A map of the ids of a fixture: ``shifted`` below zero or beyond
+    int64 keeping their order, or ``shuffled`` as
+    test_outputs_take_ids_beyond_int64 relabels them, with (``huge``) or
+    without (``negative``) the shift beyond int64."""
+    ids = [item["id"] for item in fixture_spec(name)["vertices"]]
+    if kind == "shifted-negative":
+        return dict(zip(ids, [k - 1000 for k in ids]))
+    if kind == "shifted-huge":
+        return dict(zip(ids, [k - 2 ** 70 for k in ids]))
+    new = random.Random(name).sample(range(-500, 500), len(ids))
+    if kind == "shuffled-huge":
+        new = [(k % 2 * 2 - 1) * 2 ** 64 + k for k in new]
+    return dict(zip(ids, new))
+
+
+def _run_doc(tmp_path, cmd, doc, g):
+    """(exit code, output document) of cmd on the problem document doc."""
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    rc = cli.main([cmd, "--input", str(p), "--geometry", g,
+                   "--output", str(out)])
+    return rc, json.loads(out.read_text())
+
+
+def _leaves(data, new=None):
+    """The leaves of a validate or solve document but its echoed input,
+    as {path: value}, each "u-v" or "k" key of a float map renamed by the
+    id map new when given."""
+    def key(k):
+        if new is None:
+            return k
+        if "-" in k[1:]:
+            return "%d-%d" % edge_key(*map(new.__getitem__,
+                                           cli._edge_from_key(k)))
+        return str(new[int(k)])
+
+    def walk(path, v):
+        if isinstance(v, dict):
+            for k, w in v.items():
+                yield from walk(path + (key(k) if len(path) == 2 and path[0]
+                                        in ("coords", "lengths", "realized")
+                                        else k,), w)
+        elif isinstance(v, list):
+            for i, w in enumerate(v):
+                yield from walk(path + (i,), w)
+        else:
+            yield path, v
+
+    return dict(p for k, v in data.items() if k != "input"
+                for p in walk((k,), v))
+
+
+@pytest.mark.parametrize("g", ["euclidean", "hyperbolic"])
+@pytest.mark.parametrize("given", [False, True], ids=["reference", "given"])
+@pytest.mark.parametrize("kind", ["shifted-negative", "shifted-huge",
+                                  "shuffled-negative", "shuffled-huge"])
+@pytest.mark.parametrize("name", ["tri-torus", "grid-torus-v1"])
+def test_validate_and_solve_take_relabelled_ids(tmp_path, name, kind,
+                                                given, g):
+    """validate and solve on a fixture relabelled with negative ids or
+    ids beyond int64, with the reference target given as angles or
+    without angles, exit and report as on its own ids: a relabelling that
+    keeps the id order gives the same numbers to the last bit, a shuffle
+    the same numbers up to their rounding."""
+    doc = _reference_doc(name, g) if given else dict(fixture_spec(name))
+    new = _relabelling(name, kind)
+    moved = oracles.relabelled(doc, new.__getitem__)
+    if given:
+        moved["theta"] = {"%d-%d" % edge_key(
+            *map(new.__getitem__, cli._edge_from_key(k))): v
+            for k, v in doc["theta"].items()}
+        moved["Theta"] = {str(new[int(k)]): v
+                          for k, v in doc["Theta"].items()}
+    for cmd in ("validate", "solve"):
+        rc, want = _run_doc(tmp_path, cmd, doc, g)
+        assert rc == (0 if cmd == "solve" or name == "grid-torus-v1" else 3)
+        got_rc, got = _run_doc(tmp_path, cmd, moved, g)
+        assert got_rc == rc
+        got, want = _leaves(got), _leaves(want, new)
+        if kind.startswith("shifted"):
+            assert got == want
+            continue
+        # a shuffle moves the fan diagonals and with them the coordinates
+        # and the gauge section: the verdict or status and the realized
+        # angles stay
+        got, want = ({k: v for k, v in d.items() if k[0] in (
+            "realized", "status", "verdict", "gauss_bonnet_residual",
+            "partial", "method", "size", "violations")} for d in (got, want))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import right_angle_target, small_complexes
+from conftest import flipped_tori, right_angle_target, small_complexes
 from hicp import build_complex, check_feasibility, complexes, make_angle_data
 from hicp import polytope, triangulate
 from hicp.complexes import admissible_domains, hat_complex, make_domain
-from hicp.errors import CapExceeded, IndexMismatch
+from hicp.errors import CapExceeded, DomainError, IndexMismatch
 from hicp.fixtures import (
     FIXTURES,
     fixture_spec,
@@ -39,6 +39,99 @@ from hicp.solver import extract_angles
 @pytest.fixture(scope="module")
 def grid_torus_v1():
     return build_complex(grid_torus_spec(3, v1=(4,)))
+
+
+_FAULT_SPECS = {
+    "grid": lambda: grid_torus_spec(3),  # E1 is every edge, no disk
+    "grid-v1": lambda: grid_torus_spec(3, v1=(4,)),
+    "grid-v1-e0": lambda: grid_torus_spec(3, v1=(3, 4, 5), e0=[(3, 4)]),
+}
+
+
+def _drop(d, *keys):
+    return {k: v for k, v in d.items() if k not in keys}
+
+
+_MISSING = "theta keys do not match the free edges: missing"
+_THETA = "Theta keys do not match the disk vertices: missing"
+# (id, complex, edit of (theta, Theta) -> (geometry, theta, Theta),
+# exception, message); theta = pi/2 on E1 and Theta = 2 pi on V1 before
+# the edit
+MAKE_FAULTS = [
+    ("missing-edge", "grid", lambda th, Th: (
+        "euclidean", _drop(th, (0, 1)), Th),
+     IndexMismatch, f"{_MISSING} [(0, 1)], unexpected []"),
+    ("missing-edges", "grid", lambda th, Th: (
+        "euclidean", _drop(th, (6, 7), (0, 1), (2, 8)), Th),
+     IndexMismatch, f"{_MISSING} [(0, 1), (2, 8), (6, 7)], unexpected []"),
+    ("unexpected-edge", "grid", lambda th, Th: (
+        "euclidean", {**th, (0, 99): 1.0}, Th),
+     IndexMismatch, f"{_MISSING} [], unexpected [(0, 99)]"),
+    ("unexpected-reversed", "grid", lambda th, Th: (
+        "euclidean", {(99, 0): 1.0, **th, (4, 0): 1.0}, Th),
+     IndexMismatch, f"{_MISSING} [], unexpected [(0, 4), (0, 99)]"),
+    ("unexpected-beyond-int64", "grid", lambda th, Th: (
+        "euclidean", {**th, (2 ** 64, -2 ** 70): 1.0}, Th),
+     IndexMismatch,
+     f"{_MISSING} [], unexpected [({-2 ** 70}, {2 ** 64})]"),
+    ("missing-and-unexpected", "grid", lambda th, Th: (
+        "euclidean", {**_drop(th, (0, 1), (3, 4)), (0, 4): 1.0}, Th),
+     IndexMismatch, f"{_MISSING} [(0, 1), (3, 4)], unexpected [(0, 4)]"),
+    ("unexpected-for-missing-edge", "grid", lambda th, Th: (
+        "euclidean", {**_drop(th, (0, 1)), (0, 4): 1.0}, Th),
+     IndexMismatch, f"{_MISSING} [(0, 1)], unexpected [(0, 4)]"),
+    ("e0-edge", "grid-v1-e0", lambda th, Th: (
+        "euclidean", {**th, (4, 3): 1.0}, Th),
+     IndexMismatch, f"{_MISSING} [], unexpected [(3, 4)]"),
+    ("e0-edge-for-e1", "grid-v1-e0", lambda th, Th: (
+        "euclidean", {**_drop(th, (4, 5)), (3, 4): 1.0}, Th),
+     IndexMismatch, f"{_MISSING} [(4, 5)], unexpected [(3, 4)]"),
+    ("two-keys-of-one-edge", "grid", lambda th, Th: (
+        "euclidean", {**th, (1, 0): 3.0}, Th),
+     IndexMismatch, "theta keys (0, 1) and (1, 0) name the same edge"),
+    ("two-keys-reversed-first", "grid", lambda th, Th: (
+        "euclidean", {(1, 0): 3.0, (4, 3): 3.0, **th}, Th),
+     IndexMismatch, "theta keys (1, 0) and (0, 1) name the same edge"),
+    ("two-keys-of-no-edge", "grid", lambda th, Th: (
+        "euclidean", {(0, 99): 1.0, **th, (99, 0): 1.0}, Th),
+     IndexMismatch, "theta keys (0, 99) and (99, 0) name the same edge"),
+    ("two-keys-then-missing", "grid", lambda th, Th: (
+        "euclidean", {**_drop(th, (0, 3)), (1, 0): 3.0}, Th),
+     IndexMismatch, "theta keys (0, 1) and (1, 0) name the same edge"),
+    ("point-vertex", "grid-v1", lambda th, Th: (
+        "euclidean", th, {**Th, 0: 1.0}),
+     IndexMismatch, "Theta given for point vertex 0: that value is derived"),
+    ("point-vertices-in-key-order", "grid-v1", lambda th, Th: (
+        "euclidean", th, {8: 1.0, 99: 1.0, **Th, 0: 1.0}),
+     IndexMismatch, "Theta given for point vertex 8: that value is derived"),
+    ("point-vertex-then-missing", "grid-v1", lambda th, Th: (
+        "euclidean", th, {99: 1.0, 0: 1.0}),
+     IndexMismatch, "Theta given for point vertex 0: that value is derived"),
+    ("missing-edge-then-point-vertex", "grid-v1", lambda th, Th: (
+        "euclidean", _drop(th, (0, 1)), {**Th, 0: 1.0}),
+     IndexMismatch, f"{_MISSING} [(0, 1)], unexpected []"),
+    ("missing-vertex", "grid-v1", lambda th, Th: ("euclidean", th, {}),
+     IndexMismatch, f"{_THETA} [4], unexpected []"),
+    ("unexpected-vertex", "grid-v1", lambda th, Th: (
+        "euclidean", th, {-3: 1.0, **Th, 99: 1.0}),
+     IndexMismatch, f"{_THETA} [], unexpected [-3, 99]"),
+    ("unexpected-for-missing-vertex", "grid-v1", lambda th, Th: (
+        "euclidean", th, {99: 1.0}),
+     IndexMismatch, f"{_THETA} [4], unexpected [99]"),
+    ("missing-and-unexpected-vertices", "grid-v1-e0", lambda th, Th: (
+        "hyperbolic", th, {**_drop(Th, 3, 5), 2 ** 64: 1.0}),
+     IndexMismatch, f"{_THETA} [3, 5], unexpected [{2 ** 64}]"),
+    ("unknown-geometry", "grid", lambda th, Th: (
+        "spherical", {**th, (1, 0): 3.0}, {0: 1.0}),
+     DomainError, "unknown geometry 'spherical'"),
+    ("theta-value", "grid-v1", lambda th, Th: (
+        "euclidean", {**th, (0, 1): "abc"}, {0: 1.0}),
+     ValueError, "could not convert string to float: 'abc'"),
+    ("Theta-value", "grid-v1", lambda th, Th: (
+        "euclidean", _drop(th, (0, 1)), {4: None}),
+     TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+]
 
 
 class TestMakeAngleData:
@@ -76,6 +169,162 @@ class TestMakeAngleData:
         theta = {(max(e), min(e)): math.pi / 2 for e in grid_torus.e1}
         t = make_angle_data(grid_torus, "euclidean", theta, {})
         assert set(t.theta) == set(grid_torus.e1)
+
+    @pytest.mark.parametrize("name, edit, exc, message", [
+        case[1:] for case in MAKE_FAULTS], ids=[c[0] for c in MAKE_FAULTS])
+    def test_names_each_fault(self, name, edit, exc, message):
+        # the exception and its exact message, the first fault in the
+        # documented order when two meet
+        cc = build_complex(_FAULT_SPECS[name]())
+        theta = {e: math.pi / 2 for e in sorted(cc.e1)}
+        Theta = {k: 2 * math.pi for k in sorted(cc.v1)}
+        g, theta, Theta = edit(theta, Theta)
+        with pytest.raises(exc) as info:
+            make_angle_data(cc, g, theta, Theta)
+        assert type(info.value) is exc
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("other", [
+        "relabelled", "another-disk", "a-tangent-edge", "other-faces"])
+    def test_check_feasibility_names_foreign_data(self, other):
+        # angle data of one complex, checked on another with other ids or
+        # classes
+        spec = grid_torus_spec(3, v1=(4, 5))
+        t = right_angle_target(build_complex(spec))
+        if other == "relabelled":
+            spec = oracles.relabelled(spec, lambda k: k + 10)
+        elif other == "another-disk":
+            spec = grid_torus_spec(3, v1=(4, 5, 6))
+        elif other == "a-tangent-edge":
+            spec = dict(spec, tangent_edges=[[4, 5]])
+        else:
+            spec = triangulated_torus_spec(3, v1=(4, 5))
+        with pytest.raises(IndexMismatch) as info:
+            check_feasibility(build_complex(spec), t)
+        assert str(info.value) == (
+            "angle data index sets do not match the complex")
+
+    def test_check_feasibility_expects_angle_data(self, grid_torus):
+        theta, Theta = right_angle_target(grid_torus).theta, {}
+        for t in ({"theta": theta, "Theta": Theta}, (theta, Theta), None):
+            with pytest.raises(IndexMismatch) as info:
+                check_feasibility(grid_torus, t)
+            assert str(info.value) == "expected AngleData"
+
+    @pytest.mark.parametrize("theta_key, Theta_key", [
+        ("0-1", None), ((0, 1.5), None), ((0, 1, 2), None), ((0,), None),
+        (None, "4"), (None, 4.5), (None, (4,))])
+    def test_names_keys_that_are_not_ids(self, grid_torus_v1, theta_key,
+                                         Theta_key):
+        # a key that equals no id or id pair matches nothing: it is
+        # named first, whatever else is wrong
+        theta = {e: math.pi / 2 for e in sorted(grid_torus_v1.e1)}
+        Theta = {4: 1.0}
+        if theta_key is not None:
+            theta = {theta_key: 1.0, **theta, (1, 0): 1.0}
+        else:
+            Theta = {Theta_key: 1.0, 0: 1.0}
+        with pytest.raises(IndexMismatch) as info:
+            make_angle_data(grid_torus_v1, "euclidean", theta, Theta)
+        assert str(info.value) == ("angle data keys are not vertex ids: "
+                                   "theta takes pairs of ints, Theta ints")
+
+    def test_keys_equal_to_ids_match(self, grid_torus_v1):
+        # as dict keys, numpy ints, floats and bools equal to the ids
+        # name the same edges and vertices
+        cc = grid_torus_v1
+        want = make_angle_data(cc, "euclidean",
+                               {e: 1.5 for e in sorted(cc.e1)}, {4: 3.0})
+        for conv in (np.int64, float, lambda k: {0: False, 1: True}.get(k, k)):
+            got = make_angle_data(
+                cc, "euclidean",
+                {(conv(u), conv(v)): 1.5 for u, v in sorted(cc.e1)},
+                {conv(4): 3.0})
+            assert got == want
+
+
+@st.composite
+def edited_targets(draw):
+    """A complex, a fixture or a flipped torus with drawn tangent edges,
+    its ids relabelled below zero or beyond int64 or kept, and theta and
+    Theta dicts on its E1 and V1 with drawn edits: a key reversed,
+    dropped, given twice (reversed), moved onto an E0 edge or a V0
+    vertex, or a key of no edge or vertex added."""
+    if draw(st.booleans()):
+        spec = fixture_spec(draw(st.sampled_from(sorted(FIXTURES))))
+    else:
+        spec = draw(flipped_tori())
+        cc = build_complex(spec)
+        disk = [tuple(e) for e in cc.ends.tolist() if cc.vclass[e].all()]
+        picks = draw(st.lists(st.sampled_from(disk), max_size=3, unique=True)
+                     if disk else st.just([]))
+        spec = dict(spec, tangent_edges=[[cc.vertices[i] for i in e]
+                                         for e in picks])
+    shift = draw(st.sampled_from([0, -1000, 2 ** 64, -2 ** 70]))
+    cc = build_complex(oracles.relabelled(spec, lambda k: k + shift))
+    value = st.floats(-1.0, 4.0)
+    theta = {e: draw(value) for e in sorted(cc.e1)}
+    Theta = {k: draw(value) for k in sorted(cc.v1)}
+    ids = cc.vertices
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.sampled_from([theta, Theta]))
+        edit = draw(st.sampled_from(["reverse", "drop", "twin", "move",
+                                     "add"]))
+        keys = list(d)
+        if edit in ("reverse", "drop", "twin") and keys:
+            k = draw(st.sampled_from(keys))
+            if edit == "drop":
+                del d[k]
+            elif d is theta:
+                items = list(d.items())
+                d.clear()
+                for e, v in items:
+                    if e != k or edit == "twin":
+                        d[e] = v
+                    if e == k:
+                        d[e[::-1]] = draw(value)
+        elif edit == "move" and d is theta and cc.e0:
+            if keys and draw(st.booleans()):
+                del d[draw(st.sampled_from(keys))]
+            e = draw(st.sampled_from(sorted(cc.e0)))
+            d[e[::-1] if draw(st.booleans()) else e] = draw(value)
+        elif edit == "move" and d is Theta and cc.v0:
+            d[draw(st.sampled_from(sorted(cc.v0)))] = draw(value)
+        elif edit == "add":
+            if keys and draw(st.booleans()):  # in place of a key
+                del d[draw(st.sampled_from(keys))]
+            k = draw(st.sampled_from([ids[0] - 1, ids[-1] + 1, 2 ** 64,
+                                      -2 ** 70, ids[len(ids) // 2]]))
+            d[(k, draw(st.sampled_from(ids))) if d is theta else k] = (
+                draw(value))
+    return cc, draw(st.sampled_from([EUCLIDEAN, HYPERBOLIC])), theta, Theta
+
+
+def _outcome(f):
+    """f() or, when it raises, the exception's type and text."""
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - compared as a value
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edited_targets())
+def test_make_angle_data_is_the_dict_reading(drawn):
+    # arrays equal to the last bit, or the same exception and message
+    cc, g, theta, Theta = drawn
+
+    def got():
+        t = make_angle_data(cc, g, theta, Theta)
+        assert t.geometry == g and t.cc is cc
+        return [a.tobytes() for a in polytope.angle_arrays(cc, t)]
+
+    def want():
+        _g, th, Th = oracles.make_angle_data_by_dict(cc, g, theta, Theta)
+        return [a.tobytes() for a in oracles.angle_arrays_by_dict(cc, th, Th)]
+
+    assert _outcome(got) == _outcome(want)
 
 
 class TestDerivedValues:

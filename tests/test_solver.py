@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from conftest import (
 from hicp import build_complex, cli, fixtures, solver, triangulate
 from hicp import geometry as geo
 from hicp.complexes import edge_key
-from hicp.errors import DomainError, NotInTE
+from hicp.errors import DomainError, IndexMismatch, NotInTE
 from hicp.fixtures import (
     FIXTURES,
     fixture_spec,
@@ -25,7 +24,7 @@ from hicp.fixtures import (
     omega_value,
     triangulated_torus_spec,
 )
-from hicp.polytope import AngleData, angle_arrays, make_angle_data
+from hicp.polytope import angle_arrays, make_angle_data
 from hicp.geometry import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -188,7 +187,7 @@ class TestLiftedTargets:
         cc = T.base
         theta = {e: 0.1 + 0.01 * m for m, e in enumerate(sorted(cc.e1))}
         Theta = {k: 3.0 + 0.1 * k for k in sorted(cc.v1)}
-        return T, AngleData(geometry=EUCLIDEAN, theta=theta, Theta=Theta)
+        return T, make_angle_data(cc, EUCLIDEAN, theta, Theta)
 
     def test_pi_on_diagonals_theta_on_e1_then_Theta(self, problem):
         T, target = problem
@@ -202,12 +201,13 @@ class TestLiftedTargets:
 
     @pytest.mark.parametrize("field", ["theta", "Theta"], ids=["E1", "V1"])
     def test_missing_key_raises(self, problem, field):
+        # a target holds a value on every free edge and disk vertex: one
+        # without a key is refused where it is made, before lifted_targets
         T, target = problem
-        values = getattr(target, field)
-        key = sorted(values)[4]
-        kept = {k: v for k, v in values.items() if k != key}
-        with pytest.raises(KeyError):
-            _lifted(T, replace(target, **{field: kept}))
+        values = {"theta": dict(target.theta), "Theta": dict(target.Theta)}
+        del values[field][sorted(values[field])[4]]
+        with pytest.raises(IndexMismatch, match=f"^{field} keys .* missing"):
+            make_angle_data(T.base, EUCLIDEAN, *values.values())
 
 
 class TestDerivatives:
